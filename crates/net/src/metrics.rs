@@ -5,33 +5,35 @@
 //! only while a metrics context is installed on the constructing thread
 //! (see [`xpass_sim::metrics::install`]); otherwise the field is `None`
 //! and every hook in the engine is a single `is_some()` check. Sampling
-//! is **boundary-checked**, not event-driven: the run loops call
-//! [`Network::metrics_advance_to`](crate::network::Network) before
-//! handling each event, and every elapsed interval boundary `k·interval`
-//! records one row of scalar samples using the state *strictly before*
-//! the events at that instant. No event is scheduled and the RNG is
-//! never touched, so a metrics-on run replays bit-identically to a
-//! metrics-off run — and identically across the heap and calendar
-//! schedulers, whose event order at equal `(time, seq)` is pinned.
+//! is **boundary-checked**, not event-driven: before handling each event
+//! the run loops compare its time with the cached next boundary
+//! (`Network::metrics_tick`), and every elapsed interval boundary
+//! `k·interval` records one row of scalar samples using the state
+//! *strictly before* the events at that instant. No event is scheduled
+//! and the RNG is never touched, so a metrics-on run replays
+//! bit-identically to a metrics-off run — and identically across the heap
+//! and calendar schedulers, whose event order at equal `(time, seq)` is
+//! pinned.
 //!
 //! Wall-clock figures (events/s, span wall time) are deliberately kept
 //! out of the sampled rows — they go only to the live HTTP exposition
 //! and the progress heartbeat, so the ring (and the `--metrics` JSONL
-//! file derived from it) stays deterministic.
+//! file derived from it) stays deterministic. The wall clock itself is
+//! read only on the event-count cadence of
+//! [`xpass_sim::watchdog::WALL_CHECK_MASK`], to throttle publications;
+//! a throttled publication renders text only for a reader (see
+//! [`xpass_sim::metrics::Plane`]).
 
 use crate::network::Counters;
 use crate::port::EgressPort;
 use xpass_sim::json::Json;
 use xpass_sim::metrics::{
     self as plane, JobView, MetricId, NetMetricsHook, Progress, Registry, Ring, SeriesDump,
+    PUBLISH_EVERY,
 };
 use xpass_sim::profile::{self, EngineReport};
 use xpass_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use xpass_sim::time::SimTime;
-
-/// Minimum wall time between plane publications during a run; exits from
-/// the run loops force one regardless.
-const PUBLISH_EVERY: std::time::Duration = std::time::Duration::from_millis(25);
 
 /// Fixed FCT histogram bucket bounds, in seconds.
 const FCT_BOUNDS: [f64; 7] = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
@@ -125,6 +127,9 @@ pub(crate) struct MetricsState {
     /// Wall clock at the first advance (events/s, ETA; never sampled).
     wall_start: Option<std::time::Instant>,
     last_publish: Option<std::time::Instant>,
+    /// The plane's reader count as of this network's previous publish
+    /// (see [`wants_text`](Self::wants_text)).
+    seen_reads: u64,
     // WS push cursors (wall/telemetry domain: deliberately NOT part of
     // snapshots — an in-process resume keeps pushing from where the feed
     // left off, a fresh process re-pushes the replayed ring).
@@ -183,6 +188,7 @@ impl MetricsState {
             progress_next,
             wall_start: None,
             last_publish: None,
+            seen_reads: 0,
             pushed_t: None,
             pushed_header: false,
             pushed_health: None,
@@ -440,7 +446,10 @@ impl MetricsState {
             .as_secs_f64()
     }
 
-    /// Whether a (throttled) plane publication is due.
+    /// Whether a plane publication is due: always when forced, otherwise
+    /// once [`PUBLISH_EVERY`] of wall time has passed since the last one.
+    /// Reads the wall clock — the run loops ask only on the event-count
+    /// cadence of [`xpass_sim::watchdog::WALL_CHECK_MASK`].
     pub(crate) fn publish_due(&self, force: bool) -> bool {
         if self.hook.plane.is_none() {
             return false;
@@ -449,6 +458,30 @@ impl MetricsState {
             || self
                 .last_publish
                 .is_none_or(|at| at.elapsed() >= PUBLISH_EVERY)
+    }
+
+    /// Whether this publication must render the text views (exposition,
+    /// health and engine JSON): always when forced, otherwise only when a
+    /// reader touched the plane since this network's previous publication.
+    /// Nobody can observe text rendered between two reads.
+    pub(crate) fn wants_text(&mut self, force: bool) -> bool {
+        let Some(p) = self.hook.plane.as_ref() else {
+            return false;
+        };
+        let reads = p.reads();
+        std::mem::replace(&mut self.seen_reads, reads) != reads || force
+    }
+
+    /// The throttled publication nobody is reading: refresh the progress
+    /// row and hand new ring rows to the WS feed — each row is encoded
+    /// once however often this runs — leaving the text views as they are.
+    pub(crate) fn publish_progress(&mut self, progress: Progress) {
+        let Some(p) = self.hook.plane.clone() else {
+            return;
+        };
+        self.last_publish = Some(std::time::Instant::now());
+        self.push_feed(&p, None);
+        p.publish_progress(&self.plane_key(), progress);
     }
 
     /// Publish the current views to the plane (call after
@@ -472,7 +505,7 @@ impl MetricsState {
             exposition.push_str(&plane::render_span_samples(&spans, extra));
             engine.spans = spans;
         }
-        self.push_feed(&p, &health);
+        self.push_feed(&p, Some(&health));
         let view = JobView {
             exposition,
             health: Some(health),
@@ -537,10 +570,10 @@ impl MetricsState {
     /// Push whatever is new since the last publish into the plane's WS
     /// feed (when one is attached): one `xpass-metrics/v1` header line,
     /// then each not-yet-pushed ring row as a `{"job",...,"t_ps","v"}`
-    /// line, then the health report whenever it changes. Producers never
-    /// block — slow consumers are the feed's problem (see
-    /// [`xpass_sim::ws::Broadcast`]).
-    fn push_feed(&mut self, p: &plane::Plane, health: &str) {
+    /// line, then the health report (when this publication rendered one)
+    /// whenever it changes. Producers never block — slow consumers are the
+    /// feed's problem (see [`xpass_sim::ws::Broadcast`]).
+    fn push_feed(&mut self, p: &plane::Plane, health: Option<&str>) {
         let Some(feed) = p.feed() else {
             return;
         };
@@ -569,12 +602,14 @@ impl MetricsState {
                 self.pushed_t = Some(t);
             }
         }
-        if self.pushed_health.as_deref() != Some(health) {
-            feed.push(format!(
-                "{{\"job\":{},\"health\":{health}}}",
-                Json::str(&key)
-            ));
-            self.pushed_health = Some(health.to_string());
+        if let Some(health) = health {
+            if self.pushed_health.as_deref() != Some(health) {
+                feed.push(format!(
+                    "{{\"job\":{},\"health\":{health}}}",
+                    Json::str(&key)
+                ));
+                self.pushed_health = Some(health.to_string());
+            }
         }
     }
 

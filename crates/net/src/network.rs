@@ -41,7 +41,7 @@ use xpass_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use xpass_sim::stats::TimeSeries;
 use xpass_sim::time::{Dur, SimTime};
 use xpass_sim::trace::{TraceEvent, TraceSink};
-use xpass_sim::watchdog::{Watchdog, WatchdogReport, WatchdogSpec};
+use xpass_sim::watchdog::{Watchdog, WatchdogReport, WatchdogSpec, WALL_CHECK_MASK};
 
 /// Simulation events.
 enum Ev {
@@ -361,6 +361,9 @@ pub struct Network {
     /// metrics-off runs are byte-identical — and metrics-on runs produce
     /// identical simulation results to metrics-off ones.
     metrics: Option<Box<MetricsState>>,
+    /// The next sample boundary, cached out of `metrics` so the run loops'
+    /// per-event check is one compare (meaningless without metrics).
+    metrics_next: SimTime,
     /// Events handled per kind (indexed by [`ev_kind_idx`]); always on —
     /// plain counters that cannot affect simulation state.
     ev_counts: [u64; 8],
@@ -459,6 +462,7 @@ impl Network {
             phase: "run",
             ckpt: checkpoint::register_network(),
             metrics: sim_metrics::register().map(|h| Box::new(MetricsState::new(h))),
+            metrics_next: SimTime::ZERO,
             ev_counts: [0; 8],
             wall_secs: 0.0,
             counters: Counters::default(),
@@ -738,6 +742,13 @@ impl Network {
         }
     }
 
+    /// Entry slots the event queue currently has allocated (see
+    /// [`EventQueue::capacity`]) — a memory diagnostic kept out of
+    /// [`EngineReport`], whose JSON is byte-compared across runs.
+    pub fn event_queue_capacity(&self) -> usize {
+        self.events.capacity()
+    }
+
     /// Enable periodic sampling with this interval (required before
     /// [`track_flow`](Self::track_flow) / [`track_port`](Self::track_port)).
     pub fn set_sample_interval(&mut self, interval: Dur) {
@@ -779,9 +790,7 @@ impl Network {
         let sim_start = self.now;
         while let Some((et, ev)) = self.events.pop_before(t) {
             if self.metrics.is_some() {
-                // Record every sample boundary ≤ et using the state
-                // strictly before the events at that instant.
-                self.metrics_advance_to(et);
+                self.metrics_tick(et);
             }
             self.now = et;
             self.handle(ev);
@@ -846,7 +855,7 @@ impl Network {
                         return cap;
                     }
                     if self.metrics.is_some() {
-                        self.metrics_advance_to(et);
+                        self.metrics_tick(et);
                     }
                     self.now = et;
                     let before = self.completed + self.aborted;
@@ -940,6 +949,61 @@ impl Network {
         (active, stalled)
     }
 
+    /// Ledger fate totals, in the order the `xpass_ledger_pkts` family
+    /// registers them; `None` without a ledger.
+    fn metrics_ledger_fates(&self) -> Option<[(&'static str, u64); 8]> {
+        self.ledger.as_ref()?;
+        let lr = self.ledger_report();
+        Some([
+            ("emitted", lr.emitted.pkts),
+            ("delivered", lr.delivered.pkts),
+            ("queue_dropped", lr.queue_dropped.pkts),
+            ("fault_lost", lr.fault_lost.pkts),
+            ("corrupted", lr.corrupted.pkts),
+            ("in_flight", lr.in_flight.pkts),
+            ("queued", lr.queued.pkts),
+            ("stashed", lr.stashed.pkts),
+        ])
+    }
+
+    /// The signals one metrics row is built from, as of instant `t`.
+    fn metrics_sample_view<'a>(
+        &'a self,
+        t: SimTime,
+        fates: Option<&'a [(&'static str, u64)]>,
+    ) -> SampleView<'a> {
+        let (active, stalled) = self.metrics_flow_counts(t);
+        SampleView {
+            t,
+            ports: &self.ports,
+            flows_total: self.arena.live_count() as u64,
+            flows_active: active,
+            flows_stalled: stalled,
+            flows_completed: self.completed as u64,
+            flows_aborted: self.aborted as u64,
+            counters: &self.counters,
+            events_processed: self.events.events_processed(),
+            ledger: fates,
+            watchdog_events: self.watchdog.as_ref().map(|w| w.events_observed()),
+        }
+    }
+
+    /// The run loops' per-event metrics work: one compare against the
+    /// cached next sample boundary, and — on the event-count cadence the
+    /// watchdog reads the wall clock at — the throttled publish check.
+    /// Only called with metrics installed.
+    #[inline]
+    fn metrics_tick(&mut self, et: SimTime) {
+        if et >= self.metrics_next {
+            // Record every sample boundary ≤ et using the state strictly
+            // before the events at that instant.
+            self.metrics_advance_to(et);
+        }
+        if self.events.events_processed() & WALL_CHECK_MASK == 0 {
+            self.metrics_publish(false);
+        }
+    }
+
     /// Record every sample boundary `k·interval ≤ limit` that has not
     /// been recorded yet, using the current (pre-`limit`-events) state.
     /// Observation-only: no events scheduled, no RNG draws. Only called
@@ -949,36 +1013,12 @@ impl Network {
         while m.next_boundary() <= limit {
             m.ensure_families(&self.metrics_fam_spec());
             let t = m.next_boundary();
-            let (active, stalled) = self.metrics_flow_counts(t);
-            let fates = self.ledger.as_ref().map(|_| {
-                let lr = self.ledger_report();
-                [
-                    ("emitted", lr.emitted.pkts),
-                    ("delivered", lr.delivered.pkts),
-                    ("queue_dropped", lr.queue_dropped.pkts),
-                    ("fault_lost", lr.fault_lost.pkts),
-                    ("corrupted", lr.corrupted.pkts),
-                    ("in_flight", lr.in_flight.pkts),
-                    ("queued", lr.queued.pkts),
-                    ("stashed", lr.stashed.pkts),
-                ]
-            });
-            m.sample(&SampleView {
-                t,
-                ports: &self.ports,
-                flows_total: self.arena.live_count() as u64,
-                flows_active: active,
-                flows_stalled: stalled,
-                flows_completed: self.completed as u64,
-                flows_aborted: self.aborted as u64,
-                counters: &self.counters,
-                events_processed: self.events.events_processed(),
-                ledger: fates.as_ref().map(|f| f.as_slice()),
-                watchdog_events: self.watchdog.as_ref().map(|w| w.events_observed()),
-            });
+            let fates = self.metrics_ledger_fates();
+            let view = self.metrics_sample_view(t, fates.as_ref().map(|f| f.as_slice()));
+            m.sample(&view);
             if m.heartbeat_due(t) {
                 let wall = m.wall_elapsed();
-                let events = self.events.events_processed();
+                let events = view.events_processed;
                 let eps = if wall > 0.0 {
                     events as f64 / wall
                 } else {
@@ -993,71 +1033,57 @@ impl Network {
                 };
                 eprintln!(
                     "xpass-repro: [{}] t={:.3}s events={events} ({eps:.0}/s) \
-                     flows {done}/{total} active={active} eta={eta}",
+                     flows {done}/{total} active={} eta={eta}",
                     m.plane_key(),
                     t.as_secs_f64(),
+                    view.flows_active,
                 );
             }
         }
+        self.metrics_next = m.next_boundary();
         self.metrics = Some(m);
-        self.metrics_publish(false);
     }
 
     /// Publish the current views to the metrics plane — wall-throttled
     /// unless `force` (the run loops force one at every exit, so the last
-    /// scrape always matches the end-of-run reports). Only called with
-    /// metrics installed.
+    /// scrape always matches the end-of-run reports). A throttled publish
+    /// always refreshes the progress row but renders the text views only
+    /// when a reader touched the plane since the previous publish. Only
+    /// called with metrics installed.
     fn metrics_publish(&mut self, force: bool) {
         let mut m = self.metrics.take().expect("metrics publish without state");
         if m.publish_due(force) {
             let wall = m.wall_elapsed();
-            let events = self.events.events_processed();
-            let (active, stalled) = self.metrics_flow_counts(self.now);
-            if force {
-                // Run-call exit: bring the instantaneous gauges up to the
-                // final state so the last scrape matches the reports.
-                let fates = self.ledger.as_ref().map(|_| {
-                    let lr = self.ledger_report();
-                    [
-                        ("emitted", lr.emitted.pkts),
-                        ("delivered", lr.delivered.pkts),
-                        ("queue_dropped", lr.queue_dropped.pkts),
-                        ("fault_lost", lr.fault_lost.pkts),
-                        ("corrupted", lr.corrupted.pkts),
-                        ("in_flight", lr.in_flight.pkts),
-                        ("queued", lr.queued.pkts),
-                        ("stashed", lr.stashed.pkts),
-                    ]
-                });
-                m.refresh_final(&SampleView {
-                    t: self.now,
-                    ports: &self.ports,
-                    flows_total: self.arena.live_count() as u64,
-                    flows_active: active,
-                    flows_stalled: stalled,
-                    flows_completed: self.completed as u64,
-                    flows_aborted: self.aborted as u64,
-                    counters: &self.counters,
-                    events_processed: events,
-                    ledger: fates.as_ref().map(|f| f.as_slice()),
-                    watchdog_events: self.watchdog.as_ref().map(|w| w.events_observed()),
-                });
-            }
+            let fates = if force {
+                self.metrics_ledger_fates()
+            } else {
+                None
+            };
+            let view = self.metrics_sample_view(self.now, fates.as_ref().map(|f| f.as_slice()));
             let progress = sim_metrics::Progress {
                 sim_secs: self.now.as_secs_f64(),
-                events,
+                events: view.events_processed,
                 events_per_sec: if wall > 0.0 {
-                    events as f64 / wall
+                    view.events_processed as f64 / wall
                 } else {
                     0.0
                 },
-                flows_total: self.arena.live_count() as u64,
-                flows_active: active,
-                flows_completed: self.completed as u64,
-                flows_aborted: self.aborted as u64,
+                flows_total: view.flows_total,
+                flows_active: view.flows_active,
+                flows_completed: view.flows_completed,
+                flows_aborted: view.flows_aborted,
             };
-            let health = self.health_report().to_json().to_string();
-            m.publish(self.engine_report(), health, progress, force);
+            if force {
+                // Run-call exit: bring the instantaneous gauges up to the
+                // final state so the last scrape matches the reports.
+                m.refresh_final(&view);
+            }
+            if m.wants_text(force) {
+                let health = self.health_report().to_json().to_string();
+                m.publish(self.engine_report(), health, progress, force);
+            } else {
+                m.publish_progress(progress);
+            }
         }
         self.metrics = Some(m);
     }
@@ -1926,20 +1952,17 @@ impl Network {
     /// and the trace sink are deliberately excluded: restores happen at a
     /// different wall time by definition, and trace sinks are external
     /// observers re-attached by the driver.
-    pub fn snapshot_into(&mut self, w: &mut SnapWriter) {
+    pub fn snapshot_into(&self, w: &mut SnapWriter) {
         w.u64(self.now.0);
-        // Event queue: drain raw entries in deterministic (time, seq) order
-        // — identical bytes under either scheduler — then put them straight
-        // back, preserving explicit sequence numbers.
-        let entries = self.events.drain_for_snapshot();
+        // Event queue: raw entries in deterministic (time, seq) order —
+        // identical bytes under either scheduler — read in place, so the
+        // scheduler is laid out after the snapshot exactly as before it.
+        let entries = self.events.snapshot_entries();
         w.usize(entries.len());
-        for (at, seq, ev) in &entries {
-            w.u64(at.0);
-            w.u64(*seq);
-            ev.snap(w);
-        }
         for (at, seq, ev) in entries {
-            self.events.reinsert_for_snapshot(at, seq, ev);
+            w.u64(at.0);
+            w.u64(seq);
+            ev.snap(w);
         }
         let (seq, popped, peak) = self.events.snapshot_counters();
         w.u64(seq);
@@ -2063,13 +2086,14 @@ impl Network {
         r.enter("events");
         let n_ev = r.seq_len(17)?;
         // Whatever deterministic setup scheduled is superseded wholesale by
-        // the snapshot's queue (which evolved from exactly those events).
-        drop(self.events.drain_for_snapshot());
+        // the snapshot's queue (which evolved from exactly those events):
+        // start from a fresh scheduler of the same kind.
+        self.events = EventQueue::with_scheduler(self.events.scheduler());
         for _ in 0..n_ev {
             let at = SimTime(r.u64()?);
             let seq = r.u64()?;
             let ev = Ev::from_snap(&mut r)?;
-            self.events.reinsert_for_snapshot(at, seq, ev);
+            self.events.restore_entry(at, seq, ev);
         }
         let (seq, popped, peak) = (r.u64()?, r.u64()?, r.u64()?);
         self.events.restore_counters(seq, popped, peak);
@@ -2350,6 +2374,7 @@ impl Network {
             // Taken out so the restore can re-register the sampled
             // families against `&self` without aliasing.
             let res = m.restore(&mut r, &self.metrics_fam_spec());
+            self.metrics_next = m.next_boundary();
             self.metrics = Some(m);
             res?;
         }

@@ -249,11 +249,48 @@ impl<E> CalendarQueue<E> {
                     self.wheel_len += 1;
                 }
             }
+            // Before the window start with nothing else queued (a full
+            // drain fast-forwarded the window to its last event): re-anchor
+            // the window here. Staging instead would turn the wheel into one
+            // sorted `Vec` whose popped prefix is never reclaimed, for as
+            // long as pushes keep landing before the stale `day_start`.
+            None if self.len == 1 => {
+                self.day_start = (t >> self.bucket_bits) << self.bucket_bits;
+                self.cursor = 0;
+                self.staged = false;
+                self.staging.clear();
+                self.scursor = 0;
+                self.buckets[0].push(Entry::new(t, seq, slot));
+                self.occupied[0] |= 1;
+                self.wheel_len = 1;
+            }
             // Before the window start (only after an aggressive
             // fast-forward): earlier than everything else, so staging —
             // which always pops first — keeps the order correct.
             None => self.staging_insert(Entry::new(t, seq, slot)),
         }
+    }
+
+    /// Every queued entry in `(time, seq)` order — the pop order — with
+    /// its payload by reference. Read-only: the window, cursors, buckets
+    /// and adaptive-width statistics are exactly as before the call.
+    pub fn snapshot_entries(&self) -> Vec<(SimTime, u64, &E)> {
+        let mut keys: Vec<Entry> = Vec::with_capacity(self.len);
+        keys.extend_from_slice(&self.staging[self.scursor..]);
+        for b in &self.buckets {
+            keys.extend_from_slice(b);
+        }
+        keys.extend(self.overflow.iter());
+        debug_assert_eq!(keys.len(), self.len);
+        keys.sort_unstable_by_key(|e| e.key.0);
+        keys.iter()
+            .map(|e| {
+                let event = self.slab[e.slot as usize]
+                    .as_ref()
+                    .expect("queued entry without a payload");
+                (SimTime(e.time()), e.seq(), event)
+            })
+            .collect()
     }
 
     /// First occupied bucket index at or after `from`, if any.
@@ -594,6 +631,89 @@ mod tests {
         q.shrink_to(16);
         assert!(q.capacity() < before);
         assert!(q.is_empty());
+    }
+
+    /// A packet-simulation-like refill starting near t = 10: `n` pushes a
+    /// few µs ahead of the last pop, seven pops per eight pushes, every
+    /// pop checked against a reference heap. Returns the peak live count.
+    fn refill_near_now(q: &mut CalendarQueue<()>, first_seq: u64, n: u64) -> usize {
+        let mut oracle: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let (mut now, mut peak_live) = (10u64, 0usize);
+        for seq in first_seq..first_seq + n {
+            let t = now + 1 + (seq * 7919) % (WINDOW_PS / 256);
+            q.push(SimTime(t), seq, ());
+            oracle.push(Reverse((t, seq)));
+            peak_live = peak_live.max(q.len());
+            if seq % 8 != 0 {
+                let (pt, ps, _) = q.pop().expect("just pushed");
+                assert_eq!(Some(Reverse((pt.0, ps))), oracle.pop());
+                now = pt.0;
+            }
+        }
+        assert_eq!(q.len(), oracle.len());
+        peak_live
+    }
+
+    #[test]
+    fn refill_after_a_far_future_drain_reanchors_the_window() {
+        // Draining a queue whose last event lies 1000 windows ahead leaves
+        // `day_start` there. A refill near the old `now` must land back in
+        // the wheel, not pile up in staging behind a dead prefix.
+        let mut q = CalendarQueue::with_capacity(16);
+        q.push(SimTime(5), 0, ());
+        q.push(SimTime(1000 * WINDOW_PS), 1, ());
+        assert_eq!(drain(&mut q).len(), 2);
+        let peak_live = refill_near_now(&mut q, 2, 100_000);
+
+        // Staging is the store the sorted-`Vec` mode grows without bound
+        // (one slot per entry ever pushed): it must hold about one
+        // bucket's worth, not the refill's history.
+        assert!(
+            q.staging.capacity() <= 2 * peak_live,
+            "staging holds {} slots for {peak_live} live entries",
+            q.staging.capacity()
+        );
+        // And the queue as a whole is no bigger than one that was never
+        // fast-forwarded (bucket allocations dominate both).
+        let mut fresh = CalendarQueue::with_capacity(16);
+        refill_near_now(&mut fresh, 2, 100_000);
+        assert!(
+            q.capacity() <= 2 * fresh.capacity(),
+            "capacity {} against {} for a never-drained queue",
+            q.capacity(),
+            fresh.capacity()
+        );
+        let left = q.len();
+        let rest = drain(&mut q);
+        assert!(rest.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(rest.len(), left);
+    }
+
+    #[test]
+    fn snapshot_entries_is_sorted_complete_and_read_only() {
+        let mut q = CalendarQueue::with_capacity(8);
+        let far = WINDOW_PS * 3 + 17;
+        for (seq, t) in [far, WINDOW_PS / 2, 900, 3, 900, far + 1]
+            .into_iter()
+            .enumerate()
+        {
+            q.push(SimTime(t), seq as u64, t);
+        }
+        // Stage a bucket and leave part of it unpopped, then push behind
+        // the cursor, so staging, buckets and overflow all hold entries.
+        assert_eq!(q.pop().unwrap().2, 3);
+        q.push(SimTime(4), 6, 4);
+        let (cap, bits, len) = (q.capacity(), q.bucket_bits(), q.len());
+        let got: Vec<(u64, u64, u64)> = q
+            .snapshot_entries()
+            .into_iter()
+            .map(|(t, s, e)| (t.0, s, *e))
+            .collect();
+        assert_eq!((q.capacity(), q.bucket_bits(), q.len()), (cap, bits, len));
+        let popped: Vec<(u64, u64, u64)> =
+            std::iter::from_fn(|| q.pop().map(|(t, s, e)| (t.0, s, e))).collect();
+        assert_eq!(got, popped);
+        assert_eq!(got.len(), 6);
     }
 
     #[test]

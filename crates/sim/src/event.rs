@@ -378,26 +378,36 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Snapshot support: remove **every** queued entry — live and
-    /// cancelled tombstones alike — in `(time, seq)` order. Both schedulers
-    /// yield the identical sequence, so bytes serialized from the result
-    /// are scheduler-independent. The `popped`/`peak` counters are not
-    /// touched; pair with [`reinsert_for_snapshot`](Self::reinsert_for_snapshot)
-    /// to put the entries back (or to load a restored set).
-    pub fn drain_for_snapshot(&mut self) -> Vec<(SimTime, u64, E)> {
-        let mut v = Vec::with_capacity(self.raw);
-        while let Some(e) = self.pop_raw() {
-            v.push(e);
+    /// Snapshot support: **every** queued entry — live and cancelled
+    /// tombstones alike — in `(time, seq)` order, payload by reference.
+    /// Both schedulers yield the identical sequence, so bytes serialized
+    /// from the result are scheduler-independent. Read-only: the
+    /// scheduler's internal layout (the calendar's window, cursors and
+    /// bucket width) is exactly as it was, so a run that snapshots
+    /// continues precisely like one that does not.
+    pub fn snapshot_entries(&self) -> Vec<(SimTime, u64, &E)> {
+        match &self.imp {
+            Impl::Heap(h) => {
+                let mut v: Vec<_> = h
+                    .iter()
+                    .map(|e| (e.key.0 .0, e.key.0 .1, &e.event))
+                    .collect();
+                v.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+                v
+            }
+            Impl::Calendar(c) => c.snapshot_entries(),
         }
-        v
     }
 
-    /// Snapshot support: insert an entry with an **explicit** sequence
-    /// number (the inverse of [`drain_for_snapshot`](Self::drain_for_snapshot)).
-    /// Bypasses the sequence counter and the peak/shrink bookkeeping so a
-    /// drain-serialize-reinsert cycle leaves the queue's observable
-    /// behaviour — pop order and reported statistics — unchanged.
-    pub fn reinsert_for_snapshot(&mut self, at: SimTime, seq: u64, event: E) {
+    /// Restore support: insert an entry with an **explicit** sequence
+    /// number, as yielded by [`snapshot_entries`](Self::snapshot_entries).
+    /// Bypasses the sequence counter and the peak/shrink bookkeeping
+    /// (overwritten afterwards by [`restore_counters`](Self::restore_counters)).
+    /// Restore into a freshly constructed queue: its window then rotates
+    /// to the snapshot's earliest event on the first pop, exactly as a
+    /// live queue's does, instead of inheriting a window some earlier
+    /// drain left behind.
+    pub fn restore_entry(&mut self, at: SimTime, seq: u64, event: E) {
         match &mut self.imp {
             Impl::Heap(h) => h.push(Entry {
                 key: Reverse((at, seq)),
@@ -582,6 +592,54 @@ mod tests {
             assert_eq!(q.pop().unwrap().1, 1);
             assert!(!q.cancel(h));
         }
+    }
+
+    #[test]
+    fn snapshot_entries_agree_across_schedulers_and_leave_the_queue_alone() {
+        let views: Vec<Vec<(SimTime, u64, u64)>> = both()
+            .into_iter()
+            .map(|mut q| {
+                // Near events, a far-future one (the calendar's overflow
+                // band), a live cancellable timer and a tombstone; pops in
+                // between so the calendar has a staged, partly consumed
+                // bucket.
+                for i in 0..200u64 {
+                    q.push(SimTime(1_000 + i * 37_000), i);
+                }
+                q.push(SimTime::ZERO + Dur::secs(5), 1000);
+                let live = q.push_cancellable(SimTime::ZERO + Dur::us(900), 1001);
+                let dead = q.push_cancellable(SimTime::ZERO + Dur::us(3), 1002);
+                assert!(q.cancel(dead));
+                for _ in 0..50 {
+                    q.pop().unwrap();
+                }
+                let next = q.peek_time().unwrap();
+                q.push(next, 1003);
+                let before = (q.len(), q.peak_len(), q.capacity(), q.bucket_bits());
+                let view: Vec<_> = q
+                    .snapshot_entries()
+                    .into_iter()
+                    .map(|(at, seq, e)| (at, seq, *e))
+                    .collect();
+                assert_eq!(
+                    before,
+                    (q.len(), q.peak_len(), q.capacity(), q.bucket_bits())
+                );
+                assert_eq!(view.len(), q.len() + 1, "the tombstone is included");
+                assert!(view.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+                // The queue still pops what the view listed, minus the tombstone.
+                let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+                let listed: Vec<u64> = view
+                    .iter()
+                    .map(|&(_, _, e)| e)
+                    .filter(|&e| e != 1002)
+                    .collect();
+                assert_eq!(popped, listed);
+                assert!(!q.cancel(live), "the live timer fired");
+                view
+            })
+            .collect();
+        assert_eq!(views[0], views[1], "heap and calendar views differ");
     }
 
     #[test]

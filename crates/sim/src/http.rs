@@ -521,6 +521,9 @@ fn ws_session(
             let _ = stream.write_all(&ws::encode_close(1001, "server shutting down"));
             return Ok(());
         }
+        // A subscriber is a reader: keep publishers rendering (health
+        // changes reach the feed only through a rendered publish).
+        plane.note_reader();
         // Drain client frames (control frames honored, text ignored).
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(()),

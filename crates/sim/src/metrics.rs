@@ -28,8 +28,10 @@ use crate::profile::SpanRecord;
 use crate::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::time::Dur;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Schema identifier of the JSONL series format.
 pub const SCHEMA: &str = "xpass-metrics/v1";
@@ -794,12 +796,45 @@ pub struct JobView {
     pub series_jsonl: Arc<String>,
 }
 
+/// Minimum wall time between a network's plane publications during a
+/// run; exits from the run loops force one regardless.
+pub const PUBLISH_EVERY: Duration = Duration::from_millis(25);
+
+/// What the plane holds under its lock.
+#[derive(Default)]
+struct Views {
+    jobs: BTreeMap<String, JobView>,
+    /// Keys whose progress row is newer than their text views: a reader
+    /// that finds any waits for the publisher's next (rendering) publish.
+    stale: BTreeSet<String>,
+    /// Publications that carried text views (for tests and diagnostics).
+    text_publishes: u64,
+}
+
 /// The shared publishing surface: simulation threads write [`JobView`]s
 /// under their job key; the HTTP server (and the `--metrics` file writer)
 /// only read. Keys are `job#netN` with `/i` segments for nested fan-out.
+///
+/// Text views are rendered **for a reader**: a publisher's throttled
+/// mid-run publications refresh only the [`Progress`] row unless some
+/// reader ([`render_metrics`](Self::render_metrics),
+/// [`render_health`](Self::render_health),
+/// [`render_engine`](Self::render_engine), or a `/ws` session via
+/// [`note_reader`](Self::note_reader)) touched the plane since that
+/// publisher's previous publication. A reader that arrives after a quiet
+/// spell finds the text marked stale and waits — at most two throttle
+/// periods — for the publication its own touch provokes, so what it is
+/// served is never older than that. Forced publications (every run-call
+/// exit) always render, so a plane nobody is running against is never
+/// stale and never makes a reader wait.
 #[derive(Clone, Default)]
 pub struct Plane {
-    inner: Arc<Mutex<BTreeMap<String, JobView>>>,
+    inner: Arc<Mutex<Views>>,
+    /// Signalled by every publication that carries text views.
+    rendered: Arc<Condvar>,
+    /// Reader touches so far. Relaxed everywhere: publishers only compare
+    /// it with the value they saw last time; it guards no other data.
+    reads: Arc<AtomicU64>,
     degraded: Arc<Mutex<Option<String>>>,
     feed: Arc<Mutex<Option<crate::ws::Broadcast>>>,
 }
@@ -833,17 +868,71 @@ impl Plane {
         self.feed.lock().unwrap().clone()
     }
 
-    /// Publish (replace) the view under `key`.
+    /// The views, locked. Holders only insert into or read the maps, so a
+    /// poisoned lock means a panic inside `BTreeMap` itself.
+    fn views(&self) -> MutexGuard<'_, Views> {
+        self.inner.lock().expect("plane lock poisoned")
+    }
+
+    /// Publish (replace) the view under `key`, text views included.
     pub fn publish(&self, key: &str, view: JobView) {
-        self.inner.lock().unwrap().insert(key.to_string(), view);
+        let mut views = self.views();
+        views.jobs.insert(key.to_string(), view);
+        views.stale.remove(key);
+        views.text_publishes += 1;
+        drop(views);
+        self.rendered.notify_all();
+    }
+
+    /// Refresh only the progress row under `key`, marking its text views
+    /// stale (they were rendered before this progress).
+    pub fn publish_progress(&self, key: &str, progress: Progress) {
+        let mut views = self.views();
+        views.jobs.entry(key.to_string()).or_default().progress = progress;
+        views.stale.insert(key.to_string());
+    }
+
+    /// Record that a reader wants text views: every publisher's next
+    /// throttled publication renders them. The render methods call this
+    /// themselves; a `/ws` session calls it while it is subscribed.
+    pub fn note_reader(&self) {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Reader touches so far (publishers compare against their last look).
+    pub fn reads(&self) -> u64 {
+        self.reads.load(Ordering::Relaxed)
+    }
+
+    /// Publications so far that carried text views.
+    pub fn text_publishes(&self) -> u64 {
+        self.views().text_publishes
+    }
+
+    /// Lock the views for a reader of text: note the read, and while any
+    /// view's text is stale wait (bounded) for its publisher to render.
+    /// A publisher that lets the bound pass is not running its loop; its
+    /// text is then served as is, and not waited for again until it
+    /// publishes progress anew.
+    fn read_text(&self) -> MutexGuard<'_, Views> {
+        self.note_reader();
+        let views = self.views();
+        let (mut views, timeout) = self
+            .rendered
+            .wait_timeout_while(views, 2 * PUBLISH_EVERY, |v| !v.stale.is_empty())
+            .expect("plane lock poisoned");
+        if timeout.timed_out() {
+            views.stale.clear();
+        }
+        views
     }
 
     /// Concatenated Prometheus exposition of every published view, in key
     /// order.
     pub fn render_metrics(&self) -> String {
-        let jobs = self.inner.lock().unwrap();
+        let views = self.read_text();
         let mut out = String::new();
-        for view in jobs.values() {
+        for view in views.jobs.values() {
             out.push_str(&view.exposition);
         }
         out
@@ -851,12 +940,14 @@ impl Plane {
 
     /// `/health`: `{"jobs":{key: <health report or null>}}`.
     pub fn render_health(&self) -> String {
-        self.render_json_map(|v| v.health.clone().unwrap_or_else(|| "null".to_string()))
+        render_json_map(&self.read_text().jobs, |v| {
+            v.health.clone().unwrap_or_else(|| "null".to_string())
+        })
     }
 
     /// `/engine`: `{"jobs":{key: <engine report>}}`.
     pub fn render_engine(&self) -> String {
-        self.render_json_map(|v| {
+        render_json_map(&self.read_text().jobs, |v| {
             if v.engine.is_empty() {
                 "null".to_string()
             } else {
@@ -865,26 +956,11 @@ impl Plane {
         })
     }
 
-    /// `/progress`: `{"jobs":{key: <progress>}}`.
+    /// `/progress`: `{"jobs":{key: <progress>}}`. Progress rows are
+    /// refreshed by every publication, so this neither counts as a text
+    /// reader nor waits.
     pub fn render_progress(&self) -> String {
-        self.render_json_map(|v| v.progress.to_json().to_string())
-    }
-
-    /// Splice pre-rendered JSON values (trusted: produced by [`Json`])
-    /// into a `{"jobs":{...}}` wrapper without re-parsing them.
-    fn render_json_map(&self, f: impl Fn(&JobView) -> String) -> String {
-        let jobs = self.inner.lock().unwrap();
-        let mut out = String::from("{\"jobs\":{");
-        for (i, (k, v)) in jobs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&Json::str(&**k).to_string());
-            out.push(':');
-            out.push_str(&f(v));
-        }
-        out.push_str("}}");
-        out
+        render_json_map(&self.views().jobs, |v| v.progress.to_json().to_string())
     }
 
     /// Concatenated `xpass-metrics/v1` blocks for the given top-level job
@@ -892,10 +968,10 @@ impl Plane {
     /// ride along in key order). Used to write `--metrics <file>` in
     /// selection order, independent of `--jobs`.
     pub fn jsonl_for_jobs(&self, jobs_in_order: &[String]) -> String {
-        let views = self.inner.lock().unwrap();
+        let views = self.views();
         let mut out = String::new();
         for job in jobs_in_order {
-            for (key, view) in views.iter() {
+            for (key, view) in views.jobs.iter() {
                 let root = key.split(['#', '/']).next().unwrap_or(key);
                 if root == job {
                     out.push_str(&view.series_jsonl);
@@ -916,8 +992,9 @@ impl Plane {
         if spans.is_empty() {
             return;
         }
-        let mut views = self.inner.lock().unwrap();
+        let mut views = self.views();
         let Some(view) = views
+            .jobs
             .iter_mut()
             .find(|(k, _)| k.split(['#', '/']).next() == Some(job))
             .map(|(_, v)| v)
@@ -944,13 +1021,28 @@ impl Plane {
 
     /// Snapshot of all published progress rows (for heartbeats/tests).
     pub fn progress_rows(&self) -> Vec<(String, Progress)> {
-        self.inner
-            .lock()
-            .unwrap()
+        self.views()
+            .jobs
             .iter()
             .map(|(k, v)| (k.clone(), v.progress.clone()))
             .collect()
     }
+}
+
+/// Splice pre-rendered JSON values (trusted: produced by [`Json`]) into a
+/// `{"jobs":{...}}` wrapper without re-parsing them.
+fn render_json_map(jobs: &BTreeMap<String, JobView>, f: impl Fn(&JobView) -> String) -> String {
+    let mut out = String::from("{\"jobs\":{");
+    for (i, (k, v)) in jobs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&Json::str(&**k).to_string());
+        out.push(':');
+        out.push_str(&f(v));
+    }
+    out.push_str("}}");
+    out
 }
 
 /// Render profiler spans as Prometheus gauge samples (wall + sim seconds

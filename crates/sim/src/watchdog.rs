@@ -25,7 +25,10 @@ use crate::time::SimTime;
 use std::time::{Duration, Instant};
 
 /// The wall clock is consulted once every `WALL_CHECK_MASK + 1` observed
-/// events (must be a power of two minus one).
+/// events (must be a power of two minus one). Shared by every wall-clock
+/// reader on the run loops' per-event path — the watchdog's budget check
+/// here and the metrics plane's publish throttle — so that path never
+/// makes a clock syscall per event.
 pub const WALL_CHECK_MASK: u64 = 0xFFF;
 
 /// Budgets for one run. Unset budgets are not checked.

@@ -230,6 +230,62 @@ fn network_state_round_trips_in_process_across_schedulers() {
     assert_eq!(a.completed_count(), 2);
 }
 
+/// The shape that used to wreck the calendar scheduler: a snapshot taken
+/// while a far-future event (a flow starting many wheel windows ahead) is
+/// queued. Taking it must be inert — same results *and* same scheduler
+/// layout as a run that never snapshots — its bytes must not depend on the
+/// scheduler, and a twin restored from it must finish identically.
+#[test]
+fn snapshot_with_a_far_future_event_queued_is_inert_and_portable() {
+    fn net() -> Network {
+        let mut n = demo_net(None);
+        n.add_flow(HostId(0), HostId(3), 500_000, SimTime::ZERO + Dur::ms(8));
+        n
+    }
+    let mut bodies = Vec::new();
+    for (kind, other) in [
+        (SchedulerKind::Heap, SchedulerKind::Calendar),
+        (SchedulerKind::Calendar, SchedulerKind::Heap),
+    ] {
+        set_thread_scheduler(kind);
+        let mut plain = net();
+        plain.run_until_done(CAP);
+
+        let mut a = net();
+        a.run_until(SimTime::ZERO + Dur::us(300));
+        let mut w = SnapWriter::new();
+        a.snapshot_into(&mut w);
+        let body = w.into_body();
+        a.run_until_done(CAP);
+        assert_eq!(plain.flow_records(), a.flow_records());
+        assert_eq!(plain.counters(), a.counters());
+        assert_eq!(plain.now(), a.now());
+        assert_eq!(a.completed_count(), 3);
+        let (pe, ae) = (plain.engine_report(), a.engine_report());
+        assert_eq!(pe.events_processed, ae.events_processed);
+        assert_eq!(pe.peak_queue_len, ae.peak_queue_len);
+        assert_eq!(pe.bucket_bits, ae.bucket_bits, "{kind:?}");
+        assert_eq!(
+            plain.event_queue_capacity(),
+            a.event_queue_capacity(),
+            "{kind:?}: the snapshot rearranged the scheduler"
+        );
+
+        set_thread_scheduler(other);
+        let mut b = net();
+        b.restore_from(&body).expect("twin restore");
+        b.run_until_done(CAP);
+        assert_eq!(a.flow_records(), b.flow_records());
+        assert_eq!(a.counters(), b.counters());
+        assert_eq!(a.now(), b.now());
+        bodies.push(body);
+    }
+    assert_eq!(
+        bodies[0], bodies[1],
+        "snapshot bytes depend on the scheduler"
+    );
+}
+
 /// The million-flow memory layout round-trips: a small fig15_xl-style
 /// 3-tier Clos with a mid-run cable cut, snapshotted while timers are
 /// armed and the fault overlay is active, restores into a twin under the
