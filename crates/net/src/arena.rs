@@ -27,6 +27,7 @@
 
 use crate::endpoint::{Endpoint, FlowInfo};
 use crate::ids::{FlowId, Side};
+use xpass_sim::event::{prefetch, prefetch_bytes, prefetch_obj, CACHE_LINE};
 use xpass_sim::time::Dur;
 
 /// Flow is fully delivered.
@@ -35,6 +36,11 @@ pub const FLAG_DONE: u8 = 1 << 0;
 pub const FLAG_ABORTED: u8 = 1 << 1;
 /// Flow is currently flagged as stalled (observational).
 pub const FLAG_STALLED: u8 = 1 << 2;
+
+/// Bytes of an endpoint box the dispatch prefetch covers: six cache lines,
+/// the size of the largest hot endpoint (the 360-byte ExpressPass
+/// receiver). Over-reaching past a smaller box only warms a neighbour.
+const ENDPOINT_PREFETCH_BYTES: usize = 6 * CACHE_LINE;
 
 /// A generational handle to an arena slot. The index aliases the
 /// [`FlowId`]; the generation detects slot reuse — a handle (or timer)
@@ -346,6 +352,29 @@ impl FlowArena {
         match side {
             Side::Sender => s.sender.as_mut(),
             Side::Receiver => s.receiver.as_mut(),
+        }
+    }
+
+    // ---- prefetch hints (run-loop lookahead; never observable) ----------
+
+    /// Hint that `flow`'s slot and its `rx_bytes` / `credits_sent` lane
+    /// entries are about to be touched. Any id is acceptable, in range or
+    /// not: nothing is read.
+    #[inline]
+    pub fn prefetch_flow(&self, flow: FlowId) {
+        let i = flow.0 as usize;
+        prefetch_obj(self.slots.as_ptr().wrapping_add(i));
+        prefetch(self.rx_bytes.as_ptr().wrapping_add(i));
+        prefetch(self.credits_sent.as_ptr().wrapping_add(i));
+    }
+
+    /// Hint that `flow`'s endpoint on `side` is about to be dispatched.
+    /// Reads the slot for the box pointer — cheap once
+    /// [`prefetch_flow`](Self::prefetch_flow) has made it resident.
+    #[inline]
+    pub fn prefetch_endpoint(&self, flow: FlowId, side: Side) {
+        if let Some(ep) = self.endpoint(flow, side) {
+            prefetch_bytes(std::ptr::from_ref(ep).cast::<u8>(), ENDPOINT_PREFETCH_BYTES);
         }
     }
 

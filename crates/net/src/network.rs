@@ -17,7 +17,7 @@
 //!   [`FaultPlan`] fires (see [`crate::faults`]).
 
 use crate::arena::{FlowArena, FLAG_ABORTED, FLAG_DONE, FLAG_STALLED};
-use crate::config::NetConfig;
+use crate::config::{NetConfig, RoutingMode};
 use crate::endpoint::{Ctx, Endpoint, EndpointFactory, FlowInfo};
 use crate::faults::{FaultKind, FaultPlan, FaultState, FAULT_RNG_SALT};
 use crate::health::{HealthReport, InvariantSpec, InvariantState};
@@ -42,6 +42,9 @@ use xpass_sim::stats::TimeSeries;
 use xpass_sim::time::{Dur, SimTime};
 use xpass_sim::trace::{TraceEvent, TraceSink};
 use xpass_sim::watchdog::{Watchdog, WatchdogReport, WatchdogSpec, WALL_CHECK_MASK};
+
+mod lookahead;
+pub use lookahead::LOOKAHEAD_MIN_DEPTH;
 
 /// Simulation events.
 enum Ev {
@@ -780,100 +783,74 @@ impl Network {
     /// unless an installed watchdog trips, in which case the loop aborts at
     /// the tripping event (see [`watchdog_report`](Self::watchdog_report)).
     pub fn run_until(&mut self, t: SimTime) {
-        if self.ckpt.is_some() {
-            self.ckpt_enter_run();
-        }
-        if self.watchdog_report.is_some() {
-            return; // a previous trip already aborted this run
-        }
-        let wall = std::time::Instant::now();
-        let sim_start = self.now;
-        while let Some((et, ev)) = self.events.pop_before(t) {
-            if self.metrics.is_some() {
-                self.metrics_tick(et);
-            }
-            self.now = et;
-            self.handle(ev);
-            if self.watchdog.is_some() && self.watchdog_tripped() {
-                self.wall_secs += wall.elapsed().as_secs_f64();
-                profile::add_sim(self.now.since(sim_start));
-                if self.metrics.is_some() {
-                    self.metrics_publish(true);
-                }
-                return;
-            }
-            if self.ckpt.as_ref().is_some_and(|h| h.due(et)) {
-                self.write_checkpoint();
-            }
-        }
-        if self.metrics.is_some() {
-            self.metrics_advance_to(t);
-        }
-        // After a resume overlay `now` may already be past `t`; never
-        // rewind simulation time.
-        if t > self.now {
-            self.now = t;
-        }
-        self.wall_secs += wall.elapsed().as_secs_f64();
-        profile::add_sim(self.now.since(sim_start));
-        if self.metrics.is_some() {
-            self.metrics_publish(true);
-        }
+        self.run_loop(t, false);
     }
 
     /// Run until every flow added so far (and any added by controllers
     /// during the run) settles — completes or is aborted by its endpoint —
     /// or until `cap`. Returns the time the last flow settled (or `cap`).
+    /// An event due after `cap` stays queued for the next run call.
     pub fn run_until_done(&mut self, cap: SimTime) -> SimTime {
+        self.run_loop(cap, true)
+    }
+
+    /// The event loop behind both run calls: pop every event due at or
+    /// before `limit` and handle it — stopping early, when `until_settled`,
+    /// once every live flow has settled. Returns `limit` when the loop ran
+    /// up to it, the tripping instant when the watchdog aborts, and
+    /// otherwise (`until_settled` only: all flows settled, or the queue ran
+    /// dry with `now` left at the last event) the time of the last settle.
+    fn run_loop(&mut self, limit: SimTime, until_settled: bool) -> SimTime {
         if self.ckpt.is_some() {
             self.ckpt_enter_run();
         }
+        if self.watchdog_report.is_some() {
+            return self.now; // a previous trip already aborted this run
+        }
         let wall = std::time::Instant::now();
         let sim_start = self.now;
-        let done_at = self.run_until_done_loop(cap);
+        let mut last_done = self.now;
+        let end = loop {
+            if until_settled && self.completed + self.aborted >= self.arena.live_count() {
+                break last_done;
+            }
+            let Some((et, ev)) = self.events.pop_before(limit) else {
+                if until_settled && self.events.is_empty() {
+                    break last_done;
+                }
+                if self.metrics.is_some() {
+                    self.metrics_advance_to(limit);
+                }
+                // After a resume overlay `now` may already be past `limit`;
+                // never rewind simulation time.
+                if limit > self.now {
+                    self.now = limit;
+                }
+                break limit;
+            };
+            if self.metrics.is_some() {
+                self.metrics_tick(et);
+            }
+            self.prefetch_ahead();
+            self.now = et;
+            let settled = self.completed + self.aborted;
+            self.handle(ev);
+            if self.completed + self.aborted > settled {
+                last_done = et;
+            }
+            if self.watchdog.is_some() && self.watchdog_tripped() {
+                break et;
+            }
+            if self.ckpt.as_ref().is_some_and(|h| h.due(et)) {
+                self.write_checkpoint();
+            }
+        };
         self.wall_secs += wall.elapsed().as_secs_f64();
         profile::add_sim(self.now.since(sim_start));
         if self.metrics.is_some() {
             self.metrics_publish(true);
         }
-        done_at
-    }
-
-    fn run_until_done_loop(&mut self, cap: SimTime) -> SimTime {
-        if self.watchdog_report.is_some() {
-            return self.now; // a previous trip already aborted this run
-        }
-        let mut last_done = self.now;
-        while self.completed + self.aborted < self.arena.live_count() {
-            match self.events.pop() {
-                Some((et, ev)) => {
-                    if et > cap {
-                        if self.metrics.is_some() {
-                            self.metrics_advance_to(cap);
-                        }
-                        self.now = cap;
-                        return cap;
-                    }
-                    if self.metrics.is_some() {
-                        self.metrics_tick(et);
-                    }
-                    self.now = et;
-                    let before = self.completed + self.aborted;
-                    self.handle(ev);
-                    if self.completed + self.aborted > before {
-                        last_done = self.now;
-                    }
-                    if self.watchdog.is_some() && self.watchdog_tripped() {
-                        return self.now;
-                    }
-                    if self.ckpt.as_ref().is_some_and(|h| h.due(self.now)) {
-                        self.write_checkpoint();
-                    }
-                }
-                None => break,
-            }
-        }
-        last_done
+        end
     }
 
     /// Count this run call on the checkpoint hook; when an armed resume
@@ -1458,6 +1435,10 @@ impl Network {
 
     // ----- event handling ----------------------------------------------------
 
+    /// Dispatch one popped event. Called from the run loop alone, so it
+    /// inlines there and the event (with its packet) is consumed where the
+    /// pop left it instead of being moved into a callee's frame first.
+    #[inline]
     fn handle(&mut self, ev: Ev) {
         self.ev_counts[ev_kind_idx(&ev)] += 1;
         match ev {
@@ -1661,10 +1642,10 @@ impl Network {
                     return;
                 }
                 let idx = match self.cfg.routing {
-                    crate::config::RoutingMode::EcmpSymmetric => {
+                    RoutingMode::EcmpSymmetric => {
                         ecmp_index(pkt.src, pkt.dst, pkt.flow, live.len())
                     }
-                    crate::config::RoutingMode::PacketSpray => self.rng.index(live.len()),
+                    RoutingMode::PacketSpray => self.rng.index(live.len()),
                 };
                 let out = live[idx];
                 self.enqueue_at(out, pkt);
@@ -1860,16 +1841,23 @@ impl Network {
         if let Some(l) = self.ledger.as_mut() {
             l.deliver(pkt.size);
         }
-        let flow = pkt.flow;
-        if !self.arena.is_live(flow) {
-            return;
+        if let Some(side) = self.rx_side(&pkt) {
+            self.dispatch(pkt.flow, side, |ep, ctx| ep.on_packet(&pkt, ctx));
         }
-        let side = if pkt.dst == self.arena.info(flow).src {
+    }
+
+    /// Which endpoint of its flow a packet arriving at its destination
+    /// host is for; `None` when the flow no longer exists to consume it.
+    #[inline]
+    fn rx_side(&self, pkt: &Packet) -> Option<Side> {
+        if !self.arena.is_live(pkt.flow) {
+            return None;
+        }
+        Some(if pkt.dst == self.arena.info(pkt.flow).src {
             Side::Sender
         } else {
             Side::Receiver
-        };
-        self.dispatch(flow, side, |ep, ctx| ep.on_packet(&pkt, ctx));
+        })
     }
 
     /// Take the endpoint out, run the callback with a context, put it back,

@@ -183,6 +183,18 @@ impl EgressPort {
         pkt
     }
 
+    /// Hint that the queues' out-of-line storage is about to be touched:
+    /// the data ring's ends and the credit classes' FIFO headers. Reads
+    /// this port's own fields, so prefetch the port itself one step
+    /// earlier.
+    #[inline]
+    pub fn prefetch_queues(&self) {
+        self.data.prefetch_ring();
+        if let Some(cq) = self.credit.as_ref() {
+            cq.prefetch_classes();
+        }
+    }
+
     /// Time the current serialization finishes (== now when idle).
     pub fn tx_done_at(&self) -> SimTime {
         self.busy_until

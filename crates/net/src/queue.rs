@@ -9,6 +9,7 @@
 use crate::packet::{Packet, CREDIT_SIZE};
 use std::collections::VecDeque;
 use xpass_sim::bucket::TokenBucket;
+use xpass_sim::event::{prefetch, prefetch_obj};
 use xpass_sim::stats::TimeWeighted;
 use xpass_sim::time::SimTime;
 
@@ -190,6 +191,16 @@ impl DataQueue {
         (n, bytes)
     }
 
+    /// Hint that the head packet and the next free ring slot are about
+    /// to be touched (lookahead prefetch; reads only the inline header).
+    #[inline]
+    pub fn prefetch_ring(&self) {
+        let head = self.q.as_slices().0.as_ptr();
+        prefetch_obj(head);
+        // Ignores wrap-around: a hint may miss, it cannot be wrong.
+        prefetch_obj(head.wrapping_add(self.q.len()));
+    }
+
     /// Current length in bytes.
     pub fn len_bytes(&self) -> u64 {
         self.len_bytes
@@ -286,6 +297,13 @@ impl CreditQueue {
             bucket: TokenBucket::new(rate, 2 * CREDIT_SIZE as u64),
             stats: QueueStats::default(),
         }
+    }
+
+    /// Hint that the per-class FIFO headers are about to be read
+    /// (lookahead prefetch; dereferences nothing).
+    #[inline]
+    pub fn prefetch_classes(&self) {
+        prefetch(self.qs.as_ptr());
     }
 
     /// The highest-priority non-empty class, if any.

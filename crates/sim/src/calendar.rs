@@ -38,6 +38,7 @@
 //! differential tests in the workspace root can pin byte-identical
 //! experiment output against the heap scheduler.
 
+use crate::event::prefetch_obj;
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -55,6 +56,11 @@ pub const N_BUCKETS: usize = 4096;
 /// Re-evaluate the bucket width after this many staged buckets.
 pub const RESIZE_CHECK: u64 = 1024;
 const WORDS: usize = N_BUCKETS / 64;
+/// How many pops ahead of the cursor a staged entry's slab payload is
+/// prefetched: far enough for a DRAM miss to land before the engine's
+/// lookahead ([`CalendarQueue::peek_staged`]) reads it, near enough that
+/// the lines are still in L1 when it does.
+const SLAB_PREFETCH_DIST: usize = 8;
 
 /// A queue entry ordered by `Reverse((time ps, insertion seq))` so both
 /// the staging heap and the overflow heap are min-heaps on `(time, seq)`.
@@ -323,6 +329,29 @@ impl<E> CalendarQueue<E> {
         self.stage_count += 1;
         self.staged_items += self.staging.len() as u64;
         self.staging.sort_unstable_by_key(|e| e.key.0);
+        // Slab slots are handed out LIFO, so consecutive pops read payloads
+        // scattered over the whole slab: start the first misses now, and
+        // let every pop start the one `SLAB_PREFETCH_DIST` entries on.
+        for e in self.staging.iter().take(SLAB_PREFETCH_DIST) {
+            self.prefetch_payload(e.slot);
+        }
+    }
+
+    /// Hint that the slab payload in `slot` is about to be read.
+    #[inline]
+    fn prefetch_payload(&self, slot: u32) {
+        prefetch_obj(self.slab.as_ptr().wrapping_add(slot as usize));
+    }
+
+    /// The payload of the `k`-th unpopped entry of the staged bucket —
+    /// the `k`-th next pop, as long as nothing earlier is pushed first.
+    /// `None` past the end of the staged bucket. Read-only by contract:
+    /// it must never settle the wheel, or peeking would change when
+    /// buckets are staged and the adaptive width with it.
+    #[inline]
+    pub fn peek_staged(&self, k: usize) -> Option<&E> {
+        let e = self.staging.get(self.scursor + k)?;
+        self.slab[e.slot as usize].as_ref()
     }
 
     /// Ensure staging holds the wheel's minimum (or the wheel is empty).
@@ -461,25 +490,15 @@ impl<E> CalendarQueue<E> {
 
     /// Remove and return the earliest entry.
     pub fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.settle_wheel();
-        if self.scursor == self.staging.len() {
-            self.fast_forward();
-            self.settle_wheel();
-        }
-        let e = self.staging[self.scursor];
-        self.scursor += 1;
-        self.len -= 1;
-        let event = self.take(e.slot);
-        Some((SimTime(e.time()), e.seq(), event))
+        self.pop_if_le(SimTime::MAX)
     }
 
     /// Remove and return the earliest entry **if** it fires at or before
     /// `t` — the engine's fused peek-then-pop: one settle and one ordering
-    /// check per event instead of two of each.
-    #[inline]
+    /// check per event instead of two of each. Always inlined: the payload
+    /// is returned by value, and an outlined copy of this function costs
+    /// every pop a second move of it.
+    #[inline(always)]
     pub fn pop_if_le(&mut self, t: SimTime) -> Option<(SimTime, u64, E)> {
         if self.len == 0 {
             return None;
@@ -500,6 +519,9 @@ impl<E> CalendarQueue<E> {
         }
         self.scursor += 1;
         self.len -= 1;
+        if let Some(ahead) = self.staging.get(self.scursor + SLAB_PREFETCH_DIST - 1) {
+            self.prefetch_payload(ahead.slot);
+        }
         let event = self.take(e.slot);
         Some((SimTime(e.time()), e.seq(), event))
     }

@@ -76,6 +76,47 @@ pub fn thread_scheduler() -> SchedulerKind {
     THREAD_SCHEDULER.with(|c| c.get())
 }
 
+/// Bytes per cache line on every target the prefetch hint is compiled for.
+pub const CACHE_LINE: usize = 64;
+
+/// Hint the CPU to start loading the cache line that holds `p`. Purely a
+/// performance hint: it reads nothing, writes nothing, and is compiled to
+/// nothing off x86-64 and under miri — so no result of a program can
+/// depend on it, whatever address it is given.
+#[inline(always)]
+pub fn prefetch<T>(p: *const T) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: PREFETCHT0 performs no architectural memory access: it
+        // cannot fault on any address — null, dangling or unmapped — and
+        // SSE is part of the x86-64 baseline, so the instruction exists.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>()) };
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = p;
+}
+
+/// [`prefetch`] every cache line the `len` bytes starting at `p` overlap.
+/// `p` need not be valid for `len` bytes (or at all).
+#[inline(always)]
+pub fn prefetch_bytes<T>(p: *const T, len: usize) {
+    let p = p.cast::<u8>();
+    let mut off = 0;
+    while off < len {
+        prefetch(p.wrapping_add(off));
+        off += CACHE_LINE;
+    }
+    // An unaligned start can push the last byte one line further.
+    prefetch(p.wrapping_add(len.saturating_sub(1)));
+}
+
+/// [`prefetch`] every cache line a `T` stored at `p` would occupy.
+#[inline(always)]
+pub fn prefetch_obj<T>(p: *const T) {
+    prefetch_bytes(p, std::mem::size_of::<T>());
+}
+
 /// Handle to a cancellable timer returned by
 /// [`EventQueue::push_cancellable`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -333,6 +374,22 @@ impl<E> EventQueue<E> {
                 continue;
             }
             return Some(at);
+        }
+    }
+
+    /// Read-only lookahead: the payload of the `k`-th event from the front
+    /// (`k = 0` is what the next pop returns), when the scheduler already
+    /// holds it in sorted order — the calendar's staged bucket. `None`
+    /// otherwise: past the staged bucket, on the heap scheduler, or while
+    /// cancelled tombstones are queued (a staged entry may then never
+    /// fire). Never settles, sorts or moves anything, so a queue that is
+    /// peeked behaves exactly like one that is not; a later push may still
+    /// land ahead of a peeked event. For prefetching only.
+    #[inline]
+    pub fn peek_staged(&self, k: usize) -> Option<&E> {
+        match &self.imp {
+            Impl::Calendar(c) if self.cancelled.is_empty() => c.peek_staged(k),
+            _ => None,
         }
     }
 

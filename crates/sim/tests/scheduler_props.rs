@@ -4,6 +4,11 @@
 //! same-timestamp FIFO ties), peeks, lengths, processed counts, and
 //! cancelled-timers-never-fire. Seeded with `xpass_sim::rng` only; no
 //! external property-testing dependency.
+//!
+//! The same scripts pin the scheduler's read-only lookahead
+//! (`peek_staged`): what it names is what the following pops return, the
+//! heap offers none, and a queue that is peeked at every step is
+//! indistinguishable from a twin that never is.
 
 use xpass_sim::event::{EventQueue, SchedulerKind, TimerHandle};
 use xpass_sim::rng::Rng;
@@ -22,7 +27,12 @@ fn random_delta(rng: &mut Rng) -> u64 {
     }
 }
 
+/// How far ahead the lookahead properties peek (the engine uses 0 and 1).
+const PEEK_DEPTH: usize = 4;
+
 struct Pair {
+    /// The reference the calendar under test is compared against: the
+    /// heap scheduler, or ([`Pair::twins`]) a second calendar.
     heap: EventQueue<u64>,
     cal: EventQueue<u64>,
     /// Pending cancellable handles (same order in both queues).
@@ -35,8 +45,18 @@ struct Pair {
 
 impl Pair {
     fn new() -> Pair {
+        Pair::against(SchedulerKind::Heap)
+    }
+
+    /// Two calendar queues fed the same script: `cal` is the one a test
+    /// peeks, `heap` (the reference slot) the twin left alone.
+    fn twins() -> Pair {
+        Pair::against(SchedulerKind::Calendar)
+    }
+
+    fn against(reference: SchedulerKind) -> Pair {
         Pair {
-            heap: EventQueue::with_scheduler(SchedulerKind::Heap),
+            heap: EventQueue::with_scheduler(reference),
             cal: EventQueue::with_scheduler(SchedulerKind::Calendar),
             pending: Vec::new(),
             cancelled_payloads: Vec::new(),
@@ -76,7 +96,7 @@ impl Pair {
         }
     }
 
-    fn pop_and_check(&mut self) {
+    fn pop_and_check(&mut self) -> Option<(SimTime, u64)> {
         let a = self.heap.pop();
         let b = self.cal.pop();
         assert_eq!(a, b, "pop diverged (heap vs calendar)");
@@ -90,6 +110,36 @@ impl Pair {
             // Retire the pending record if this was an uncancelled timer.
             self.pending.retain(|&(_, _, pp)| pp != p);
         }
+        a
+    }
+
+    /// One random script step (the op mix of every property below).
+    fn step(&mut self, rng: &mut Rng) {
+        match rng.below(10) {
+            0..=4 => self.push(rng),
+            5 => self.push_cancellable(rng),
+            6 => self.cancel_random(rng),
+            7..=8 => {
+                self.pop_and_check();
+            }
+            _ => self.check_metadata(),
+        }
+    }
+
+    /// What the calendar's lookahead names right now, nearest first.
+    fn peeks(&self) -> [Option<u64>; PEEK_DEPTH] {
+        std::array::from_fn(|k| self.cal.peek_staged(k).copied())
+    }
+
+    /// Pop until empty, checking agreement to the last event.
+    fn drain_and_check(&mut self) {
+        loop {
+            self.check_metadata();
+            if self.pop_and_check().is_none() {
+                break;
+            }
+        }
+        assert!(self.heap.is_empty() && self.cal.is_empty());
     }
 
     fn check_metadata(&mut self) {
@@ -106,24 +156,61 @@ fn randomized_push_pop_matches_reference_heap() {
         let mut rng = Rng::new(0x5EED_0000 + trial);
         let mut pair = Pair::new();
         for _ in 0..2_000 {
-            match rng.below(10) {
-                0..=4 => pair.push(&mut rng),
-                5 => pair.push_cancellable(&mut rng),
-                6 => pair.cancel_random(&mut rng),
-                7..=8 => pair.pop_and_check(),
-                _ => pair.check_metadata(),
-            }
+            pair.step(&mut rng);
         }
         // Full drain must agree to the last event.
-        loop {
-            pair.check_metadata();
-            let before = pair.heap.len();
-            pair.pop_and_check();
-            if before == 0 {
-                break;
+        pair.drain_and_check();
+    }
+}
+
+#[test]
+fn peek_staged_names_the_following_pops() {
+    let mut checked = 0u32;
+    for trial in 0..30u64 {
+        let mut rng = Rng::new(0x9EE4_0000 + trial);
+        let mut pair = Pair::new();
+        for _ in 0..2_000 {
+            pair.step(&mut rng);
+            for k in 0..PEEK_DEPTH {
+                assert!(
+                    pair.heap.peek_staged(k).is_none(),
+                    "the heap has no lookahead"
+                );
+            }
+            // With nothing pushed in between, the k-th peek — whenever
+            // the scheduler offers one — is the k-th following pop.
+            if rng.below(4) == 0 {
+                for peek in pair.peeks() {
+                    let popped = pair.pop_and_check();
+                    if let Some(p) = peek {
+                        assert_eq!(popped.map(|(_, p)| p), Some(p), "peek named another event");
+                        checked += 1;
+                    }
+                }
             }
         }
-        assert!(pair.heap.is_empty() && pair.cal.is_empty());
+        pair.drain_and_check();
+    }
+    assert!(checked > 1_000, "lookahead offered only {checked} events");
+}
+
+#[test]
+fn peeking_leaves_no_trace() {
+    for trial in 0..30u64 {
+        let mut rng = Rng::new(0x7B1A_0000 + trial);
+        let mut pair = Pair::twins();
+        let layout = |q: &EventQueue<u64>| (q.len(), q.peak_len(), q.capacity(), q.bucket_bits());
+        for _ in 0..2_000 {
+            pair.step(&mut rng);
+            pair.peeks();
+            assert_eq!(
+                layout(&pair.cal),
+                layout(&pair.heap),
+                "peeked twin diverged"
+            );
+        }
+        // Every later pop agrees too (checked pairwise by the drain).
+        pair.drain_and_check();
     }
 }
 

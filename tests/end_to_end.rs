@@ -173,3 +173,49 @@ fn ideal_oracle_matches_water_filling_on_fat_tree() {
     let gbps = 10_000_000.0 * 8.0 / done.as_secs_f64() / 1e9;
     assert!(gbps > 8.0, "oracle flow at {gbps:.2} Gbps");
 }
+
+#[test]
+fn capped_then_continued_run_equals_uninterrupted() {
+    // `run_until_done(cap)` must leave the first event past `cap` queued:
+    // a run driven in 100 µs slices then reaches exactly the state — flow
+    // records, counters, event count — of one uninterrupted call. (It used
+    // to pop that event and drop it: a pace timer, a port wake or an
+    // in-flight packet vanished at every cap, and no flow ever finished.)
+    let build = || {
+        let topo = Topology::dumbbell(4, G10, Dur::us(2));
+        let mut net = Scheme::XPass(XPassConfig::aggressive()).build(topo, G10, 11);
+        net.install_ledger();
+        for i in 0..4u32 {
+            net.add_flow(HostId(i), HostId(4 + i), 1_500_000, SimTime::ZERO);
+        }
+        net
+    };
+    let end = SimTime::ZERO + Dur::secs(2);
+
+    let mut whole = build();
+    let whole_done = whole.run_until_done(end);
+    assert_eq!(whole.completed_count(), 4);
+
+    let mut sliced = build();
+    for k in 1..=39u64 {
+        let cap = SimTime::ZERO + Dur::us(100 * k);
+        assert_eq!(
+            sliced.run_until_done(cap),
+            cap,
+            "slice {k} ran up to its cap"
+        );
+        assert_eq!(sliced.now(), cap);
+    }
+    assert_eq!(sliced.run_until_done(end), whole_done);
+
+    assert_eq!(sliced.flow_records(), whole.flow_records());
+    assert_eq!(sliced.counters(), whole.counters());
+    assert_eq!(
+        sliced.engine_report().events_processed,
+        whole.engine_report().events_processed
+    );
+    assert!(
+        sliced.ledger_report().balanced(),
+        "a dropped event unbalances the ledger"
+    );
+}

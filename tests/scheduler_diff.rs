@@ -9,14 +9,22 @@
 //! run on the calendar queue without loss of coverage: any divergence in
 //! event ordering, RNG stream consumption, or timer cancellation shows up
 //! here as a text diff.
+//!
+//! Calendar ≡ heap is also the fence that the run loop's lookahead
+//! prefetch is unobservable: only the calendar queue offers a lookahead
+//! (`EventQueue::peek_staged`), so wherever the queue runs deep enough
+//! for the loop to use it (`LOOKAHEAD_MIN_DEPTH`; the `three_tier` case
+//! is sized for that) the calendar side runs with prefetching and the
+//! heap side without any.
 
 use std::process::Command;
 use std::thread;
 use xpass::experiments as ex;
 use xpass::expresspass::{xpass_factory, XPassConfig};
 use xpass::net::config::NetConfig;
-use xpass::net::ids::HostId;
-use xpass::net::network::Network;
+use xpass::net::faults::FaultPlan;
+use xpass::net::ids::{HostId, NodeId, SwitchId};
+use xpass::net::network::{Network, LOOKAHEAD_MIN_DEPTH};
 use xpass::net::topology::Topology;
 use xpass::sim::event::{set_thread_scheduler, SchedulerKind};
 use xpass::sim::time::{Dur, SimTime};
@@ -129,6 +137,73 @@ fn network_run_and_jsonl_trace_are_byte_identical() {
 
     let _ = std::fs::remove_file(&heap_path);
     let _ = std::fs::remove_file(&cal_path);
+}
+
+/// Thousands of long-running cross-pod ExpressPass flows on a 256-host
+/// 3-tier Clos for 300 µs, optionally with a core cable cut and restored
+/// mid-run. Sized so the event queue runs deeper than
+/// `LOOKAHEAD_MIN_DEPTH` — below it the run loop does not look ahead and
+/// the comparison would say nothing about prefetching. The lookahead's
+/// `Arrive` stage precomputes the ECMP egress only while no fault overlay
+/// is installed: the plain run takes that branch, the faulted run the
+/// other.
+fn three_tier_shuffle(with_faults: bool) -> (String, usize) {
+    let topo = Topology::three_tier(4, 2, 4, 16, 4, G10, G10, G10, Dur::us(2));
+    let cfg = NetConfig::expresspass().with_seed(23);
+    let mut net = Network::new(topo, cfg, xpass_factory(XPassConfig::aggressive()));
+    if with_faults {
+        // Agg 0 of pod 0 ↔ core 0: switches are numbered ToRs, aggs, cores.
+        let (agg, core) = (NodeId::Switch(SwitchId(16)), NodeId::Switch(SwitchId(24)));
+        let up = net.topo().dlink_between(agg, core).expect("agg-core cable");
+        let down = net.topo().dlink_between(core, agg).expect("core-agg cable");
+        let t = |d: Dur| SimTime::ZERO + d;
+        net.install_fault_plan(
+            FaultPlan::new()
+                .cable_down(t(Dur::us(100)), up, down)
+                .cable_up(t(Dur::us(200)), up, down),
+        );
+    }
+    let n = net.topo().n_hosts as u32;
+    for i in 0..n {
+        for j in 0..24 {
+            net.add_flow(
+                HostId(i),
+                HostId((i + n / 2 + j) % n),
+                10_000_000,
+                SimTime::ZERO,
+            );
+        }
+    }
+    net.run_until(SimTime::ZERO + Dur::us(300));
+    let report = net.engine_report();
+    let digest = format!(
+        "{:?}\n{:?}\n{:?}",
+        net.counters(),
+        net.flow_records(),
+        report.events_processed
+    );
+    (digest, report.peak_queue_len)
+}
+
+#[test]
+fn three_tier_with_and_without_fault_overlay_is_scheduler_invariant() {
+    for with_faults in [false, true] {
+        let ((h, h_peak), (c, c_peak)) = under_both(move || three_tier_shuffle(with_faults));
+        assert_eq!(
+            h, c,
+            "three_tier (faults: {with_faults}) diverged between heap and calendar"
+        );
+        assert_eq!(h_peak, c_peak);
+        assert!(
+            c_peak >= LOOKAHEAD_MIN_DEPTH,
+            "queue only {c_peak} deep: the calendar run never looked ahead"
+        );
+        assert_eq!(
+            h.contains("faults_injected: 0"),
+            !with_faults,
+            "the fault plan must apply exactly when installed"
+        );
+    }
 }
 
 /// Run the CLI on a set of experiments with `--json`, returning stdout and
