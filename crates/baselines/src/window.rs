@@ -12,7 +12,7 @@
 //! these protocols.
 
 use std::any::Any;
-use xpass_net::endpoint::{Ctx, Endpoint, EndpointFactory, TimerSlot};
+use xpass_net::endpoint::{Ctx, Deadline, Endpoint, EndpointFactory, TimerSlot};
 use xpass_net::ids::Side;
 use xpass_net::packet::{data_wire_size, flags, Packet, PktKind, ACK_SIZE, MSS};
 use xpass_sim::time::{Dur, SimTime};
@@ -118,7 +118,8 @@ pub struct WindowSender<C: CongestionControl> {
     srtt: Option<Dur>,
     rttvar: Dur,
     rto_backoff: u32,
-    rto_slot: TimerSlot,
+    /// Re-armed by every new ACK while pending: carried, not re-pushed.
+    rto_slot: Deadline,
     pace_slot: TimerSlot,
     syn_slot: TimerSlot,
     established: bool,
@@ -143,7 +144,7 @@ impl<C: CongestionControl> WindowSender<C> {
             srtt: None,
             rttvar: Dur::ZERO,
             rto_backoff: 0,
-            rto_slot: TimerSlot::new(),
+            rto_slot: Deadline::new(),
             pace_slot: TimerSlot::new(),
             syn_slot: TimerSlot::new(),
             established: false,
@@ -163,6 +164,11 @@ impl<C: CongestionControl> WindowSender<C> {
     /// Access the policy (for oracle-style control and inspection).
     pub fn cc(&mut self) -> &mut C {
         &mut self.cc
+    }
+
+    /// The retransmission deadline (inspection: armed? carried?).
+    pub fn rto_deadline(&self) -> &Deadline {
+        &self.rto_slot
     }
 
     /// Smoothed RTT, once measured.
@@ -317,7 +323,7 @@ impl<C: CongestionControl> WindowSender<C> {
             self.cc.on_ack(&ev);
             if self.snd_una >= self.n_pkts {
                 self.done = true;
-                self.rto_slot.cancel();
+                self.rto_slot.cancel(ctx);
                 self.pace_slot.cancel();
                 return;
             }
@@ -401,13 +407,17 @@ impl<C: CongestionControl> Endpoint for WindowSender<C> {
 
     fn on_timer(&mut self, kind: u8, gen: u64, ctx: &mut Ctx<'_>) {
         match kind {
-            timer::RTO if self.rto_slot.matches(gen) => self.on_rto(ctx),
+            timer::RTO if self.rto_slot.fired(ctx, timer::RTO, gen) => self.on_rto(ctx),
             timer::PACE if self.pace_slot.matches(gen) => self.on_pace_fire(ctx),
             timer::SYN_RTX if self.syn_slot.matches(gen) && !self.established => {
                 self.send_syn(ctx);
             }
             _ => {}
         }
+    }
+
+    fn on_retire(&mut self, ctx: &mut Ctx<'_>) {
+        self.rto_slot.cancel(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -741,6 +751,43 @@ mod tests {
         // 2.5MB at 2Gbps wire ≈ 10.5ms; must be pace-limited, not line-rate.
         let secs = done.as_secs_f64();
         assert!(secs > 0.008 && secs < 0.020, "{secs}");
+    }
+
+    #[test]
+    fn rto_is_carried_and_the_timer_wheels_stay_exact() {
+        // 2 MB at window 8 is ~1 370 ACKs, each re-arming the 10 ms RTO:
+        // one carrier event serves them all, and the wheel — which counts
+        // an arming in at `arm` and out when it fires, is superseded or is
+        // cancelled — reads zero once the flow has wound down.
+        let mut net = net_with_window(8.0, 9);
+        let f = net.add_flow(HostId(0), HostId(2), 2_000_000, SimTime::ZERO);
+        net.run_until_done(SimTime::ZERO + Dur::ms(200));
+        assert!(net.flow_done(f));
+        net.run_until(SimTime::ZERO + Dur::ms(400));
+        assert_eq!(net.timer_wheels().total_pending(), 0);
+        let report = net.engine_report();
+        let timers = report.events_by_kind.iter().find(|(k, _)| *k == "timer");
+        let (_, timers) = timers.unwrap();
+        assert!(
+            *timers <= 4,
+            "{timers} timer events for one SYN and one RTO"
+        );
+        assert!(report.peak_queue_len < 64, "{}", report.peak_queue_len);
+    }
+
+    #[test]
+    fn retiring_a_flow_settles_its_carried_rto() {
+        // The receiver has every byte one RTT before the sender hears so:
+        // retire the flow in that gap, with an RTO armed and no event of
+        // its own queued.
+        let mut net = net_with_window(8.0, 10);
+        let f = net.add_flow(HostId(0), HostId(2), 500_000, SimTime::ZERO);
+        net.run_until_done(SimTime::ZERO + Dur::ms(200));
+        assert!(net.flow_done(f));
+        assert!(net.timer_wheels().total_pending() > 0, "RTO still armed");
+        net.retire_flow(f);
+        net.run_until(net.now() + Dur::ms(100));
+        assert_eq!(net.timer_wheels().total_pending(), 0);
     }
 
     #[test]

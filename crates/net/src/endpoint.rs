@@ -61,6 +61,13 @@ pub trait Endpoint {
     /// freshly constructed endpoint (the factory rebuilds configuration;
     /// this overlays the dynamic fields).
     fn restore_state(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError>;
+
+    /// The flow is being retired ([`Network::retire_flow`]) and this
+    /// endpoint is about to be dropped: hand back what it holds outside
+    /// itself. The one such thing is a [`Deadline`] armed with no event
+    /// queued, which must be cancelled for the timer wheels to stay exact;
+    /// timers whose events are queued settle when those fire.
+    fn on_retire(&mut self, _ctx: &mut Ctx<'_>) {}
 }
 
 /// Constructor for protocol endpoints: called once per flow per side. The
@@ -223,7 +230,9 @@ impl<'a> Ctx<'a> {
 
 /// Helper tracking the latest armed generation of one timer kind, so
 /// endpoints can cancel/rearm logically: stale firings are filtered by
-/// generation mismatch.
+/// generation mismatch. Every arming queues an event, so this is for
+/// timers that are not re-armed while pending (one-shot pacing and
+/// handshake timers); one that is, on every ACK say, wants a [`Deadline`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TimerSlot {
     armed: Option<u64>,
@@ -275,9 +284,130 @@ impl xpass_sim::Restore for TimerSlot {
     }
 }
 
+/// A timer that is re-armed while pending — a retransmission timeout
+/// pushed back by every ACK — kept in the event queue as **one** event
+/// instead of one per arming.
+///
+/// Every arming still mints its generation and takes its sequence number
+/// exactly as [`TimerSlot::arm`] does, but only *reserves* the queue
+/// position ([`EventQueue::reserve_seq`](xpass_sim::event::EventQueue::reserve_seq)).
+/// While an event of this deadline is queued and the deadline only moves
+/// later, nothing more is queued: that event — the *carrier* — pops first,
+/// and [`fired`](Self::fired) has it hop to the latest arming's reserved
+/// `(expiry, seq)`, which lies strictly ahead of it (later-or-equal expiry,
+/// later sequence number). So the firing that counts happens at the very
+/// key an eager push at arm time would have had, every other event keeps
+/// its key because every sequence number is still consumed, and the
+/// superseded armings — 99.4 % of the timer events of a DCTCP run — are
+/// never queued at all. A deadline that moves *earlier* is queued at once
+/// and becomes the carrier; the old carrier then fires as an ignored orphan.
+///
+/// Wheel accounting stays exact: an arming whose event is queued is
+/// settled by [`TimerWheels::fired`](crate::timers::TimerWheels::fired)
+/// when that event pops, as ever; one that is never queued is settled,
+/// with its own expiry, when it is superseded or cancelled — which is why
+/// [`cancel`](Self::cancel) takes the [`Ctx`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Deadline {
+    /// Generation of the latest arming; 0 (never minted) when disarmed.
+    gen: u64,
+    /// Expiry of the latest arming — kept across `cancel`, as the bound
+    /// the carrier's own expiry is known not to exceed.
+    expiry: SimTime,
+    /// Queue sequence number reserved for the latest arming.
+    seq: u64,
+    /// Generation carried by this deadline's one useful queued event;
+    /// 0 when no such event is queued.
+    carrier: u64,
+}
+
+impl Deadline {
+    /// Disarmed deadline.
+    pub fn new() -> Deadline {
+        Deadline::default()
+    }
+
+    /// Arm, or move, the deadline to `delay` from now.
+    pub fn arm(&mut self, ctx: &mut Ctx<'_>, kind: u8, delay: Dur) {
+        self.cancel(ctx);
+        let (gen, expiry, seq) = ctx.net.reserve_timer(ctx.flow, ctx.side, delay);
+        let carried = self.carrier != 0 && expiry >= self.expiry;
+        (self.gen, self.expiry, self.seq) = (gen, expiry, seq);
+        if !carried {
+            ctx.net
+                .queue_timer(ctx.flow, ctx.side, kind, gen, expiry, seq);
+            self.carrier = gen;
+        }
+    }
+
+    /// Disarm: no firing is accepted until the next [`arm`](Self::arm).
+    pub fn cancel(&mut self, ctx: &mut Ctx<'_>) {
+        if self.is_carried() {
+            ctx.net
+                .settle_timer(ctx.flow, ctx.side, self.gen, self.expiry);
+        }
+        self.gen = 0;
+    }
+
+    /// A timer event of this deadline's `kind` fired with generation
+    /// `gen`: true when it is the latest arming (consumed — one-shot, as
+    /// [`TimerSlot::matches`]). Anything but the carrier is ignored; a
+    /// carrier the deadline has moved on from re-queues itself at the
+    /// latest arming's reserved position. Make this the first operand of
+    /// the `on_timer` guard, so the carrier hops whatever else is tested.
+    pub fn fired(&mut self, ctx: &mut Ctx<'_>, kind: u8, gen: u64) -> bool {
+        if gen != self.carrier {
+            return false; // an orphan, or (minted generations are never 0) nothing queued
+        }
+        self.carrier = 0;
+        if gen == self.gen {
+            self.gen = 0;
+            return true;
+        }
+        if self.gen != 0 {
+            ctx.net
+                .queue_timer(ctx.flow, ctx.side, kind, self.gen, self.expiry, self.seq);
+            self.carrier = self.gen;
+        }
+        false
+    }
+
+    /// True if armed and not yet fired/cancelled.
+    pub fn is_armed(&self) -> bool {
+        self.gen != 0
+    }
+
+    /// True while armed with no event of its own queued: the queued event
+    /// of an earlier arming is carrying it.
+    pub fn is_carried(&self) -> bool {
+        self.gen != 0 && self.gen != self.carrier
+    }
+}
+
+impl xpass_sim::Snapshot for Deadline {
+    fn snap(&self, w: &mut xpass_sim::SnapWriter) {
+        w.u64(self.gen);
+        w.u64(self.expiry.0);
+        w.u64(self.seq);
+        w.u64(self.carrier);
+    }
+}
+
+impl xpass_sim::Restore for Deadline {
+    fn restore(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
+        self.gen = r.u64()?;
+        self.expiry = SimTime(r.u64()?);
+        self.seq = r.u64()?;
+        self.carrier = r.u64()?;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn timer_slot_one_shot_semantics() {
@@ -297,5 +427,185 @@ mod tests {
         s.armed = Some(3);
         s.cancel();
         assert!(!s.matches(3));
+    }
+
+    #[test]
+    fn deadline_is_two_timer_slots_wide() {
+        assert_eq!(std::mem::size_of::<TimerSlot>(), 16);
+        assert_eq!(std::mem::size_of::<Deadline>(), 32);
+    }
+
+    /// One timer two ways: carried ([`Deadline`]) or pushed at every
+    /// arming ([`TimerSlot`], the reference).
+    enum Slot {
+        Carried(Deadline),
+        Eager(TimerSlot),
+    }
+
+    const DRIVE: u8 = 1;
+    const EXPIRY: u8 = 2;
+
+    /// Sender that works through a seeded script of arm / cancel / re-arm
+    /// operations on its slot, one per firing of a plain driver timer, and
+    /// logs where each accepted firing sat in the event order.
+    struct Scripted {
+        slot: Slot,
+        rng: Rng,
+        steps_left: u32,
+        last_expiry: SimTime,
+        fires: Rc<RefCell<Vec<(SimTime, u64)>>>,
+    }
+
+    impl Scripted {
+        fn arm(&mut self, ctx: &mut Ctx<'_>, delay: Dur) {
+            self.last_expiry = ctx.now() + delay;
+            match &mut self.slot {
+                Slot::Carried(d) => d.arm(ctx, EXPIRY, delay),
+                Slot::Eager(s) => s.arm(ctx, EXPIRY, delay),
+            }
+        }
+
+        fn cancel(&mut self, ctx: &mut Ctx<'_>) {
+            match &mut self.slot {
+                Slot::Carried(d) => d.cancel(ctx),
+                Slot::Eager(s) => s.cancel(),
+            }
+        }
+
+        fn drive(&mut self, ctx: &mut Ctx<'_>) {
+            let later = Dur::us(100) + Dur::ns(self.rng.below(50_000));
+            match self.rng.below(10) {
+                // The common case: the deadline moves later.
+                0..=4 => self.arm(ctx, later),
+                // The very same expiry again.
+                5 if self.last_expiry >= ctx.now() => {
+                    let same = self.last_expiry.since(ctx.now());
+                    self.arm(ctx, same);
+                }
+                // Earlier than what is pending (these mostly get to fire).
+                5..=7 => {
+                    let soon = Dur::ns(self.rng.below(20_000));
+                    self.arm(ctx, soon);
+                }
+                8 => self.cancel(ctx),
+                // Cancel, then re-arm before the carrier has fired.
+                _ => {
+                    self.cancel(ctx);
+                    self.arm(ctx, later);
+                }
+            }
+            self.steps_left -= 1;
+            if self.steps_left > 0 {
+                let gap = Dur::ns(1 + self.rng.below(30_000));
+                ctx.arm_timer(DRIVE, gap);
+            }
+        }
+    }
+
+    impl Endpoint for Scripted {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.arm_timer(DRIVE, Dur::us(1));
+        }
+        fn on_packet(&mut self, _pkt: &Packet, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, kind: u8, gen: u64, ctx: &mut Ctx<'_>) {
+            match kind {
+                DRIVE => self.drive(ctx),
+                _ => {
+                    let live = match &mut self.slot {
+                        Slot::Carried(d) => d.fired(ctx, EXPIRY, gen),
+                        Slot::Eager(s) => s.matches(gen),
+                    };
+                    if live {
+                        self.fires.borrow_mut().push(ctx.net.current_event_key());
+                    }
+                }
+            }
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn snap_state(&self, _w: &mut xpass_sim::SnapWriter) {}
+        fn restore_state(
+            &mut self,
+            _r: &mut xpass_sim::SnapReader,
+        ) -> Result<(), xpass_sim::SnapError> {
+            Ok(())
+        }
+    }
+
+    struct Inert;
+    impl Endpoint for Inert {
+        fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
+        fn on_packet(&mut self, _pkt: &Packet, _ctx: &mut Ctx<'_>) {}
+        fn on_timer(&mut self, _kind: u8, _gen: u64, _ctx: &mut Ctx<'_>) {}
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn snap_state(&self, _w: &mut xpass_sim::SnapWriter) {}
+        fn restore_state(
+            &mut self,
+            _r: &mut xpass_sim::SnapReader,
+        ) -> Result<(), xpass_sim::SnapError> {
+            Ok(())
+        }
+    }
+
+    /// Run the script for `seed`; returns the accepted firings as
+    /// `(time, seq)`, events processed, and peak queue depth.
+    fn run_script(seed: u64, carried: bool) -> (Vec<(SimTime, u64)>, u64, usize) {
+        let fires = Rc::new(RefCell::new(Vec::new()));
+        let log = fires.clone();
+        let topo = crate::topology::Topology::dumbbell(1, 10_000_000_000, Dur::us(1));
+        let cfg = crate::config::NetConfig::default().with_seed(seed);
+        let mut net = Network::new(
+            topo,
+            cfg,
+            Box::new(move |side, _info, _h| -> Box<dyn Endpoint> {
+                match side {
+                    Side::Receiver => Box::new(Inert),
+                    Side::Sender => Box::new(Scripted {
+                        slot: if carried {
+                            Slot::Carried(Deadline::new())
+                        } else {
+                            Slot::Eager(TimerSlot::new())
+                        },
+                        rng: Rng::new(seed),
+                        steps_left: 400,
+                        last_expiry: SimTime::ZERO,
+                        fires: log.clone(),
+                    }),
+                }
+            }),
+        );
+        net.add_flow(HostId(0), HostId(1), 1, SimTime::ZERO);
+        net.run_until(SimTime::ZERO + Dur::ms(50));
+        assert_eq!(
+            net.timer_wheels().total_pending(),
+            0,
+            "every arm matched by exactly one fired (carried: {carried})"
+        );
+        let report = net.engine_report();
+        let fires = fires.borrow().clone();
+        (fires, report.events_processed, report.peak_queue_len)
+    }
+
+    #[test]
+    fn deadline_fires_where_an_eager_timer_slot_would() {
+        use xpass_sim::event::{set_thread_scheduler, SchedulerKind};
+        let (mut fired, mut saved) = (0, 0);
+        for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
+            set_thread_scheduler(kind);
+            for seed in 0..20u64 {
+                let (eager, eager_events, eager_peak) = run_script(seed, false);
+                let (lazy, lazy_events, lazy_peak) = run_script(seed, true);
+                assert_eq!(lazy, eager, "seed {seed}: firings moved ({kind:?})");
+                assert!(lazy_events < eager_events, "seed {seed}");
+                assert!(lazy_peak < eager_peak, "seed {seed}");
+                fired += lazy.len();
+                saved += eager_events - lazy_events;
+            }
+        }
+        set_thread_scheduler(SchedulerKind::default());
+        assert!(fired > 400 && saved > 4_000, "{fired} fired, {saved} saved");
     }
 }

@@ -548,6 +548,19 @@ impl Network {
         } else {
             self.aborted -= 1;
         }
+        // Not `dispatch`: a retirement has no lifecycle notification to
+        // flush, and may itself be running inside a controller callback.
+        for side in [Side::Sender, Side::Receiver] {
+            if let Some(mut ep) = self.arena.take_endpoint(flow, side) {
+                let mut ctx = Ctx {
+                    net: self,
+                    flow,
+                    side,
+                };
+                ep.on_retire(&mut ctx);
+                self.arena.put_endpoint(flow, side, ep);
+            }
+        }
         let h = self.arena.handle(flow).expect("retire_flow on vacant slot");
         self.arena.retire(h);
         self.tracked_flows.retain(|(f, _)| *f != flow);
@@ -826,6 +839,9 @@ impl Network {
                 if limit > self.now {
                     self.now = limit;
                 }
+                // Everything due by `limit` has run — so has every reserved
+                // position up to it that was never filled.
+                self.events.advance_to(limit);
                 break limit;
             };
             if self.metrics.is_some() {
@@ -1346,27 +1362,74 @@ impl Network {
         self.enqueue_at(dl, pkt);
     }
 
-    pub(crate) fn arm_timer(&mut self, flow: FlowId, side: Side, kind: u8, delay: Dur) -> u64 {
+    /// The host a flow's `side` endpoint lives on (sender → src, receiver
+    /// → dst): whose generation counter and wheel its timers use.
+    #[inline]
+    fn timer_host(&self, flow: FlowId, side: Side) -> HostId {
         let info = self.arena.info(flow);
-        let host = match side {
+        match side {
             Side::Sender => info.src,
             Side::Receiver => info.dst,
-        };
-        let fgen = self.arena.gen(flow);
+        }
+    }
+
+    pub(crate) fn arm_timer(&mut self, flow: FlowId, side: Side, kind: u8, delay: Dur) -> u64 {
+        let (gen, expiry, seq) = self.reserve_timer(flow, side, delay);
+        self.queue_timer(flow, side, kind, gen, expiry, seq);
+        gen
+    }
+
+    /// First half of [`arm_timer`](Self::arm_timer): mint the generation,
+    /// count the arming into the wheel and reserve its queue position,
+    /// queueing nothing. Returns `(gen, expiry, seq)`; the arming must end
+    /// in exactly one of [`queue_timer`](Self::queue_timer) (its firing
+    /// settles the wheel) or [`settle_timer`](Self::settle_timer).
+    pub(crate) fn reserve_timer(
+        &mut self,
+        flow: FlowId,
+        side: Side,
+        delay: Dur,
+    ) -> (u64, SimTime, u64) {
+        let host = self.timer_host(flow, side);
         let expiry = self.now + delay;
         let gen = self.timers.arm(host, self.now, expiry);
-        self.events.push(
-            expiry,
-            Ev::Timer {
-                flow,
-                fgen,
-                host,
-                side,
-                kind,
-                gen,
-            },
-        );
-        gen
+        (gen, expiry, self.events.reserve_seq())
+    }
+
+    /// Second half of [`arm_timer`](Self::arm_timer): queue the timer
+    /// event of an arming at the position
+    /// [`reserve_timer`](Self::reserve_timer) gave it.
+    pub(crate) fn queue_timer(
+        &mut self,
+        flow: FlowId,
+        side: Side,
+        kind: u8,
+        gen: u64,
+        expiry: SimTime,
+        seq: u64,
+    ) {
+        let ev = Ev::Timer {
+            flow,
+            fgen: self.arena.gen(flow),
+            host: self.timer_host(flow, side),
+            side,
+            kind,
+            gen,
+        };
+        self.events.push_reserved(expiry, seq, ev);
+    }
+
+    /// Key of the event being handled (test support: where a firing sits).
+    #[cfg(test)]
+    pub(crate) fn current_event_key(&self) -> (SimTime, u64) {
+        let (at, next) = self.events.snapshot_horizon();
+        (at, next - 1)
+    }
+
+    /// Take an arming whose event was never queued back out of the wheel:
+    /// the `fired` that the event's pop would have accounted.
+    pub(crate) fn settle_timer(&mut self, flow: FlowId, side: Side, gen: u64, expiry: SimTime) {
+        self.timers.fired(self.timer_host(flow, side), gen, expiry);
     }
 
     pub(crate) fn deliver(&mut self, flow: FlowId, bytes: u64) {
@@ -1796,6 +1859,19 @@ impl Network {
             }
         };
         let port = &mut self.ports[dlink.0 as usize];
+        // The transmission in progress reserved its end-of-serialization
+        // wake instead of queueing it. Now there may be something for that
+        // wake to send: queue it where it was reserved — whatever
+        // `suppress_wake` says, a frozen link's backlog must find this
+        // wake once `LinkUp` comes. A position already gone by is one
+        // where the wake would have found an idle, drained port and done
+        // nothing; the wake below serves this packet instead.
+        if let Some(seq) = port.deferred_wake.take() {
+            if self.events.is_ahead(port.busy_until, seq) {
+                self.events
+                    .push_reserved(port.busy_until, seq, Ev::PortWake { dlink });
+            }
+        }
         if !suppress_wake && !port.is_busy(now) {
             self.events.push(now, Ev::PortWake { dlink });
         }
@@ -1817,7 +1893,14 @@ impl Network {
                     l.flight_begin(pkt.size); // leaves the queue, on the wire
                 }
                 self.events.push(done + prop, Ev::Arrive { dlink, pkt });
-                self.events.push(done, Ev::PortWake { dlink });
+                // The wake at `done` has work only if something is queued
+                // by then. With both queues drained, keep its position and
+                // let `enqueue_at` fill it if a packet does turn up.
+                if port.is_drained() {
+                    port.deferred_wake = Some(self.events.reserve_seq());
+                } else {
+                    self.events.push(done, Ev::PortWake { dlink });
+                }
             }
             TxDecision::WaitUntil(t) => {
                 self.events.push(t, Ev::PortWake { dlink });
@@ -1933,7 +2016,7 @@ impl Network {
     // ----- snapshot / restore ------------------------------------------------
 
     /// Serialize the network's complete *dynamic* state as an
-    /// `xpass-snap/v1` body. Static configuration — topology, [`NetConfig`],
+    /// `xpass-snap/v2` body. Static configuration — topology, [`NetConfig`],
     /// endpoint factory, installed monitor specs — is not written: a
     /// restore overlays onto a freshly built network whose deterministic
     /// setup already re-created all of it. Wall-clock state (`wall_secs`)
@@ -1956,6 +2039,11 @@ impl Network {
         w.u64(seq);
         w.u64(popped);
         w.u64(peak);
+        // Which reserved positions (deferred port wakes, carried
+        // deadlines) are still ahead must survive a resume.
+        let (h_at, h_seq) = self.events.snapshot_horizon();
+        w.u64(h_at.0);
+        w.u64(h_seq);
         let (cancellable, cancelled) = self.events.snapshot_cancel_sets();
         w.seq(&cancellable, |w, s| w.u64(*s));
         w.seq(&cancelled, |w, s| w.u64(*s));
@@ -2085,6 +2173,8 @@ impl Network {
         }
         let (seq, popped, peak) = (r.u64()?, r.u64()?, r.u64()?);
         self.events.restore_counters(seq, popped, peak);
+        let (h_at, h_seq) = (SimTime(r.u64()?), r.u64()?);
+        self.events.restore_horizon(h_at, h_seq);
         let n = r.seq_len(8)?;
         let cancellable = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
         let n = r.seq_len(8)?;
@@ -2384,6 +2474,7 @@ mod tests {
     use std::any::Any;
     use std::cell::RefCell;
     use std::rc::Rc;
+    use xpass_sim::time::tx_time;
     use xpass_sim::time::Dur;
 
     const G10: u64 = 10_000_000_000;
@@ -2581,6 +2672,162 @@ mod tests {
         // accepted — the superseded one is filtered as stale.
         let entries = log.borrow().clone();
         assert_eq!(entries, vec!["timer:9:stale", "timer:9:live"]);
+    }
+
+    // ----- deferred end-of-serialization wake -------------------------------
+
+    /// Pop the next event and handle it as the run loop does; returns its
+    /// time and kind name.
+    fn step(net: &mut Network) -> (SimTime, &'static str) {
+        let (t, ev) = net.events.pop().expect("an event is queued");
+        net.now = t;
+        let kind = EV_KIND_NAMES[ev_kind_idx(&ev)];
+        net.handle(ev);
+        (t, kind)
+    }
+
+    /// A full-size data packet from host 0 to host 1 of [`probe_net`],
+    /// for a flow that does not exist (delivery drops it silently).
+    fn data_pkt() -> Packet {
+        let mut p = Packet::new(FlowId(0), HostId(0), HostId(1), PktKind::Data, 1538);
+        p.payload = 1460;
+        p
+    }
+
+    /// [`probe_net`] with `data_pkt` put on host 0's uplink and its wake
+    /// handled: the port is serializing with both queues drained.
+    fn net_mid_transmission() -> (Network, DLinkId, SimTime) {
+        let mut net = probe_net(Rc::new(RefCell::new(Vec::new())));
+        let up = net.topo.host_uplink[0];
+        net.enqueue_at(up, data_pkt());
+        assert_eq!(step(&mut net), (SimTime::ZERO, "port_wake"));
+        let done = net.ports[up.0 as usize].tx_done_at();
+        assert!(done > net.now);
+        (net, up, done)
+    }
+
+    fn deferred(net: &Network, dlink: DLinkId) -> Option<u64> {
+        net.ports[dlink.0 as usize].deferred_wake
+    }
+
+    #[test]
+    fn a_drained_port_queues_no_wake_at_end_of_serialization() {
+        let (mut net, up, _) = net_mid_transmission();
+        assert!(deferred(&net, up).is_some(), "position kept, not filled");
+        assert_eq!(net.events.len(), 1, "only the packet's arrival is queued");
+        // Three hops, nothing behind the packet on any of them: one wake a
+        // hop (the eager engine ran two, the second finding nothing).
+        net.run_until(SimTime::ZERO + Dur::ms(1));
+        let report = net.engine_report();
+        let count = |name| {
+            let (_, n) = report
+                .events_by_kind
+                .iter()
+                .find(|(k, _)| *k == name)
+                .unwrap();
+            *n
+        };
+        assert_eq!(
+            (count("port_wake"), count("arrive"), count("host_rx")),
+            (3, 3, 1)
+        );
+        assert_eq!(report.events_processed, 7);
+        assert!(net.events.is_empty());
+    }
+
+    #[test]
+    fn packet_arriving_mid_serialization_fills_the_reserved_position() {
+        let (mut net, up, done) = net_mid_transmission();
+        // Pushed at `done` after the reservation: must pop after the wake.
+        net.events.push(done, Ev::Sample);
+        net.now = SimTime(done.0 / 2);
+        net.enqueue_at(up, data_pkt());
+        assert_eq!(deferred(&net, up), None, "materialised");
+        assert_eq!(step(&mut net), (done, "port_wake"));
+        assert!(
+            net.ports[up.0 as usize].is_busy(done),
+            "the wake at `done` sent the second packet"
+        );
+        assert_eq!(step(&mut net), (done, "sample"));
+    }
+
+    #[test]
+    fn packet_arriving_at_busy_until_fills_only_a_position_still_ahead() {
+        // From an event that sits *before* the reserved position (pushed
+        // at `done` ahead of the transmission): the wake is materialised
+        // in front of the enqueue's own now-wake, and does the sending.
+        let mut net = probe_net(Rc::new(RefCell::new(Vec::new())));
+        let up = net.topo.host_uplink[0];
+        let done = SimTime::ZERO + tx_time(1538, G10);
+        net.events.push(done, Ev::Sample);
+        net.enqueue_at(up, data_pkt());
+        assert_eq!(step(&mut net), (SimTime::ZERO, "port_wake"));
+        assert_eq!(net.ports[up.0 as usize].tx_done_at(), done);
+        assert_eq!(step(&mut net), (done, "sample"));
+        net.enqueue_at(up, data_pkt());
+        assert_eq!(deferred(&net, up), None);
+        assert_eq!(step(&mut net), (done, "port_wake"));
+        assert!(
+            net.ports[up.0 as usize].is_busy(done),
+            "reserved wake sent it"
+        );
+        let queued = net.events.len();
+        assert_eq!(step(&mut net), (done, "port_wake"));
+        assert_eq!(net.events.len(), queued - 1, "the now-wake found it busy");
+
+        // From an event *behind* the reserved position (pushed at `done`
+        // after the transmission began): the eager wake has been and gone,
+        // finding nothing — nothing is materialised, the now-wake sends.
+        let (mut net, up, done) = net_mid_transmission();
+        net.events.push(done, Ev::Sample);
+        assert_eq!(step(&mut net), (done, "sample"));
+        let queued = net.events.len();
+        net.enqueue_at(up, data_pkt());
+        assert_eq!(deferred(&net, up), None, "a position gone by is dropped");
+        assert_eq!(net.events.len(), queued + 1, "the now-wake alone");
+        assert_eq!(step(&mut net), (done, "port_wake"));
+        assert!(net.ports[up.0 as usize].is_busy(done));
+    }
+
+    #[test]
+    fn a_clock_moved_to_busy_until_passes_the_reserved_position() {
+        // `run_until(done)` drains the queue through `done`; the eager
+        // wake would have run inside it. An enqueue from outside the loop
+        // at that instant must not resurrect the position ahead of events
+        // pushed since — nor after a snapshot/restore, which is why the
+        // queue's horizon rides in the snapshot.
+        let (mut net, up, done) = net_mid_transmission();
+        net.run_until(done);
+        assert_eq!(net.now(), done);
+        let mut w = SnapWriter::new();
+        net.snapshot_into(&mut w);
+        let mut twin = probe_net(Rc::new(RefCell::new(Vec::new())));
+        twin.restore_from(&w.into_body()).expect("twin restore");
+        for mut net in [net, twin] {
+            net.events.push(done, Ev::Sample);
+            net.enqueue_at(up, data_pkt());
+            assert_eq!(deferred(&net, up), None);
+            assert_eq!(step(&mut net), (done, "sample"));
+            assert_eq!(step(&mut net), (done, "port_wake"));
+            assert!(net.ports[up.0 as usize].is_busy(done));
+        }
+    }
+
+    #[test]
+    fn frozen_link_backlog_drains_when_link_up_comes_before_busy_until() {
+        let (mut net, up, done) = net_mid_transmission();
+        let (down_at, up_at) = (SimTime(done.0 / 4), SimTime(done.0 / 2));
+        net.install_fault_plan(FaultPlan::new().link_down(down_at, up).link_up(up_at, up));
+        net.run_until(down_at);
+        // Frozen: the enqueue's own wake is suppressed, so the reserved
+        // one is the only wake this packet will ever get.
+        net.enqueue_at(up, data_pkt());
+        assert_eq!(deferred(&net, up), None);
+        net.run_until(SimTime::ZERO + Dur::ms(1));
+        let port = &net.ports[up.0 as usize];
+        assert!(port.data.is_empty(), "backlog stuck behind a dead wake");
+        assert_eq!(port.tx_data_bytes, 2 * 1538);
+        assert_eq!(net.counters().pkts_lost_to_faults, 0);
     }
 
     #[test]

@@ -49,6 +49,12 @@ pub struct EgressPort {
     pub busy_until: SimTime,
     /// Pending meter-refill wake, to avoid duplicate wake events.
     token_wake: Option<SimTime>,
+    /// Queue position reserved for the wake at `busy_until`, when the
+    /// transmission in progress began with both queues drained: such a
+    /// wake finds nothing to send unless something is enqueued first, so
+    /// the network queues it only then — at exactly this sequence number
+    /// — and otherwise never (see `Network::enqueue_at`).
+    pub deferred_wake: Option<u64>,
     /// Total wire bytes transmitted.
     pub tx_bytes: u64,
     /// Wire bytes of data packets transmitted.
@@ -81,6 +87,7 @@ impl EgressPort {
             rcp,
             busy_until: SimTime::ZERO,
             token_wake: None,
+            deferred_wake: None,
             tx_bytes: 0,
             tx_data_bytes: 0,
             tx_payload_bytes: 0,
@@ -98,6 +105,14 @@ impl EgressPort {
     #[inline]
     pub fn is_busy(&self, now: SimTime) -> bool {
         now < self.busy_until
+    }
+
+    /// True when neither queue holds a packet: a wake on an idle port in
+    /// this state is a no-op ([`try_transmit`](Self::try_transmit) returns
+    /// `Idle` having touched nothing).
+    #[inline]
+    pub fn is_drained(&self) -> bool {
+        self.data.is_empty() && self.credit.as_ref().is_none_or(|cq| cq.is_empty())
     }
 
     /// Decide what to do at `now` (must be called only when not busy).
@@ -203,7 +218,8 @@ impl EgressPort {
 
 // Dynamic state only: dlink, speed and propagation delay are configuration
 // rebuilt by setup. Queue contents, the transmitter busy horizon, the pending
-// meter wake, byte counters, and the optional gap collector all carry over.
+// meter wake, the deferred end-of-serialization wake, byte counters, and the
+// optional gap collector all carry over.
 impl xpass_sim::Snapshot for EgressPort {
     fn snap(&self, w: &mut xpass_sim::SnapWriter) {
         self.data.snap(w);
@@ -211,6 +227,7 @@ impl xpass_sim::Snapshot for EgressPort {
         w.opt(self.rcp.as_ref(), |w, rcp| rcp.snap(w));
         w.u64(self.busy_until.0);
         w.opt(self.token_wake.as_ref(), |w, t| w.u64(t.0));
+        w.opt(self.deferred_wake.as_ref(), |w, s| w.u64(*s));
         w.u64(self.tx_bytes);
         w.u64(self.tx_data_bytes);
         w.u64(self.tx_payload_bytes);
@@ -246,6 +263,7 @@ impl xpass_sim::Restore for EgressPort {
         }
         self.busy_until = SimTime(r.u64()?);
         self.token_wake = r.opt(|r| Ok(SimTime(r.u64()?)))?;
+        self.deferred_wake = r.opt(|r| r.u64())?;
         self.tx_bytes = r.u64()?;
         self.tx_data_bytes = r.u64()?;
         self.tx_payload_bytes = r.u64()?;
@@ -412,6 +430,27 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn drained_port_wake_is_a_no_op() {
+        // What lets the network leave the end-of-serialization wake of a
+        // drained port unqueued: it would decide `Idle` and touch nothing.
+        let mut p = port(true);
+        p.data.enqueue(SimTime::ZERO, data_pkt());
+        assert!(!p.is_drained());
+        let _ = p.try_transmit(SimTime::ZERO, None);
+        assert!(p.is_drained(), "the only packet is on the wire");
+        let done = p.tx_done_at();
+        let before = (p.busy_until, p.token_wake, p.tx_bytes);
+        assert!(matches!(p.try_transmit(done, None), TxDecision::Idle));
+        assert_eq!(before, (p.busy_until, p.token_wake, p.tx_bytes));
+        // A queued credit — even one the meter will not pass yet — is work.
+        p.credit
+            .as_mut()
+            .unwrap()
+            .enqueue(done, credit_pkt(), &mut rng());
+        assert!(!p.is_drained());
     }
 
     #[test]

@@ -20,10 +20,26 @@
 //! count — and never influences event order, so observable outputs stay
 //! byte-identical.
 //!
-//! Timer events are never removed from the event queue (cancellation is
-//! logical, in the endpoint's `TimerSlot`), so every `arm` is matched by
-//! exactly one `fired` and the occupancy counts are exact even across
-//! slot aliasing (windows 64 apart share a slot; the sum stays right).
+//! Every `arm` is matched by exactly one `fired`, so the occupancy counts
+//! are exact even across slot aliasing (windows 64 apart share a slot; the
+//! sum stays right). Which call settles an arming depends on whether its
+//! event was ever queued:
+//!
+//! * a one-shot [`TimerSlot`](crate::endpoint::TimerSlot) arming always
+//!   queues its event, which is never removed (cancellation is logical, in
+//!   the slot): the event's pop calls `fired`, live or stale;
+//! * a [`Deadline`](crate::endpoint::Deadline) — the window transports'
+//!   RTO, re-armed by every ACK — reserves a queue position per arming but
+//!   keeps one event queued: an arming whose event *is* queued settles at
+//!   its pop as above; one that never is settles, with its own expiry, when
+//!   a later arming supersedes it or the deadline is cancelled.
+//!
+//! Measured on the repo benchmark before the `Deadline` existed: 99.4 % of
+//! `fct_dctcp`'s 497 832 timer events were stale RTO armings (2 756 live),
+//! and 0 % of `fct_xpass`'s or `clos_xl`'s — ExpressPass pace timers are
+//! never re-armed while pending. The stale ones are no longer queued, so
+//! the event queue holds live deadlines and the wheel remains what it
+//! says: accounting, with no part in firing anything.
 
 use crate::ids::HostId;
 use xpass_sim::time::SimTime;
@@ -93,7 +109,9 @@ impl TimerWheels {
     }
 
     /// Account a timer firing: decrement the exact slot the generation's
-    /// level tag names. Called for every popped timer event, live or stale.
+    /// level tag names. Called for every popped timer event, live or stale,
+    /// and — with the arming's own `expiry` — for an arming that is
+    /// superseded or cancelled without ever having been queued.
     ///
     /// Saturating rather than asserting: a restored (possibly adversarial)
     /// snapshot may carry counts inconsistent with its pending events, and

@@ -33,8 +33,8 @@
 //!
 //! Determinism contract: the pop sequence is a pure function of the
 //! push/pop call sequence — wall clock, thread identity, and allocator
-//! state never influence it. `(time, seq)` keys are unique (the wrapper's
-//! seq counter is strictly increasing), so heap order is total and the
+//! state never influence it. `(time, seq)` keys are unique (the wrapper
+//! hands each sequence number out once), so heap order is total and the
 //! differential tests in the workspace root can pin byte-identical
 //! experiment output against the heap scheduler.
 
@@ -47,7 +47,7 @@ use std::collections::BinaryHeap;
 /// a fit for 10–100 G packet event spacing; adaptation takes it from
 /// there).
 pub const INITIAL_BUCKET_BITS: u32 = 18;
-/// Smallest allowed bucket width (2^16 ps ≈ 66 ns).
+/// Smallest allowed bucket width (2^12 ps ≈ 4 ns).
 pub const MIN_BUCKET_BITS: u32 = 12;
 /// Largest allowed bucket width (2^26 ps ≈ 67 µs).
 pub const MAX_BUCKET_BITS: u32 = 26;
@@ -110,8 +110,8 @@ impl Ord for Entry {
 }
 
 /// The two-band calendar scheduler. Total order over `(time, seq)` — the
-/// caller supplies a strictly increasing `seq` per push (the [`EventQueue`]
-/// wrapper does), which makes every tie deterministic.
+/// caller supplies a unique `seq` per push (the [`EventQueue`] wrapper's
+/// counter does), which makes every tie deterministic.
 ///
 /// [`EventQueue`]: crate::event::EventQueue
 pub struct CalendarQueue<E> {
@@ -232,8 +232,12 @@ impl<E> CalendarQueue<E> {
         self.len == 0
     }
 
-    /// Insert `(at, seq, event)`. `seq` must be strictly greater than every
-    /// previously pushed seq (the wrapper's global counter guarantees it).
+    /// Insert `(at, seq, event)`. Keys are unique; a key may be pushed any
+    /// time before its position pops — sequence numbers need not arrive in
+    /// order (a reserved one is pushed late, see
+    /// [`EventQueue::push_reserved`](crate::event::EventQueue::push_reserved),
+    /// which holds the `debug_assert!` that the key is ahead of the last
+    /// live pop: only the wrapper knows which pops were tombstones).
     pub fn push(&mut self, at: SimTime, seq: u64, event: E) {
         let t = at.0;
         self.len += 1;

@@ -17,6 +17,15 @@
 //! `crates/sim/tests` pin that equivalence, so the calendar queue is
 //! unobservable except in wall-clock time.
 //!
+//! A queue position can be **reserved now and filled later, or never**:
+//! [`EventQueue::reserve_seq`] takes the next sequence number without
+//! queueing anything, and [`EventQueue::push_reserved`] queues an event at
+//! that number any time before the position pops
+//! ([`EventQueue::is_ahead`]). `push(at, ev)` *is*
+//! `push_reserved(at, reserve_seq(), ev)`, so a caller that defers a push
+//! this way leaves every other event's key — and its own, if it does push
+//! — exactly where an eager push would have put it.
+//!
 //! Timers pushed via [`EventQueue::push_cancellable`] can be revoked with
 //! [`EventQueue::cancel`]; cancelled entries never fire and are skipped
 //! (and reclaimed) on pop. Queues start at a caller-controlled capacity
@@ -132,6 +141,10 @@ pub struct EventQueue<E> {
     imp: Impl<E>,
     seq: u64,
     popped: u64,
+    /// The first position that has not gone by: just past the key of the
+    /// last live event popped, or where [`advance_to`](Self::advance_to)
+    /// left it.
+    horizon: (SimTime, u64),
     peak: usize,
     /// Entries currently queued (including cancelled tombstones), cached
     /// so the hot push/pop paths never re-derive it through the scheduler.
@@ -208,6 +221,7 @@ impl<E> EventQueue<E> {
             imp,
             seq: 0,
             popped: 0,
+            horizon: (SimTime::ZERO, 0),
             peak: 0,
             raw: 0,
             initial_cap: cap,
@@ -225,18 +239,30 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Take the next sequence number without queueing anything: the
+    /// position `(at, seq)` — for whatever `at` the caller has in mind —
+    /// may be filled later with [`push_reserved`](Self::push_reserved), or
+    /// never.
     #[inline]
-    fn push_inner(&mut self, at: SimTime, event: E) -> u64 {
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        match &mut self.imp {
-            Impl::Heap(h) => h.push(Entry {
-                key: Reverse((at, seq)),
-                event,
-            }),
-            Impl::Calendar(c) => c.push(at, seq, event),
-        }
-        self.raw += 1;
+        seq
+    }
+
+    /// Queue `event` at a position reserved with
+    /// [`reserve_seq`](Self::reserve_seq). Valid any time before the
+    /// position pops ([`is_ahead`](Self::is_ahead)), on both schedulers:
+    /// the heap orders by key, and the calendar sorts a bucket when it
+    /// stages it, inserts by key into the staged one and keeps its far
+    /// band in a heap — neither assumes keys arrive in sequence order.
+    #[inline]
+    pub fn push_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        debug_assert!(
+            seq < self.seq && self.is_ahead(at, seq),
+            "position ({at:?}, {seq}) was never reserved or has gone by"
+        );
+        self.restore_entry(at, seq, event);
         let live = self.raw - self.cancelled.len();
         if live > self.peak {
             self.peak = live;
@@ -244,19 +270,38 @@ impl<E> EventQueue<E> {
         if live > self.initial_cap {
             self.needs_shrink = true;
         }
-        seq
     }
 
-    /// Schedule `event` to fire at absolute time `at`.
+    /// Schedule `event` to fire at absolute time `at` (never earlier than
+    /// the last event popped).
     #[inline]
     pub fn push(&mut self, at: SimTime, event: E) {
-        self.push_inner(at, event);
+        let seq = self.reserve_seq();
+        self.push_reserved(at, seq, event);
+    }
+
+    /// True while the position `(at, seq)` is still to come: no pop has
+    /// returned an event at or after it, and no
+    /// [`advance_to`](Self::advance_to) has passed it.
+    #[inline]
+    pub fn is_ahead(&self, at: SimTime, seq: u64) -> bool {
+        (at, seq) >= self.horizon
+    }
+
+    /// Declare every position reserved so far at or before `t` gone by.
+    /// For a driver that moves its clock to `t` after
+    /// [`pop_before`](Self::pop_before)`(t)` came back empty: had such a
+    /// position been filled, that drain would have popped it. Positions
+    /// reserved from here on, at `t` included, are ahead.
+    pub fn advance_to(&mut self, t: SimTime) {
+        self.horizon = self.horizon.max((t, self.seq));
     }
 
     /// Schedule a cancellable timer; the handle revokes it via
     /// [`cancel`](Self::cancel) any time before it fires.
     pub fn push_cancellable(&mut self, at: SimTime, event: E) -> TimerHandle {
-        let seq = self.push_inner(at, event);
+        let seq = self.reserve_seq();
+        self.push_reserved(at, seq, event);
         self.cancellable.insert(seq);
         TimerHandle(seq)
     }
@@ -284,6 +329,17 @@ impl<E> EventQueue<E> {
         out
     }
 
+    /// Bookkeeping shared by every pop of a live event.
+    #[inline]
+    fn note_pop(&mut self, at: SimTime, seq: u64) {
+        self.popped += 1;
+        self.horizon = (at, seq + 1);
+        if self.needs_shrink && self.raw == 0 {
+            self.shrink_after_drain();
+            self.needs_shrink = false;
+        }
+    }
+
     /// Pop the earliest live event, returning `(time, event)`. Cancelled
     /// timers are skipped (and never counted as processed).
     #[inline]
@@ -296,11 +352,7 @@ impl<E> EventQueue<E> {
             if !self.cancellable.is_empty() {
                 self.cancellable.remove(&seq);
             }
-            self.popped += 1;
-            if self.needs_shrink && self.raw == 0 {
-                self.shrink_after_drain();
-                self.needs_shrink = false;
-            }
+            self.note_pop(at, seq);
             return Some((at, event));
         }
     }
@@ -313,7 +365,7 @@ impl<E> EventQueue<E> {
         if self.cancelled.is_empty() && self.cancellable.is_empty() {
             // No timer tombstones in play (the common engine state): one
             // fused scheduler call, no hash-set traffic at all.
-            let (at, _seq, event) = match &mut self.imp {
+            let (at, seq, event) = match &mut self.imp {
                 Impl::Heap(h) => {
                     if h.peek()?.key.0 .0 > t {
                         return None;
@@ -324,11 +376,7 @@ impl<E> EventQueue<E> {
                 Impl::Calendar(c) => c.pop_if_le(t)?,
             };
             self.raw -= 1;
-            self.popped += 1;
-            if self.needs_shrink && self.raw == 0 {
-                self.shrink_after_drain();
-                self.needs_shrink = false;
-            }
+            self.note_pop(at, seq);
             return Some((at, event));
         }
         loop {
@@ -349,11 +397,7 @@ impl<E> EventQueue<E> {
             if !self.cancellable.is_empty() {
                 self.cancellable.remove(&seq);
             }
-            self.popped += 1;
-            if self.needs_shrink && self.raw == 0 {
-                self.shrink_after_drain();
-                self.needs_shrink = false;
-            }
+            self.note_pop(at, seq);
             return Some((at, event));
         }
     }
@@ -473,6 +517,18 @@ impl<E> EventQueue<E> {
             Impl::Calendar(c) => c.push(at, seq, event),
         }
         self.raw += 1;
+    }
+
+    /// Snapshot support: the first position that has not gone by (see
+    /// [`is_ahead`](Self::is_ahead)).
+    pub fn snapshot_horizon(&self) -> (SimTime, u64) {
+        self.horizon
+    }
+
+    /// Snapshot support: overwrite the horizon captured by
+    /// [`snapshot_horizon`](Self::snapshot_horizon).
+    pub fn restore_horizon(&mut self, at: SimTime, seq: u64) {
+        self.horizon = (at, seq);
     }
 
     /// Snapshot support: the queue's counters `(seq, popped, peak)`.
@@ -622,6 +678,32 @@ mod tests {
             .unwrap();
         assert_eq!(other, SchedulerKind::Calendar, "override is per-thread");
         set_thread_scheduler(SchedulerKind::Calendar);
+    }
+
+    #[test]
+    fn reserved_position_is_ahead_until_popped_past_or_advanced_over() {
+        for mut q in both() {
+            q.push(SimTime(10), 1);
+            let here = q.reserve_seq(); // meant for t = 10
+            let later = q.reserve_seq(); // meant for t = 20
+            q.push(SimTime(10), 2);
+            assert_eq!(q.len(), 2, "a reservation queues nothing");
+            assert_eq!(q.pop(), Some((SimTime(10), 1)));
+            assert!(q.is_ahead(SimTime(10), here), "same instant, later seq");
+            assert_eq!(q.pop(), Some((SimTime(10), 2)));
+            assert!(!q.is_ahead(SimTime(10), here), "a later seq has popped");
+            assert!(q.is_ahead(SimTime(20), later));
+            q.advance_to(SimTime(20));
+            assert!(!q.is_ahead(SimTime(20), later), "the clock moved over it");
+            // What is reserved from here on at the same instant is ahead.
+            let fresh = q.reserve_seq();
+            q.push_reserved(SimTime(20), fresh, 3);
+            q.push(SimTime(20), 4);
+            assert_eq!(q.pop(), Some((SimTime(20), 3)));
+            assert_eq!(q.pop(), Some((SimTime(20), 4)));
+            assert_eq!(q.peak_len(), 2, "push_reserved keeps the peak");
+            assert_eq!(q.events_processed(), 4);
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@ use xpass::expresspass::XPassConfig;
 use xpass::net::ids::HostId;
 use xpass::net::topology::Topology;
 use xpass::sim::time::{Dur, SimTime};
+use xpass::workloads::{PoissonWorkload, Workload};
 
 const G10: u64 = 10_000_000_000;
 
@@ -217,5 +218,31 @@ fn capped_then_continued_run_equals_uninterrupted() {
     assert!(
         sliced.ledger_report().balanced(),
         "a dropped event unbalances the ledger"
+    );
+}
+
+#[test]
+fn dctcp_queue_depth_follows_live_flows_not_acks() {
+    // The benchmark's `fct_dctcp` run: 1 200 Cache Follower flows on the
+    // 192-host fat tree. Every new ACK re-arms the sender's 10 ms RTO;
+    // when each arming queued a timer event of its own the queue held
+    // 235 073 entries at its deepest, nearly all of them dead timers. A
+    // carried deadline queues one per flow.
+    let topo = Topology::eval_fat_tree(G10);
+    let mut net = Scheme::Dctcp.build(topo.clone(), G10, 53);
+    let specs = PoissonWorkload::new(Workload::CacheFollower.dist(), 0.6, 1200, 53 ^ 0xABCD)
+        .generate(&topo);
+    xpass::workloads::add_all(&mut net, &specs);
+    net.run_until_done(specs.last().unwrap().start + Dur::secs(10));
+    assert_eq!(net.completed_count(), 1200);
+
+    // What the queue has to hold: a `FlowStart` per flow still to come,
+    // and per flow under way its packets in flight and one RTO carrier —
+    // a few entries per live flow (`flow_count`: nothing retires here).
+    let peak_queue = net.engine_report().peak_queue_len;
+    let peak_live = net.flow_count();
+    assert!(
+        peak_queue < 8 * peak_live,
+        "queue {peak_queue} deep for {peak_live} live flows"
     );
 }

@@ -368,10 +368,16 @@ fn ingest_flood_is_shed_with_429() {
 #[test]
 fn slow_ws_consumer_is_disconnected_without_perturbing_the_run() {
     let dir = scratch("slowws");
-    // A slow link + one large flow: >3 seconds of simulated traffic at a
+    // A slow link + one large flow: >6 seconds of simulated traffic at a
     // modest event rate, pushing thousands of feed lines — far more than
-    // kernel socket buffers absorb for a client that never reads.
-    let scn = stream_scenario(&dir, "svc_slowws", 6000, 1_000_000_000);
+    // kernel socket buffers absorb for a client that never reads. The
+    // disconnect needs those buffers full *and* a write stalled for
+    // 250 ms, all before the run ends and the daemon exits: measured on
+    // the debug build, the stall is declared ~0.65 s after SIGTERM and a
+    // 400 MB flow left the daemon 0.9 s (1.0 s before idle-port wakes
+    // stopped being queued) — too little under a loaded test runner —
+    // where this one leaves it 1.6 s.
+    let scn = stream_scenario(&dir, "svc_slowws", 9000, 1_000_000_000);
     let journal = dir.join("ingest.jsonl");
     let out = dir.join("out");
     let log = dir.join("serve.log");
@@ -401,7 +407,7 @@ fn slow_ws_consumer_is_disconnected_without_perturbing_the_run() {
     ws.read_exact(&mut hello).expect("read upgrade status");
     assert!(hello.ends_with(b"101"), "no 101: {hello:?}");
 
-    let (code, _, _) = post_arrival(&addr, 0, 5, 400_000_000);
+    let (code, _, _) = post_arrival(&addr, 0, 5, 800_000_000);
     assert_eq!(code, 200);
     wait_in_log(&log, "(group 1)", 30);
     send_signal(&child, "-TERM");

@@ -405,3 +405,173 @@ fn budget_killed_run_resumes_to_the_unbudgeted_result() {
     assert_eq!(reference.counters(), resumed.counters());
     assert_eq!(reference.now(), resumed.now());
 }
+
+/// Reserved queue positions survive a checkpoint. A DCTCP run — long
+/// enough that the RTO carriers of the first milliseconds come due and
+/// hop before it ends — is snapshotted at 24 instants half a microsecond
+/// apart, some of which must catch both kinds pending — a port serializing with its
+/// end-of-serialization wake deferred, and a sender whose RTO is armed
+/// with only an earlier arming's event queued. The snapshot has to carry
+/// the port's reserved sequence number, the deadline's reserved
+/// `(expiry, seq)` and the queue's horizon for a twin to finish with the
+/// same results *and the same event count*: a position dropped or doubled
+/// on resume changes `events_processed` even where no flow notices.
+#[test]
+fn dctcp_snapshot_with_reserved_positions_pending_round_trips() {
+    use xpass::baselines::dctcp::DctcpCc;
+    use xpass::baselines::window::WindowSender;
+    use xpass::experiments::Scheme;
+    use xpass::net::ids::{FlowId, Side};
+
+    const G10: u64 = 10_000_000_000;
+    fn net() -> Network {
+        let mut n = Scheme::Dctcp.build(Topology::dumbbell(4, G10, Dur::us(4)), G10, 31);
+        for i in 0..4u32 {
+            n.add_flow(HostId(i), HostId(4 + i), 4_000_000, SimTime::ZERO);
+        }
+        n
+    }
+    fn reserved_positions_pending(n: &mut Network) -> bool {
+        let now = n.now();
+        let wake = n
+            .ports()
+            .iter()
+            .any(|p| p.deferred_wake.is_some() && p.is_busy(now));
+        let mut carried = false;
+        for f in 0..4 {
+            n.poke(FlowId(f), Side::Sender, |ep, _| {
+                let tx = ep.as_any().downcast_mut::<WindowSender<DctcpCc>>();
+                carried |= tx.unwrap().rto_deadline().is_carried();
+            });
+        }
+        wake && carried
+    }
+
+    let cap = SimTime::ZERO + Dur::ms(50);
+    let mut per_scheduler = Vec::new();
+    for (kind, other) in [
+        (SchedulerKind::Heap, SchedulerKind::Calendar),
+        (SchedulerKind::Calendar, SchedulerKind::Heap),
+    ] {
+        set_thread_scheduler(kind);
+        let mut plain = net();
+        let done = plain.run_until_done(cap);
+        assert_eq!(plain.completed_count(), 4);
+        assert!(
+            done > SimTime::ZERO + Dur::ms(11),
+            "no RTO came due: {done}"
+        );
+        // Drain: the carriers that hopped fire (dead by then) after the
+        // last flow is done, and each must be counted by every twin.
+        plain.run_until(cap);
+
+        let mut a = net();
+        let (mut bodies, mut pending) = (Vec::new(), 0);
+        for k in 0..24u64 {
+            a.run_until(SimTime::ZERO + Dur::us(300) + Dur::ns(500 * k));
+            pending += reserved_positions_pending(&mut a) as u32;
+            let mut w = SnapWriter::new();
+            a.snapshot_into(&mut w);
+            bodies.push(w.into_body());
+        }
+        assert!(pending >= 4, "only {pending} instants with both pending");
+        a.run_until(cap);
+
+        set_thread_scheduler(other);
+        let same_as_plain = |name: &str, n: &Network| {
+            assert_eq!(plain.flow_records(), n.flow_records(), "{name}");
+            assert_eq!(plain.counters(), n.counters(), "{name}");
+            assert_eq!(plain.now(), n.now(), "{name}");
+            let (pe, ne) = (plain.engine_report(), n.engine_report());
+            assert_eq!(pe.events_processed, ne.events_processed, "{name}");
+            assert_eq!(pe.events_by_kind, ne.events_by_kind, "{name}");
+            assert_eq!(pe.peak_queue_len, ne.peak_queue_len, "{name}");
+        };
+        same_as_plain("snapshotted", &a);
+        for (k, body) in bodies.iter().enumerate() {
+            let mut b = net();
+            b.restore_from(body).expect("twin restore");
+            b.run_until(cap);
+            same_as_plain(&format!("restored from snapshot {k}"), &b);
+        }
+        per_scheduler.push(bodies);
+    }
+    set_thread_scheduler(SchedulerKind::default());
+    assert!(
+        per_scheduler[0] == per_scheduler[1],
+        "snapshot bytes depend on the scheduler"
+    );
+}
+
+/// The same across a process boundary: a DCTCP shuffle checkpointed every
+/// simulated millisecond (every snapshot lands mid-transfer, wakes
+/// deferred and RTOs carried all over the fabric) and resumed by a fresh
+/// `xpass-repro` prints byte-identical tables and counts the very same
+/// events, under both schedulers. (Scenario records carry wall-clock
+/// fields, so the record is compared on its deterministic part.)
+#[test]
+fn dctcp_scenario_resumes_in_a_fresh_process_to_the_same_event_count() {
+    use xpass::sim::json::{self, Json};
+
+    const SCENARIO: &str = r#"{
+      "schema": "xpass-scenario/v1",
+      "name": "dctcp_shuffle",
+      "title": "DCTCP shuffle on a k=4 fat tree",
+      "seed": 19,
+      "link_bps": 10000000000,
+      "topology": {"kind": "fat_tree", "k": 4, "prop_us": 2},
+      "series": [{"label": "DCTCP", "scheme": {"kind": "dctcp"}}],
+      "workload": {"kind": "shuffle", "tasks_per_host": 1, "bytes_per_pair": 200000},
+      "measure": {"kind": "fct", "cap_ms": 400}
+    }"#;
+    /// `(events_processed, events_by_kind)` of the record's one series.
+    fn event_counts(record: &str) -> (Json, Json) {
+        let rec = json::parse(record).expect("record parses");
+        let series = rec.get("payload").and_then(|p| p.get("series")).unwrap();
+        let Json::Arr(series) = series else {
+            panic!("series is not an array")
+        };
+        let engine = series[0].get("engine").unwrap();
+        (
+            engine.get("events_processed").unwrap().clone(),
+            engine.get("events_by_kind").unwrap().clone(),
+        )
+    }
+
+    for sched in ["heap", "calendar"] {
+        let root = tmp(&format!("dctcp-scenario-{sched}"));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let scenario = root.join("dctcp_shuffle.json");
+        std::fs::write(&scenario, SCENARIO).unwrap();
+        let (scenario_s, ckd) = (scenario.to_str().unwrap(), root.join("ckd"));
+        let ckd_s = ckd.to_str().unwrap();
+
+        let clean_args = ["run", scenario_s, "--scheduler", sched];
+        let (clean_out, clean_rec) = run(&clean_args, &root.join("j-clean"), "dctcp_shuffle");
+        let mut ck_args = clean_args.to_vec();
+        ck_args.extend_from_slice(&["--checkpoint-every", "1", "--checkpoint-dir", ckd_s]);
+        let (ck_out, ck_rec) = run(&ck_args, &root.join("j-ck"), "dctcp_shuffle");
+        assert_eq!(clean_out, ck_out, "{sched}: checkpointing changed stdout");
+        assert_eq!(event_counts(&clean_rec), event_counts(&ck_rec), "{sched}");
+
+        let written = snaps(&ckd);
+        assert!(written.len() >= 2, "{sched}: the run outlasts 2 ms");
+        for (k, snap) in [&written[0], &written[written.len() - 1]]
+            .iter()
+            .enumerate()
+        {
+            let resume = ["--resume", snap.to_str().unwrap(), "run", scenario_s];
+            let resume = [&resume[..], &["--scheduler", sched]].concat();
+            let (r_out, r_rec) = run(&resume, &root.join(format!("j-r{k}")), "dctcp_shuffle");
+            assert_eq!(clean_out, r_out, "{sched}: resume from {}", snap.display());
+            assert_eq!(
+                event_counts(&clean_rec),
+                event_counts(&r_rec),
+                "{sched}: resume from {} counted other events",
+                snap.display()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
