@@ -1,25 +1,19 @@
-//! # xpass-bench — the benchmark harness
+//! # xpass-bench — engine microbenchmarks
 //!
-//! One `cargo bench` target per table/figure of the paper's evaluation
-//! (`fig01` … `fig21`, `table1`, `table3`), each of which runs the
-//! corresponding experiment from `xpass-experiments` at its scaled default
-//! configuration and prints the same rows/series the paper reports, plus
-//! `engine` — Criterion microbenchmarks of the simulator core.
+//! `cargo bench -p xpass-bench --bench engine` measures the simulator core
+//! (hold-model scheduler throughput, full-simulation flow scalability,
+//! bytes per flow) and writes `BENCH_engine.json`; `examples/prof_fig15.rs`
+//! is the same driver shaped for a profiler. [`count_alloc`] is the
+//! counting allocator the bench measures bytes per flow with.
 //!
-//! Scaled defaults finish in seconds to a couple of minutes; set
-//! `XPASS_PAPER_SCALE=1` to run an experiment at the paper's full
-//! parameters where a `paper_scale()` configuration exists (expect long
-//! runtimes).
+//! The paper's tables and figures are not bench targets: each is a
+//! registry experiment, run with `xpass-repro <name> [--paper-scale]`
+//! (`xpass-repro --list` names them all).
 
 #![warn(missing_docs)]
 use std::time::Instant;
 
 pub mod count_alloc;
-
-/// Whether the environment requests paper-scale runs.
-pub fn paper_scale() -> bool {
-    std::env::var_os("XPASS_PAPER_SCALE").is_some_and(|v| v != "0")
-}
 
 /// Run one experiment body, printing its rendered result and wall time.
 pub fn bench_main(name: &str, f: impl FnOnce() -> String) {
@@ -40,13 +34,4 @@ pub fn bench_main(name: &str, f: impl FnOnce() -> String) {
     let dt = t0.elapsed();
     println!("{out}");
     println!("[{name} completed in {:.2}s]\n", dt.as_secs_f64());
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn paper_scale_env() {
-        // Not set in the test environment.
-        assert!(!super::paper_scale() || std::env::var_os("XPASS_PAPER_SCALE").is_some());
-    }
 }

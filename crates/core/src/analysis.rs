@@ -7,7 +7,7 @@
 //! `D* = C · w_min · (1 − 1/N)`.
 //!
 //! [`DiscreteModel`] iterates this system with the real
-//! [`CreditFeedback`](crate::feedback::CreditFeedback) implementation —
+//! [`CreditFeedback`] implementation —
 //! Fig 12's behaviour becomes an executable check rather than a drawing.
 
 use crate::config::XPassConfig;

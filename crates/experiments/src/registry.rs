@@ -1,5 +1,5 @@
 //! The experiment registry: every paper artifact as a boxed
-//! [`Experiment`](crate::Experiment) trait object, in the canonical CLI
+//! [`Experiment`] trait object, in the canonical CLI
 //! order. The `xpass-repro` binary, the integration tests, and any future
 //! driver all dispatch through this single list, so adding an experiment
 //! module means adding exactly one line here.

@@ -10,8 +10,8 @@
 //! [`FlowArena`] splits the state three ways:
 //!
 //! * **Slots** (cold): identity ([`FlowInfo`]), the two boxed endpoints
-//!   (kept boxed so the take/put-back dispatch dance and snapshot overlay
-//!   keep working), the recorded FCT, and a generation counter.
+//!   (kept boxed so the take/put-back dispatch dance keeps working), the
+//!   recorded FCT, and a generation counter.
 //! * **Struct-of-arrays hot fields**: `rx_bytes`, `credits_sent`,
 //!   `credits_wasted`, and a packed flag byte per flow, each in its own
 //!   dense array touched by the per-credit loop.
@@ -24,11 +24,18 @@
 //! observable output is byte-identical to the old layout; the free list is
 //! exercised by churn workloads (and tests) via
 //! [`Network::retire_flow`](crate::network::Network::retire_flow).
+//!
+//! The arena owns its wire format ([`FlowArena::snap`] /
+//! [`FlowArena::restore`]): nothing outside this module can set a
+//! generation or the free list, so the guarantee a [`FlowHandle`] gives
+//! cannot be broken from outside — a restored arena refuses exactly the
+//! handles the one that was snapshotted refuses.
 
-use crate::endpoint::{Endpoint, FlowInfo};
-use crate::ids::{FlowId, Side};
+use crate::endpoint::{Endpoint, EndpointFactory, FlowInfo};
+use crate::ids::{FlowId, HostId, Side};
 use xpass_sim::event::{prefetch, prefetch_bytes, prefetch_obj, CACHE_LINE};
-use xpass_sim::time::Dur;
+use xpass_sim::snap::{SnapError, SnapReader, SnapWriter};
+use xpass_sim::time::{Dur, SimTime};
 
 /// Flow is fully delivered.
 pub const FLAG_DONE: u8 = 1 << 0;
@@ -113,29 +120,7 @@ impl FlowArena {
     pub fn alloc(&mut self) -> FlowHandle {
         let idx = match self.free.pop() {
             Some(i) => i,
-            None => {
-                let i = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    gen: 0,
-                    occupied: false,
-                    info: FlowInfo {
-                        id: FlowId(i),
-                        src: crate::ids::HostId(0),
-                        dst: crate::ids::HostId(0),
-                        size_bytes: 0,
-                        start: xpass_sim::time::SimTime::ZERO,
-                        class: 0,
-                    },
-                    sender: None,
-                    receiver: None,
-                    fct: None,
-                });
-                self.rx_bytes.push(0);
-                self.credits_sent.push(0);
-                self.credits_wasted.push(0);
-                self.flags.push(0);
-                i
-            }
+            None => self.push_vacant(0),
         };
         FlowHandle {
             idx,
@@ -337,21 +322,12 @@ impl FlowArena {
         *slot = Some(ep);
     }
 
-    /// Borrow an endpoint immutably (snapshot serialization).
-    pub fn endpoint(&self, flow: FlowId, side: Side) -> Option<&dyn Endpoint> {
+    /// Borrow an endpoint immutably.
+    fn endpoint(&self, flow: FlowId, side: Side) -> Option<&dyn Endpoint> {
         let s = self.slots.get(flow.0 as usize)?;
         match side {
             Side::Sender => s.sender.as_deref(),
             Side::Receiver => s.receiver.as_deref(),
-        }
-    }
-
-    /// Borrow an endpoint mutably (restore overlay, oracle downcasts).
-    pub fn endpoint_mut(&mut self, flow: FlowId, side: Side) -> Option<&mut Box<dyn Endpoint>> {
-        let s = self.slots.get_mut(flow.0 as usize)?;
-        match side {
-            Side::Sender => s.sender.as_mut(),
-            Side::Receiver => s.receiver.as_mut(),
         }
     }
 
@@ -387,31 +363,20 @@ impl FlowArena {
             .map(|(i, _)| FlowId(i as u32))
     }
 
-    /// Whether each slot is live, in index order (snapshot layout).
-    pub fn occupancy(&self) -> impl Iterator<Item = bool> + '_ {
-        self.slots.iter().map(|s| s.occupied)
-    }
+    // ---- snapshot / restore ------------------------------------------
 
-    // ---- snapshot/restore plumbing -----------------------------------
-
-    /// Overwrite a slot's generation (snapshot restore overlay).
-    pub fn force_gen(&mut self, flow: FlowId, gen: u32) {
-        self.slots[flow.0 as usize].gen = gen;
-    }
-
-    /// Append a vacant slot with the given generation (restore of a
-    /// snapshot whose tail slots were retired).
-    pub fn push_vacant(&mut self, gen: u32) {
+    /// Append a vacant slot with the given generation; returns its index.
+    fn push_vacant(&mut self, gen: u32) -> u32 {
         let i = self.slots.len() as u32;
         self.slots.push(Slot {
             gen,
             occupied: false,
             info: FlowInfo {
                 id: FlowId(i),
-                src: crate::ids::HostId(0),
-                dst: crate::ids::HostId(0),
+                src: HostId(0),
+                dst: HostId(0),
                 size_bytes: 0,
-                start: xpass_sim::time::SimTime::ZERO,
+                start: SimTime::ZERO,
                 class: 0,
             },
             sender: None,
@@ -422,38 +387,139 @@ impl FlowArena {
         self.credits_sent.push(0);
         self.credits_wasted.push(0);
         self.flags.push(0);
+        i
     }
 
-    /// Overwrite a live slot's hot fields (restore overlay).
-    #[allow(clippy::too_many_arguments)]
-    pub fn overlay_dynamic(
+    /// Serialize every slot — occupancy and generation, and for a live one
+    /// its identity (so that a flow added during the run can be rebuilt
+    /// from the factory on restore), hot lanes, FCT and both endpoints —
+    /// then the free list, most recently freed last. No endpoint may be
+    /// checked out.
+    pub fn snap(&self, w: &mut SnapWriter) {
+        w.usize(self.slots.len());
+        for (i, s) in self.slots.iter().enumerate() {
+            w.bool(s.occupied);
+            w.u32(s.gen);
+            if !s.occupied {
+                continue;
+            }
+            w.u32(s.info.src.0);
+            w.u32(s.info.dst.0);
+            w.u64(s.info.size_bytes);
+            w.u64(s.info.start.0);
+            w.u8(s.info.class);
+            w.u64(self.rx_bytes[i]);
+            w.u8(self.flags[i]);
+            w.opt(s.fct.as_ref(), |w, d| w.u64(d.0));
+            w.u64(self.credits_sent[i]);
+            w.u64(self.credits_wasted[i]);
+            for ep in [&s.sender, &s.receiver] {
+                ep.as_ref()
+                    .expect("endpoint checked out during snapshot")
+                    .snap_state(w);
+            }
+        }
+        w.seq(&self.free, |w, i| w.u32(*i));
+    }
+
+    /// Overlay state written by [`snap`](Self::snap) onto the arena the
+    /// deterministic setup rebuilt. Slots the setup filled must agree with
+    /// the snapshot on occupancy and identity; slots past them — flows
+    /// added (and perhaps retired) during the snapshotted run — are
+    /// rebuilt from `factory`.
+    pub fn restore(
         &mut self,
-        flow: FlowId,
-        rx_bytes: u64,
-        credits_sent: u64,
-        credits_wasted: u64,
-        flags: u8,
-        fct: Option<Dur>,
-    ) {
-        let i = flow.0 as usize;
-        self.rx_bytes[i] = rx_bytes;
-        self.credits_sent[i] = credits_sent;
-        self.credits_wasted[i] = credits_wasted;
-        self.flags[i] = flags;
-        self.slots[i].fct = fct;
+        r: &mut SnapReader<'_>,
+        factory: &EndpointFactory,
+    ) -> Result<(), SnapError> {
+        let configured = self.slots.len();
+        let n = r.seq_len(1)?;
+        if n < configured {
+            return Err(r.err(format!(
+                "flow count mismatch: configuration has {configured}, snapshot has only {n}"
+            )));
+        }
+        for i in 0..n {
+            r.within(i.to_string(), |r| {
+                self.restore_slot(r, i, i >= configured, factory)
+            })?;
+        }
+        r.within("free_list", |r| {
+            self.free.clear();
+            for _ in 0..r.seq_len(4)? {
+                let idx = r.u32()?;
+                if self.slots.get(idx as usize).is_none_or(|s| s.occupied) {
+                    return Err(r.err(format!(
+                        "free list entry {idx} does not address a vacant slot"
+                    )));
+                }
+                self.free.push(idx);
+            }
+            Ok(())
+        })
     }
 
-    /// The free list, most recently freed last (snapshot layout).
-    pub fn free_list(&self) -> &[u32] {
-        &self.free
-    }
-
-    /// Replace the free list (restore). Entries must address vacant slots.
-    pub fn set_free_list(&mut self, free: Vec<u32>) {
-        debug_assert!(free
-            .iter()
-            .all(|&i| (i as usize) < self.slots.len() && !self.slots[i as usize].occupied));
-        self.free = free;
+    /// One slot of [`restore`](Self::restore): slot `i`, which is `added`
+    /// when the setup did not build it.
+    fn restore_slot(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        i: usize,
+        added: bool,
+        factory: &EndpointFactory,
+    ) -> Result<(), SnapError> {
+        let occupied = r.bool()?;
+        let gen = r.u32()?;
+        if added {
+            self.push_vacant(gen);
+        } else if self.slots[i].occupied == occupied {
+            self.slots[i].gen = gen;
+        } else {
+            let word = |b: bool| if b { "live" } else { "vacant" };
+            return Err(r.err(format!(
+                "flow slot occupancy mismatch: configuration has slot {i} {}, \
+                 snapshot has it {}",
+                word(!occupied),
+                word(occupied)
+            )));
+        }
+        if !occupied {
+            return Ok(());
+        }
+        let info = FlowInfo {
+            id: FlowId(i as u32),
+            src: HostId(r.u32()?),
+            dst: HostId(r.u32()?),
+            size_bytes: r.u64()?,
+            start: SimTime(r.u64()?),
+            class: r.u8()?,
+        };
+        if added {
+            // No `FlowStart` is scheduled: the restored event queue holds
+            // whatever remains of this flow's events.
+            let h = FlowHandle { idx: i as u32, gen };
+            let sender = factory(Side::Sender, &info, h);
+            let receiver = factory(Side::Receiver, &info, h);
+            self.commit(h, info, sender, receiver);
+        } else if self.slots[i].info != info {
+            let have = &self.slots[i].info;
+            return Err(r.err(format!(
+                "flow identity mismatch: configuration has {} → {} ({} B), \
+                 snapshot has {} → {} ({} B)",
+                have.src, have.dst, have.size_bytes, info.src, info.dst, info.size_bytes
+            )));
+        }
+        self.rx_bytes[i] = r.u64()?;
+        self.flags[i] = r.u8()?;
+        self.slots[i].fct = r.opt(|r| r.u64())?.map(Dur);
+        self.credits_sent[i] = r.u64()?;
+        self.credits_wasted[i] = r.u64()?;
+        let s = &mut self.slots[i];
+        for (side, ep) in [("sender", &mut s.sender), ("receiver", &mut s.receiver)] {
+            let ep = ep.as_mut().expect("endpoint checked out during restore");
+            r.within(side, |r| ep.restore_state(r))?;
+        }
+        Ok(())
     }
 }
 
@@ -466,9 +532,7 @@ impl Default for FlowArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::HostId;
     use std::any::Any;
-    use xpass_sim::time::SimTime;
 
     struct Dummy;
     impl Endpoint for Dummy {
@@ -515,7 +579,7 @@ mod tests {
         }
         assert_eq!(a.slot_count(), 5);
         assert_eq!(a.live_count(), 5);
-        assert!(a.free_list().is_empty());
+        assert!(a.free.is_empty());
     }
 
     #[test]
@@ -572,6 +636,84 @@ mod tests {
         assert!(!a.set_flag(h.flow(), FLAG_STALLED, true));
         assert!(a.set_flag(h.flow(), FLAG_STALLED, false));
         assert!(!a.is_done(h.flow()) && !a.is_aborted(h.flow()));
+    }
+
+    fn snap_bytes(a: &FlowArena) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        a.snap(&mut w);
+        w.into_body()
+    }
+
+    fn restore(a: &mut FlowArena, bytes: &[u8]) -> Result<(), SnapError> {
+        let factory: EndpointFactory = Box::new(|_, _, _| Box::new(Dummy));
+        let mut r = SnapReader::new(bytes, 0);
+        r.enter("flows");
+        a.restore(&mut r, &factory)?;
+        r.expect_end()
+    }
+
+    #[test]
+    fn restored_arena_refuses_stale_handles_like_the_original() {
+        // Slot 0 live since setup; slots 1 and 2 added and retired during
+        // the run, 2 reused since (generation 1), 1 still on the free list.
+        let mut a = FlowArena::new();
+        let kept = add(&mut a);
+        let (stale1, stale2) = (add(&mut a), add(&mut a));
+        a.retire(stale1);
+        a.retire(stale2);
+        let reused = add(&mut a);
+        assert_eq!((reused.idx, reused.gen), (2, 1));
+        a.add_rx_bytes(kept.flow(), 42);
+        a.set_flag(reused.flow(), FLAG_DONE, true);
+        a.set_fct(reused.flow(), Dur::us(7));
+        let bytes = snap_bytes(&a);
+
+        // The twin's setup rebuilt slot 0 alone.
+        let mut b = FlowArena::new();
+        add(&mut b);
+        restore(&mut b, &bytes).unwrap();
+        assert_eq!(snap_bytes(&b), bytes);
+        assert_eq!(
+            (b.slot_count(), b.live_count()),
+            (a.slot_count(), a.live_count())
+        );
+        for h in [kept, stale1, stale2, reused] {
+            assert_eq!(b.check_gen(h.flow(), h.gen), a.check_gen(h.flow(), h.gen));
+            assert_eq!(b.handle(h.flow()), a.handle(h.flow()));
+        }
+        assert!(!b.check_gen(stale2.flow(), stale2.gen), "slot 2 moved on");
+        assert!(b.check_gen(reused.flow(), reused.gen));
+        assert_eq!(b.rx_bytes(kept.flow()), 42);
+        assert_eq!(b.fct(reused.flow()), Some(Dur::us(7)));
+        // The free list came along: the next flow lands in the same slot,
+        // at the same generation, as it does in the original.
+        assert_eq!(b.alloc(), a.alloc());
+        assert_eq!(b.alloc(), a.alloc());
+    }
+
+    #[test]
+    fn restore_refuses_a_free_list_entry_that_is_not_a_vacant_slot() {
+        let mut a = FlowArena::new();
+        add(&mut a);
+        let bytes = snap_bytes(&a);
+        // The last 8 bytes are the (empty) free list's length.
+        for idx in [0u32, 7] {
+            let mut bad = bytes[..bytes.len() - 8].to_vec();
+            bad.extend_from_slice(&1u64.to_le_bytes());
+            bad.extend_from_slice(&idx.to_le_bytes());
+            let mut b = FlowArena::new();
+            add(&mut b);
+            let e = restore(&mut b, &bad).unwrap_err();
+            assert_eq!(e.path, "flows.free_list");
+            assert!(e.msg.contains("does not address a vacant slot"), "{e}");
+        }
+        // Nor may the snapshot disagree with the setup about a slot.
+        let mut b = FlowArena::new();
+        let h = add(&mut b);
+        b.retire(h);
+        let e = restore(&mut b, &bytes).unwrap_err();
+        assert_eq!(e.path, "flows.0");
+        assert!(e.msg.contains("occupancy mismatch"), "{e}");
     }
 
     #[test]

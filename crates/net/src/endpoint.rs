@@ -19,7 +19,7 @@ use xpass_sim::rng::Rng;
 use xpass_sim::time::{Dur, SimTime};
 
 /// Immutable per-flow facts available to endpoints.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlowInfo {
     /// Flow id.
     pub id: FlowId,

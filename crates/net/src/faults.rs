@@ -303,6 +303,14 @@ impl FaultState {
             rng,
         }
     }
+
+    /// The links currently held down, in id order.
+    pub(crate) fn down_links(&self) -> impl Iterator<Item = DLinkId> + '_ {
+        (0u32..)
+            .zip(&self.links)
+            .filter(|(_, l)| l.down)
+            .map(|(i, _)| DLinkId(i))
+    }
 }
 
 impl xpass_sim::Snapshot for FaultState {

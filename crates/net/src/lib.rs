@@ -9,7 +9,7 @@
 //!
 //! * [`ids`] — typed indices for hosts, switches, links, flows.
 //! * [`packet`] — wire-format constants (84 B credits, 1538 B max frames) and
-//!   the [`Packet`](packet::Packet) struct every protocol shares.
+//!   the [`Packet`] struct every protocol shares.
 //! * [`queue`] — drop-tail data queues with optional ECN marking and HULL
 //!   phantom queues; tiny credit queues with leaky-bucket metering.
 //! * [`rcplink`] — per-link explicit-rate state for the RCP baseline.

@@ -15,6 +15,11 @@
 //! * `Sample` — periodic statistics sampling (flow throughput, queue depth).
 //! * `Fault` — a scheduled fault-injection event from an installed
 //!   [`FaultPlan`] fires (see [`crate::faults`]).
+//!
+//! Child modules: `lookahead` (the run loop's prefetch stage), `sampler`
+//! (the `Sample` event's state) and `snapshot` (`snapshot_into` /
+//! `restore_from`: the order of the layers' sections and the `Ev` codec —
+//! every layer serialises itself).
 
 use crate::arena::{FlowArena, FLAG_ABORTED, FLAG_DONE, FLAG_STALLED};
 use crate::config::{NetConfig, RoutingMode};
@@ -31,7 +36,6 @@ use crate::rcplink::RcpLink;
 use crate::routing::ecmp_index;
 use crate::timers::TimerWheels;
 use crate::topology::{LiveRoutes, Topology};
-use std::collections::HashMap;
 use xpass_sim::checkpoint::{self, NetHook};
 use xpass_sim::event::EventQueue;
 use xpass_sim::metrics as sim_metrics;
@@ -44,7 +48,10 @@ use xpass_sim::trace::{TraceEvent, TraceSink};
 use xpass_sim::watchdog::{Watchdog, WatchdogReport, WatchdogSpec, WALL_CHECK_MASK};
 
 mod lookahead;
+mod sampler;
+mod snapshot;
 pub use lookahead::LOOKAHEAD_MIN_DEPTH;
+use sampler::Sampler;
 
 /// Simulation events.
 enum Ev {
@@ -110,95 +117,6 @@ fn ev_kind_idx(ev: &Ev) -> usize {
     }
 }
 
-impl Ev {
-    /// Serialize one queued event for a network snapshot (tag + payload).
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            Ev::Arrive { dlink, pkt } => {
-                w.u8(0);
-                w.u32(dlink.0);
-                pkt.snap(w);
-            }
-            Ev::PortWake { dlink } => {
-                w.u8(1);
-                w.u32(dlink.0);
-            }
-            Ev::HostRx { pkt } => {
-                w.u8(2);
-                pkt.snap(w);
-            }
-            Ev::Timer {
-                flow,
-                fgen,
-                host,
-                side,
-                kind,
-                gen,
-            } => {
-                w.u8(3);
-                w.u32(flow.0);
-                w.u32(*fgen);
-                w.u32(host.0);
-                w.bool(matches!(side, Side::Sender));
-                w.u8(*kind);
-                w.u64(*gen);
-            }
-            Ev::FlowStart { flow } => {
-                w.u8(4);
-                w.u32(flow.0);
-            }
-            Ev::RcpUpdate { dlink } => {
-                w.u8(5);
-                w.u32(dlink.0);
-            }
-            Ev::Sample => w.u8(6),
-            Ev::Fault { kind } => {
-                w.u8(7);
-                kind.snap(w);
-            }
-        }
-    }
-
-    /// Counterpart of [`snap`](Self::snap).
-    fn from_snap(r: &mut SnapReader) -> Result<Ev, SnapError> {
-        Ok(match r.u8()? {
-            0 => Ev::Arrive {
-                dlink: DLinkId(r.u32()?),
-                pkt: Packet::from_snap(r)?,
-            },
-            1 => Ev::PortWake {
-                dlink: DLinkId(r.u32()?),
-            },
-            2 => Ev::HostRx {
-                pkt: Packet::from_snap(r)?,
-            },
-            3 => Ev::Timer {
-                flow: FlowId(r.u32()?),
-                fgen: r.u32()?,
-                host: HostId(r.u32()?),
-                side: if r.bool()? {
-                    Side::Sender
-                } else {
-                    Side::Receiver
-                },
-                kind: r.u8()?,
-                gen: r.u64()?,
-            },
-            4 => Ev::FlowStart {
-                flow: FlowId(r.u32()?),
-            },
-            5 => Ev::RcpUpdate {
-                dlink: DLinkId(r.u32()?),
-            },
-            6 => Ev::Sample,
-            7 => Ev::Fault {
-                kind: FaultKind::from_snap(r)?,
-            },
-            t => return Err(r.err(format!("invalid event tag: expected 0–7, found {t}"))),
-        })
-    }
-}
-
 /// Global run counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
@@ -243,6 +161,45 @@ impl Counters {
                 Json::num_u64(self.pkts_lost_to_faults),
             )
             .with("flows_aborted", Json::num_u64(self.flows_aborted))
+    }
+}
+
+impl Snapshot for Counters {
+    fn snap(&self, w: &mut SnapWriter) {
+        for v in [
+            self.credits_sent,
+            self.credits_dropped,
+            self.credits_wasted,
+            self.data_dropped,
+            self.payload_delivered,
+            self.ecn_marked,
+            self.faults_injected,
+            self.pkts_corrupted,
+            self.pkts_lost_to_faults,
+            self.flows_aborted,
+        ] {
+            w.u64(v);
+        }
+    }
+}
+
+impl Restore for Counters {
+    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        for v in [
+            &mut self.credits_sent,
+            &mut self.credits_dropped,
+            &mut self.credits_wasted,
+            &mut self.data_dropped,
+            &mut self.payload_delivered,
+            &mut self.ecn_marked,
+            &mut self.faults_injected,
+            &mut self.pkts_corrupted,
+            &mut self.pkts_lost_to_faults,
+            &mut self.flows_aborted,
+        ] {
+            *v = r.u64()?;
+        }
+        Ok(())
     }
 }
 
@@ -374,13 +331,8 @@ pub struct Network {
     wall_secs: f64,
     /// Global counters.
     counters: Counters,
-    // --- sampling ---
-    sample_interval: Option<Dur>,
-    sample_scheduled: bool,
-    tracked_flows: Vec<(FlowId, u64)>, // (flow, bytes at last sample)
-    flow_series: HashMap<u32, TimeSeries>,
-    tracked_ports: Vec<DLinkId>,
-    port_series: HashMap<u32, TimeSeries>,
+    /// Periodic statistics sampling (tracked flows and ports).
+    sampler: Sampler,
 }
 
 impl Network {
@@ -469,12 +421,7 @@ impl Network {
             ev_counts: [0; 8],
             wall_secs: 0.0,
             counters: Counters::default(),
-            sample_interval: None,
-            sample_scheduled: false,
-            tracked_flows: Vec::new(),
-            flow_series: HashMap::new(),
-            tracked_ports: Vec::new(),
-            port_series: HashMap::new(),
+            sampler: Sampler::default(),
         }
     }
 
@@ -563,7 +510,7 @@ impl Network {
         }
         let h = self.arena.handle(flow).expect("retire_flow on vacant slot");
         self.arena.retire(h);
-        self.tracked_flows.retain(|(f, _)| *f != flow);
+        self.sampler.untrack_flow(flow);
         rec
     }
 
@@ -768,26 +715,19 @@ impl Network {
     /// Enable periodic sampling with this interval (required before
     /// [`track_flow`](Self::track_flow) / [`track_port`](Self::track_port)).
     pub fn set_sample_interval(&mut self, interval: Dur) {
-        assert!(!interval.is_zero());
-        self.sample_interval = Some(interval);
-        if !self.sample_scheduled {
-            self.sample_scheduled = true;
+        if self.sampler.set_interval(interval) {
             self.events.push(self.now + interval, Ev::Sample);
         }
     }
 
     /// Record this flow's delivered throughput (Gbps) every sample interval.
     pub fn track_flow(&mut self, flow: FlowId) {
-        let interval = self.sample_interval.expect("set_sample_interval first");
-        self.tracked_flows.push((flow, 0));
-        self.flow_series.insert(flow.0, TimeSeries::new(interval));
+        self.sampler.track_flow(flow);
     }
 
     /// Record this port's data-queue depth (bytes) every sample interval.
     pub fn track_port(&mut self, dlink: DLinkId) {
-        let interval = self.sample_interval.expect("set_sample_interval first");
-        self.tracked_ports.push(dlink);
-        self.port_series.insert(dlink.0, TimeSeries::new(interval));
+        self.sampler.track_port(dlink);
     }
 
     // ----- run API ----------------------------------------------------------
@@ -1279,12 +1219,12 @@ impl Network {
 
     /// Throughput time series of a tracked flow.
     pub fn flow_series(&self, flow: FlowId) -> Option<&TimeSeries> {
-        self.flow_series.get(&flow.0)
+        self.sampler.flow_series(flow)
     }
 
     /// Queue-depth time series of a tracked port.
     pub fn port_series(&self, dlink: DLinkId) -> Option<&TimeSeries> {
-        self.port_series.get(&dlink.0)
+        self.sampler.port_series(dlink)
     }
 
     /// Maximum data-queue depth over all switch egress ports, in bytes.
@@ -1420,10 +1360,20 @@ impl Network {
     }
 
     /// Key of the event being handled (test support: where a firing sits).
+    /// The queue's horizon is just past it, so its sequence number is the
+    /// last one at `now` that is no longer ahead.
     #[cfg(test)]
     pub(crate) fn current_event_key(&self) -> (SimTime, u64) {
-        let (at, next) = self.events.snapshot_horizon();
-        (at, next - 1)
+        let (mut gone, mut ahead) = (0, u64::MAX);
+        while ahead - gone > 1 {
+            let mid = gone + (ahead - gone) / 2;
+            if self.events.is_ahead(self.now, mid) {
+                ahead = mid;
+            } else {
+                gone = mid;
+            }
+        }
+        (self.now, gone)
     }
 
     /// Take an arming whose event was never queued back out of the wheel:
@@ -1984,484 +1934,13 @@ impl Network {
     }
 
     fn on_sample(&mut self) {
-        let interval = match self.sample_interval {
-            Some(i) => i,
-            None => return,
-        };
-        let now = self.now;
-        for (flow, last) in self.tracked_flows.iter_mut() {
-            let cur = self.arena.rx_bytes(*flow);
-            let delta = cur - *last;
-            *last = cur;
-            let gbps = delta as f64 * 8.0 / interval.as_secs_f64() / 1e9;
-            if let Some(s) = self.flow_series.get_mut(&flow.0) {
-                s.push(now, gbps);
-            }
-        }
-        for dl in &self.tracked_ports {
-            let bytes = self.ports[dl.0 as usize].data.len_bytes();
-            if let Some(s) = self.port_series.get_mut(&dl.0) {
-                s.push(now, bytes as f64);
-            }
-        }
         // Keep sampling while work remains; stop once everything settled
         // so `run_until_done` terminates.
-        if self.completed + self.aborted < self.arena.live_count() {
-            self.events.push(now + interval, Ev::Sample);
-        } else {
-            self.sample_scheduled = false;
+        let work_remains = self.completed + self.aborted < self.arena.live_count();
+        let sampler = &mut self.sampler;
+        if let Some(at) = sampler.on_sample(self.now, &self.arena, &self.ports, work_remains) {
+            self.events.push(at, Ev::Sample);
         }
-    }
-
-    // ----- snapshot / restore ------------------------------------------------
-
-    /// Serialize the network's complete *dynamic* state as an
-    /// `xpass-snap/v2` body. Static configuration — topology, [`NetConfig`],
-    /// endpoint factory, installed monitor specs — is not written: a
-    /// restore overlays onto a freshly built network whose deterministic
-    /// setup already re-created all of it. Wall-clock state (`wall_secs`)
-    /// and the trace sink are deliberately excluded: restores happen at a
-    /// different wall time by definition, and trace sinks are external
-    /// observers re-attached by the driver.
-    pub fn snapshot_into(&self, w: &mut SnapWriter) {
-        w.u64(self.now.0);
-        // Event queue: raw entries in deterministic (time, seq) order —
-        // identical bytes under either scheduler — read in place, so the
-        // scheduler is laid out after the snapshot exactly as before it.
-        let entries = self.events.snapshot_entries();
-        w.usize(entries.len());
-        for (at, seq, ev) in entries {
-            w.u64(at.0);
-            w.u64(seq);
-            ev.snap(w);
-        }
-        let (seq, popped, peak) = self.events.snapshot_counters();
-        w.u64(seq);
-        w.u64(popped);
-        w.u64(peak);
-        // Which reserved positions (deferred port wakes, carried
-        // deadlines) are still ahead must survive a resume.
-        let (h_at, h_seq) = self.events.snapshot_horizon();
-        w.u64(h_at.0);
-        w.u64(h_seq);
-        let (cancellable, cancelled) = self.events.snapshot_cancel_sets();
-        w.seq(&cancellable, |w, s| w.u64(*s));
-        w.seq(&cancelled, |w, s| w.u64(*s));
-        self.rng.snap(w);
-        w.usize(self.ports.len());
-        for p in &self.ports {
-            p.snap(w);
-        }
-        w.usize(self.arena.slot_count());
-        for i in 0..self.arena.slot_count() {
-            let flow = FlowId(i as u32);
-            let live = self.arena.is_live(flow);
-            w.bool(live);
-            w.u32(self.arena.gen(flow));
-            if !live {
-                continue; // vacant (retired) slot: generation only
-            }
-            // Flow identity rides along so flows added dynamically during
-            // the run (request/response controllers) can be rebuilt from
-            // the factory on restore.
-            let info = self.arena.info(flow);
-            w.u32(info.src.0);
-            w.u32(info.dst.0);
-            w.u64(info.size_bytes);
-            w.u64(info.start.0);
-            w.u8(info.class);
-            w.u64(self.arena.rx_bytes(flow));
-            w.u8(self.arena.flags(flow));
-            w.opt(self.arena.fct(flow).as_ref(), |w, d| w.u64(d.0));
-            w.u64(self.arena.credits_sent(flow));
-            w.u64(self.arena.credits_wasted(flow));
-            self.arena
-                .endpoint(flow, Side::Sender)
-                .expect("sender checked out during snapshot")
-                .snap_state(w);
-            self.arena
-                .endpoint(flow, Side::Receiver)
-                .expect("receiver checked out during snapshot")
-                .snap_state(w);
-        }
-        w.seq(self.arena.free_list(), |w, i| w.u32(*i));
-        self.timers.snap(w);
-        w.usize(self.pending.len());
-        for p in &self.pending {
-            match p {
-                Pending::Started(f) => {
-                    w.u8(0);
-                    w.u32(f.0);
-                }
-                Pending::Completed(f) => {
-                    w.u8(1);
-                    w.u32(f.0);
-                }
-            }
-        }
-        w.usize(self.completed);
-        w.usize(self.aborted);
-        w.opt(self.controller.as_ref(), |w, c| c.snap_ctl(w));
-        w.opt(self.faults.as_ref(), |w, st| st.snap(w));
-        // The routing overlay's live slices are derived state (fault link
-        // flags × flat tables); only the epoch needs to ride along.
-        w.opt(self.live_routes.as_ref(), |w, lr| w.u64(lr.epoch()));
-        w.opt(self.invariants.as_ref(), |w, st| st.snap(w));
-        w.opt(self.ledger.as_ref(), |w, l| l.snap(w));
-        w.opt(self.watchdog.as_ref(), |w, wd| wd.snap(w));
-        for c in &self.ev_counts {
-            w.u64(*c);
-        }
-        w.u64(self.counters.credits_sent);
-        w.u64(self.counters.credits_dropped);
-        w.u64(self.counters.credits_wasted);
-        w.u64(self.counters.data_dropped);
-        w.u64(self.counters.payload_delivered);
-        w.u64(self.counters.ecn_marked);
-        w.u64(self.counters.faults_injected);
-        w.u64(self.counters.pkts_corrupted);
-        w.u64(self.counters.pkts_lost_to_faults);
-        w.u64(self.counters.flows_aborted);
-        w.opt(self.sample_interval.as_ref(), |w, d| w.u64(d.0));
-        w.bool(self.sample_scheduled);
-        w.seq(&self.tracked_flows, |w, (f, last)| {
-            w.u32(f.0);
-            w.u64(*last);
-        });
-        // HashMap iteration order is unspecified: serialize sorted by key
-        // so snapshot bytes are identical across processes.
-        let mut keys: Vec<u32> = self.flow_series.keys().copied().collect();
-        keys.sort_unstable();
-        w.usize(keys.len());
-        for k in keys {
-            w.u32(k);
-            self.flow_series[&k].snap(w);
-        }
-        let mut keys: Vec<u32> = self.port_series.keys().copied().collect();
-        keys.sort_unstable();
-        w.usize(keys.len());
-        for k in keys {
-            w.u32(k);
-            self.port_series[&k].snap(w);
-        }
-        // Metrics state rides along so a resumed run emits exactly the
-        // series an uninterrupted one would (same boundaries, same ring).
-        w.opt(self.metrics.as_deref(), |w, m| m.snap(w));
-    }
-
-    /// Overlay a snapshot body written by [`snapshot_into`](Self::snapshot_into)
-    /// onto this freshly built network. The network must have been rebuilt
-    /// by the same deterministic setup (same topology, config, flows,
-    /// installed monitors) that preceded the snapshot; mismatches are
-    /// reported as [`SnapError`]s naming the offending component, never a
-    /// panic.
-    pub fn restore_from(&mut self, body: &[u8]) -> Result<(), SnapError> {
-        let mut r = SnapReader::new(body, 0);
-        r.enter("network");
-        self.now = SimTime(r.u64()?);
-        r.enter("events");
-        let n_ev = r.seq_len(17)?;
-        // Whatever deterministic setup scheduled is superseded wholesale by
-        // the snapshot's queue (which evolved from exactly those events):
-        // start from a fresh scheduler of the same kind.
-        self.events = EventQueue::with_scheduler(self.events.scheduler());
-        for _ in 0..n_ev {
-            let at = SimTime(r.u64()?);
-            let seq = r.u64()?;
-            let ev = Ev::from_snap(&mut r)?;
-            self.events.restore_entry(at, seq, ev);
-        }
-        let (seq, popped, peak) = (r.u64()?, r.u64()?, r.u64()?);
-        self.events.restore_counters(seq, popped, peak);
-        let (h_at, h_seq) = (SimTime(r.u64()?), r.u64()?);
-        self.events.restore_horizon(h_at, h_seq);
-        let n = r.seq_len(8)?;
-        let cancellable = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
-        let n = r.seq_len(8)?;
-        let cancelled = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
-        self.events.restore_cancel_sets(cancellable, cancelled);
-        r.leave();
-        r.enter("rng");
-        self.rng.restore(&mut r)?;
-        r.leave();
-        r.enter("ports");
-        let np = r.seq_len(1)?;
-        if np != self.ports.len() {
-            return Err(r.err(format!(
-                "port count mismatch: configuration has {}, snapshot has {np}",
-                self.ports.len()
-            )));
-        }
-        for (i, p) in self.ports.iter_mut().enumerate() {
-            r.enter(i.to_string());
-            p.restore(&mut r)?;
-            r.leave();
-        }
-        r.leave();
-        r.enter("flows");
-        let nf = r.seq_len(1)?;
-        if nf < self.arena.slot_count() {
-            return Err(r.err(format!(
-                "flow count mismatch: configuration has {}, snapshot has only {nf}",
-                self.arena.slot_count()
-            )));
-        }
-        let configured = self.arena.slot_count();
-        for i in 0..nf {
-            r.enter(i.to_string());
-            let flow = FlowId(i as u32);
-            let occupied = r.bool()?;
-            let gen = r.u32()?;
-            if i < configured {
-                // Rebuilt by the deterministic setup (which never
-                // retires): the snapshot must agree the slot is live.
-                if !occupied {
-                    return Err(r.err(format!(
-                        "flow slot occupancy mismatch: configuration has \
-                         flow {flow} live, snapshot has the slot vacant"
-                    )));
-                }
-            } else if !occupied {
-                // Tail slot retired before the snapshot: generation only.
-                self.arena.push_vacant(gen);
-                r.leave();
-                continue;
-            }
-            let src = HostId(r.u32()?);
-            let dst = HostId(r.u32()?);
-            let size_bytes = r.u64()?;
-            let start = SimTime(r.u64()?);
-            let class = r.u8()?;
-            if i >= configured {
-                // Added dynamically during the snapshotted run (after the
-                // setup the resume replayed): rebuild from the factory. No
-                // FlowStart is scheduled — the restored queue already holds
-                // whatever remains of this flow's events.
-                let h = self.arena.alloc();
-                if h.idx as usize != i {
-                    return Err(r.err(format!(
-                        "flow slot occupancy mismatch: dynamic flow {i} \
-                         restored into slot {}",
-                        h.idx
-                    )));
-                }
-                let info = FlowInfo {
-                    id: flow,
-                    src,
-                    dst,
-                    size_bytes,
-                    start,
-                    class,
-                };
-                let sender = (self.factory)(Side::Sender, &info, h);
-                let receiver = (self.factory)(Side::Receiver, &info, h);
-                self.arena.commit(h, info, sender, receiver);
-            } else {
-                let info = self.arena.info(flow);
-                if info.src != src
-                    || info.dst != dst
-                    || info.size_bytes != size_bytes
-                    || info.start != start
-                    || info.class != class
-                {
-                    return Err(r.err(format!(
-                        "flow identity mismatch: configuration has \
-                         {} → {} ({} B), snapshot has {src} → {dst} ({size_bytes} B)",
-                        info.src, info.dst, info.size_bytes
-                    )));
-                }
-            }
-            self.arena.force_gen(flow, gen);
-            let rx_bytes = r.u64()?;
-            let flags = r.u8()?;
-            let fct = r.opt(|r| r.u64())?.map(Dur);
-            let credits_sent = r.u64()?;
-            let credits_wasted = r.u64()?;
-            self.arena
-                .overlay_dynamic(flow, rx_bytes, credits_sent, credits_wasted, flags, fct);
-            r.enter("sender");
-            self.arena
-                .endpoint_mut(flow, Side::Sender)
-                .expect("sender checked out during restore")
-                .restore_state(&mut r)?;
-            r.leave();
-            r.enter("receiver");
-            self.arena
-                .endpoint_mut(flow, Side::Receiver)
-                .expect("receiver checked out during restore")
-                .restore_state(&mut r)?;
-            r.leave();
-            r.leave();
-        }
-        r.enter("free_list");
-        let n = r.seq_len(4)?;
-        let mut free = Vec::with_capacity(n);
-        for _ in 0..n {
-            let idx = r.u32()?;
-            if (idx as usize) >= self.arena.slot_count() || self.arena.is_live(FlowId(idx)) {
-                return Err(r.err(format!(
-                    "free list entry {idx} does not address a vacant slot"
-                )));
-            }
-            free.push(idx);
-        }
-        self.arena.set_free_list(free);
-        r.leave();
-        r.enter("timers");
-        self.timers.restore(&mut r)?;
-        r.leave();
-        r.leave();
-        r.enter("pending");
-        let n = r.seq_len(5)?;
-        self.pending.clear();
-        for _ in 0..n {
-            let tag = r.u8()?;
-            let f = FlowId(r.u32()?);
-            self.pending.push(match tag {
-                0 => Pending::Started(f),
-                1 => Pending::Completed(f),
-                t => return Err(r.err(format!("invalid pending tag: expected 0 or 1, found {t}"))),
-            });
-        }
-        r.leave();
-        self.completed = r.usize()?;
-        self.aborted = r.usize()?;
-        fn presence(
-            r: &SnapReader<'_>,
-            what: &str,
-            cfg: bool,
-            snap: bool,
-        ) -> Result<(), SnapError> {
-            if cfg != snap {
-                let word = |b: bool| if b { "has one" } else { "has none" };
-                return Err(r.err(format!(
-                    "{what} presence mismatch: configuration {}, snapshot {}",
-                    word(cfg),
-                    word(snap)
-                )));
-            }
-            Ok(())
-        }
-        r.enter("controller");
-        let has = r.bool()?;
-        presence(&r, "controller", self.controller.is_some(), has)?;
-        if let Some(mut c) = self.controller.take() {
-            // Taken out so the controller can be handed `&mut r` without
-            // aliasing `self`.
-            let res = c.restore_ctl(&mut r);
-            self.controller = Some(c);
-            res?;
-        }
-        r.leave();
-        r.enter("faults");
-        let has = r.bool()?;
-        presence(&r, "fault state", self.faults.is_some(), has)?;
-        if let Some(st) = self.faults.as_mut() {
-            st.restore(&mut r)?;
-        }
-        r.leave();
-        r.enter("routing");
-        let has = r.bool()?;
-        presence(&r, "routing overlay", self.live_routes.is_some(), has)?;
-        if self.live_routes.is_some() {
-            let epoch = r.u64()?;
-            // The live slices are derived state: replay the restored link
-            // flags into a fresh overlay, then adopt the snapshot's epoch.
-            let mut lr = LiveRoutes::new(&self.topo);
-            if let Some(st) = self.faults.as_ref() {
-                for (i, lf) in st.links.iter().enumerate() {
-                    if lf.down {
-                        lr.set_link(&self.topo, DLinkId(i as u32), true);
-                    }
-                }
-            }
-            lr.set_epoch(epoch);
-            self.live_routes = Some(lr);
-        }
-        r.leave();
-        r.enter("invariants");
-        let has = r.bool()?;
-        presence(&r, "invariant monitors", self.invariants.is_some(), has)?;
-        if let Some(st) = self.invariants.as_mut() {
-            st.restore(&mut r)?;
-        }
-        r.leave();
-        r.enter("ledger");
-        let has = r.bool()?;
-        presence(&r, "ledger", self.ledger.is_some(), has)?;
-        if let Some(l) = self.ledger.as_mut() {
-            l.restore(&mut r)?;
-        }
-        r.leave();
-        r.enter("watchdog");
-        let has = r.bool()?;
-        presence(&r, "watchdog", self.watchdog.is_some(), has)?;
-        if let Some(wd) = self.watchdog.as_mut() {
-            wd.restore(&mut r)?;
-        }
-        r.leave();
-        for c in &mut self.ev_counts {
-            *c = r.u64()?;
-        }
-        self.counters.credits_sent = r.u64()?;
-        self.counters.credits_dropped = r.u64()?;
-        self.counters.credits_wasted = r.u64()?;
-        self.counters.data_dropped = r.u64()?;
-        self.counters.payload_delivered = r.u64()?;
-        self.counters.ecn_marked = r.u64()?;
-        self.counters.faults_injected = r.u64()?;
-        self.counters.pkts_corrupted = r.u64()?;
-        self.counters.pkts_lost_to_faults = r.u64()?;
-        self.counters.flows_aborted = r.u64()?;
-        self.sample_interval = r.opt(|r| r.u64())?.map(Dur);
-        self.sample_scheduled = r.bool()?;
-        r.enter("tracked_flows");
-        let n = r.seq_len(12)?;
-        self.tracked_flows = (0..n)
-            .map(|_| Ok((FlowId(r.u32()?), r.u64()?)))
-            .collect::<Result<_, SnapError>>()?;
-        r.leave();
-        r.enter("flow_series");
-        let n = r.seq_len(4)?;
-        for _ in 0..n {
-            let k = r.u32()?;
-            match self.flow_series.get_mut(&k) {
-                Some(s) => s.restore(&mut r)?,
-                None => {
-                    return Err(r.err(format!("tracked flow {k} not in configuration")));
-                }
-            }
-        }
-        r.leave();
-        r.enter("port_series");
-        let n = r.seq_len(4)?;
-        for _ in 0..n {
-            let k = r.u32()?;
-            match self.port_series.get_mut(&k) {
-                Some(s) => s.restore(&mut r)?,
-                None => {
-                    return Err(r.err(format!("tracked port {k} not in configuration")));
-                }
-            }
-        }
-        r.leave();
-        r.enter("metrics");
-        let has = r.bool()?;
-        presence(&r, "metrics", self.metrics.is_some(), has)?;
-        if let Some(mut m) = self.metrics.take() {
-            // Taken out so the restore can re-register the sampled
-            // families against `&self` without aliasing.
-            let res = m.restore(&mut r, &self.metrics_fam_spec());
-            self.metrics_next = m.next_boundary();
-            self.metrics = Some(m);
-            res?;
-        }
-        r.leave();
-        // Still inside the "network" context: a trailing-garbage error must
-        // name where it was detected.
-        r.expect_end()?;
-        r.leave();
-        Ok(())
     }
 }
 

@@ -241,26 +241,9 @@ impl xpass_sim::Snapshot for EgressPort {
 
 impl xpass_sim::Restore for EgressPort {
     fn restore(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        fn opt_mismatch(r: &SnapReader, what: &str, cfg: bool, snap: bool) -> xpass_sim::SnapError {
-            r.err(format!(
-                "{what} presence mismatch: configuration {}, snapshot {}",
-                if cfg { "has one" } else { "has none" },
-                if snap { "has one" } else { "has none" },
-            ))
-        }
         self.data.restore(r)?;
-        let has_credit = r.bool()?;
-        match (self.credit.as_mut(), has_credit) {
-            (Some(cq), true) => cq.restore(r)?,
-            (None, false) => {}
-            (cfg, snap) => return Err(opt_mismatch(r, "credit queue", cfg.is_some(), snap)),
-        }
-        let has_rcp = r.bool()?;
-        match (self.rcp.as_mut(), has_rcp) {
-            (Some(rcp), true) => rcp.restore(r)?,
-            (None, false) => {}
-            (cfg, snap) => return Err(opt_mismatch(r, "rcp link state", cfg.is_some(), snap)),
-        }
+        r.opt_onto("credit queue", self.credit.as_mut(), |cq, r| cq.restore(r))?;
+        r.opt_onto("rcp link state", self.rcp.as_mut(), |rcp, r| rcp.restore(r))?;
         self.busy_until = SimTime(r.u64()?);
         self.token_wake = r.opt(|r| Ok(SimTime(r.u64()?)))?;
         self.deferred_wake = r.opt(|r| r.u64())?;
@@ -277,8 +260,6 @@ impl xpass_sim::Restore for EgressPort {
         Ok(())
     }
 }
-
-use xpass_sim::SnapReader;
 
 fn dequeue_event(now: SimTime, dlink: DLinkId, pkt: &Packet) -> TraceEvent {
     TraceEvent::PktDequeue {

@@ -198,9 +198,28 @@ impl LiveRoutes {
         self.epoch
     }
 
-    /// Force the epoch (snapshot restore).
-    pub(crate) fn set_epoch(&mut self, epoch: u64) {
+    /// Serialize the overlay. The live slices are derived state (which
+    /// links are down × the flat tables); only the epoch rides along.
+    pub(crate) fn snap(&self, w: &mut xpass_sim::SnapWriter) {
+        w.u64(self.epoch);
+    }
+
+    /// Counterpart of [`snap`](Self::snap): start over from the flat
+    /// tables, take `down` — the links the restored fault state holds down
+    /// — out again, and adopt the snapshot's epoch.
+    pub(crate) fn restore(
+        &mut self,
+        r: &mut xpass_sim::SnapReader<'_>,
+        topo: &Topology,
+        down: impl Iterator<Item = DLinkId>,
+    ) -> Result<(), xpass_sim::SnapError> {
+        let epoch = r.u64()?;
+        *self = LiveRoutes::new(topo);
+        for dl in down {
+            self.set_link(topo, dl, true);
+        }
         self.epoch = epoch;
+        Ok(())
     }
 }
 

@@ -284,7 +284,7 @@ impl<E> CalendarQueue<E> {
     /// Every queued entry in `(time, seq)` order — the pop order — with
     /// its payload by reference. Read-only: the window, cursors, buckets
     /// and adaptive-width statistics are exactly as before the call.
-    pub fn snapshot_entries(&self) -> Vec<(SimTime, u64, &E)> {
+    pub(crate) fn sorted_entries(&self) -> Vec<(SimTime, u64, &E)> {
         let mut keys: Vec<Entry> = Vec::with_capacity(self.len);
         keys.extend_from_slice(&self.staging[self.scursor..]);
         for b in &self.buckets {
@@ -716,7 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_entries_is_sorted_complete_and_read_only() {
+    fn sorted_entries_is_sorted_complete_and_read_only() {
         let mut q = CalendarQueue::with_capacity(8);
         let far = WINDOW_PS * 3 + 17;
         for (seq, t) in [far, WINDOW_PS / 2, 900, 3, 900, far + 1]
@@ -731,7 +731,7 @@ mod tests {
         q.push(SimTime(4), 6, 4);
         let (cap, bits, len) = (q.capacity(), q.bucket_bits(), q.len());
         let got: Vec<(u64, u64, u64)> = q
-            .snapshot_entries()
+            .sorted_entries()
             .into_iter()
             .map(|(t, s, e)| (t.0, s, *e))
             .collect();

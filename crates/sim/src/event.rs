@@ -26,17 +26,26 @@
 //! this way leaves every other event's key — and its own, if it does push
 //! — exactly where an eager push would have put it.
 //!
-//! Timers pushed via [`EventQueue::push_cancellable`] can be revoked with
-//! [`EventQueue::cancel`]; cancelled entries never fire and are skipped
-//! (and reclaimed) on pop. Queues start at a caller-controlled capacity
+//! There is no way to take a queued event back out. Whoever queues an
+//! event that may go stale makes its *payload* tell: the network's timer
+//! events carry a generation (`xpass-net`'s `TimerSlot`, `Deadline`) and a
+//! firing whose generation has moved on is dropped by its handler.
+//!
+//! Queues start at a caller-controlled capacity
 //! ([`EventQueue::with_capacity`]) and release excess memory whenever they
 //! drain completely, so a burst does not pin its peak allocation forever.
+//!
+//! The queue owns its wire format: [`EventQueue::snap`] and
+//! [`EventQueue::restore`] write and read every entry in `(time, seq)`
+//! order — the same bytes under either scheduler — plus the counters and
+//! the horizon, taking only the payload codec from the caller.
 
 use crate::calendar::CalendarQueue;
+use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Which scheduler implementation an [`EventQueue`] uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -126,11 +135,6 @@ pub fn prefetch_obj<T>(p: *const T) {
     prefetch_bytes(p, std::mem::size_of::<T>());
 }
 
-/// Handle to a cancellable timer returned by
-/// [`EventQueue::push_cancellable`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TimerHandle(u64);
-
 /// Default initial capacity (the seed's former hard-coded value).
 pub const DEFAULT_CAPACITY: usize = 1024;
 
@@ -142,22 +146,17 @@ pub struct EventQueue<E> {
     seq: u64,
     popped: u64,
     /// The first position that has not gone by: just past the key of the
-    /// last live event popped, or where [`advance_to`](Self::advance_to)
-    /// left it.
+    /// last event popped, or where [`advance_to`](Self::advance_to) left
+    /// it.
     horizon: (SimTime, u64),
     peak: usize,
-    /// Entries currently queued (including cancelled tombstones), cached
-    /// so the hot push/pop paths never re-derive it through the scheduler.
-    raw: usize,
+    /// Entries currently queued, cached so the hot push/pop paths never
+    /// re-derive it through the scheduler.
+    len: usize,
     initial_cap: usize,
     /// True once the queue outgrew its initial capacity; armed by `push`,
     /// consumed by the post-drain shrink so the empty-queue check is O(1).
     needs_shrink: bool,
-    /// Seqs of live cancellable timers (empty unless the feature is used,
-    /// so plain `push`/`pop` traffic never touches a hash set).
-    cancellable: HashSet<u64>,
-    /// Seqs cancelled while still queued; skipped and reclaimed on pop.
-    cancelled: HashSet<u64>,
 }
 
 // The calendar's inline header (bitmap + cursors) is ~700 bytes, but there
@@ -223,11 +222,9 @@ impl<E> EventQueue<E> {
             popped: 0,
             horizon: (SimTime::ZERO, 0),
             peak: 0,
-            raw: 0,
+            len: 0,
             initial_cap: cap,
             needs_shrink: false,
-            cancellable: HashSet::new(),
-            cancelled: HashSet::new(),
         }
     }
 
@@ -263,11 +260,10 @@ impl<E> EventQueue<E> {
             "position ({at:?}, {seq}) was never reserved or has gone by"
         );
         self.restore_entry(at, seq, event);
-        let live = self.raw - self.cancelled.len();
-        if live > self.peak {
-            self.peak = live;
+        if self.len > self.peak {
+            self.peak = self.len;
         }
-        if live > self.initial_cap {
+        if self.len > self.initial_cap {
             self.needs_shrink = true;
         }
     }
@@ -297,156 +293,70 @@ impl<E> EventQueue<E> {
         self.horizon = self.horizon.max((t, self.seq));
     }
 
-    /// Schedule a cancellable timer; the handle revokes it via
-    /// [`cancel`](Self::cancel) any time before it fires.
-    pub fn push_cancellable(&mut self, at: SimTime, event: E) -> TimerHandle {
-        let seq = self.reserve_seq();
-        self.push_reserved(at, seq, event);
-        self.cancellable.insert(seq);
-        TimerHandle(seq)
-    }
-
-    /// Cancel a pending timer. Returns `true` if it was still queued (it
-    /// will never fire); `false` if it already fired or was cancelled.
-    pub fn cancel(&mut self, h: TimerHandle) -> bool {
-        if self.cancellable.remove(&h.0) {
-            self.cancelled.insert(h.0);
-            true
-        } else {
-            false
-        }
-    }
-
+    /// Pop the earliest event, returning `(time, event)`.
     #[inline]
-    fn pop_raw(&mut self) -> Option<(SimTime, u64, E)> {
-        let out = match &mut self.imp {
-            Impl::Heap(h) => h.pop().map(|e| (e.key.0 .0, e.key.0 .1, e.event)),
-            Impl::Calendar(c) => c.pop(),
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_before(SimTime::MAX)
+    }
+
+    /// Pop the earliest event if it fires at or before `t` — the engine's
+    /// fused peek-then-pop: one scheduler settle per event instead of two.
+    #[inline]
+    pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
+        let (at, seq, event) = match &mut self.imp {
+            Impl::Heap(h) => {
+                if h.peek()?.key.0 .0 > t {
+                    return None;
+                }
+                let e = h.pop().expect("peeked entry vanished");
+                (e.key.0 .0, e.key.0 .1, e.event)
+            }
+            Impl::Calendar(c) => c.pop_if_le(t)?,
         };
-        if out.is_some() {
-            self.raw -= 1;
-        }
-        out
-    }
-
-    /// Bookkeeping shared by every pop of a live event.
-    #[inline]
-    fn note_pop(&mut self, at: SimTime, seq: u64) {
+        self.len -= 1;
         self.popped += 1;
         self.horizon = (at, seq + 1);
-        if self.needs_shrink && self.raw == 0 {
+        if self.needs_shrink && self.len == 0 {
             self.shrink_after_drain();
             self.needs_shrink = false;
         }
+        Some((at, event))
     }
 
-    /// Pop the earliest live event, returning `(time, event)`. Cancelled
-    /// timers are skipped (and never counted as processed).
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let (at, seq, event) = self.pop_raw()?;
-            if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
-                continue;
-            }
-            if !self.cancellable.is_empty() {
-                self.cancellable.remove(&seq);
-            }
-            self.note_pop(at, seq);
-            return Some((at, event));
-        }
-    }
-
-    /// Pop the earliest live event if it fires at or before `t` — the
-    /// engine's fused peek-then-pop fast path: one scheduler settle and
-    /// one tombstone pass per event instead of two of each.
-    #[inline]
-    pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        if self.cancelled.is_empty() && self.cancellable.is_empty() {
-            // No timer tombstones in play (the common engine state): one
-            // fused scheduler call, no hash-set traffic at all.
-            let (at, seq, event) = match &mut self.imp {
-                Impl::Heap(h) => {
-                    if h.peek()?.key.0 .0 > t {
-                        return None;
-                    }
-                    let e = h.pop().expect("peeked entry vanished");
-                    (e.key.0 .0, e.key.0 .1, e.event)
-                }
-                Impl::Calendar(c) => c.pop_if_le(t)?,
-            };
-            self.raw -= 1;
-            self.note_pop(at, seq);
-            return Some((at, event));
-        }
-        loop {
-            let key = match &mut self.imp {
-                Impl::Heap(h) => h.peek().map(|e| e.key.0),
-                Impl::Calendar(c) => c.peek_key(),
-            };
-            let (at, seq) = key?;
-            if !self.cancelled.is_empty() && self.cancelled.contains(&seq) {
-                self.cancelled.remove(&seq);
-                self.pop_raw();
-                continue;
-            }
-            if at > t {
-                return None;
-            }
-            let (at, seq, event) = self.pop_raw().expect("peeked entry vanished");
-            if !self.cancellable.is_empty() {
-                self.cancellable.remove(&seq);
-            }
-            self.note_pop(at, seq);
-            return Some((at, event));
-        }
-    }
-
-    /// Timestamp of the next live event without removing it.
+    /// Timestamp of the next event without removing it.
     #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Skim off cancelled entries so the reported time is a live event's.
-        loop {
-            let key = match &mut self.imp {
-                Impl::Heap(h) => h.peek().map(|e| e.key.0),
-                Impl::Calendar(c) => c.peek_key(),
-            };
-            let (at, seq) = key?;
-            if !self.cancelled.is_empty() && self.cancelled.contains(&seq) {
-                self.cancelled.remove(&seq);
-                self.pop_raw();
-                continue;
-            }
-            return Some(at);
+        match &mut self.imp {
+            Impl::Heap(h) => h.peek().map(|e| e.key.0 .0),
+            Impl::Calendar(c) => c.peek_key().map(|(at, _)| at),
         }
     }
 
     /// Read-only lookahead: the payload of the `k`-th event from the front
     /// (`k = 0` is what the next pop returns), when the scheduler already
     /// holds it in sorted order — the calendar's staged bucket. `None`
-    /// otherwise: past the staged bucket, on the heap scheduler, or while
-    /// cancelled tombstones are queued (a staged entry may then never
-    /// fire). Never settles, sorts or moves anything, so a queue that is
-    /// peeked behaves exactly like one that is not; a later push may still
-    /// land ahead of a peeked event. For prefetching only.
+    /// otherwise: past the staged bucket, or on the heap scheduler. Never
+    /// settles, sorts or moves anything, so a queue that is peeked behaves
+    /// exactly like one that is not; a later push may still land ahead of
+    /// a peeked event. For prefetching only.
     #[inline]
     pub fn peek_staged(&self, k: usize) -> Option<&E> {
         match &self.imp {
-            Impl::Calendar(c) if self.cancelled.is_empty() => c.peek_staged(k),
-            _ => None,
+            Impl::Calendar(c) => c.peek_staged(k),
+            Impl::Heap(_) => None,
         }
     }
 
-    /// Number of live (non-cancelled) events currently queued.
+    /// Number of events currently queued.
     #[inline]
     pub fn len(&self) -> usize {
-        self.raw - self.cancelled.len()
+        self.len
     }
 
-    /// True when no live events remain.
+    /// True when no events remain.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Total number of events processed so far (for perf reporting).
@@ -479,14 +389,11 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Snapshot support: **every** queued entry — live and cancelled
-    /// tombstones alike — in `(time, seq)` order, payload by reference.
-    /// Both schedulers yield the identical sequence, so bytes serialized
-    /// from the result are scheduler-independent. Read-only: the
+    /// Every queued entry in `(time, seq)` order, payload by reference.
+    /// Both schedulers yield the identical sequence. Read-only: the
     /// scheduler's internal layout (the calendar's window, cursors and
-    /// bucket width) is exactly as it was, so a run that snapshots
-    /// continues precisely like one that does not.
-    pub fn snapshot_entries(&self) -> Vec<(SimTime, u64, &E)> {
+    /// bucket width) is exactly as it was.
+    fn sorted_entries(&self) -> Vec<(SimTime, u64, &E)> {
         match &self.imp {
             Impl::Heap(h) => {
                 let mut v: Vec<_> = h
@@ -496,19 +403,14 @@ impl<E> EventQueue<E> {
                 v.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
                 v
             }
-            Impl::Calendar(c) => c.snapshot_entries(),
+            Impl::Calendar(c) => c.sorted_entries(),
         }
     }
 
-    /// Restore support: insert an entry with an **explicit** sequence
-    /// number, as yielded by [`snapshot_entries`](Self::snapshot_entries).
-    /// Bypasses the sequence counter and the peak/shrink bookkeeping
-    /// (overwritten afterwards by [`restore_counters`](Self::restore_counters)).
-    /// Restore into a freshly constructed queue: its window then rotates
-    /// to the snapshot's earliest event on the first pop, exactly as a
-    /// live queue's does, instead of inheriting a window some earlier
-    /// drain left behind.
-    pub fn restore_entry(&mut self, at: SimTime, seq: u64, event: E) {
+    /// Insert an entry with an **explicit** sequence number, bypassing the
+    /// sequence counter and the peak/shrink bookkeeping.
+    #[inline]
+    fn restore_entry(&mut self, at: SimTime, seq: u64, event: E) {
         match &mut self.imp {
             Impl::Heap(h) => h.push(Entry {
                 key: Reverse((at, seq)),
@@ -516,50 +418,64 @@ impl<E> EventQueue<E> {
             }),
             Impl::Calendar(c) => c.push(at, seq, event),
         }
-        self.raw += 1;
+        self.len += 1;
     }
 
-    /// Snapshot support: the first position that has not gone by (see
-    /// [`is_ahead`](Self::is_ahead)).
-    pub fn snapshot_horizon(&self) -> (SimTime, u64) {
-        self.horizon
+    /// Serialize the queue: every entry in `(time, seq)` order with its
+    /// payload written by `payload`, then the counters and the horizon —
+    /// identical bytes under either scheduler. Read-only: a run that
+    /// snapshots continues precisely like one that does not.
+    pub fn snap(&self, w: &mut SnapWriter, mut payload: impl FnMut(&mut SnapWriter, &E)) {
+        let entries = self.sorted_entries();
+        w.usize(entries.len());
+        for (at, seq, event) in entries {
+            w.u64(at.0);
+            w.u64(seq);
+            payload(w, event);
+        }
+        w.u64(self.seq);
+        w.u64(self.popped);
+        w.usize(self.peak);
+        // Which reserved positions are still ahead must survive a resume.
+        w.u64(self.horizon.0 .0);
+        w.u64(self.horizon.1);
+        // Reserved: two always-empty `u64` sequences that keep the
+        // `xpass-snap/v2` layout; they leave the format at its next
+        // version bump.
+        w.usize(0);
+        w.usize(0);
     }
 
-    /// Snapshot support: overwrite the horizon captured by
-    /// [`snapshot_horizon`](Self::snapshot_horizon).
-    pub fn restore_horizon(&mut self, at: SimTime, seq: u64) {
-        self.horizon = (at, seq);
-    }
-
-    /// Snapshot support: the queue's counters `(seq, popped, peak)`.
-    pub fn snapshot_counters(&self) -> (u64, u64, u64) {
-        (self.seq, self.popped, self.peak as u64)
-    }
-
-    /// Snapshot support: overwrite the counters captured by
-    /// [`snapshot_counters`](Self::snapshot_counters).
-    pub fn restore_counters(&mut self, seq: u64, popped: u64, peak: u64) {
-        self.seq = seq;
-        self.popped = popped;
-        self.peak = peak as usize;
-        self.needs_shrink = self.raw.saturating_sub(self.cancelled.len()) > self.initial_cap;
-    }
-
-    /// Snapshot support: the live-cancellable and cancelled-tombstone seq
-    /// sets, each sorted so serialization is deterministic.
-    pub fn snapshot_cancel_sets(&self) -> (Vec<u64>, Vec<u64>) {
-        let mut a: Vec<u64> = self.cancellable.iter().copied().collect();
-        let mut b: Vec<u64> = self.cancelled.iter().copied().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        (a, b)
-    }
-
-    /// Snapshot support: overwrite the cancel sets captured by
-    /// [`snapshot_cancel_sets`](Self::snapshot_cancel_sets).
-    pub fn restore_cancel_sets(&mut self, cancellable: Vec<u64>, cancelled: Vec<u64>) {
-        self.cancellable = cancellable.into_iter().collect();
-        self.cancelled = cancelled.into_iter().collect();
+    /// Build a queue on scheduler `kind` from bytes written by
+    /// [`snap`](Self::snap), reading each payload with `payload`. The
+    /// queue is fresh, so its window rotates to the snapshot's earliest
+    /// event on the first pop exactly as a live queue's does, instead of
+    /// inheriting a window some earlier drain left behind.
+    pub fn restore(
+        kind: SchedulerKind,
+        r: &mut SnapReader<'_>,
+        mut payload: impl FnMut(&mut SnapReader<'_>) -> Result<E, SnapError>,
+    ) -> Result<EventQueue<E>, SnapError> {
+        let mut q = EventQueue::with_scheduler(kind);
+        for _ in 0..r.seq_len(16)? {
+            let (at, seq) = (SimTime(r.u64()?), r.u64()?);
+            let event = payload(r)?;
+            q.restore_entry(at, seq, event);
+        }
+        q.seq = r.u64()?;
+        q.popped = r.u64()?;
+        q.peak = r.usize()?;
+        q.needs_shrink = q.len > q.initial_cap;
+        q.horizon = (SimTime(r.u64()?), r.u64()?);
+        for _ in 0..2 {
+            let n = r.seq_len(8)?;
+            if n != 0 {
+                return Err(r.err(format!(
+                    "reserved sequence must be empty, found {n} entries"
+                )));
+            }
+        }
+        Ok(q)
     }
 
     /// Release memory accumulated during a burst, back down to the initial
@@ -570,8 +486,6 @@ impl<E> EventQueue<E> {
             Impl::Heap(h) => h.shrink_to(self.initial_cap),
             Impl::Calendar(c) => c.shrink_to(self.initial_cap),
         }
-        self.cancelled.shrink_to_fit();
-        self.cancellable.shrink_to_fit();
     }
 }
 
@@ -580,11 +494,10 @@ mod tests {
     use super::*;
     use crate::time::Dur;
 
+    const KINDS: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Calendar];
+
     fn both() -> [EventQueue<u64>; 2] {
-        [
-            EventQueue::with_scheduler(SchedulerKind::Heap),
-            EventQueue::with_scheduler(SchedulerKind::Calendar),
-        ]
+        KINDS.map(EventQueue::with_scheduler)
     }
 
     #[test]
@@ -706,79 +619,101 @@ mod tests {
         }
     }
 
+    /// Near events, a far-future one (the calendar's overflow band) and a
+    /// late-filled reserved position; pops in between so the calendar has
+    /// a staged, partly consumed bucket.
+    fn busy(kind: SchedulerKind) -> EventQueue<u64> {
+        let mut q = EventQueue::with_scheduler(kind);
+        for i in 0..200u64 {
+            q.push(SimTime(1_000 + i * 37_000), i);
+        }
+        q.push(SimTime::ZERO + Dur::secs(5), 1000);
+        let reserved = q.reserve_seq();
+        q.push(SimTime::ZERO + Dur::us(900), 1001);
+        for _ in 0..50 {
+            q.pop().unwrap();
+        }
+        let next = q.peek_time().unwrap();
+        q.push(next, 1002);
+        q.push_reserved(next, reserved, 1003);
+        q
+    }
+
+    fn snap_bytes(q: &EventQueue<u64>) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        q.snap(&mut w, |w, e| w.u64(*e));
+        w.into_body()
+    }
+
+    fn drain(mut q: EventQueue<u64>) -> Vec<(SimTime, u64)> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
     #[test]
-    fn cancelled_timer_never_fires() {
-        for mut q in both() {
-            q.push(SimTime(1), 1);
-            let h = q.push_cancellable(SimTime(2), 2);
-            q.push(SimTime(3), 3);
-            assert_eq!(q.len(), 3);
-            assert!(q.cancel(h));
-            assert!(!q.cancel(h), "double cancel is a no-op");
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.pop().unwrap().1, 1);
-            assert_eq!(q.peek_time(), Some(SimTime(3)), "peek skips cancelled");
-            assert_eq!(q.pop().unwrap().1, 3);
-            assert!(q.pop().is_none());
-            assert_eq!(q.events_processed(), 2, "cancelled events don't count");
+    fn snap_bytes_agree_across_schedulers_and_leave_the_queue_alone() {
+        let bytes = KINDS.map(|kind| {
+            let (plain, q) = (busy(kind), busy(kind));
+            let before = (q.len(), q.peak_len(), q.capacity(), q.bucket_bits());
+            let bytes = snap_bytes(&q);
+            assert_eq!(
+                before,
+                (q.len(), q.peak_len(), q.capacity(), q.bucket_bits())
+            );
+            // A queue that was snapshotted pops exactly like one that was
+            // not.
+            assert_eq!(drain(q), drain(plain));
+            bytes
+        });
+        assert_eq!(bytes[0], bytes[1], "heap and calendar bytes differ");
+    }
+
+    #[test]
+    fn restored_queue_continues_like_the_original_on_either_scheduler() {
+        for (from, to) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            let mut q = busy(KINDS[from]);
+            let bytes = snap_bytes(&q);
+            let mut r = SnapReader::new(&bytes, 0);
+            let mut twin = EventQueue::restore(KINDS[to], &mut r, |r| r.u64()).unwrap();
+            r.expect_end().unwrap();
+            assert_eq!(twin.scheduler(), KINDS[to]);
+            assert_eq!(snap_bytes(&twin), bytes);
+            assert_eq!(
+                (twin.len(), twin.peak_len(), twin.events_processed()),
+                (q.len(), q.peak_len(), q.events_processed())
+            );
+            // Sequence counter and horizon came along: the next push and
+            // the next reservation land where the original's do.
+            let at = twin.peek_time().unwrap();
+            assert_eq!(twin.reserve_seq(), q.reserve_seq());
+            twin.push(at, 7);
+            q.push(at, 7);
+            let last = SimTime(1_000 + 49 * 37_000); // the 50th pop of `busy`
+            for seq in [0, 49, 50, u64::MAX] {
+                assert_eq!(twin.is_ahead(last, seq), q.is_ahead(last, seq), "{seq}");
+            }
+            assert!(!twin.is_ahead(last, 49) && twin.is_ahead(last, 50));
+            assert_eq!(drain(twin), drain(q));
         }
     }
 
     #[test]
-    fn cancel_after_fire_returns_false() {
-        for mut q in both() {
-            let h = q.push_cancellable(SimTime(1), 1);
-            assert_eq!(q.pop().unwrap().1, 1);
-            assert!(!q.cancel(h));
+    fn restore_refuses_a_non_empty_reserved_set_and_truncation() {
+        let bytes = snap_bytes(&busy(SchedulerKind::Calendar));
+        let restore = |b: &[u8]| {
+            let mut r = SnapReader::new(b, 0);
+            EventQueue::<u64>::restore(SchedulerKind::Calendar, &mut r, |r| r.u64()).map(|_| ())
+        };
+        assert!(restore(&bytes).is_ok());
+        for cut in 0..bytes.len() {
+            assert!(restore(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn snapshot_entries_agree_across_schedulers_and_leave_the_queue_alone() {
-        let views: Vec<Vec<(SimTime, u64, u64)>> = both()
-            .into_iter()
-            .map(|mut q| {
-                // Near events, a far-future one (the calendar's overflow
-                // band), a live cancellable timer and a tombstone; pops in
-                // between so the calendar has a staged, partly consumed
-                // bucket.
-                for i in 0..200u64 {
-                    q.push(SimTime(1_000 + i * 37_000), i);
-                }
-                q.push(SimTime::ZERO + Dur::secs(5), 1000);
-                let live = q.push_cancellable(SimTime::ZERO + Dur::us(900), 1001);
-                let dead = q.push_cancellable(SimTime::ZERO + Dur::us(3), 1002);
-                assert!(q.cancel(dead));
-                for _ in 0..50 {
-                    q.pop().unwrap();
-                }
-                let next = q.peek_time().unwrap();
-                q.push(next, 1003);
-                let before = (q.len(), q.peak_len(), q.capacity(), q.bucket_bits());
-                let view: Vec<_> = q
-                    .snapshot_entries()
-                    .into_iter()
-                    .map(|(at, seq, e)| (at, seq, *e))
-                    .collect();
-                assert_eq!(
-                    before,
-                    (q.len(), q.peak_len(), q.capacity(), q.bucket_bits())
-                );
-                assert_eq!(view.len(), q.len() + 1, "the tombstone is included");
-                assert!(view.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-                // The queue still pops what the view listed, minus the tombstone.
-                let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-                let listed: Vec<u64> = view
-                    .iter()
-                    .map(|&(_, _, e)| e)
-                    .filter(|&e| e != 1002)
-                    .collect();
-                assert_eq!(popped, listed);
-                assert!(!q.cancel(live), "the live timer fired");
-                view
-            })
-            .collect();
-        assert_eq!(views[0], views[1], "heap and calendar views differ");
+        // The last 16 bytes are the two reserved (empty) sequences.
+        let mut bad = bytes.clone();
+        let at = bad.len() - 8;
+        bad[at] = 1;
+        bad.extend_from_slice(&9u64.to_le_bytes());
+        let e = restore(&bad).unwrap_err();
+        assert!(e.msg.contains("reserved sequence must be empty"), "{e}");
     }
 
     #[test]

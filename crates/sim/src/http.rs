@@ -4,9 +4,9 @@
 //! Zero dependencies: a std [`TcpListener`] on a background thread,
 //! non-blocking accept with a sleep poll, one worker thread per
 //! connection (`Connection: close`) under a hard concurrency cap. It
-//! serves pre-rendered text pulled from a
-//! [`Plane`](crate::metrics::Plane) — request handling never touches
-//! live simulation state, so a slow scraper cannot perturb a run.
+//! serves pre-rendered text pulled from a [`Plane`] — request handling
+//! never touches live simulation state, so a slow scraper cannot perturb
+//! a run.
 //!
 //! Routes: `/metrics` (Prometheus text), `/health` (503 while the
 //! supervisor reports the plane degraded), `/engine`, `/progress`

@@ -237,6 +237,19 @@ impl<'a> SnapReader<'a> {
         self.ctx.pop();
     }
 
+    /// Run `f` inside the context segment `name` (left again on success;
+    /// an error has already captured its path).
+    pub fn within<T>(
+        &mut self,
+        name: impl Into<String>,
+        f: impl FnOnce(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<T, SnapError> {
+        self.enter(name);
+        let out = f(self)?;
+        self.leave();
+        Ok(out)
+    }
+
     /// Build an error at the current offset with the current context path.
     pub fn err(&self, msg: impl Into<String>) -> SnapError {
         SnapError {
@@ -360,6 +373,33 @@ impl<'a> SnapReader<'a> {
             Ok(Some(f(self)?))
         } else {
             Ok(None)
+        }
+    }
+
+    /// Read an `Option` written by [`SnapWriter::opt`] *onto* a value the
+    /// deterministic setup may or may not have built: the snapshot must
+    /// carry a payload exactly when `installed` is there to take it, and
+    /// `restore` then overlays it. `what` names the value in the mismatch
+    /// error.
+    pub fn opt_onto<T: ?Sized>(
+        &mut self,
+        what: &str,
+        installed: Option<&mut T>,
+        restore: impl FnOnce(&mut T, &mut Self) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        match (installed, self.bool()?) {
+            (Some(v), true) => restore(v, self),
+            (None, false) => Ok(()),
+            (cfg, _) => {
+                let (cfg, snap) = if cfg.is_some() {
+                    ("has one", "has none")
+                } else {
+                    ("has none", "has one")
+                };
+                Err(self.err(format!(
+                    "{what} presence mismatch: configuration {cfg}, snapshot {snap}"
+                )))
+            }
         }
     }
 }
@@ -580,6 +620,43 @@ mod tests {
         assert_eq!(e.path, "network.ports[3]");
         assert_eq!(e.at, 26);
         assert!(e.to_string().contains("network.ports[3]"), "{e}");
+    }
+
+    #[test]
+    fn opt_onto_overlays_or_names_the_mismatch() {
+        let mut w = SnapWriter::new();
+        w.opt(Some(&5u64), |w, v| w.u64(*v));
+        w.opt::<u64>(None, |w, v| w.u64(*v));
+        let body = w.into_body();
+        let read = |v: &mut u64, r: &mut SnapReader| {
+            *v = r.u64()?;
+            Ok(())
+        };
+
+        let mut r = SnapReader::new(&body, 0);
+        let mut v = 0u64;
+        r.within("a", |r| r.opt_onto("value", Some(&mut v), read))
+            .unwrap();
+        assert_eq!(v, 5);
+        r.opt_onto("value", None, read).unwrap();
+        r.expect_end().unwrap();
+
+        let mut r = SnapReader::new(&body, 0);
+        let e = r
+            .within("a", |r| r.opt_onto("value", None, read))
+            .unwrap_err();
+        assert_eq!(e.path, "a");
+        assert!(
+            e.msg
+                .contains("value presence mismatch: configuration has none, snapshot has one"),
+            "{e}"
+        );
+        let mut r = SnapReader::new(&body[9..], 0);
+        let e = r.opt_onto("value", Some(&mut v), read).unwrap_err();
+        assert!(
+            e.msg.contains("configuration has one, snapshot has none"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl Percentiles {
         }
     }
 
-    /// The `q`-quantile (q ∈ [0,1]) using nearest-rank; 0 if empty.
+    /// The `q`-quantile (q ∈ `[0, 1]`) using nearest-rank; 0 if empty.
     pub fn quantile(&mut self, q: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;

@@ -1,9 +1,8 @@
-//! Property-based scheduler equivalence: randomized insert/cancel/pop
-//! sequences driven through the calendar queue and the reference heap must
-//! produce identical observable behavior — pop order (including
-//! same-timestamp FIFO ties), peeks, lengths, processed counts, and
-//! cancelled-timers-never-fire. Seeded with `xpass_sim::rng` only; no
-//! external property-testing dependency.
+//! Property-based scheduler equivalence: randomized insert/pop sequences
+//! driven through the calendar queue and the reference heap must produce
+//! identical observable behavior — pop order (including same-timestamp
+//! FIFO ties), peeks, lengths and processed counts. Seeded with
+//! `xpass_sim::rng` only; no external property-testing dependency.
 //!
 //! The same scripts pin the scheduler's read-only lookahead
 //! (`peek_staged`): what it names is what the following pops return, the
@@ -16,7 +15,7 @@
 //! eager twin had queued a tombstone there and skipped it.
 
 use std::collections::HashSet;
-use xpass_sim::event::{EventQueue, SchedulerKind, TimerHandle};
+use xpass_sim::event::{EventQueue, SchedulerKind};
 use xpass_sim::rng::Rng;
 use xpass_sim::time::SimTime;
 
@@ -41,9 +40,6 @@ struct Pair {
     /// heap scheduler, or ([`Pair::twins`]) a second calendar.
     heap: EventQueue<u64>,
     cal: EventQueue<u64>,
-    /// Pending cancellable handles (same order in both queues).
-    pending: Vec<(TimerHandle, TimerHandle, u64)>,
-    cancelled_payloads: Vec<u64>,
     /// Lower bound for new event times (sim contract: never in the past).
     now: SimTime,
     next_payload: u64,
@@ -64,8 +60,6 @@ impl Pair {
         Pair {
             heap: EventQueue::with_scheduler(reference),
             cal: EventQueue::with_scheduler(SchedulerKind::Calendar),
-            pending: Vec::new(),
-            cancelled_payloads: Vec::new(),
             now: SimTime::ZERO,
             next_payload: 0,
         }
@@ -79,42 +73,13 @@ impl Pair {
         self.cal.push(at, p);
     }
 
-    fn push_cancellable(&mut self, rng: &mut Rng) {
-        let at = SimTime(self.now.0 + random_delta(rng));
-        let p = self.next_payload;
-        self.next_payload += 1;
-        let h = self.heap.push_cancellable(at, p);
-        let c = self.cal.push_cancellable(at, p);
-        self.pending.push((h, c, p));
-    }
-
-    fn cancel_random(&mut self, rng: &mut Rng) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let i = rng.index(self.pending.len());
-        let (h, c, p) = self.pending.swap_remove(i);
-        let a = self.heap.cancel(h);
-        let b = self.cal.cancel(c);
-        assert_eq!(a, b, "cancel outcome diverged for payload {p}");
-        if a {
-            self.cancelled_payloads.push(p);
-        }
-    }
-
     fn pop_and_check(&mut self) -> Option<(SimTime, u64)> {
         let a = self.heap.pop();
         let b = self.cal.pop();
         assert_eq!(a, b, "pop diverged (heap vs calendar)");
-        if let Some((t, p)) = a {
+        if let Some((t, _)) = a {
             assert!(t >= self.now, "time went backwards");
             self.now = t;
-            assert!(
-                !self.cancelled_payloads.contains(&p),
-                "cancelled timer {p} fired"
-            );
-            // Retire the pending record if this was an uncancelled timer.
-            self.pending.retain(|&(_, _, pp)| pp != p);
         }
         a
     }
@@ -122,10 +87,8 @@ impl Pair {
     /// One random script step (the op mix of every property below).
     fn step(&mut self, rng: &mut Rng) {
         match rng.below(10) {
-            0..=4 => self.push(rng),
-            5 => self.push_cancellable(rng),
-            6 => self.cancel_random(rng),
-            7..=8 => {
+            0..=5 => self.push(rng),
+            6..=8 => {
                 self.pop_and_check();
             }
             _ => self.check_metadata(),
@@ -242,32 +205,6 @@ fn massive_same_timestamp_ties_stay_fifo() {
             assert!(t > lt || (t == lt && p > lp), "FIFO tie order violated");
         }
         last = Some((t, p));
-    }
-}
-
-#[test]
-fn cancel_then_fire_never() {
-    // Directed version of the property: cancel every other timer, across
-    // bands, then verify exactly the survivors fire, in order.
-    for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-        let mut q = EventQueue::with_scheduler(kind);
-        let mut handles = Vec::new();
-        for p in 0..1_000u64 {
-            let at = SimTime(p * 7_000_000_000); // spans many windows
-            handles.push((q.push_cancellable(at, p), p));
-        }
-        for &(h, p) in &handles {
-            if p % 2 == 0 {
-                assert!(q.cancel(h));
-            }
-        }
-        let mut fired = Vec::new();
-        while let Some((_, p)) = q.pop() {
-            fired.push(p);
-        }
-        let expect: Vec<u64> = (0..1_000).filter(|p| p % 2 == 1).collect();
-        assert_eq!(fired, expect, "scheduler {:?}", kind);
-        assert_eq!(q.events_processed(), 500);
     }
 }
 

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! Every experiment implements the [`Experiment`] trait and is dispatched
-//! through [`registry`](xpass::experiments::registry) — the binary holds no
+//! through [`registry`] — the binary holds no
 //! per-experiment code.
 //!
 //! `--json <dir>` writes one machine-readable record per experiment to

@@ -286,6 +286,49 @@ fn snapshot_with_a_far_future_event_queued_is_inert_and_portable() {
     );
 }
 
+/// A small fig15_xl-style 3-tier Clos with a cable cut at 100 µs, healed
+/// at 600 µs.
+fn clos_net() -> Network {
+    use xpass::net::faults::FaultPlan;
+    use xpass::net::ids::NodeId;
+
+    // 4 pods × 2 ToRs × 6 hosts = 48 hosts, the fig15_xl quick shape.
+    let topo = Topology::three_tier(
+        4,
+        2,
+        2,
+        6,
+        4,
+        10_000_000_000,
+        10_000_000_000,
+        10_000_000_000,
+        Dur::us(1),
+    );
+    let cfg = NetConfig::expresspass().with_seed(29);
+    let mut net = Network::new(topo, cfg, xpass_factory(XPassConfig::aggressive()));
+    for i in 0..24u32 {
+        net.add_flow(HostId(i), HostId(24 + i), 400_000, SimTime::ZERO);
+    }
+    // Cut one ToR uplink mid-run so the flat-route overlay holds
+    // excluded slices (and a bumped epoch) at the snapshot point.
+    let tor = net.topo().tor_switches()[0];
+    let up = net.topo().route_choices(tor, HostId(47))[0];
+    let agg = match net.topo().dlinks[up.0 as usize].to {
+        NodeId::Switch(s) => s,
+        other => panic!("ToR uplink must reach a switch, got {other:?}"),
+    };
+    let down = net
+        .topo()
+        .dlink_between(NodeId::Switch(agg), NodeId::Switch(tor))
+        .unwrap();
+    net.install_fault_plan(
+        FaultPlan::new()
+            .cable_down(SimTime::ZERO + Dur::us(100), up, down)
+            .cable_up(SimTime::ZERO + Dur::us(600), up, down),
+    );
+    net
+}
+
 /// The million-flow memory layout round-trips: a small fig15_xl-style
 /// 3-tier Clos with a mid-run cable cut, snapshotted while timers are
 /// armed and the fault overlay is active, restores into a twin under the
@@ -293,47 +336,6 @@ fn snapshot_with_a_far_future_event_queued_is_inert_and_portable() {
 /// and the routing-overlay epoch all travel through the bytes.
 #[test]
 fn three_tier_with_faults_round_trips_across_schedulers() {
-    use xpass::net::faults::FaultPlan;
-    use xpass::net::ids::NodeId;
-
-    fn clos_net() -> Network {
-        // 4 pods × 2 ToRs × 6 hosts = 48 hosts, the fig15_xl quick shape.
-        let topo = Topology::three_tier(
-            4,
-            2,
-            2,
-            6,
-            4,
-            10_000_000_000,
-            10_000_000_000,
-            10_000_000_000,
-            Dur::us(1),
-        );
-        let cfg = NetConfig::expresspass().with_seed(29);
-        let mut net = Network::new(topo, cfg, xpass_factory(XPassConfig::aggressive()));
-        for i in 0..24u32 {
-            net.add_flow(HostId(i), HostId(24 + i), 400_000, SimTime::ZERO);
-        }
-        // Cut one ToR uplink mid-run so the flat-route overlay holds
-        // excluded slices (and a bumped epoch) at the snapshot point.
-        let tor = net.topo().tor_switches()[0];
-        let up = net.topo().route_choices(tor, HostId(47))[0];
-        let agg = match net.topo().dlinks[up.0 as usize].to {
-            NodeId::Switch(s) => s,
-            other => panic!("ToR uplink must reach a switch, got {other:?}"),
-        };
-        let down = net
-            .topo()
-            .dlink_between(NodeId::Switch(agg), NodeId::Switch(tor))
-            .unwrap();
-        net.install_fault_plan(
-            FaultPlan::new()
-                .cable_down(SimTime::ZERO + Dur::us(100), up, down)
-                .cable_up(SimTime::ZERO + Dur::us(600), up, down),
-        );
-        net
-    }
-
     // Generous cap: a SYN blackholed by the cut retries on exponential
     // backoff and may settle tens of ms after the heal.
     let cap = SimTime::ZERO + Dur::ms(200);
@@ -406,6 +408,41 @@ fn budget_killed_run_resumes_to_the_unbudgeted_result() {
     assert_eq!(reference.now(), resumed.now());
 }
 
+const G10: u64 = 10_000_000_000;
+
+/// Four DCTCP flows across a 10G dumbbell.
+fn dctcp_net() -> Network {
+    use xpass::experiments::Scheme;
+
+    let mut n = Scheme::Dctcp.build(Topology::dumbbell(4, G10, Dur::us(4)), G10, 31);
+    for i in 0..4u32 {
+        n.add_flow(HostId(i), HostId(4 + i), 4_000_000, SimTime::ZERO);
+    }
+    n
+}
+/// True when both kinds of reserved position are pending: a port
+/// serializing with its end-of-serialization wake deferred, and a sender
+/// whose RTO is armed with only an earlier arming's event queued.
+fn reserved_positions_pending(n: &mut Network) -> bool {
+    use xpass::baselines::dctcp::DctcpCc;
+    use xpass::baselines::window::WindowSender;
+    use xpass::net::ids::{FlowId, Side};
+
+    let now = n.now();
+    let wake = n
+        .ports()
+        .iter()
+        .any(|p| p.deferred_wake.is_some() && p.is_busy(now));
+    let mut carried = false;
+    for f in 0..4 {
+        n.poke(FlowId(f), Side::Sender, |ep, _| {
+            let tx = ep.as_any().downcast_mut::<WindowSender<DctcpCc>>();
+            carried |= tx.unwrap().rto_deadline().is_carried();
+        });
+    }
+    wake && carried
+}
+
 /// Reserved queue positions survive a checkpoint. A DCTCP run — long
 /// enough that the RTO carriers of the first milliseconds come due and
 /// hop before it ends — is snapshotted at 24 instants half a microsecond
@@ -418,35 +455,6 @@ fn budget_killed_run_resumes_to_the_unbudgeted_result() {
 /// on resume changes `events_processed` even where no flow notices.
 #[test]
 fn dctcp_snapshot_with_reserved_positions_pending_round_trips() {
-    use xpass::baselines::dctcp::DctcpCc;
-    use xpass::baselines::window::WindowSender;
-    use xpass::experiments::Scheme;
-    use xpass::net::ids::{FlowId, Side};
-
-    const G10: u64 = 10_000_000_000;
-    fn net() -> Network {
-        let mut n = Scheme::Dctcp.build(Topology::dumbbell(4, G10, Dur::us(4)), G10, 31);
-        for i in 0..4u32 {
-            n.add_flow(HostId(i), HostId(4 + i), 4_000_000, SimTime::ZERO);
-        }
-        n
-    }
-    fn reserved_positions_pending(n: &mut Network) -> bool {
-        let now = n.now();
-        let wake = n
-            .ports()
-            .iter()
-            .any(|p| p.deferred_wake.is_some() && p.is_busy(now));
-        let mut carried = false;
-        for f in 0..4 {
-            n.poke(FlowId(f), Side::Sender, |ep, _| {
-                let tx = ep.as_any().downcast_mut::<WindowSender<DctcpCc>>();
-                carried |= tx.unwrap().rto_deadline().is_carried();
-            });
-        }
-        wake && carried
-    }
-
     let cap = SimTime::ZERO + Dur::ms(50);
     let mut per_scheduler = Vec::new();
     for (kind, other) in [
@@ -454,7 +462,7 @@ fn dctcp_snapshot_with_reserved_positions_pending_round_trips() {
         (SchedulerKind::Calendar, SchedulerKind::Heap),
     ] {
         set_thread_scheduler(kind);
-        let mut plain = net();
+        let mut plain = dctcp_net();
         let done = plain.run_until_done(cap);
         assert_eq!(plain.completed_count(), 4);
         assert!(
@@ -465,7 +473,7 @@ fn dctcp_snapshot_with_reserved_positions_pending_round_trips() {
         // last flow is done, and each must be counted by every twin.
         plain.run_until(cap);
 
-        let mut a = net();
+        let mut a = dctcp_net();
         let (mut bodies, mut pending) = (Vec::new(), 0);
         for k in 0..24u64 {
             a.run_until(SimTime::ZERO + Dur::us(300) + Dur::ns(500 * k));
@@ -489,7 +497,7 @@ fn dctcp_snapshot_with_reserved_positions_pending_round_trips() {
         };
         same_as_plain("snapshotted", &a);
         for (k, body) in bodies.iter().enumerate() {
-            let mut b = net();
+            let mut b = dctcp_net();
             b.restore_from(body).expect("twin restore");
             b.run_until(cap);
             same_as_plain(&format!("restored from snapshot {k}"), &b);
@@ -574,4 +582,165 @@ fn dctcp_scenario_resumes_in_a_fresh_process_to_the_same_event_count() {
         }
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+/// Every probe whose state rides in a snapshot, on `net`: ledger,
+/// invariant monitors, watchdog, and the sampler with one flow and one
+/// port tracked. (The metrics sampler is thread-scoped: install it before
+/// the network is built.)
+fn install_probes(net: &mut Network) {
+    use xpass::net::health::InvariantSpec;
+    use xpass::net::ids::FlowId;
+
+    net.install_ledger();
+    net.install_invariants(InvariantSpec {
+        data_queue_bound_bytes: Some(1_000_000),
+        zero_data_loss: true,
+    });
+    net.install_watchdog(WatchdogSpec {
+        max_events: None,
+        max_wall: None,
+        max_events_per_instant: Some(100_000),
+    });
+    net.set_sample_interval(Dur::us(40));
+    net.track_flow(FlowId(0));
+    let uplink = net.topo().host_uplink[0];
+    net.track_port(uplink);
+}
+
+/// The network `fuzz_robustness.rs` mutates: two ExpressPass flows across
+/// a 10G dumbbell.
+fn dumbbell_net() -> Network {
+    let topo = Topology::dumbbell(2, G10, Dur::us(1));
+    let cfg = NetConfig::expresspass().with_seed(5);
+    let mut net = Network::new(topo, cfg, xpass_factory(XPassConfig::aggressive()));
+    for i in 0..2u32 {
+        net.add_flow(HostId(i), HostId(2 + i), 500_000, SimTime::ZERO);
+    }
+    net
+}
+
+fn body_of(net: &Network) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    net.snapshot_into(&mut w);
+    w.into_body()
+}
+
+/// The wire format, pinned across commits. `(length, CRC-32)` of three
+/// snapshot bodies as commit 08acacc wrote them — the parent of the change
+/// that moved every layer's snapshot code beside the layer, for which
+/// these numbers staying put was the proof that the move was exact. They
+/// may change only together with `snap::VERSION`.
+#[test]
+fn snapshot_bodies_match_the_committed_digests() {
+    use xpass::sim::metrics::{self, MetricsSpec};
+    use xpass::sim::snap::crc32;
+
+    const DUMBBELL: (usize, u32) = (5_925, 0xfc96_4a57);
+    const DCTCP: (usize, u32) = (16_653, 0xac6c_c65e);
+    const CLOS: (usize, u32) = (84_469, 0xce81_41ae);
+    let digest = |net: &Network| {
+        let body = body_of(net);
+        (body.len(), crc32(&body))
+    };
+    for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
+        set_thread_scheduler(kind);
+        let mut net = dumbbell_net();
+        net.run_until(SimTime::ZERO + Dur::us(200));
+        assert_eq!(digest(&net), DUMBBELL, "dumbbell, {kind:?}");
+
+        // DCTCP at the first instant that has a deferred port wake and a
+        // carried RTO deadline pending.
+        let mut net = dctcp_net();
+        let mut at = SimTime::ZERO + Dur::us(300);
+        net.run_until(at);
+        while !reserved_positions_pending(&mut net) {
+            at += Dur::ns(500);
+            assert!(at < SimTime::ZERO + Dur::us(312), "nothing pending");
+            net.run_until(at);
+        }
+        assert_eq!(digest(&net), DCTCP, "dctcp at {at}, {kind:?}");
+
+        // The Clos after its cable cut, every probe on.
+        metrics::install(
+            MetricsSpec {
+                interval: Dur::us(100),
+                ..MetricsSpec::default()
+            },
+            None,
+        );
+        let mut net = clos_net();
+        install_probes(&mut net);
+        net.run_until(SimTime::ZERO + Dur::us(250));
+        assert_eq!(digest(&net), CLOS, "clos, {kind:?}");
+        metrics::clear();
+    }
+    set_thread_scheduler(SchedulerKind::default());
+}
+
+/// A damaged snapshot says where: every strict prefix of a body — taken
+/// with a fault plan, every probe and the sampler installed, so every
+/// section is there — is refused with an error whose path names the
+/// section the bytes ran out in, one level below `network`. Each layer
+/// enters its own context: the timer wheels report `network.timers`, not
+/// `network.flows.timers` as they did while the arena's context was still
+/// open around them.
+#[test]
+fn every_truncation_of_a_snapshot_names_the_section_it_broke() {
+    use std::collections::BTreeSet;
+    use xpass::net::faults::FaultPlan;
+
+    fn net() -> Network {
+        let mut net = dumbbell_net();
+        let uplink = net.topo().host_uplink[0];
+        net.install_fault_plan(
+            FaultPlan::new()
+                .set_loss(SimTime::ZERO + Dur::us(50), uplink, 0.01, 0.01)
+                .host_pause(SimTime::ZERO + Dur::us(150), HostId(3))
+                .host_resume(SimTime::ZERO + Dur::us(400), HostId(3)),
+        );
+        install_probes(&mut net);
+        net
+    }
+    let mut donor = net();
+    donor.run_until(SimTime::ZERO + Dur::us(200));
+    let body = body_of(&donor);
+    net().restore_from(&body).expect("the whole body restores");
+
+    let mut sections = BTreeSet::new();
+    for k in 0..body.len() {
+        let e = net()
+            .restore_from(&body[..k])
+            .expect_err("a strict prefix cannot restore");
+        let mut path = e.path.split('.');
+        assert_eq!(path.next(), Some("network"), "cut at {k}: {e}");
+        let section = path.next().unwrap_or_else(|| panic!("cut at {k}: {e}"));
+        assert!(!e.path.contains("flows.timers"), "cut at {k}: {e}");
+        sections.insert(section.to_string());
+    }
+    let expected = [
+        "now",
+        "events",
+        "rng",
+        "ports",
+        "flows",
+        "timers",
+        "pending",
+        "settled",
+        "controller",
+        "faults",
+        "routing",
+        "invariants",
+        "ledger",
+        "watchdog",
+        "counters",
+        "sampler",
+        "metrics",
+    ];
+    assert_eq!(
+        sections,
+        expected.iter().map(|s| s.to_string()).collect(),
+        "sections named by the {} truncations",
+        body.len()
+    );
 }
