@@ -13,7 +13,7 @@ use xpass_net::health::{HealthReport, InvariantSpec};
 use xpass_net::ids::FlowId;
 use xpass_net::network::{Counters, FlowRecord, Network};
 use xpass_net::topology::Topology;
-use xpass_sim::profile::{self, EngineReport};
+use xpass_sim::profile::EngineReport;
 use xpass_sim::stats::Percentiles;
 use xpass_sim::time::{Dur, SimTime};
 use xpass_sim::trace::TraceSink;
@@ -379,7 +379,6 @@ impl RealisticRun {
         &self,
         sink: Option<Box<dyn TraceSink>>,
     ) -> (RealisticResult, Option<Box<dyn TraceSink>>) {
-        let setup = profile::span("setup");
         let topo = Topology::eval_fat_tree(self.link_bps);
         let mut net = self.scheme.build(topo.clone(), self.link_bps, self.seed);
         if let Some(sink) = sink {
@@ -398,11 +397,7 @@ impl RealisticRun {
         let specs = wl.generate(&topo);
         xpass_workloads::add_all(&mut net, &specs);
         let last_start = specs.last().unwrap().start;
-        drop(setup);
-        {
-            let _run = profile::span("run");
-            net.run_until_done(last_start + Dur::secs(10));
-        }
+        net.run_until_done(last_start + Dur::secs(10));
         net.finish_stats();
         let fct = FctBuckets::from_records(&net.flow_records());
         let mut qsum = 0.0;

@@ -224,7 +224,7 @@ impl<'a> Ctx<'a> {
     /// plane (no-op when metrics are off; safe to call unconditionally).
     #[inline]
     pub fn note_feedback_update(&mut self) {
-        self.net.metrics_note_feedback();
+        self.net.note_feedback_update();
     }
 }
 

@@ -6,19 +6,18 @@
 //! (see [`xpass_sim::metrics::install`]); otherwise the field is `None`
 //! and every hook in the engine is a single `is_some()` check. Sampling
 //! is **boundary-checked**, not event-driven: before handling each event
-//! the run loops compare its time with the cached next boundary
-//! (`Network::metrics_tick`), and every elapsed interval boundary
-//! `k·interval` records one row of scalar samples using the state
-//! *strictly before* the events at that instant. No event is scheduled
-//! and the RNG is never touched, so a metrics-on run replays
-//! bit-identically to a metrics-off run — and identically across the heap
-//! and calendar schedulers, whose event order at equal `(time, seq)` is
-//! pinned.
+//! the run loop compares its time with the network sampler's cached next
+//! due instant, and every elapsed interval boundary `k·interval` records
+//! one row of scalar samples using the state *strictly before* the events
+//! at that instant. No event is scheduled and the RNG is never touched, so
+//! a metrics-on run replays bit-identically to a metrics-off run — and
+//! identically across the heap and calendar schedulers, whose event order
+//! at equal `(time, seq)` is pinned.
 //!
-//! Wall-clock figures (events/s, span wall time) are deliberately kept
-//! out of the sampled rows — they go only to the live HTTP exposition
-//! and the progress heartbeat, so the ring (and the `--metrics` JSONL
-//! file derived from it) stays deterministic. The wall clock itself is
+//! Wall-clock figures (events/s) are deliberately kept out of the
+//! sampled rows — they go only to the live HTTP exposition and the
+//! progress heartbeat, so the ring (and the `--metrics` JSONL file
+//! derived from it) stays deterministic. The wall clock itself is
 //! read only on the event-count cadence of
 //! [`xpass_sim::watchdog::WALL_CHECK_MASK`], to throttle publications;
 //! a throttled publication renders text only for a reader (see
@@ -31,7 +30,7 @@ use xpass_sim::metrics::{
     self as plane, JobView, MetricId, NetMetricsHook, Progress, Registry, Ring, SeriesDump,
     PUBLISH_EVERY,
 };
-use xpass_sim::profile::{self, EngineReport};
+use xpass_sim::profile::EngineReport;
 use xpass_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use xpass_sim::time::SimTime;
 
@@ -39,8 +38,9 @@ use xpass_sim::time::SimTime;
 const FCT_BOUNDS: [f64; 7] = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
 
 /// What the sampled families need to know about the network's static
-/// configuration; built by `Network` when the first boundary (or a
-/// restore) forces family registration, after monitors are installed.
+/// configuration; built by the network's sampler when the first boundary
+/// (or a restore) forces family registration, after monitors are
+/// installed.
 pub(crate) struct FamSpec<'a> {
     /// All egress ports (index = dlink id).
     pub ports: &'a [EgressPort],
@@ -50,8 +50,9 @@ pub(crate) struct FamSpec<'a> {
     pub watchdog_max_events: Option<u64>,
 }
 
-/// One boundary's worth of pre-computed signals, extracted by `Network`
-/// (which owns the private state) and handed here for recording.
+/// One boundary's worth of pre-computed signals, extracted by the
+/// network's sampler (which sees the private state) and handed here for
+/// recording.
 pub(crate) struct SampleView<'a> {
     /// The boundary instant being recorded.
     pub t: SimTime,
@@ -311,13 +312,11 @@ impl MetricsState {
         debug_assert_eq!(view.t, self.next);
         // Taken out so `ids` and `self.reg` can be used together.
         let ids = self.sampled.take().expect("ensure_families first");
+        self.set_state_gauges(&ids, view);
+        // The interval series: utilization since the previous boundary,
+        // and the waste ratio.
         let interval = self.hook.spec.interval;
-        self.reg.set(ids.sim_seconds, view.t.as_secs_f64());
         for (i, p) in view.ports.iter().enumerate() {
-            self.reg.set(ids.data_q[i], p.data.len_bytes() as f64);
-            if let (Some(id), Some(cq)) = (ids.credit_q[i], p.credit.as_ref()) {
-                self.reg.set(id, cq.len() as f64);
-            }
             let delta = p.tx_bytes.saturating_sub(self.last_tx[i]);
             self.last_tx[i] = p.tx_bytes;
             let cap_bytes = p.speed_bps as f64 / 8.0 * interval.as_secs_f64();
@@ -328,12 +327,6 @@ impl MetricsState {
             };
             self.reg.set(ids.util[i], u);
         }
-        self.reg.set(ids.flows_total, view.flows_total as f64);
-        self.reg.set(ids.flows_active, view.flows_active as f64);
-        self.reg.set(ids.flows_stalled, view.flows_stalled as f64);
-        self.reg
-            .set(ids.flows_completed, view.flows_completed as f64);
-        self.reg.set(ids.flows_aborted, view.flows_aborted as f64);
         let c = view.counters;
         let waste = if c.credits_sent > 0 {
             c.credits_wasted as f64 / c.credits_sent as f64
@@ -341,26 +334,6 @@ impl MetricsState {
             0.0
         };
         self.reg.set(ids.credit_waste_ratio, waste);
-        self.reg.set_counter(ids.credits_sent, c.credits_sent);
-        self.reg.set_counter(ids.credits_dropped, c.credits_dropped);
-        self.reg.set_counter(ids.credits_wasted, c.credits_wasted);
-        self.reg.set_counter(ids.data_dropped, c.data_dropped);
-        self.reg.set_counter(ids.payload_bytes, c.payload_delivered);
-        self.reg.set_counter(ids.ecn_marked, c.ecn_marked);
-        self.reg
-            .set_counter(ids.engine_events, view.events_processed);
-        if let Some(fates) = view.ledger {
-            for ((_, id), (_, pkts)) in ids.ledger.iter().zip(fates) {
-                self.reg.set(*id, *pkts as f64);
-            }
-        }
-        if let (Some(id), Some(budget), Some(seen)) = (
-            ids.watchdog_headroom,
-            self.watchdog_budget,
-            view.watchdog_events,
-        ) {
-            self.reg.set(id, budget.saturating_sub(seen) as f64);
-        }
         self.sampled = Some(ids);
         self.ring.record(view.t.as_ps(), self.reg.scalar_values());
         self.next = view.t + interval;
@@ -376,9 +349,15 @@ impl MetricsState {
     /// deterministic points (run-call exits), keeping registry state
     /// reproducible for snapshots. A no-op before the first boundary.
     pub(crate) fn refresh_final(&mut self, view: &SampleView<'_>) {
-        let Some(ids) = self.sampled.take() else {
-            return;
-        };
+        if let Some(ids) = self.sampled.take() {
+            self.set_state_gauges(&ids, view);
+            self.sampled = Some(ids);
+        }
+    }
+
+    /// Set every sampled series that reads the state at `view.t` alone:
+    /// queue depths, flow counts, the global counters and the monitors.
+    fn set_state_gauges(&mut self, ids: &SampledIds, view: &SampleView<'_>) {
         self.reg.set(ids.sim_seconds, view.t.as_secs_f64());
         for (i, p) in view.ports.iter().enumerate() {
             self.reg.set(ids.data_q[i], p.data.len_bytes() as f64);
@@ -413,7 +392,6 @@ impl MetricsState {
         ) {
             self.reg.set(id, budget.saturating_sub(seen) as f64);
         }
-        self.sampled = Some(ids);
     }
 
     /// `--progress` heartbeat: true when a line is due at boundary `t`
@@ -448,7 +426,7 @@ impl MetricsState {
 
     /// Whether a plane publication is due: always when forced, otherwise
     /// once [`PUBLISH_EVERY`] of wall time has passed since the last one.
-    /// Reads the wall clock — the run loops ask only on the event-count
+    /// Reads the wall clock — the run loop asks only on the event-count
     /// cadence of [`xpass_sim::watchdog::WALL_CHECK_MASK`].
     pub(crate) fn publish_due(&self, force: bool) -> bool {
         if self.hook.plane.is_none() {
@@ -488,7 +466,7 @@ impl MetricsState {
     /// [`publish_due`](Self::publish_due)).
     pub(crate) fn publish(
         &mut self,
-        mut engine: EngineReport,
+        engine: EngineReport,
         health: String,
         progress: Progress,
         force: bool,
@@ -499,12 +477,7 @@ impl MetricsState {
         self.last_publish = Some(std::time::Instant::now());
         let net_label = self.hook.net_index.to_string();
         let extra: &[(&str, &str)] = &[("job", &self.hook.job), ("net", &net_label)];
-        let mut exposition = self.reg.render_prometheus(extra);
-        let spans = profile::snapshot_spans();
-        if !spans.is_empty() {
-            exposition.push_str(&plane::render_span_samples(&spans, extra));
-            engine.spans = spans;
-        }
+        let exposition = self.reg.render_prometheus(extra);
         self.push_feed(&p, Some(&health));
         let view = JobView {
             exposition,
@@ -522,7 +495,7 @@ impl MetricsState {
     /// ring on every wall-throttled publish is O(ring × series) and
     /// starves the event loop once the ring holds thousands of rows,
     /// while the only reader of a *non*-final block is nobody — the
-    /// `--metrics` writer scrapes after the run loops force a publish on
+    /// `--metrics` writer scrapes after the run loop forces a publish on
     /// exit, and the live WS feed gets rows incrementally via
     /// [`push_feed`](Self::push_feed).
     fn series_snapshot(&mut self, force: bool) -> std::sync::Arc<String> {
@@ -542,19 +515,11 @@ impl MetricsState {
             if cached_to.is_some_and(|c| t <= c) {
                 continue;
             }
-            let line = Json::obj()
-                .with("t_ps", Json::num_u64(t))
-                .with("v", Json::Arr(row.iter().map(|v| Json::Num(*v)).collect()));
+            let line = plane::jsonl_row(Json::obj(), t, row);
             self.jsonl_lines.push_back((t, format!("{line}\n")));
         }
         if force || self.jsonl_built.is_none() {
-            let header = plane::encode_jsonl(&SeriesDump {
-                job: self.hook.job.clone(),
-                net: self.hook.net_index,
-                interval_ps: self.hook.spec.interval.as_ps(),
-                keys: self.reg.scalar_keys(),
-                ticks: Vec::new(),
-            });
+            let header = self.jsonl_header();
             let mut out = String::with_capacity(
                 header.len() + self.jsonl_lines.iter().map(|(_, l)| l.len()).sum::<usize>(),
             );
@@ -580,24 +545,14 @@ impl MetricsState {
         let key = self.plane_key();
         if self.families_done {
             if !self.pushed_header {
-                let header = plane::encode_jsonl(&SeriesDump {
-                    job: self.hook.job.clone(),
-                    net: self.hook.net_index,
-                    interval_ps: self.hook.spec.interval.as_ps(),
-                    keys: self.reg.scalar_keys(),
-                    ticks: Vec::new(),
-                });
-                feed.push(header.trim_end().to_string());
+                feed.push(self.jsonl_header().trim_end().to_string());
                 self.pushed_header = true;
             }
             for (t, row) in self.ring.iter() {
                 if self.pushed_t.is_some_and(|pt| t <= pt) {
                     continue;
                 }
-                let line = Json::obj()
-                    .with("job", Json::str(&key))
-                    .with("t_ps", Json::num_u64(t))
-                    .with("v", Json::Arr(row.iter().map(|v| Json::Num(*v)).collect()));
+                let line = plane::jsonl_row(Json::obj().with("job", Json::str(&key)), t, row);
                 feed.push(line.to_string());
                 self.pushed_t = Some(t);
             }
@@ -611,6 +566,17 @@ impl MetricsState {
                 self.pushed_health = Some(health.to_string());
             }
         }
+    }
+
+    /// The `xpass-metrics/v1` header line of this network's block.
+    fn jsonl_header(&self) -> String {
+        plane::encode_jsonl(&SeriesDump {
+            job: self.hook.job.clone(),
+            net: self.hook.net_index,
+            interval_ps: self.hook.spec.interval.as_ps(),
+            keys: self.reg.scalar_keys(),
+            ticks: Vec::new(),
+        })
     }
 
     pub(crate) fn snap(&self, w: &mut SnapWriter) {

@@ -12,14 +12,14 @@
 //! * `Timer` — an endpoint timer fired.
 //! * `FlowStart` — activate a flow's endpoints.
 //! * `RcpUpdate` — periodic per-link RCP rate computation.
-//! * `Sample` — periodic statistics sampling (flow throughput, queue depth).
 //! * `Fault` — a scheduled fault-injection event from an installed
 //!   [`FaultPlan`] fires (see [`crate::faults`]).
 //!
 //! Child modules: `lookahead` (the run loop's prefetch stage), `sampler`
-//! (the `Sample` event's state) and `snapshot` (`snapshot_into` /
-//! `restore_from`: the order of the layers' sections and the `Ev` codec —
-//! every layer serialises itself).
+//! (the figure series and the metrics ring: periodic observation that
+//! queues no event) and `snapshot` (`snapshot_into` / `restore_from`: the
+//! order of the layers' sections and the `Ev` codec — every layer
+//! serialises itself).
 
 use crate::arena::{FlowArena, FLAG_ABORTED, FLAG_DONE, FLAG_STALLED};
 use crate::config::{NetConfig, RoutingMode};
@@ -28,7 +28,7 @@ use crate::faults::{FaultKind, FaultPlan, FaultState, FAULT_RNG_SALT};
 use crate::health::{HealthReport, InvariantSpec, InvariantState};
 use crate::ids::{DLinkId, FlowId, HostId, NodeId, Side};
 use crate::ledger::{Ledger, LedgerEntry, LedgerReport};
-use crate::metrics::{FamSpec, MetricsState, SampleView};
+use crate::metrics::MetricsState;
 use crate::packet::{Packet, PktKind};
 use crate::port::{EgressPort, TxDecision};
 use crate::queue::{CreditQueue, DataQueue, EcnCfg, PhantomQueue};
@@ -39,7 +39,7 @@ use crate::topology::{LiveRoutes, Topology};
 use xpass_sim::checkpoint::{self, NetHook};
 use xpass_sim::event::EventQueue;
 use xpass_sim::metrics as sim_metrics;
-use xpass_sim::profile::{self, EngineReport};
+use xpass_sim::profile::EngineReport;
 use xpass_sim::rng::Rng;
 use xpass_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use xpass_sim::stats::TimeSeries;
@@ -85,7 +85,6 @@ enum Ev {
     RcpUpdate {
         dlink: DLinkId,
     },
-    Sample,
     Fault {
         kind: FaultKind,
     },
@@ -93,14 +92,13 @@ enum Ev {
 
 /// Stable names for the per-kind event counters in [`EngineReport`],
 /// indexed by [`ev_kind_idx`].
-const EV_KIND_NAMES: [&str; 8] = [
+const EV_KIND_NAMES: [&str; 7] = [
     "arrive",
     "port_wake",
     "host_rx",
     "timer",
     "flow_start",
     "rcp_update",
-    "sample",
     "fault",
 ];
 
@@ -112,8 +110,7 @@ fn ev_kind_idx(ev: &Ev) -> usize {
         Ev::Timer { .. } => 3,
         Ev::FlowStart { .. } => 4,
         Ev::RcpUpdate { .. } => 5,
-        Ev::Sample => 6,
-        Ev::Fault { .. } => 7,
+        Ev::Fault { .. } => 6,
     }
 }
 
@@ -302,9 +299,9 @@ pub struct Network {
     /// contract — observation-only, never touches RNG or event order).
     ledger: Option<Ledger>,
     /// Hang/livelock watchdog; `None` unless installed. Checked after every
-    /// handled event inside the run loops.
+    /// handled event inside the run loop.
     watchdog: Option<Watchdog>,
-    /// Diagnostic report of the first watchdog trip; the run loops refuse
+    /// Diagnostic report of the first watchdog trip; the run loop refuses
     /// to continue once set.
     watchdog_report: Option<WatchdogReport>,
     /// Driver-set phase label surfaced in watchdog reports.
@@ -314,24 +311,17 @@ pub struct Network {
     /// case. Drives periodic snapshot writes and the one-shot resume
     /// overlay at the recorded run call.
     ckpt: Option<NetHook>,
-    /// Live metrics state; `None` unless a metrics context is installed on
-    /// this thread (see [`xpass_sim::metrics`]). Sampling is
-    /// boundary-checked in the run loops, observation-only (never touches
-    /// the RNG or event queue), and every hook is gated on `is_some()`, so
-    /// metrics-off runs are byte-identical — and metrics-on runs produce
-    /// identical simulation results to metrics-off ones.
-    metrics: Option<Box<MetricsState>>,
-    /// The next sample boundary, cached out of `metrics` so the run loops'
-    /// per-event check is one compare (meaningless without metrics).
-    metrics_next: SimTime,
     /// Events handled per kind (indexed by [`ev_kind_idx`]); always on —
     /// plain counters that cannot affect simulation state.
-    ev_counts: [u64; 8],
-    /// Wall-clock seconds accumulated inside the run loops (reporting only).
+    ev_counts: [u64; 7],
+    /// Wall-clock seconds accumulated inside the run loop (reporting only).
     wall_secs: f64,
     /// Global counters.
     counters: Counters,
-    /// Periodic statistics sampling (tracked flows and ports).
+    /// Periodic observation: the tracked flows' and ports' series, and the
+    /// live metrics ring when a metrics context is installed on this
+    /// thread. Observation-only — it never touches the RNG or queues an
+    /// event — so sampled runs produce the results of unsampled ones.
     sampler: Sampler,
 }
 
@@ -416,12 +406,10 @@ impl Network {
             watchdog_report: None,
             phase: "run",
             ckpt: checkpoint::register_network(),
-            metrics: sim_metrics::register().map(|h| Box::new(MetricsState::new(h))),
-            metrics_next: SimTime::ZERO,
-            ev_counts: [0; 8],
+            ev_counts: [0; 7],
             wall_secs: 0.0,
             counters: Counters::default(),
-            sampler: Sampler::default(),
+            sampler: Sampler::new(sim_metrics::register().map(|h| Box::new(MetricsState::new(h)))),
         }
     }
 
@@ -489,7 +477,7 @@ impl Network {
             "retire_flow on unsettled flow {flow}"
         );
         // Keep `completed + aborted` counting live flows only, so the
-        // run-until-done loops' settle condition stays exact.
+        // run loop's settle condition stays exact.
         if self.arena.is_done(flow) {
             self.completed -= 1;
         } else {
@@ -661,7 +649,7 @@ impl Network {
     }
 
     /// Arm a hang/livelock watchdog (see [`xpass_sim::watchdog`]). The run
-    /// loops observe it after every handled event and abort on the first
+    /// loop observes it after every handled event and aborts on the first
     /// exceeded budget, leaving a diagnostic in
     /// [`watchdog_report`](Self::watchdog_report). Replaces any previous
     /// watchdog and clears a previous trip.
@@ -684,7 +672,7 @@ impl Network {
 
     /// Engine profile of the run so far: events per kind, peak heap depth,
     /// and wall-clock throughput. Wall time is measured around the run
-    /// loops and never feeds back into the simulation.
+    /// loop and never feeds back into the simulation.
     pub fn engine_report(&self) -> EngineReport {
         EngineReport {
             events_processed: self.events.events_processed(),
@@ -698,10 +686,6 @@ impl Network {
             sim_secs: self.now.as_secs_f64(),
             scheduler: self.events.scheduler().name(),
             bucket_bits: self.events.bucket_bits(),
-            // Spans are attributed per harness thread, not per network;
-            // the metrics publisher overlays them (keeping this report —
-            // and any stdout derived from it — independent of profiling).
-            spans: Vec::new(),
         }
     }
 
@@ -715,9 +699,8 @@ impl Network {
     /// Enable periodic sampling with this interval (required before
     /// [`track_flow`](Self::track_flow) / [`track_port`](Self::track_port)).
     pub fn set_sample_interval(&mut self, interval: Dur) {
-        if self.sampler.set_interval(interval) {
-            self.events.push(self.now + interval, Ev::Sample);
-        }
+        self.sampler
+            .set_interval(interval, self.now, &mut self.events);
     }
 
     /// Record this flow's delivered throughput (Gbps) every sample interval.
@@ -761,18 +744,19 @@ impl Network {
             return self.now; // a previous trip already aborted this run
         }
         let wall = std::time::Instant::now();
-        let sim_start = self.now;
         let mut last_done = self.now;
         let end = loop {
             if until_settled && self.completed + self.aborted >= self.arena.live_count() {
                 break last_done;
             }
             let Some((et, ev)) = self.events.pop_before(limit) else {
-                if until_settled && self.events.is_empty() {
+                // A pending series point holds a queue position, and keeps
+                // the run going to `limit` as a queued event would.
+                if until_settled && self.events.is_empty() && !self.sampler.is_pending() {
                     break last_done;
                 }
-                if self.metrics.is_some() {
-                    self.metrics_advance_to(limit);
+                if limit >= self.sampler.next_due {
+                    self.sample_due(limit, true);
                 }
                 // After a resume overlay `now` may already be past `limit`;
                 // never rewind simulation time.
@@ -784,8 +768,11 @@ impl Network {
                 self.events.advance_to(limit);
                 break limit;
             };
-            if self.metrics.is_some() {
-                self.metrics_tick(et);
+            if et >= self.sampler.next_due {
+                self.sample_due(et, false);
+            }
+            if self.events.events_processed() & WALL_CHECK_MASK == 0 {
+                self.publish_metrics(false);
             }
             self.prefetch_ahead();
             self.now = et;
@@ -802,10 +789,7 @@ impl Network {
             }
         };
         self.wall_secs += wall.elapsed().as_secs_f64();
-        profile::add_sim(self.now.since(sim_start));
-        if self.metrics.is_some() {
-            self.metrics_publish(true);
-        }
+        self.publish_metrics(true);
         end
     }
 
@@ -852,182 +836,6 @@ impl Network {
         self.snapshot_into(&mut w);
         hook.write(self.now, &w.into_body());
         self.ckpt = Some(hook);
-    }
-
-    // ----- live metrics ------------------------------------------------------
-
-    /// The static facts the sampled metric families are built from; only
-    /// meaningful once monitors (ledger, watchdog) are installed.
-    fn metrics_fam_spec(&self) -> FamSpec<'_> {
-        FamSpec {
-            ports: &self.ports,
-            has_ledger: self.ledger.is_some(),
-            watchdog_max_events: self.watchdog.as_ref().and_then(|w| w.spec().max_events),
-        }
-    }
-
-    /// Flows started at `t` and not yet settled, and how many of those
-    /// are currently marked stalled.
-    fn metrics_flow_counts(&self, t: SimTime) -> (u64, u64) {
-        let (mut active, mut stalled) = (0u64, 0u64);
-        for f in self.arena.live_ids() {
-            let flags = self.arena.flags(f);
-            if flags & (FLAG_DONE | FLAG_ABORTED) == 0 && self.arena.info(f).start <= t {
-                active += 1;
-                if flags & FLAG_STALLED != 0 {
-                    stalled += 1;
-                }
-            }
-        }
-        (active, stalled)
-    }
-
-    /// Ledger fate totals, in the order the `xpass_ledger_pkts` family
-    /// registers them; `None` without a ledger.
-    fn metrics_ledger_fates(&self) -> Option<[(&'static str, u64); 8]> {
-        self.ledger.as_ref()?;
-        let lr = self.ledger_report();
-        Some([
-            ("emitted", lr.emitted.pkts),
-            ("delivered", lr.delivered.pkts),
-            ("queue_dropped", lr.queue_dropped.pkts),
-            ("fault_lost", lr.fault_lost.pkts),
-            ("corrupted", lr.corrupted.pkts),
-            ("in_flight", lr.in_flight.pkts),
-            ("queued", lr.queued.pkts),
-            ("stashed", lr.stashed.pkts),
-        ])
-    }
-
-    /// The signals one metrics row is built from, as of instant `t`.
-    fn metrics_sample_view<'a>(
-        &'a self,
-        t: SimTime,
-        fates: Option<&'a [(&'static str, u64)]>,
-    ) -> SampleView<'a> {
-        let (active, stalled) = self.metrics_flow_counts(t);
-        SampleView {
-            t,
-            ports: &self.ports,
-            flows_total: self.arena.live_count() as u64,
-            flows_active: active,
-            flows_stalled: stalled,
-            flows_completed: self.completed as u64,
-            flows_aborted: self.aborted as u64,
-            counters: &self.counters,
-            events_processed: self.events.events_processed(),
-            ledger: fates,
-            watchdog_events: self.watchdog.as_ref().map(|w| w.events_observed()),
-        }
-    }
-
-    /// The run loops' per-event metrics work: one compare against the
-    /// cached next sample boundary, and — on the event-count cadence the
-    /// watchdog reads the wall clock at — the throttled publish check.
-    /// Only called with metrics installed.
-    #[inline]
-    fn metrics_tick(&mut self, et: SimTime) {
-        if et >= self.metrics_next {
-            // Record every sample boundary ≤ et using the state strictly
-            // before the events at that instant.
-            self.metrics_advance_to(et);
-        }
-        if self.events.events_processed() & WALL_CHECK_MASK == 0 {
-            self.metrics_publish(false);
-        }
-    }
-
-    /// Record every sample boundary `k·interval ≤ limit` that has not
-    /// been recorded yet, using the current (pre-`limit`-events) state.
-    /// Observation-only: no events scheduled, no RNG draws. Only called
-    /// with metrics installed.
-    fn metrics_advance_to(&mut self, limit: SimTime) {
-        let mut m = self.metrics.take().expect("metrics advance without state");
-        while m.next_boundary() <= limit {
-            m.ensure_families(&self.metrics_fam_spec());
-            let t = m.next_boundary();
-            let fates = self.metrics_ledger_fates();
-            let view = self.metrics_sample_view(t, fates.as_ref().map(|f| f.as_slice()));
-            m.sample(&view);
-            if m.heartbeat_due(t) {
-                let wall = m.wall_elapsed();
-                let events = view.events_processed;
-                let eps = if wall > 0.0 {
-                    events as f64 / wall
-                } else {
-                    0.0
-                };
-                let done = self.completed + self.aborted;
-                let total = self.arena.live_count();
-                let eta = if done > 0 && total > done {
-                    format!("{:.1}s", wall * (total - done) as f64 / done as f64)
-                } else {
-                    "?".to_string()
-                };
-                eprintln!(
-                    "xpass-repro: [{}] t={:.3}s events={events} ({eps:.0}/s) \
-                     flows {done}/{total} active={} eta={eta}",
-                    m.plane_key(),
-                    t.as_secs_f64(),
-                    view.flows_active,
-                );
-            }
-        }
-        self.metrics_next = m.next_boundary();
-        self.metrics = Some(m);
-    }
-
-    /// Publish the current views to the metrics plane — wall-throttled
-    /// unless `force` (the run loops force one at every exit, so the last
-    /// scrape always matches the end-of-run reports). A throttled publish
-    /// always refreshes the progress row but renders the text views only
-    /// when a reader touched the plane since the previous publish. Only
-    /// called with metrics installed.
-    fn metrics_publish(&mut self, force: bool) {
-        let mut m = self.metrics.take().expect("metrics publish without state");
-        if m.publish_due(force) {
-            let wall = m.wall_elapsed();
-            let fates = if force {
-                self.metrics_ledger_fates()
-            } else {
-                None
-            };
-            let view = self.metrics_sample_view(self.now, fates.as_ref().map(|f| f.as_slice()));
-            let progress = sim_metrics::Progress {
-                sim_secs: self.now.as_secs_f64(),
-                events: view.events_processed,
-                events_per_sec: if wall > 0.0 {
-                    view.events_processed as f64 / wall
-                } else {
-                    0.0
-                },
-                flows_total: view.flows_total,
-                flows_active: view.flows_active,
-                flows_completed: view.flows_completed,
-                flows_aborted: view.flows_aborted,
-            };
-            if force {
-                // Run-call exit: bring the instantaneous gauges up to the
-                // final state so the last scrape matches the reports.
-                m.refresh_final(&view);
-            }
-            if m.wants_text(force) {
-                let health = self.health_report().to_json().to_string();
-                m.publish(self.engine_report(), health, progress, force);
-            } else {
-                m.publish_progress(progress);
-            }
-        }
-        self.metrics = Some(m);
-    }
-
-    /// Count one credit feedback-loop rate update (no-op without metrics;
-    /// called unconditionally by endpoints through `Ctx`).
-    #[inline]
-    pub(crate) fn metrics_note_feedback(&mut self) {
-        if let Some(m) = self.metrics.as_mut() {
-            m.note_feedback_update();
-        }
     }
 
     /// Observe one handled event on the installed watchdog; on a trip,
@@ -1391,7 +1199,7 @@ impl Network {
             self.arena.set_fct(flow, fct);
             self.completed += 1;
             self.pending.push(Pending::Completed(flow));
-            if let Some(m) = self.metrics.as_mut() {
+            if let Some(m) = self.sampler.metrics.as_mut() {
                 m.observe_fct(fct.as_secs_f64());
             }
             if self.trace.is_some() {
@@ -1497,7 +1305,6 @@ impl Network {
                     self.events.push(self.now + next, Ev::RcpUpdate { dlink });
                 }
             }
-            Ev::Sample => self.on_sample(),
             Ev::Fault { kind } => self.apply_fault(kind),
         }
     }
@@ -1796,7 +1603,7 @@ impl Network {
                                 inv.on_switch_data_drop(now, dlink.0, bytes)
                             };
                             if let Some(ev) = violation {
-                                if let Some(m) = self.metrics.as_mut() {
+                                if let Some(m) = self.sampler.metrics.as_mut() {
                                     m.note_health_violation();
                                 }
                                 if let Some(sink) = self.trace.as_mut() {
@@ -1931,16 +1738,6 @@ impl Network {
             }
         }
         self.controller = Some(c);
-    }
-
-    fn on_sample(&mut self) {
-        // Keep sampling while work remains; stop once everything settled
-        // so `run_until_done` terminates.
-        let work_remains = self.completed + self.aborted < self.arena.live_count();
-        let sampler = &mut self.sampler;
-        if let Some(at) = sampler.on_sample(self.now, &self.arena, &self.ports, work_remains) {
-            self.events.push(at, Ev::Sample);
-        }
     }
 }
 
@@ -2159,6 +1956,9 @@ mod tests {
     /// time and kind name.
     fn step(net: &mut Network) -> (SimTime, &'static str) {
         let (t, ev) = net.events.pop().expect("an event is queued");
+        if t >= net.sampler.next_due {
+            net.sample_due(t, false);
+        }
         net.now = t;
         let kind = EV_KIND_NAMES[ev_kind_idx(&ev)];
         net.handle(ev);
@@ -2171,6 +1971,12 @@ mod tests {
         let mut p = Packet::new(FlowId(0), HostId(0), HostId(1), PktKind::Data, 1538);
         p.payload = 1460;
         p
+    }
+
+    /// An event that does nothing when handled: an RCP update of a port
+    /// without RCP state. A marker of a queue position.
+    fn marker(dlink: DLinkId) -> Ev {
+        Ev::RcpUpdate { dlink }
     }
 
     /// [`probe_net`] with `data_pkt` put on host 0's uplink and its wake
@@ -2218,7 +2024,7 @@ mod tests {
     fn packet_arriving_mid_serialization_fills_the_reserved_position() {
         let (mut net, up, done) = net_mid_transmission();
         // Pushed at `done` after the reservation: must pop after the wake.
-        net.events.push(done, Ev::Sample);
+        net.events.push(done, marker(up));
         net.now = SimTime(done.0 / 2);
         net.enqueue_at(up, data_pkt());
         assert_eq!(deferred(&net, up), None, "materialised");
@@ -2227,7 +2033,7 @@ mod tests {
             net.ports[up.0 as usize].is_busy(done),
             "the wake at `done` sent the second packet"
         );
-        assert_eq!(step(&mut net), (done, "sample"));
+        assert_eq!(step(&mut net), (done, "rcp_update"));
     }
 
     #[test]
@@ -2238,11 +2044,11 @@ mod tests {
         let mut net = probe_net(Rc::new(RefCell::new(Vec::new())));
         let up = net.topo.host_uplink[0];
         let done = SimTime::ZERO + tx_time(1538, G10);
-        net.events.push(done, Ev::Sample);
+        net.events.push(done, marker(up));
         net.enqueue_at(up, data_pkt());
         assert_eq!(step(&mut net), (SimTime::ZERO, "port_wake"));
         assert_eq!(net.ports[up.0 as usize].tx_done_at(), done);
-        assert_eq!(step(&mut net), (done, "sample"));
+        assert_eq!(step(&mut net), (done, "rcp_update"));
         net.enqueue_at(up, data_pkt());
         assert_eq!(deferred(&net, up), None);
         assert_eq!(step(&mut net), (done, "port_wake"));
@@ -2258,8 +2064,8 @@ mod tests {
         // after the transmission began): the eager wake has been and gone,
         // finding nothing — nothing is materialised, the now-wake sends.
         let (mut net, up, done) = net_mid_transmission();
-        net.events.push(done, Ev::Sample);
-        assert_eq!(step(&mut net), (done, "sample"));
+        net.events.push(done, marker(up));
+        assert_eq!(step(&mut net), (done, "rcp_update"));
         let queued = net.events.len();
         net.enqueue_at(up, data_pkt());
         assert_eq!(deferred(&net, up), None, "a position gone by is dropped");
@@ -2283,10 +2089,10 @@ mod tests {
         let mut twin = probe_net(Rc::new(RefCell::new(Vec::new())));
         twin.restore_from(&w.into_body()).expect("twin restore");
         for mut net in [net, twin] {
-            net.events.push(done, Ev::Sample);
+            net.events.push(done, marker(up));
             net.enqueue_at(up, data_pkt());
             assert_eq!(deferred(&net, up), None);
-            assert_eq!(step(&mut net), (done, "sample"));
+            assert_eq!(step(&mut net), (done, "rcp_update"));
             assert_eq!(step(&mut net), (done, "port_wake"));
             assert!(net.ports[up.0 as usize].is_busy(done));
         }
@@ -2362,6 +2168,65 @@ mod tests {
         assert!(net.flow_series(f).is_some());
         assert!(net.port_series(DLinkId(0)).is_some());
         assert!(!net.port_series(DLinkId(0)).unwrap().samples.is_empty());
+    }
+
+    /// A delivery of `bytes` to host 1 for `flow`.
+    fn rx_pkt(flow: FlowId, bytes: u32) -> Ev {
+        let mut pkt = Packet::new(flow, HostId(0), HostId(1), PktKind::Data, bytes + 78);
+        pkt.payload = bytes;
+        Ev::HostRx { pkt }
+    }
+
+    #[test]
+    fn a_series_point_sees_the_events_ahead_of_its_position_only() {
+        // Two deliveries at the sample instant: one queued before the
+        // interval was set (ahead of the point's position), one after
+        // (behind it). The point counts the first and not the second — a
+        // metrics boundary at the same instant would count neither.
+        let mut net = probe_net(Rc::new(RefCell::new(Vec::new())));
+        let f = net.add_flow(HostId(0), HostId(1), 1 << 30, SimTime::ZERO + Dur::ms(1));
+        let at = SimTime::ZERO + Dur::us(10);
+        net.events.push(at, rx_pkt(f, 1000));
+        net.set_sample_interval(Dur::us(10));
+        net.track_flow(f);
+        net.events.push(at, rx_pkt(f, 500));
+        assert_eq!(step(&mut net), (at, "host_rx"));
+        assert!(net.flow_series(f).unwrap().samples.is_empty());
+        assert_eq!(step(&mut net), (at, "host_rx"));
+        assert_eq!(net.delivered_bytes(f), 1500);
+        let gbps = 1000.0 * 8.0 / Dur::us(10).as_secs_f64() / 1e9;
+        assert_eq!(net.flow_series(f).unwrap().samples, vec![(at, gbps)]);
+    }
+
+    #[test]
+    fn run_until_done_runs_on_to_the_cap_while_a_point_is_pending() {
+        // The flow can never finish and its events drain early; the queue
+        // runs dry with a series point pending. The run still ends at the
+        // cap, with every point up to it recorded — as when a queued sample
+        // event kept the queue going — while an untracked twin stops at
+        // its last event.
+        let cap = SimTime::ZERO + Dur::ms(1);
+        let run = |tracked: bool| {
+            let mut net = probe_net(Rc::new(RefCell::new(Vec::new())));
+            let f = net.add_flow(HostId(0), HostId(1), 1 << 30, SimTime::ZERO);
+            if tracked {
+                net.set_sample_interval(Dur::us(100));
+                net.track_flow(f);
+            }
+            let end = net.run_until_done(cap);
+            assert!(net.events.is_empty());
+            (net, f, end)
+        };
+        let (net, f, end) = run(true);
+        assert_eq!((end, net.now()), (cap, cap));
+        let points = &net.flow_series(f).unwrap().samples;
+        assert_eq!(points.len(), 10);
+        assert_eq!(points.last().unwrap().0, cap);
+        let (twin, _, end) = run(false);
+        assert_eq!(end, SimTime::ZERO, "no flow settled");
+        assert!(twin.now() < cap);
+        let (a, b) = (net.engine_report(), twin.engine_report());
+        assert_eq!(a.events_by_kind, b.events_by_kind);
     }
 
     #[test]

@@ -54,7 +54,6 @@ impl Ev {
                 w.u8(5);
                 w.u32(dlink.0);
             }
-            Ev::Sample => w.u8(6),
             Ev::Fault { kind } => {
                 w.u8(7);
                 kind.snap(w);
@@ -93,11 +92,10 @@ impl Ev {
             5 => Ev::RcpUpdate {
                 dlink: DLinkId(r.u32()?),
             },
-            6 => Ev::Sample,
             7 => Ev::Fault {
                 kind: FaultKind::from_snap(r)?,
             },
-            t => return Err(r.err(format!("invalid event tag: expected 0–7, found {t}"))),
+            t => return Err(r.err(format!("invalid event tag: expected 0–5 or 7, found {t}"))),
         })
     }
 }
@@ -135,7 +133,7 @@ fn optional<T: ?Sized>(
 
 impl Network {
     /// Serialize the network's complete *dynamic* state as an
-    /// `xpass-snap/v2` body, one section per layer. Static configuration —
+    /// `xpass-snap/v3` body, one section per layer. Static configuration —
     /// topology, [`NetConfig`](crate::config::NetConfig), endpoint factory,
     /// installed monitor specs — is not written: a restore overlays onto a
     /// freshly built network whose deterministic setup already re-created
@@ -160,14 +158,16 @@ impl Network {
         w.opt(self.invariants.as_ref(), |w, st| st.snap(w));
         w.opt(self.ledger.as_ref(), |w, l| l.snap(w));
         w.opt(self.watchdog.as_ref(), |w, wd| wd.snap(w));
-        for c in &self.ev_counts {
+        // One count per event tag; the retired tag 6 keeps its slot.
+        let (before, fault) = self.ev_counts.split_at(6);
+        for c in before.iter().chain(&[0]).chain(fault) {
             w.u64(*c);
         }
         self.counters.snap(w);
         self.sampler.snap(w);
         // Metrics state rides along so a resumed run emits exactly the
         // series an uninterrupted one would (same boundaries, same ring).
-        w.opt(self.metrics.as_deref(), |w, m| m.snap(w));
+        w.opt(self.sampler.metrics.as_deref(), |w, m| m.snap(w));
     }
 
     /// Overlay a snapshot body written by [`snapshot_into`](Self::snapshot_into)
@@ -216,22 +216,23 @@ impl Network {
         optional(r, "ledger", self.ledger.as_mut(), |l, r| l.restore(r))?;
         optional(r, "watchdog", self.watchdog.as_mut(), |wd, r| wd.restore(r))?;
         r.within("counters", |r| {
-            for c in &mut self.ev_counts {
+            let (before, fault) = self.ev_counts.split_at_mut(6);
+            for c in before {
                 *c = r.u64()?;
             }
+            r.u64()?; // the retired tag 6
+            fault[0] = r.u64()?;
             self.counters.restore(r)
         })?;
         r.within("sampler", |r| self.sampler.restore(r))?;
         // Taken out so the restore can re-register the sampled families
         // against `&self` without aliasing.
-        let mut m = self.metrics.take();
+        let mut m = self.sampler.metrics.take();
         let restored = optional(r, "metrics", m.as_deref_mut(), |m, r| {
-            m.restore(r, &self.metrics_fam_spec())
+            m.restore(r, &self.fam_spec())
         });
-        if let Some(m) = m.as_deref() {
-            self.metrics_next = m.next_boundary();
-        }
-        self.metrics = m;
+        self.sampler.metrics = m;
+        self.sampler.rearm();
         restored?;
         // Still inside the "network" context: a trailing-garbage error must
         // name where it was detected.

@@ -439,9 +439,9 @@ impl<E> EventQueue<E> {
         // Which reserved positions are still ahead must survive a resume.
         w.u64(self.horizon.0 .0);
         w.u64(self.horizon.1);
-        // Reserved: two always-empty `u64` sequences that keep the
-        // `xpass-snap/v2` layout; they leave the format at its next
-        // version bump.
+        // Reserved: two always-empty `u64` sequences, where the retired
+        // cancel sets were. Kept in v3 so that the body of a network that
+        // tracks nothing is byte for byte its v2 body.
         w.usize(0);
         w.usize(0);
     }

@@ -30,8 +30,7 @@
 //!   [`trace::TraceSink`]s (ring buffer, JSONL file); zero-cost when no
 //!   sink is installed.
 //! * [`profile`] — [`profile::EngineReport`] summarizing engine activity
-//!   (events per kind, peak heap depth, wall-clock events/sec), plus a
-//!   thread-scoped nested span profiler with wall + sim-time attribution.
+//!   (events per kind, peak heap depth, wall-clock events/sec).
 //! * [`metrics`] — live metrics plane: counter/gauge/histogram registry
 //!   with interned labels, a sim-time sampler ring, the
 //!   `xpass-metrics/v1` JSONL series format, Prometheus-style text

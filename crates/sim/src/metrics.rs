@@ -24,7 +24,6 @@
 //! results as a metrics-off run.
 
 use crate::json::{self, Json};
-use crate::profile::SpanRecord;
 use crate::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::time::Dur;
 use std::cell::RefCell;
@@ -520,13 +519,17 @@ pub fn encode_jsonl(d: &SeriesDump) -> String {
         .with("series", Json::Arr(d.keys.iter().map(Json::str).collect()));
     let mut out = format!("{header}\n");
     for (t, row) in &d.ticks {
-        let line = Json::obj()
-            .with("t_ps", Json::num_u64(*t))
-            .with("v", Json::Arr(row.iter().map(|v| Json::Num(*v)).collect()));
-        out.push_str(&line.to_string());
+        out.push_str(&jsonl_row(Json::obj(), *t, row).to_string());
         out.push('\n');
     }
     out
+}
+
+/// One tick of an `xpass-metrics/v1` block: `lead` (an empty object for a
+/// block's row lines) with `t_ps` and `v` appended.
+pub fn jsonl_row(lead: Json, t_ps: u64, row: &[f64]) -> Json {
+    lead.with("t_ps", Json::num_u64(t_ps))
+        .with("v", Json::Arr(row.iter().map(|v| Json::Num(*v)).collect()))
 }
 
 /// Decode an `xpass-metrics/v1` JSONL stream (one or more concatenated
@@ -797,7 +800,7 @@ pub struct JobView {
 }
 
 /// Minimum wall time between a network's plane publications during a
-/// run; exits from the run loops force one regardless.
+/// run; every run call's exit forces one regardless.
 pub const PUBLISH_EVERY: Duration = Duration::from_millis(25);
 
 /// What the plane holds under its lock.
@@ -981,44 +984,6 @@ impl Plane {
         out
     }
 
-    /// Attach a finished job's profiler spans to its first published view
-    /// (in key order): any span samples a mid-run publish appended are
-    /// replaced, the complete set is appended to that view's exposition,
-    /// and the spans are spliced into its engine-report JSON. The driver
-    /// calls this after a job's run returns — the outermost span guards
-    /// close only *after* the last in-run publish, so the final spans can
-    /// never ride an in-run publication.
-    pub fn attach_spans(&self, job: &str, spans: &[SpanRecord]) {
-        if spans.is_empty() {
-            return;
-        }
-        let mut views = self.views();
-        let Some(view) = views
-            .jobs
-            .iter_mut()
-            .find(|(k, _)| k.split(['#', '/']).next() == Some(job))
-            .map(|(_, v)| v)
-        else {
-            return;
-        };
-        // Span samples are always the trailing block of an exposition.
-        if let Some(at) = view.exposition.find("# HELP xpass_span_wall_seconds") {
-            view.exposition.truncate(at);
-        }
-        view.exposition
-            .push_str(&render_span_samples(spans, &[("job", job)]));
-        if let Ok(mut eng) = json::parse(&view.engine) {
-            if let Json::Obj(pairs) = &mut eng {
-                pairs.retain(|(k, _)| k != "spans");
-            }
-            eng.set(
-                "spans",
-                Json::Arr(spans.iter().map(|s| s.to_json()).collect()),
-            );
-            view.engine = eng.to_string();
-        }
-    }
-
     /// Snapshot of all published progress rows (for heartbeats/tests).
     pub fn progress_rows(&self) -> Vec<(String, Progress)> {
         self.views()
@@ -1042,40 +1007,6 @@ fn render_json_map(jobs: &BTreeMap<String, JobView>, f: impl Fn(&JobView) -> Str
         out.push_str(&f(v));
     }
     out.push_str("}}");
-    out
-}
-
-/// Render profiler spans as Prometheus gauge samples (wall + sim seconds
-/// per span path), with `extra` labels baked in. Span samples ride only
-/// the live exposition — never the sampled ring.
-pub fn render_span_samples(spans: &[SpanRecord], extra: &[(&str, &str)]) -> String {
-    let mut out = String::new();
-    for (name, help, pick) in [
-        (
-            "xpass_span_wall_seconds",
-            "wall-clock time inside each profiler span",
-            0,
-        ),
-        (
-            "xpass_span_sim_seconds",
-            "simulated time attributed to each profiler span",
-            1,
-        ),
-    ] {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-        for s in spans {
-            out.push_str(name);
-            out.push('{');
-            for (k, v) in extra {
-                out.push_str(&format!("{k}=\"{v}\","));
-            }
-            out.push_str(&format!(
-                "span=\"{}\"}} {}\n",
-                s.path,
-                fmt_f64(if pick == 0 { s.wall_secs } else { s.sim_secs })
-            ));
-        }
-    }
     out
 }
 

@@ -1,24 +1,14 @@
-//! Engine profiling: what the discrete-event kernel did and how fast,
-//! plus a nested span profiler for harness phases.
+//! Engine profiling: what the discrete-event kernel did and how fast.
 //!
 //! The network layer fills in an [`EngineReport`] at the end of a run:
 //! events processed broken down by kind, the deepest the event heap got,
 //! and wall-clock throughput. The wall-clock figures are measured outside
 //! the simulation (they never feed back into it), so profiling does not
-//! perturb determinism.
-//!
-//! The **span profiler** is thread-scoped like tracing and metrics: when
-//! installed ([`install_profiler`]), [`span`] opens a named nested span
-//! whose guard accumulates wall time on drop, and the engine attributes
-//! simulated time to the innermost open span via [`add_sim`]. When no
-//! profiler is installed every call is a no-op, so instrumented code paths
-//! cost one thread-local check. Collected [`SpanRecord`]s feed
-//! [`EngineReport::spans`] and the `/metrics` exposition.
+//! perturb determinism. Where the time goes layer by layer is the repo
+//! benchmark's job (`benchmark/`): it times the layers from outside, so
+//! nothing in the engine is instrumented for it.
 
 use crate::json::Json;
-use crate::time::Dur;
-use std::cell::RefCell;
-use std::time::Instant;
 
 /// A summary of one simulation run's engine activity.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -38,10 +28,6 @@ pub struct EngineReport {
     /// The calendar's adaptive bucket width (log2 ps) at report time;
     /// `None` under the heap scheduler.
     pub bucket_bits: Option<u32>,
-    /// Profiler spans closed so far on this thread (empty unless a span
-    /// profiler is installed; omitted from JSON when empty so default
-    /// reports are unchanged).
-    pub spans: Vec<SpanRecord>,
 }
 
 impl EngineReport {
@@ -71,169 +57,8 @@ impl EngineReport {
         if let Some(bits) = self.bucket_bits {
             j.set("bucket_bits", Json::num_u64(bits as u64));
         }
-        if !self.spans.is_empty() {
-            j.set(
-                "spans",
-                Json::Arr(self.spans.iter().map(SpanRecord::to_json).collect()),
-            );
-        }
         j
     }
-}
-
-// ---------------------------------------------------------------------------
-// Span profiler
-// ---------------------------------------------------------------------------
-
-/// One closed profiler span, aggregated over all its invocations.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SpanRecord {
-    /// `/`-joined nesting path, e.g. `fig10/run/net`.
-    pub path: String,
-    /// Times a span with this path opened.
-    pub calls: u64,
-    /// Wall-clock seconds spent inside (including nested spans).
-    pub wall_secs: f64,
-    /// Simulated seconds attributed while this span was innermost.
-    pub sim_secs: f64,
-}
-
-impl SpanRecord {
-    /// Render as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("path", Json::str(&*self.path))
-            .with("calls", Json::num_u64(self.calls))
-            .with("wall_secs", Json::Num(self.wall_secs))
-            .with("sim_secs", Json::Num(self.sim_secs))
-    }
-}
-
-struct Profiler {
-    /// Open span stack: (name, start, sim attributed to this frame).
-    open: Vec<(String, Instant, f64)>,
-    /// Closed records keyed by path, in first-open order.
-    closed: Vec<SpanRecord>,
-}
-
-impl Profiler {
-    fn record(&mut self, path: String, wall_secs: f64, sim_secs: f64) {
-        if let Some(r) = self.closed.iter_mut().find(|r| r.path == path) {
-            r.calls += 1;
-            r.wall_secs += wall_secs;
-            r.sim_secs += sim_secs;
-        } else {
-            self.closed.push(SpanRecord {
-                path,
-                calls: 1,
-                wall_secs,
-                sim_secs,
-            });
-        }
-    }
-}
-
-thread_local! {
-    static PROFILER: RefCell<Option<Profiler>> = const { RefCell::new(None) };
-}
-
-/// Install a fresh span profiler on this thread (each worker installs its
-/// own; spans never cross threads).
-pub fn install_profiler() {
-    PROFILER.with(|p| {
-        *p.borrow_mut() = Some(Profiler {
-            open: Vec::new(),
-            closed: Vec::new(),
-        });
-    });
-}
-
-/// Remove this thread's profiler, discarding its records.
-pub fn clear_profiler() {
-    PROFILER.with(|p| *p.borrow_mut() = None);
-}
-
-/// True when a span profiler is installed on this thread.
-pub fn profiler_active() -> bool {
-    PROFILER.with(|p| p.borrow().is_some())
-}
-
-/// Guard for one open span; closing (dropping) it accumulates wall time
-/// into the span's record.
-#[must_use = "a span measures the scope holding its guard"]
-pub struct SpanGuard {
-    armed: bool,
-}
-
-/// Open a named span nested under the currently open spans. A no-op guard
-/// when no profiler is installed.
-pub fn span(name: &str) -> SpanGuard {
-    let armed = PROFILER.with(|p| {
-        if let Some(prof) = p.borrow_mut().as_mut() {
-            prof.open.push((name.to_string(), Instant::now(), 0.0));
-            true
-        } else {
-            false
-        }
-    });
-    SpanGuard { armed }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        PROFILER.with(|p| {
-            if let Some(prof) = p.borrow_mut().as_mut() {
-                if let Some((_, start, sim)) = prof.open.last() {
-                    let wall = start.elapsed().as_secs_f64();
-                    let sim = *sim;
-                    let path = prof
-                        .open
-                        .iter()
-                        .map(|(n, _, _)| n.as_str())
-                        .collect::<Vec<_>>()
-                        .join("/");
-                    prof.open.pop();
-                    prof.record(path, wall, sim);
-                }
-            }
-        });
-    }
-}
-
-/// Attribute simulated time to the innermost open span. Called by the
-/// engine's run loops once per call; a no-op without a profiler.
-#[inline]
-pub fn add_sim(d: Dur) {
-    PROFILER.with(|p| {
-        if let Some(prof) = p.borrow_mut().as_mut() {
-            if let Some((_, _, sim)) = prof.open.last_mut() {
-                *sim += d.as_secs_f64();
-            }
-        }
-    });
-}
-
-/// Snapshot the closed spans collected so far (non-draining).
-pub fn snapshot_spans() -> Vec<SpanRecord> {
-    PROFILER.with(|p| {
-        p.borrow()
-            .as_ref()
-            .map(|prof| prof.closed.clone())
-            .unwrap_or_default()
-    })
-}
-
-/// Drain and return the closed spans, leaving the profiler installed.
-pub fn take_spans() -> Vec<SpanRecord> {
-    PROFILER.with(|p| {
-        p.borrow_mut()
-            .as_mut()
-            .map(|prof| std::mem::take(&mut prof.closed))
-            .unwrap_or_default()
-    })
 }
 
 #[cfg(test)]
@@ -260,7 +85,6 @@ mod tests {
             sim_secs: 2.0,
             scheduler: "calendar",
             bucket_bits: Some(18),
-            spans: Vec::new(),
         };
         let j = json::parse(&r.to_json().to_string()).unwrap();
         assert_eq!(j.get("events_processed").unwrap().as_u64(), Some(12));
@@ -273,40 +97,5 @@ mod tests {
             Some(7)
         );
         assert_eq!(j.get("events_per_sec").unwrap().as_f64(), Some(24.0));
-        // Empty spans stay out of the JSON so default reports are stable.
-        assert!(j.get("spans").is_none());
-    }
-
-    #[test]
-    fn spans_nest_and_aggregate() {
-        clear_profiler();
-        {
-            let _off = span("ignored"); // no profiler installed: no-op
-        }
-        install_profiler();
-        for _ in 0..2 {
-            let _outer = span("exp");
-            add_sim(Dur::ms(1));
-            {
-                let _inner = span("run");
-                add_sim(Dur::ms(2));
-            }
-        }
-        let spans = snapshot_spans();
-        assert_eq!(spans.len(), 2);
-        let run = spans
-            .iter()
-            .find(|s| s.path == "exp/run")
-            .expect("run span");
-        assert_eq!(run.calls, 2);
-        assert!((run.sim_secs - 0.004).abs() < 1e-12);
-        let exp = spans.iter().find(|s| s.path == "exp").expect("exp span");
-        assert_eq!(exp.calls, 2);
-        assert!((exp.sim_secs - 0.002).abs() < 1e-12);
-        assert!(exp.wall_secs >= run.wall_secs);
-        let drained = take_spans();
-        assert_eq!(drained.len(), 2);
-        assert!(snapshot_spans().is_empty());
-        clear_profiler();
     }
 }

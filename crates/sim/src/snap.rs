@@ -1,4 +1,4 @@
-//! `xpass-snap/v2` — a versioned, zero-dependency binary snapshot format.
+//! `xpass-snap/v3` — a versioned, zero-dependency binary snapshot format.
 //!
 //! Snapshots make long runs durable: the engine can serialize its complete
 //! state mid-run, and a later process can restore it and continue with
@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //! 0       10    magic  b"xpass-snap"
-//! 10      4     version (u32 LE, currently 2)
+//! 10      4     version (u32 LE, currently 3)
 //! 14      4     CRC-32 (IEEE) of the body
 //! 18      8     body length (u64 LE)
 //! 26      ..    body
@@ -45,12 +45,14 @@ use std::path::Path;
 
 /// Magic bytes at offset 0 of every snapshot file.
 pub const MAGIC: [u8; 10] = *b"xpass-snap";
-/// Current format version. v2 (reserved queue positions): the event
-/// queue's horizon, each port's deferred wake and the window sender's
-/// carried RTO deadline joined the body; v1 files are refused with the
+/// Current format version. v3 (no sample events): the figure-series
+/// sampler holds a reserved queue position where a queued sample event
+/// used to be, and event tag 6 is retired. v2 (reserved queue positions)
+/// added the event queue's horizon, each port's deferred wake and the
+/// window sender's carried RTO deadline. Older files are refused with the
 /// version-mismatch error — a snapshot resumes the run that wrote it, and
-/// a v1 run's queue holds events a v2 run never pushes.
-pub const VERSION: u32 = 2;
+/// an older run's queue holds events this one never pushes.
+pub const VERSION: u32 = 3;
 /// Bytes of header before the body starts.
 pub const HEADER_LEN: usize = 10 + 4 + 4 + 8;
 
@@ -443,7 +445,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 // File envelope.
 // ---------------------------------------------------------------------------
 
-/// Wrap a body in the `xpass-snap/v2` envelope (magic, version, checksum,
+/// Wrap a body in the `xpass-snap/v3` envelope (magic, version, checksum,
 /// length).
 pub fn encode_file(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + body.len());
@@ -682,7 +684,7 @@ mod tests {
         let e = decode_file(&file).unwrap_err();
         assert_eq!(e.at, 10);
         assert!(
-            e.msg.contains("expected 2") && e.msg.contains("found 99"),
+            e.msg.contains("expected 3") && e.msg.contains("found 99"),
             "{e}"
         );
     }

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 /// The wall clock is consulted once every `WALL_CHECK_MASK + 1` observed
 /// events (must be a power of two minus one). Shared by every wall-clock
-/// reader on the run loops' per-event path — the watchdog's budget check
+/// reader on the run loop's per-event path — the watchdog's budget check
 /// here and the metrics plane's publish throttle — so that path never
 /// makes a clock syscall per event.
 pub const WALL_CHECK_MASK: u64 = 0xFFF;

@@ -88,7 +88,7 @@
 //! checkpoint is written, and the process exits 0.
 //!
 //! `--checkpoint-every <sim-ms> --checkpoint-dir <dir>` writes a
-//! `xpass-snap/v2` snapshot of every simulated network each `<sim-ms>`
+//! `xpass-snap/v3` snapshot of every simulated network each `<sim-ms>`
 //! milliseconds of *simulation* time (atomic write + rename, last few
 //! kept per network). A crashed job is retried once in-process from its
 //! latest snapshot; the failure summary names the snapshot so a killed
@@ -110,7 +110,6 @@ use xpass::sim::http;
 use xpass::sim::ingest::{self, IngestQueue};
 use xpass::sim::json::Json;
 use xpass::sim::metrics::{self, MetricsSpec, Plane};
-use xpass::sim::profile;
 use xpass::sim::signal;
 use xpass::sim::time::Dur;
 use xpass::sim::trace::{JsonlSink, TraceSink};
@@ -246,11 +245,9 @@ fn run_selected(
     let outputs = parallel::run_isolated_with(refs, jobs, scheduler, budget, policy, |_, e| {
         if metrics::active() {
             // Publish this job under its experiment name (must precede
-            // network creation) and attribute its phases to a root span.
+            // network creation).
             metrics::set_job(e.name());
-            profile::install_profiler();
         }
-        let _span = profile::span(e.name());
         if checkpoint::active() {
             // Stamp snapshot headers with this job's identity so `--resume`
             // can rebuild the exact run. Must precede network creation.
@@ -265,15 +262,7 @@ fn run_selected(
         } else {
             None
         };
-        let out = e.run(sink);
-        // The experiment span closes only now, after the network's final
-        // in-run publish — so the complete span set is attached to the
-        // job's published views here.
-        drop(_span);
-        if let Some(plane) = metrics::plane() {
-            plane.attach_spans(e.name(), &profile::take_spans());
-        }
-        out
+        e.run(sink)
     });
     let mut ok = true;
     let mut failures: Vec<String> = Vec::new();

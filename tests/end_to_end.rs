@@ -246,3 +246,46 @@ fn dctcp_queue_depth_follows_live_flows_not_acks() {
         "queue {peak_queue} deep for {peak_live} live flows"
     );
 }
+
+#[test]
+fn sampling_is_observation_only() {
+    // The figure series record their points at reserved queue positions
+    // and queue no event: a tracked network runs exactly the events of its
+    // untracked twin, under either scheduler.
+    use xpass::net::ids::{DLinkId, FlowId};
+    use xpass::sim::event::{set_thread_scheduler, SchedulerKind};
+
+    for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
+        set_thread_scheduler(kind);
+        let run = |tracked: bool| {
+            let topo = Topology::dumbbell(4, G10, Dur::us(2));
+            let mut net = Scheme::XPass(XPassConfig::aggressive()).build(topo, G10, 23);
+            for i in 0..4u32 {
+                net.add_flow(HostId(i), HostId(4 + i), 1_000_000, SimTime::ZERO);
+            }
+            if tracked {
+                net.set_sample_interval(Dur::us(20));
+                for f in 0..4 {
+                    net.track_flow(FlowId(f));
+                }
+                for d in 0..net.ports().len() as u32 {
+                    net.track_port(DLinkId(d));
+                }
+            }
+            net.run_until_done(SimTime::ZERO + Dur::secs(1));
+            assert_eq!(net.completed_count(), 4, "{kind:?}");
+            net
+        };
+        let (tracked, plain) = (run(true), run(false));
+        let points = tracked.flow_series(FlowId(0)).unwrap().samples.len();
+        assert!(points > 10, "{kind:?}: only {points} points");
+        assert_eq!(tracked.flow_records(), plain.flow_records(), "{kind:?}");
+        assert_eq!(tracked.counters(), plain.counters(), "{kind:?}");
+        assert_eq!(tracked.now(), plain.now(), "{kind:?}");
+        let (t, p) = (tracked.engine_report(), plain.engine_report());
+        assert_eq!(t.events_processed, p.events_processed, "{kind:?}");
+        assert_eq!(t.events_by_kind, p.events_by_kind, "{kind:?}");
+        assert_eq!(t.peak_queue_len, p.peak_queue_len, "{kind:?}");
+    }
+    set_thread_scheduler(SchedulerKind::default());
+}

@@ -366,10 +366,6 @@ fn serve_exposes_live_endpoints_and_final_scrape_matches() {
             .value
     };
     assert!(get("xpass_engine_events_total") > 0.0);
-    assert!(
-        samples.iter().any(|s| s.name == "xpass_span_wall_seconds"),
-        "span profiler samples missing from the exposition"
-    );
     assert!(samples
         .iter()
         .all(|s| s.labels.iter().any(|(k, v)| k == "job" && v == "fig10")));
@@ -403,7 +399,6 @@ fn serve_exposes_live_endpoints_and_final_scrape_matches() {
         eng.get("events_processed").unwrap().as_u64().unwrap(),
         "event counter disagrees with /engine"
     );
-    assert!(eng.get("spans").is_some(), "published engine reports spans");
 
     let (code, body) = http_get(&addr, "/health");
     assert_eq!(code, 200);
