@@ -357,9 +357,9 @@ pub struct ChaosSweep {
     pub violations: usize,
 }
 
-/// Run the sweep. The inner fan-out inherits the caller's thread-scoped
-/// scheduler kind and merges in input order, so the report is byte-stable
-/// for any scheduler/job configuration.
+/// Run the sweep. The inner fan-out inherits the scheduler kind of the
+/// caller's run context and merges in input order, so the report is
+/// byte-stable for any scheduler/job configuration.
 pub fn run(cfg: &Config) -> ChaosSweep {
     let scheduler = xpass_sim::event::thread_scheduler();
     let reports = parallel::run_indexed((0..cfg.n_seeds).collect(), cfg.jobs, scheduler, |_, k| {

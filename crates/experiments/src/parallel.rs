@@ -8,66 +8,23 @@
 //! is byte-identical for any `jobs` setting — thread scheduling can change
 //! only wall-clock time.
 //!
-//! Scheduler choice ([`SchedulerKind`]) is thread-scoped state in
-//! `xpass-sim`; the pool stamps the requested kind onto every worker (and
-//! onto the calling thread for the inline `jobs <= 1` path) so a run under
-//! `--scheduler heap --jobs 8` really does use the heap everywhere.
-//!
-//! The checkpoint ([`xpass_sim::checkpoint`]) and live-metrics
-//! ([`xpass_sim::metrics`]) runtimes are thread-scoped the same way: the
-//! pool captures the caller's contexts and installs the per-job child
-//! scope (`child_of(parent, i)`) around every job, on whichever thread
-//! happens to run it — so a `--jobs N` batch publishes per-job series and
-//! checkpoints under per-job directories. With no context installed — the
-//! default — this costs nothing. [`run_isolated`] additionally
-//! auto-resumes a panicked job once from its latest checkpoint.
+//! Each job runs in its own fork of the caller's
+//! [run context](xpass_sim::run_ctx): the pool enters `child(i)` of the
+//! caller's context, with the requested [`SchedulerKind`], around job `i`
+//! on whichever thread happens to run it, and puts the thread's previous
+//! context back when the job returns or unwinds. So a run under
+//! `--scheduler heap --jobs 8` uses the heap everywhere, and a `--jobs N`
+//! batch publishes per-job series and writes checkpoints under per-job
+//! directories. [`run_isolated`] additionally auto-resumes a panicked job
+//! once from its latest checkpoint.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use xpass_sim::checkpoint;
-use xpass_sim::event::{set_thread_scheduler, SchedulerKind};
-use xpass_sim::metrics;
-
-/// The caller's thread-scoped contexts, captured once per batch and
-/// re-installed (as per-job child scopes) around every job.
-struct ParentScopes {
-    ckpt: Option<checkpoint::Ctx>,
-    metrics: Option<metrics::Ctx>,
-}
-
-impl ParentScopes {
-    fn capture() -> ParentScopes {
-        ParentScopes {
-            ckpt: checkpoint::current(),
-            metrics: metrics::current(),
-        }
-    }
-}
-
-/// Run `job` with the checkpoint and metrics scopes for fan-out index `i`
-/// installed, restoring the thread's previous contexts afterwards. No
-/// context on the caller → no context in the job (the zero-cost default).
-fn with_job_scope<R>(parent: &ParentScopes, i: usize, job: impl FnOnce() -> R) -> R {
-    let prev_ckpt = parent
-        .ckpt
-        .as_ref()
-        .map(|p| checkpoint::swap(Some(checkpoint::child_of(p, i as u64))));
-    let prev_metrics = parent
-        .metrics
-        .as_ref()
-        .map(|p| metrics::swap(Some(metrics::child_of(p, i as u64))));
-    let r = job();
-    if let Some(prev) = prev_ckpt {
-        checkpoint::swap(prev);
-    }
-    if let Some(prev) = prev_metrics {
-        metrics::swap(prev);
-    }
-    r
-}
+use xpass_sim::event::SchedulerKind;
+use xpass_sim::{checkpoint, metrics, run_ctx};
 
 /// Run `f(index, input)` for every input and return the results in input
 /// order. `jobs <= 1` runs inline (no threads spawned); otherwise up to
@@ -79,13 +36,16 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     let n = inputs.len();
-    let parent = ParentScopes::capture();
+    let parent = run_ctx::current().with_scheduler(scheduler);
+    let job = |i: usize, x: T| {
+        let _ctx = run_ctx::enter(parent.child(i as u64));
+        f(i, x)
+    };
     if jobs <= 1 || n <= 1 {
-        set_thread_scheduler(scheduler);
         return inputs
             .into_iter()
             .enumerate()
-            .map(|(i, x)| with_job_scope(&parent, i, || f(i, x)))
+            .map(|(i, x)| job(i, x))
             .collect();
     }
     let slots: Mutex<Vec<Option<T>>> = Mutex::new(inputs.into_iter().map(Some).collect());
@@ -94,17 +54,14 @@ where
     let workers = jobs.min(n);
     std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|| {
-                set_thread_scheduler(scheduler);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let input = slots.lock().unwrap()[i].take().expect("job taken twice");
-                    let r = with_job_scope(&parent, i, || f(i, input));
-                    results.lock().unwrap()[i] = Some(r);
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                let input = slots.lock().unwrap()[i].take().expect("job taken twice");
+                let r = job(i, input);
+                results.lock().unwrap()[i] = Some(r);
             });
         }
     });
@@ -250,12 +207,11 @@ where
                 let exp = policy.backoff.saturating_mul(1u32 << (attempts - 1).min(6));
                 std::thread::sleep(exp.min(Duration::from_secs(5)));
             }
-            // Fresh scope state (the net-index counters restart at 0, as
-            // in the original attempt), then arm the image — when there is
-            // one — so the network it targets restores at the recorded run
-            // call. Journal-backed jobs rebuild by replaying the journal.
-            checkpoint::swap(checkpoint::current());
-            metrics::swap(metrics::current());
+            // Number the networks from 0 again, as in the original attempt,
+            // then arm the image — when there is one — so the network it
+            // targets restores at the recorded run call. Journal-backed jobs
+            // rebuild by replaying the journal.
+            run_ctx::restart_scope();
             if let Some(img) = img {
                 checkpoint::arm_resume(img);
             }
@@ -368,6 +324,47 @@ mod tests {
     }
 
     #[test]
+    fn the_callers_context_survives_a_return_and_a_panic() {
+        use xpass_sim::checkpoint::CheckpointConfig;
+        use xpass_sim::event::thread_scheduler;
+        use xpass_sim::time::{Dur, SimTime};
+        let dir = std::env::temp_dir().join(format!("xpass-par-restore-{}", std::process::id()));
+        checkpoint::install(
+            Some(CheckpointConfig {
+                every: Dur::ms(1),
+                dir: dir.clone(),
+                keep: 1,
+            }),
+            None,
+        );
+        metrics::install(metrics::MetricsSpec::default(), None);
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        for (round, panics) in [false, true].into_iter().enumerate() {
+            let r = catch_unwind(|| {
+                run_indexed(vec![()], 1, SchedulerKind::Heap, |_, _| {
+                    assert_eq!(thread_scheduler(), SchedulerKind::Heap);
+                    assert!(!panics, "job fails");
+                })
+            });
+            assert_eq!(r.is_err(), panics);
+            // The caller's scheduler, job key, scope path and network count.
+            assert_eq!(thread_scheduler(), SchedulerKind::Calendar);
+            let (ckpt, sampler) = run_ctx::register_network();
+            assert_eq!(sampler.unwrap().plane_key(), format!("main#net{round}"));
+            let mut hook = ckpt.unwrap();
+            hook.on_run_call();
+            hook.write(SimTime(1), b"s");
+            let img = checkpoint::load_image(&checkpoint::latest_checkpoint().unwrap()).unwrap();
+            assert_eq!((img.scope, img.net_index), (vec![], round as u64));
+        }
+        std::panic::set_hook(prev);
+        checkpoint::clear();
+        metrics::clear();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn workers_inherit_scoped_checkpoint_contexts() {
         use xpass_sim::checkpoint::CheckpointConfig;
         use xpass_sim::time::{Dur, SimTime};
@@ -383,7 +380,7 @@ mod tests {
         // 3 jobs on 3 workers: each must see its own scope, not the
         // caller's and not another job's.
         run_indexed(vec![(); 3], 3, SchedulerKind::Calendar, |_, _| {
-            let mut hook = checkpoint::register_network().expect("scope on worker");
+            let mut hook = run_ctx::register_network().0.expect("scope on worker");
             hook.on_run_call();
             hook.write(SimTime(1), b"s");
         });
@@ -414,7 +411,7 @@ mod tests {
         // re-run the job with the image armed, and the retry's first run
         // call then sees the saved state instead of starting over.
         let r = run_isolated(vec![()], 1, SchedulerKind::Calendar, None, |_, _| {
-            let mut hook = checkpoint::register_network().expect("hook");
+            let mut hook = run_ctx::register_network().0.expect("hook");
             match hook.on_run_call() {
                 Some(state) => String::from_utf8(state).unwrap(),
                 None => {

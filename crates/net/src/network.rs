@@ -36,11 +36,11 @@ use crate::rcplink::RcpLink;
 use crate::routing::ecmp_index;
 use crate::timers::TimerWheels;
 use crate::topology::{LiveRoutes, Topology};
-use xpass_sim::checkpoint::{self, NetHook};
+use xpass_sim::checkpoint::NetHook;
 use xpass_sim::event::EventQueue;
-use xpass_sim::metrics as sim_metrics;
 use xpass_sim::profile::EngineReport;
 use xpass_sim::rng::Rng;
+use xpass_sim::run_ctx;
 use xpass_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use xpass_sim::stats::TimeSeries;
 use xpass_sim::time::{Dur, SimTime};
@@ -306,8 +306,8 @@ pub struct Network {
     watchdog_report: Option<WatchdogReport>,
     /// Driver-set phase label surfaced in watchdog reports.
     phase: &'static str,
-    /// Checkpoint hook; `None` unless a checkpoint context is installed on
-    /// this thread (see [`xpass_sim::checkpoint`]) — the common, zero-cost
+    /// Checkpoint hook; `None` unless a checkpoint runtime is installed in
+    /// the run context (see [`xpass_sim::run_ctx`]) — the common, zero-cost
     /// case. Drives periodic snapshot writes and the one-shot resume
     /// overlay at the recorded run call.
     ckpt: Option<NetHook>,
@@ -383,6 +383,7 @@ impl Network {
         // Fork so per-run structural randomness is independent of traffic.
         let traffic_rng = rng.fork();
         let timers = TimerWheels::new(topo.n_hosts);
+        let (ckpt, metrics) = run_ctx::register_network();
         Network {
             now: SimTime::ZERO,
             events,
@@ -405,11 +406,11 @@ impl Network {
             watchdog: None,
             watchdog_report: None,
             phase: "run",
-            ckpt: checkpoint::register_network(),
+            ckpt,
             ev_counts: [0; 7],
             wall_secs: 0.0,
             counters: Counters::default(),
-            sampler: Sampler::new(sim_metrics::register().map(|h| Box::new(MetricsState::new(h)))),
+            sampler: Sampler::new(metrics.map(|h| Box::new(MetricsState::new(h)))),
         }
     }
 

@@ -1,5 +1,5 @@
-//! Checkpoint runtime: thread-scoped plumbing that connects the engine's
-//! snapshot machinery ([`crate::snap`]) to experiment runs.
+//! Checkpoint runtime: the plumbing that connects the engine's snapshot
+//! machinery ([`crate::snap`]) to experiment runs.
 //!
 //! A *run* in this repo is a pure function of its configuration and seed:
 //! an experiment's `run()` builds one or more `Network`s deterministically
@@ -14,19 +14,17 @@
 //!
 //! The *scope path* addresses a run inside nested fan-out: the parallel
 //! harness assigns index `i` to each job, so a top-level experiment is
-//! scope `[i]` and a chaos-sweep seed run inside it is `[i, k]`. Scope is
-//! thread-scoped state (like [`crate::event::set_thread_scheduler`]); the
-//! harness captures the parent context before spawning workers and
-//! installs the child scope around every job, so snapshot identity never
-//! depends on which OS thread ran what.
+//! scope `[i]` and a chaos-sweep seed run inside it is `[i, k]`. The scope,
+//! the network index and this runtime itself live in the
+//! [run context](crate::run_ctx).
 //!
-//! Everything here is **zero-cost when off**: with no context installed
-//! (the default), `register_network()` returns `None` and the engine's
-//! hot loops skip the checkpoint check entirely.
+//! Everything here is **zero-cost when off**: with no runtime installed
+//! (the default), a network gets no [`NetHook`] and the engine's hot loops
+//! skip the checkpoint check entirely.
 
+use crate::run_ctx::{self, RunCtx};
 use crate::snap::{self, SnapError, SnapReader, SnapWriter};
 use crate::time::{Dur, SimTime};
-use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,7 +41,7 @@ pub struct CheckpointConfig {
 }
 
 /// Identifies the run being checkpointed, for the snapshot header and for
-/// `--resume` validation. Set per job via [`set_label`].
+/// `--resume` validation. Set per job via [`run_ctx::set_label`].
 #[derive(Clone, Debug, Default)]
 pub struct RunLabel {
     /// Experiment name (registry name or scenario file).
@@ -72,7 +70,9 @@ pub struct ResumeImage {
     pub net_state: Vec<u8>,
 }
 
-struct Shared {
+/// The installed runtime, shared by every scope forked from the one it was
+/// installed in.
+pub(crate) struct Shared {
     cfg: Option<CheckpointConfig>,
     /// Pending resume image; taken (consumed) by the network it targets.
     resume: Mutex<Option<ResumeImage>>,
@@ -81,29 +81,10 @@ struct Shared {
     write_ctr: AtomicU64,
 }
 
-/// The thread-scoped checkpoint context: shared runtime plus this job's
-/// scope path and label. Cloned into workers by the parallel harness.
-#[derive(Clone)]
-pub struct Ctx {
-    shared: Arc<Shared>,
-    scope: Vec<u64>,
-    label: RunLabel,
-}
-
-struct ThreadState {
-    ctx: Ctx,
-    /// Networks created so far in this scope (assigns `net_index`).
-    nets: u64,
-}
-
-thread_local! {
-    static STATE: RefCell<Option<ThreadState>> = const { RefCell::new(None) };
-}
-
-/// Install the checkpoint runtime on this thread with an empty scope.
-/// `cfg` enables periodic snapshot writing; `resume` arms a one-shot
-/// restore. Passing both `None` still installs a context (useful only for
-/// tests); call [`clear`] to tear down.
+/// Install the checkpoint runtime in this thread's
+/// [run context](crate::run_ctx). `cfg` enables periodic snapshot writing;
+/// `resume` arms a one-shot restore. Passing both `None` still installs a
+/// runtime (useful only for tests); call [`clear`] to tear down.
 pub fn install(cfg: Option<CheckpointConfig>, resume: Option<ResumeImage>) {
     let shared = Arc::new(Shared {
         cfg,
@@ -111,70 +92,22 @@ pub fn install(cfg: Option<CheckpointConfig>, resume: Option<ResumeImage>) {
         registry: Mutex::new(Vec::new()),
         write_ctr: AtomicU64::new(0),
     });
-    STATE.with(|s| {
-        *s.borrow_mut() = Some(ThreadState {
-            ctx: Ctx {
-                shared,
-                scope: Vec::new(),
-                label: RunLabel::default(),
-            },
-            nets: 0,
-        });
-    });
+    run_ctx::install(|c| c.ckpt = Some(shared));
 }
 
-/// Remove this thread's checkpoint context (tests; the CLI just exits).
+/// Remove the checkpoint runtime from this thread's run context.
 pub fn clear() {
-    STATE.with(|s| *s.borrow_mut() = None);
-}
-
-/// True when a checkpoint context is installed on this thread.
-pub fn active() -> bool {
-    STATE.with(|s| s.borrow().is_some())
-}
-
-/// Clone this thread's context (for propagation into workers).
-pub fn current() -> Option<Ctx> {
-    STATE.with(|s| s.borrow().as_ref().map(|st| st.ctx.clone()))
-}
-
-/// Install (or clear, with `None`) a context on this thread, returning the
-/// previous one. The parallel harness brackets every job with this.
-pub fn swap(ctx: Option<Ctx>) -> Option<Ctx> {
-    STATE.with(|s| {
-        let prev = s.borrow_mut().take().map(|st| st.ctx);
-        *s.borrow_mut() = ctx.map(|c| ThreadState { ctx: c, nets: 0 });
-        prev
-    })
-}
-
-/// Derive the context for job `i` of a fan-out under `parent`.
-pub fn child_of(parent: &Ctx, i: u64) -> Ctx {
-    let mut c = parent.clone();
-    c.scope.push(i);
-    c
-}
-
-/// Set the run label for the current scope (called at job start, before
-/// any network is created).
-pub fn set_label(label: RunLabel) {
-    STATE.with(|s| {
-        if let Some(st) = s.borrow_mut().as_mut() {
-            st.ctx.label = label;
-        }
-    });
+    run_ctx::with(|c| c.ckpt = None);
 }
 
 /// Newest snapshot written for the current scope (or any scope nested
 /// under it). This is the path the failure summary reports and the one
 /// auto-resume loads.
 pub fn latest_checkpoint() -> Option<PathBuf> {
-    STATE.with(|s| {
-        let b = s.borrow();
-        let st = b.as_ref()?;
-        let reg = st.ctx.shared.registry.lock().unwrap();
+    run_ctx::with(|c| {
+        let reg = c.ckpt.as_ref()?.registry.lock().unwrap();
         reg.iter()
-            .filter(|(scope, _, _)| scope.starts_with(&st.ctx.scope))
+            .filter(|(scope, _, _)| scope.starts_with(&c.scope))
             .max_by_key(|(_, order, _)| *order)
             .map(|(_, _, p)| p.clone())
     })
@@ -183,9 +116,9 @@ pub fn latest_checkpoint() -> Option<PathBuf> {
 /// Arm the shared runtime with a resume image (used by auto-resume after
 /// a crash: load the latest checkpoint, arm it, re-run the job).
 pub fn arm_resume(image: ResumeImage) {
-    STATE.with(|s| {
-        if let Some(st) = s.borrow().as_ref() {
-            *st.ctx.shared.resume.lock().unwrap() = Some(image);
+    run_ctx::with(|c| {
+        if let Some(sh) = &c.ckpt {
+            *sh.resume.lock().unwrap() = Some(image);
         }
     });
 }
@@ -200,7 +133,7 @@ fn scope_dirname(scope: &[u64]) -> String {
     s
 }
 
-/// Hook handed to every `Network` created while a context is installed.
+/// Hook handed to every `Network` created while a runtime is installed.
 /// Carries this network's identity, the write schedule, and (for at most
 /// one network per resume) the pending restore payload.
 pub struct NetHook {
@@ -220,55 +153,46 @@ pub struct NetHook {
     shared: Arc<Shared>,
 }
 
-/// Called by `Network::new`: assigns the network its index within the
-/// current scope and returns its checkpoint hook, or `None` when no
-/// context is installed (the common, zero-cost case).
-pub fn register_network() -> Option<NetHook> {
-    STATE.with(|s| {
-        let mut b = s.borrow_mut();
-        let st = b.as_mut()?;
-        let net_index = st.nets;
-        st.nets += 1;
-        let ctx = &st.ctx;
-        let shared = Arc::clone(&ctx.shared);
-        // Take the resume image if it targets exactly this network; its
-        // presence (targeting anyone) suppresses writes during replay.
-        let mut resume_slot = shared.resume.lock().unwrap();
-        let targets_me = resume_slot
-            .as_ref()
-            .is_some_and(|img| img.scope == ctx.scope && img.net_index == net_index);
-        let pending_resume = if targets_me { resume_slot.take() } else { None };
-        let replaying = resume_slot.is_some() || pending_resume.is_some();
-        drop(resume_slot);
+/// The hook of network `net_index` in `ctx`'s scope, or `None` when it
+/// has nothing to do: no runtime, not writing, not the armed image's target.
+pub(crate) fn hook(ctx: &RunCtx, net_index: u64) -> Option<NetHook> {
+    let (shared, scope) = (ctx.ckpt.as_ref()?, &ctx.scope[..]);
+    // Take the resume image if it targets exactly this network; its
+    // presence (targeting anyone) suppresses writes during replay.
+    let mut resume_slot = shared.resume.lock().unwrap();
+    let targets_me = resume_slot
+        .as_ref()
+        .is_some_and(|img| img.scope == scope && img.net_index == net_index);
+    let pending_resume = if targets_me { resume_slot.take() } else { None };
+    let replaying = resume_slot.is_some() || pending_resume.is_some();
+    drop(resume_slot);
 
-        let every = shared.cfg.as_ref().map(|c| c.every);
-        if every.is_none() && pending_resume.is_none() {
-            // Nothing to do for this network: not writing, not restoring.
-            return None;
-        }
-        let (dir, keep) = match &shared.cfg {
-            Some(c) => (
-                c.dir
-                    .join(scope_dirname(&ctx.scope))
-                    .join(format!("net{net_index}")),
-                c.keep.max(1),
-            ),
-            None => (PathBuf::new(), 1),
-        };
-        Some(NetHook {
-            every,
-            next: every.map_or(SimTime::MAX, |e| SimTime::ZERO + e),
-            enabled: every.is_some() && !replaying,
-            pending_resume,
-            run_calls: 0,
-            dir,
-            keep,
-            file_seq: 0,
-            scope: ctx.scope.clone(),
-            net_index,
-            label: ctx.label.clone(),
-            shared,
-        })
+    let every = shared.cfg.as_ref().map(|c| c.every);
+    if every.is_none() && pending_resume.is_none() {
+        return None;
+    }
+    let (dir, keep) = match &shared.cfg {
+        Some(c) => (
+            c.dir
+                .join(scope_dirname(scope))
+                .join(format!("net{net_index}")),
+            c.keep.max(1),
+        ),
+        None => (PathBuf::new(), 1),
+    };
+    Some(NetHook {
+        every,
+        next: every.map_or(SimTime::MAX, |e| SimTime::ZERO + e),
+        enabled: every.is_some() && !replaying,
+        pending_resume,
+        run_calls: 0,
+        dir,
+        keep,
+        file_seq: 0,
+        scope: scope.to_vec(),
+        net_index,
+        label: ctx.label.clone(),
+        shared: Arc::clone(shared),
     })
 }
 
@@ -394,6 +318,10 @@ pub fn rebase_scope(image: &mut ResumeImage, i: u64) {
 mod tests {
     use super::*;
 
+    fn register_network() -> Option<NetHook> {
+        run_ctx::register_network().0
+    }
+
     fn image(scope: Vec<u64>, net_index: u64, run_call: u64) -> ResumeImage {
         ResumeImage {
             scope,
@@ -410,13 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn inactive_thread_registers_nothing() {
-        clear();
-        assert!(!active());
-        assert!(register_network().is_none());
-    }
-
-    #[test]
     fn image_round_trips_through_file() {
         let dir = std::env::temp_dir().join(format!("xpass-ckpt-test-{}", std::process::id()));
         let path = dir.join("img.snap");
@@ -429,7 +350,7 @@ mod tests {
             }),
             None,
         );
-        set_label(RunLabel {
+        run_ctx::set_label(RunLabel {
             name: "fig10".into(),
             seed: Some(9),
             paper_scale: true,
@@ -490,42 +411,6 @@ mod tests {
             .collect();
         files.sort();
         assert_eq!(files, vec!["ck-000003.snap", "ck-000004.snap"]);
-        clear();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn scope_propagation_and_latest() {
-        let dir = std::env::temp_dir().join(format!("xpass-ckpt-scope-{}", std::process::id()));
-        install(
-            Some(CheckpointConfig {
-                every: Dur::ms(1),
-                dir: dir.clone(),
-                keep: 4,
-            }),
-            None,
-        );
-        let root = current().expect("ctx");
-        // Simulate job 2, then a nested job 5 inside it.
-        let prev = swap(Some(child_of(&root, 2)));
-        let inner_parent = current().unwrap();
-        let mut outer_hook = register_network().expect("hook");
-        outer_hook.on_run_call();
-        outer_hook.write(SimTime(1), b"outer");
-        swap(Some(child_of(&inner_parent, 5)));
-        let mut inner_hook = register_network().expect("hook");
-        inner_hook.on_run_call();
-        inner_hook.write(SimTime(2), b"inner");
-        // Latest under scope [2,5] is the inner write; under [2] too
-        // (it was written later).
-        let inner_latest = latest_checkpoint().expect("inner latest");
-        assert!(inner_latest.to_string_lossy().contains("scope-2-5"));
-        swap(Some(child_of(&root, 2)));
-        let job_latest = latest_checkpoint().expect("job latest");
-        assert_eq!(job_latest, inner_latest);
-        let img = load_image(&job_latest).unwrap();
-        assert_eq!(img.scope, vec![2, 5]);
-        swap(prev);
         clear();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -41,9 +41,9 @@
 //! the horizon, taking only the payload codec from the caller.
 
 use crate::calendar::CalendarQueue;
+use crate::run_ctx;
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -76,22 +76,15 @@ impl SchedulerKind {
     }
 }
 
-thread_local! {
-    static THREAD_SCHEDULER: Cell<SchedulerKind> = const { Cell::new(SchedulerKind::Calendar) };
-}
-
-/// Set the scheduler that [`EventQueue::new`] uses **on this thread**.
-///
-/// Scheduler choice is thread-scoped so concurrent experiment runs (the
-/// parallel harness) and concurrent tests cannot race on a process global;
-/// the parallel runner propagates the requested kind into each worker.
+/// Set the scheduler that [`EventQueue::new`] uses in this thread's
+/// [run context](crate::run_ctx).
 pub fn set_thread_scheduler(kind: SchedulerKind) {
-    THREAD_SCHEDULER.with(|c| c.set(kind));
+    run_ctx::with(|c| c.scheduler = kind);
 }
 
 /// The scheduler [`EventQueue::new`] will use on this thread.
 pub fn thread_scheduler() -> SchedulerKind {
-    THREAD_SCHEDULER.with(|c| c.get())
+    run_ctx::with(|c| c.scheduler)
 }
 
 /// Bytes per cache line on every target the prefetch hint is compiled for.

@@ -23,6 +23,7 @@
 //! panic — and are fuzzed in `tests/fuzz_robustness.rs`.
 
 use crate::json::{self, Json};
+use crate::run_ctx;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -411,10 +412,6 @@ impl IngestQueue {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Thread-scoped ingest source (mirrors crate::checkpoint / crate::metrics)
-// ---------------------------------------------------------------------------
-
 /// The ingest source a stream-workload scenario consumes: where the
 /// journal lives, and — for live runs — the queue arrivals flow in on.
 #[derive(Clone)]
@@ -428,24 +425,21 @@ pub struct Source {
     pub live: bool,
 }
 
-thread_local! {
-    static SOURCE: std::cell::RefCell<Option<Source>> = const { std::cell::RefCell::new(None) };
-}
-
-/// Install the ingest source on this thread (the CLI does this before
-/// dispatching a `--ingest`/`--ingest-replay` run).
+/// Install the ingest source in this thread's
+/// [run context](crate::run_ctx) (the CLI does this before dispatching a
+/// `--ingest`/`--ingest-replay` run).
 pub fn install(source: Source) {
-    SOURCE.with(|s| *s.borrow_mut() = Some(source));
+    run_ctx::with(|c| c.ingest = Some(source));
 }
 
-/// Remove this thread's ingest source.
+/// Remove the ingest source from this thread's run context.
 pub fn clear() {
-    SOURCE.with(|s| *s.borrow_mut() = None);
+    run_ctx::with(|c| c.ingest = None);
 }
 
-/// Clone this thread's ingest source, if one is installed.
+/// The ingest source of this thread's run context, if one is installed.
 pub fn current() -> Option<Source> {
-    SOURCE.with(|s| s.borrow().clone())
+    run_ctx::with(|c| c.ingest.clone())
 }
 
 #[cfg(test)]

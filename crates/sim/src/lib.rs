@@ -35,7 +35,7 @@
 //!   with interned labels, a sim-time sampler ring, the
 //!   `xpass-metrics/v1` JSONL series format, Prometheus-style text
 //!   exposition, and the cross-thread [`metrics::Plane`]; zero-cost when
-//!   no context is installed.
+//!   not installed.
 //! * [`http`] — minimal hand-rolled HTTP/1.1 server (std `TcpListener`,
 //!   no deps) serving the plane at `/metrics`, `/health`, `/engine`,
 //!   `/progress`, plus streaming ingestion at `POST /ingest` and the
@@ -51,6 +51,9 @@
 //!   ring behind `/ws`.
 //! * [`signal`] — cooperative SIGINT/SIGTERM shutdown flag for serve
 //!   mode.
+//! * [`run_ctx`] — the run context: the scheduler, the scope and job
+//!   names, and the installed checkpoint, metrics and ingest parts that a
+//!   network reads when it is built; forked once per parallel job.
 //! * [`watchdog`] — hang/livelock detection: event-count, wall-clock, and
 //!   sim-time-not-advancing budgets that abort a stuck run with a
 //!   diagnostic [`watchdog::WatchdogReport`].
@@ -66,6 +69,7 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod rng;
+pub mod run_ctx;
 pub mod signal;
 pub mod snap;
 pub mod stats;

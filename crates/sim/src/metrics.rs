@@ -15,18 +15,19 @@
 //!   thread publishes pre-rendered views ([`JobView`]) under its job key;
 //!   the HTTP server only ever reads the plane.
 //!
-//! Like tracing and checkpointing, the plane is **thread-scoped and
-//! zero-cost when off**: with no context installed (the default),
-//! [`register`] returns `None`, the engine's hot loops skip every metrics
-//! check, and runs are byte-identical to a build without this module.
+//! Like tracing and checkpointing, the plane is **zero-cost when off**:
+//! with no sampler installed in the [run context](crate::run_ctx) (the
+//! default), a network gets no [`NetMetricsHook`], the engine's hot loops
+//! skip every metrics check, and runs are byte-identical to a build
+//! without this module.
 //! Sampling itself is observation-only — it never touches the RNG or the
 //! event queue — so even a metrics-on run produces the same simulation
 //! results as a metrics-off run.
 
 use crate::json::{self, Json};
+use crate::run_ctx;
 use crate::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::time::Dur;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -1010,11 +1011,7 @@ fn render_json_map(jobs: &BTreeMap<String, JobView>, f: impl Fn(&JobView) -> Str
     out
 }
 
-// ---------------------------------------------------------------------------
-// Thread-scoped context (mirrors crate::checkpoint)
-// ---------------------------------------------------------------------------
-
-/// Sampler configuration carried by the thread context.
+/// Sampler configuration carried by the run context.
 #[derive(Clone, Debug)]
 pub struct MetricsSpec {
     /// Sim-time sampling interval.
@@ -1035,99 +1032,37 @@ impl Default for MetricsSpec {
     }
 }
 
-/// The thread-scoped metrics context: spec, optional shared plane, and
-/// this job's key. Cloned into workers by the parallel harness.
-#[derive(Clone)]
-pub struct Ctx {
-    spec: MetricsSpec,
-    plane: Option<Plane>,
-    job: String,
-}
-
-struct ThreadState {
-    ctx: Ctx,
-    /// Networks created so far in this scope (assigns the net index).
-    nets: u64,
-}
-
-thread_local! {
-    static STATE: RefCell<Option<ThreadState>> = const { RefCell::new(None) };
-}
-
-/// Install the metrics runtime on this thread. Call [`clear`] to tear
-/// down (tests; the CLI just exits).
+/// Install the metrics sampler, publishing to `plane` when given, in this
+/// thread's [run context](crate::run_ctx). Call [`clear`] to tear down.
 pub fn install(spec: MetricsSpec, plane: Option<Plane>) {
-    STATE.with(|s| {
-        *s.borrow_mut() = Some(ThreadState {
-            ctx: Ctx {
-                spec,
-                plane,
-                job: "main".to_string(),
-            },
-            nets: 0,
-        });
+    run_ctx::install(|c| {
+        c.metrics = Some(spec);
+        c.plane = plane;
     });
 }
 
-/// Remove this thread's metrics context.
+/// Remove the metrics sampler and plane from this thread's run context.
 pub fn clear() {
-    STATE.with(|s| *s.borrow_mut() = None);
-}
-
-/// True when a metrics context is installed on this thread.
-pub fn active() -> bool {
-    STATE.with(|s| s.borrow().is_some())
-}
-
-/// Clone this thread's context (for propagation into workers).
-pub fn current() -> Option<Ctx> {
-    STATE.with(|s| s.borrow().as_ref().map(|st| st.ctx.clone()))
-}
-
-/// The shared plane of this thread's context, when one is installed and
-/// publishing is on (the driver uses this to write `--metrics` files).
-pub fn plane() -> Option<Plane> {
-    STATE.with(|s| s.borrow().as_ref().and_then(|st| st.ctx.plane.clone()))
-}
-
-/// The installed sampler's sim-time interval, when a context is
-/// installed. The streaming-ingest driver uses this as its admission
-/// grid so arrivals always land on sampling boundaries.
-pub fn sample_interval() -> Option<Dur> {
-    STATE.with(|s| s.borrow().as_ref().map(|st| st.ctx.spec.interval))
-}
-
-/// Install (or clear, with `None`) a context on this thread, returning
-/// the previous one. The parallel harness brackets every job with this;
-/// the swap resets the per-scope network counter.
-pub fn swap(ctx: Option<Ctx>) -> Option<Ctx> {
-    STATE.with(|s| {
-        let prev = s.borrow_mut().take().map(|st| st.ctx);
-        *s.borrow_mut() = ctx.map(|c| ThreadState { ctx: c, nets: 0 });
-        prev
-    })
-}
-
-/// Derive the context for job `i` of a fan-out under `parent` (the job
-/// key gains a `/i` segment; [`set_job`] typically renames a top-level
-/// job to its experiment name right after).
-pub fn child_of(parent: &Ctx, i: u64) -> Ctx {
-    let mut c = parent.clone();
-    c.job = format!("{}/{i}", c.job);
-    c
-}
-
-/// Rename the current scope's job key (called at job start, before any
-/// network is created).
-pub fn set_job(job: &str) {
-    STATE.with(|s| {
-        if let Some(st) = s.borrow_mut().as_mut() {
-            st.ctx.job = job.to_string();
-        }
+    run_ctx::with(|c| {
+        c.metrics = None;
+        c.plane = None;
     });
 }
 
-/// Hook handed to every `Network` created while a context is installed:
+/// The plane this thread's run context publishes to, if any (the driver
+/// uses this to write `--metrics` files).
+pub fn plane() -> Option<Plane> {
+    run_ctx::with(|c| c.plane.clone())
+}
+
+/// The installed sampler's sim-time interval. The streaming-ingest driver
+/// uses this as its admission grid so arrivals always land on sampling
+/// boundaries.
+pub fn sample_interval() -> Option<Dur> {
+    run_ctx::with(|c| c.metrics.as_ref().map(|spec| spec.interval))
+}
+
+/// Hook handed to every `Network` created while a sampler is installed:
 /// the spec, the plane to publish to, and this network's identity.
 pub struct NetMetricsHook {
     /// Sampler configuration.
@@ -1145,24 +1080,6 @@ impl NetMetricsHook {
     pub fn plane_key(&self) -> String {
         format!("{}#net{}", self.job, self.net_index)
     }
-}
-
-/// Called by `Network::new`: assigns the network its index within the
-/// current scope and returns its metrics hook, or `None` when no context
-/// is installed (the common, zero-cost case).
-pub fn register() -> Option<NetMetricsHook> {
-    STATE.with(|s| {
-        let mut b = s.borrow_mut();
-        let st = b.as_mut()?;
-        let net_index = st.nets;
-        st.nets += 1;
-        Some(NetMetricsHook {
-            spec: st.ctx.spec.clone(),
-            plane: st.ctx.plane.clone(),
-            job: st.ctx.job.clone(),
-            net_index,
-        })
-    })
 }
 
 #[cfg(test)]
@@ -1291,24 +1208,6 @@ mod tests {
         let mut r = SnapReader::new(&body, 0);
         let e = other.restore(&mut r).unwrap_err();
         assert!(e.msg.contains("series count mismatch"), "{e}");
-    }
-
-    #[test]
-    fn thread_context_registers_and_scopes() {
-        clear();
-        assert!(register().is_none(), "no context → no hook");
-        install(MetricsSpec::default(), Some(Plane::new()));
-        set_job("fig10");
-        let h0 = register().expect("hook");
-        let h1 = register().expect("hook");
-        assert_eq!(h0.plane_key(), "fig10#net0");
-        assert_eq!(h1.plane_key(), "fig10#net1");
-        let parent = current().expect("ctx");
-        let prev = swap(Some(child_of(&parent, 3)));
-        let nested = register().expect("nested hook");
-        assert_eq!(nested.plane_key(), "fig10/3#net0");
-        swap(prev);
-        clear();
     }
 
     #[test]

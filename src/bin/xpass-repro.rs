@@ -110,6 +110,7 @@ use xpass::sim::http;
 use xpass::sim::ingest::{self, IngestQueue};
 use xpass::sim::json::Json;
 use xpass::sim::metrics::{self, MetricsSpec, Plane};
+use xpass::sim::run_ctx;
 use xpass::sim::signal;
 use xpass::sim::time::Dur;
 use xpass::sim::trace::{JsonlSink, TraceSink};
@@ -243,20 +244,14 @@ fn run_selected(
     }
     let refs: Vec<&dyn Experiment> = selected.iter().map(Box::as_ref).collect();
     let outputs = parallel::run_isolated_with(refs, jobs, scheduler, budget, policy, |_, e| {
-        if metrics::active() {
-            // Publish this job under its experiment name (must precede
-            // network creation).
-            metrics::set_job(e.name());
-        }
-        if checkpoint::active() {
-            // Stamp snapshot headers with this job's identity so `--resume`
-            // can rebuild the exact run. Must precede network creation.
-            checkpoint::set_label(RunLabel {
-                name: e.name().to_string(),
-                seed: opts.seed,
-                paper_scale: opts.paper_scale,
-            });
-        }
+        // Name the job before it builds a network: its metrics publish
+        // under the experiment name, and snapshot headers carry what
+        // `--resume` needs to rebuild the exact run.
+        run_ctx::set_label(RunLabel {
+            name: e.name().to_string(),
+            seed: opts.seed,
+            paper_scale: opts.paper_scale,
+        });
         let sink = if e.traces() {
             open_trace(opts.trace.as_deref())
         } else {
@@ -782,9 +777,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // Install the thread-scoped ingest source before the run dispatch:
-    // ingest runs are single-job, so the experiment executes inline on
-    // this thread and sees it.
+    // Install the ingest source before the run dispatch: every job's run
+    // context is forked from this thread's, so the experiment sees it.
     let mut ingest_queue: Option<IngestQueue> = None;
     if let Some(journal) = ingest_live.clone() {
         let q = IngestQueue::new(INGEST_QUEUE_CAP, ingest_rate);

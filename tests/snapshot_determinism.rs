@@ -15,6 +15,7 @@ use xpass::net::network::Network;
 use xpass::net::topology::Topology;
 use xpass::sim::checkpoint::{self, CheckpointConfig};
 use xpass::sim::event::{set_thread_scheduler, SchedulerKind};
+use xpass::sim::run_ctx;
 use xpass::sim::snap::SnapWriter;
 use xpass::sim::time::{Dur, SimTime};
 use xpass::sim::watchdog::{TripReason, WatchdogSpec};
@@ -395,7 +396,7 @@ fn budget_killed_run_resumes_to_the_unbudgeted_result() {
 
     // Resume: fresh scope (the net-index counter restarts), generous
     // budget, image armed — the twin restores mid-flight and finishes.
-    checkpoint::swap(checkpoint::current());
+    run_ctx::restart_scope();
     checkpoint::arm_resume(img);
     let mut resumed = demo_net(Some(10_000_000));
     resumed.run_until_done(CAP);
