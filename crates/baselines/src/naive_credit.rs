@@ -155,7 +155,7 @@ pub fn naive_credit_factory() -> EndpointFactory {
 /// Factory with explicit pacing jitter and size-randomization control
 /// (Fig 6a sweeps the jitter with all other randomness off).
 pub fn naive_credit_factory_with(jitter: f64, randomize_size: bool) -> EndpointFactory {
-    Box::new(move |side, _info, _h| match side {
+    Box::new(move |side, _info| match side {
         Side::Sender => Box::new(XPassSender::new(XPassConfig::aggressive())),
         Side::Receiver => {
             let r = NaiveCreditReceiver::new(jitter);

@@ -116,7 +116,7 @@ impl Endpoint for UdpBlastReceiver {
 
 /// Factory for uncredited constant-rate flows.
 pub fn udp_blast_factory(rate_bps: f64) -> EndpointFactory {
-    Box::new(move |side, _info, _h| match side {
+    Box::new(move |side, _info| match side {
         Side::Sender => Box::new(UdpBlastSender::new(rate_bps)),
         Side::Receiver => Box::new(UdpBlastReceiver),
     })

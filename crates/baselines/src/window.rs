@@ -323,7 +323,7 @@ impl<C: CongestionControl> WindowSender<C> {
             self.cc.on_ack(&ev);
             if self.snd_una >= self.n_pkts {
                 self.done = true;
-                self.rto_slot.cancel(ctx);
+                self.rto_slot.cancel();
                 self.pace_slot.cancel();
                 return;
             }
@@ -414,10 +414,6 @@ impl<C: CongestionControl> Endpoint for WindowSender<C> {
             }
             _ => {}
         }
-    }
-
-    fn on_retire(&mut self, ctx: &mut Ctx<'_>) {
-        self.rto_slot.cancel(ctx);
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -561,7 +557,7 @@ pub fn window_factory<C: CongestionControl>(
     cfg: WindowCfg,
     mk: impl Fn() -> C + 'static,
 ) -> EndpointFactory {
-    Box::new(move |side, _info, _h| match side {
+    Box::new(move |side, _info| match side {
         Side::Sender => Box::new(WindowSender::new(mk(), cfg)),
         Side::Receiver => Box::new(WindowReceiver::new()),
     })
@@ -754,17 +750,14 @@ mod tests {
     }
 
     #[test]
-    fn rto_is_carried_and_the_timer_wheels_stay_exact() {
+    fn rto_is_carried_by_one_queued_event() {
         // 2 MB at window 8 is ~1 370 ACKs, each re-arming the 10 ms RTO:
-        // one carrier event serves them all, and the wheel — which counts
-        // an arming in at `arm` and out when it fires, is superseded or is
-        // cancelled — reads zero once the flow has wound down.
+        // one carrier event serves them all.
         let mut net = net_with_window(8.0, 9);
         let f = net.add_flow(HostId(0), HostId(2), 2_000_000, SimTime::ZERO);
         net.run_until_done(SimTime::ZERO + Dur::ms(200));
         assert!(net.flow_done(f));
         net.run_until(SimTime::ZERO + Dur::ms(400));
-        assert_eq!(net.timer_wheels().total_pending(), 0);
         let report = net.engine_report();
         let timers = report.events_by_kind.iter().find(|(k, _)| *k == "timer");
         let (_, timers) = timers.unwrap();
@@ -773,21 +766,6 @@ mod tests {
             "{timers} timer events for one SYN and one RTO"
         );
         assert!(report.peak_queue_len < 64, "{}", report.peak_queue_len);
-    }
-
-    #[test]
-    fn retiring_a_flow_settles_its_carried_rto() {
-        // The receiver has every byte one RTT before the sender hears so:
-        // retire the flow in that gap, with an RTO armed and no event of
-        // its own queued.
-        let mut net = net_with_window(8.0, 10);
-        let f = net.add_flow(HostId(0), HostId(2), 500_000, SimTime::ZERO);
-        net.run_until_done(SimTime::ZERO + Dur::ms(200));
-        assert!(net.flow_done(f));
-        assert!(net.timer_wheels().total_pending() > 0, "RTO still armed");
-        net.retire_flow(f);
-        net.run_until(net.now() + Dur::ms(100));
-        assert_eq!(net.timer_wheels().total_pending(), 0);
     }
 
     #[test]

@@ -635,7 +635,7 @@ impl Endpoint for XPassReceiver {
 /// Endpoint factory for ExpressPass flows with the given configuration.
 pub fn xpass_factory(cfg: XPassConfig) -> EndpointFactory {
     cfg.validate();
-    Box::new(move |side, _info, _h| match side {
+    Box::new(move |side, _info| match side {
         Side::Sender => Box::new(XPassSender::new(cfg)),
         Side::Receiver => Box::new(XPassReceiver::new(cfg)),
     })

@@ -61,20 +61,12 @@ pub trait Endpoint {
     /// freshly constructed endpoint (the factory rebuilds configuration;
     /// this overlays the dynamic fields).
     fn restore_state(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError>;
-
-    /// The flow is being retired ([`Network::retire_flow`]) and this
-    /// endpoint is about to be dropped: hand back what it holds outside
-    /// itself. The one such thing is a [`Deadline`] armed with no event
-    /// queued, which must be cancelled for the timer wheels to stay exact;
-    /// timers whose events are queued settle when those fire.
-    fn on_retire(&mut self, _ctx: &mut Ctx<'_>) {}
 }
 
-/// Constructor for protocol endpoints: called once per flow per side. The
-/// [`FlowHandle`](crate::arena::FlowHandle) is the flow's generational arena
-/// slot — controllers may keep it to detect slot reuse after retirement.
-pub type EndpointFactory =
-    Box<dyn Fn(Side, &FlowInfo, crate::arena::FlowHandle) -> Box<dyn Endpoint>>;
+/// Constructor for protocol endpoints: called once per flow per side, when
+/// the flow is added — or, on restore, when a flow the snapshotted run
+/// added is rebuilt. The endpoints live as long as the network.
+pub type EndpointFactory = Box<dyn Fn(Side, &FlowInfo) -> Box<dyn Endpoint>>;
 
 /// The capability handle endpoints act through. Wraps the network with the
 /// identity of the flow/side being called back.
@@ -230,9 +222,11 @@ impl<'a> Ctx<'a> {
 
 /// Helper tracking the latest armed generation of one timer kind, so
 /// endpoints can cancel/rearm logically: stale firings are filtered by
-/// generation mismatch. Every arming queues an event, so this is for
-/// timers that are not re-armed while pending (one-shot pacing and
-/// handshake timers); one that is, on every ACK say, wants a [`Deadline`].
+/// generation mismatch (a generation is minted per arming, unique on the
+/// endpoint's host — see [`crate::timers`]). Every arming queues an event,
+/// so this is for timers that are not re-armed while pending (one-shot
+/// pacing and handshake timers); one that is, on every ACK say, wants a
+/// [`Deadline`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TimerSlot {
     armed: Option<u64>,
@@ -301,12 +295,6 @@ impl xpass_sim::Restore for TimerSlot {
 /// superseded armings — 99.4 % of the timer events of a DCTCP run — are
 /// never queued at all. A deadline that moves *earlier* is queued at once
 /// and becomes the carrier; the old carrier then fires as an ignored orphan.
-///
-/// Wheel accounting stays exact: an arming whose event is queued is
-/// settled by [`TimerWheels::fired`](crate::timers::TimerWheels::fired)
-/// when that event pops, as ever; one that is never queued is settled,
-/// with its own expiry, when it is superseded or cancelled — which is why
-/// [`cancel`](Self::cancel) takes the [`Ctx`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Deadline {
     /// Generation of the latest arming; 0 (never minted) when disarmed.
@@ -329,7 +317,6 @@ impl Deadline {
 
     /// Arm, or move, the deadline to `delay` from now.
     pub fn arm(&mut self, ctx: &mut Ctx<'_>, kind: u8, delay: Dur) {
-        self.cancel(ctx);
         let (gen, expiry, seq) = ctx.net.reserve_timer(ctx.flow, ctx.side, delay);
         let carried = self.carrier != 0 && expiry >= self.expiry;
         (self.gen, self.expiry, self.seq) = (gen, expiry, seq);
@@ -341,11 +328,7 @@ impl Deadline {
     }
 
     /// Disarm: no firing is accepted until the next [`arm`](Self::arm).
-    pub fn cancel(&mut self, ctx: &mut Ctx<'_>) {
-        if self.is_carried() {
-            ctx.net
-                .settle_timer(ctx.flow, ctx.side, self.gen, self.expiry);
-        }
+    pub fn cancel(&mut self) {
         self.gen = 0;
     }
 
@@ -465,9 +448,9 @@ mod tests {
             }
         }
 
-        fn cancel(&mut self, ctx: &mut Ctx<'_>) {
+        fn cancel(&mut self) {
             match &mut self.slot {
-                Slot::Carried(d) => d.cancel(ctx),
+                Slot::Carried(d) => d.cancel(),
                 Slot::Eager(s) => s.cancel(),
             }
         }
@@ -487,10 +470,10 @@ mod tests {
                     let soon = Dur::ns(self.rng.below(20_000));
                     self.arm(ctx, soon);
                 }
-                8 => self.cancel(ctx),
+                8 => self.cancel(),
                 // Cancel, then re-arm before the carrier has fired.
                 _ => {
-                    self.cancel(ctx);
+                    self.cancel();
                     self.arm(ctx, later);
                 }
             }
@@ -560,7 +543,7 @@ mod tests {
         let mut net = Network::new(
             topo,
             cfg,
-            Box::new(move |side, _info, _h| -> Box<dyn Endpoint> {
+            Box::new(move |side, _info| -> Box<dyn Endpoint> {
                 match side {
                     Side::Receiver => Box::new(Inert),
                     Side::Sender => Box::new(Scripted {
@@ -579,11 +562,6 @@ mod tests {
         );
         net.add_flow(HostId(0), HostId(1), 1, SimTime::ZERO);
         net.run_until(SimTime::ZERO + Dur::ms(50));
-        assert_eq!(
-            net.timer_wheels().total_pending(),
-            0,
-            "every arm matched by exactly one fired (carried: {carried})"
-        );
         let report = net.engine_report();
         let fires = fires.borrow().clone();
         (fires, report.events_processed, report.peak_queue_len)

@@ -18,10 +18,9 @@
 //! * [`topology`] — graph construction (dumbbell, parking lot,
 //!   multi-bottleneck, k-ary fat tree, oversubscribed 3-tier Clos) and
 //!   flat precomputed per-(switch, dst-ToR) ECMP route tables.
-//! * [`arena`] — generational slab of per-flow state with the credit-pacer
-//!   hot fields split struct-of-arrays.
-//! * [`timers`] — per-host timer generations and a shared hierarchical
-//!   occupancy wheel layered over the calendar event queue.
+//! * [`arena`] — dense, append-only table of per-flow state with the
+//!   credit-pacer hot fields split struct-of-arrays.
+//! * [`timers`] — per-host timer generations.
 //! * [`routing`] — symmetric flow hashing for deterministic, path-symmetric
 //!   ECMP (paper §3.1).
 //! * [`endpoint`] — the `Endpoint` trait all congestion-control protocols
@@ -57,7 +56,7 @@ pub mod routing;
 pub mod timers;
 pub mod topology;
 
-pub use arena::{FlowArena, FlowHandle};
+pub use arena::FlowArena;
 pub use config::NetConfig;
 pub use endpoint::{Ctx, Endpoint, EndpointFactory};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};

@@ -67,13 +67,10 @@ enum Ev {
     },
     Timer {
         flow: FlowId,
-        /// Arena generation of the flow at arm time; a firing whose
-        /// generation no longer matches addresses a retired slot (or its
-        /// successor) and is dropped.
-        fgen: u32,
         /// Host the arming endpoint lives on (sender → src, receiver →
-        /// dst). Carried so the timer wheels can account the firing even
-        /// when the flow has since been retired.
+        /// dst). Carried so the run loop's lookahead can prefetch the
+        /// uplink a pace timer's credit leaves on without reading the
+        /// flow's arena slot first.
         host: HostId,
         side: Side,
         kind: u8,
@@ -272,11 +269,10 @@ pub struct Network {
     topo: Topology,
     cfg: NetConfig,
     ports: Vec<EgressPort>,
-    /// All flow state: generational slots (identity + boxed endpoints) and
+    /// All flow state: append-only slots (identity + boxed endpoints) and
     /// struct-of-arrays hot counters. `FlowId` == slot index.
     arena: FlowArena,
-    /// Per-host timer generations + shared occupancy wheel (replaces the
-    /// old per-flow `timer_gen` counters).
+    /// Per-host timer generations.
     timers: TimerWheels,
     /// Fault-aware routing overlay; `None` unless a fault plan was
     /// installed — fault-free runs route straight from the flat tables.
@@ -445,8 +441,7 @@ impl Network {
             (class as usize) < self.cfg.credit_classes.max(1),
             "class {class} outside configured credit_classes"
         );
-        let h = self.arena.alloc();
-        let id = h.flow();
+        let id = FlowId(self.arena.slot_count() as u32);
         let info = FlowInfo {
             id,
             src,
@@ -455,52 +450,11 @@ impl Network {
             start,
             class,
         };
-        let sender = (self.factory)(Side::Sender, &info, h);
-        let receiver = (self.factory)(Side::Receiver, &info, h);
-        self.arena.commit(h, info, sender, receiver);
+        let sender = (self.factory)(Side::Sender, &info);
+        let receiver = (self.factory)(Side::Receiver, &info);
+        self.arena.push(info, sender, receiver);
         self.events.push(start, Ev::FlowStart { flow: id });
         id
-    }
-
-    /// Retire a settled (completed or aborted) flow: free its arena slot
-    /// for reuse and return its final record. The slot generation is
-    /// bumped, so any timer events still queued for the flow go stale and
-    /// are dropped when they fire — even if the slot has been reused by a
-    /// newer flow by then. Long-running churn workloads use this to keep
-    /// memory proportional to *live* flows.
-    pub fn retire_flow(&mut self, flow: FlowId) -> FlowRecord {
-        let rec = self
-            .flow_records_for(std::iter::once(flow))
-            .pop()
-            .expect("retire_flow on vacant slot");
-        assert!(
-            self.arena.is_done(flow) || self.arena.is_aborted(flow),
-            "retire_flow on unsettled flow {flow}"
-        );
-        // Keep `completed + aborted` counting live flows only, so the
-        // run loop's settle condition stays exact.
-        if self.arena.is_done(flow) {
-            self.completed -= 1;
-        } else {
-            self.aborted -= 1;
-        }
-        // Not `dispatch`: a retirement has no lifecycle notification to
-        // flush, and may itself be running inside a controller callback.
-        for side in [Side::Sender, Side::Receiver] {
-            if let Some(mut ep) = self.arena.take_endpoint(flow, side) {
-                let mut ctx = Ctx {
-                    net: self,
-                    flow,
-                    side,
-                };
-                ep.on_retire(&mut ctx);
-                self.arena.put_endpoint(flow, side, ep);
-            }
-        }
-        let h = self.arena.handle(flow).expect("retire_flow on vacant slot");
-        self.arena.retire(h);
-        self.sampler.untrack_flow(flow);
-        rec
     }
 
     /// Install a run controller.
@@ -747,7 +701,7 @@ impl Network {
         let wall = std::time::Instant::now();
         let mut last_done = self.now;
         let end = loop {
-            if until_settled && self.completed + self.aborted >= self.arena.live_count() {
+            if until_settled && self.completed + self.aborted >= self.arena.slot_count() {
                 break last_done;
             }
             let Some((et, ev)) = self.events.pop_before(limit) else {
@@ -940,20 +894,15 @@ impl Network {
             .map(|(_, p)| p)
     }
 
-    /// Number of live flows (all flows ever added, minus retired ones; no
-    /// production path retires, so this is "flows added" there).
+    /// Number of flows added so far, by setup or during the run: a flow
+    /// keeps its slot for the whole run.
     pub fn flow_count(&self) -> usize {
-        self.arena.live_count()
+        self.arena.slot_count()
     }
 
-    /// The flow arena (slot occupancy, generations, free-list length).
+    /// The flow arena.
     pub fn arena(&self) -> &FlowArena {
         &self.arena
-    }
-
-    /// The timer wheels (per-host pending counts, level occupancy).
-    pub fn timer_wheels(&self) -> &TimerWheels {
-        &self.timers
     }
 
     /// Routing-table version: the number of effective link up/down changes
@@ -993,13 +942,10 @@ impl Network {
         self.arena.is_aborted(flow)
     }
 
-    /// Per-flow outcome records, in flow-id order (live flows only).
+    /// Per-flow outcome records, in flow-id order.
     pub fn flow_records(&self) -> Vec<FlowRecord> {
-        self.flow_records_for(self.arena.live_ids())
-    }
-
-    fn flow_records_for(&self, flows: impl Iterator<Item = FlowId>) -> Vec<FlowRecord> {
-        flows
+        self.arena
+            .ids()
             .map(|f| {
                 let info = self.arena.info(f);
                 let flags = self.arena.flags(f);
@@ -1112,7 +1058,7 @@ impl Network {
     }
 
     /// The host a flow's `side` endpoint lives on (sender → src, receiver
-    /// → dst): whose generation counter and wheel its timers use.
+    /// → dst): whose generation counter its timers use.
     #[inline]
     fn timer_host(&self, flow: FlowId, side: Side) -> HostId {
         let info = self.arena.info(flow);
@@ -1128,11 +1074,10 @@ impl Network {
         gen
     }
 
-    /// First half of [`arm_timer`](Self::arm_timer): mint the generation,
-    /// count the arming into the wheel and reserve its queue position,
-    /// queueing nothing. Returns `(gen, expiry, seq)`; the arming must end
-    /// in exactly one of [`queue_timer`](Self::queue_timer) (its firing
-    /// settles the wheel) or [`settle_timer`](Self::settle_timer).
+    /// First half of [`arm_timer`](Self::arm_timer): mint the generation
+    /// and reserve the queue position, queueing nothing. Returns
+    /// `(gen, expiry, seq)`; [`queue_timer`](Self::queue_timer) may fill
+    /// the position later, or nothing ever does.
     pub(crate) fn reserve_timer(
         &mut self,
         flow: FlowId,
@@ -1159,7 +1104,6 @@ impl Network {
     ) {
         let ev = Ev::Timer {
             flow,
-            fgen: self.arena.gen(flow),
             host: self.timer_host(flow, side),
             side,
             kind,
@@ -1183,12 +1127,6 @@ impl Network {
             }
         }
         (self.now, gone)
-    }
-
-    /// Take an arming whose event was never queued back out of the wheel:
-    /// the `fired` that the event's pop would have accounted.
-    pub(crate) fn settle_timer(&mut self, flow: FlowId, side: Side, gen: u64, expiry: SimTime) {
-        self.timers.fired(self.timer_host(flow, side), gen, expiry);
     }
 
     pub(crate) fn deliver(&mut self, flow: FlowId, bytes: u64) {
@@ -1269,20 +1207,11 @@ impl Network {
             Ev::HostRx { pkt } => self.on_host_rx(pkt),
             Ev::Timer {
                 flow,
-                fgen,
-                host,
                 side,
                 kind,
                 gen,
-            } => {
-                // Wheel accounting happens for every firing — even one
-                // whose flow has been retired (the arena generation check
-                // below then drops it without dispatching).
-                self.timers.fired(host, gen, self.now);
-                if self.arena.check_gen(flow, fgen) {
-                    self.dispatch(flow, side, |ep, ctx| ep.on_timer(kind, gen, ctx));
-                }
-            }
+                ..
+            } => self.dispatch(flow, side, |ep, ctx| ep.on_timer(kind, gen, ctx)),
             Ev::FlowStart { flow } => {
                 if self.trace.is_some() {
                     let info = self.arena.info(flow);
@@ -1688,10 +1617,10 @@ impl Network {
     }
 
     /// Which endpoint of its flow a packet arriving at its destination
-    /// host is for; `None` when the flow no longer exists to consume it.
+    /// host is for; `None` when no such flow exists to consume it.
     #[inline]
     fn rx_side(&self, pkt: &Packet) -> Option<Side> {
-        if !self.arena.is_live(pkt.flow) {
+        if !self.arena.contains(pkt.flow) {
             return None;
         }
         Some(if pkt.dst == self.arena.info(pkt.flow).src {
@@ -1819,7 +1748,7 @@ mod tests {
         Network::new(
             topo,
             cfg,
-            Box::new(move |side, _info, _h| {
+            Box::new(move |side, _info| {
                 Box::new(Probe {
                     log: l2.clone(),
                     side: match side {
@@ -1929,7 +1858,7 @@ mod tests {
         let mut net = Network::new(
             topo,
             cfg,
-            Box::new(move |side, _info, _h| -> Box<dyn Endpoint> {
+            Box::new(move |side, _info| -> Box<dyn Endpoint> {
                 match side {
                     Side::Sender => Box::new(Rearm {
                         log: l2.clone(),

@@ -40,9 +40,8 @@ pub(super) struct Sampler {
     /// Tracked flows, each with its delivered bytes at the last sample.
     flows: Vec<(FlowId, u64)>,
     ports: Vec<DLinkId>,
-    /// One series per flow / port ever tracked, by id. Ordered maps: a
-    /// series outlives its flow's retirement, and the snapshot lists them
-    /// by ascending id.
+    /// One series per flow / port tracked, by id. Ordered maps: the
+    /// snapshot lists them by ascending id.
     flow_series: BTreeMap<u32, TimeSeries>,
     port_series: BTreeMap<u32, TimeSeries>,
     /// Live metrics state; `None` unless a metrics context is installed,
@@ -113,11 +112,6 @@ impl Sampler {
         self.port_series.insert(dlink.0, TimeSeries::new(interval));
     }
 
-    /// Stop sampling a flow (it is being retired); its series stays.
-    pub(super) fn untrack_flow(&mut self, flow: FlowId) {
-        self.flows.retain(|(f, _)| *f != flow);
-    }
-
     pub(super) fn flow_series(&self, flow: FlowId) -> Option<&TimeSeries> {
         self.flow_series.get(&flow.0)
     }
@@ -176,7 +170,7 @@ impl Network {
                 series.push(at, bytes as f64);
             }
         }
-        let work_remains = self.completed + self.aborted < self.arena.live_count();
+        let work_remains = self.completed + self.aborted < self.arena.slot_count();
         s.pending = work_remains.then(|| (at + interval, self.events.reserve_seq()));
     }
 
@@ -203,7 +197,7 @@ impl Network {
                     0.0
                 };
                 let done = self.completed + self.aborted;
-                let total = self.arena.live_count();
+                let total = self.arena.slot_count();
                 let eta = if done > 0 && total > done {
                     format!("{:.1}s", wall * (total - done) as f64 / done as f64)
                 } else {
@@ -308,7 +302,7 @@ impl Network {
         // Flows started at `t` and not yet settled, and how many of those
         // are currently marked stalled.
         let (mut active, mut stalled) = (0u64, 0u64);
-        for f in self.arena.live_ids() {
+        for f in self.arena.ids() {
             let flags = self.arena.flags(f);
             if flags & (FLAG_DONE | FLAG_ABORTED) == 0 && self.arena.info(f).start <= t {
                 active += 1;
@@ -320,7 +314,7 @@ impl Network {
         SampleView {
             t,
             ports: &self.ports,
-            flows_total: self.arena.live_count() as u64,
+            flows_total: self.arena.slot_count() as u64,
             flows_active: active,
             flows_stalled: stalled,
             flows_completed: self.completed as u64,

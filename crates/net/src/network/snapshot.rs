@@ -1,6 +1,6 @@
 //! Snapshot and restore of a [`Network`] (DESIGN.md §12). A layer's wire
 //! format is private to the layer — the event queue, the arena, the timer
-//! wheels, each port and each probe write and read their own bytes — so
+//! generations, each port and each probe write and read their own bytes — so
 //! what lives here is only what no layer can know: the order of the
 //! sections, and the codec of the two payload types the network defines
 //! itself, [`Ev`] and [`Pending`].
@@ -32,7 +32,6 @@ impl Ev {
             }
             Ev::Timer {
                 flow,
-                fgen,
                 host,
                 side,
                 kind,
@@ -40,7 +39,6 @@ impl Ev {
             } => {
                 w.u8(3);
                 w.u32(flow.0);
-                w.u32(*fgen);
                 w.u32(host.0);
                 w.bool(matches!(side, Side::Sender));
                 w.u8(*kind);
@@ -76,7 +74,6 @@ impl Ev {
             },
             3 => Ev::Timer {
                 flow: FlowId(r.u32()?),
-                fgen: r.u32()?,
                 host: HostId(r.u32()?),
                 side: if r.bool()? {
                     Side::Sender
@@ -133,7 +130,7 @@ fn optional<T: ?Sized>(
 
 impl Network {
     /// Serialize the network's complete *dynamic* state as an
-    /// `xpass-snap/v3` body, one section per layer. Static configuration —
+    /// `xpass-snap/v4` body, one section per layer. Static configuration —
     /// topology, [`NetConfig`](crate::config::NetConfig), endpoint factory,
     /// installed monitor specs — is not written: a restore overlays onto a
     /// freshly built network whose deterministic setup already re-created
@@ -158,9 +155,7 @@ impl Network {
         w.opt(self.invariants.as_ref(), |w, st| st.snap(w));
         w.opt(self.ledger.as_ref(), |w, l| l.snap(w));
         w.opt(self.watchdog.as_ref(), |w, wd| wd.snap(w));
-        // One count per event tag; the retired tag 6 keeps its slot.
-        let (before, fault) = self.ev_counts.split_at(6);
-        for c in before.iter().chain(&[0]).chain(fault) {
+        for c in &self.ev_counts {
             w.u64(*c);
         }
         self.counters.snap(w);
@@ -175,7 +170,7 @@ impl Network {
     /// by the same deterministic setup (same topology, config, flows,
     /// installed monitors) that preceded the snapshot; mismatches are
     /// reported as [`SnapError`]s whose path names the section
-    /// (`network.timers.wheel`, `network.flows.3.sender`), never a panic.
+    /// (`network.timers.host_gen`, `network.flows.3.sender`), never a panic.
     pub fn restore_from(&mut self, body: &[u8]) -> Result<(), SnapError> {
         let r = &mut SnapReader::new(body, 0);
         r.enter("network");
@@ -216,12 +211,9 @@ impl Network {
         optional(r, "ledger", self.ledger.as_mut(), |l, r| l.restore(r))?;
         optional(r, "watchdog", self.watchdog.as_mut(), |wd, r| wd.restore(r))?;
         r.within("counters", |r| {
-            let (before, fault) = self.ev_counts.split_at_mut(6);
-            for c in before {
+            for c in &mut self.ev_counts {
                 *c = r.u64()?;
             }
-            r.u64()?; // the retired tag 6
-            fault[0] = r.u64()?;
             self.counters.restore(r)
         })?;
         r.within("sampler", |r| self.sampler.restore(r))?;

@@ -432,11 +432,6 @@ impl<E> EventQueue<E> {
         // Which reserved positions are still ahead must survive a resume.
         w.u64(self.horizon.0 .0);
         w.u64(self.horizon.1);
-        // Reserved: two always-empty `u64` sequences, where the retired
-        // cancel sets were. Kept in v3 so that the body of a network that
-        // tracks nothing is byte for byte its v2 body.
-        w.usize(0);
-        w.usize(0);
     }
 
     /// Build a queue on scheduler `kind` from bytes written by
@@ -460,14 +455,6 @@ impl<E> EventQueue<E> {
         q.peak = r.usize()?;
         q.needs_shrink = q.len > q.initial_cap;
         q.horizon = (SimTime(r.u64()?), r.u64()?);
-        for _ in 0..2 {
-            let n = r.seq_len(8)?;
-            if n != 0 {
-                return Err(r.err(format!(
-                    "reserved sequence must be empty, found {n} entries"
-                )));
-            }
-        }
         Ok(q)
     }
 
@@ -690,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_refuses_a_non_empty_reserved_set_and_truncation() {
+    fn restore_refuses_truncation() {
         let bytes = snap_bytes(&busy(SchedulerKind::Calendar));
         let restore = |b: &[u8]| {
             let mut r = SnapReader::new(b, 0);
@@ -700,13 +687,6 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(restore(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-        // The last 16 bytes are the two reserved (empty) sequences.
-        let mut bad = bytes.clone();
-        let at = bad.len() - 8;
-        bad[at] = 1;
-        bad.extend_from_slice(&9u64.to_le_bytes());
-        let e = restore(&bad).unwrap_err();
-        assert!(e.msg.contains("reserved sequence must be empty"), "{e}");
     }
 
     #[test]

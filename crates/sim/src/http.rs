@@ -500,6 +500,9 @@ fn ws_session(
         return stream.write_all(&response(503, TEXT, "no live feed attached\n"));
     };
     let accept = ws::accept_key(key);
+    // Subscribe before answering: a line pushed once the client has read
+    // the 101 must reach it.
+    let mut cursor = feed.tail();
     stream.write_all(
         format!(
             "HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\n\
@@ -513,7 +516,6 @@ fn ws_session(
     // for seconds while the feed laps it.
     stream.set_write_timeout(Some(Duration::from_millis(250)))?;
     bound_send_buffer(&stream, WS_SNDBUF_BYTES);
-    let mut cursor = feed.tail();
     let mut inbuf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 1024];
     loop {

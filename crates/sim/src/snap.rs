@@ -1,4 +1,4 @@
-//! `xpass-snap/v3` — a versioned, zero-dependency binary snapshot format.
+//! `xpass-snap/v4` — a versioned, zero-dependency binary snapshot format.
 //!
 //! Snapshots make long runs durable: the engine can serialize its complete
 //! state mid-run, and a later process can restore it and continue with
@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //! 0       10    magic  b"xpass-snap"
-//! 10      4     version (u32 LE, currently 3)
+//! 10      4     version (u32 LE, currently 4)
 //! 14      4     CRC-32 (IEEE) of the body
 //! 18      8     body length (u64 LE)
 //! 26      ..    body
@@ -45,14 +45,18 @@ use std::path::Path;
 
 /// Magic bytes at offset 0 of every snapshot file.
 pub const MAGIC: [u8; 10] = *b"xpass-snap";
-/// Current format version. v3 (no sample events): the figure-series
-/// sampler holds a reserved queue position where a queued sample event
-/// used to be, and event tag 6 is retired. v2 (reserved queue positions)
+/// Current format version. v4 (flows live for the whole run): the arena
+/// writes no slot occupancy, generation or free list, the timer section
+/// only the per-host generations, a queued timer no flow generation, and
+/// the event queue and per-kind event counts drop v3's always-empty
+/// reserved slots. v3 (no sample events): the figure-series sampler holds
+/// a reserved queue position where a queued sample event used to be, and
+/// event tag 6 is retired. v2 (reserved queue positions)
 /// added the event queue's horizon, each port's deferred wake and the
 /// window sender's carried RTO deadline. Older files are refused with the
 /// version-mismatch error — a snapshot resumes the run that wrote it, and
 /// an older run's queue holds events this one never pushes.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 /// Bytes of header before the body starts.
 pub const HEADER_LEN: usize = 10 + 4 + 4 + 8;
 
@@ -445,7 +449,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 // File envelope.
 // ---------------------------------------------------------------------------
 
-/// Wrap a body in the `xpass-snap/v3` envelope (magic, version, checksum,
+/// Wrap a body in the `xpass-snap/v4` envelope (magic, version, checksum,
 /// length).
 pub fn encode_file(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + body.len());
@@ -684,7 +688,7 @@ mod tests {
         let e = decode_file(&file).unwrap_err();
         assert_eq!(e.at, 10);
         assert!(
-            e.msg.contains("expected 3") && e.msg.contains("found 99"),
+            e.msg.contains("expected 4") && e.msg.contains("found 99"),
             "{e}"
         );
     }

@@ -88,7 +88,7 @@
 //! checkpoint is written, and the process exits 0.
 //!
 //! `--checkpoint-every <sim-ms> --checkpoint-dir <dir>` writes a
-//! `xpass-snap/v3` snapshot of every simulated network each `<sim-ms>`
+//! `xpass-snap/v4` snapshot of every simulated network each `<sim-ms>`
 //! milliseconds of *simulation* time (atomic write + rename, last few
 //! kept per network). A crashed job is retried once in-process from its
 //! latest snapshot; the failure summary names the snapshot so a killed

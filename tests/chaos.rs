@@ -107,7 +107,7 @@ impl Endpoint for Spinner {
 }
 
 fn spinner_factory() -> EndpointFactory {
-    Box::new(|_side: Side, _info, _h| Box::new(Spinner))
+    Box::new(|_side: Side, _info| Box::new(Spinner))
 }
 
 #[test]

@@ -202,7 +202,7 @@ fn uncredited_background_traffic_is_absorbed() {
     let mut net = Network::new(
         topo,
         cfg,
-        Box::new(|side, info, _h| {
+        Box::new(|side, info| {
             if info.id.0 == 2 {
                 match side {
                     Side::Sender => Box::new(UdpBlastSender::new(3e8)),

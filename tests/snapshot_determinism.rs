@@ -333,8 +333,8 @@ fn clos_net() -> Network {
 /// The million-flow memory layout round-trips: a small fig15_xl-style
 /// 3-tier Clos with a mid-run cable cut, snapshotted while timers are
 /// armed and the fault overlay is active, restores into a twin under the
-/// other scheduler — arena slots (with SoA lanes), timer-wheel occupancy,
-/// and the routing-overlay epoch all travel through the bytes.
+/// other scheduler — arena slots (with SoA lanes), per-host timer
+/// generations and the routing-overlay epoch all travel through the bytes.
 #[test]
 fn three_tier_with_faults_round_trips_across_schedulers() {
     // Generous cap: a SYN blackholed by the cut retries on exponential
@@ -628,21 +628,18 @@ fn body_of(net: &Network) -> Vec<u8> {
 }
 
 /// The wire format, pinned across commits. `(length, CRC-32)` of three
-/// snapshot bodies. The dumbbell and DCTCP bodies are as commit 08acacc
-/// wrote them — the parent of the change that moved every layer's snapshot
-/// code beside the layer, for which these numbers staying put was the
-/// proof that the move was exact — and v3 left them alone: they track
-/// nothing. The Clos body, the one with a tracked flow, is v3's (no sample
-/// event queued; the sampler's reserved position instead). They may
+/// snapshot bodies, as v4 writes them: no arena slot occupancy,
+/// generation or free list, no timer occupancy wheel, no flow generation
+/// in a queued timer, none of v3's always-empty reserved slots. They may
 /// change only together with `snap::VERSION`.
 #[test]
 fn snapshot_bodies_match_the_committed_digests() {
     use xpass::sim::metrics::{self, MetricsSpec};
     use xpass::sim::snap::crc32;
 
-    const DUMBBELL: (usize, u32) = (5_925, 0xfc96_4a57);
-    const DCTCP: (usize, u32) = (16_653, 0xac6c_c65e);
-    const CLOS: (usize, u32) = (84_468, 0x2783_200f);
+    const DUMBBELL: (usize, u32) = (4_771, 0xade0_db75);
+    const DCTCP: (usize, u32) = (15_465, 0x3887_62c5);
+    const CLOS: (usize, u32) = (82_764, 0x2804_da08);
     let digest = |net: &Network| {
         let body = body_of(net);
         (body.len(), crc32(&body))
@@ -686,7 +683,7 @@ fn snapshot_bodies_match_the_committed_digests() {
 /// with a fault plan, every probe and the sampler installed, so every
 /// section is there — is refused with an error whose path names the
 /// section the bytes ran out in, one level below `network`. Each layer
-/// enters its own context: the timer wheels report `network.timers`, not
+/// enters its own context: the timer generations report `network.timers`, not
 /// `network.flows.timers` as they did while the arena's context was still
 /// open around them.
 #[test]
