@@ -78,11 +78,6 @@ impl XPassSender {
         }
     }
 
-    /// Bytes the sender has transmitted at least once.
-    pub fn bytes_sent(&self) -> u64 {
-        self.next_seq
-    }
-
     /// SYN transmissions so far.
     pub fn syn_attempts(&self) -> u32 {
         self.syn_attempts

@@ -19,8 +19,8 @@
 //! progress heartbeat, so the ring (and the `--metrics` JSONL file
 //! derived from it) stays deterministic. The wall clock itself is
 //! read only on the event-count cadence of
-//! [`xpass_sim::watchdog::WALL_CHECK_MASK`], to throttle publications;
-//! a throttled publication renders text only for a reader (see
+//! [`xpass_sim::watchdog::WALL_CHECK_MASK`], to throttle publications.
+//! A publication hands the plane numbers; its readers render them (see
 //! [`xpass_sim::metrics::Plane`]).
 
 use crate::network::Counters;
@@ -128,9 +128,6 @@ pub(crate) struct MetricsState {
     /// Wall clock at the first advance (events/s, ETA; never sampled).
     wall_start: Option<std::time::Instant>,
     last_publish: Option<std::time::Instant>,
-    /// The plane's reader count as of this network's previous publish
-    /// (see [`wants_text`](Self::wants_text)).
-    seen_reads: u64,
     // WS push cursors (wall/telemetry domain: deliberately NOT part of
     // snapshots — an in-process resume keeps pushing from where the feed
     // left off, a fresh process re-pushes the replayed ring).
@@ -140,14 +137,6 @@ pub(crate) struct MetricsState {
     pushed_header: bool,
     /// Last health JSON pushed (pushes happen only on change).
     pushed_health: Option<String>,
-    // JSONL view cache (derived from the ring; cleared on restore, never
-    // snapshotted). Each ring row is encoded exactly once; the
-    // concatenated block is rebuilt only on forced publishes — see
-    // `series_snapshot`.
-    /// Encoded `{"t_ps",...}` line per ring tick, in ring order.
-    jsonl_lines: std::collections::VecDeque<(u64, String)>,
-    /// The last built `xpass-metrics/v1` block (header + rows).
-    jsonl_built: Option<std::sync::Arc<String>>,
 }
 
 impl MetricsState {
@@ -189,12 +178,9 @@ impl MetricsState {
             progress_next,
             wall_start: None,
             last_publish: None,
-            seen_reads: 0,
             pushed_t: None,
             pushed_header: false,
             pushed_health: None,
-            jsonl_lines: std::collections::VecDeque::new(),
-            jsonl_built: None,
         }
     }
 
@@ -438,107 +424,36 @@ impl MetricsState {
                 .is_none_or(|at| at.elapsed() >= PUBLISH_EVERY)
     }
 
-    /// Whether this publication must render the text views (exposition,
-    /// health and engine JSON): always when forced, otherwise only when a
-    /// reader touched the plane since this network's previous publication.
-    /// Nobody can observe text rendered between two reads.
-    pub(crate) fn wants_text(&mut self, force: bool) -> bool {
-        let Some(p) = self.hook.plane.as_ref() else {
-            return false;
-        };
-        let reads = p.reads();
-        std::mem::replace(&mut self.seen_reads, reads) != reads || force
-    }
-
-    /// The throttled publication nobody is reading: refresh the progress
-    /// row and hand new ring rows to the WS feed — each row is encoded
-    /// once however often this runs — leaving the text views as they are.
-    pub(crate) fn publish_progress(&mut self, progress: Progress) {
+    /// Publish the registry, the ring and these reports to the plane (call
+    /// after [`publish_due`](Self::publish_due)). The registry's structure
+    /// and the ring's rows are shared, not copied; the plane's readers
+    /// render them.
+    pub(crate) fn publish(&mut self, engine: EngineReport, health: String, progress: Progress) {
         let Some(p) = self.hook.plane.clone() else {
             return;
         };
         self.last_publish = Some(std::time::Instant::now());
-        self.push_feed(&p, None);
-        p.publish_progress(&self.plane_key(), progress);
-    }
-
-    /// Publish the current views to the plane (call after
-    /// [`publish_due`](Self::publish_due)).
-    pub(crate) fn publish(
-        &mut self,
-        engine: EngineReport,
-        health: String,
-        progress: Progress,
-        force: bool,
-    ) {
-        let Some(p) = self.hook.plane.clone() else {
-            return;
-        };
-        self.last_publish = Some(std::time::Instant::now());
-        let net_label = self.hook.net_index.to_string();
-        let extra: &[(&str, &str)] = &[("job", &self.hook.job), ("net", &net_label)];
-        let exposition = self.reg.render_prometheus(extra);
-        self.push_feed(&p, Some(&health));
+        self.push_feed(&p, &health);
         let view = JobView {
-            exposition,
-            health: Some(health),
-            engine: engine.to_json().to_string(),
+            job: self.hook.job.clone(),
+            net: self.hook.net_index,
+            interval_ps: self.hook.spec.interval.as_ps(),
+            registry: self.reg.clone(),
+            ring: self.ring.clone(),
+            health,
+            engine,
             progress,
-            series_jsonl: self.series_snapshot(force),
         };
         p.publish(&self.plane_key(), view);
-    }
-
-    /// The ring encoded as one `xpass-metrics/v1` block. Row lines are
-    /// cached (each tick is formatted exactly once) and the concatenated
-    /// block is rebuilt only on forced publishes: re-encoding the whole
-    /// ring on every wall-throttled publish is O(ring × series) and
-    /// starves the event loop once the ring holds thousands of rows,
-    /// while the only reader of a *non*-final block is nobody — the
-    /// `--metrics` writer scrapes after the run loop forces a publish on
-    /// exit, and the live WS feed gets rows incrementally via
-    /// [`push_feed`](Self::push_feed).
-    fn series_snapshot(&mut self, force: bool) -> std::sync::Arc<String> {
-        // Drop cached lines for ticks the ring has evicted.
-        let oldest = self.ring.iter().next().map(|(t, _)| t);
-        while self
-            .jsonl_lines
-            .front()
-            .is_some_and(|(t, _)| oldest.is_none_or(|o| *t < o))
-        {
-            self.jsonl_lines.pop_front();
-        }
-        // Encode rows newer than the newest cached line (byte-for-byte
-        // what `encode_jsonl` would emit for the same tick).
-        let cached_to = self.jsonl_lines.back().map(|(t, _)| *t);
-        for (t, row) in self.ring.iter() {
-            if cached_to.is_some_and(|c| t <= c) {
-                continue;
-            }
-            let line = plane::jsonl_row(Json::obj(), t, row);
-            self.jsonl_lines.push_back((t, format!("{line}\n")));
-        }
-        if force || self.jsonl_built.is_none() {
-            let header = self.jsonl_header();
-            let mut out = String::with_capacity(
-                header.len() + self.jsonl_lines.iter().map(|(_, l)| l.len()).sum::<usize>(),
-            );
-            out.push_str(&header);
-            for (_, l) in &self.jsonl_lines {
-                out.push_str(l);
-            }
-            self.jsonl_built = Some(std::sync::Arc::new(out));
-        }
-        self.jsonl_built.clone().expect("series block just built")
     }
 
     /// Push whatever is new since the last publish into the plane's WS
     /// feed (when one is attached): one `xpass-metrics/v1` header line,
     /// then each not-yet-pushed ring row as a `{"job",...,"t_ps","v"}`
-    /// line, then the health report (when this publication rendered one)
-    /// whenever it changes. Producers never block — slow consumers are the
-    /// feed's problem (see [`xpass_sim::ws::Broadcast`]).
-    fn push_feed(&mut self, p: &plane::Plane, health: Option<&str>) {
+    /// line — each row encoded once, however often this runs — then the
+    /// health report whenever it changes. Producers never block — slow
+    /// consumers are the feed's problem (see [`xpass_sim::ws::Broadcast`]).
+    fn push_feed(&mut self, p: &plane::Plane, health: &str) {
         let Some(feed) = p.feed() else {
             return;
         };
@@ -557,21 +472,19 @@ impl MetricsState {
                 self.pushed_t = Some(t);
             }
         }
-        if let Some(health) = health {
-            if self.pushed_health.as_deref() != Some(health) {
-                feed.push(format!(
-                    "{{\"job\":{},\"health\":{health}}}",
-                    Json::str(&key)
-                ));
-                self.pushed_health = Some(health.to_string());
-            }
+        if self.pushed_health.as_deref() != Some(health) {
+            feed.push(format!(
+                "{{\"job\":{},\"health\":{health}}}",
+                Json::str(&key)
+            ));
+            self.pushed_health = Some(health.to_string());
         }
     }
 
     /// The `xpass-metrics/v1` header line of this network's block.
     fn jsonl_header(&self) -> String {
         plane::encode_jsonl(&SeriesDump {
-            job: self.hook.job.clone(),
+            job: self.hook.job.to_string(),
             net: self.hook.net_index,
             interval_ps: self.hook.spec.interval.as_ps(),
             keys: self.reg.scalar_keys(),
@@ -621,11 +534,6 @@ impl MetricsState {
         r.enter("ring");
         self.ring.restore(r)?;
         r.leave();
-        // The JSONL cache is derived from the ring; a restore rewinds the
-        // ring, so cached lines (and the built block) are now from a
-        // divergent timeline.
-        self.jsonl_lines.clear();
-        self.jsonl_built = None;
         Ok(())
     }
 }

@@ -905,13 +905,6 @@ impl Network {
         &self.arena
     }
 
-    /// Routing-table version: the number of effective link up/down changes
-    /// applied to the fault-aware routing overlay. Always 0 without an
-    /// installed fault plan.
-    pub fn routing_epoch(&self) -> u64 {
-        self.live_routes.as_ref().map_or(0, |lr| lr.epoch())
-    }
-
     /// Number of completed flows.
     pub fn completed_count(&self) -> usize {
         self.completed

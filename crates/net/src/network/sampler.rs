@@ -215,12 +215,10 @@ impl Network {
         self.sampler.metrics = Some(m);
     }
 
-    /// Publish the current views to the metrics plane — wall-throttled
+    /// Publish the current state to the metrics plane — wall-throttled
     /// unless `force` (the run loop forces one at every exit, so the last
-    /// scrape always matches the end-of-run reports). A throttled publish
-    /// always refreshes the progress row but renders the text views only
-    /// when a reader touched the plane since the previous publish. A no-op
-    /// without metrics.
+    /// scrape always matches the end-of-run reports). A no-op without
+    /// metrics.
     pub(super) fn publish_metrics(&mut self, force: bool) {
         let Some(mut m) = self.sampler.metrics.take() else {
             return;
@@ -247,12 +245,8 @@ impl Network {
                 // final state so the last scrape matches the reports.
                 m.refresh_final(&view);
             }
-            if m.wants_text(force) {
-                let health = self.health_report().to_json().to_string();
-                m.publish(self.engine_report(), health, progress, force);
-            } else {
-                m.publish_progress(progress);
-            }
+            let health = self.health_report().to_json().to_string();
+            m.publish(self.engine_report(), health, progress);
         }
         self.sampler.metrics = Some(m);
     }

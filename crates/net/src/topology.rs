@@ -193,13 +193,9 @@ impl LiveRoutes {
         &self.entries[lo as usize..(lo + self.len[base]) as usize]
     }
 
-    /// Routing table version: count of effective link state changes applied.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Serialize the overlay. The live slices are derived state (which
-    /// links are down × the flat tables); only the epoch rides along.
+    /// links are down × the flat tables); only the epoch rides along, kept
+    /// for the `xpass-snap/v4` layout — nothing else reads it.
     pub(crate) fn snap(&self, w: &mut xpass_sim::SnapWriter) {
         w.u64(self.epoch);
     }

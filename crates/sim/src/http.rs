@@ -4,9 +4,9 @@
 //! Zero dependencies: a std [`TcpListener`] on a background thread,
 //! non-blocking accept with a sleep poll, one worker thread per
 //! connection (`Connection: close`) under a hard concurrency cap. It
-//! serves pre-rendered text pulled from a [`Plane`] — request handling
-//! never touches live simulation state, so a slow scraper cannot perturb
-//! a run.
+//! renders the latest publications held by a [`Plane`] — request
+//! handling never touches live simulation state, so a slow scraper cannot
+//! perturb a run.
 //!
 //! Routes: `/metrics` (Prometheus text), `/health` (503 while the
 //! supervisor reports the plane degraded), `/engine`, `/progress`
@@ -523,9 +523,6 @@ fn ws_session(
             let _ = stream.write_all(&ws::encode_close(1001, "server shutting down"));
             return Ok(());
         }
-        // A subscriber is a reader: keep publishers rendering (health
-        // changes reach the feed only through a rendered publish).
-        plane.note_reader();
         // Drain client frames (control frames honored, text ignored).
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(()),

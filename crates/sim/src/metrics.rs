@@ -12,8 +12,9 @@
 //!   parsed back by [`parse_exposition`]) served live over HTTP (see
 //!   [`crate::http`]).
 //! * [`Plane`] — the cross-thread publishing surface: each simulation
-//!   thread publishes pre-rendered views ([`JobView`]) under its job key;
-//!   the HTTP server only ever reads the plane.
+//!   thread publishes its numbers ([`JobView`]) under its job key; the
+//!   HTTP server and the `--metrics` writer render them on their own
+//!   threads.
 //!
 //! Like tracing and checkpointing, the plane is **zero-cost when off**:
 //! with no sampler installed in the [run context](crate::run_ctx) (the
@@ -25,12 +26,12 @@
 //! results as a metrics-off run.
 
 use crate::json::{self, Json};
+use crate::profile::EngineReport;
 use crate::run_ctx;
 use crate::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::time::Dur;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Schema identifier of the JSONL series format.
@@ -62,6 +63,7 @@ impl MetricKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MetricId(u32);
 
+#[derive(Clone)]
 struct Family {
     name: String,
     help: String,
@@ -72,6 +74,7 @@ struct Family {
 
 /// One series: unified storage for all three kinds. A counter lives in
 /// `count`, a gauge in `sum`, a histogram in all three fields.
+#[derive(Clone)]
 struct Series {
     family: u32,
     labels: u32,
@@ -80,15 +83,24 @@ struct Series {
     buckets: Vec<u64>,
 }
 
-/// The metric registry: families, interned label sets, and series values.
-#[derive(Default)]
-pub struct Registry {
+/// Families, interned label sets and the series index: fixed once a
+/// network has registered its families, so clones share it.
+#[derive(Clone, Default)]
+struct Schema {
     families: Vec<Family>,
     fam_idx: HashMap<String, u32>,
     label_sets: Vec<Vec<(String, String)>>,
     label_idx: HashMap<String, u32>,
-    series: Vec<Series>,
     series_idx: HashMap<(u32, u32), u32>,
+}
+
+/// The metric registry: families, interned label sets, and series values.
+/// A clone copies the values and shares the rest — what a publication to
+/// the [`Plane`] holds.
+#[derive(Clone, Default)]
+pub struct Registry {
+    schema: Arc<Schema>,
+    series: Vec<Series>,
 }
 
 /// Canonical text form of a label set: `k="v",k="v"` in given order.
@@ -113,12 +125,7 @@ fn label_key(labels: &[(String, String)]) -> String {
     s
 }
 
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
+impl Schema {
     fn family(&mut self, name: &str, help: &str, kind: MetricKind, bounds: &[f64]) -> u32 {
         if let Some(&i) = self.fam_idx.get(name) {
             let f = &self.families[i as usize];
@@ -155,6 +162,13 @@ impl Registry {
         self.label_idx.insert(key, i);
         i
     }
+}
+
+impl Registry {
+    /// An empty registry.
+    pub fn new() -> Registry {
+        Registry::default()
+    }
 
     fn register(
         &mut self,
@@ -164,13 +178,14 @@ impl Registry {
         labels: &[(&str, &str)],
         bounds: &[f64],
     ) -> MetricId {
-        let fam = self.family(name, help, kind, bounds);
-        let lab = self.intern_labels(labels);
-        if let Some(&i) = self.series_idx.get(&(fam, lab)) {
+        let schema = Arc::make_mut(&mut self.schema);
+        let fam = schema.family(name, help, kind, bounds);
+        let lab = schema.intern_labels(labels);
+        if let Some(&i) = schema.series_idx.get(&(fam, lab)) {
             return MetricId(i);
         }
         let i = self.series.len() as u32;
-        let n_buckets = self.families[fam as usize].bounds.len();
+        let n_buckets = schema.families[fam as usize].bounds.len();
         self.series.push(Series {
             family: fam,
             labels: lab,
@@ -178,7 +193,7 @@ impl Registry {
             sum: 0.0,
             buckets: vec![0; n_buckets],
         });
-        self.series_idx.insert((fam, lab), i);
+        schema.series_idx.insert((fam, lab), i);
         MetricId(i)
     }
 
@@ -232,7 +247,7 @@ impl Registry {
     /// Record one histogram observation.
     pub fn observe(&mut self, id: MetricId, v: f64) {
         let s = &mut self.series[id.0 as usize];
-        let bounds = &self.families[s.family as usize].bounds;
+        let bounds = &self.schema.families[s.family as usize].bounds;
         for (i, b) in bounds.iter().enumerate() {
             if v <= *b {
                 s.buckets[i] += 1;
@@ -269,8 +284,8 @@ impl Registry {
     pub fn scalar_keys(&self) -> Vec<String> {
         self.scalar_series()
             .map(|s| {
-                let f = &self.families[s.family as usize];
-                let labels = &self.label_sets[s.labels as usize];
+                let f = &self.schema.families[s.family as usize];
+                let labels = &self.schema.label_sets[s.labels as usize];
                 if labels.is_empty() {
                     f.name.clone()
                 } else {
@@ -283,14 +298,14 @@ impl Registry {
     fn scalar_series(&self) -> impl Iterator<Item = &Series> {
         self.series
             .iter()
-            .filter(|s| self.families[s.family as usize].kind != MetricKind::Histogram)
+            .filter(|s| self.schema.families[s.family as usize].kind != MetricKind::Histogram)
     }
 
     /// Current values of every scalar series, aligned with
     /// [`scalar_keys`](Self::scalar_keys) (counters widen to `f64`).
     pub fn scalar_values(&self) -> Vec<f64> {
         self.scalar_series()
-            .map(|s| match self.families[s.family as usize].kind {
+            .map(|s| match self.schema.families[s.family as usize].kind {
                 MetricKind::Counter => s.count as f64,
                 _ => s.sum,
             })
@@ -306,12 +321,12 @@ impl Registry {
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
         let mut out = String::new();
-        for (fi, f) in self.families.iter().enumerate() {
+        for (fi, f) in self.schema.families.iter().enumerate() {
             out.push_str(&format!("# HELP {} {}\n", f.name, f.help));
             out.push_str(&format!("# TYPE {} {}\n", f.name, f.kind.name()));
             for s in self.series.iter().filter(|s| s.family as usize == fi) {
                 let mut labels = extra.clone();
-                labels.extend(self.label_sets[s.labels as usize].iter().cloned());
+                labels.extend(self.schema.label_sets[s.labels as usize].iter().cloned());
                 match f.kind {
                     MetricKind::Counter => {
                         write_sample(&mut out, &f.name, &labels, s.count as f64);
@@ -414,11 +429,11 @@ impl Restore for Registry {
 
 /// In-memory ring of time-series: one row of scalar samples per sampler
 /// tick, all series sharing the tick timestamps. Oldest ticks are evicted
-/// past `cap`.
+/// past `cap`. Rows are immutable once recorded, so a clone shares them.
+#[derive(Clone)]
 pub struct Ring {
     cap: usize,
-    ticks: VecDeque<u64>,
-    rows: VecDeque<Vec<f64>>,
+    rows: VecDeque<(u64, Arc<[f64]>)>,
 }
 
 impl Ring {
@@ -426,48 +441,42 @@ impl Ring {
     pub fn new(cap: usize) -> Ring {
         Ring {
             cap: cap.max(1),
-            ticks: VecDeque::new(),
             rows: VecDeque::new(),
         }
     }
 
     /// Record one tick at sim time `t_ps` with this row of scalar values.
     pub fn record(&mut self, t_ps: u64, row: Vec<f64>) {
-        if let Some(first) = self.rows.front() {
+        if let Some((_, first)) = self.rows.front() {
             assert_eq!(first.len(), row.len(), "ring row width changed mid-run");
         }
-        self.ticks.push_back(t_ps);
-        self.rows.push_back(row);
-        while self.ticks.len() > self.cap {
-            self.ticks.pop_front();
+        self.rows.push_back((t_ps, row.into()));
+        while self.rows.len() > self.cap {
             self.rows.pop_front();
         }
     }
 
     /// Number of recorded ticks.
     pub fn len(&self) -> usize {
-        self.ticks.len()
+        self.rows.len()
     }
 
     /// True before the first recorded tick.
     pub fn is_empty(&self) -> bool {
-        self.ticks.is_empty()
+        self.rows.is_empty()
     }
 
     /// The recorded ticks in order: `(t_ps, row)`.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[f64])> {
-        self.ticks
-            .iter()
-            .zip(self.rows.iter())
-            .map(|(t, r)| (*t, r.as_slice()))
+        self.rows.iter().map(|(t, r)| (*t, &r[..]))
     }
 }
 
 impl Snapshot for Ring {
     fn snap(&self, w: &mut SnapWriter) {
-        w.usize(self.ticks.len());
-        for (t, row) in self.ticks.iter().zip(self.rows.iter()) {
-            w.u64(*t);
+        w.usize(self.rows.len());
+        for (t, row) in self.iter() {
+            w.u64(t);
             w.seq(row, |w, v| w.f64(*v));
         }
     }
@@ -476,14 +485,12 @@ impl Snapshot for Ring {
 impl Restore for Ring {
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let n = r.seq_len(9)?;
-        self.ticks.clear();
         self.rows.clear();
         for _ in 0..n {
             let t = r.u64()?;
             let nv = r.seq_len(8)?;
             let row = (0..nv).map(|_| r.f64()).collect::<Result<Vec<_>, _>>()?;
-            self.ticks.push_back(t);
-            self.rows.push_back(row);
+            self.rows.push_back((t, row.into()));
         }
         Ok(())
     }
@@ -780,65 +787,53 @@ impl Progress {
     }
 }
 
-/// Everything one simulated network publishes to the plane: pre-rendered
-/// views, so the HTTP thread never touches live simulation state.
-#[derive(Clone, Debug, Default)]
+/// One simulated network's publication: numbers, not text. The registry
+/// and the ring share their structure and rows with the network's own, so
+/// a publish copies only the series values; the plane's readers render.
+#[derive(Clone)]
 pub struct JobView {
-    /// Prometheus text exposition (job/net labels baked in).
-    pub exposition: String,
-    /// Health report as JSON text, when monitors are installed.
-    pub health: Option<String>,
-    /// Engine report as JSON text.
-    pub engine: String,
+    /// Job key of the publishing scope (the `job` label).
+    pub job: Arc<str>,
+    /// Network index within the job (the `net` label).
+    pub net: u64,
+    /// Sampler interval in picoseconds (the series block's header).
+    pub interval_ps: u64,
+    /// The network's metrics as of the publish.
+    pub registry: Registry,
+    /// The network's series ring as of the publish.
+    pub ring: Ring,
+    /// Health report as JSON text.
+    pub health: String,
+    /// Engine report.
+    pub engine: EngineReport,
     /// Live progress.
     pub progress: Progress,
-    /// The network's series ring encoded as `xpass-metrics/v1` JSONL.
-    /// Shared, not owned: re-encoding (or even cloning) the full ring on
-    /// every wall-throttled publish is O(ring) and would starve the
-    /// event loop once the ring holds thousands of rows, so publishers
-    /// hand the plane the same `Arc` until the block actually changes.
-    pub series_jsonl: Arc<String>,
+}
+
+impl JobView {
+    /// The ring as one `xpass-metrics/v1` series block.
+    fn series_dump(&self) -> SeriesDump {
+        SeriesDump {
+            job: self.job.to_string(),
+            net: self.net,
+            interval_ps: self.interval_ps,
+            keys: self.registry.scalar_keys(),
+            ticks: self.ring.iter().map(|(t, r)| (t, r.to_vec())).collect(),
+        }
+    }
 }
 
 /// Minimum wall time between a network's plane publications during a
 /// run; every run call's exit forces one regardless.
 pub const PUBLISH_EVERY: Duration = Duration::from_millis(25);
 
-/// What the plane holds under its lock.
-#[derive(Default)]
-struct Views {
-    jobs: BTreeMap<String, JobView>,
-    /// Keys whose progress row is newer than their text views: a reader
-    /// that finds any waits for the publisher's next (rendering) publish.
-    stale: BTreeSet<String>,
-    /// Publications that carried text views (for tests and diagnostics).
-    text_publishes: u64,
-}
-
-/// The shared publishing surface: simulation threads write [`JobView`]s
-/// under their job key; the HTTP server (and the `--metrics` file writer)
-/// only read. Keys are `job#netN` with `/i` segments for nested fan-out.
-///
-/// Text views are rendered **for a reader**: a publisher's throttled
-/// mid-run publications refresh only the [`Progress`] row unless some
-/// reader ([`render_metrics`](Self::render_metrics),
-/// [`render_health`](Self::render_health),
-/// [`render_engine`](Self::render_engine), or a `/ws` session via
-/// [`note_reader`](Self::note_reader)) touched the plane since that
-/// publisher's previous publication. A reader that arrives after a quiet
-/// spell finds the text marked stale and waits — at most two throttle
-/// periods — for the publication its own touch provokes, so what it is
-/// served is never older than that. Forced publications (every run-call
-/// exit) always render, so a plane nobody is running against is never
-/// stale and never makes a reader wait.
+/// The shared publishing surface: simulation threads publish a
+/// [`JobView`] under their job key; the HTTP server (and the `--metrics`
+/// file writer) render the latest ones on their own threads. Keys are
+/// `job#netN` with `/i` segments for nested fan-out.
 #[derive(Clone, Default)]
 pub struct Plane {
-    inner: Arc<Mutex<Views>>,
-    /// Signalled by every publication that carries text views.
-    rendered: Arc<Condvar>,
-    /// Reader touches so far. Relaxed everywhere: publishers only compare
-    /// it with the value they saw last time; it guards no other data.
-    reads: Arc<AtomicU64>,
+    jobs: Arc<Mutex<BTreeMap<String, JobView>>>,
     degraded: Arc<Mutex<Option<String>>>,
     feed: Arc<Mutex<Option<crate::ws::Broadcast>>>,
 }
@@ -872,99 +867,42 @@ impl Plane {
         self.feed.lock().unwrap().clone()
     }
 
-    /// The views, locked. Holders only insert into or read the maps, so a
-    /// poisoned lock means a panic inside `BTreeMap` itself.
-    fn views(&self) -> MutexGuard<'_, Views> {
-        self.inner.lock().expect("plane lock poisoned")
+    /// The latest publications, locked. Holders only replace or read map
+    /// entries, so a poisoned lock means a panic inside `BTreeMap` itself.
+    fn jobs(&self) -> MutexGuard<'_, BTreeMap<String, JobView>> {
+        self.jobs.lock().expect("plane lock poisoned")
     }
 
-    /// Publish (replace) the view under `key`, text views included.
+    /// Publish (replace) the view under `key`.
     pub fn publish(&self, key: &str, view: JobView) {
-        let mut views = self.views();
-        views.jobs.insert(key.to_string(), view);
-        views.stale.remove(key);
-        views.text_publishes += 1;
-        drop(views);
-        self.rendered.notify_all();
-    }
-
-    /// Refresh only the progress row under `key`, marking its text views
-    /// stale (they were rendered before this progress).
-    pub fn publish_progress(&self, key: &str, progress: Progress) {
-        let mut views = self.views();
-        views.jobs.entry(key.to_string()).or_default().progress = progress;
-        views.stale.insert(key.to_string());
-    }
-
-    /// Record that a reader wants text views: every publisher's next
-    /// throttled publication renders them. The render methods call this
-    /// themselves; a `/ws` session calls it while it is subscribed.
-    pub fn note_reader(&self) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reader touches so far (publishers compare against their last look).
-    pub fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
-    /// Publications so far that carried text views.
-    pub fn text_publishes(&self) -> u64 {
-        self.views().text_publishes
-    }
-
-    /// Lock the views for a reader of text: note the read, and while any
-    /// view's text is stale wait (bounded) for its publisher to render.
-    /// A publisher that lets the bound pass is not running its loop; its
-    /// text is then served as is, and not waited for again until it
-    /// publishes progress anew.
-    fn read_text(&self) -> MutexGuard<'_, Views> {
-        self.note_reader();
-        let views = self.views();
-        let (mut views, timeout) = self
-            .rendered
-            .wait_timeout_while(views, 2 * PUBLISH_EVERY, |v| !v.stale.is_empty())
-            .expect("plane lock poisoned");
-        if timeout.timed_out() {
-            views.stale.clear();
-        }
-        views
+        self.jobs().insert(key.to_string(), view);
     }
 
     /// Concatenated Prometheus exposition of every published view, in key
-    /// order.
+    /// order, each sample labelled with its view's `job` and `net`.
     pub fn render_metrics(&self) -> String {
-        let views = self.read_text();
         let mut out = String::new();
-        for view in views.jobs.values() {
-            out.push_str(&view.exposition);
+        for v in self.jobs().values() {
+            let net = v.net.to_string();
+            let labels = [("job", &*v.job), ("net", &net)];
+            out.push_str(&v.registry.render_prometheus(&labels));
         }
         out
     }
 
-    /// `/health`: `{"jobs":{key: <health report or null>}}`.
+    /// `/health`: `{"jobs":{key: <health report>}}`.
     pub fn render_health(&self) -> String {
-        render_json_map(&self.read_text().jobs, |v| {
-            v.health.clone().unwrap_or_else(|| "null".to_string())
-        })
+        render_json_map(&self.jobs(), |v| v.health.clone())
     }
 
     /// `/engine`: `{"jobs":{key: <engine report>}}`.
     pub fn render_engine(&self) -> String {
-        render_json_map(&self.read_text().jobs, |v| {
-            if v.engine.is_empty() {
-                "null".to_string()
-            } else {
-                v.engine.clone()
-            }
-        })
+        render_json_map(&self.jobs(), |v| v.engine.to_json().to_string())
     }
 
-    /// `/progress`: `{"jobs":{key: <progress>}}`. Progress rows are
-    /// refreshed by every publication, so this neither counts as a text
-    /// reader nor waits.
+    /// `/progress`: `{"jobs":{key: <progress>}}`.
     pub fn render_progress(&self) -> String {
-        render_json_map(&self.views().jobs, |v| v.progress.to_json().to_string())
+        render_json_map(&self.jobs(), |v| v.progress.to_json().to_string())
     }
 
     /// Concatenated `xpass-metrics/v1` blocks for the given top-level job
@@ -972,13 +910,13 @@ impl Plane {
     /// ride along in key order). Used to write `--metrics <file>` in
     /// selection order, independent of `--jobs`.
     pub fn jsonl_for_jobs(&self, jobs_in_order: &[String]) -> String {
-        let views = self.views();
+        let jobs = self.jobs();
         let mut out = String::new();
         for job in jobs_in_order {
-            for (key, view) in views.jobs.iter() {
+            for (key, view) in jobs.iter() {
                 let root = key.split(['#', '/']).next().unwrap_or(key);
                 if root == job {
-                    out.push_str(&view.series_jsonl);
+                    out.push_str(&encode_jsonl(&view.series_dump()));
                 }
             }
         }
@@ -987,15 +925,14 @@ impl Plane {
 
     /// Snapshot of all published progress rows (for heartbeats/tests).
     pub fn progress_rows(&self) -> Vec<(String, Progress)> {
-        self.views()
-            .jobs
+        self.jobs()
             .iter()
             .map(|(k, v)| (k.clone(), v.progress.clone()))
             .collect()
     }
 }
 
-/// Splice pre-rendered JSON values (trusted: produced by [`Json`]) into a
+/// Splice rendered JSON values (trusted: produced by [`Json`]) into a
 /// `{"jobs":{...}}` wrapper without re-parsing them.
 fn render_json_map(jobs: &BTreeMap<String, JobView>, f: impl Fn(&JobView) -> String) -> String {
     let mut out = String::from("{\"jobs\":{");
@@ -1069,8 +1006,8 @@ pub struct NetMetricsHook {
     pub spec: MetricsSpec,
     /// Shared plane, when serving/collecting.
     pub plane: Option<Plane>,
-    /// Job key of the creating scope.
-    pub job: String,
+    /// Job key of the creating scope (shared with every publication).
+    pub job: Arc<str>,
     /// Index of this network within the scope (creation order).
     pub net_index: u64,
 }
@@ -1210,20 +1147,84 @@ mod tests {
         assert!(e.msg.contains("series count mismatch"), "{e}");
     }
 
+    const TICK_PS: u64 = 1_000_000;
+
+    fn view(job: &str, reg: &Registry, ring: &Ring) -> JobView {
+        JobView {
+            job: job.into(),
+            net: 0,
+            interval_ps: TICK_PS,
+            registry: reg.clone(),
+            ring: ring.clone(),
+            health: "null".to_string(),
+            engine: EngineReport::default(),
+            progress: Progress::default(),
+        }
+    }
+
+    /// The header-only block a view with no series writes for `job`.
+    fn empty_block(job: &str) -> String {
+        encode_jsonl(&SeriesDump {
+            job: job.to_string(),
+            net: 0,
+            interval_ps: TICK_PS,
+            keys: Vec::new(),
+            ticks: Vec::new(),
+        })
+    }
+
     #[test]
     fn plane_orders_jsonl_by_job_selection() {
         let plane = Plane::new();
-        let view = |s: &str| JobView {
-            series_jsonl: Arc::new(format!("{s}\n")),
-            ..JobView::default()
-        };
-        plane.publish("fig10#net0", view("b"));
-        plane.publish("fig1#net0", view("a"));
-        plane.publish("fig10/2#net0", view("c"));
+        let (reg, ring) = (Registry::new(), Ring::new(1));
+        for job in ["fig10", "fig1", "fig10/2"] {
+            plane.publish(&format!("{job}#net0"), view(job, &reg, &ring));
+        }
         let out = plane.jsonl_for_jobs(&["fig10".to_string(), "fig1".to_string()]);
         // fig10's keys (including the nested scope) come first, and the
         // "fig1" root never prefix-matches "fig10".
-        assert_eq!(out, "b\nc\na\n");
+        assert_eq!(out, ["fig10", "fig10/2", "fig1"].map(empty_block).concat());
+    }
+
+    /// A publication is a snapshot: the network keeps sampling, counting
+    /// and even registering after it, and the plane still renders the
+    /// bytes the encoders gave at publish time.
+    #[test]
+    fn plane_renders_the_publication_not_the_live_state() {
+        let (mut reg, c, g, h) = sample_registry();
+        let mut ring = Ring::new(3);
+        for k in 1..=4u64 {
+            reg.add(c, k);
+            reg.set(g, k as f64 * 1.5);
+            reg.observe(h, 0.002 * k as f64);
+            ring.record(k * TICK_PS, reg.scalar_values());
+        }
+        let plane = Plane::new();
+        let net2 = JobView {
+            net: 2,
+            ..view("fig10", &reg, &ring)
+        };
+        plane.publish("fig10#net2", net2);
+        let labels = [("job", "fig10"), ("net", "2")];
+        let exposition = reg.render_prometheus(&labels);
+        let block = encode_jsonl(&SeriesDump {
+            job: "fig10".to_string(),
+            net: 2,
+            interval_ps: TICK_PS,
+            keys: reg.scalar_keys(),
+            ticks: ring.iter().map(|(t, r)| (t, r.to_vec())).collect(),
+        });
+
+        reg.add(c, 100);
+        reg.set(g, -1.0);
+        reg.observe(h, 9.0);
+        reg.counter("xpass_late_total", "registered after the publish", &[]);
+        ring.record(5 * TICK_PS, vec![0.0, 0.0]);
+        ring.record(6 * TICK_PS, vec![0.0, 0.0]);
+
+        assert_eq!(plane.render_metrics(), exposition);
+        assert_eq!(plane.jsonl_for_jobs(&["fig10".to_string()]), block);
+        assert_ne!(reg.render_prometheus(&labels), exposition);
     }
 
     #[test]

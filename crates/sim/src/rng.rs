@@ -51,12 +51,6 @@ impl Rng {
         self.s
     }
 
-    /// Snapshot support: rebuild a generator from raw state words
-    /// (inverse of [`state`](Self::state); continues the exact stream).
-    pub fn from_state(s: [u64; 4]) -> Rng {
-        Rng { s }
-    }
-
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -91,12 +85,6 @@ impl Rng {
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi);
         lo + self.below(hi - lo + 1)
-    }
-
-    /// Uniform float in `[lo, hi)`.
-    #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.f64()
     }
 
     /// Uniform duration in `[lo, hi]` inclusive.

@@ -133,7 +133,7 @@ pub fn register_network() -> (Option<NetHook>, Option<NetMetricsHook>) {
         let metrics = c.metrics.as_ref().map(|spec| NetMetricsHook {
             spec: spec.clone(),
             plane: c.plane.clone(),
-            job: c.job.clone(),
+            job: c.job.as_str().into(),
             net_index,
         });
         (checkpoint::hook(c, net_index), metrics)

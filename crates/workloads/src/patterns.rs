@@ -147,11 +147,6 @@ impl PartitionAggregate {
         }
     }
 
-    /// Completed rounds so far.
-    pub fn rounds_done(&self) -> usize {
-        self.state.round
-    }
-
     fn launch_round(&mut self, net: &mut Network) {
         let now = net.now();
         for i in 0..self.fan_out {
