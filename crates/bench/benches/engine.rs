@@ -38,6 +38,7 @@ use xpass_sim::bucket::TokenBucket;
 use xpass_sim::event::{EventQueue, SchedulerKind};
 use xpass_sim::json::{self, Json};
 use xpass_sim::rng::Rng;
+use xpass_sim::run_ctx;
 use xpass_sim::time::{Dur, SimTime};
 
 /// Time `f` and print a ns/iter line. `iters` is chosen per-case so fast
@@ -299,7 +300,7 @@ fn hold_model(kind: SchedulerKind, depth: usize, ops: u64) -> f64 {
 /// measurement window. Returns `(events_processed, wall_secs)` from the
 /// engine report.
 fn fig15_style_run(kind: SchedulerKind, n: usize, window: Dur, seed: u64) -> (u64, f64) {
-    xpass_sim::event::set_thread_scheduler(kind);
+    let _sched = run_ctx::enter(run_ctx::current().with_scheduler(kind));
     let link = 10_000_000_000u64;
     let topo = Topology::dumbbell(n, link, Dur::us(8));
     let mut net = Scheme::XPass(XPassConfig::aggressive()).build(topo, link, seed);
@@ -310,7 +311,6 @@ fn fig15_style_run(kind: SchedulerKind, n: usize, window: Dur, seed: u64) -> (u6
     }
     net.run_until(SimTime::ZERO + Dur::ms(2) + window);
     let r = net.engine_report();
-    xpass_sim::event::set_thread_scheduler(SchedulerKind::default());
     (r.events_processed, r.wall_secs)
 }
 

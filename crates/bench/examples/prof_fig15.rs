@@ -12,6 +12,7 @@ use xpass_experiments::harness::Scheme;
 use xpass_net::ids::HostId;
 use xpass_net::topology::Topology;
 use xpass_sim::event::SchedulerKind;
+use xpass_sim::run_ctx;
 use xpass_sim::time::{Dur, SimTime};
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
         .and_then(|s| SchedulerKind::parse(s))
         .unwrap_or(SchedulerKind::Heap);
     let n: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1024);
-    xpass_sim::event::set_thread_scheduler(kind);
+    let _sched = run_ctx::enter(run_ctx::current().with_scheduler(kind));
     let link = 10_000_000_000u64;
     let topo = Topology::dumbbell(n, link, Dur::us(8));
     let mut net = Scheme::XPass(XPassConfig::aggressive()).build(topo, link, 1);

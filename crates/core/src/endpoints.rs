@@ -749,7 +749,7 @@ mod tests {
         let f = net.add_flow(HostId(0), HostId(1), 1000, SimTime::ZERO);
         net.run_until_done(SimTime::ZERO + Dur::ms(50));
         // Let CREDIT_STOP wind down the receiver.
-        net.drain_until(SimTime::ZERO + Dur::ms(60));
+        net.run_until(SimTime::ZERO + Dur::ms(60));
         assert!(net.flow_done(f));
         let rec = &net.flow_records()[0];
         assert!(
@@ -768,9 +768,9 @@ mod tests {
         let mut net = xpass_net(topo, XPassConfig::aggressive(), 29);
         net.add_flow(HostId(0), HostId(1), 100_000, SimTime::ZERO);
         net.run_until_done(SimTime::ZERO + Dur::ms(50));
-        net.drain_until(net.now() + Dur::ms(2));
+        net.run_until(net.now() + Dur::ms(2));
         let sent_after_drain = net.counters().credits_sent;
-        net.drain_until(net.now() + Dur::ms(10));
+        net.run_until(net.now() + Dur::ms(10));
         assert_eq!(
             net.counters().credits_sent,
             sent_after_drain,
@@ -786,7 +786,7 @@ mod tests {
             let mut net = xpass_net(topo, cfg, 31);
             net.add_flow(HostId(0), HostId(1), 1000, SimTime::ZERO);
             net.run_until_done(SimTime::ZERO + Dur::ms(50));
-            net.drain_until(net.now() + Dur::ms(10));
+            net.run_until(net.now() + Dur::ms(10));
             net.counters().credits_wasted
         };
         let waste_half = run(0.5);
@@ -873,7 +873,7 @@ mod early_stop_tests {
         let f = net.add_flow(HostId(0), HostId(1), 400_000, SimTime::ZERO);
         let done = net.run_until_done(SimTime::ZERO + Dur::ms(100));
         assert!(net.flow_done(f));
-        net.drain_until(net.now() + Dur::ms(5));
+        net.run_until(net.now() + Dur::ms(5));
         (net.counters().credits_wasted, done.as_secs_f64())
     }
 

@@ -190,7 +190,7 @@ fn early_stop_panel(cfg: &Config) -> (u64, u64) {
             }
         }
         net.run_until_done(SimTime::ZERO + Dur::secs(1));
-        net.drain_until(net.now() + Dur::ms(5));
+        net.run_until(net.now() + Dur::ms(5));
         net.counters().credits_wasted
     };
     (run(false), run(true))

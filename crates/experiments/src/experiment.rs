@@ -11,7 +11,7 @@
 //! Contract for implementors:
 //!
 //! * `run` must produce **exactly** the text the module's `Display` impl
-//!   renders (the byte-identity fences in `tests/golden_tables.rs` pin
+//!   renders (the byte-identity fences in `tests/fences.rs` pin
 //!   this), plus a structured JSON payload mirroring the typed rows.
 //! * `set_seed` threads a CLI `--seed` into the config; experiments whose
 //!   output is seed-independent ignore it.

@@ -92,7 +92,7 @@ pub fn run(cfg: &Config) -> Fig8 {
         let mut net = xpass_net(cfg, alpha, cfg.seed + 1, 1);
         net.add_flow(HostId(0), HostId(1), 1000, SimTime::ZERO);
         net.run_until_done(SimTime::ZERO + Dur::ms(50));
-        net.drain_until(net.now() + Dur::ms(5));
+        net.run_until(net.now() + Dur::ms(5));
         let wasted = net.counters().credits_wasted;
 
         rows.push(Row {

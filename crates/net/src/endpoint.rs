@@ -569,10 +569,11 @@ mod tests {
 
     #[test]
     fn deadline_fires_where_an_eager_timer_slot_would() {
-        use xpass_sim::event::{set_thread_scheduler, SchedulerKind};
+        use xpass_sim::event::SchedulerKind;
+        use xpass_sim::run_ctx;
         let (mut fired, mut saved) = (0, 0);
         for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-            set_thread_scheduler(kind);
+            let _sched = run_ctx::enter(run_ctx::current().with_scheduler(kind));
             for seed in 0..20u64 {
                 let (eager, eager_events, eager_peak) = run_script(seed, false);
                 let (lazy, lazy_events, lazy_peak) = run_script(seed, true);
@@ -583,7 +584,6 @@ mod tests {
                 saved += eager_events - lazy_events;
             }
         }
-        set_thread_scheduler(SchedulerKind::default());
         assert!(fired > 400 && saved > 4_000, "{fired} fired, {saved} saved");
     }
 }

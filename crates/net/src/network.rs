@@ -823,12 +823,6 @@ impl Network {
         true
     }
 
-    /// Drain every remaining event up to `cap` (lets protocols wind down
-    /// after completion so port statistics settle).
-    pub fn drain_until(&mut self, cap: SimTime) {
-        self.run_until(cap);
-    }
-
     /// Finalize time-weighted statistics at the current time. Call once
     /// after the run, before reading port occupancy stats.
     pub fn finish_stats(&mut self) {

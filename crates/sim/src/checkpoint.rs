@@ -10,7 +10,7 @@
 //! experiment's deterministic setup, replays any run calls *before* the
 //! recorded one (byte-identical by determinism), and overlays the saved
 //! state at the recorded call, then continues. Output is byte-identical to
-//! an uninterrupted run; `tests/snapshot_determinism.rs` is the fence.
+//! an uninterrupted run; `tests/fences.rs` is the fence.
 //!
 //! The *scope path* addresses a run inside nested fan-out: the parallel
 //! harness assigns index `i` to each job, so a top-level experiment is

@@ -13,9 +13,9 @@
 //!   near-future band.
 //!
 //! The two produce *identical* pop sequences for any push/pop sequence;
-//! `tests/scheduler_diff.rs` (workspace root) and the property suite in
-//! `crates/sim/tests` pin that equivalence, so the calendar queue is
-//! unobservable except in wall-clock time.
+//! `tests/fences.rs` and `tests/scheduler_diff.rs` (workspace root) and
+//! the property suite in `crates/sim/tests` pin that equivalence, so the
+//! calendar queue is unobservable except in wall-clock time.
 //!
 //! A queue position can be **reserved now and filled later, or never**:
 //! [`EventQueue::reserve_seq`] takes the next sequence number without
@@ -76,13 +76,9 @@ impl SchedulerKind {
     }
 }
 
-/// Set the scheduler that [`EventQueue::new`] uses in this thread's
-/// [run context](crate::run_ctx).
-pub fn set_thread_scheduler(kind: SchedulerKind) {
-    run_ctx::with(|c| c.scheduler = kind);
-}
-
-/// The scheduler [`EventQueue::new`] will use on this thread.
+/// The scheduler [`EventQueue::new`] will use on this thread: its
+/// [run context](crate::run_ctx)'s, chosen with
+/// `run_ctx::enter(run_ctx::current().with_scheduler(kind))`.
 pub fn thread_scheduler() -> SchedulerKind {
     run_ctx::with(|c| c.scheduler)
 }
@@ -191,8 +187,8 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create an empty queue using this thread's default scheduler
-    /// ([`set_thread_scheduler`]).
+    /// Create an empty queue using this thread's scheduler
+    /// ([`thread_scheduler`]).
     pub fn new() -> EventQueue<E> {
         Self::with_scheduler(thread_scheduler())
     }
@@ -564,13 +560,19 @@ mod tests {
     #[test]
     fn thread_scheduler_is_scoped() {
         assert_eq!(thread_scheduler(), SchedulerKind::Calendar);
-        set_thread_scheduler(SchedulerKind::Heap);
-        assert_eq!(EventQueue::<()>::new().scheduler(), SchedulerKind::Heap);
-        let other = std::thread::spawn(|| EventQueue::<()>::new().scheduler())
-            .join()
-            .unwrap();
-        assert_eq!(other, SchedulerKind::Calendar, "override is per-thread");
-        set_thread_scheduler(SchedulerKind::Calendar);
+        {
+            let _heap = run_ctx::enter(run_ctx::current().with_scheduler(SchedulerKind::Heap));
+            assert_eq!(EventQueue::<()>::new().scheduler(), SchedulerKind::Heap);
+            let other = std::thread::spawn(|| EventQueue::<()>::new().scheduler())
+                .join()
+                .unwrap();
+            assert_eq!(other, SchedulerKind::Calendar, "override is per-thread");
+        }
+        assert_eq!(
+            thread_scheduler(),
+            SchedulerKind::Calendar,
+            "guard restores"
+        );
     }
 
     #[test]

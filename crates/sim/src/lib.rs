@@ -84,6 +84,6 @@ pub use json::Json;
 pub use profile::EngineReport;
 pub use rng::Rng;
 pub use snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
-pub use stats::{Cdf, Histogram, OnlineStats, Percentiles, TimeWeighted};
+pub use stats::{Cdf, Percentiles, TimeWeighted};
 pub use time::{Dur, SimTime};
 pub use trace::{JsonlSink, RingSink, TraceEvent, TraceSink};

@@ -2,8 +2,8 @@
 //!
 //! Snapshots make long runs durable: the engine can serialize its complete
 //! state mid-run, and a later process can restore it and continue with
-//! **byte-identical** results (`tests/snapshot_determinism.rs` is the
-//! fence). The format is hand-rolled in the same spirit as
+//! **byte-identical** results (`tests/fences.rs` and
+//! `tests/snapshot_determinism.rs` are the fences). The format is hand-rolled in the same spirit as
 //! [`crate::json`]: no external crates, fully deterministic output, and
 //! errors that carry enough context to debug a bad file.
 //!

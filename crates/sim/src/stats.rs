@@ -1,93 +1,12 @@
 //! Statistics collection: everything the paper's evaluation reports.
 //!
-//! * [`OnlineStats`] — streaming count/mean/min/max/variance (Welford).
 //! * [`Percentiles`] — exact percentiles from retained samples (FCT tables).
 //! * [`TimeWeighted`] — time-weighted average of a step function (queue
 //!   occupancy in bytes over time).
-//! * [`Histogram`] — log-spaced histogram for cheap distribution summaries.
 //! * [`Cdf`] — CDF extraction for figures like Fig 6(b) and Fig 17.
 //! * [`jain_fairness`] — Jain's fairness index (Fig 6a, Fig 15).
 
 use crate::time::{Dur, SimTime};
-
-/// Streaming statistics over a sequence of f64 observations.
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> OnlineStats {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum (0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
 
 /// Exact percentile computation over retained samples.
 ///
@@ -305,65 +224,6 @@ impl TimeWeighted {
     }
 }
 
-/// A histogram with logarithmic (base-2) buckets over `[1, 2^63]`.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    zero: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: vec![0; 64],
-            count: 0,
-            zero: 0,
-        }
-    }
-
-    /// Add a non-negative integer observation.
-    pub fn add(&mut self, v: u64) {
-        self.count += 1;
-        if v == 0 {
-            self.zero += 1;
-        } else {
-            self.buckets[63 - v.leading_zeros() as usize] += 1;
-        }
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Approximate quantile (upper bucket bound at rank), 0 if empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = self.zero;
-        if seen >= rank {
-            return 0;
-        }
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        u64::MAX
-    }
-}
-
 /// Jain's fairness index: `(Σx)² / (n·Σx²)`, 1.0 = perfectly fair.
 ///
 /// Empty or all-zero inputs return 1.0 (vacuously fair), matching how the
@@ -422,27 +282,6 @@ impl TimeSeries {
 
 use crate::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 
-impl Snapshot for OnlineStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.n);
-        w.f64(self.mean);
-        w.f64(self.m2);
-        w.f64(self.min);
-        w.f64(self.max);
-    }
-}
-
-impl Restore for OnlineStats {
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.n = r.u64()?;
-        self.mean = r.f64()?;
-        self.m2 = r.f64()?;
-        self.min = r.f64()?;
-        self.max = r.f64()?;
-        Ok(())
-    }
-}
-
 impl Snapshot for Percentiles {
     fn snap(&self, w: &mut SnapWriter) {
         // Insertion order is preserved (not re-sorted) so a restored
@@ -484,24 +323,6 @@ impl Restore for TimeWeighted {
     }
 }
 
-impl Snapshot for Histogram {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.seq(&self.buckets, |w, b| w.u64(*b));
-        w.u64(self.count);
-        w.u64(self.zero);
-    }
-}
-
-impl Restore for Histogram {
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.seq_len(8)?;
-        self.buckets = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
-        self.count = r.u64()?;
-        self.zero = r.u64()?;
-        Ok(())
-    }
-}
-
 impl Snapshot for TimeSeries {
     fn snap(&self, w: &mut SnapWriter) {
         w.seq(&self.samples, |w, (t, v)| {
@@ -524,28 +345,6 @@ impl Restore for TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.add(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_empty() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-    }
 
     #[test]
     fn percentiles_nearest_rank() {
@@ -673,30 +472,6 @@ mod tests {
         let tw = TimeWeighted::new();
         assert_eq!(tw.mean(), 0.0);
         assert_eq!(tw.max(), 0.0);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new();
-        for _ in 0..90 {
-            h.add(1);
-        }
-        for _ in 0..10 {
-            h.add(1000);
-        }
-        assert_eq!(h.count(), 100);
-        assert!(h.quantile(0.5) <= 2);
-        assert!(h.quantile(0.99) >= 1000);
-    }
-
-    #[test]
-    fn histogram_zeros() {
-        let mut h = Histogram::new();
-        h.add(0);
-        h.add(0);
-        h.add(8);
-        assert_eq!(h.quantile(0.5), 0);
-        assert!(h.quantile(1.0) >= 8);
     }
 
     #[test]

@@ -253,10 +253,11 @@ fn sampling_is_observation_only() {
     // and queue no event: a tracked network runs exactly the events of its
     // untracked twin, under either scheduler.
     use xpass::net::ids::{DLinkId, FlowId};
-    use xpass::sim::event::{set_thread_scheduler, SchedulerKind};
+    use xpass::sim::event::SchedulerKind;
+    use xpass::sim::run_ctx;
 
     for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-        set_thread_scheduler(kind);
+        let _sched = run_ctx::enter(run_ctx::current().with_scheduler(kind));
         let run = |tracked: bool| {
             let topo = Topology::dumbbell(4, G10, Dur::us(2));
             let mut net = Scheme::XPass(XPassConfig::aggressive()).build(topo, G10, 23);
@@ -287,5 +288,4 @@ fn sampling_is_observation_only() {
         assert_eq!(t.events_by_kind, p.events_by_kind, "{kind:?}");
         assert_eq!(t.peak_queue_len, p.peak_queue_len, "{kind:?}");
     }
-    set_thread_scheduler(SchedulerKind::default());
 }

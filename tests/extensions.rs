@@ -177,7 +177,7 @@ fn early_credit_stop_reduces_fleet_waste() {
         }
         net.run_until_done(SimTime::ZERO + Dur::secs(2));
         assert_eq!(net.completed_count(), 40);
-        net.drain_until(net.now() + Dur::ms(5));
+        net.run_until(net.now() + Dur::ms(5));
         net.counters().credits_wasted
     };
     let off = run(false);

@@ -52,7 +52,7 @@ fn eventful_run(seed: u64) -> (Counters, Vec<FlowRecord>) {
             .set_corrupt(t(Dur::ms(5)), rev, 0.0),
     );
     net.run_until_done(SimTime::ZERO + Dur::secs(2));
-    net.drain_until(net.now() + Dur::ms(5));
+    net.run_until(net.now() + Dur::ms(5));
     (net.counters().clone(), net.flow_records())
 }
 
@@ -242,7 +242,7 @@ fn empty_plan_is_byte_identical_to_no_plan() {
             net.add_flow(HostId(i), HostId(4 + i), 1_500_000, SimTime::ZERO);
         }
         net.run_until_done(SimTime::ZERO + Dur::secs(2));
-        net.drain_until(net.now() + Dur::ms(5));
+        net.run_until(net.now() + Dur::ms(5));
         (net.counters().clone(), net.flow_records())
     };
     let (c_plain, r_plain) = run(false);

@@ -1,9 +1,9 @@
-//! Live-metrics-plane integration tests: the zero-cost fence (metrics off
-//! and on leave simulation results untouched), sampler determinism across
-//! schedulers and job counts, `xpass-metrics/v1` decode, Prometheus
-//! exposition parse-back, live HTTP endpoints, snapshot/resume series
-//! identity, the `--progress` heartbeat, and the health-violation and
-//! feedback-update counters.
+//! Live-metrics-plane integration tests: metrics on leave simulation
+//! results untouched, `xpass-metrics/v1` decode, Prometheus exposition
+//! parse-back, live HTTP endpoints, the `--progress` heartbeat, and the
+//! health-violation and feedback-update counters. The CLI series fences
+//! (metrics off ≡ on, identical series across schedulers, jobs and
+//! resume) are `tests/fences.rs`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -26,10 +26,6 @@ fn repro(args: &[&str]) -> std::process::Output {
         .args(args)
         .output()
         .expect("binary runs")
-}
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("xpass-metrics-{}-{name}", std::process::id()))
 }
 
 // --- in-process: sampling, exposition, counters ---------------------------
@@ -192,102 +188,7 @@ fn health_violations_surface_on_the_counter() {
     assert_eq!(counted, h.queue_violations + h.loss_violations);
 }
 
-// --- CLI: fence, determinism, resume, heartbeat, HTTP ---------------------
-
-#[test]
-fn metrics_flags_off_keep_stdout_byte_identical() {
-    let file = tmp("fence.jsonl");
-    let plain = repro(&["fig10", "--seed", "9"]);
-    let metered = repro(&["fig10", "--seed", "9", "--metrics", file.to_str().unwrap()]);
-    assert!(plain.status.success() && metered.status.success());
-    assert_eq!(
-        plain.stdout, metered.stdout,
-        "--metrics must not change experiment output"
-    );
-    assert!(
-        !String::from_utf8_lossy(&plain.stderr).contains("metrics"),
-        "a run without metrics flags must not mention the subsystem"
-    );
-    assert!(file.is_file(), "--metrics file missing");
-    let _ = std::fs::remove_file(&file);
-}
-
-#[test]
-fn series_identical_across_schedulers_and_jobs() {
-    let mut blobs = Vec::new();
-    for (tag, extra) in [
-        (
-            "calendar-j1",
-            vec!["--scheduler", "calendar", "--jobs", "1"],
-        ),
-        ("heap-j1", vec!["--scheduler", "heap", "--jobs", "1"]),
-        (
-            "calendar-j4",
-            vec!["--scheduler", "calendar", "--jobs", "4"],
-        ),
-        ("heap-j4", vec!["--scheduler", "heap", "--jobs", "4"]),
-    ] {
-        let file = tmp(&format!("det-{tag}.jsonl"));
-        let mut args = vec![
-            "fig10",
-            "fig01",
-            "--seed",
-            "9",
-            "--metrics",
-            file.to_str().unwrap(),
-        ];
-        args.extend(extra);
-        let out = repro(&args);
-        assert!(out.status.success(), "{tag} failed");
-        blobs.push((tag, std::fs::read(&file).expect("series file")));
-        let _ = std::fs::remove_file(&file);
-    }
-    let (_, first) = &blobs[0];
-    for (tag, blob) in &blobs[1..] {
-        assert_eq!(blob, first, "series differ under {tag}");
-    }
-    decode_jsonl(&String::from_utf8(first.clone()).unwrap()).expect("series decode");
-}
-
-#[test]
-fn snapshot_resume_reproduces_the_identical_series() {
-    let dir = tmp("resume-ck");
-    let base = tmp("resume-base.jsonl");
-    let resumed = tmp("resume-res.jsonl");
-    let out = repro(&[
-        "fig10",
-        "--metrics",
-        base.to_str().unwrap(),
-        "--checkpoint-every",
-        "1",
-        "--checkpoint-dir",
-        dir.to_str().unwrap(),
-    ]);
-    assert!(out.status.success());
-    // Resume from the oldest surviving snapshot of the first network: the
-    // re-run replays the prefix and must emit the very same series.
-    let mut snaps: Vec<_> = std::fs::read_dir(dir.join("scope-0").join("net0"))
-        .expect("snapshots written")
-        .map(|e| e.unwrap().path())
-        .collect();
-    snaps.sort();
-    let out2 = repro(&[
-        "--resume",
-        snaps[0].to_str().unwrap(),
-        "--metrics",
-        resumed.to_str().unwrap(),
-    ]);
-    assert!(out2.status.success(), "{out2:?}");
-    assert_eq!(out.stdout, out2.stdout, "resume changed stdout");
-    assert_eq!(
-        std::fs::read(&base).unwrap(),
-        std::fs::read(&resumed).unwrap(),
-        "resume changed the metrics series"
-    );
-    let _ = std::fs::remove_file(&base);
-    let _ = std::fs::remove_file(&resumed);
-    let _ = std::fs::remove_dir_all(&dir);
-}
+// --- CLI: heartbeat, HTTP ------------------------------------------------
 
 #[test]
 fn progress_heartbeat_prints_on_stderr() {

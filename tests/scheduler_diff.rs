@@ -1,14 +1,9 @@
-//! Differential scheduler tests: the calendar queue must be a drop-in
-//! replacement for the reference heap scheduler. Each paper experiment is
-//! run once under each scheduler (on its own thread — scheduler choice is
-//! thread-scoped) and the outputs are compared **byte for byte**: the
-//! human-readable tables, the `xpass-repro/v1` JSON records written by the
-//! CLI, and the JSONL event traces of an instrumented network run.
-//!
-//! These tests are the contract that lets every other test in the suite
-//! run on the calendar queue without loss of coverage: any divergence in
-//! event ordering, RNG stream consumption, or timer cancellation shows up
-//! here as a text diff.
+//! Differential scheduler tests at the library level: the calendar queue
+//! must be a drop-in replacement for the reference heap scheduler. A
+//! network run under each scheduler must give the same counters, flow
+//! records, event totals and JSONL event trace, **byte for byte**. The CLI
+//! half of the fence (every table and record of the fence experiments,
+//! their checkpoint trees and metrics series) is `tests/fences.rs`.
 //!
 //! Calendar ≡ heap is also the fence that the run loop's lookahead
 //! prefetch is unobservable: only the calendar queue offers a lookahead
@@ -17,80 +12,23 @@
 //! is sized for that) the calendar side runs with prefetching and the
 //! heap side without any.
 
-use std::process::Command;
-use std::thread;
-use xpass::experiments as ex;
 use xpass::expresspass::{xpass_factory, XPassConfig};
 use xpass::net::config::NetConfig;
 use xpass::net::faults::FaultPlan;
 use xpass::net::ids::{HostId, NodeId, SwitchId};
 use xpass::net::network::{Network, LOOKAHEAD_MIN_DEPTH};
 use xpass::net::topology::Topology;
-use xpass::sim::event::{set_thread_scheduler, SchedulerKind};
+use xpass::sim::event::SchedulerKind;
+use xpass::sim::run_ctx;
 use xpass::sim::time::{Dur, SimTime};
 use xpass::sim::trace::JsonlSink;
 
 const G10: u64 = 10_000_000_000;
 
-/// Run `f` on a dedicated thread with `kind` installed as that thread's
-/// scheduler. A fresh thread keeps the thread-local scheduler choice from
-/// leaking into other tests running on the harness's thread pool.
-fn with_scheduler<T, F>(kind: SchedulerKind, f: F) -> T
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    thread::spawn(move || {
-        set_thread_scheduler(kind);
-        f()
-    })
-    .join()
-    .expect("scheduler worker panicked")
-}
-
-/// Run `f` under both schedulers and return (heap, calendar) results.
-fn under_both<T, F>(f: F) -> (T, T)
-where
-    T: Send + 'static,
-    F: Fn() -> T + Send + Clone + 'static,
-{
-    let heap = with_scheduler(SchedulerKind::Heap, f.clone());
-    let calendar = with_scheduler(SchedulerKind::Calendar, f);
-    (heap, calendar)
-}
-
-#[test]
-fn fig01_queue_buildup_is_scheduler_invariant() {
-    let (h, c) = under_both(|| {
-        ex::fig01_queue_buildup::run(&ex::fig01_queue_buildup::Config::default()).to_string()
-    });
-    assert_eq!(h, c, "fig01 table differs between heap and calendar");
-}
-
-#[test]
-fn fig10_parking_lot_is_scheduler_invariant() {
-    let (h, c) = under_both(|| {
-        ex::fig10_parking_lot::run(&ex::fig10_parking_lot::Config::default()).to_string()
-    });
-    assert_eq!(h, c, "fig10 table differs between heap and calendar");
-}
-
-#[test]
-fn fig16_convergence_is_scheduler_invariant() {
-    let (h, c) = under_both(|| {
-        ex::fig16_convergence::run(&ex::fig16_convergence::Config::default()).to_string()
-    });
-    assert_eq!(h, c, "fig16 table differs between heap and calendar");
-}
-
-#[test]
-fn fault_recovery_is_scheduler_invariant() {
-    let (h, c) =
-        under_both(|| ex::fault_recovery::run(&ex::fault_recovery::Config::default()).to_string());
-    assert_eq!(
-        h, c,
-        "fault-recovery table differs between heap and calendar"
-    );
+/// Run `f` with `kind` as this thread's scheduler.
+fn under<T>(kind: SchedulerKind, f: impl FnOnce() -> T) -> T {
+    let _sched = run_ctx::enter(run_ctx::current().with_scheduler(kind));
+    f()
 }
 
 /// One busy ExpressPass dumbbell run: counters, flow records, the engine
@@ -119,12 +57,12 @@ fn network_run_and_jsonl_trace_are_byte_identical() {
     let heap_path = dir.join(format!("xpass-diff-heap-{}.jsonl", std::process::id()));
     let cal_path = dir.join(format!("xpass-diff-cal-{}.jsonl", std::process::id()));
 
-    let hp = heap_path.clone();
-    let (h_digest, h_events, h_peak) =
-        with_scheduler(SchedulerKind::Heap, move || traced_dumbbell(Some(hp)));
-    let cp = cal_path.clone();
-    let (c_digest, c_events, c_peak) =
-        with_scheduler(SchedulerKind::Calendar, move || traced_dumbbell(Some(cp)));
+    let (h_digest, h_events, h_peak) = under(SchedulerKind::Heap, || {
+        traced_dumbbell(Some(heap_path.clone()))
+    });
+    let (c_digest, c_events, c_peak) = under(SchedulerKind::Calendar, || {
+        traced_dumbbell(Some(cal_path.clone()))
+    });
 
     assert_eq!(h_digest, c_digest, "counters/flow records diverged");
     assert_eq!(h_events, c_events, "event totals diverged");
@@ -188,7 +126,8 @@ fn three_tier_shuffle(with_faults: bool) -> (String, usize) {
 #[test]
 fn three_tier_with_and_without_fault_overlay_is_scheduler_invariant() {
     for with_faults in [false, true] {
-        let ((h, h_peak), (c, c_peak)) = under_both(move || three_tier_shuffle(with_faults));
+        let (h, h_peak) = under(SchedulerKind::Heap, || three_tier_shuffle(with_faults));
+        let (c, c_peak) = under(SchedulerKind::Calendar, || three_tier_shuffle(with_faults));
         assert_eq!(
             h, c,
             "three_tier (faults: {with_faults}) diverged between heap and calendar"
@@ -204,54 +143,4 @@ fn three_tier_with_and_without_fault_overlay_is_scheduler_invariant() {
             "the fault plan must apply exactly when installed"
         );
     }
-}
-
-/// Run the CLI on a set of experiments with `--json`, returning stdout and
-/// the bytes of every record file (in experiment order).
-fn cli_json_run(scheduler: &str, dir: &std::path::Path) -> (Vec<u8>, Vec<(String, Vec<u8>)>) {
-    let out = Command::new(env!("CARGO_BIN_EXE_xpass-repro"))
-        .args([
-            "fig01",
-            "fig10",
-            "fig16",
-            "faults",
-            "--seed",
-            "5",
-            "--scheduler",
-            scheduler,
-            "--json",
-        ])
-        .arg(dir)
-        .output()
-        .expect("run xpass-repro");
-    assert!(out.status.success(), "xpass-repro failed: {out:?}");
-    let mut records = Vec::new();
-    for name in ["fig01", "fig10", "fig16", "faults"] {
-        let path = dir.join(format!("{name}.json"));
-        let bytes = std::fs::read(&path).expect("read JSON record");
-        records.push((name.to_string(), bytes));
-    }
-    (out.stdout, records)
-}
-
-#[test]
-fn cli_json_records_are_scheduler_invariant() {
-    let base = std::env::temp_dir().join(format!("xpass-diff-cli-{}", std::process::id()));
-    let heap_dir = base.join("heap");
-    let cal_dir = base.join("calendar");
-
-    let (h_stdout, h_records) = cli_json_run("heap", &heap_dir);
-    let (c_stdout, c_records) = cli_json_run("calendar", &cal_dir);
-
-    assert_eq!(h_stdout, c_stdout, "CLI stdout diverged between schedulers");
-    for ((name, h), (_, c)) in h_records.iter().zip(&c_records) {
-        assert_eq!(h, c, "{name}.json diverged between schedulers");
-        let text = String::from_utf8(h.clone()).expect("record is UTF-8");
-        assert!(
-            text.contains("\"schema\":\"xpass-repro/v1\""),
-            "{name}.json is missing the schema tag: {text}"
-        );
-    }
-
-    let _ = std::fs::remove_dir_all(&base);
 }

@@ -1,10 +1,11 @@
-//! Snapshot/resume fence: for every fence experiment, a run interrupted by
-//! a checkpoint and resumed **in a fresh process** produces output — final
-//! tables on stdout and the `xpass-repro/v1` JSON record — byte-identical
-//! to the uninterrupted run, under both event schedulers. Also pins the
-//! zero-cost-when-off guarantee (checkpointing changes no output bytes),
-//! the library-level round trip of `Network::snapshot_into`/`restore_from`,
-//! and the budget-kill → resume path of the robustness story.
+//! Snapshot/resume fences at the library level: `Network::snapshot_into`
+//! / `restore_from` round trips across schedulers (far-future events,
+//! reserved queue positions, a faulted Clos), the budget-kill → resume
+//! path of the robustness story, a DCTCP scenario resumed in a fresh
+//! process, the committed wire-format digests, and truncation errors that
+//! name their section. The CLI resume fence — every fence experiment
+//! resumed from its earliest and latest snapshot under both schedulers —
+//! is `tests/fences.rs`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -14,7 +15,7 @@ use xpass::net::ids::HostId;
 use xpass::net::network::Network;
 use xpass::net::topology::Topology;
 use xpass::sim::checkpoint::{self, CheckpointConfig};
-use xpass::sim::event::{set_thread_scheduler, SchedulerKind};
+use xpass::sim::event::SchedulerKind;
 use xpass::sim::run_ctx;
 use xpass::sim::snap::SnapWriter;
 use xpass::sim::time::{Dur, SimTime};
@@ -22,6 +23,11 @@ use xpass::sim::watchdog::{TripReason, WatchdogSpec};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_xpass-repro"))
+}
+
+/// Make `kind` this thread's scheduler until the guard drops.
+fn scheduler(kind: SchedulerKind) -> run_ctx::Entered {
+    run_ctx::enter(run_ctx::current().with_scheduler(kind))
 }
 
 fn tmp(tag: &str) -> PathBuf {
@@ -68,126 +74,6 @@ fn run(args: &[&str], json_dir: &Path, exp: &str) -> (Vec<u8>, String) {
     (out.stdout, rec)
 }
 
-/// The fence proper: clean run vs checkpointed run vs fresh-process resume
-/// from both the earliest and the latest kept snapshot, × both schedulers.
-fn fence(exp: &str, every_ms: &str, extra: &[&str]) {
-    for sched in ["heap", "calendar"] {
-        let root = tmp(&format!("{exp}-{sched}"));
-        let _ = std::fs::remove_dir_all(&root);
-        let ckd = root.join("ckd");
-
-        let mut clean_args = vec![exp, "--scheduler", sched];
-        clean_args.extend_from_slice(extra);
-        let (clean_out, clean_rec) = run(&clean_args, &root.join("j-clean"), exp);
-
-        let mut ck_args = clean_args.clone();
-        ck_args.extend_from_slice(&["--checkpoint-every", every_ms, "--checkpoint-dir"]);
-        let ckd_s = ckd.to_str().unwrap();
-        ck_args.push(ckd_s);
-        let (ck_out, ck_rec) = run(&ck_args, &root.join("j-ck"), exp);
-        assert_eq!(
-            clean_out, ck_out,
-            "{exp}/{sched}: checkpointing changed stdout"
-        );
-        assert_eq!(
-            clean_rec, ck_rec,
-            "{exp}/{sched}: checkpointing changed the JSON record"
-        );
-
-        let written = snaps(&ckd);
-        assert!(
-            !written.is_empty(),
-            "{exp}/{sched}: no snapshots were written under {}",
-            ckd.display()
-        );
-        // Resume must be byte-identical from ANY snapshot, not just the
-        // newest: exercise the two extremes.
-        let picks: Vec<&PathBuf> = if written.len() == 1 {
-            vec![&written[0]]
-        } else {
-            vec![&written[0], &written[written.len() - 1]]
-        };
-        for (k, snap) in picks.into_iter().enumerate() {
-            let snap_s = snap.to_str().unwrap();
-            let resume_args = vec!["--resume", snap_s, "--scheduler", sched];
-            let (r_out, r_rec) = run(&resume_args, &root.join(format!("j-r{k}")), exp);
-            assert_eq!(
-                clean_out,
-                r_out,
-                "{exp}/{sched}: resume from {} diverged on stdout",
-                snap.display()
-            );
-            assert_eq!(
-                clean_rec,
-                r_rec,
-                "{exp}/{sched}: resume from {} diverged on the JSON record",
-                snap.display()
-            );
-        }
-        let _ = std::fs::remove_dir_all(&root);
-    }
-}
-
-#[test]
-fn fig01_resumes_byte_identically() {
-    fence("fig01", "1", &[]);
-}
-
-#[test]
-fn fig10_resumes_byte_identically() {
-    fence("fig10", "5", &[]);
-}
-
-#[test]
-fn fig16_resumes_byte_identically() {
-    fence("fig16", "5", &[]);
-}
-
-#[test]
-fn faults_resumes_byte_identically() {
-    fence("faults", "5", &[]);
-}
-
-#[test]
-fn chaos_sweep_resumes_byte_identically() {
-    // --jobs 2 on the original run: snapshots taken inside the nested
-    // per-seed fan-out (scope-0-k) must still resume on a 1-job run.
-    fence("chaos_sweep", "5", &["--jobs", "2"]);
-}
-
-/// The fence experiments record no traces, so `--trace` on a checkpointed
-/// run must change nothing: the CLI notes it, writes no file, and output
-/// stays byte-identical. (Trace-recording experiments are snapshot-exempt
-/// by design: the sink is external I/O, not simulator state.)
-#[test]
-fn trace_flag_is_inert_for_fence_experiments() {
-    let root = tmp("trace-inert");
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).unwrap();
-    let trace = root.join("t.jsonl");
-    let trace_s = trace.to_str().unwrap();
-    let (clean_out, clean_rec) = run(&["fig10"], &root.join("j-clean"), "fig10");
-    let ckd = root.join("ckd");
-    let ckd_s = ckd.to_str().unwrap();
-    let (ck_out, ck_rec) = run(
-        &[
-            "fig10",
-            "--trace",
-            trace_s,
-            "--checkpoint-every",
-            "5",
-            "--checkpoint-dir",
-            ckd_s,
-        ],
-        &root.join("j-ck"),
-        "fig10",
-    );
-    assert_eq!(clean_out, ck_out);
-    assert_eq!(clean_rec, ck_rec);
-    assert!(!trace.exists(), "fig10 traces nothing; no file expected");
-    let _ = std::fs::remove_dir_all(&root);
-}
-
 fn demo_net(max_events: Option<u64>) -> Network {
     let topo = Topology::dumbbell(2, 10_000_000_000, Dur::us(1));
     let cfg = NetConfig::expresspass().with_seed(11);
@@ -212,7 +98,7 @@ const CAP: SimTime = SimTime(10_000_000_000); // 10 ms in ps
 /// everything the run depends on, in scheduler-independent bytes.
 #[test]
 fn network_state_round_trips_in_process_across_schedulers() {
-    set_thread_scheduler(SchedulerKind::Heap);
+    let _heap = scheduler(SchedulerKind::Heap);
     let mut a = demo_net(None);
     a.run_until(SimTime::ZERO + Dur::us(300));
     let mut w = SnapWriter::new();
@@ -220,7 +106,7 @@ fn network_state_round_trips_in_process_across_schedulers() {
     let body = w.into_body();
     a.run_until_done(CAP);
 
-    set_thread_scheduler(SchedulerKind::Calendar);
+    let _calendar = scheduler(SchedulerKind::Calendar);
     let mut b = demo_net(None);
     b.restore_from(&body).expect("twin restore");
     b.run_until_done(CAP);
@@ -248,7 +134,7 @@ fn snapshot_with_a_far_future_event_queued_is_inert_and_portable() {
         (SchedulerKind::Heap, SchedulerKind::Calendar),
         (SchedulerKind::Calendar, SchedulerKind::Heap),
     ] {
-        set_thread_scheduler(kind);
+        let _kind = scheduler(kind);
         let mut plain = net();
         plain.run_until_done(CAP);
 
@@ -272,7 +158,7 @@ fn snapshot_with_a_far_future_event_queued_is_inert_and_portable() {
             "{kind:?}: the snapshot rearranged the scheduler"
         );
 
-        set_thread_scheduler(other);
+        let _other = scheduler(other);
         let mut b = net();
         b.restore_from(&body).expect("twin restore");
         b.run_until_done(CAP);
@@ -340,7 +226,7 @@ fn three_tier_with_faults_round_trips_across_schedulers() {
     // Generous cap: a SYN blackholed by the cut retries on exponential
     // backoff and may settle tens of ms after the heal.
     let cap = SimTime::ZERO + Dur::ms(200);
-    set_thread_scheduler(SchedulerKind::Heap);
+    let _heap = scheduler(SchedulerKind::Heap);
     let mut a = clos_net();
     a.run_until(SimTime::ZERO + Dur::us(250));
     let mut w = SnapWriter::new();
@@ -348,7 +234,7 @@ fn three_tier_with_faults_round_trips_across_schedulers() {
     let body = w.into_body();
     a.run_until_done(cap);
 
-    set_thread_scheduler(SchedulerKind::Calendar);
+    let _calendar = scheduler(SchedulerKind::Calendar);
     let mut b = clos_net();
     b.restore_from(&body).expect("clos twin restore");
     b.run_until_done(cap);
@@ -361,7 +247,6 @@ fn three_tier_with_faults_round_trips_across_schedulers() {
     assert_eq!(a.completed_count() + a.aborted_count(), 24);
     assert_eq!(a.completed_count(), b.completed_count());
     assert_eq!(a.aborted_count(), b.aborted_count());
-    set_thread_scheduler(SchedulerKind::default());
 }
 
 /// Satellite: a run killed by its event budget leaves a valid latest
@@ -462,7 +347,7 @@ fn dctcp_snapshot_with_reserved_positions_pending_round_trips() {
         (SchedulerKind::Heap, SchedulerKind::Calendar),
         (SchedulerKind::Calendar, SchedulerKind::Heap),
     ] {
-        set_thread_scheduler(kind);
+        let _kind = scheduler(kind);
         let mut plain = dctcp_net();
         let done = plain.run_until_done(cap);
         assert_eq!(plain.completed_count(), 4);
@@ -486,7 +371,7 @@ fn dctcp_snapshot_with_reserved_positions_pending_round_trips() {
         assert!(pending >= 4, "only {pending} instants with both pending");
         a.run_until(cap);
 
-        set_thread_scheduler(other);
+        let _other = scheduler(other);
         let same_as_plain = |name: &str, n: &Network| {
             assert_eq!(plain.flow_records(), n.flow_records(), "{name}");
             assert_eq!(plain.counters(), n.counters(), "{name}");
@@ -505,7 +390,6 @@ fn dctcp_snapshot_with_reserved_positions_pending_round_trips() {
         }
         per_scheduler.push(bodies);
     }
-    set_thread_scheduler(SchedulerKind::default());
     assert!(
         per_scheduler[0] == per_scheduler[1],
         "snapshot bytes depend on the scheduler"
@@ -645,7 +529,7 @@ fn snapshot_bodies_match_the_committed_digests() {
         (body.len(), crc32(&body))
     };
     for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
-        set_thread_scheduler(kind);
+        let _kind = scheduler(kind);
         let mut net = dumbbell_net();
         net.run_until(SimTime::ZERO + Dur::us(200));
         assert_eq!(digest(&net), DUMBBELL, "dumbbell, {kind:?}");
@@ -676,7 +560,6 @@ fn snapshot_bodies_match_the_committed_digests() {
         assert_eq!(digest(&net), CLOS, "clos, {kind:?}");
         metrics::clear();
     }
-    set_thread_scheduler(SchedulerKind::default());
 }
 
 /// A damaged snapshot says where: every strict prefix of a body — taken

@@ -2,7 +2,7 @@
 //! invariant monitoring leave runs byte-identical), trace-event coverage,
 //! JSONL output, engine profiling consistency, invariant monitors on
 //! healthy and deliberately broken configurations, and the `xpass-repro`
-//! CLI surface (`--json`, `--seed`, bad-flag exits).
+//! CLI surface (`--json`, `--seed`, usage errors).
 
 use std::process::Command;
 use xpass::baselines::cubic_factory;
@@ -250,21 +250,35 @@ fn repro_json_record_round_trips() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("Fig 12"));
 }
 
+/// Every usage error exits non-zero and says what was wrong.
 #[test]
 fn repro_rejects_bad_usage() {
-    let out = repro(&["--definitely-not-a-flag"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
-
-    let out = repro(&["no-such-experiment"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"));
-
-    let out = repro(&["fig12", "--seed", "not-a-number"]);
-    assert!(!out.status.success());
-
-    let out = repro(&["fig12", "--json"]);
-    assert!(!out.status.success());
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("usage");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bad = dir.join("bad.json");
+    std::fs::write(&bad, "{\"schema\": \"nope\"}").unwrap();
+    let table: [(&[&str], &[&str]); 6] = [
+        (&["--definitely-not-a-flag"], &["usage:"]),
+        (&["fig99"], &["unknown experiment 'fig99'", "  fig10 "]),
+        (
+            &["fig12", "--seed", "x"],
+            &["--seed needs an unsigned integer"],
+        ),
+        (&["fig12", "--json"], &["--json needs an output directory"]),
+        (
+            &["run", "/nonexistent.json"],
+            &["cannot read scenario file"],
+        ),
+        (&["run", bad.to_str().unwrap()], &["unsupported schema"]),
+    ];
+    for (args, fragments) in table {
+        let out = repro(args);
+        assert!(!out.status.success(), "{args:?} succeeded");
+        let err = String::from_utf8_lossy(&out.stderr);
+        for f in fragments {
+            assert!(err.contains(f), "{args:?}: no {f:?} in\n{err}");
+        }
+    }
 }
 
 #[test]
