@@ -46,7 +46,7 @@ pub struct LedgerEntry {
 }
 
 impl LedgerEntry {
-    fn add(&mut self, size: u32) {
+    pub(crate) fn add(&mut self, size: u32) {
         self.pkts += 1;
         self.bytes += size as u64;
     }
@@ -58,71 +58,77 @@ impl LedgerEntry {
     }
 }
 
-/// Running conservation state held by the network while a ledger is
-/// installed. Snapshot accounts (`queued`, `stashed`) live only on the
-/// [`LedgerReport`].
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Ledger {
-    pub emitted: LedgerEntry,
-    pub delivered: LedgerEntry,
-    pub queue_dropped: LedgerEntry,
-    pub fault_lost: LedgerEntry,
-    pub corrupted: LedgerEntry,
-    /// Packets inside scheduled `Arrive`/`HostRx` events (wire propagation
-    /// or host processing delay). Maintained as a running balance.
-    pub in_flight: LedgerEntry,
+/// Why packets were lost: picks the run counter and the ledger account
+/// they are booked to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Loss {
+    /// Dropped at a credit queue: the arrival, or a resident it evicted.
+    CreditQueue,
+    /// A data packet tail-dropped at a data queue.
+    DataQueue,
+    /// A control packet tail-dropped at a data queue (no run counter).
+    CtrlQueue,
+    /// Lost to an injected fault: a dead link, random loss, a flushed
+    /// backlog or a routing dead-end.
+    Fault,
+    /// CRC-dropped by an injected corruption fault.
+    Corrupt,
 }
+
+/// Running conservation state held by the network while a ledger is
+/// installed: a [`LedgerReport`] whose running accounts move as packets
+/// meet their fates. Its residual accounts (`queued`, `stashed`) stay zero
+/// here; [`report`](Ledger::report) measures them.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Ledger(LedgerReport);
 
 impl Ledger {
     /// A host NIC emitted a packet.
     #[inline]
     pub fn emit(&mut self, size: u32) {
-        self.emitted.add(size);
+        self.0.emitted.add(size);
     }
 
     /// A packet reached its terminal host (endpoint delivery or absorption).
     #[inline]
     pub fn deliver(&mut self, size: u32) {
-        self.delivered.add(size);
+        self.0.delivered.add(size);
     }
 
-    /// A packet was tail-dropped at a port queue (`size` is the victim's —
-    /// for credit queues possibly an evicted resident, not the arrival).
+    /// Book `pkts` lost packets of `bytes` wire bytes to `loss`'s account.
     #[inline]
-    pub fn queue_drop(&mut self, size: u32) {
-        self.queue_dropped.add(size);
+    pub fn lose(&mut self, loss: Loss, pkts: u64, bytes: u64) {
+        let account = match loss {
+            Loss::CreditQueue | Loss::DataQueue | Loss::CtrlQueue => &mut self.0.queue_dropped,
+            Loss::Fault => &mut self.0.fault_lost,
+            Loss::Corrupt => &mut self.0.corrupted,
+        };
+        account.pkts += pkts;
+        account.bytes += bytes;
     }
 
-    /// A packet was lost to an injected fault.
-    #[inline]
-    pub fn fault_loss(&mut self, size: u32) {
-        self.fault_lost.add(size);
+    /// The running accounts beside the residual ones measured now.
+    pub fn report(&self, queued: LedgerEntry, stashed: LedgerEntry) -> LedgerReport {
+        LedgerReport {
+            queued,
+            stashed,
+            ..self.0.clone()
+        }
     }
 
-    /// A whole backlog was flushed by a fault (counts are aggregates).
-    #[inline]
-    pub fn fault_loss_bulk(&mut self, pkts: u64, bytes: u64) {
-        self.fault_lost.pkts += pkts;
-        self.fault_lost.bytes += bytes;
-    }
-
-    /// A packet was CRC-dropped by an injected corruption fault.
-    #[inline]
-    pub fn corrupt(&mut self, size: u32) {
-        self.corrupted.add(size);
-    }
-
-    /// A packet entered a scheduled `Arrive`/`HostRx` event.
+    /// A packet entered a scheduled `Arrive`/`HostRx` event (wire
+    /// propagation or host processing delay).
     #[inline]
     pub fn flight_begin(&mut self, size: u32) {
-        self.in_flight.add(size);
+        self.0.in_flight.add(size);
     }
 
     /// A scheduled `Arrive`/`HostRx` event was handled.
     #[inline]
     pub fn flight_end(&mut self, size: u32) {
-        self.in_flight.pkts = self.in_flight.pkts.saturating_sub(1);
-        self.in_flight.bytes = self.in_flight.bytes.saturating_sub(size as u64);
+        let f = &mut self.0.in_flight;
+        f.pkts = f.pkts.saturating_sub(1);
+        f.bytes = f.bytes.saturating_sub(size as u64);
     }
 }
 
@@ -143,23 +149,25 @@ impl xpass_sim::Restore for LedgerEntry {
 
 impl xpass_sim::Snapshot for Ledger {
     fn snap(&self, w: &mut xpass_sim::SnapWriter) {
-        self.emitted.snap(w);
-        self.delivered.snap(w);
-        self.queue_dropped.snap(w);
-        self.fault_lost.snap(w);
-        self.corrupted.snap(w);
-        self.in_flight.snap(w);
+        let a = &self.0;
+        a.emitted.snap(w);
+        a.delivered.snap(w);
+        a.queue_dropped.snap(w);
+        a.fault_lost.snap(w);
+        a.corrupted.snap(w);
+        a.in_flight.snap(w);
     }
 }
 
 impl xpass_sim::Restore for Ledger {
     fn restore(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.emitted.restore(r)?;
-        self.delivered.restore(r)?;
-        self.queue_dropped.restore(r)?;
-        self.fault_lost.restore(r)?;
-        self.corrupted.restore(r)?;
-        self.in_flight.restore(r)
+        let a = &mut self.0;
+        a.emitted.restore(r)?;
+        a.delivered.restore(r)?;
+        a.queue_dropped.restore(r)?;
+        a.fault_lost.restore(r)?;
+        a.corrupted.restore(r)?;
+        a.in_flight.restore(r)
     }
 }
 
@@ -243,17 +251,9 @@ mod tests {
         l.flight_begin(100);
         l.flight_end(100);
         l.deliver(100);
-        l.queue_drop(84);
-        l.fault_loss(1538);
-        let r = LedgerReport {
-            emitted: l.emitted,
-            delivered: l.delivered,
-            queue_dropped: l.queue_dropped,
-            fault_lost: l.fault_lost,
-            corrupted: l.corrupted,
-            in_flight: l.in_flight,
-            ..LedgerReport::default()
-        };
+        l.lose(Loss::CreditQueue, 1, 84);
+        l.lose(Loss::Fault, 1, 1538);
+        let r = l.report(LedgerEntry::default(), LedgerEntry::default());
         assert!(r.balanced(), "{r:?}");
         assert_eq!(r.imbalance_pkts(), 0);
     }
@@ -265,11 +265,7 @@ mod tests {
         l.emit(100);
         l.deliver(100);
         // Second packet vanished without a terminal account.
-        let r = LedgerReport {
-            emitted: l.emitted,
-            delivered: l.delivered,
-            ..LedgerReport::default()
-        };
+        let r = l.report(LedgerEntry::default(), LedgerEntry::default());
         assert!(!r.balanced());
         assert_eq!(r.imbalance_pkts(), 1);
     }

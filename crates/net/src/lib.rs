@@ -26,7 +26,9 @@
 //! * [`endpoint`] — the `Endpoint` trait all congestion-control protocols
 //!   implement, plus the `Ctx` handle they act through.
 //! * [`faults`] — deterministic fault-injection schedules: link failures,
-//!   lossy/corrupting links, and host pauses, replayable from the run seed.
+//!   lossy/corrupting links, and host pauses, replayable from the run seed;
+//!   and the fault layer that holds the live routes and answers every
+//!   fault rule.
 //! * [`ledger`] — global byte/packet conservation ledger proving every
 //!   emitted packet is accounted for (delivered, dropped, fault-lost,
 //!   corrupted, in flight, queued, or stashed).

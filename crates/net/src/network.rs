@@ -24,10 +24,10 @@
 use crate::arena::{FlowArena, FLAG_ABORTED, FLAG_DONE, FLAG_STALLED};
 use crate::config::{NetConfig, RoutingMode};
 use crate::endpoint::{Ctx, Endpoint, EndpointFactory, FlowInfo};
-use crate::faults::{FaultKind, FaultPlan, FaultState, FAULT_RNG_SALT};
+use crate::faults::{Admit, Effect, FaultKind, FaultPlan, FaultState, FAULT_RNG_SALT};
 use crate::health::{HealthReport, InvariantSpec, InvariantState};
 use crate::ids::{DLinkId, FlowId, HostId, NodeId, Side};
-use crate::ledger::{Ledger, LedgerEntry, LedgerReport};
+use crate::ledger::{Ledger, LedgerEntry, LedgerReport, Loss};
 use crate::metrics::MetricsState;
 use crate::packet::{Packet, PktKind};
 use crate::port::{EgressPort, TxDecision};
@@ -35,7 +35,7 @@ use crate::queue::{CreditQueue, DataQueue, EcnCfg, PhantomQueue};
 use crate::rcplink::RcpLink;
 use crate::routing::ecmp_index;
 use crate::timers::TimerWheels;
-use crate::topology::{LiveRoutes, Topology};
+use crate::topology::Topology;
 use xpass_sim::checkpoint::NetHook;
 use xpass_sim::event::EventQueue;
 use xpass_sim::profile::EngineReport;
@@ -138,59 +138,44 @@ pub struct Counters {
 }
 
 impl Counters {
+    /// Every counter with its JSON key, in snapshot order.
+    fn fields(&mut self) -> [(&'static str, &mut u64); 10] {
+        [
+            ("credits_sent", &mut self.credits_sent),
+            ("credits_dropped", &mut self.credits_dropped),
+            ("credits_wasted", &mut self.credits_wasted),
+            ("data_dropped", &mut self.data_dropped),
+            ("payload_delivered", &mut self.payload_delivered),
+            ("ecn_marked", &mut self.ecn_marked),
+            ("faults_injected", &mut self.faults_injected),
+            ("pkts_corrupted", &mut self.pkts_corrupted),
+            ("pkts_lost_to_faults", &mut self.pkts_lost_to_faults),
+            ("flows_aborted", &mut self.flows_aborted),
+        ]
+    }
+
     /// Render as a JSON object (one key per counter).
     pub fn to_json(&self) -> xpass_sim::json::Json {
         use xpass_sim::json::Json;
-        Json::obj()
-            .with("credits_sent", Json::num_u64(self.credits_sent))
-            .with("credits_dropped", Json::num_u64(self.credits_dropped))
-            .with("credits_wasted", Json::num_u64(self.credits_wasted))
-            .with("data_dropped", Json::num_u64(self.data_dropped))
-            .with("payload_delivered", Json::num_u64(self.payload_delivered))
-            .with("ecn_marked", Json::num_u64(self.ecn_marked))
-            .with("faults_injected", Json::num_u64(self.faults_injected))
-            .with("pkts_corrupted", Json::num_u64(self.pkts_corrupted))
-            .with(
-                "pkts_lost_to_faults",
-                Json::num_u64(self.pkts_lost_to_faults),
-            )
-            .with("flows_aborted", Json::num_u64(self.flows_aborted))
+        let mut j = Json::obj();
+        for (k, v) in self.clone().fields() {
+            j = j.with(k, Json::num_u64(*v));
+        }
+        j
     }
 }
 
 impl Snapshot for Counters {
     fn snap(&self, w: &mut SnapWriter) {
-        for v in [
-            self.credits_sent,
-            self.credits_dropped,
-            self.credits_wasted,
-            self.data_dropped,
-            self.payload_delivered,
-            self.ecn_marked,
-            self.faults_injected,
-            self.pkts_corrupted,
-            self.pkts_lost_to_faults,
-            self.flows_aborted,
-        ] {
-            w.u64(v);
+        for (_, v) in self.clone().fields() {
+            w.u64(*v);
         }
     }
 }
 
 impl Restore for Counters {
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        for v in [
-            &mut self.credits_sent,
-            &mut self.credits_dropped,
-            &mut self.credits_wasted,
-            &mut self.data_dropped,
-            &mut self.payload_delivered,
-            &mut self.ecn_marked,
-            &mut self.faults_injected,
-            &mut self.pkts_corrupted,
-            &mut self.pkts_lost_to_faults,
-            &mut self.flows_aborted,
-        ] {
+        for (_, v) in self.fields() {
             *v = r.u64()?;
         }
         Ok(())
@@ -274,16 +259,15 @@ pub struct Network {
     arena: FlowArena,
     /// Per-host timer generations.
     timers: TimerWheels,
-    /// Fault-aware routing overlay; `None` unless a fault plan was
-    /// installed — fault-free runs route straight from the flat tables.
-    live_routes: Option<LiveRoutes>,
     factory: EndpointFactory,
     controller: Option<Box<dyn Controller>>,
     pending: Vec<Pending>,
     completed: usize,
     aborted: usize,
-    /// Fault-injection state; `None` unless a plan was installed, and every
-    /// fault hook is gated on that so fault-free runs are byte-identical.
+    /// The fault layer: link and host state, live routes and every fault
+    /// rule (see [`crate::faults`]). `None` unless a plan was installed,
+    /// and every fault hook is gated on that, so fault-free runs route
+    /// straight from the flat tables and are byte-identical.
     faults: Option<FaultState>,
     /// Trace sink; `None` unless installed. Every emission site is gated on
     /// `is_some()` and tracing never touches the RNG or event queue, so
@@ -295,11 +279,9 @@ pub struct Network {
     /// contract — observation-only, never touches RNG or event order).
     ledger: Option<Ledger>,
     /// Hang/livelock watchdog; `None` unless installed. Checked after every
-    /// handled event inside the run loop.
+    /// handled event inside the run loop, which refuses to continue once it
+    /// holds a trip.
     watchdog: Option<Watchdog>,
-    /// Diagnostic report of the first watchdog trip; the run loop refuses
-    /// to continue once set.
-    watchdog_report: Option<WatchdogReport>,
     /// Driver-set phase label surfaced in watchdog reports.
     phase: &'static str,
     /// Checkpoint hook; `None` unless a checkpoint runtime is installed in
@@ -389,7 +371,6 @@ impl Network {
             ports,
             arena: FlowArena::new(),
             timers,
-            live_routes: None,
             factory,
             controller: None,
             pending: Vec::new(),
@@ -400,7 +381,6 @@ impl Network {
             invariants: None,
             ledger: None,
             watchdog: None,
-            watchdog_report: None,
             phase: "run",
             ckpt,
             ev_counts: [0; 7],
@@ -470,12 +450,9 @@ impl Network {
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         let n_dlinks = self.topo.dlinks.len();
         let n_hosts = self.topo.n_hosts;
-        let seed = self.cfg.seed;
-        self.faults.get_or_insert_with(|| {
-            FaultState::new(n_dlinks, n_hosts, Rng::new(seed ^ FAULT_RNG_SALT))
-        });
-        if self.live_routes.is_none() {
-            self.live_routes = Some(LiveRoutes::new(&self.topo));
+        if self.faults.is_none() {
+            let rng = Rng::new(self.cfg.seed ^ FAULT_RNG_SALT);
+            self.faults = Some(FaultState::new(&self.topo, rng));
         }
         for ev in plan.events {
             assert!(ev.at >= self.now, "fault event scheduled in the past");
@@ -584,23 +561,8 @@ impl Network {
                 queued.bytes += cq.len_bytes();
             }
         }
-        let mut stashed = LedgerEntry::default();
-        if let Some(st) = self.faults.as_ref() {
-            for pkt in st.stash_rx.iter().chain(st.stash_tx.iter()) {
-                stashed.pkts += 1;
-                stashed.bytes += pkt.size as u64;
-            }
-        }
-        LedgerReport {
-            emitted: l.emitted,
-            delivered: l.delivered,
-            queue_dropped: l.queue_dropped,
-            fault_lost: l.fault_lost,
-            corrupted: l.corrupted,
-            in_flight: l.in_flight,
-            queued,
-            stashed,
-        }
+        let stashed = self.faults.as_ref().map(FaultState::stashed);
+        l.report(queued, stashed.unwrap_or_default())
     }
 
     /// Arm a hang/livelock watchdog (see [`xpass_sim::watchdog`]). The run
@@ -610,7 +572,6 @@ impl Network {
     /// watchdog and clears a previous trip.
     pub fn install_watchdog(&mut self, spec: WatchdogSpec) {
         self.watchdog = Some(Watchdog::new(spec));
-        self.watchdog_report = None;
     }
 
     /// Label the current driver phase (e.g. `"warmup"`, `"drain"`) so a
@@ -622,7 +583,7 @@ impl Network {
     /// The first watchdog trip of this run, if any. `None` means the run
     /// (so far) stayed within every armed budget.
     pub fn watchdog_report(&self) -> Option<&WatchdogReport> {
-        self.watchdog_report.as_ref()
+        self.watchdog.as_ref()?.trip()
     }
 
     /// Engine profile of the run so far: events per kind, peak heap depth,
@@ -695,7 +656,7 @@ impl Network {
         if self.ckpt.is_some() {
             self.ckpt_enter_run();
         }
-        if self.watchdog_report.is_some() {
+        if self.watchdog_report().is_some() {
             return self.now; // a previous trip already aborted this run
         }
         let wall = std::time::Instant::now();
@@ -794,14 +755,13 @@ impl Network {
     }
 
     /// Observe one handled event on the installed watchdog; on a trip,
-    /// record the diagnostic report and tell the run loop to abort. Only
-    /// called with a watchdog installed.
+    /// file the diagnostic report with it and tell the run loop to abort.
+    /// Only called with a watchdog installed.
     fn watchdog_tripped(&mut self) -> bool {
         let wd = self.watchdog.as_mut().expect("watchdog check without one");
         let Some(reason) = wd.observe(self.now) else {
             return false;
         };
-        let events_observed = wd.events_observed();
         let (mut hot, mut hot_count) = (0usize, 0u64);
         for (i, &c) in self.ev_counts.iter().enumerate() {
             if c > hot_count {
@@ -809,17 +769,15 @@ impl Network {
                 hot_count = c;
             }
         }
-        if self.watchdog_report.is_none() {
-            self.watchdog_report = Some(WatchdogReport {
-                reason,
-                at: self.now,
-                events_observed,
-                queue_len: self.events.len(),
-                phase: self.phase,
-                hottest_event: EV_KIND_NAMES[hot],
-                hottest_count: hot_count,
-            });
-        }
+        wd.record_trip(WatchdogReport {
+            reason,
+            at: self.now,
+            events_observed: wd.events_observed(),
+            queue_len: self.events.len(),
+            phase: self.phase,
+            hottest_event: EV_KIND_NAMES[hot],
+            hottest_count: hot_count,
+        });
         true
     }
 
@@ -1013,9 +971,7 @@ impl Network {
 
     /// Is this host currently frozen by an injected `HostPause` fault?
     pub fn host_paused(&self, host: HostId) -> bool {
-        self.faults
-            .as_ref()
-            .is_some_and(|st| st.paused[host.0 as usize])
+        self.faults.as_ref().is_some_and(|st| st.paused(host))
     }
 
     pub(crate) fn host_emit(&mut self, pkt: Packet) {
@@ -1034,11 +990,8 @@ impl Network {
                 self.trace_emit(ev);
             }
         }
-        if let Some(st) = self.faults.as_mut() {
-            if st.paused[pkt.src.0 as usize] {
-                st.stash_tx.push(pkt);
-                return;
-            }
+        if self.faults.as_mut().is_some_and(|st| st.stashes_tx(&pkt)) {
+            return;
         }
         let dl = self.topo.host_uplink[pkt.src.0 as usize];
         self.enqueue_at(dl, pkt);
@@ -1238,63 +1191,14 @@ impl Network {
             self.trace_emit(ev);
         }
         let st = self.faults.as_mut().expect("Ev::Fault without fault state");
-        match kind {
-            FaultKind::LinkDown { dlink, flush } => {
-                let lf = &mut st.links[dlink.0 as usize];
-                lf.down = true;
-                lf.frozen = !flush;
-                if let Some(lr) = self.live_routes.as_mut() {
-                    lr.set_link(&self.topo, dlink, true);
-                }
-                if flush {
-                    let port = &mut self.ports[dlink.0 as usize];
-                    let (mut pkts, mut bytes) = port.data.flush_counted(now);
-                    if let Some(cq) = port.credit.as_mut() {
-                        let (p, b) = cq.flush_counted(now);
-                        pkts += p;
-                        bytes += b;
-                    }
-                    self.counters.pkts_lost_to_faults += pkts as u64;
-                    if let Some(l) = self.ledger.as_mut() {
-                        l.fault_loss_bulk(pkts as u64, bytes);
-                    }
-                }
+        match st.apply(kind, &self.topo) {
+            Effect::None => {}
+            Effect::Flush(dlink) => {
+                let (pkts, bytes) = self.ports[dlink.0 as usize].flush(now);
+                self.book_loss(Loss::Fault, pkts, bytes);
             }
-            FaultKind::LinkUp { dlink } => {
-                let lf = &mut st.links[dlink.0 as usize];
-                lf.down = false;
-                lf.frozen = false;
-                if let Some(lr) = self.live_routes.as_mut() {
-                    lr.set_link(&self.topo, dlink, false);
-                }
-                // Frozen backlog (and anything enqueued while down) resumes.
-                self.events.push(now, Ev::PortWake { dlink });
-            }
-            FaultKind::SetLoss {
-                dlink,
-                data,
-                credit,
-            } => {
-                let lf = &mut st.links[dlink.0 as usize];
-                lf.loss_data = data;
-                lf.loss_credit = credit;
-            }
-            FaultKind::SetCorrupt { dlink, prob } => {
-                st.links[dlink.0 as usize].corrupt = prob;
-            }
-            FaultKind::HostPause { host } => {
-                st.paused[host.0 as usize] = true;
-            }
-            FaultKind::HostResume { host } => {
-                st.paused[host.0 as usize] = false;
-                let (rx, keep_rx): (Vec<_>, Vec<_>) =
-                    st.stash_rx.drain(..).partition(|p| p.dst == host);
-                st.stash_rx = keep_rx;
-                let (tx, keep_tx): (Vec<_>, Vec<_>) =
-                    st.stash_tx.drain(..).partition(|p| p.src == host);
-                st.stash_tx = keep_tx;
-                // Replay in original order: arrivals deliver now, emissions
-                // re-enter the host's uplink queue.
+            Effect::Wake(dlink) => self.events.push(now, Ev::PortWake { dlink }),
+            Effect::Replay { rx, tx } => {
                 for pkt in rx {
                     if let Some(l) = self.ledger.as_mut() {
                         l.flight_begin(pkt.size); // leaves the stash account
@@ -1309,48 +1213,30 @@ impl Network {
         }
     }
 
-    /// Fault-layer arrival filter: returns true when the packet is consumed
-    /// (lost or corrupted) by the link it just traversed. Caller guarantees
-    /// a plan is installed.
-    fn fault_filter_arrival(&mut self, dlink: DLinkId, pkt: &Packet) -> bool {
-        let st = self.faults.as_mut().expect("fault filter without state");
-        let lf = st.links[dlink.0 as usize];
-        if lf.down {
-            // The link died while this packet was in flight on the wire.
-            self.counters.pkts_lost_to_faults += 1;
-            if let Some(l) = self.ledger.as_mut() {
-                l.fault_loss(pkt.size);
-            }
-            return true;
+    /// Book `pkts` lost packets of `bytes` wire bytes: the one place that
+    /// moves a loss counter or a ledger loss account.
+    #[inline]
+    fn book_loss(&mut self, loss: Loss, pkts: u64, bytes: u64) {
+        let c = &mut self.counters;
+        match loss {
+            Loss::CreditQueue => c.credits_dropped += pkts,
+            Loss::DataQueue => c.data_dropped += pkts,
+            Loss::CtrlQueue => {}
+            Loss::Fault => c.pkts_lost_to_faults += pkts,
+            Loss::Corrupt => c.pkts_corrupted += pkts,
         }
-        let loss_p = if pkt.kind == PktKind::Credit {
-            lf.loss_credit
-        } else {
-            lf.loss_data
-        };
-        if loss_p > 0.0 && st.rng.chance(loss_p) {
-            self.counters.pkts_lost_to_faults += 1;
-            if let Some(l) = self.ledger.as_mut() {
-                l.fault_loss(pkt.size);
-            }
-            return true;
+        if let Some(l) = self.ledger.as_mut() {
+            l.lose(loss, pkts, bytes);
         }
-        if lf.corrupt > 0.0 && st.rng.chance(lf.corrupt) {
-            self.counters.pkts_corrupted += 1;
-            if let Some(l) = self.ledger.as_mut() {
-                l.corrupt(pkt.size);
-            }
-            return true;
-        }
-        false
     }
 
     fn on_arrive(&mut self, dlink: DLinkId, pkt: Packet) {
         if let Some(l) = self.ledger.as_mut() {
             l.flight_end(pkt.size); // off the wire; refiled below by fate
         }
-        if self.faults.is_some() && self.fault_filter_arrival(dlink, &pkt) {
-            return;
+        let faults = self.faults.as_mut();
+        if let Some(loss) = faults.and_then(|st| st.arrival(dlink, pkt.kind)) {
+            return self.book_loss(loss, 1, pkt.size as u64);
         }
         let to = self.topo.dlinks[dlink.0 as usize].to;
         match to {
@@ -1361,22 +1247,17 @@ impl Network {
                     "switch {sw} has no route to {}",
                     pkt.dst
                 );
-                // Routing excludes dead links: the fault-aware overlay
-                // keeps per-slice live subsets (recomputed at each link
-                // up/down event — next-Arrive granularity, like a switch
-                // reacting to loss-of-signal) and ECMP re-hashes over the
-                // survivors. Without a fault plan the base slice is used
-                // directly.
-                let live = match self.live_routes.as_ref() {
-                    Some(lr) => lr.choices(&self.topo, sw, pkt.dst),
+                // Routing excludes dead links: the fault layer's live
+                // routes change at each link up/down event — next-Arrive
+                // granularity, like a switch reacting to loss-of-signal —
+                // and ECMP re-hashes over the survivors. Without a fault
+                // plan the base slice is used directly.
+                let live = match self.faults.as_ref() {
+                    Some(st) => st.route_choices(&self.topo, sw, pkt.dst),
                     None => choices,
                 };
                 if live.is_empty() {
-                    self.counters.pkts_lost_to_faults += 1;
-                    if let Some(l) = self.ledger.as_mut() {
-                        l.fault_loss(pkt.size);
-                    }
-                    return;
+                    return self.book_loss(Loss::Fault, 1, pkt.size as u64);
                 }
                 let idx = match self.cfg.routing {
                     RoutingMode::EcmpSymmetric => {
@@ -1402,160 +1283,117 @@ impl Network {
 
     fn enqueue_at(&mut self, dlink: DLinkId, pkt: Packet) {
         let now = self.now;
-        let mut suppress_wake = false;
-        if let Some(st) = self.faults.as_ref() {
-            let lf = st.links[dlink.0 as usize];
-            if lf.down {
-                if lf.frozen {
-                    // Lossless pause: the queue keeps accepting (subject to
-                    // its normal capacity) but the transmitter stays asleep.
-                    suppress_wake = true;
+        let faults = self.faults.as_ref();
+        let admit = faults.map_or(Admit::Open, |st| st.admit(dlink));
+        if admit == Admit::Dead {
+            return self.book_loss(Loss::Fault, 1, pkt.size as u64);
+        }
+        let tracing = self.trace.is_some();
+        let (kind, flow, bytes) = (pkt.kind, pkt.flow.0, pkt.size);
+        let rng = &mut self.rng;
+        let port = &mut self.ports[dlink.0 as usize];
+        let (accepted, qlen_bytes, newly_marked) = if kind == PktKind::Credit {
+            let cq = port
+                .credit
+                .as_mut()
+                .expect("credit packet on a network without credit queues");
+            let out = cq.enqueue_outcome(now, pkt, rng);
+            // Occupancy for the credit class is in packets, not bytes.
+            let qlen = if tracing { cq.len() as u64 } else { 0 };
+            if let Some(victim_bytes) = out.dropped_bytes {
+                // The victim may be an evicted resident of a different
+                // size than the arrival; charge the actual bytes lost.
+                self.book_loss(Loss::CreditQueue, 1, victim_bytes as u64);
+            }
+            (out.dropped_bytes.is_none(), qlen, false)
+        } else {
+            let out = port.data.enqueue_outcome(now, pkt);
+            if !out.accepted {
+                let loss = if kind == PktKind::Data {
+                    Loss::DataQueue
                 } else {
-                    // Hard-down port: arrivals are lost outright.
-                    self.counters.pkts_lost_to_faults += 1;
-                    if let Some(l) = self.ledger.as_mut() {
-                        l.fault_loss(pkt.size);
+                    Loss::CtrlQueue
+                };
+                self.book_loss(loss, 1, bytes as u64);
+            } else if out.newly_marked {
+                self.counters.ecn_marked += 1;
+            }
+            (out.accepted, out.qlen_bytes, out.newly_marked)
+        };
+        if tracing {
+            // A refused credit may have evicted a random resident instead
+            // of itself; the trace charges the arrival's identity either way.
+            let (at, class) = (now, kind.trace_class());
+            let ev = if accepted {
+                TraceEvent::PktEnqueue {
+                    at,
+                    dlink: dlink.0,
+                    class,
+                    flow,
+                    bytes,
+                    qlen_bytes,
+                }
+            } else {
+                TraceEvent::PktDrop {
+                    at,
+                    dlink: dlink.0,
+                    class,
+                    flow,
+                    bytes,
+                }
+            };
+            self.trace_emit(ev);
+            if newly_marked {
+                let ev = TraceEvent::EcnMark {
+                    at,
+                    dlink: dlink.0,
+                    flow,
+                    qlen_bytes,
+                };
+                self.trace_emit(ev);
+            }
+        }
+        if kind == PktKind::Data {
+            if let Some(inv) = self.invariants.as_mut() {
+                if inv.is_switch_egress[dlink.0 as usize] {
+                    let violation = if accepted {
+                        inv.on_switch_data_enqueue(now, dlink.0, qlen_bytes)
+                    } else {
+                        inv.on_switch_data_drop(now, dlink.0, bytes)
+                    };
+                    if let Some(ev) = violation {
+                        if let Some(m) = self.sampler.metrics.as_mut() {
+                            m.note_health_violation();
+                        }
+                        if let Some(sink) = self.trace.as_mut() {
+                            sink.record(&ev);
+                        }
                     }
-                    return;
                 }
             }
         }
-        let tracing = self.trace.is_some();
-        let class = pkt.kind.trace_class();
-        let flow = pkt.flow.0;
-        let bytes = pkt.size;
-        let rng = &mut self.rng;
-        let port = &mut self.ports[dlink.0 as usize];
-        match pkt.kind {
-            PktKind::Credit => {
-                let cq = port
-                    .credit
-                    .as_mut()
-                    .expect("credit packet on a network without credit queues");
-                let out = cq.enqueue_outcome(now, pkt, rng);
-                let ok = out.dropped_bytes.is_none();
-                if let Some(victim_bytes) = out.dropped_bytes {
-                    self.counters.credits_dropped += 1;
-                    // The victim may be an evicted resident of a different
-                    // size than the arrival; charge the actual bytes lost.
-                    if let Some(l) = self.ledger.as_mut() {
-                        l.queue_drop(victim_bytes);
-                    }
-                }
-                if tracing {
-                    // `enqueue` returning false means one credit was dropped
-                    // (the arrival or a random resident); the trace charges
-                    // the arrival's identity either way. Occupancy for the
-                    // credit class is in packets, not bytes.
-                    let ev = if ok {
-                        TraceEvent::PktEnqueue {
-                            at: now,
-                            dlink: dlink.0,
-                            class,
-                            flow,
-                            bytes,
-                            qlen_bytes: cq.len() as u64,
-                        }
-                    } else {
-                        TraceEvent::PktDrop {
-                            at: now,
-                            dlink: dlink.0,
-                            class,
-                            flow,
-                            bytes,
-                        }
-                    };
-                    self.trace_emit(ev);
-                }
-            }
-            _ => {
-                let is_data = pkt.kind == PktKind::Data;
-                let out = port.data.enqueue_outcome(now, pkt);
-                if !out.accepted {
-                    if is_data {
-                        self.counters.data_dropped += 1;
-                    }
-                    if let Some(l) = self.ledger.as_mut() {
-                        l.queue_drop(bytes);
-                    }
-                } else if out.newly_marked {
-                    self.counters.ecn_marked += 1;
-                }
-                if tracing {
-                    let ev = if out.accepted {
-                        TraceEvent::PktEnqueue {
-                            at: now,
-                            dlink: dlink.0,
-                            class,
-                            flow,
-                            bytes,
-                            qlen_bytes: out.qlen_bytes,
-                        }
-                    } else {
-                        TraceEvent::PktDrop {
-                            at: now,
-                            dlink: dlink.0,
-                            class,
-                            flow,
-                            bytes,
-                        }
-                    };
-                    self.trace_emit(ev);
-                    if out.newly_marked {
-                        let ev = TraceEvent::EcnMark {
-                            at: now,
-                            dlink: dlink.0,
-                            flow,
-                            qlen_bytes: out.qlen_bytes,
-                        };
-                        self.trace_emit(ev);
-                    }
-                }
-                if is_data {
-                    if let Some(inv) = self.invariants.as_mut() {
-                        if inv.is_switch_egress[dlink.0 as usize] {
-                            let violation = if out.accepted {
-                                inv.on_switch_data_enqueue(now, dlink.0, out.qlen_bytes)
-                            } else {
-                                inv.on_switch_data_drop(now, dlink.0, bytes)
-                            };
-                            if let Some(ev) = violation {
-                                if let Some(m) = self.sampler.metrics.as_mut() {
-                                    m.note_health_violation();
-                                }
-                                if let Some(sink) = self.trace.as_mut() {
-                                    sink.record(&ev);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        };
         let port = &mut self.ports[dlink.0 as usize];
         // The transmission in progress reserved its end-of-serialization
         // wake instead of queueing it. Now there may be something for that
-        // wake to send: queue it where it was reserved — whatever
-        // `suppress_wake` says, a frozen link's backlog must find this
-        // wake once `LinkUp` comes. A position already gone by is one
-        // where the wake would have found an idle, drained port and done
-        // nothing; the wake below serves this packet instead.
+        // wake to send: queue it where it was reserved — even on a frozen
+        // link, whose backlog must find this wake once `LinkUp` comes. A
+        // position already gone by is one where the wake would have found
+        // an idle, drained port and done nothing; the wake below serves
+        // this packet instead.
         if let Some(seq) = port.deferred_wake.take() {
             if self.events.is_ahead(port.busy_until, seq) {
                 self.events
                     .push_reserved(port.busy_until, seq, Ev::PortWake { dlink });
             }
         }
-        if !suppress_wake && !port.is_busy(now) {
+        if admit == Admit::Open && !port.is_busy(now) {
             self.events.push(now, Ev::PortWake { dlink });
         }
     }
 
     fn port_wake(&mut self, dlink: DLinkId) {
-        if let Some(st) = self.faults.as_ref() {
-            if st.links[dlink.0 as usize].down {
-                return; // downed transmitter; LinkUp re-wakes it
-            }
+        if self.faults.as_ref().is_some_and(|st| st.tx_down(dlink)) {
+            return; // downed transmitter; LinkUp re-wakes it
         }
         let now = self.now;
         let port = &mut self.ports[dlink.0 as usize];
@@ -1587,11 +1425,8 @@ impl Network {
         if let Some(l) = self.ledger.as_mut() {
             l.flight_end(pkt.size);
         }
-        if let Some(st) = self.faults.as_mut() {
-            if st.paused[pkt.dst.0 as usize] {
-                st.stash_rx.push(pkt); // accounted in the stash snapshot
-                return;
-            }
+        if self.faults.as_mut().is_some_and(|st| st.stashes_rx(&pkt)) {
+            return; // accounted in the stash snapshot
         }
         // Absorbed at its terminal host from here on, whether or not the
         // flow still exists to consume it.

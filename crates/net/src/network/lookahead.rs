@@ -92,12 +92,12 @@ impl Network {
 
     /// The egress port the `Arrive` handler will pick for `pkt` coming off
     /// `dlink` — where that is a pure function of the packet: symmetric
-    /// ECMP at a switch with no fault overlay installed. (Spraying draws
-    /// from the RNG; the overlay's live sets are not worth a second lookup
+    /// ECMP at a switch with no fault plan installed. (Spraying draws from
+    /// the RNG; the fault layer's live routes are not worth a second lookup
     /// path for a hint.)
     #[inline]
     fn ecmp_egress(&self, dlink: DLinkId, pkt: &Packet) -> Option<DLinkId> {
-        if self.live_routes.is_some() || self.cfg.routing != RoutingMode::EcmpSymmetric {
+        if self.faults.is_some() || self.cfg.routing != RoutingMode::EcmpSymmetric {
             return None;
         }
         let NodeId::Switch(sw) = self.topo.dlinks.get(dlink.0 as usize)?.to else {

@@ -6,7 +6,7 @@
 //! itself, [`Ev`] and [`Pending`].
 
 use super::{Ev, Network, Pending};
-use crate::faults::{FaultKind, FaultState};
+use crate::faults::FaultKind;
 use crate::ids::{DLinkId, FlowId, HostId, Side};
 use crate::packet::Packet;
 use xpass_sim::event::EventQueue;
@@ -130,7 +130,7 @@ fn optional<T: ?Sized>(
 
 impl Network {
     /// Serialize the network's complete *dynamic* state as an
-    /// `xpass-snap/v4` body, one section per layer. Static configuration —
+    /// `xpass-snap/v5` body, one section per layer. Static configuration —
     /// topology, [`NetConfig`](crate::config::NetConfig), endpoint factory,
     /// installed monitor specs — is not written: a restore overlays onto a
     /// freshly built network whose deterministic setup already re-created
@@ -151,7 +151,6 @@ impl Network {
         w.usize(self.aborted);
         w.opt(self.controller.as_ref(), |w, c| c.snap_ctl(w));
         w.opt(self.faults.as_ref(), |w, st| st.snap(w));
-        w.opt(self.live_routes.as_ref(), |w, lr| lr.snap(w));
         w.opt(self.invariants.as_ref(), |w, st| st.snap(w));
         w.opt(self.ledger.as_ref(), |w, l| l.snap(w));
         w.opt(self.watchdog.as_ref(), |w, wd| wd.snap(w));
@@ -181,13 +180,7 @@ impl Network {
         self.events = r.within("events", |r| EventQueue::restore(kind, r, Ev::from_snap))?;
         r.within("rng", |r| self.rng.restore(r))?;
         r.within("ports", |r| {
-            let n = r.seq_len(1)?;
-            if n != self.ports.len() {
-                return Err(r.err(format!(
-                    "port count mismatch: configuration has {}, snapshot has {n}",
-                    self.ports.len()
-                )));
-            }
+            r.seq_len_of("port", self.ports.len(), 1)?;
             (self.ports.iter_mut().enumerate())
                 .try_for_each(|(i, p)| r.within(i.to_string(), |r| p.restore(r)))
         })?;
@@ -200,10 +193,8 @@ impl Network {
         optional(r, "controller", self.controller.as_mut(), |c, r| {
             c.restore_ctl(r)
         })?;
-        optional(r, "faults", self.faults.as_mut(), |st, r| st.restore(r))?;
-        let down = self.faults.iter().flat_map(FaultState::down_links);
-        optional(r, "routing", self.live_routes.as_mut(), |lr, r| {
-            lr.restore(r, &self.topo, down)
+        optional(r, "faults", self.faults.as_mut(), |st, r| {
+            st.restore(r, &self.topo)
         })?;
         optional(r, "invariants", self.invariants.as_mut(), |st, r| {
             st.restore(r)

@@ -210,6 +210,18 @@ impl EgressPort {
         }
     }
 
+    /// Drop both queues' backlog (a flushing link failure). Returns the
+    /// packets and wire bytes discarded.
+    pub(crate) fn flush(&mut self, now: SimTime) -> (u64, u64) {
+        let (mut pkts, mut bytes) = self.data.flush(now);
+        if let Some(cq) = self.credit.as_mut() {
+            let (p, b) = cq.flush(now);
+            pkts += p;
+            bytes += b;
+        }
+        (pkts as u64, bytes)
+    }
+
     /// Time the current serialization finishes (== now when idle).
     pub fn tx_done_at(&self) -> SimTime {
         self.busy_until

@@ -174,15 +174,9 @@ impl DataQueue {
     }
 
     /// Drop every queued packet (hard port reset, e.g. a flushing link
-    /// failure). Returns the number of packets discarded; they are *not*
+    /// failure). Returns the packets and bytes discarded; they are *not*
     /// counted in `stats.dropped`, which tracks tail drops only.
-    pub fn flush(&mut self, now: SimTime) -> usize {
-        self.flush_counted(now).0
-    }
-
-    /// [`flush`](Self::flush) also reporting the discarded bytes, so byte
-    /// conservation ledgers can account the lost backlog exactly.
-    pub fn flush_counted(&mut self, now: SimTime) -> (usize, u64) {
+    pub fn flush(&mut self, now: SimTime) -> (usize, u64) {
         let n = self.q.len();
         let bytes = self.len_bytes;
         self.q.clear();
@@ -435,14 +429,10 @@ impl CreditQueue {
     }
 
     /// Drop every queued credit across all classes without touching the
-    /// meter (hard port reset). Returns the number discarded; not counted
-    /// in `stats.dropped`, which is the congestion signal.
-    pub fn flush(&mut self, now: SimTime) -> usize {
-        self.flush_counted(now).0
-    }
-
-    /// [`flush`](Self::flush) also reporting the discarded wire bytes.
-    pub fn flush_counted(&mut self, now: SimTime) -> (usize, u64) {
+    /// meter (hard port reset). Returns the credits and wire bytes
+    /// discarded; not counted in `stats.dropped`, which is the congestion
+    /// signal.
+    pub fn flush(&mut self, now: SimTime) -> (usize, u64) {
         let n = self.len();
         let bytes = self.len_bytes();
         for q in &mut self.qs {
@@ -578,13 +568,7 @@ impl Snapshot for CreditQueue {
 
 impl Restore for CreditQueue {
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let classes = r.seq_len(8)?;
-        if classes != self.qs.len() {
-            return Err(r.err(format!(
-                "credit class count mismatch: configuration has {}, snapshot has {classes}",
-                self.qs.len()
-            )));
-        }
+        r.seq_len_of("credit class", self.qs.len(), 8)?;
         for q in &mut self.qs {
             let n = r.seq_len(8)?;
             *q = (0..n)

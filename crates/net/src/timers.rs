@@ -54,14 +54,8 @@ impl TimerWheels {
     /// Restore state written by [`snap`](Self::snap). The host count must
     /// match the configured topology.
     pub fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = self.host_gen.len();
         r.within("host_gen", |r| {
-            let ng = r.seq_len(8)?;
-            if ng != n {
-                return Err(r.err(format!(
-                    "timer host count mismatch: configuration has {n}, snapshot has {ng}"
-                )));
-            }
+            r.seq_len_of("timer host", self.host_gen.len(), 8)?;
             self.host_gen.iter_mut().try_for_each(|g| {
                 *g = r.u64()?;
                 Ok(())

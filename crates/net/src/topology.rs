@@ -32,6 +32,11 @@
 //! this replaces). Each switch keeps every neighbor on a shortest path as
 //! a next hop, sorted by neighbor id for deterministic (and therefore
 //! symmetric, see [`crate::routing`]) ECMP.
+//!
+//! The tables are immutable. The only mutable routing state in a run is
+//! the fault layer's live routes ([`crate::faults`]): these slices minus
+//! the next hops whose links are down, held by the fault state of a
+//! network with a fault plan installed.
 
 use crate::ids::{DLinkId, HostId, NodeId, SwitchId};
 use std::collections::VecDeque;
@@ -74,148 +79,6 @@ impl FlatRoutes {
     pub(crate) fn slice_bounds(&self, n_switches: usize, tor_idx: usize, sw: usize) -> (u32, u32) {
         let base = tor_idx * n_switches + sw;
         (self.index[base], self.index[base + 1])
-    }
-}
-
-/// Fault-aware overlay over [`FlatRoutes`]: keeps, per slice, the subset of
-/// next hops whose links are currently up, packed at the same pool offsets
-/// as the base table (a live slice is always an order-preserving prefix
-/// rewrite of its base slice, so ECMP ordering is untouched). A link
-/// up/down event recomputes **only the slices containing that link**, found
-/// through a reverse link→slice index, and bumps a routing epoch counter.
-///
-/// Built lazily: only networks with an installed fault plan pay for the
-/// overlay; fault-free runs route straight from the base table.
-pub(crate) struct LiveRoutes {
-    /// Live entries, packed at base-pool offsets: the live slice for flat
-    /// slice `b` is `entries[index[b] .. index[b] + len[b]]`.
-    entries: Vec<DLinkId>,
-    /// Live entry count per flat slice.
-    len: Vec<u32>,
-    /// Reverse CSR index: flat slice ids containing dlink `d` are
-    /// `rev_pool[rev_index[d] .. rev_index[d+1]]`.
-    rev_index: Vec<u32>,
-    rev_pool: Vec<u32>,
-    /// Down flag per dlink (mirrors the fault state; also covers the
-    /// ToR→host downlinks, which are not in any flat slice).
-    down: Vec<bool>,
-    /// Bumped once per effective link state change (recompute).
-    epoch: u64,
-}
-
-impl LiveRoutes {
-    /// Overlay with every link up, mirroring the topology's base table.
-    pub(crate) fn new(topo: &Topology) -> LiveRoutes {
-        let flat = &topo.flat;
-        let n_slices = flat.index.len() - 1;
-        let mut len = vec![0u32; n_slices];
-        for (b, l) in len.iter_mut().enumerate() {
-            *l = flat.index[b + 1] - flat.index[b];
-        }
-        // CSR reverse index over the base pool.
-        let n_dlinks = topo.dlinks.len();
-        let mut counts = vec![0u32; n_dlinks];
-        for &dl in &flat.pool {
-            counts[dl.0 as usize] += 1;
-        }
-        let mut rev_index = Vec::with_capacity(n_dlinks + 1);
-        rev_index.push(0u32);
-        for d in 0..n_dlinks {
-            rev_index.push(rev_index[d] + counts[d]);
-        }
-        let mut rev_pool = vec![0u32; flat.pool.len()];
-        let mut cursor: Vec<u32> = rev_index[..n_dlinks].to_vec();
-        for b in 0..n_slices {
-            for i in flat.index[b]..flat.index[b + 1] {
-                let d = flat.pool[i as usize].0 as usize;
-                rev_pool[cursor[d] as usize] = b as u32;
-                cursor[d] += 1;
-            }
-        }
-        LiveRoutes {
-            entries: flat.pool.clone(),
-            len,
-            rev_index,
-            rev_pool,
-            down: vec![false; n_dlinks],
-            epoch: 0,
-        }
-    }
-
-    /// Record a link going down or coming back up, recomputing only the
-    /// slices that contain it. Idempotent: repeating the current state does
-    /// not bump the epoch.
-    pub(crate) fn set_link(&mut self, topo: &Topology, dl: DLinkId, down: bool) {
-        let d = dl.0 as usize;
-        if self.down[d] == down {
-            return;
-        }
-        self.down[d] = down;
-        self.epoch += 1;
-        let flat = &topo.flat;
-        let (rlo, rhi) = (self.rev_index[d], self.rev_index[d + 1]);
-        for &b in &self.rev_pool[rlo as usize..rhi as usize] {
-            let (lo, hi) = (flat.index[b as usize], flat.index[b as usize + 1]);
-            let mut n = 0u32;
-            for i in lo..hi {
-                let e = flat.pool[i as usize];
-                if !self.down[e.0 as usize] {
-                    self.entries[(lo + n) as usize] = e;
-                    n += 1;
-                }
-            }
-            self.len[b as usize] = n;
-        }
-    }
-
-    /// Live equal-cost next hops at `sw` toward `dst`. Same contract as
-    /// [`Topology::route_choices`] minus any down links; empty when every
-    /// path (or the destination's downlink) is dead.
-    #[inline]
-    pub(crate) fn choices<'a>(
-        &'a self,
-        topo: &'a Topology,
-        sw: SwitchId,
-        dst: HostId,
-    ) -> &'a [DLinkId] {
-        let tor = topo.host_tor[dst.0 as usize];
-        if tor == sw {
-            let down = &topo.host_downlink[dst.0 as usize];
-            return if self.down[down.0 as usize] {
-                &[]
-            } else {
-                std::slice::from_ref(down)
-            };
-        }
-        let t = topo.flat.tor_index[tor.0 as usize] as usize;
-        let (lo, _) = topo.flat.slice_bounds(topo.n_switches, t, sw.0 as usize);
-        let base = t * topo.n_switches + sw.0 as usize;
-        &self.entries[lo as usize..(lo + self.len[base]) as usize]
-    }
-
-    /// Serialize the overlay. The live slices are derived state (which
-    /// links are down × the flat tables); only the epoch rides along, kept
-    /// for the `xpass-snap/v4` layout — nothing else reads it.
-    pub(crate) fn snap(&self, w: &mut xpass_sim::SnapWriter) {
-        w.u64(self.epoch);
-    }
-
-    /// Counterpart of [`snap`](Self::snap): start over from the flat
-    /// tables, take `down` — the links the restored fault state holds down
-    /// — out again, and adopt the snapshot's epoch.
-    pub(crate) fn restore(
-        &mut self,
-        r: &mut xpass_sim::SnapReader<'_>,
-        topo: &Topology,
-        down: impl Iterator<Item = DLinkId>,
-    ) -> Result<(), xpass_sim::SnapError> {
-        let epoch = r.u64()?;
-        *self = LiveRoutes::new(topo);
-        for dl in down {
-            self.set_link(topo, dl, true);
-        }
-        self.epoch = epoch;
-        Ok(())
     }
 }
 

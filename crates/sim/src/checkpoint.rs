@@ -66,6 +66,9 @@ pub struct ResumeImage {
     pub time: SimTime,
     /// Label of the run (experiment name, seed, paper-scale).
     pub label: RunLabel,
+    /// The metering the run was under: the metrics sampler's interval, or
+    /// `None` with no sampler. A network restores only under the same one.
+    pub metering: Option<Dur>,
     /// Serialized network state (consumed by `Network::restore_from`).
     pub net_state: Vec<u8>,
 }
@@ -150,6 +153,7 @@ pub struct NetHook {
     scope: Vec<u64>,
     net_index: u64,
     label: RunLabel,
+    metering: Option<Dur>,
     shared: Arc<Shared>,
 }
 
@@ -192,6 +196,7 @@ pub(crate) fn hook(ctx: &RunCtx, net_index: u64) -> Option<NetHook> {
         scope: scope.to_vec(),
         net_index,
         label: ctx.label.clone(),
+        metering: ctx.metrics.as_ref().map(|spec| spec.interval),
         shared: Arc::clone(shared),
     })
 }
@@ -243,6 +248,7 @@ impl NetHook {
         w.str(&self.label.name);
         w.opt(self.label.seed.as_ref(), |w, s| w.u64(*s));
         w.bool(self.label.paper_scale);
+        w.opt(self.metering.as_ref(), |w, d| w.u64(d.as_ps()));
         w.bytes(net_state);
         let path = self.dir.join(format!("ck-{:06}.snap", self.file_seq));
         self.file_seq += 1;
@@ -282,6 +288,7 @@ pub fn parse_image(body: &[u8]) -> Result<ResumeImage, SnapError> {
     let name = r.str()?;
     let seed = r.opt(|r| r.u64())?;
     let paper_scale = r.bool()?;
+    let metering = r.opt(|r| r.u64().map(Dur))?;
     let net_state = r.bytes()?;
     r.leave();
     r.expect_end()?;
@@ -295,6 +302,7 @@ pub fn parse_image(body: &[u8]) -> Result<ResumeImage, SnapError> {
             seed,
             paper_scale,
         },
+        metering,
         net_state,
     })
 }
@@ -333,6 +341,7 @@ mod tests {
                 seed: Some(7),
                 paper_scale: false,
             },
+            metering: None,
             net_state: vec![1, 2, 3],
         }
     }
@@ -355,6 +364,13 @@ mod tests {
             seed: Some(9),
             paper_scale: true,
         });
+        crate::metrics::install(
+            crate::metrics::MetricsSpec {
+                interval: Dur::us(250),
+                ..Default::default()
+            },
+            None,
+        );
         let mut hook = register_network().expect("hook");
         assert!(hook.on_run_call().is_none());
         hook.write(SimTime(5_000_000), b"netstate");
@@ -367,9 +383,11 @@ mod tests {
         assert_eq!(img.label.name, "fig10");
         assert_eq!(img.label.seed, Some(9));
         assert!(img.label.paper_scale);
+        assert_eq!(img.metering, Some(Dur::us(250)));
         assert_eq!(img.net_state, b"netstate");
         let _ = path;
         clear();
+        crate::metrics::clear();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -398,23 +398,11 @@ impl Snapshot for Registry {
 
 impl Restore for Registry {
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.seq_len(17)?;
-        if n != self.series.len() {
-            return Err(r.err(format!(
-                "series count mismatch: configuration has {}, snapshot has {n}",
-                self.series.len()
-            )));
-        }
+        r.seq_len_of("series", self.series.len(), 17)?;
         for s in &mut self.series {
             s.count = r.u64()?;
             s.sum = r.f64()?;
-            let nb = r.seq_len(8)?;
-            if nb != s.buckets.len() {
-                return Err(r.err(format!(
-                    "bucket count mismatch: configuration has {}, snapshot has {nb}",
-                    s.buckets.len()
-                )));
-            }
+            r.seq_len_of("bucket", s.buckets.len(), 8)?;
             for b in &mut s.buckets {
                 *b = r.u64()?;
             }

@@ -1,4 +1,4 @@
-//! `xpass-snap/v4` — a versioned, zero-dependency binary snapshot format.
+//! `xpass-snap/v5` — a versioned, zero-dependency binary snapshot format.
 //!
 //! Snapshots make long runs durable: the engine can serialize its complete
 //! state mid-run, and a later process can restore it and continue with
@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //! 0       10    magic  b"xpass-snap"
-//! 10      4     version (u32 LE, currently 4)
+//! 10      4     version (u32 LE, currently 5)
 //! 14      4     CRC-32 (IEEE) of the body
 //! 18      8     body length (u64 LE)
 //! 26      ..    body
@@ -45,7 +45,11 @@ use std::path::Path;
 
 /// Magic bytes at offset 0 of every snapshot file.
 pub const MAGIC: [u8; 10] = *b"xpass-snap";
-/// Current format version. v4 (flows live for the whole run): the arena
+/// Current format version. v5 (one fault layer): the network writes no
+/// `routing` section — the fault layer rebuilds its live routes from the
+/// restored links — and a checkpoint's meta records the metering (off, or
+/// on with its interval) so `--resume` can refuse a mismatch before the
+/// run. v4 (flows live for the whole run): the arena
 /// writes no slot occupancy, generation or free list, the timer section
 /// only the per-host generations, a queued timer no flow generation, and
 /// the event queue and per-kind event counts drop v3's always-empty
@@ -56,7 +60,7 @@ pub const MAGIC: [u8; 10] = *b"xpass-snap";
 /// window sender's carried RTO deadline. Older files are refused with the
 /// version-mismatch error — a snapshot resumes the run that wrote it, and
 /// an older run's queue holds events this one never pushes.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 /// Bytes of header before the body starts.
 pub const HEADER_LEN: usize = 10 + 4 + 4 + 8;
 
@@ -353,6 +357,23 @@ impl<'a> SnapReader<'a> {
         Ok(n)
     }
 
+    /// [`seq_len`](Self::seq_len) of a sequence the setup rebuilt with
+    /// `configured` elements: any other length is an error naming `what`.
+    pub fn seq_len_of(
+        &mut self,
+        what: &str,
+        configured: usize,
+        min_elem_bytes: usize,
+    ) -> Result<(), SnapError> {
+        let n = self.seq_len(min_elem_bytes)?;
+        if n != configured {
+            return Err(self.err(format!(
+                "{what} count mismatch: configuration has {configured}, snapshot has {n}"
+            )));
+        }
+        Ok(())
+    }
+
     /// Read a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<Vec<u8>, SnapError> {
         let n = self.seq_len(1)?;
@@ -449,7 +470,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 // File envelope.
 // ---------------------------------------------------------------------------
 
-/// Wrap a body in the `xpass-snap/v4` envelope (magic, version, checksum,
+/// Wrap a body in the `xpass-snap/v5` envelope (magic, version, checksum,
 /// length).
 pub fn encode_file(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + body.len());
@@ -688,7 +709,7 @@ mod tests {
         let e = decode_file(&file).unwrap_err();
         assert_eq!(e.at, 10);
         assert!(
-            e.msg.contains("expected 4") && e.msg.contains("found 99"),
+            e.msg.contains("expected 5") && e.msg.contains("found 99"),
             "{e}"
         );
     }

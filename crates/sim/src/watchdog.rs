@@ -103,7 +103,8 @@ impl WatchdogReport {
 }
 
 /// Live watchdog state: call [`observe`](Watchdog::observe) after every
-/// handled event; a `Some(reason)` return means the run must abort.
+/// handled event; a `Some(reason)` return means the run must abort, and
+/// the driver files its diagnostic with [`record_trip`](Watchdog::record_trip).
 #[derive(Debug)]
 pub struct Watchdog {
     spec: WatchdogSpec,
@@ -112,6 +113,8 @@ pub struct Watchdog {
     instant_streak: u64,
     /// Set on the first observation so installation cost is nil.
     wall_start: Option<Instant>,
+    /// The first trip's diagnostic; a driver refuses to run on once set.
+    trip: Option<WatchdogReport>,
 }
 
 impl Watchdog {
@@ -123,7 +126,18 @@ impl Watchdog {
             last_now: SimTime::ZERO,
             instant_streak: 0,
             wall_start: None,
+            trip: None,
         }
+    }
+
+    /// The first trip's diagnostic, if the watchdog has tripped.
+    pub fn trip(&self) -> Option<&WatchdogReport> {
+        self.trip.as_ref()
+    }
+
+    /// File the diagnostic of a trip; only the first one is kept.
+    pub fn record_trip(&mut self, report: WatchdogReport) {
+        self.trip.get_or_insert(report);
     }
 
     /// The armed budgets.
@@ -173,7 +187,8 @@ impl Watchdog {
 impl crate::snap::Snapshot for Watchdog {
     // The spec is configuration. `wall_start` is deliberately excluded: wall
     // time must never enter a snapshot, so a restored run's wall budget
-    // restarts from the restore point.
+    // restarts from the restore point. The trip report stays out as well: it
+    // is a diagnostic for the process that tripped, not run state.
     fn snap(&self, w: &mut crate::snap::SnapWriter) {
         w.u64(self.events);
         w.u64(self.last_now.0);

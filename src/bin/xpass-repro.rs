@@ -88,7 +88,7 @@
 //! checkpoint is written, and the process exits 0.
 //!
 //! `--checkpoint-every <sim-ms> --checkpoint-dir <dir>` writes a
-//! `xpass-snap/v4` snapshot of every simulated network each `<sim-ms>`
+//! `xpass-snap/v5` snapshot of every simulated network each `<sim-ms>`
 //! milliseconds of *simulation* time (atomic write + rename, last few
 //! kept per network). A crashed job is retried once in-process from its
 //! latest snapshot; the failure summary names the snapshot so a killed
@@ -97,7 +97,9 @@
 //! setup, overlaying the saved state mid-flight — and produces output
 //! byte-identical to the uninterrupted run (`--seed`/`--paper-scale`
 //! come from the snapshot; for a scenario snapshot pass the scenario
-//! file too: `--resume <snap> run <file.json>`).
+//! file too: `--resume <snap> run <file.json>`). A snapshot resumes only
+//! under the metering it was taken with: `--resume` refuses a `--metrics`
+//! on/off or `--metrics-interval-ms` mismatch before the run starts.
 
 use std::env;
 use std::path::{Path, PathBuf};
@@ -377,6 +379,23 @@ fn run_resume(
         eprintln!(
             "xpass-repro: --resume restores --seed and --paper-scale from the \
              snapshot; drop the explicit flags"
+        );
+        return ExitCode::FAILURE;
+    }
+    // A network restores only under the metering it was snapshotted with.
+    let (taken, now) = (img.metering, metrics::sample_interval());
+    if taken != now {
+        let under = |m: Option<Dur>| {
+            m.map_or("without --metrics".into(), |d| {
+                format!("with --metrics sampling every {d}")
+            })
+        };
+        eprintln!(
+            "xpass-repro: snapshot {} was taken {} but would resume {}; resume \
+             with the same --metrics and --metrics-interval-ms",
+            snap_path.display(),
+            under(taken),
+            under(now)
         );
         return ExitCode::FAILURE;
     }

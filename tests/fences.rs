@@ -416,6 +416,22 @@ fn snapshot_resume_reproduces_the_identical_series() {
     }
 }
 
+/// A snapshot of C's, taken under `--metrics`, is refused by a resume
+/// without it: exit 1 and a diagnostic naming the flag, before any
+/// experiment runs — not a panic out of the restore.
+#[test]
+fn resume_refuses_a_snapshot_taken_under_other_metering() {
+    let mut snaps = c().checkpoints().into_iter();
+    let snap = snaps.find(|f| f.extension().is_some_and(|x| x == "snap"));
+    let snap = c().dir.join("ck").join(snap.expect("C wrote a snapshot"));
+    let out = xpass_repro(&cell_dir("metering"), &["--resume", snap.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panic"), "{stderr}");
+    assert!(stderr.contains("--metrics"), "{stderr}");
+    assert!(out.stdout.is_empty(), "an experiment ran:\n{stderr}");
+}
+
 #[test]
 fn fat_tree_fault_scenario_runs_end_to_end() {
     let file = in_repo("examples/scenarios/fat_tree_shuffle_faults.json");

@@ -196,8 +196,8 @@ fn clos_net() -> Network {
     for i in 0..24u32 {
         net.add_flow(HostId(i), HostId(24 + i), 400_000, SimTime::ZERO);
     }
-    // Cut one ToR uplink mid-run so the flat-route overlay holds
-    // excluded slices (and a bumped epoch) at the snapshot point.
+    // Cut one ToR uplink mid-run so the fault layer's live routes hold
+    // excluded slices at the snapshot point.
     let tor = net.topo().tor_switches()[0];
     let up = net.topo().route_choices(tor, HostId(47))[0];
     let agg = match net.topo().dlinks[up.0 as usize].to {
@@ -217,10 +217,11 @@ fn clos_net() -> Network {
 }
 
 /// The million-flow memory layout round-trips: a small fig15_xl-style
-/// 3-tier Clos with a mid-run cable cut, snapshotted while timers are
-/// armed and the fault overlay is active, restores into a twin under the
-/// other scheduler — arena slots (with SoA lanes), per-host timer
-/// generations and the routing-overlay epoch all travel through the bytes.
+/// 3-tier Clos, snapshotted while timers are armed and a mid-run cable
+/// cut holds two links down, restores into a twin under the other
+/// scheduler — arena slots (with SoA lanes), per-host timer generations
+/// and the downed links all travel through the bytes, and the twin
+/// rebuilds its live routes from those links.
 #[test]
 fn three_tier_with_faults_round_trips_across_schedulers() {
     // Generous cap: a SYN blackholed by the cut retries on exponential
@@ -512,18 +513,19 @@ fn body_of(net: &Network) -> Vec<u8> {
 }
 
 /// The wire format, pinned across commits. `(length, CRC-32)` of three
-/// snapshot bodies, as v4 writes them: no arena slot occupancy,
-/// generation or free list, no timer occupancy wheel, no flow generation
-/// in a queued timer, none of v3's always-empty reserved slots. They may
-/// change only together with `snap::VERSION`.
+/// snapshot bodies, as v5 writes them: no `routing` section (the live
+/// routes are rebuilt from the fault layer's links), no arena slot
+/// occupancy, generation or free list, no timer occupancy wheel, no flow
+/// generation in a queued timer, none of v3's always-empty reserved
+/// slots. They may change only together with `snap::VERSION`.
 #[test]
 fn snapshot_bodies_match_the_committed_digests() {
     use xpass::sim::metrics::{self, MetricsSpec};
     use xpass::sim::snap::crc32;
 
-    const DUMBBELL: (usize, u32) = (4_771, 0xade0_db75);
-    const DCTCP: (usize, u32) = (15_465, 0x3887_62c5);
-    const CLOS: (usize, u32) = (82_764, 0x2804_da08);
+    const DUMBBELL: (usize, u32) = (4_770, 0x069d_dfab);
+    const DCTCP: (usize, u32) = (15_464, 0x8d7b_7576);
+    const CLOS: (usize, u32) = (82_755, 0xfba6_c30c);
     let digest = |net: &Network| {
         let body = body_of(net);
         (body.len(), crc32(&body))
@@ -613,7 +615,6 @@ fn every_truncation_of_a_snapshot_names_the_section_it_broke() {
         "settled",
         "controller",
         "faults",
-        "routing",
         "invariants",
         "ledger",
         "watchdog",
