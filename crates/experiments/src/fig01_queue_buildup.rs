@@ -127,7 +127,7 @@ fn measure(cfg: &Config, scheme: Scheme, fan_out: usize) -> QueuePoint {
     }
     // The sampler may miss the instantaneous peak; include the port's own
     // max-bytes counter.
-    let max_bytes = net.port(dl).data.stats.max_bytes as f64;
+    let max_bytes = net.port(dl).data.stats.occupancy.max();
     QueuePoint {
         fan_out,
         max_pkts: (max_bytes / 1078.0).max(pkts.max()),

@@ -103,7 +103,7 @@ pub fn run(cfg: &Config, scheme: Scheme) -> Fig13 {
             .map(|&f| net.flow_series(f).unwrap().clone())
             .collect(),
         queue: net.port_series(bottleneck).unwrap().clone(),
-        max_queue_bytes: net.port(bottleneck).data.stats.max_bytes,
+        max_queue_bytes: net.port(bottleneck).data.stats.occupancy.max() as u64,
         full_load_gbps: agg,
     }
 }

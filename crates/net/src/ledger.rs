@@ -147,27 +147,24 @@ impl xpass_sim::Restore for LedgerEntry {
     }
 }
 
+/// The running accounts lead [`LedgerReport::fields`]; the residual ones
+/// after them are measured, not carried.
+const RUNNING: usize = 6;
+
 impl xpass_sim::Snapshot for Ledger {
     fn snap(&self, w: &mut xpass_sim::SnapWriter) {
-        let a = &self.0;
-        a.emitted.snap(w);
-        a.delivered.snap(w);
-        a.queue_dropped.snap(w);
-        a.fault_lost.snap(w);
-        a.corrupted.snap(w);
-        a.in_flight.snap(w);
+        for (_, e) in self.0.clone().fields().into_iter().take(RUNNING) {
+            e.snap(w);
+        }
     }
 }
 
 impl xpass_sim::Restore for Ledger {
     fn restore(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        let a = &mut self.0;
-        a.emitted.restore(r)?;
-        a.delivered.restore(r)?;
-        a.queue_dropped.restore(r)?;
-        a.fault_lost.restore(r)?;
-        a.corrupted.restore(r)?;
-        a.in_flight.restore(r)
+        for (_, e) in self.0.fields().into_iter().take(RUNNING) {
+            e.restore(r)?;
+        }
+        Ok(())
     }
 }
 
@@ -194,19 +191,26 @@ pub struct LedgerReport {
 }
 
 impl LedgerReport {
+    /// Every account with its name, in report order: `emitted`, the other
+    /// running accounts, then the residual ones. The one list behind the
+    /// JSON keys, the snapshot and the `xpass_ledger_pkts` series.
+    pub(crate) fn fields(&mut self) -> [(&'static str, &mut LedgerEntry); 8] {
+        [
+            ("emitted", &mut self.emitted),
+            ("delivered", &mut self.delivered),
+            ("queue_dropped", &mut self.queue_dropped),
+            ("fault_lost", &mut self.fault_lost),
+            ("corrupted", &mut self.corrupted),
+            ("in_flight", &mut self.in_flight),
+            ("queued", &mut self.queued),
+            ("stashed", &mut self.stashed),
+        ]
+    }
+
     /// Sum of every non-`emitted` account.
     fn accounted(&self) -> LedgerEntry {
-        let parts = [
-            self.delivered,
-            self.queue_dropped,
-            self.fault_lost,
-            self.corrupted,
-            self.in_flight,
-            self.queued,
-            self.stashed,
-        ];
         let mut total = LedgerEntry::default();
-        for p in parts {
+        for (_, p) in self.clone().fields().into_iter().skip(1) {
             total.pkts += p.pkts;
             total.bytes += p.bytes;
         }
@@ -225,16 +229,11 @@ impl LedgerReport {
 
     /// Render as a JSON object (one key per account, plus `balanced`).
     pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("emitted", self.emitted.to_json())
-            .with("delivered", self.delivered.to_json())
-            .with("queue_dropped", self.queue_dropped.to_json())
-            .with("fault_lost", self.fault_lost.to_json())
-            .with("corrupted", self.corrupted.to_json())
-            .with("in_flight", self.in_flight.to_json())
-            .with("queued", self.queued.to_json())
-            .with("stashed", self.stashed.to_json())
-            .with("balanced", Json::Bool(self.balanced()))
+        let mut j = Json::obj();
+        for (k, e) in self.clone().fields() {
+            j = j.with(k, e.to_json());
+        }
+        j.with("balanced", Json::Bool(self.balanced()))
     }
 }
 

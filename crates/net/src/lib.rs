@@ -48,7 +48,6 @@ pub mod faults;
 pub mod health;
 pub mod ids;
 pub mod ledger;
-mod metrics;
 pub mod network;
 pub mod packet;
 pub mod port;

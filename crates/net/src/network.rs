@@ -17,9 +17,10 @@
 //!
 //! Child modules: `lookahead` (the run loop's prefetch stage), `sampler`
 //! (the figure series and the metrics ring: periodic observation that
-//! queues no event) and `snapshot` (`snapshot_into` / `restore_from`: the
-//! order of the layers' sections and the `Ev` codec — every layer
-//! serialises itself).
+//! queues no event), `metrics` (the ring's rows and the plane glue, read
+//! straight off the network) and `snapshot` (`snapshot_into` /
+//! `restore_from`: the order of the layers' sections and the `Ev` codec —
+//! every layer serialises itself).
 
 use crate::arena::{FlowArena, FLAG_ABORTED, FLAG_DONE, FLAG_STALLED};
 use crate::config::{NetConfig, RoutingMode};
@@ -28,7 +29,6 @@ use crate::faults::{Admit, Effect, FaultKind, FaultPlan, FaultState, FAULT_RNG_S
 use crate::health::{HealthReport, InvariantSpec, InvariantState};
 use crate::ids::{DLinkId, FlowId, HostId, NodeId, Side};
 use crate::ledger::{Ledger, LedgerEntry, LedgerReport, Loss};
-use crate::metrics::MetricsState;
 use crate::packet::{Packet, PktKind};
 use crate::port::{EgressPort, TxDecision};
 use crate::queue::{CreditQueue, DataQueue, EcnCfg, PhantomQueue};
@@ -48,9 +48,11 @@ use xpass_sim::trace::{TraceEvent, TraceSink};
 use xpass_sim::watchdog::{Watchdog, WatchdogReport, WatchdogSpec, WALL_CHECK_MASK};
 
 mod lookahead;
+mod metrics;
 mod sampler;
 mod snapshot;
 pub use lookahead::LOOKAHEAD_MIN_DEPTH;
+use metrics::MetricsState;
 use sampler::Sampler;
 
 /// Simulation events.
@@ -787,9 +789,6 @@ impl Network {
         let now = self.now;
         for p in &mut self.ports {
             p.data.stats.occupancy.finish(now);
-            if let Some(cq) = p.credit.as_mut() {
-                cq.stats.occupancy.finish(now);
-            }
         }
     }
 
@@ -932,7 +931,7 @@ impl Network {
         self.ports
             .iter()
             .filter(|p| matches!(self.topo.dlinks[p.dlink.0 as usize].from, NodeId::Switch(_)))
-            .map(|p| p.data.stats.max_bytes)
+            .map(|p| p.data.stats.occupancy.max() as u64)
             .max()
             .unwrap_or(0)
     }
@@ -944,11 +943,7 @@ impl Network {
 
     /// Sum of credit drops across all ports.
     pub fn total_credit_drops(&self) -> u64 {
-        self.ports
-            .iter()
-            .filter_map(|p| p.credit.as_ref())
-            .map(|cq| cq.stats.dropped)
-            .sum()
+        self.counters.credits_dropped
     }
 
     /// Invoke a closure on one endpoint with a live context (used by the
@@ -1297,7 +1292,7 @@ impl Network {
                 .credit
                 .as_mut()
                 .expect("credit packet on a network without credit queues");
-            let out = cq.enqueue_outcome(now, pkt, rng);
+            let out = cq.enqueue(now, pkt, rng);
             // Occupancy for the credit class is in packets, not bytes.
             let qlen = if tracing { cq.len() as u64 } else { 0 };
             if let Some(victim_bytes) = out.dropped_bytes {
@@ -1307,7 +1302,7 @@ impl Network {
             }
             (out.dropped_bytes.is_none(), qlen, false)
         } else {
-            let out = port.data.enqueue_outcome(now, pkt);
+            let out = port.data.enqueue(now, pkt);
             if !out.accepted {
                 let loss = if kind == PktKind::Data {
                     Loss::DataQueue

@@ -6,7 +6,8 @@
 //!   into a [`TimeSeries`] (Figs 1, 10, 13, 16 plot them);
 //! * the **metrics ring** — with a metrics context installed on the
 //!   constructing thread (see [`xpass_sim::metrics`]), one row of scalar
-//!   gauges per boundary `k·interval` ([`MetricsState`]).
+//!   gauges per boundary `k·interval` ([`MetricsState`], which reads each
+//!   row straight off the network).
 //!
 //! A series point sits at a queue *position*: the `(time, seq)` a sample
 //! event would have had, reserved with [`EventQueue::reserve_seq`] where
@@ -19,13 +20,11 @@
 //! event), and the run loop asks one question of both per event: has the
 //! popped event reached [`Sampler::next_due`]?
 
+use super::metrics::{self, MetricsState};
 use super::Network;
-use crate::arena::{FLAG_ABORTED, FLAG_DONE, FLAG_STALLED};
 use crate::ids::{DLinkId, FlowId};
-use crate::metrics::{FamSpec, MetricsState, SampleView};
 use std::collections::BTreeMap;
 use xpass_sim::event::EventQueue;
-use xpass_sim::metrics as sim_metrics;
 use xpass_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 use xpass_sim::stats::TimeSeries;
 use xpass_sim::time::{Dur, SimTime};
@@ -183,32 +182,27 @@ impl Network {
             .take()
             .expect("boundaries without metrics");
         while m.next_boundary() <= t {
-            m.ensure_families(&self.fam_spec());
+            m.ensure_families(self);
             let b = m.next_boundary();
-            let fates = self.ledger_fates();
-            let view = self.sample_view(b, fates.as_ref().map(|f| f.as_slice()));
-            m.sample(&view);
+            m.sample(self);
             if m.heartbeat_due(b) {
                 let wall = m.wall_elapsed();
-                let events = view.events_processed;
-                let eps = if wall > 0.0 {
-                    events as f64 / wall
-                } else {
-                    0.0
-                };
-                let done = self.completed + self.aborted;
-                let total = self.arena.slot_count();
+                let p = metrics::progress(self, b, wall);
+                let done = p.flows_completed + p.flows_aborted;
+                let total = p.flows_total;
                 let eta = if done > 0 && total > done {
                     format!("{:.1}s", wall * (total - done) as f64 / done as f64)
                 } else {
                     "?".to_string()
                 };
                 eprintln!(
-                    "xpass-repro: [{}] t={:.3}s events={events} ({eps:.0}/s) \
+                    "xpass-repro: [{}] t={:.3}s events={} ({:.0}/s) \
                      flows {done}/{total} active={} eta={eta}",
                     m.plane_key(),
-                    b.as_secs_f64(),
-                    view.flows_active,
+                    p.sim_secs,
+                    p.events,
+                    p.events_per_sec,
+                    p.flows_active,
                 );
             }
         }
@@ -224,26 +218,11 @@ impl Network {
             return;
         };
         if m.publish_due(force) {
-            let wall = m.wall_elapsed();
-            let fates = if force { self.ledger_fates() } else { None };
-            let view = self.sample_view(self.now, fates.as_ref().map(|f| f.as_slice()));
-            let progress = sim_metrics::Progress {
-                sim_secs: self.now.as_secs_f64(),
-                events: view.events_processed,
-                events_per_sec: if wall > 0.0 {
-                    view.events_processed as f64 / wall
-                } else {
-                    0.0
-                },
-                flows_total: view.flows_total,
-                flows_active: view.flows_active,
-                flows_completed: view.flows_completed,
-                flows_aborted: view.flows_aborted,
-            };
+            let progress = metrics::progress(self, self.now, m.wall_elapsed());
             if force {
                 // Run-call exit: bring the instantaneous gauges up to the
                 // final state so the last scrape matches the reports.
-                m.refresh_final(&view);
+                m.refresh_final(self);
             }
             let health = self.health_report().to_json().to_string();
             m.publish(self.engine_report(), health, progress);
@@ -257,66 +236,6 @@ impl Network {
     pub(crate) fn note_feedback_update(&mut self) {
         if let Some(m) = self.sampler.metrics.as_mut() {
             m.note_feedback_update();
-        }
-    }
-
-    /// The static facts the sampled metric families are built from; only
-    /// meaningful once monitors (ledger, watchdog) are installed.
-    pub(super) fn fam_spec(&self) -> FamSpec<'_> {
-        FamSpec {
-            ports: &self.ports,
-            has_ledger: self.ledger.is_some(),
-            watchdog_max_events: self.watchdog.as_ref().and_then(|w| w.spec().max_events),
-        }
-    }
-
-    /// Ledger fate totals, in the order the `xpass_ledger_pkts` family
-    /// registers them; `None` without a ledger.
-    fn ledger_fates(&self) -> Option<[(&'static str, u64); 8]> {
-        self.ledger.as_ref()?;
-        let lr = self.ledger_report();
-        Some([
-            ("emitted", lr.emitted.pkts),
-            ("delivered", lr.delivered.pkts),
-            ("queue_dropped", lr.queue_dropped.pkts),
-            ("fault_lost", lr.fault_lost.pkts),
-            ("corrupted", lr.corrupted.pkts),
-            ("in_flight", lr.in_flight.pkts),
-            ("queued", lr.queued.pkts),
-            ("stashed", lr.stashed.pkts),
-        ])
-    }
-
-    /// The signals one metrics row is built from, as of instant `t`.
-    fn sample_view<'a>(
-        &'a self,
-        t: SimTime,
-        fates: Option<&'a [(&'static str, u64)]>,
-    ) -> SampleView<'a> {
-        // Flows started at `t` and not yet settled, and how many of those
-        // are currently marked stalled.
-        let (mut active, mut stalled) = (0u64, 0u64);
-        for f in self.arena.ids() {
-            let flags = self.arena.flags(f);
-            if flags & (FLAG_DONE | FLAG_ABORTED) == 0 && self.arena.info(f).start <= t {
-                active += 1;
-                if flags & FLAG_STALLED != 0 {
-                    stalled += 1;
-                }
-            }
-        }
-        SampleView {
-            t,
-            ports: &self.ports,
-            flows_total: self.arena.slot_count() as u64,
-            flows_active: active,
-            flows_stalled: stalled,
-            flows_completed: self.completed as u64,
-            flows_aborted: self.aborted as u64,
-            counters: &self.counters,
-            events_processed: self.events.events_processed(),
-            ledger: fates,
-            watchdog_events: self.watchdog.as_ref().map(|w| w.events_observed()),
         }
     }
 }

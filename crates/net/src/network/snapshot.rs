@@ -130,7 +130,7 @@ fn optional<T: ?Sized>(
 
 impl Network {
     /// Serialize the network's complete *dynamic* state as an
-    /// `xpass-snap/v5` body, one section per layer. Static configuration —
+    /// `xpass-snap/v6` body, one section per layer. Static configuration —
     /// topology, [`NetConfig`](crate::config::NetConfig), endpoint factory,
     /// installed monitor specs — is not written: a restore overlays onto a
     /// freshly built network whose deterministic setup already re-created
@@ -211,9 +211,8 @@ impl Network {
         // Taken out so the restore can re-register the sampled families
         // against `&self` without aliasing.
         let mut m = self.sampler.metrics.take();
-        let restored = optional(r, "metrics", m.as_deref_mut(), |m, r| {
-            m.restore(r, &self.fam_spec())
-        });
+        let net = &*self;
+        let restored = optional(r, "metrics", m.as_deref_mut(), |m, r| m.restore(r, net));
         self.sampler.metrics = m;
         self.sampler.rearm();
         restored?;

@@ -59,8 +59,6 @@ pub struct EgressPort {
     pub tx_bytes: u64,
     /// Wire bytes of data packets transmitted.
     pub tx_data_bytes: u64,
-    /// Application payload bytes transmitted (for utilization metrics).
-    pub tx_payload_bytes: u64,
     /// Wire bytes of credit packets transmitted.
     pub tx_credit_bytes: u64,
     /// Optional inter-credit-gap collection (Fig 6b / Fig 14b): picosecond
@@ -90,7 +88,6 @@ impl EgressPort {
             deferred_wake: None,
             tx_bytes: 0,
             tx_data_bytes: 0,
-            tx_payload_bytes: 0,
             tx_credit_bytes: 0,
             credit_gaps: None,
         }
@@ -189,10 +186,7 @@ impl EgressPort {
                     *last = now;
                 }
             }
-            PktKind::Data => {
-                self.tx_data_bytes += pkt.size as u64;
-                self.tx_payload_bytes += pkt.payload as u64;
-            }
+            PktKind::Data => self.tx_data_bytes += pkt.size as u64,
             _ => {}
         }
         pkt
@@ -215,7 +209,7 @@ impl EgressPort {
     pub(crate) fn flush(&mut self, now: SimTime) -> (u64, u64) {
         let (mut pkts, mut bytes) = self.data.flush(now);
         if let Some(cq) = self.credit.as_mut() {
-            let (p, b) = cq.flush(now);
+            let (p, b) = cq.flush();
             pkts += p;
             bytes += b;
         }
@@ -242,7 +236,6 @@ impl xpass_sim::Snapshot for EgressPort {
         w.opt(self.deferred_wake.as_ref(), |w, s| w.u64(*s));
         w.u64(self.tx_bytes);
         w.u64(self.tx_data_bytes);
-        w.u64(self.tx_payload_bytes);
         w.u64(self.tx_credit_bytes);
         w.opt(self.credit_gaps.as_ref(), |w, (last, gaps)| {
             w.u64(last.0);
@@ -261,7 +254,6 @@ impl xpass_sim::Restore for EgressPort {
         self.deferred_wake = r.opt(|r| r.u64())?;
         self.tx_bytes = r.u64()?;
         self.tx_data_bytes = r.u64()?;
-        self.tx_payload_bytes = r.u64()?;
         self.tx_credit_bytes = r.u64()?;
         self.credit_gaps = r.opt(|r| {
             let last = SimTime(r.u64()?);
@@ -334,7 +326,6 @@ mod tests {
         assert!(p.is_busy(SimTime::ZERO + Dur::ns(1230)));
         assert!(!p.is_busy(SimTime::ZERO + Dur::ns(1231)));
         assert_eq!(p.tx_data_bytes, MAX_FRAME as u64);
-        assert_eq!(p.tx_payload_bytes, 1460);
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! a fixed buffer of a handful of credit packets ("buffer carving"), paced by
 //! maximum-bandwidth metering with a burst of 2 credits, so at peak rate
 //! credits are spaced exactly one MTU-time apart.
+//!
+//! Each enqueue reports its outcome and the network books it: credit drops
+//! and ECN marks are counted once, in the network's counters. A data queue
+//! keeps only what reports read — its tail drops (the one count of control
+//! and ACK drops) and its time-weighted occupancy, whose maximum is the
+//! queue's peak; a credit queue keeps no statistics.
 
 use crate::packet::{Packet, CREDIT_SIZE};
 use std::collections::VecDeque;
@@ -62,19 +68,14 @@ impl PhantomQueue {
     }
 }
 
-/// Statistics kept by every queue.
+/// Statistics a data queue keeps: only what a report reads.
 #[derive(Clone, Debug, Default)]
 pub struct QueueStats {
-    /// Packets accepted.
-    pub enqueued: u64,
-    /// Packets dropped at the tail.
+    /// Packets dropped at the tail: the only count of control and ACK
+    /// tail drops (data tail drops are also in the network's counters).
     pub dropped: u64,
-    /// Packets ECN-marked.
-    pub marked: u64,
-    /// Time-weighted occupancy (bytes) and max.
+    /// Time-weighted occupancy (bytes) and its maximum.
     pub occupancy: TimeWeighted,
-    /// Maximum instantaneous length in bytes.
-    pub max_bytes: u64,
 }
 
 /// What happened to a packet offered to a [`DataQueue`].
@@ -99,7 +100,7 @@ pub struct DataQueue {
     pub ecn: Option<EcnCfg>,
     /// HULL phantom queue, if enabled.
     pub phantom: Option<PhantomQueue>,
-    /// Occupancy / drop / mark counters.
+    /// Occupancy and tail-drop counters.
     pub stats: QueueStats,
 }
 
@@ -116,16 +117,11 @@ impl DataQueue {
         }
     }
 
-    /// Attempt to enqueue; returns `false` (and counts a drop) when the
-    /// packet does not fit. Applies ECN/phantom marking on accepted packets.
-    pub fn enqueue(&mut self, now: SimTime, pkt: Packet) -> bool {
-        self.enqueue_outcome(now, pkt).accepted
-    }
-
-    /// [`enqueue`](Self::enqueue) reporting the full [`EnqueueOutcome`]
-    /// (accepted / newly ECN-marked / resulting occupancy) so callers can
-    /// observe what happened without peeking at `stats` deltas.
-    pub fn enqueue_outcome(&mut self, now: SimTime, mut pkt: Packet) -> EnqueueOutcome {
+    /// Attempt to enqueue, counting a tail drop when the packet does not
+    /// fit and applying ECN/phantom marking to an accepted one; the
+    /// [`EnqueueOutcome`] says which (accepted / newly ECN-marked /
+    /// resulting occupancy).
+    pub fn enqueue(&mut self, now: SimTime, mut pkt: Packet) -> EnqueueOutcome {
         if self.len_bytes + pkt.size as u64 > self.cap_bytes {
             self.stats.dropped += 1;
             return EnqueueOutcome {
@@ -136,21 +132,15 @@ impl DataQueue {
         }
         let was_marked = pkt.ecn;
         self.len_bytes += pkt.size as u64;
-        self.stats.enqueued += 1;
-        self.stats.max_bytes = self.stats.max_bytes.max(self.len_bytes);
         self.stats.occupancy.set(now, self.len_bytes as f64);
         if let Some(ecn) = self.ecn {
             // DCTCP marks on instantaneous queue exceeding K at arrival.
             if self.len_bytes > ecn.k_bytes {
                 pkt.ecn = true;
-                self.stats.marked += 1;
             }
         }
         if let Some(ph) = self.phantom.as_mut() {
             if ph.on_packet(now, pkt.size) {
-                if !pkt.ecn {
-                    self.stats.marked += 1;
-                }
                 pkt.ecn = true;
             }
         }
@@ -266,8 +256,6 @@ pub struct CreditQueue {
     pub drop_policy: CreditDropPolicy,
     /// Leaky bucket enforcing the credit rate (burst = 2 credits).
     pub bucket: TokenBucket,
-    /// Occupancy / drop counters.
-    pub stats: QueueStats,
 }
 
 impl CreditQueue {
@@ -289,7 +277,6 @@ impl CreditQueue {
             cap_pkts,
             drop_policy: CreditDropPolicy::UniformRandom,
             bucket: TokenBucket::new(rate, 2 * CREDIT_SIZE as u64),
-            stats: QueueStats::default(),
         }
     }
 
@@ -306,18 +293,13 @@ impl CreditQueue {
     }
 
     /// Attempt to enqueue a credit. On overflow one credit of the arrival's
-    /// class is dropped according to [`drop_policy`](Self::drop_policy);
-    /// returns `false` iff a drop occurred (the arrival may still have been
-    /// admitted at the expense of a resident credit).
-    pub fn enqueue(&mut self, now: SimTime, pkt: Packet, rng: &mut xpass_sim::rng::Rng) -> bool {
-        self.enqueue_outcome(now, pkt, rng).dropped_bytes.is_none()
-    }
-
-    /// [`enqueue`](Self::enqueue) reporting exactly which credit (by size)
-    /// was dropped on overflow. Credit sizes are randomized (84–92 B, §3.1),
-    /// so an evicted resident's size can differ from the arrival's —
-    /// conservation ledgers need the victim's true size.
-    pub fn enqueue_outcome(
+    /// class is dropped according to [`drop_policy`](Self::drop_policy) —
+    /// the arrival may still be admitted at the expense of a resident — and
+    /// the outcome reports the dropped credit's size. Credit sizes are
+    /// randomized (84–92 B, §3.1), so an evicted resident's size can differ
+    /// from the arrival's — conservation ledgers need the victim's true
+    /// size. The queue counts nothing: the network books every drop.
+    pub fn enqueue(
         &mut self,
         now: SimTime,
         mut pkt: Packet,
@@ -325,7 +307,6 @@ impl CreditQueue {
     ) -> CreditEnqueueOutcome {
         let class = (pkt.class as usize).min(self.qs.len() - 1);
         if self.qs[class].len() >= self.cap_pkts {
-            self.stats.dropped += 1;
             match self.drop_policy {
                 CreditDropPolicy::Tail => {
                     return CreditEnqueueOutcome {
@@ -348,7 +329,6 @@ impl CreditQueue {
                     let evicted = q.remove(victim).expect("victim index in range");
                     pkt.enq_t = now;
                     q.push_back(pkt);
-                    self.stats.enqueued += 1;
                     return CreditEnqueueOutcome {
                         dropped_bytes: Some(evicted.size),
                     };
@@ -379,7 +359,6 @@ impl CreditQueue {
                         dropped = evicted.size;
                         pkt.enq_t = now;
                         q.push_back(pkt);
-                        self.stats.enqueued += 1;
                     }
                     return CreditEnqueueOutcome {
                         dropped_bytes: Some(dropped),
@@ -387,9 +366,6 @@ impl CreditQueue {
                 }
             }
         }
-        self.stats.enqueued += 1;
-        self.stats.max_bytes = self.stats.max_bytes.max((self.len() + 1) as u64);
-        self.stats.occupancy.set(now, (self.len() + 1) as f64);
         pkt.enq_t = now;
         self.qs[class].push_back(pkt);
         CreditEnqueueOutcome {
@@ -423,22 +399,20 @@ impl CreditQueue {
         let c = self.head_class()?;
         let mut pkt = self.qs[c].pop_front()?;
         self.bucket.consume(now, pkt.size as u64);
-        self.stats.occupancy.set(now, self.len() as f64);
         pkt.qdelay += now.since(pkt.enq_t);
         Some(pkt)
     }
 
     /// Drop every queued credit across all classes without touching the
     /// meter (hard port reset). Returns the credits and wire bytes
-    /// discarded; not counted in `stats.dropped`, which is the congestion
-    /// signal.
-    pub fn flush(&mut self, now: SimTime) -> (usize, u64) {
+    /// discarded; the network books them as fault losses, not as credit
+    /// drops, which are the congestion signal.
+    pub fn flush(&mut self) -> (usize, u64) {
         let n = self.len();
         let bytes = self.len_bytes();
         for q in &mut self.qs {
             q.clear();
         }
-        self.stats.occupancy.set(now, 0.0);
         (n, bytes)
     }
 
@@ -478,29 +452,23 @@ impl CreditQueue {
 
 // --- Snapshot/restore -------------------------------------------------------
 //
-// Queues capture queued packets plus counters; capacities, ECN thresholds,
-// drop policies, and meter rates are configuration rebuilt by setup.
+// Queues capture queued packets, the credit meter and the data queue's
+// statistics; capacities, ECN thresholds, drop policies, and meter rates
+// are configuration rebuilt by setup.
 
 use xpass_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
 
 impl Snapshot for QueueStats {
     fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.enqueued);
         w.u64(self.dropped);
-        w.u64(self.marked);
         self.occupancy.snap(w);
-        w.u64(self.max_bytes);
     }
 }
 
 impl Restore for QueueStats {
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.enqueued = r.u64()?;
         self.dropped = r.u64()?;
-        self.marked = r.u64()?;
-        self.occupancy.restore(r)?;
-        self.max_bytes = r.u64()?;
-        Ok(())
+        self.occupancy.restore(r)
     }
 }
 
@@ -562,7 +530,6 @@ impl Snapshot for CreditQueue {
             }
         }
         self.bucket.snap(w);
-        self.stats.snap(w);
     }
 }
 
@@ -575,8 +542,7 @@ impl Restore for CreditQueue {
                 .map(|_| Packet::from_snap(r))
                 .collect::<Result<_, _>>()?;
         }
-        self.bucket.restore(r)?;
-        self.stats.restore(r)
+        self.bucket.restore(r)
     }
 }
 
@@ -608,9 +574,9 @@ mod tests {
     #[test]
     fn droptail_drops_when_full() {
         let mut q = DataQueue::new(3000);
-        assert!(q.enqueue(SimTime::ZERO, data_pkt(1538)));
-        assert!(q.enqueue(SimTime::ZERO, data_pkt(1400)));
-        assert!(!q.enqueue(SimTime::ZERO, data_pkt(100)));
+        assert!(q.enqueue(SimTime::ZERO, data_pkt(1538)).accepted);
+        assert!(q.enqueue(SimTime::ZERO, data_pkt(1400)).accepted);
+        assert!(!q.enqueue(SimTime::ZERO, data_pkt(100)).accepted);
         assert_eq!(q.stats.dropped, 1);
         assert_eq!(q.len_bytes(), 2938);
         assert_eq!(q.len_pkts(), 2);
@@ -638,13 +604,14 @@ mod tests {
     fn ecn_marks_above_k() {
         let mut q = DataQueue::new(1 << 20);
         q.ecn = Some(EcnCfg { k_bytes: 3000 });
-        q.enqueue(SimTime::ZERO, data_pkt(1538)); // 1538 ≤ 3000: clean
-        q.enqueue(SimTime::ZERO, data_pkt(1538)); // 3076 > 3000: marked
+        let clean = q.enqueue(SimTime::ZERO, data_pkt(1538)); // 1538 ≤ 3000
+        let marked = q.enqueue(SimTime::ZERO, data_pkt(1538)); // 3076 > 3000
+        assert!(clean.accepted && !clean.newly_marked);
+        assert!(marked.accepted && marked.newly_marked);
         let a = q.dequeue(SimTime::ZERO).unwrap();
         let b = q.dequeue(SimTime::ZERO).unwrap();
         assert!(!a.ecn);
         assert!(b.ecn);
-        assert_eq!(q.stats.marked, 1);
     }
 
     #[test]
@@ -675,10 +642,12 @@ mod tests {
     fn credit_queue_caps_at_configured_depth() {
         let mut cq = CreditQueue::new(10_000_000_000, 8);
         for _ in 0..8 {
-            assert!(cq.enqueue(SimTime::ZERO, credit_pkt(), &mut rng()));
+            let out = cq.enqueue(SimTime::ZERO, credit_pkt(), &mut rng());
+            assert_eq!(out.dropped_bytes, None);
         }
-        assert!(!cq.enqueue(SimTime::ZERO, credit_pkt(), &mut rng()));
-        assert_eq!(cq.stats.dropped, 1);
+        // Exactly one credit dies on overflow, whichever policy picks it.
+        let full = cq.enqueue(SimTime::ZERO, credit_pkt(), &mut rng());
+        assert_eq!(full.dropped_bytes, Some(CREDIT_SIZE));
         assert_eq!(cq.len(), 8);
         assert_eq!(cq.cap_pkts(), 8);
     }
@@ -723,21 +692,21 @@ mod tests {
     fn enqueue_outcome_reports_admission_and_marking() {
         let mut q = DataQueue::new(4000);
         q.ecn = Some(EcnCfg { k_bytes: 1600 });
-        let ok = q.enqueue_outcome(SimTime::ZERO, data_pkt(1538));
+        let ok = q.enqueue(SimTime::ZERO, data_pkt(1538));
         assert!(ok.accepted);
         assert!(!ok.newly_marked);
         assert_eq!(ok.qlen_bytes, 1538);
-        let marked = q.enqueue_outcome(SimTime::ZERO, data_pkt(1538));
+        let marked = q.enqueue(SimTime::ZERO, data_pkt(1538));
         assert!(marked.accepted);
         assert!(marked.newly_marked, "3076 > K=1600");
         assert_eq!(marked.qlen_bytes, 3076);
         // Already-marked arrivals are not "newly" marked.
         let mut pre = data_pkt(100);
         pre.ecn = true;
-        let pre_out = q.enqueue_outcome(SimTime::ZERO, pre);
+        let pre_out = q.enqueue(SimTime::ZERO, pre);
         assert!(pre_out.accepted && !pre_out.newly_marked);
         // Overflow: rejected, occupancy unchanged.
-        let full = q.enqueue_outcome(SimTime::ZERO, data_pkt(1538));
+        let full = q.enqueue(SimTime::ZERO, data_pkt(1538));
         assert!(!full.accepted);
         assert_eq!(full.qlen_bytes, 3176);
         assert_eq!(q.stats.dropped, 1);
@@ -751,7 +720,7 @@ mod tests {
         q.stats.occupancy.finish(SimTime::ZERO + Dur::us(20));
         // 1000B for 10us, 0 for 10us → mean 500.
         assert!((q.stats.occupancy.mean() - 500.0).abs() < 1.0);
-        assert_eq!(q.stats.max_bytes, 1000);
+        assert_eq!(q.stats.occupancy.max(), 1000.0);
     }
 }
 
@@ -793,11 +762,15 @@ mod class_tests {
         // block class 0.
         let mut q = CreditQueue::with_classes(10_000_000_000, 4, 2);
         let mut r = rng();
-        for _ in 0..6 {
-            q.enqueue(SimTime::ZERO, credit_of(1, 10), &mut r);
-        }
-        assert_eq!(q.stats.dropped, 2, "class-1 overflow");
-        assert!(q.enqueue(SimTime::ZERO, credit_of(0, 20), &mut r));
+        let drops = (0..6)
+            .filter(|_| {
+                let out = q.enqueue(SimTime::ZERO, credit_of(1, 10), &mut r);
+                out.dropped_bytes.is_some()
+            })
+            .count();
+        assert_eq!(drops, 2, "class-1 overflow");
+        let out = q.enqueue(SimTime::ZERO, credit_of(0, 20), &mut r);
+        assert_eq!(out.dropped_bytes, None);
         assert_eq!(q.len(), 5);
     }
 
@@ -805,7 +778,8 @@ mod class_tests {
     fn out_of_range_class_clamps_to_last() {
         let mut q = CreditQueue::with_classes(10_000_000_000, 4, 2);
         let mut r = rng();
-        assert!(q.enqueue(SimTime::ZERO, credit_of(7, 1), &mut r));
+        let out = q.enqueue(SimTime::ZERO, credit_of(7, 1), &mut r);
+        assert_eq!(out.dropped_bytes, None);
         assert_eq!(q.len(), 1);
         // It drains as the lowest-priority class.
         let out = q.dequeue(SimTime::ZERO).unwrap();
@@ -834,12 +808,16 @@ mod class_tests {
         let mut b = CreditQueue::with_classes(10_000_000_000, 8, 1);
         let mut r1 = rng();
         let mut r2 = rng();
+        let mut drops = 0;
         for i in 0..12 {
-            let ok_a = a.enqueue(SimTime(i * 1000), credit_of(0, (i % 3) as u32), &mut r1);
-            let ok_b = b.enqueue(SimTime(i * 1000), credit_of(0, (i % 3) as u32), &mut r2);
-            assert_eq!(ok_a, ok_b);
+            let out_a = a.enqueue(SimTime(i * 1000), credit_of(0, (i % 3) as u32), &mut r1);
+            let out_b = b.enqueue(SimTime(i * 1000), credit_of(0, (i % 3) as u32), &mut r2);
+            assert_eq!(out_a, out_b);
+            drops += usize::from(out_a.dropped_bytes.is_some());
         }
+        assert_eq!(drops, 4, "12 arrivals into 8 slots");
         assert_eq!(a.len(), b.len());
-        assert_eq!(a.stats.dropped, b.stats.dropped);
+        let (da, db) = (a.dequeue(SimTime(20_000)), b.dequeue(SimTime(20_000)));
+        assert_eq!(da.map(|p| p.flow), db.map(|p| p.flow));
     }
 }

@@ -1,4 +1,4 @@
-//! `xpass-snap/v5` — a versioned, zero-dependency binary snapshot format.
+//! `xpass-snap/v6` — a versioned, zero-dependency binary snapshot format.
 //!
 //! Snapshots make long runs durable: the engine can serialize its complete
 //! state mid-run, and a later process can restore it and continue with
@@ -12,7 +12,7 @@
 //! ```text
 //! offset  size  field
 //! 0       10    magic  b"xpass-snap"
-//! 10      4     version (u32 LE, currently 5)
+//! 10      4     version (u32 LE, currently 6)
 //! 14      4     CRC-32 (IEEE) of the body
 //! 18      8     body length (u64 LE)
 //! 26      ..    body
@@ -45,7 +45,11 @@ use std::path::Path;
 
 /// Magic bytes at offset 0 of every snapshot file.
 pub const MAGIC: [u8; 10] = *b"xpass-snap";
-/// Current format version. v5 (one fault layer): the network writes no
+/// Current format version. v6 (each fact counted once): a data queue's
+/// statistics are its tail drops and time-weighted occupancy only (no
+/// accepted or marked counts, no separate maximum), a credit queue writes
+/// no statistics — the network's counters hold its drops — and a port no
+/// payload-byte count. v5 (one fault layer): the network writes no
 /// `routing` section — the fault layer rebuilds its live routes from the
 /// restored links — and a checkpoint's meta records the metering (off, or
 /// on with its interval) so `--resume` can refuse a mismatch before the
@@ -60,7 +64,7 @@ pub const MAGIC: [u8; 10] = *b"xpass-snap";
 /// window sender's carried RTO deadline. Older files are refused with the
 /// version-mismatch error — a snapshot resumes the run that wrote it, and
 /// an older run's queue holds events this one never pushes.
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 /// Bytes of header before the body starts.
 pub const HEADER_LEN: usize = 10 + 4 + 4 + 8;
 
@@ -470,7 +474,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 // File envelope.
 // ---------------------------------------------------------------------------
 
-/// Wrap a body in the `xpass-snap/v5` envelope (magic, version, checksum,
+/// Wrap a body in the `xpass-snap/v6` envelope (magic, version, checksum,
 /// length).
 pub fn encode_file(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + body.len());
@@ -709,7 +713,7 @@ mod tests {
         let e = decode_file(&file).unwrap_err();
         assert_eq!(e.at, 10);
         assert!(
-            e.msg.contains("expected 5") && e.msg.contains("found 99"),
+            e.msg.contains("expected 6") && e.msg.contains("found 99"),
             "{e}"
         );
     }

@@ -18,6 +18,7 @@ use xpass::net::topology::Topology;
 use xpass::sim::json;
 use xpass::sim::metrics::{self, decode_jsonl, parse_exposition, MetricsSpec, Plane};
 use xpass::sim::time::{Dur, SimTime};
+use xpass::sim::watchdog::WatchdogSpec;
 
 const G10: u64 = 10_000_000_000;
 
@@ -31,8 +32,9 @@ fn repro(args: &[&str]) -> std::process::Output {
 // --- in-process: sampling, exposition, counters ---------------------------
 
 /// Run a 4-pair ExpressPass dumbbell with the metrics runtime installed on
-/// this thread, returning the plane and the finished network.
-fn metered_run(seed: u64, interval: Dur) -> (Plane, Network) {
+/// this thread, `setup` applied before the run, returning the plane and
+/// the finished network.
+fn metered_run(seed: u64, interval: Dur, setup: impl FnOnce(&mut Network)) -> (Plane, Network) {
     let plane = Plane::new();
     metrics::install(
         MetricsSpec {
@@ -47,6 +49,7 @@ fn metered_run(seed: u64, interval: Dur) -> (Plane, Network) {
     for i in 0..4u32 {
         net.add_flow(HostId(i), HostId(4 + i), 1_000_000, SimTime::ZERO);
     }
+    setup(&mut net);
     net.run_until_done(SimTime::ZERO + Dur::secs(2));
     metrics::clear();
     (plane, net)
@@ -64,14 +67,21 @@ fn metrics_do_not_perturb_the_run() {
         net.run_until_done(SimTime::ZERO + Dur::secs(2));
         (net.counters().clone(), net.flow_records())
     };
-    let (_, net) = metered_run(71, Dur::us(50));
+    let (_, net) = metered_run(71, Dur::us(50), |_| {});
     assert_eq!(plain.0, *net.counters(), "metrics changed the counters");
     assert_eq!(plain.1, net.flow_records(), "metrics changed flow records");
 }
 
 #[test]
 fn exposition_parses_back_and_matches_the_run() {
-    let (plane, net) = metered_run(73, Dur::us(50));
+    const BUDGET: u64 = 1 << 40;
+    let (plane, net) = metered_run(73, Dur::us(50), |net| {
+        net.install_ledger();
+        net.install_watchdog(WatchdogSpec {
+            max_events: Some(BUDGET),
+            ..WatchdogSpec::default()
+        });
+    });
     let text = plane.render_metrics();
     let samples = parse_exposition(&text).expect("exposition parses");
     assert!(!samples.is_empty());
@@ -95,9 +105,42 @@ fn exposition_parses_back_and_matches_the_run() {
         get("xpass_feedback_updates_total") > 0.0,
         "ExpressPass must count Algorithm-1 feedback updates"
     );
+    let events = net.engine_report().events_processed;
+    assert_eq!(get("xpass_engine_events_total") as u64, events);
+    // Credit drops are counted once, by the network's counters.
+    assert!(net.total_credit_drops() > 0, "the run must drop credits");
     assert_eq!(
-        get("xpass_engine_events_total") as u64,
-        net.engine_report().events_processed
+        get("xpass_credits_dropped_total") as u64,
+        net.total_credit_drops()
+    );
+    // The monitors' columns: one gauge per ledger account, each equal to
+    // the report's packet count, and the watchdog's remaining budget.
+    let lr = net.ledger_report();
+    let accounts = [
+        ("emitted", lr.emitted),
+        ("delivered", lr.delivered),
+        ("queue_dropped", lr.queue_dropped),
+        ("fault_lost", lr.fault_lost),
+        ("corrupted", lr.corrupted),
+        ("in_flight", lr.in_flight),
+        ("queued", lr.queued),
+        ("stashed", lr.stashed),
+    ];
+    let fates: Vec<_> = samples
+        .iter()
+        .filter(|s| s.name == "xpass_ledger_pkts")
+        .collect();
+    assert_eq!(fates.len(), accounts.len());
+    for (fate, entry) in accounts {
+        let s = (fates.iter())
+            .find(|s| s.labels.iter().any(|(k, v)| k == "fate" && v == fate))
+            .unwrap_or_else(|| panic!("no xpass_ledger_pkts{{fate={fate:?}}}"));
+        assert_eq!(s.value as u64, entry.pkts, "fate {fate}");
+    }
+    assert!(lr.emitted.pkts > 0 && lr.balanced(), "{lr:?}");
+    assert_eq!(
+        get("xpass_watchdog_headroom_events") as u64,
+        BUDGET - events
     );
     // Every sample carries the job/net identity labels.
     for s in &samples {
@@ -115,7 +158,7 @@ fn exposition_parses_back_and_matches_the_run() {
 #[test]
 fn series_rings_decode_and_are_well_formed() {
     let interval = Dur::us(50);
-    let (plane, net) = metered_run(79, interval);
+    let (plane, net) = metered_run(79, interval, |_| {});
     let jsonl = plane.jsonl_for_jobs(&["main".to_string()]);
     let dumps = decode_jsonl(&jsonl).expect("series decode");
     assert_eq!(dumps.len(), 1);

@@ -168,7 +168,7 @@ fn data_queue_conserves_bytes() {
             let s = below(&mut rng, 84, 1538) as u32;
             let mut p = Packet::new(FlowId(0), HostId(0), HostId(1), PktKind::Data, s);
             p.seq = i as u64;
-            if q.enqueue(SimTime(i as u64), p) {
+            if q.enqueue(SimTime(i as u64), p).accepted {
                 accepted_bytes += s as u64;
             }
             assert!(q.len_bytes() <= cap);
@@ -196,15 +196,18 @@ fn credit_queue_never_exceeds_capacity() {
         let mut q = CreditQueue::new(10_000_000_000, cap);
         q.drop_policy = policy;
         let mut rng = Rng::new(42);
+        let mut drops = 0;
         for i in 0..n {
             let f = meta.below(4) as u32;
             let mut p = Packet::new(FlowId(f), HostId(f), HostId(9), PktKind::Credit, 84);
             p.seq = i as u64;
-            q.enqueue(SimTime(i as u64 * 1000), p, &mut rng);
+            let out = q.enqueue(SimTime(i as u64 * 1000), p, &mut rng);
+            drops += usize::from(out.dropped_bytes.is_some());
             assert!(q.len() <= cap);
         }
-        // Conservation: everything enqueued was either dropped or is queued.
-        assert!(q.stats.dropped + q.stats.enqueued >= n as u64);
+        // Conservation: nothing is dequeued, so every credit offered was
+        // either dropped (one per overflow) or is still queued.
+        assert_eq!(drops + q.len(), n);
     }
 }
 

@@ -513,8 +513,10 @@ fn body_of(net: &Network) -> Vec<u8> {
 }
 
 /// The wire format, pinned across commits. `(length, CRC-32)` of three
-/// snapshot bodies, as v5 writes them: no `routing` section (the live
-/// routes are rebuilt from the fault layer's links), no arena slot
+/// snapshot bodies, as v6 writes them: no queue statistics beyond a data
+/// queue's tail drops and occupancy, no port payload-byte count, no
+/// `routing` section (the live routes are rebuilt from the fault layer's
+/// links), no arena slot
 /// occupancy, generation or free list, no timer occupancy wheel, no flow
 /// generation in a queued timer, none of v3's always-empty reserved
 /// slots. They may change only together with `snap::VERSION`.
@@ -523,9 +525,9 @@ fn snapshot_bodies_match_the_committed_digests() {
     use xpass::sim::metrics::{self, MetricsSpec};
     use xpass::sim::snap::crc32;
 
-    const DUMBBELL: (usize, u32) = (4_770, 0x069d_dfab);
-    const DCTCP: (usize, u32) = (15_464, 0x8d7b_7576);
-    const CLOS: (usize, u32) = (82_755, 0xfba6_c30c);
+    const DUMBBELL: (usize, u32) = (3_720, 0xbb62_f3bb);
+    const DCTCP: (usize, u32) = (14_888, 0x4b6c_bb5f);
+    const CLOS: (usize, u32) = (65_955, 0xb8d0_d47b);
     let digest = |net: &Network| {
         let body = body_of(net);
         (body.len(), crc32(&body))
