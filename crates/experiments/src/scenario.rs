@@ -132,6 +132,22 @@ fn opt_u64(j: &Json, key: &str, ctx: &str) -> Result<Option<u64>, ScenarioError>
     }
 }
 
+/// `key` as a whole number of `unit`s (`Dur::checked_ms` or
+/// `Dur::checked_us`), refused when its picoseconds overflow the clock.
+fn req_dur(
+    j: &Json,
+    key: &str,
+    ctx: &str,
+    unit: fn(u64) -> Option<Dur>,
+) -> Result<Dur, ScenarioError> {
+    let n = req_u64(j, key, ctx)?;
+    unit(n).ok_or_else(|| {
+        ScenarioError::new(format!(
+            "{ctx}.{key}: {n} overflows the 64-bit picosecond clock"
+        ))
+    })
+}
+
 fn opt_bool(j: &Json, key: &str, ctx: &str) -> Result<bool, ScenarioError> {
     match j.get(key) {
         None => Ok(false),
@@ -275,7 +291,10 @@ impl TopoSpec {
 
 fn parse_topology(j: &Json) -> Result<TopoSpec, ScenarioError> {
     let ctx = "topology";
-    let prop = Dur::us(opt_u64(j, "prop_us", ctx)?.unwrap_or(1));
+    let prop = match j.get("prop_us") {
+        Some(_) => req_dur(j, "prop_us", ctx, Dur::checked_us)?,
+        None => Dur::us(1),
+    };
     match req_str(j, "kind", ctx)? {
         "dumbbell" => Ok(TopoSpec::Dumbbell {
             pairs: parse_dim(j, "pairs", ctx)?,
@@ -733,11 +752,11 @@ fn parse_measure(j: &Json) -> Result<MeasureSpec, ScenarioError> {
     let ctx = "measure";
     match req_str(j, "kind", ctx)? {
         "min_link_utilization" => Ok(MeasureSpec::MinLinkUtilization {
-            warmup: Dur::ms(req_u64(j, "warmup_ms", ctx)?),
-            window: Dur::ms(req_u64(j, "window_ms", ctx)?),
+            warmup: req_dur(j, "warmup_ms", ctx, Dur::checked_ms)?,
+            window: req_dur(j, "window_ms", ctx, Dur::checked_ms)?,
         }),
         "fct" => Ok(MeasureSpec::Fct {
-            cap: Dur::ms(req_u64(j, "cap_ms", ctx)?),
+            cap: req_dur(j, "cap_ms", ctx, Dur::checked_ms)?,
         }),
         other => Err(ScenarioError::new(format!(
             "{ctx}: unknown kind '{other}' (expected min_link_utilization|fct)"
@@ -1642,5 +1661,33 @@ mod tests {
             "{err}"
         );
         assert!(err.len() < 120, "not truncated: {err}");
+        // Durations whose picoseconds overflow `u64` are refused, not wrapped.
+        let base = base.replace("FAULTS", "[]");
+        let overflows = [
+            (
+                r#""hosts": 3}"#,
+                r#""hosts": 3, "prop_us": 18446744073710}"#,
+                "topology.prop_us: 18446744073710 overflows",
+            ),
+            (
+                r#""cap_ms": 10"#,
+                r#""cap_ms": 18446744074"#,
+                "measure.cap_ms: 18446744074 overflows",
+            ),
+            (
+                r#""kind": "fct", "cap_ms": 10"#,
+                r#""kind": "min_link_utilization", "warmup_ms": 18446744074, "window_ms": 1"#,
+                "measure.warmup_ms: 18446744074 overflows",
+            ),
+            (
+                r#""kind": "fct", "cap_ms": 10"#,
+                r#""kind": "min_link_utilization", "warmup_ms": 1, "window_ms": 18446744074"#,
+                "measure.window_ms: 18446744074 overflows",
+            ),
+        ];
+        for (from, to, want) in overflows {
+            let err = parse_str(&base.replace(from, to)).unwrap_err().to_string();
+            assert!(err.contains(want), "error {err:?} should mention {want:?}");
+        }
     }
 }

@@ -83,6 +83,18 @@ impl Dur {
         Dur(v * 1_000_000_000)
     }
 
+    /// Microseconds, or `None` when their picoseconds overflow `u64`: for
+    /// values read from outside the program.
+    pub fn checked_us(v: u64) -> Option<Dur> {
+        v.checked_mul(1_000_000).map(Dur)
+    }
+
+    /// Milliseconds, or `None` when their picoseconds overflow `u64`: for
+    /// values read from outside the program.
+    pub fn checked_ms(v: u64) -> Option<Dur> {
+        v.checked_mul(1_000_000_000).map(Dur)
+    }
+
     /// Construct from seconds.
     #[inline]
     pub const fn secs(v: u64) -> Dur {

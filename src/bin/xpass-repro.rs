@@ -549,6 +549,52 @@ fn tail_loop(path: PathBuf, queue: IngestQueue) {
     }
 }
 
+/// Print `xpass-repro: <msg>`, a blank line and the usage to stderr;
+/// the exit code of a refused command line.
+fn bad_usage(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("xpass-repro: {msg}\n");
+    eprint!("{}", usage());
+    ExitCode::FAILURE
+}
+
+/// The value after `flag`, read by `parse`. Missing, or refused by
+/// `parse`, it is the diagnostic `<flag> needs <needs>`.
+fn value<T>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    needs: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    args.next()
+        .as_deref()
+        .and_then(parse)
+        .ok_or_else(|| format!("{flag} needs {needs}"))
+}
+
+fn path(v: &str) -> Option<PathBuf> {
+    Some(PathBuf::from(v))
+}
+
+fn parsed<T: std::str::FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+fn at_least_one<T: std::str::FromStr + PartialOrd + From<u8>>(v: &str) -> Option<T> {
+    parsed(v).filter(|n| *n >= T::from(1))
+}
+
+fn positive(v: &str) -> Option<f64> {
+    parsed(v).filter(|r: &f64| *r > 0.0 && r.is_finite())
+}
+
+const SIM_MS: &str = "a sim-time interval in ms (integer >= 1)";
+
+/// A sim-time interval in whole ms, refused when its picoseconds overflow
+/// the clock.
+fn sim_ms(v: &str) -> Option<Dur> {
+    at_least_one(v).and_then(Dur::checked_ms)
+}
+
 fn main() -> ExitCode {
     let mut args = env::args().skip(1);
     let mut opts = RunOpts {
@@ -574,167 +620,54 @@ fn main() -> ExitCode {
     let mut ingest_tail: Option<PathBuf> = None;
     let mut retries: Option<u32> = None;
     let mut targets: Vec<String> = Vec::new();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--checkpoint-every" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => ckpt_every = Some(Dur::ms(n)),
-                _ => {
-                    eprintln!(
-                        "xpass-repro: --checkpoint-every needs a sim-time interval \
-                         in ms (integer >= 1)\n"
-                    );
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
+    let mut read_flags = || -> Result<(), String> {
+        while let Some(a) = args.next() {
+            let args = &mut args;
+            match a.as_str() {
+                "--checkpoint-every" => ckpt_every = Some(value(args, &a, SIM_MS, sim_ms)?),
+                "--checkpoint-dir" => ckpt_dir = Some(value(args, &a, "a directory", path)?),
+                "--resume" => resume = Some(value(args, &a, "a snapshot file", path)?),
+                "--paper-scale" => opts.paper_scale = true,
+                "--list" => list = true,
+                "--seed" => opts.seed = Some(value(args, &a, "an unsigned integer", parsed)?),
+                "--jobs" => jobs = value(args, &a, "an integer >= 1", at_least_one)?,
+                "--scheduler" => {
+                    scheduler = value(args, &a, "'heap' or 'calendar'", SchedulerKind::parse)?
                 }
-            },
-            "--checkpoint-dir" => match args.next() {
-                Some(d) => ckpt_dir = Some(PathBuf::from(d)),
-                None => {
-                    eprintln!("xpass-repro: --checkpoint-dir needs a directory\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
+                "--budget-secs" => {
+                    let n = value(args, &a, "an integer >= 1", at_least_one)?;
+                    budget = Some(Duration::from_secs(n));
                 }
-            },
-            "--resume" => match args.next() {
-                Some(f) => resume = Some(PathBuf::from(f)),
-                None => {
-                    eprintln!("xpass-repro: --resume needs a snapshot file\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
+                "--json" => json_dir = Some(value(args, &a, "an output directory", path)?),
+                "--trace" => opts.trace = Some(value(args, &a, "an output file", path)?),
+                "--metrics" => metrics_out = Some(value(args, &a, "an output file", path)?),
+                "--metrics-interval-ms" => metrics_interval = value(args, &a, SIM_MS, sim_ms)?,
+                "--http-addr" | "--addr" => {
+                    http_addr = Some(value(args, &a, "an <ip:port> address", |v| {
+                        Some(v.to_string())
+                    })?);
                 }
-            },
-            "--paper-scale" => opts.paper_scale = true,
-            "--list" => list = true,
-            "--seed" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(s) => opts.seed = Some(s),
-                None => {
-                    eprintln!("xpass-repro: --seed needs an unsigned integer\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
+                "--ingest" => ingest_live = Some(value(args, &a, "a journal file", path)?),
+                "--ingest-replay" => ingest_replay = Some(value(args, &a, "a journal file", path)?),
+                "--ingest-rate" => {
+                    ingest_rate = value(args, &a, "arrivals per second (> 0)", positive)?
                 }
-            },
-            "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => jobs = n,
-                _ => {
-                    eprintln!("xpass-repro: --jobs needs an integer >= 1\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
+                "--ingest-tail" => {
+                    ingest_tail = Some(value(args, &a, "a trace file to follow", path)?)
                 }
-            },
-            "--scheduler" => match args.next().as_deref().and_then(SchedulerKind::parse) {
-                Some(k) => scheduler = k,
-                None => {
-                    eprintln!("xpass-repro: --scheduler needs 'heap' or 'calendar'\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
+                "--retries" => retries = Some(value(args, &a, "an unsigned integer", parsed)?),
+                "--progress" => {
+                    let s = value(args, &a, "a sim-seconds period (> 0)", positive)?;
+                    progress = Some(Dur::from_secs_f64(s));
                 }
-            },
-            "--budget-secs" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => budget = Some(Duration::from_secs(n)),
-                _ => {
-                    eprintln!("xpass-repro: --budget-secs needs an integer >= 1\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--json" => match args.next() {
-                Some(d) => json_dir = Some(PathBuf::from(d)),
-                None => {
-                    eprintln!("xpass-repro: --json needs an output directory\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace" => match args.next() {
-                Some(f) => opts.trace = Some(PathBuf::from(f)),
-                None => {
-                    eprintln!("xpass-repro: --trace needs an output file\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--metrics" => match args.next() {
-                Some(f) => metrics_out = Some(PathBuf::from(f)),
-                None => {
-                    eprintln!("xpass-repro: --metrics needs an output file\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--metrics-interval-ms" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => metrics_interval = Dur::ms(n),
-                _ => {
-                    eprintln!(
-                        "xpass-repro: --metrics-interval-ms needs a sim-time interval \
-                         in ms (integer >= 1)\n"
-                    );
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--http-addr" | "--addr" => match args.next() {
-                Some(a) => http_addr = Some(a),
-                None => {
-                    eprintln!("xpass-repro: {a} needs an <ip:port> address\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--ingest" => match args.next() {
-                Some(f) => ingest_live = Some(PathBuf::from(f)),
-                None => {
-                    eprintln!("xpass-repro: --ingest needs a journal file\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--ingest-replay" => match args.next() {
-                Some(f) => ingest_replay = Some(PathBuf::from(f)),
-                None => {
-                    eprintln!("xpass-repro: --ingest-replay needs a journal file\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--ingest-rate" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if r > 0.0 && r.is_finite() => ingest_rate = r,
-                _ => {
-                    eprintln!("xpass-repro: --ingest-rate needs arrivals per second (> 0)\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--ingest-tail" => match args.next() {
-                Some(f) => ingest_tail = Some(PathBuf::from(f)),
-                None => {
-                    eprintln!("xpass-repro: --ingest-tail needs a trace file to follow\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--retries" => match args.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) => retries = Some(n),
-                None => {
-                    eprintln!("xpass-repro: --retries needs an unsigned integer\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--progress" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 && s.is_finite() => progress = Some(Dur::from_secs_f64(s)),
-                _ => {
-                    eprintln!("xpass-repro: --progress needs a sim-seconds period (> 0)\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            f if f.starts_with("--") => {
-                eprintln!("xpass-repro: unknown flag '{f}'\n");
-                eprint!("{}", usage());
-                return ExitCode::FAILURE;
+                f if f.starts_with("--") => return Err(format!("unknown flag '{f}'")),
+                t => targets.push(t.to_string()),
             }
-            t => targets.push(t.to_string()),
         }
+        Ok(())
+    };
+    if let Err(msg) = read_flags() {
+        return bad_usage(msg);
     }
 
     if list {
@@ -748,9 +681,7 @@ fn main() -> ExitCode {
     if serve {
         targets.remove(0);
         if targets.is_empty() {
-            eprintln!("xpass-repro: serve needs at least one experiment (e.g. serve fig10)\n");
-            eprint!("{}", usage());
-            return ExitCode::FAILURE;
+            return bad_usage("serve needs at least one experiment (e.g. serve fig10)");
         }
         // Batch runs keep default signal behavior; only the long-lived
         // service shuts down gracefully (seal journal, final checkpoint).
@@ -758,19 +689,13 @@ fn main() -> ExitCode {
     }
 
     if ingest_live.is_some() && ingest_replay.is_some() {
-        eprintln!("xpass-repro: --ingest and --ingest-replay are mutually exclusive\n");
-        eprint!("{}", usage());
-        return ExitCode::FAILURE;
+        return bad_usage("--ingest and --ingest-replay are mutually exclusive");
     }
     if ingest_live.is_some() && !serve {
-        eprintln!("xpass-repro: --ingest requires serve (it keeps the process alive)\n");
-        eprint!("{}", usage());
-        return ExitCode::FAILURE;
+        return bad_usage("--ingest requires serve (it keeps the process alive)");
     }
     if ingest_tail.is_some() && ingest_live.is_none() {
-        eprintln!("xpass-repro: --ingest-tail requires --ingest\n");
-        eprint!("{}", usage());
-        return ExitCode::FAILURE;
+        return bad_usage("--ingest-tail requires --ingest");
     }
     let ingest_on = ingest_live.is_some() || ingest_replay.is_some();
     if ingest_on {
@@ -780,20 +705,16 @@ fn main() -> ExitCode {
             Some(_) => targets.len() == 1,
         };
         if !one_target || jobs != 1 {
-            eprintln!(
-                "xpass-repro: --ingest/--ingest-replay drive exactly one experiment \
-                 on one job (a stream has a single journal)\n"
+            return bad_usage(
+                "--ingest/--ingest-replay drive exactly one experiment \
+                 on one job (a stream has a single journal)",
             );
-            eprint!("{}", usage());
-            return ExitCode::FAILURE;
         }
         if resume.is_some() {
-            eprintln!(
-                "xpass-repro: --resume is implicit under --ingest (the newest \
-                 checkpoint in --checkpoint-dir is armed automatically)\n"
+            return bad_usage(
+                "--resume is implicit under --ingest (the newest \
+                 checkpoint in --checkpoint-dir is armed automatically)",
             );
-            eprint!("{}", usage());
-            return ExitCode::FAILURE;
         }
     }
     // Install the ingest source before the run dispatch: every job's run
@@ -867,14 +788,10 @@ fn main() -> ExitCode {
             keep: CHECKPOINT_KEEP,
         }),
         (Some(_), None) => {
-            eprintln!("xpass-repro: --checkpoint-every needs --checkpoint-dir\n");
-            eprint!("{}", usage());
-            return ExitCode::FAILURE;
+            return bad_usage("--checkpoint-every needs --checkpoint-dir");
         }
         (None, Some(_)) => {
-            eprintln!("xpass-repro: --checkpoint-dir needs --checkpoint-every\n");
-            eprint!("{}", usage());
-            return ExitCode::FAILURE;
+            return bad_usage("--checkpoint-dir needs --checkpoint-every");
         }
         (None, None) => None,
     };
@@ -939,9 +856,7 @@ fn main() -> ExitCode {
             Some("run") => {
                 let files = &targets[1..];
                 if files.is_empty() {
-                    eprintln!("xpass-repro: run needs at least one scenario file\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
+                    return bad_usage("run needs at least one scenario file");
                 }
                 let mut selected: Vec<Box<dyn Experiment>> = Vec::with_capacity(files.len());
                 for f in files {
@@ -988,9 +903,7 @@ fn main() -> ExitCode {
                     match registry::find(name) {
                         Some(e) => selected.push(e),
                         None => {
-                            eprintln!("xpass-repro: unknown experiment '{name}'\n");
-                            eprint!("{}", usage());
-                            return ExitCode::FAILURE;
+                            return bad_usage(format!("unknown experiment '{name}'"));
                         }
                     }
                 }

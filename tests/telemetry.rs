@@ -257,7 +257,7 @@ fn repro_rejects_bad_usage() {
     std::fs::create_dir_all(&dir).unwrap();
     let bad = dir.join("bad.json");
     std::fs::write(&bad, "{\"schema\": \"nope\"}").unwrap();
-    let table: [(&[&str], &[&str]); 6] = [
+    let table: [(&[&str], &[&str]); 13] = [
         (&["--definitely-not-a-flag"], &["usage:"]),
         (&["fig99"], &["unknown experiment 'fig99'", "  fig10 "]),
         (
@@ -265,6 +265,32 @@ fn repro_rejects_bad_usage() {
             &["--seed needs an unsigned integer"],
         ),
         (&["fig12", "--json"], &["--json needs an output directory"]),
+        // Intervals whose picoseconds overflow the clock are refused, not wrapped.
+        (
+            &["fig12", "--metrics-interval-ms", "18446744074"],
+            &["--metrics-interval-ms needs a sim-time interval in ms"],
+        ),
+        (
+            &["fig12", "--checkpoint-every", "18446744074"],
+            &["--checkpoint-every needs a sim-time interval in ms"],
+        ),
+        (&["fig12", "--jobs", "0"], &["--jobs needs an integer >= 1"]),
+        (
+            &["fig12", "--budget-secs", "0"],
+            &["--budget-secs needs an integer >= 1"],
+        ),
+        (
+            &["fig12", "--scheduler", "fifo"],
+            &["--scheduler needs 'heap' or 'calendar'"],
+        ),
+        (
+            &["fig12", "--progress", "0"],
+            &["--progress needs a sim-seconds period (> 0)"],
+        ),
+        (
+            &["fig12", "--ingest-rate", "nan"],
+            &["--ingest-rate needs arrivals per second (> 0)"],
+        ),
         (
             &["run", "/nonexistent.json"],
             &["cannot read scenario file"],
