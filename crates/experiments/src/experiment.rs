@@ -53,9 +53,6 @@ pub trait Experiment: Send + Sync {
     /// One-line description shown by `--list`.
     fn describe(&self) -> &str;
 
-    /// Reset to the scaled-down default configuration.
-    fn default_config(&mut self) {}
-
     /// Switch to the paper's full-scale parameters. Returns `false` when
     /// the experiment has no separate paper scale (config unchanged).
     fn paper_scale_config(&mut self) -> bool {

@@ -193,9 +193,6 @@ impl crate::Experiment for Exp {
     fn describe(&self) -> &str {
         "pacing jitter vs credit-drop fairness"
     }
-    fn default_config(&mut self) {
-        self.0 = Config::default();
-    }
     fn set_seed(&mut self, seed: u64) {
         self.0.seed = seed;
     }

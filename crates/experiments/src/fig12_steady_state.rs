@@ -143,9 +143,6 @@ impl crate::Experiment for Exp {
     fn describe(&self) -> &str {
         "steady-state feedback model"
     }
-    fn default_config(&mut self) {
-        self.0 = Config::default();
-    }
     fn run(&self, _trace: Option<Box<dyn xpass_sim::trace::TraceSink>>) -> crate::ExperimentOutput {
         let r = run(&self.0);
         crate::ExperimentOutput::new(r.to_string(), r.to_json())

@@ -198,9 +198,6 @@ impl crate::Experiment for Exp {
     fn describe(&self) -> &str {
         "flow scalability"
     }
-    fn default_config(&mut self) {
-        self.0 = Config::default();
-    }
     fn set_seed(&mut self, seed: u64) {
         self.0.seed = seed;
     }

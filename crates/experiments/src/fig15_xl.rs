@@ -282,9 +282,6 @@ impl crate::Experiment for Exp {
     fn describe(&self) -> &str {
         "fabric-scale flow scalability (3-tier Clos)"
     }
-    fn default_config(&mut self) {
-        self.0 = Config::default();
-    }
     fn paper_scale_config(&mut self) -> bool {
         self.0 = Config::paper();
         true

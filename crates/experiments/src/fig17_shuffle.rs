@@ -175,9 +175,6 @@ impl crate::Experiment for Exp {
     fn describe(&self) -> &str {
         "MapReduce shuffle FCTs"
     }
-    fn default_config(&mut self) {
-        self.0 = Config::default();
-    }
     fn paper_scale_config(&mut self) -> bool {
         self.0 = Config::paper_scale();
         true

@@ -157,9 +157,6 @@ impl crate::Experiment for Exp {
     fn describe(&self) -> &str {
         "40G-over-10G FCT speed-up"
     }
-    fn default_config(&mut self) {
-        self.0 = Config::default();
-    }
     fn set_seed(&mut self, seed: u64) {
         self.0.seed = seed;
     }

@@ -159,9 +159,6 @@ impl crate::Experiment for Exp {
     fn describe(&self) -> &str {
         "queue occupancy"
     }
-    fn default_config(&mut self) {
-        self.0 = Config::default();
-    }
     fn paper_scale_config(&mut self) -> bool {
         self.0 = Config::paper_scale();
         true

@@ -32,7 +32,7 @@ use crate::ledger::LedgerReport;
 use xpass_sim::json::Json;
 use xpass_sim::metrics::{
     self as plane, JobView, MetricId, NetMetricsHook, Progress, Registry, Ring, SeriesDump,
-    PUBLISH_EVERY,
+    PUBLISH_EVERY, RING_CAP,
 };
 use xpass_sim::profile::EngineReport;
 use xpass_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
@@ -170,7 +170,7 @@ impl MetricsState {
             return;
         }
         self.families_done = true;
-        self.ring = Ring::new(self.hook.spec.ring_cap);
+        self.ring = Ring::new(RING_CAP);
         let r = &mut self.reg;
         let sim_seconds = r.gauge("xpass_sim_seconds", "simulation time reached", &[]);
         let mut data_q = Vec::with_capacity(net.ports.len());

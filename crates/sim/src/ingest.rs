@@ -3,7 +3,7 @@
 //! queue behind `POST /ingest`.
 //!
 //! Determinism model: clients deliver [`Arrival`]s over a wall-clock
-//! channel (HTTP, or a tailed trace file) into an [`IngestQueue`]; the
+//! channel (`POST /ingest`) into an [`IngestQueue`]; the
 //! service driver admits queued arrivals only at **sim-time boundaries**
 //! on the metrics sampling grid, and appends every admitted arrival to a
 //! journal *before* continuing. The journal therefore captures the exact

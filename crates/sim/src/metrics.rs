@@ -936,13 +936,15 @@ fn render_json_map(jobs: &BTreeMap<String, JobView>, f: impl Fn(&JobView) -> Str
     out
 }
 
+/// Ring capacity in ticks of every network's sampler (oldest evicted
+/// past this).
+pub const RING_CAP: usize = 4096;
+
 /// Sampler configuration carried by the run context.
 #[derive(Clone, Debug)]
 pub struct MetricsSpec {
     /// Sim-time sampling interval.
     pub interval: Dur,
-    /// Ring capacity in ticks (oldest evicted past this).
-    pub ring_cap: usize,
     /// `--progress`: stderr heartbeat period in sim time, when on.
     pub progress_every: Option<Dur>,
 }
@@ -951,7 +953,6 @@ impl Default for MetricsSpec {
     fn default() -> MetricsSpec {
         MetricsSpec {
             interval: Dur::ms(1),
-            ring_cap: 4096,
             progress_every: None,
         }
     }

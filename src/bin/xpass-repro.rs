@@ -70,9 +70,8 @@
 //! long-lived streaming service: the target must be a single experiment
 //! (or `run <scenario.json>`) whose workload is `{"$stream": true}` —
 //! flows arrive at runtime via `POST /ingest` (schema `xpass-ingest/v1`:
-//! objects, arrays, or JSON Lines of `{"src","dst","size_bytes"}`)
-//! and/or a tailed trace file (`--ingest-tail <file>`, one record per
-//! appended line). Arrivals pass token-bucket admission control
+//! objects, arrays, or JSON Lines of `{"src","dst","size_bytes"}`).
+//! Arrivals pass token-bucket admission control
 //! (`--ingest-rate <per-sec>`, default 10000; shed requests get HTTP 429
 //! with `Retry-After`) into a bounded queue, are admitted at
 //! deterministic sim-time boundaries, and every admission is appended to
@@ -85,7 +84,12 @@
 //! replay) with exponential backoff; a crash loop degrades `/health` to
 //! 503, and retry exhaustion exits non-zero naming the last snapshot.
 //! SIGINT/SIGTERM end a serve gracefully: the journal is sealed, a final
-//! checkpoint is written, and the process exits 0.
+//! checkpoint is written, and the process exits 0. A restarted `serve
+//! --ingest` re-enters its run from the newest snapshot in
+//! `--checkpoint-dir` only when that snapshot passes the same gate as
+//! `--resume` (below); otherwise it prints `ignoring checkpoint <path>:
+//! <reason>` and replays the journal from zero, which rebuilds the run
+//! deterministically.
 //!
 //! `--checkpoint-every <sim-ms> --checkpoint-dir <dir>` writes a
 //! `xpass-snap/v6` snapshot of every simulated network each `<sim-ms>`
@@ -97,16 +101,20 @@
 //! setup, overlaying the saved state mid-flight — and produces output
 //! byte-identical to the uninterrupted run (`--seed`/`--paper-scale`
 //! come from the snapshot; for a scenario snapshot pass the scenario
-//! file too: `--resume <snap> run <file.json>`). A snapshot resumes only
-//! under the metering it was taken with: `--resume` refuses a `--metrics`
-//! on/off or `--metrics-interval-ms` mismatch before the run starts.
+//! file too: `--resume <snap> run <file.json>`). A snapshot re-enters a
+//! run only through one gate: it must load, must have been taken in the
+//! experiment the run executes, under its seed and paper scale, and under
+//! its metering — `--resume` refuses a `--metrics` on/off or
+//! `--metrics-interval-ms` mismatch. Every refusal of the command line
+//! exits 1 before any experiment runs or the HTTP server binds, `serve`
+//! included. `--retries` applies to a `--resume` run as to any other.
 
 use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 use xpass::experiments::{parallel, registry, scenario, Experiment, ExperimentOutput};
-use xpass::sim::checkpoint::{self, CheckpointConfig, RunLabel};
+use xpass::sim::checkpoint::{self, CheckpointConfig, ResumeImage, RunLabel};
 use xpass::sim::event::SchedulerKind;
 use xpass::sim::http;
 use xpass::sim::ingest::{self, IngestQueue};
@@ -140,7 +148,6 @@ struct RunOpts {
 /// Apply the CLI options to every selected experiment, through the trait.
 fn configure(exps: &mut [Box<dyn Experiment>], opts: &RunOpts) {
     for e in exps.iter_mut() {
-        e.default_config();
         if opts.paper_scale {
             // Returns false (config untouched) for experiments with no
             // separate paper scale — silently, matching the old CLI.
@@ -178,7 +185,7 @@ fn usage() -> String {
          \x20      xpass-repro run <scenario.json...> [same flags]\n\
          \x20      xpass-repro serve <experiment...> [--addr <ip:port>] [--retries <n>]\n\
          \x20                 [--ingest <journal> [--ingest-rate <per-sec>]\n\
-         \x20                  [--ingest-tail <file>] | --ingest-replay <journal>]\n\
+         \x20                  | --ingest-replay <journal>]\n\
          \x20                 [same flags]\n\
          \x20      xpass-repro --resume <snapshot.snap> [run <scenario.json>] [same flags]\n\nexperiments:\n",
     );
@@ -221,7 +228,7 @@ fn write_json_record(
 /// Each experiment runs isolated: one panicking (or over-budget)
 /// experiment never sinks the batch. The rest still run and print; the
 /// failures are summarised on stderr at the end and the run exits
-/// non-zero.
+/// non-zero. A banner heads each table when more than one experiment runs.
 #[allow(clippy::too_many_arguments)]
 fn run_selected(
     selected: &[Box<dyn Experiment>],
@@ -231,7 +238,6 @@ fn run_selected(
     scheduler: SchedulerKind,
     budget: Option<Duration>,
     policy: parallel::RetryPolicy,
-    banners: bool,
     metrics_out: Option<&Path>,
 ) -> bool {
     if opts.trace.is_some() {
@@ -264,7 +270,7 @@ fn run_selected(
     let mut ok = true;
     let mut failures: Vec<String> = Vec::new();
     for (e, job) in selected.iter().zip(&outputs) {
-        if banners {
+        if selected.len() > 1 {
             println!("==== {} — {} ====", e.name(), e.describe());
         }
         let ckpt_note = |s: &mut String| {
@@ -341,139 +347,160 @@ fn run_selected(
     ok
 }
 
-fn exit(ok: bool) -> ExitCode {
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// `--resume <file>`: load the snapshot, rebuild the one experiment it was
-/// taken in, arm the image, and run to completion. Every failure mode here
-/// is a clean diagnostic + non-zero exit — a corrupt, truncated, or
-/// version-mismatched snapshot must never panic.
-#[allow(clippy::too_many_arguments)]
-fn run_resume(
-    snap_path: &Path,
-    targets: &[String],
-    opts: &mut RunOpts,
-    json_dir: Option<&Path>,
-    jobs: usize,
-    scheduler: SchedulerKind,
-    budget: Option<Duration>,
-    ckpt_cfg: Option<CheckpointConfig>,
-    metrics_out: Option<&Path>,
-) -> ExitCode {
-    let mut img = match checkpoint::load_image(snap_path) {
-        Ok(img) => img,
-        Err(e) => {
-            eprintln!(
-                "xpass-repro: cannot resume from {}: {e}",
-                snap_path.display()
-            );
-            return ExitCode::FAILURE;
+/// The one gate a snapshot at `path` passes to re-enter a run. It must
+/// load; it must have been taken in `exp` under `opts`' seed and paper
+/// scale; and it must have been taken under `metering` (the sampler's
+/// interval, `None` without one), the only metering its network restores
+/// under. Under `--resume`, `exp` is `None`: the snapshot names the
+/// experiment and restores the seed and scale, so explicit ones are
+/// refused. The image comes back rebased onto job 0, the one job of the
+/// run it re-enters; a refusal is the diagnostic.
+fn gate(
+    path: &Path,
+    exp: Option<&dyn Experiment>,
+    opts: &RunOpts,
+    metering: Option<Dur>,
+) -> Result<ResumeImage, String> {
+    let shown = path.display();
+    let mut img =
+        checkpoint::load_image(path).map_err(|e| format!("cannot resume from {shown}: {e}"))?;
+    let label = &img.label;
+    match exp {
+        None if opts.seed.is_some() || opts.paper_scale => {
+            return Err("--resume restores --seed and --paper-scale from the \
+                 snapshot; drop the explicit flags"
+                .to_string());
         }
-    };
-    if opts.seed.is_some() || opts.paper_scale {
-        eprintln!(
-            "xpass-repro: --resume restores --seed and --paper-scale from the \
-             snapshot; drop the explicit flags"
-        );
-        return ExitCode::FAILURE;
+        Some(e) if label.name != e.name() => {
+            return Err(format!(
+                "snapshot {shown} was taken in '{}', not in '{}'",
+                label.name,
+                e.name()
+            ));
+        }
+        Some(_) if (label.seed, label.paper_scale) != (opts.seed, opts.paper_scale) => {
+            let with = |seed: Option<u64>, scale: bool| match (seed, scale) {
+                (Some(s), true) => format!("with --seed {s} --paper-scale"),
+                (Some(s), false) => format!("with --seed {s}"),
+                (None, true) => "with --paper-scale".to_string(),
+                (None, false) => "without --seed or --paper-scale".to_string(),
+            };
+            return Err(format!(
+                "snapshot {shown} was taken {} but would resume {}",
+                with(label.seed, label.paper_scale),
+                with(opts.seed, opts.paper_scale)
+            ));
+        }
+        _ => {}
     }
-    // A network restores only under the metering it was snapshotted with.
-    let (taken, now) = (img.metering, metrics::sample_interval());
-    if taken != now {
+    if img.metering != metering {
         let under = |m: Option<Dur>| {
             m.map_or("without --metrics".into(), |d| {
                 format!("with --metrics sampling every {d}")
             })
         };
-        eprintln!(
-            "xpass-repro: snapshot {} was taken {} but would resume {}; resume \
+        return Err(format!(
+            "snapshot {shown} was taken {} but would resume {}; resume \
              with the same --metrics and --metrics-interval-ms",
-            snap_path.display(),
-            under(taken),
-            under(now)
-        );
-        return ExitCode::FAILURE;
+            under(img.metering),
+            under(metering)
+        ));
     }
-    let name = img.label.name.clone();
-    // Rebuild the experiment the snapshot names: from the registry, or —
-    // for scenario snapshots, whose config lives in the file — from a
-    // `run <file.json>` target whose name must match.
-    let exp: Box<dyn Experiment> = match targets {
-        [] => match registry::find(&name) {
-            Some(e) => e,
-            None => {
-                eprintln!(
-                    "xpass-repro: snapshot {} was taken in '{name}', which is not a \
-                     registry experiment; if it is a scenario, pass the file: \
-                     xpass-repro --resume <snap> run <scenario.json>",
-                    snap_path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        },
-        [t] if *t == name => match registry::find(&name) {
-            Some(e) => e,
-            None => {
-                eprintln!("xpass-repro: unknown experiment '{name}'");
-                return ExitCode::FAILURE;
-            }
-        },
-        [run, file] if run == "run" => match scenario::load(Path::new(file)) {
-            Ok(e) => {
-                if e.name() != name {
-                    eprintln!(
-                        "xpass-repro: snapshot {} was taken in '{name}' but {file} \
-                         defines '{}'",
-                        snap_path.display(),
-                        e.name()
-                    );
-                    return ExitCode::FAILURE;
-                }
-                Box::new(e)
-            }
-            Err(e) => {
-                eprintln!("xpass-repro: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        _ => {
-            eprintln!(
-                "xpass-repro: --resume runs exactly the experiment the snapshot was \
-                 taken in ('{name}'); drop the extra targets"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    // The run must be bit-for-bit the one the snapshot interrupted.
-    opts.seed = img.label.seed;
-    opts.paper_scale = img.label.paper_scale;
-    let mut selected = vec![exp];
-    configure(&mut selected, opts);
-    // The image may come from any job index of the original batch; the
-    // resume run has exactly one job, index 0.
     checkpoint::rebase_scope(&mut img, 0);
-    checkpoint::install(ckpt_cfg, Some(img));
-    exit(run_selected(
-        &selected,
-        opts,
-        json_dir,
-        jobs,
-        scheduler,
-        budget,
-        parallel::RetryPolicy::default(),
-        false,
-        metrics_out,
-    ))
+    Ok(img)
+}
+
+/// The experiment a `--resume` snapshot taken in `name` re-enters: the
+/// registry's, or — for a scenario, whose config lives in its file — the
+/// `run <file.json>` target's, whose name must match.
+fn resumed(path: &Path, name: &str, targets: &[String]) -> Result<Box<dyn Experiment>, String> {
+    let shown = path.display();
+    match targets {
+        [] => registry::find(name).ok_or_else(|| {
+            format!(
+                "snapshot {shown} was taken in '{name}', which is not a \
+                 registry experiment; if it is a scenario, pass the file: \
+                 xpass-repro --resume <snap> run <scenario.json>"
+            )
+        }),
+        [t] if t == name => {
+            registry::find(name).ok_or_else(|| format!("unknown experiment '{name}'"))
+        }
+        [run, file] if run == "run" => {
+            let e = scenario::load(Path::new(file)).map_err(|e| e.to_string())?;
+            if e.name() != name {
+                return Err(format!(
+                    "snapshot {shown} was taken in '{name}' but {file} defines '{}'",
+                    e.name()
+                ));
+            }
+            Ok(Box::new(e))
+        }
+        _ => Err(format!(
+            "--resume runs exactly the experiment the snapshot was \
+             taken in ('{name}'); drop the extra targets"
+        )),
+    }
+}
+
+/// What a command line runs: the selected experiments, in selection
+/// order, and the image (if any) the run re-enters.
+type Run = (Vec<Box<dyn Experiment>>, Option<ResumeImage>);
+
+/// The one target resolver: `help`/`list`, `run <scenario.json...>`,
+/// `all`, experiment names, or the snapshot `--resume` names become the
+/// selected experiments, configured from `opts`, and the image the run
+/// re-enters. `Err` is the exit code of a command line that runs nothing:
+/// the usage was asked for, or a refusal has been printed.
+fn resolve(
+    targets: &[String],
+    resume: Option<&Path>,
+    opts: &mut RunOpts,
+    metering: Option<Dur>,
+) -> Result<Run, ExitCode> {
+    let mut selected: Vec<Box<dyn Experiment>> = Vec::new();
+    let mut image = None;
+    if let Some(path) = resume {
+        let img = gate(path, None, opts, metering).map_err(refuse)?;
+        selected.push(resumed(path, &img.label.name, targets).map_err(refuse)?);
+        // The run must be bit-for-bit the one the snapshot interrupted.
+        opts.seed = img.label.seed;
+        opts.paper_scale = img.label.paper_scale;
+        image = Some(img);
+    } else {
+        match targets.first().map(String::as_str) {
+            None | Some("list" | "help") => {
+                print!("{}", usage());
+                return Err(ExitCode::SUCCESS);
+            }
+            Some("run") => {
+                let files = &targets[1..];
+                if files.is_empty() {
+                    return Err(bad_usage("run needs at least one scenario file"));
+                }
+                for f in files {
+                    let exp = scenario::load(Path::new(f)).map_err(|e| refuse(e.to_string()))?;
+                    selected.push(Box::new(exp));
+                }
+            }
+            Some("all") if targets.len() == 1 => selected = registry::all(),
+            Some(_) => {
+                for name in targets {
+                    let exp = registry::find(name)
+                        .ok_or_else(|| bad_usage(format!("unknown experiment '{name}'")))?;
+                    selected.push(exp);
+                }
+            }
+        }
+    }
+    configure(&mut selected, opts);
+    Ok((selected, image))
 }
 
 /// Newest `*.snap` under `dir` (recursing into per-scope subdirs), by
-/// modification time — what `serve --ingest` arms on startup so a
-/// SIGKILLed service resumes mid-flight instead of replaying from zero.
+/// modification time — what a restarted `serve --ingest` offers the
+/// [`gate`], so a SIGKILLed service resumes mid-flight instead of
+/// replaying from zero.
 fn newest_snapshot(dir: &Path) -> Option<PathBuf> {
     let mut best: Option<(std::time::SystemTime, PathBuf)> = None;
     let mut stack = vec![dir.to_path_buf()];
@@ -499,61 +526,17 @@ fn newest_snapshot(dir: &Path) -> Option<PathBuf> {
     best.map(|(_, p)| p)
 }
 
-/// Follow `path` for appended JSON Lines of arrivals and offer them to
-/// the admission queue. Runs on its own thread until shutdown; shed
-/// batches are retried after the queue's hint, bad lines are skipped
-/// with a diagnostic. A truncated file restarts from offset zero.
-fn tail_loop(path: PathBuf, queue: IngestQueue) {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut offset: u64 = 0;
-    let mut pending = String::new();
-    while !signal::shutdown_requested() {
-        if let Ok(mut f) = std::fs::File::open(&path) {
-            let len = f.metadata().map(|m| m.len()).unwrap_or(0);
-            if len < offset {
-                offset = 0;
-                pending.clear();
-            }
-            if len > offset && f.seek(SeekFrom::Start(offset)).is_ok() {
-                let mut buf = String::new();
-                if f.read_to_string(&mut buf).is_ok() {
-                    offset = len;
-                    pending.push_str(&buf);
-                }
-            }
-        }
-        while let Some(nl) = pending.find('\n') {
-            let line: String = pending.drain(..=nl).collect();
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match ingest::parse_arrivals(line) {
-                Ok(batch) => loop {
-                    match queue.offer(&batch) {
-                        ingest::Offer::Accepted(_) => break,
-                        ingest::Offer::RateLimited(secs) | ingest::Offer::QueueFull(secs) => {
-                            std::thread::sleep(Duration::from_millis(
-                                (secs * 1000).clamp(50, 1000),
-                            ));
-                            if signal::shutdown_requested() {
-                                return;
-                            }
-                        }
-                    }
-                },
-                Err(e) => eprintln!("xpass-repro: ingest tail: skipping bad line: {e}"),
-            }
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-}
-
 /// Print `xpass-repro: <msg>`, a blank line and the usage to stderr;
 /// the exit code of a refused command line.
 fn bad_usage(msg: impl std::fmt::Display) -> ExitCode {
     eprintln!("xpass-repro: {msg}\n");
     eprint!("{}", usage());
+    ExitCode::FAILURE
+}
+
+/// Print `xpass-repro: <msg>` to stderr; the exit code of a refused run.
+fn refuse(msg: String) -> ExitCode {
+    eprintln!("xpass-repro: {msg}");
     ExitCode::FAILURE
 }
 
@@ -617,7 +600,6 @@ fn main() -> ExitCode {
     let mut ingest_live: Option<PathBuf> = None;
     let mut ingest_replay: Option<PathBuf> = None;
     let mut ingest_rate: f64 = 10_000.0;
-    let mut ingest_tail: Option<PathBuf> = None;
     let mut retries: Option<u32> = None;
     let mut targets: Vec<String> = Vec::new();
     let mut read_flags = || -> Result<(), String> {
@@ -651,9 +633,6 @@ fn main() -> ExitCode {
                 "--ingest-replay" => ingest_replay = Some(value(args, &a, "a journal file", path)?),
                 "--ingest-rate" => {
                     ingest_rate = value(args, &a, "arrivals per second (> 0)", positive)?
-                }
-                "--ingest-tail" => {
-                    ingest_tail = Some(value(args, &a, "a trace file to follow", path)?)
                 }
                 "--retries" => retries = Some(value(args, &a, "an unsigned integer", parsed)?),
                 "--progress" => {
@@ -694,9 +673,6 @@ fn main() -> ExitCode {
     if ingest_live.is_some() && !serve {
         return bad_usage("--ingest requires serve (it keeps the process alive)");
     }
-    if ingest_tail.is_some() && ingest_live.is_none() {
-        return bad_usage("--ingest-tail requires --ingest");
-    }
     let ingest_on = ingest_live.is_some() || ingest_replay.is_some();
     if ingest_on {
         let one_target = match targets.first().map(|s| s.as_str()) {
@@ -717,34 +693,61 @@ fn main() -> ExitCode {
             );
         }
     }
-    // Install the ingest source before the run dispatch: every job's run
-    // context is forked from this thread's, so the experiment sees it.
-    let mut ingest_queue: Option<IngestQueue> = None;
-    if let Some(journal) = ingest_live.clone() {
-        let q = IngestQueue::new(INGEST_QUEUE_CAP, ingest_rate);
-        ingest_queue = Some(q.clone());
-        ingest::install(ingest::Source {
-            journal,
-            queue: Some(q),
-            live: true,
-        });
-    } else if let Some(journal) = ingest_replay.clone() {
-        ingest::install(ingest::Source {
-            journal,
-            queue: None,
-            live: false,
-        });
-    }
-    if let (Some(path), Some(q)) = (ingest_tail.clone(), ingest_queue.clone()) {
-        std::thread::Builder::new()
-            .name("xpass-ingest-tail".to_string())
-            .spawn(move || tail_loop(path, q))
-            .expect("spawn ingest tail thread");
-    }
+
+    let ckpt_cfg = match (ckpt_every, ckpt_dir) {
+        (Some(every), Some(dir)) => Some(CheckpointConfig {
+            every,
+            dir,
+            keep: CHECKPOINT_KEEP,
+        }),
+        (Some(_), None) => {
+            return bad_usage("--checkpoint-every needs --checkpoint-dir");
+        }
+        (None, Some(_)) => {
+            return bad_usage("--checkpoint-dir needs --checkpoint-every");
+        }
+        (None, None) => None,
+    };
 
     // Any metrics-facing flag turns the plane on; with everything off the
     // runtime is never installed and runs stay byte-identical.
     let metrics_on = metrics_out.is_some() || http_addr.is_some() || progress.is_some() || serve;
+    let metering = metrics_on.then_some(metrics_interval);
+    let (selected, mut image) = match resolve(&targets, resume.as_deref(), &mut opts, metering) {
+        Ok(run) => run,
+        Err(code) => return code,
+    };
+    // A restarted ingest service re-enters its run from the newest
+    // checkpoint when that passes the gate, so the journal replay overlays
+    // it at the recorded run call; otherwise the replay rebuilds the run
+    // from zero.
+    if let Some(p) = ckpt_cfg
+        .as_ref()
+        .filter(|_| ingest_on)
+        .and_then(|c| newest_snapshot(&c.dir))
+    {
+        match gate(&p, Some(selected[0].as_ref()), &opts, metering) {
+            Ok(img) => {
+                eprintln!("xpass-repro: arming resume from checkpoint {}", p.display());
+                image = Some(img);
+            }
+            Err(why) => eprintln!("xpass-repro: ignoring checkpoint {}: {why}", p.display()),
+        }
+    }
+
+    // Install the ingest source before the run: every job's run context is
+    // forked from this thread's, so the experiment sees it.
+    let ingest_queue = ingest_live
+        .as_ref()
+        .map(|_| IngestQueue::new(INGEST_QUEUE_CAP, ingest_rate));
+    if let Some(journal) = ingest_live.or(ingest_replay) {
+        ingest::install(ingest::Source {
+            journal,
+            queue: ingest_queue.clone(),
+            live: ingest_queue.is_some(),
+        });
+    }
+
     let mut server: Option<http::Server> = None;
     if metrics_on {
         let plane = Plane::new();
@@ -752,17 +755,14 @@ fn main() -> ExitCode {
             MetricsSpec {
                 interval: metrics_interval,
                 progress_every: progress,
-                ..MetricsSpec::default()
             },
             Some(plane.clone()),
         );
-        let addr = http_addr
-            .clone()
-            .or_else(|| serve.then(|| "127.0.0.1:0".to_string()));
+        let addr = http_addr.or_else(|| serve.then(|| "127.0.0.1:0".to_string()));
         if let Some(addr) = addr {
             plane.set_feed(ws::Broadcast::new(WS_FEED_CAP));
             let cfg = http::ServerCfg {
-                ingest: ingest_queue.clone(),
+                ingest: ingest_queue,
                 ..http::ServerCfg::default()
             };
             match http::Server::serve_with(&addr, plane, cfg) {
@@ -781,20 +781,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let ckpt_cfg = match (ckpt_every, ckpt_dir) {
-        (Some(every), Some(dir)) => Some(CheckpointConfig {
-            every,
-            dir,
-            keep: CHECKPOINT_KEEP,
-        }),
-        (Some(_), None) => {
-            return bad_usage("--checkpoint-every needs --checkpoint-dir");
-        }
-        (None, Some(_)) => {
-            return bad_usage("--checkpoint-dir needs --checkpoint-every");
-        }
-        (None, None) => None,
-    };
+    if ckpt_cfg.is_some() || image.is_some() {
+        checkpoint::install(ckpt_cfg, image);
+    }
 
     // Serve mode supervises harder by default: more retries, with
     // exponential backoff between attempts.
@@ -806,123 +795,16 @@ fn main() -> ExitCode {
             Duration::ZERO
         },
     };
-
-    let code = if let Some(snap_path) = resume {
-        run_resume(
-            &snap_path,
-            &targets,
-            &mut opts,
-            json_dir.as_deref(),
-            jobs,
-            scheduler,
-            budget,
-            ckpt_cfg,
-            metrics_out.as_deref(),
-        )
-    } else {
-        if ckpt_cfg.is_some() {
-            // A restarted ingest service resumes mid-flight: arm the
-            // newest snapshot in the checkpoint dir (if any) so the
-            // journal replay overlays it at the recorded run call
-            // instead of re-simulating from zero.
-            let mut resume_img = None;
-            if ingest_on {
-                if let Some(cfg) = &ckpt_cfg {
-                    if let Some(p) = newest_snapshot(&cfg.dir) {
-                        match checkpoint::load_image(&p) {
-                            Ok(mut img) => {
-                                checkpoint::rebase_scope(&mut img, 0);
-                                eprintln!(
-                                    "xpass-repro: arming resume from checkpoint {}",
-                                    p.display()
-                                );
-                                resume_img = Some(img);
-                            }
-                            Err(e) => eprintln!(
-                                "xpass-repro: ignoring unreadable checkpoint {}: {e}",
-                                p.display()
-                            ),
-                        }
-                    }
-                }
-            }
-            checkpoint::install(ckpt_cfg, resume_img);
-        }
-        match targets.first().map(|s| s.as_str()) {
-            None | Some("list") | Some("help") => {
-                print!("{}", usage());
-                ExitCode::SUCCESS
-            }
-            Some("run") => {
-                let files = &targets[1..];
-                if files.is_empty() {
-                    return bad_usage("run needs at least one scenario file");
-                }
-                let mut selected: Vec<Box<dyn Experiment>> = Vec::with_capacity(files.len());
-                for f in files {
-                    match scenario::load(Path::new(f)) {
-                        Ok(exp) => selected.push(Box::new(exp)),
-                        Err(e) => {
-                            eprintln!("xpass-repro: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                configure(&mut selected, &opts);
-                let banners = selected.len() > 1;
-                exit(run_selected(
-                    &selected,
-                    &opts,
-                    json_dir.as_deref(),
-                    jobs,
-                    scheduler,
-                    budget,
-                    policy,
-                    banners,
-                    metrics_out.as_deref(),
-                ))
-            }
-            Some("all") if targets.len() == 1 => {
-                let mut selected = registry::all();
-                configure(&mut selected, &opts);
-                exit(run_selected(
-                    &selected,
-                    &opts,
-                    json_dir.as_deref(),
-                    jobs,
-                    scheduler,
-                    budget,
-                    policy,
-                    true,
-                    metrics_out.as_deref(),
-                ))
-            }
-            Some(_) => {
-                let mut selected: Vec<Box<dyn Experiment>> = Vec::with_capacity(targets.len());
-                for name in &targets {
-                    match registry::find(name) {
-                        Some(e) => selected.push(e),
-                        None => {
-                            return bad_usage(format!("unknown experiment '{name}'"));
-                        }
-                    }
-                }
-                configure(&mut selected, &opts);
-                let banners = selected.len() > 1;
-                exit(run_selected(
-                    &selected,
-                    &opts,
-                    json_dir.as_deref(),
-                    jobs,
-                    scheduler,
-                    budget,
-                    policy,
-                    banners,
-                    metrics_out.as_deref(),
-                ))
-            }
-        }
-    };
+    let ok = run_selected(
+        &selected,
+        &opts,
+        json_dir.as_deref(),
+        jobs,
+        scheduler,
+        budget,
+        policy,
+        metrics_out.as_deref(),
+    );
     if serve {
         if let Some(srv) = &server {
             eprintln!(
@@ -935,5 +817,9 @@ fn main() -> ExitCode {
             eprintln!("xpass-repro: shutdown signal received; exiting");
         }
     }
-    code
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

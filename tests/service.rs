@@ -478,3 +478,125 @@ fn crash_loop_degrades_health_and_exits_nonzero() {
         "retry exhaustion must exit non-zero, got {st:?}"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Fence 6: a restart under other metering ignores the checkpoint (a
+// network restores only under the metering it was snapshotted with) and
+// replays the journal from zero, to the bytes of a fresh run.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn restart_under_other_metering_replays_from_zero() {
+    let dir = scratch("remeter");
+    let scn = stream_scenario(&dir, "svc_remeter", 50, 10_000_000_000);
+    let journal = dir.join("ingest.jsonl");
+    // A killed session's journal: 20 groups 1 ms apart, no seal.
+    let mut j = String::from("{\"schema\":\"xpass-ingest/v1\",\"job\":\"svc_remeter\"}\n");
+    for k in 1..=20u64 {
+        j.push_str(&format!(
+            "{{\"t_ps\":{},\"src\":{},\"dst\":{},\"size_bytes\":100000}}\n",
+            k * 1_000_000_000,
+            k % 16,
+            (k + 5) % 16
+        ));
+    }
+    std::fs::write(&journal, j).expect("write journal");
+    let ck = dir.join("ck");
+    let out = dir.join("out");
+    let metrics = dir.join("live.metrics.jsonl");
+    let serve = |interval: &str, extra: &[&str], log: &Path| {
+        let mut args = vec![
+            "serve",
+            "run",
+            scn.to_str().unwrap(),
+            "--ingest",
+            journal.to_str().unwrap(),
+            "--checkpoint-every",
+            "1",
+            "--checkpoint-dir",
+            ck.to_str().unwrap(),
+            "--metrics-interval-ms",
+            interval,
+        ];
+        args.extend_from_slice(extra);
+        spawn_repro(&args, log, &[])
+    };
+    let log1 = dir.join("serve1.log");
+    let mut child = serve("1", &[], &log1);
+    wait_in_log(&log1, "replayed 20 group(s)", 30);
+    child.kill().expect("SIGKILL the service");
+    let _ = child.wait();
+    let kept = std::fs::read_dir(ck.join("scope-0").join("net0")).map_or(0, |d| d.count());
+    assert!(kept > 0, "the 1 ms session wrote no checkpoint");
+
+    let log2 = dir.join("serve2.log");
+    let extra = [
+        "--metrics",
+        metrics.to_str().unwrap(),
+        "--json",
+        out.to_str().unwrap(),
+    ];
+    let mut child = serve("2", &extra, &log2);
+    let text = wait_in_log(&log2, "replayed 20 group(s)", 30);
+    send_signal(&child, "-TERM");
+    let st = wait_exit(&mut child, 60);
+    assert!(
+        text.contains("ignoring checkpoint") && !text.contains("arming resume"),
+        "restart armed a snapshot taken under other metering:\n{text}"
+    );
+    assert!(st.success(), "restarted service must exit 0, got {st:?}");
+
+    let fresh = dir.join("fresh");
+    let fresh_series = dir.join("fresh.metrics.jsonl");
+    let status = Command::new(env!("CARGO_BIN_EXE_xpass-repro"))
+        .args([
+            "run",
+            scn.to_str().unwrap(),
+            "--ingest-replay",
+            journal.to_str().unwrap(),
+            "--metrics-interval-ms",
+            "2",
+            "--json",
+            fresh.to_str().unwrap(),
+            "--metrics",
+            fresh_series.to_str().unwrap(),
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("run replay");
+    assert!(status.success(), "fresh 2 ms replay failed");
+    let series = std::fs::read(&metrics).expect("restarted series");
+    assert_eq!(
+        series,
+        std::fs::read(&fresh_series).expect("fresh series"),
+        "restarted series differs from a fresh 2 ms run"
+    );
+    assert_eq!(
+        std::fs::read(out.join("svc_remeter.json")).expect("restarted record"),
+        std::fs::read(fresh.join("svc_remeter.json")).expect("fresh record"),
+        "restarted record differs from a fresh 2 ms run"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Fence 7: a refused `--resume` ends a serve before it serves.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn serve_with_a_corrupt_resume_exits_1_without_serving() {
+    let dir = scratch("badresume");
+    let snap = dir.join("corrupt.snap");
+    std::fs::write(&snap, b"xpass-snap: not a snapshot").expect("write snapshot");
+    let log = dir.join("serve.log");
+    let mut child = spawn_repro(
+        &["serve", "fig10", "--resume", snap.to_str().unwrap()],
+        &log,
+        &[],
+    );
+    let st = wait_exit(&mut child, 30);
+    let text = std::fs::read_to_string(&log).unwrap();
+    assert_eq!(st.code(), Some(1), "{text}");
+    assert!(text.contains("cannot resume from"), "{text}");
+    assert!(!text.contains("still serving"), "{text}");
+}
