@@ -30,7 +30,7 @@ use crate::health::{HealthReport, InvariantSpec, InvariantState};
 use crate::ids::{DLinkId, FlowId, HostId, NodeId, Side};
 use crate::ledger::{Ledger, LedgerEntry, LedgerReport, Loss};
 use crate::packet::{Packet, PktKind};
-use crate::port::{EgressPort, TxDecision};
+use crate::port::{EgressPort, TxDecision, WakeSlot};
 use crate::queue::{CreditQueue, DataQueue, EcnCfg, PhantomQueue};
 use crate::rcplink::RcpLink;
 use crate::routing::ecmp_index;
@@ -941,6 +941,14 @@ impl Network {
         self.ports.iter().map(|p| p.data.stats.dropped).sum()
     }
 
+    /// The wake position `dlink`'s port holds without having queued it —
+    /// reserved because the wake would be a no-op — while it is still to
+    /// come, so that an enqueue may yet fill it.
+    pub fn reserved_wake(&self, dlink: DLinkId) -> Option<WakeSlot> {
+        let w = self.ports[dlink.0 as usize].wake?;
+        (!w.queued && self.events.is_ahead(w.at, w.seq)).then_some(w)
+    }
+
     /// Sum of credit drops across all ports.
     pub fn total_credit_drops(&self) -> u64 {
         self.counters.credits_dropped
@@ -1368,22 +1376,80 @@ impl Network {
             }
         }
         let port = &mut self.ports[dlink.0 as usize];
-        // The transmission in progress reserved its end-of-serialization
-        // wake instead of queueing it. Now there may be something for that
-        // wake to send: queue it where it was reserved — even on a frozen
-        // link, whose backlog must find this wake once `LinkUp` comes. A
-        // position already gone by is one where the wake would have found
-        // an idle, drained port and done nothing; the wake below serves
-        // this packet instead.
-        if let Some(seq) = port.deferred_wake.take() {
-            if self.events.is_ahead(port.busy_until, seq) {
+        // A wake this port holds only a reservation for may have work now:
+        // queue it where it was reserved — even on a frozen link, whose
+        // backlog must find the wake ending its transmission once `LinkUp`
+        // comes. A position already gone by is one where the wake would
+        // have done nothing; the wake below serves this packet instead.
+        if let Some(w) = port.wake.filter(|w| !w.queued) {
+            if !self.events.is_ahead(w.at, w.seq) {
+                port.wake = None;
+            } else if !port.idle_at(w.at) {
                 self.events
-                    .push_reserved(port.busy_until, seq, Ev::PortWake { dlink });
+                    .push_reserved(w.at, w.seq, Ev::PortWake { dlink });
+                port.wake = Some(WakeSlot { queued: true, ..w });
             }
         }
         if admit == Admit::Open && !port.is_busy(now) {
-            self.events.push(now, Ev::PortWake { dlink });
+            self.wake_now(dlink);
         }
+    }
+
+    /// The wake an enqueue onto idle port `dlink` asks for, at `(now,
+    /// seq)` with `seq` the next sequence number — taken, and queued only
+    /// when it may act. Every wake that is queued keeps the `(time, seq)`
+    /// an eager push would have given it. Without a fault plan two kinds
+    /// of wake are left out:
+    ///
+    /// - One behind a same-instant wake of this port that is still ahead:
+    ///   it only takes its sequence number. With data queued that earlier
+    ///   wake is queued and transmits (data leaves a queue only on the
+    ///   wire), so this one finds the transmitter busy. At a switch, an
+    ///   earlier wake asked for at this instant settles the port — it
+    ///   sends, or leaves only credits waiting on a pending meter wake —
+    ///   and nothing else changes the port before this one: only
+    ///   arrivals enqueue there, and an arrival at `now` was queued at an
+    ///   earlier instant, so ahead of both. (A host's uplink also takes
+    ///   packets from timers and deliveries queued for `now` itself, which
+    ///   may sit between the two.)
+    /// - One that would be a no-op ([`EgressPort::idle_at`]): its position
+    ///   is reserved and [`enqueue_at`](Self::enqueue_at) fills it when a
+    ///   later enqueue, still ahead of it, gives it work.
+    ///
+    /// With a fault plan, whose flushes and link state change a port
+    /// outside `enqueue_at`, every wake is queued.
+    fn wake_now(&mut self, dlink: DLinkId) {
+        let now = self.now;
+        let faults = self.faults.is_some();
+        let port = &mut self.ports[dlink.0 as usize];
+        let ahead = port
+            .wake
+            .filter(|w| w.at == now && self.events.is_ahead(now, w.seq));
+        if let Some(w) = ahead {
+            let behind = (w.queued && !port.data.is_empty())
+                || (w.same_instant
+                    && matches!(self.topo.dlinks[dlink.0 as usize].from, NodeId::Switch(_)));
+            if behind && !faults {
+                self.events.reserve_seq();
+                return;
+            }
+            // Superseded below: a reservation must not be forgotten.
+            if !w.queued {
+                self.events
+                    .push_reserved(now, w.seq, Ev::PortWake { dlink });
+            }
+        }
+        let seq = self.events.reserve_seq();
+        let queued = faults || !port.idle_at(now);
+        if queued {
+            self.events.push_reserved(now, seq, Ev::PortWake { dlink });
+        }
+        port.wake = Some(WakeSlot {
+            at: now,
+            seq,
+            queued,
+            same_instant: true,
+        });
     }
 
     fn port_wake(&mut self, dlink: DLinkId) {
@@ -1402,12 +1468,20 @@ impl Network {
                 self.events.push(done + prop, Ev::Arrive { dlink, pkt });
                 // The wake at `done` has work only if something is queued
                 // by then. With both queues drained, keep its position and
-                // let `enqueue_at` fill it if a packet does turn up.
-                if port.is_drained() {
-                    port.deferred_wake = Some(self.events.reserve_seq());
-                } else {
-                    self.events.push(done, Ev::PortWake { dlink });
+                // let `enqueue_at` fill it if a packet does turn up. Any
+                // same-instant wake held before is a no-op now: the
+                // transmitter is busy for the rest of this instant.
+                let seq = self.events.reserve_seq();
+                let queued = !port.idle_at(done);
+                if queued {
+                    self.events.push_reserved(done, seq, Ev::PortWake { dlink });
                 }
+                port.wake = Some(WakeSlot {
+                    at: done,
+                    seq,
+                    queued,
+                    same_instant: false,
+                });
             }
             TxDecision::WaitUntil(t) => {
                 self.events.push(t, Ev::PortWake { dlink });
@@ -1555,8 +1629,13 @@ mod tests {
     }
 
     fn probe_net(log: Rc<RefCell<Vec<String>>>) -> Network {
+        probe_net_with(NetConfig::default(), log)
+    }
+
+    /// [`probe_net`] under another configuration.
+    fn probe_net_with(cfg: NetConfig, log: Rc<RefCell<Vec<String>>>) -> Network {
         let topo = crate::topology::Topology::dumbbell(1, G10, Dur::us(1));
-        let mut cfg = NetConfig::default().with_seed(1);
+        let mut cfg = cfg.with_seed(1);
         cfg.host_delay = HostDelayModel {
             min: Dur::us(1),
             max: Dur::us(1),
@@ -1739,7 +1818,7 @@ mod tests {
     }
 
     fn deferred(net: &Network, dlink: DLinkId) -> Option<u64> {
-        net.ports[dlink.0 as usize].deferred_wake
+        net.reserved_wake(dlink).map(|w| w.seq)
     }
 
     #[test]
@@ -1796,16 +1875,18 @@ mod tests {
         assert_eq!(step(&mut net), (SimTime::ZERO, "port_wake"));
         assert_eq!(net.ports[up.0 as usize].tx_done_at(), done);
         assert_eq!(step(&mut net), (done, "rcp_update"));
+        let queued = net.events.len();
         net.enqueue_at(up, data_pkt());
         assert_eq!(deferred(&net, up), None);
+        // The now-wake would find the transmitter busy: it only takes its
+        // sequence number.
+        assert_eq!(net.events.len(), queued + 1, "the reserved wake alone");
         assert_eq!(step(&mut net), (done, "port_wake"));
         assert!(
             net.ports[up.0 as usize].is_busy(done),
             "reserved wake sent it"
         );
-        let queued = net.events.len();
-        assert_eq!(step(&mut net), (done, "port_wake"));
-        assert_eq!(net.events.len(), queued - 1, "the now-wake found it busy");
+        assert!(net.events.peek_time() > Some(done), "no now-wake behind it");
 
         // From an event *behind* the reserved position (pushed at `done`
         // after the transmission began): the eager wake has been and gone,
@@ -1860,6 +1941,205 @@ mod tests {
         assert!(port.data.is_empty(), "backlog stuck behind a dead wake");
         assert_eq!(port.tx_data_bytes, 2 * 1538);
         assert_eq!(net.counters().pkts_lost_to_faults, 0);
+    }
+
+    // ----- same-instant wakes ------------------------------------------------
+
+    /// A [`probe_net`] whose every port has a metered credit queue, and
+    /// its switch-to-switch port toward host 1. With `eager`, an empty
+    /// fault plan is installed, under which every wake is queued: the twin
+    /// whose event keys a wake left unqueued must not move.
+    fn credit_net(eager: bool) -> (Network, DLinkId) {
+        let mut net = probe_net_with(NetConfig::expresspass(), Rc::default());
+        if eager {
+            net.install_fault_plan(FaultPlan::new());
+        }
+        let topo = &net.topo;
+        let sw = (0..topo.dlinks.len())
+            .map(|i| DLinkId(i as u32))
+            .find(|&d| {
+                let l = &topo.dlinks[d.0 as usize];
+                match (l.from, l.to) {
+                    (NodeId::Switch(s), NodeId::Switch(_)) => {
+                        topo.route_choices(s, HostId(1)) == [d]
+                    }
+                    _ => false,
+                }
+            })
+            .expect("a dumbbell has a switch-to-switch link toward host 1");
+        (net, sw)
+    }
+
+    /// A minimum-size credit headed for host 1.
+    fn credit_pkt() -> Packet {
+        Packet::new(
+            FlowId(0),
+            HostId(0),
+            HostId(1),
+            PktKind::Credit,
+            crate::packet::CREDIT_SIZE,
+        )
+    }
+
+    /// Handle every event due by `until`, one at a time; returns each
+    /// one's `(time, seq)` key and kind.
+    fn keyed_run(net: &mut Network, until: SimTime) -> Vec<(SimTime, u64, &'static str)> {
+        let mut out = Vec::new();
+        while net.events.peek_time().is_some_and(|t| t <= until) {
+            let (t, kind) = step(net);
+            out.push((t, net.current_event_key().1, kind));
+        }
+        out
+    }
+
+    /// `kept` is `eager` less some port wakes: every event kept fires at
+    /// the key it has in the eager twin. Returns how many were left out.
+    fn assert_only_wakes_left_out(
+        kept: &[(SimTime, u64, &'static str)],
+        eager: &[(SimTime, u64, &'static str)],
+    ) -> usize {
+        let mut twin = eager.iter();
+        for k in kept {
+            loop {
+                let e = twin
+                    .next()
+                    .unwrap_or_else(|| panic!("{k:?} not in the twin"));
+                if e == k {
+                    break;
+                }
+                assert_eq!(e.2, "port_wake", "{e:?} left out");
+            }
+        }
+        assert!(twin.all(|e| e.2 == "port_wake"), "an event left out");
+        eager.len() - kept.len()
+    }
+
+    /// Three credits at one instant on the idle switch port of both
+    /// twins: one wake sends the first, and the other two would find the
+    /// port busy. Run to when the second has gone and the third waits for
+    /// the meter, whose wake is pending; returns that instant.
+    fn credits_waiting_on_the_meter(nets: &mut [(Network, DLinkId); 2]) -> SimTime {
+        let t = SimTime::ZERO + tx_time(crate::packet::CREDIT_SIZE as u64, G10) * 2;
+        for (net, sw) in nets.iter_mut() {
+            for _ in 0..3 {
+                net.enqueue_at(*sw, credit_pkt());
+            }
+        }
+        assert_eq!(nets[0].0.events.len(), 1);
+        assert_eq!(nets[1].0.events.len(), 3);
+        let [(kept, sw), (eager, _)] = nets;
+        let (k, e) = (keyed_run(kept, t), keyed_run(eager, t));
+        assert_eq!(assert_only_wakes_left_out(&k, &e), 2);
+        assert_eq!(kept.now, t);
+        assert!(kept.ports[sw.0 as usize].idle_at(t), "the meter holds it");
+        t
+    }
+
+    #[test]
+    fn a_credit_on_a_metered_idle_port_queues_nothing() {
+        let mut nets = [credit_net(false), credit_net(true)];
+        let t = credits_waiting_on_the_meter(&mut nets);
+        let [(kept, sw), (eager, _)] = &mut nets;
+        let sw = *sw;
+        // A fourth credit, arriving now, would wake the port for nothing:
+        // its position is reserved only.
+        let queued = kept.events.len();
+        kept.enqueue_at(sw, credit_pkt());
+        assert_eq!(kept.events.len(), queued, "nothing queued");
+        let w = kept.reserved_wake(sw).expect("position reserved");
+        assert_eq!((w.at, w.same_instant), (t, true));
+        eager.enqueue_at(sw, credit_pkt());
+        let until = SimTime::ZERO + Dur::ms(1);
+        let (k, e) = (keyed_run(kept, until), keyed_run(eager, until));
+        assert_eq!(assert_only_wakes_left_out(&k, &e), 1);
+        assert_eq!(kept.ports[sw.0 as usize].tx_credit_bytes, 4 * 84);
+    }
+
+    #[test]
+    fn data_at_the_same_instant_fills_the_reserved_position() {
+        let mut nets = [credit_net(false), credit_net(true)];
+        let t = credits_waiting_on_the_meter(&mut nets);
+        let [(kept, sw), (eager, _)] = &mut nets;
+        let sw = *sw;
+        kept.enqueue_at(sw, credit_pkt());
+        let w = kept.reserved_wake(sw).expect("position reserved");
+        let queued = kept.events.len();
+        // Data makes the reserved wake one that sends: it is queued at
+        // its reserved key, and the data's own wake, which would find the
+        // port busy, only takes a sequence number.
+        kept.enqueue_at(sw, data_pkt());
+        assert_eq!(kept.reserved_wake(sw), None);
+        assert_eq!(kept.events.len(), queued + 1);
+        assert_eq!(step(kept), (t, "port_wake"));
+        assert_eq!(kept.current_event_key(), (t, w.seq));
+        assert_eq!(kept.ports[sw.0 as usize].tx_data_bytes, 1538);
+        for pkt in [credit_pkt(), data_pkt()] {
+            eager.enqueue_at(sw, pkt);
+        }
+        // The eager twin sends the data from the same key, so its arrival
+        // — and everything after — carries the same keys too.
+        let until = SimTime::ZERO + Dur::ms(1);
+        let (mut k, e) = (keyed_run(kept, until), keyed_run(eager, until));
+        k.insert(0, (t, w.seq, "port_wake"));
+        assert_eq!(assert_only_wakes_left_out(&k, &e), 1);
+        let arrive = |run: &[(SimTime, u64, &'static str)]| {
+            let hop = Dur::us(1) + tx_time(1538, G10);
+            *run.iter()
+                .find(|e| e.0 == t + hop && e.2 == "arrive")
+                .unwrap()
+        };
+        assert_eq!(arrive(&k), arrive(&e));
+    }
+
+    #[test]
+    fn an_unfilled_reservation_is_dropped_once_passed() {
+        let mut nets = [credit_net(false), credit_net(true)];
+        let t = credits_waiting_on_the_meter(&mut nets);
+        let [(kept, sw), (eager, _)] = &mut nets;
+        let sw = *sw;
+        kept.enqueue_at(sw, credit_pkt());
+        let w = kept.reserved_wake(sw).expect("position reserved");
+        eager.enqueue_at(sw, credit_pkt());
+        // The eager twin's wake at that very key finds nothing to do.
+        assert_eq!(keyed_run(eager, t), [(t, w.seq, "port_wake")]);
+        assert_eq!(keyed_run(kept, t), []);
+        // Everything due at `t` has run: the position has gone by empty.
+        for net in [&mut *kept, &mut *eager] {
+            net.run_until(t);
+        }
+        assert_eq!(kept.reserved_wake(sw), None);
+        let queued = kept.events.len();
+        kept.enqueue_at(sw, data_pkt());
+        assert_eq!(
+            kept.events.len(),
+            queued + 1,
+            "a fresh wake, not the old one"
+        );
+        let fresh = kept.ports[sw.0 as usize].wake.unwrap();
+        assert!(fresh.queued && fresh.at == t && fresh.seq > w.seq);
+        eager.enqueue_at(sw, data_pkt());
+        let until = SimTime::ZERO + Dur::ms(1);
+        let (k, e) = (keyed_run(kept, until), keyed_run(eager, until));
+        assert_eq!(assert_only_wakes_left_out(&k, &e), 0);
+    }
+
+    #[test]
+    fn a_second_same_instant_data_wake_is_left_out() {
+        let mut nets = [credit_net(false), credit_net(true)];
+        for (net, _) in &mut nets {
+            let up = net.topo.host_uplink[0];
+            net.enqueue_at(up, data_pkt());
+            net.enqueue_at(up, data_pkt());
+        }
+        // The first wake sends one packet; the second would find the port
+        // busy. (A host uplink: the rule needs no switch.)
+        assert_eq!(nets[0].0.events.len(), 1);
+        assert_eq!(nets[1].0.events.len(), 2);
+        let [(kept, _), (eager, _)] = &mut nets;
+        let until = SimTime::ZERO + Dur::ms(1);
+        let (k, e) = (keyed_run(kept, until), keyed_run(eager, until));
+        assert!(assert_only_wakes_left_out(&k, &e) >= 1);
+        assert_eq!(k.iter().filter(|e| e.2 == "host_rx").count(), 2);
     }
 
     #[test]

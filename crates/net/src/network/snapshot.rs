@@ -130,7 +130,7 @@ fn optional<T: ?Sized>(
 
 impl Network {
     /// Serialize the network's complete *dynamic* state as an
-    /// `xpass-snap/v6` body, one section per layer. Static configuration —
+    /// `xpass-snap/v7` body, one section per layer. Static configuration —
     /// topology, [`NetConfig`](crate::config::NetConfig), endpoint factory,
     /// installed monitor specs — is not written: a restore overlays onto a
     /// freshly built network whose deterministic setup already re-created

@@ -31,6 +31,24 @@ pub enum TxDecision {
     Idle,
 }
 
+/// A queue position an egress port holds for a wake of its transmitter:
+/// `(at, seq)`, either queued there or only reserved. A reserved wake is
+/// one that would find nothing to do; `Network::enqueue_at` queues it at
+/// exactly this position the moment that stops being true, and otherwise
+/// nothing ever does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WakeSlot {
+    /// When the wake fires.
+    pub at: SimTime,
+    /// Its sequence number at `at`.
+    pub seq: u64,
+    /// Whether the wake is in the event queue (else only reserved).
+    pub queued: bool,
+    /// Whether an enqueue at `at` itself asked for this wake; otherwise
+    /// it is the wake that ends a transmission, taken when it began.
+    pub same_instant: bool,
+}
+
 /// Egress port state for one directed link.
 pub struct EgressPort {
     /// The directed link this port feeds.
@@ -47,14 +65,15 @@ pub struct EgressPort {
     pub rcp: Option<RcpLink>,
     /// The wire is busy until this time.
     pub busy_until: SimTime,
-    /// Pending meter-refill wake, to avoid duplicate wake events.
-    token_wake: Option<SimTime>,
-    /// Queue position reserved for the wake at `busy_until`, when the
-    /// transmission in progress began with both queues drained: such a
-    /// wake finds nothing to send unless something is enqueued first, so
-    /// the network queues it only then — at exactly this sequence number
-    /// — and otherwise never (see `Network::enqueue_at`).
-    pub deferred_wake: Option<u64>,
+    /// Pending meter-refill wake, to avoid duplicate wake events: its
+    /// time, and the wire bytes of the head credit it was computed for.
+    token_wake: Option<(SimTime, u32)>,
+    /// The latest wake position the network holds for this port: the
+    /// wake ending the transmission in progress (reserved, not queued,
+    /// when it began with both queues drained), or the wake an enqueue at
+    /// an idle port asked for (reserved when it would be a no-op). See
+    /// `Network::enqueue_at`.
+    pub(crate) wake: Option<WakeSlot>,
     /// Total wire bytes transmitted.
     pub tx_bytes: u64,
     /// Wire bytes of data packets transmitted.
@@ -85,7 +104,7 @@ impl EgressPort {
             rcp,
             busy_until: SimTime::ZERO,
             token_wake: None,
-            deferred_wake: None,
+            wake: None,
             tx_bytes: 0,
             tx_data_bytes: 0,
             tx_credit_bytes: 0,
@@ -104,12 +123,23 @@ impl EgressPort {
         now < self.busy_until
     }
 
-    /// True when neither queue holds a packet: a wake on an idle port in
-    /// this state is a no-op ([`try_transmit`](Self::try_transmit) returns
-    /// `Idle` having touched nothing).
+    /// True when a wake at `at` that finds the transmitter free would be a
+    /// no-op — [`try_transmit`](Self::try_transmit) deciding `Idle` and
+    /// changing nothing a later decision reads — provided nothing is
+    /// enqueued, sent or flushed first. Either both queues are empty, or
+    /// only credits wait and the meter wake already pending was computed
+    /// for a head of this size and falls after `at`. The meter changes
+    /// only when a credit is sent, which clears that wake, so no meter
+    /// arithmetic is needed here.
     #[inline]
-    pub fn is_drained(&self) -> bool {
-        self.data.is_empty() && self.credit.as_ref().is_none_or(|cq| cq.is_empty())
+    pub fn idle_at(&self, at: SimTime) -> bool {
+        if !self.data.is_empty() {
+            return false;
+        }
+        match self.credit.as_ref().and_then(|cq| cq.head_bytes()) {
+            None => true,
+            Some(bytes) => matches!(self.token_wake, Some((t, b)) if at < t && b == bytes),
+        }
     }
 
     /// Decide what to do at `now` (must be called only when not busy).
@@ -161,10 +191,10 @@ impl EgressPort {
         // Only non-conforming credits remain (if anything).
         if let Some(cq) = self.credit.as_mut() {
             if let Some(t) = cq.head_ready_at(now) {
-                if self.token_wake == Some(t) {
+                if self.token_wake.is_some_and(|(w, _)| w == t) {
                     return TxDecision::Idle; // wake already scheduled
                 }
-                self.token_wake = Some(t);
+                self.token_wake = Some((t, cq.head_bytes().expect("a head to wait for")));
                 return TxDecision::WaitUntil(t);
             }
         }
@@ -224,16 +254,24 @@ impl EgressPort {
 
 // Dynamic state only: dlink, speed and propagation delay are configuration
 // rebuilt by setup. Queue contents, the transmitter busy horizon, the pending
-// meter wake, the deferred end-of-serialization wake, byte counters, and the
-// optional gap collector all carry over.
+// meter wake, the wake position held (queued or reserved), byte counters,
+// and the optional gap collector all carry over.
 impl xpass_sim::Snapshot for EgressPort {
     fn snap(&self, w: &mut xpass_sim::SnapWriter) {
         self.data.snap(w);
         w.opt(self.credit.as_ref(), |w, cq| cq.snap(w));
         w.opt(self.rcp.as_ref(), |w, rcp| rcp.snap(w));
         w.u64(self.busy_until.0);
-        w.opt(self.token_wake.as_ref(), |w, t| w.u64(t.0));
-        w.opt(self.deferred_wake.as_ref(), |w, s| w.u64(*s));
+        w.opt(self.token_wake.as_ref(), |w, (t, bytes)| {
+            w.u64(t.0);
+            w.u32(*bytes);
+        });
+        w.opt(self.wake.as_ref(), |w, s| {
+            w.u64(s.at.0);
+            w.u64(s.seq);
+            w.bool(s.queued);
+            w.bool(s.same_instant);
+        });
         w.u64(self.tx_bytes);
         w.u64(self.tx_data_bytes);
         w.u64(self.tx_credit_bytes);
@@ -250,8 +288,15 @@ impl xpass_sim::Restore for EgressPort {
         r.opt_onto("credit queue", self.credit.as_mut(), |cq, r| cq.restore(r))?;
         r.opt_onto("rcp link state", self.rcp.as_mut(), |rcp, r| rcp.restore(r))?;
         self.busy_until = SimTime(r.u64()?);
-        self.token_wake = r.opt(|r| Ok(SimTime(r.u64()?)))?;
-        self.deferred_wake = r.opt(|r| r.u64())?;
+        self.token_wake = r.opt(|r| Ok((SimTime(r.u64()?), r.u32()?)))?;
+        self.wake = r.opt(|r| {
+            Ok(WakeSlot {
+                at: SimTime(r.u64()?),
+                seq: r.u64()?,
+                queued: r.bool()?,
+                same_instant: r.bool()?,
+            })
+        })?;
         self.tx_bytes = r.u64()?;
         self.tx_data_bytes = r.u64()?;
         self.tx_credit_bytes = r.u64()?;
@@ -417,24 +462,44 @@ mod tests {
     }
 
     #[test]
-    fn drained_port_wake_is_a_no_op() {
-        // What lets the network leave the end-of-serialization wake of a
-        // drained port unqueued: it would decide `Idle` and touch nothing.
+    fn a_wake_idle_at_its_instant_is_a_no_op() {
+        // What lets the network leave a wake unqueued: it would decide
+        // `Idle` and change nothing a later decision reads.
         let mut p = port(true);
         p.data.enqueue(SimTime::ZERO, data_pkt());
-        assert!(!p.is_drained());
+        assert!(!p.idle_at(SimTime::ZERO));
         let _ = p.try_transmit(SimTime::ZERO, None);
-        assert!(p.is_drained(), "the only packet is on the wire");
         let done = p.tx_done_at();
+        assert!(p.idle_at(done), "the only packet is on the wire");
         let before = (p.busy_until, p.token_wake, p.tx_bytes);
         assert!(matches!(p.try_transmit(done, None), TxDecision::Idle));
         assert_eq!(before, (p.busy_until, p.token_wake, p.tx_bytes));
-        // A queued credit — even one the meter will not pass yet — is work.
-        p.credit
-            .as_mut()
-            .unwrap()
-            .enqueue(done, credit_pkt(), &mut rng());
-        assert!(!p.is_drained());
+        // A queued credit is work: no meter wake is pending for it yet.
+        let cq = p.credit.as_mut().unwrap();
+        cq.enqueue(done, credit_pkt(), &mut rng());
+        assert!(!p.idle_at(done));
+
+        // Once the meter holds a credit back and its wake is pending, a
+        // wake before that time is idle, more credits behind the head or
+        // not; at the meter's time, or with data queued, it is not.
+        let mut now = done;
+        let t = loop {
+            match p.try_transmit(now, None) {
+                TxDecision::Transmit(_) => now = p.tx_done_at(),
+                TxDecision::WaitUntil(t) => break t,
+                TxDecision::Idle => panic!("credits are queued"),
+            }
+            let cq = p.credit.as_mut().unwrap();
+            cq.enqueue(now, credit_pkt(), &mut rng());
+        };
+        assert!(p.idle_at(now) && p.idle_at(SimTime(t.0 - 1)));
+        assert!(!p.idle_at(t));
+        let cq = p.credit.as_mut().unwrap();
+        cq.enqueue(now, credit_pkt(), &mut rng());
+        assert!(p.idle_at(now), "the head is unchanged");
+        assert!(matches!(p.try_transmit(now, None), TxDecision::Idle));
+        p.data.enqueue(now, data_pkt());
+        assert!(!p.idle_at(now));
     }
 
     #[test]

@@ -378,20 +378,24 @@ impl CreditQueue {
     /// translates into jittered drain times at every switch — the mechanism
     /// the paper uses to break credit-drop synchronization across switches.
     pub fn head_conforms(&mut self, now: SimTime) -> bool {
-        match self.head_class() {
-            Some(c) => {
-                let sz = self.qs[c].front().expect("nonempty class").size as u64;
-                self.bucket.conforms(now, sz)
-            }
+        match self.head_bytes() {
+            Some(sz) => self.bucket.conforms(now, sz as u64),
             None => false,
         }
     }
 
     /// Earliest time the head credit could conform (`None` if empty).
     pub fn head_ready_at(&mut self, now: SimTime) -> Option<SimTime> {
+        let sz = self.head_bytes()?;
+        Some(self.bucket.time_until_conforming(now, sz as u64))
+    }
+
+    /// Wire bytes of the head credit, the one the meter admits next
+    /// (`None` if empty). With the meter untouched, its ready time depends
+    /// on nothing else.
+    pub fn head_bytes(&self) -> Option<u32> {
         let c = self.head_class()?;
-        let sz = self.qs[c].front().expect("nonempty class").size as u64;
-        Some(self.bucket.time_until_conforming(now, sz))
+        Some(self.qs[c].front().expect("nonempty class").size)
     }
 
     /// Dequeue the highest-priority head credit, consuming meter tokens.

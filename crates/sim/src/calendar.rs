@@ -55,6 +55,13 @@ pub const MAX_BUCKET_BITS: u32 = 26;
 pub const N_BUCKETS: usize = 4096;
 /// Re-evaluate the bucket width after this many staged buckets.
 pub const RESIZE_CHECK: u64 = 1024;
+/// Most entry slots an emptied bucket keeps allocated. The adaptive width
+/// narrows once staged buckets average more than 16 entries (the resize
+/// rule in the module docs), so a bucket within 4× that keeps its
+/// allocation and steady traffic reallocates nothing; a larger one was a
+/// burst, or the staging area's late inserts, and is returned. The wheel's
+/// idle slack is then at most `N_BUCKETS` × 64 × 24 B = 6 MiB.
+pub const BUCKET_KEEP: usize = 64;
 const WORDS: usize = N_BUCKETS / 64;
 /// How many pops ahead of the cursor a staged entry's slab payload is
 /// prefetched: far enough for a DRAM miss to land before the engine's
@@ -320,12 +327,14 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Move bucket `j` into (drained) staging by sorting it in place; the
-    /// drained staging allocation is recycled as the new empty bucket.
+    /// drained staging allocation is recycled as the new empty bucket,
+    /// unless it is larger than [`BUCKET_KEEP`].
     fn stage(&mut self, j: usize) {
         debug_assert!(self.scursor == self.staging.len());
         self.staging.clear();
         self.scursor = 0;
         std::mem::swap(&mut self.staging, &mut self.buckets[j]);
+        release_if_large(&mut self.buckets[j]);
         self.wheel_len -= self.staging.len();
         self.occupied[j / 64] &= !(1 << (j % 64));
         self.cursor = j;
@@ -410,6 +419,7 @@ impl<E> CalendarQueue<E> {
             let mut from = 0;
             while let Some(j) = self.next_occupied(from) {
                 scratch.append(&mut self.buckets[j]);
+                release_if_large(&mut self.buckets[j]);
                 self.occupied[j / 64] &= !(1 << (j % 64));
                 if j + 1 == N_BUCKETS {
                     break;
@@ -557,6 +567,18 @@ impl<E> CalendarQueue<E> {
                 *b = Vec::new();
             }
         }
+    }
+}
+
+/// Give back an emptied bucket's allocation when it holds more than
+/// [`BUCKET_KEEP`] slots. Every bucket is then either empty with at most
+/// that many, or filled by pushes alone — at most twice its length — so
+/// the wheel's slots stay within `2 × wheel_len + N_BUCKETS × BUCKET_KEEP`.
+#[inline]
+fn release_if_large(bucket: &mut Vec<Entry>) {
+    debug_assert!(bucket.is_empty());
+    if bucket.capacity() > BUCKET_KEEP {
+        *bucket = Vec::new();
     }
 }
 
@@ -713,6 +735,62 @@ mod tests {
         let rest = drain(&mut q);
         assert!(rest.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(rest.len(), left);
+    }
+
+    /// Entry slots allocated across the wheel's buckets.
+    fn bucket_slots<E>(q: &CalendarQueue<E>) -> usize {
+        q.buckets.iter().map(|b| b.capacity()).sum()
+    }
+
+    fn assert_buckets_bounded<E>(q: &CalendarQueue<E>, when: &str) {
+        let bound = 2 * q.wheel_len + N_BUCKETS * BUCKET_KEEP;
+        let slots = bucket_slots(q);
+        assert!(
+            slots <= bound,
+            "{when}: {slots} bucket slots for {} wheel entries (bound {bound})",
+            q.wheel_len
+        );
+    }
+
+    #[test]
+    fn bucket_slots_stay_bounded_by_what_the_wheel_queues() {
+        // A dense burst at the initial, wide width: ~200 entries a bucket
+        // across the whole window, each pop followed by a push into the
+        // staged bucket, so staging grows well past one bucket's share.
+        let mut q = CalendarQueue::with_capacity(16);
+        let n = 200 * N_BUCKETS as u64;
+        let step = WINDOW_PS / n;
+        for seq in 0..n {
+            q.push(SimTime(seq * step), seq, ());
+        }
+        let mut seq = n;
+        let mut last = (0u64, 0u64);
+        for i in 0..n {
+            let (t, s, _) = q.pop().expect("burst entry");
+            assert!((t.0, s) >= last, "order regressed at pop {i}");
+            last = (t.0, s);
+            if i % 2 == 0 {
+                q.push(SimTime(t.0 + step / 2), seq, ());
+                seq += 1;
+            }
+            if i % 4096 == 0 {
+                assert_buckets_bounded(&q, "dense burst");
+            }
+        }
+        // The sparse tail: one event every eight buckets of whatever width
+        // the burst left, popped one at a time.
+        let gap = 8u64 << q.bucket_bits();
+        let t0 = last.0 + gap;
+        for k in 0..512u64 {
+            q.push(SimTime(t0 + k * gap), seq, ());
+            seq += 1;
+        }
+        assert_buckets_bounded(&q, "sparse tail queued");
+        while let Some((t, s, _)) = q.pop() {
+            assert!((t.0, s) > last, "order regressed in the tail");
+            last = (t.0, s);
+            assert_buckets_bounded(&q, "sparse tail");
+        }
     }
 
     #[test]

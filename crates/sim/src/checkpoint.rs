@@ -236,7 +236,14 @@ impl NetHook {
     /// Write a snapshot of `net_state` taken at `now`, atomically; prune
     /// old files past `keep`; register the path for the failure summary.
     /// I/O failures are reported to stderr but never abort the run.
+    /// Before the network's first run call there is nothing to resume — a
+    /// snapshot re-enters its run at a run call, and [`parse_image`]
+    /// refuses call 0 — so nothing is written: such a file, being the
+    /// newest, would hide every older valid one from a restart.
     pub fn write(&mut self, now: SimTime, net_state: &[u8]) {
+        if self.run_calls == 0 {
+            return;
+        }
         if let Some(e) = self.every {
             self.next = now + e;
         }

@@ -1,4 +1,4 @@
-//! `xpass-snap/v6` — a versioned, zero-dependency binary snapshot format.
+//! `xpass-snap/v7` — a versioned, zero-dependency binary snapshot format.
 //!
 //! Snapshots make long runs durable: the engine can serialize its complete
 //! state mid-run, and a later process can restore it and continue with
@@ -45,7 +45,12 @@ use std::path::Path;
 
 /// Magic bytes at offset 0 of every snapshot file.
 pub const MAGIC: [u8; 10] = *b"xpass-snap";
-/// Current format version. v6 (each fact counted once): a data queue's
+/// Current format version. v7 (wakes held, not queued): each port writes
+/// the wake position it holds — when, its sequence number, whether it is
+/// queued or only reserved, and whether an enqueue at that instant asked
+/// for it — in place of v6's deferred-wake sequence number, and its
+/// pending meter wake carries the head credit's size it was computed for.
+/// v6 (each fact counted once): a data queue's
 /// statistics are its tail drops and time-weighted occupancy only (no
 /// accepted or marked counts, no separate maximum), a credit queue writes
 /// no statistics — the network's counters hold its drops — and a port no
@@ -64,7 +69,7 @@ pub const MAGIC: [u8; 10] = *b"xpass-snap";
 /// window sender's carried RTO deadline. Older files are refused with the
 /// version-mismatch error — a snapshot resumes the run that wrote it, and
 /// an older run's queue holds events this one never pushes.
-pub const VERSION: u32 = 6;
+pub const VERSION: u32 = 7;
 /// Bytes of header before the body starts.
 pub const HEADER_LEN: usize = 10 + 4 + 4 + 8;
 
@@ -474,7 +479,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 // File envelope.
 // ---------------------------------------------------------------------------
 
-/// Wrap a body in the `xpass-snap/v6` envelope (magic, version, checksum,
+/// Wrap a body in the `xpass-snap/v7` envelope (magic, version, checksum,
 /// length).
 pub fn encode_file(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + body.len());
@@ -713,7 +718,7 @@ mod tests {
         let e = decode_file(&file).unwrap_err();
         assert_eq!(e.at, 10);
         assert!(
-            e.msg.contains("expected 6") && e.msg.contains("found 99"),
+            e.msg.contains("expected 7") && e.msg.contains("found 99"),
             "{e}"
         );
     }

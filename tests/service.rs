@@ -49,9 +49,33 @@ fn stream_scenario(dir: &Path, name: &str, cap_ms: u64, link_bps: u64) -> PathBu
     path
 }
 
+/// A spawned `xpass-repro`, killed and reaped when dropped, so that a
+/// failing assert never leaves a daemon running past its test.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+impl std::ops::Deref for Daemon {
+    type Target = Child;
+    fn deref(&self) -> &Child {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Daemon {
+    fn deref_mut(&mut self) -> &mut Child {
+        &mut self.0
+    }
+}
+
 /// Spawn `xpass-repro` with stderr redirected to `log` (a file, not a
 /// pipe — the service must never block on a full stderr pipe).
-fn spawn_repro(args: &[&str], log: &Path, env: &[(&str, &str)]) -> Child {
+fn spawn_repro(args: &[&str], log: &Path, env: &[(&str, &str)]) -> Daemon {
     let logfile = std::fs::File::create(log).expect("create log file");
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_xpass-repro"));
     cmd.args(args)
@@ -60,7 +84,7 @@ fn spawn_repro(args: &[&str], log: &Path, env: &[(&str, &str)]) -> Child {
     for (k, v) in env {
         cmd.env(k, v);
     }
-    cmd.spawn().expect("spawn xpass-repro")
+    Daemon(cmd.spawn().expect("spawn xpass-repro"))
 }
 
 /// Poll `log` until `needle` appears (returning the full contents) or
@@ -599,4 +623,47 @@ fn serve_with_a_corrupt_resume_exits_1_without_serving() {
     assert_eq!(st.code(), Some(1), "{text}");
     assert!(text.contains("cannot resume from"), "{text}");
     assert!(!text.contains("still serving"), "{text}");
+}
+
+// ---------------------------------------------------------------------------
+// Fence 8: a shutdown before any arrival leaves no snapshot a restart
+// would refuse — which, being the newest, would hide every valid one.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn shutdown_before_any_arrival_leaves_no_unloadable_checkpoint() {
+    let dir = scratch("earlyterm");
+    let scn = stream_scenario(&dir, "svc_early", 50, 10_000_000_000);
+    let ck = dir.join("ck");
+    let serve = |journal: &str, log: &Path| {
+        let journal = dir.join(journal);
+        let args = [
+            "serve",
+            "run",
+            scn.to_str().unwrap(),
+            "--ingest",
+            journal.to_str().unwrap(),
+            "--checkpoint-every",
+            "1",
+            "--checkpoint-dir",
+            ck.to_str().unwrap(),
+        ];
+        spawn_repro(&args, log, &[])
+    };
+    let log1 = dir.join("serve1.log");
+    let mut child = serve("first.jsonl", &log1);
+    served_addr(&log1);
+    send_signal(&child, "-TERM");
+    let st = wait_exit(&mut child, 60);
+    assert!(st.success(), "graceful shutdown must exit 0, got {st:?}");
+
+    // The restart picks its checkpoint before it binds.
+    let log2 = dir.join("serve2.log");
+    let mut child = serve("second.jsonl", &log2);
+    served_addr(&log2);
+    send_signal(&child, "-TERM");
+    let st = wait_exit(&mut child, 60);
+    let text = std::fs::read_to_string(&log2).unwrap();
+    assert!(st.success(), "restarted service must exit 0, got {st:?}");
+    assert!(!text.contains("invalid run-call index"), "{text}");
 }

@@ -313,13 +313,13 @@ fn dctcp_net() -> Network {
 fn reserved_positions_pending(n: &mut Network) -> bool {
     use xpass::baselines::dctcp::DctcpCc;
     use xpass::baselines::window::WindowSender;
-    use xpass::net::ids::{FlowId, Side};
+    use xpass::net::ids::{DLinkId, FlowId, Side};
 
     let now = n.now();
-    let wake = n
-        .ports()
-        .iter()
-        .any(|p| p.deferred_wake.is_some() && p.is_busy(now));
+    let wake = (0..n.ports().len()).any(|i| {
+        let dlink = DLinkId(i as u32);
+        n.port(dlink).is_busy(now) && n.reserved_wake(dlink).is_some()
+    });
     let mut carried = false;
     for f in 0..4 {
         n.poke(FlowId(f), Side::Sender, |ep, _| {
@@ -395,6 +395,53 @@ fn dctcp_snapshot_with_reserved_positions_pending_round_trips() {
         per_scheduler[0] == per_scheduler[1],
         "snapshot bytes depend on the scheduler"
     );
+}
+
+/// A wake held at its own instant survives a checkpoint. A credit that
+/// reaches a port whose meter already has a wake pending asks for a wake
+/// that would do nothing: its position `(now, seq)` is reserved, and a
+/// later enqueue at that instant may still fill it. Runs stopped by their
+/// event budget stop mid-instant, right after an event; the first one to
+/// stop with such a reservation still ahead is snapshotted there, and a
+/// twin restored from it — under either scheduler — must finish in the
+/// very state of the run that was never stopped: the same snapshot bytes
+/// at the end, its event counts included.
+#[test]
+fn snapshot_with_a_same_instant_wake_reserved_resumes_byte_identically() {
+    use xpass::net::ids::DLinkId;
+
+    let mut plain = demo_net(Some(10_000_000));
+    plain.run_until_done(CAP);
+    let (k, body) = (2_000..4_000u64)
+        .find_map(|k| {
+            let mut net = demo_net(Some(k));
+            net.run_until_done(CAP);
+            let now = net.now();
+            let held = (0..net.ports().len()).any(|i| {
+                net.reserved_wake(DLinkId(i as u32))
+                    .is_some_and(|w| w.same_instant && w.at == now)
+            });
+            held.then(|| (k, body_of(&net)))
+        })
+        .expect("no budget stopped with a same-instant wake reserved");
+    let want = body_of(&plain);
+    for kind in [SchedulerKind::Heap, SchedulerKind::Calendar] {
+        let _kind = scheduler(kind);
+        let mut twin = demo_net(Some(10_000_000));
+        twin.restore_from(&body).expect("twin restore");
+        twin.run_until_done(CAP);
+        assert_eq!(
+            twin.flow_records(),
+            plain.flow_records(),
+            "after {k} events"
+        );
+        assert_eq!(
+            twin.engine_report().events_by_kind,
+            plain.engine_report().events_by_kind,
+            "after {k} events, {kind:?}"
+        );
+        assert!(body_of(&twin) == want, "after {k} events, {kind:?}");
+    }
 }
 
 /// The same across a process boundary: a DCTCP shuffle checkpointed every
@@ -513,7 +560,10 @@ fn body_of(net: &Network) -> Vec<u8> {
 }
 
 /// The wire format, pinned across commits. `(length, CRC-32)` of three
-/// snapshot bodies, as v6 writes them: no queue statistics beyond a data
+/// snapshot bodies, as v7 writes them: each port's held wake position
+/// (time, sequence number, queued or reserved, same-instant or ending a
+/// transmission) and its meter wake with the head credit's size; no
+/// queue statistics beyond a data
 /// queue's tail drops and occupancy, no port payload-byte count, no
 /// `routing` section (the live routes are rebuilt from the fault layer's
 /// links), no arena slot
@@ -525,9 +575,9 @@ fn snapshot_bodies_match_the_committed_digests() {
     use xpass::sim::metrics::{self, MetricsSpec};
     use xpass::sim::snap::crc32;
 
-    const DUMBBELL: (usize, u32) = (3_720, 0xbb62_f3bb);
-    const DCTCP: (usize, u32) = (14_888, 0x4b6c_bb5f);
-    const CLOS: (usize, u32) = (65_955, 0xb8d0_d47b);
+    const DUMBBELL: (usize, u32) = (3_832, 0x488d_0cc0);
+    const DCTCP: (usize, u32) = (15_076, 0x1df8_cea1);
+    const CLOS: (usize, u32) = (67_435, 0x8e81_92c8);
     let digest = |net: &Network| {
         let body = body_of(net);
         (body.len(), crc32(&body))
