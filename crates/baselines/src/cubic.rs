@@ -45,15 +45,9 @@ impl CongestionControl for RenoCc {
         self.cwnd = 1.0;
     }
 
-    fn snap_cc(&self, w: &mut xpass_sim::SnapWriter) {
-        w.f64(self.cwnd);
-        w.f64(self.ssthresh);
-    }
-
-    fn restore_cc(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.cwnd = r.f64()?;
-        self.ssthresh = r.f64()?;
-        Ok(())
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.f64(&mut self.cwnd)?;
+        io.f64(&mut self.ssthresh)
     }
 }
 
@@ -140,23 +134,13 @@ impl CongestionControl for CubicCc {
         self.epoch_start = None;
     }
 
-    fn snap_cc(&self, w: &mut xpass_sim::SnapWriter) {
-        w.f64(self.cwnd);
-        w.f64(self.ssthresh);
-        w.f64(self.w_max);
-        w.opt(self.epoch_start.as_ref(), |w, t| w.u64(t.0));
-        w.f64(self.k);
-        w.f64(self.w_tcp);
-    }
-
-    fn restore_cc(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.cwnd = r.f64()?;
-        self.ssthresh = r.f64()?;
-        self.w_max = r.f64()?;
-        self.epoch_start = r.opt(|r| Ok(SimTime(r.u64()?)))?;
-        self.k = r.f64()?;
-        self.w_tcp = r.f64()?;
-        Ok(())
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.f64(&mut self.cwnd)?;
+        io.f64(&mut self.ssthresh)?;
+        io.f64(&mut self.w_max)?;
+        io.opt(&mut self.epoch_start, |io, t| io.u64(&mut t.0))?;
+        io.f64(&mut self.k)?;
+        io.f64(&mut self.w_tcp)
     }
 }
 

@@ -116,25 +116,14 @@ impl CongestionControl for DctcpCc {
         self.ssthresh = self.cwnd;
     }
 
-    fn snap_cc(&self, w: &mut xpass_sim::SnapWriter) {
-        w.f64(self.cwnd);
-        w.f64(self.ssthresh);
-        w.f64(self.alpha);
-        w.u64(self.window_end);
-        w.u64(self.acked_in_window);
-        w.u64(self.marked_in_window);
-        w.bool(self.cut_this_window);
-    }
-
-    fn restore_cc(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.cwnd = r.f64()?;
-        self.ssthresh = r.f64()?;
-        self.alpha = r.f64()?;
-        self.window_end = r.u64()?;
-        self.acked_in_window = r.u64()?;
-        self.marked_in_window = r.u64()?;
-        self.cut_this_window = r.bool()?;
-        Ok(())
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.f64(&mut self.cwnd)?;
+        io.f64(&mut self.ssthresh)?;
+        io.f64(&mut self.alpha)?;
+        io.u64(&mut self.window_end)?;
+        io.u64(&mut self.acked_in_window)?;
+        io.u64(&mut self.marked_in_window)?;
+        io.bool(&mut self.cut_this_window)
     }
 
     fn on_timeout(&mut self) {

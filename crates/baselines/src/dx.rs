@@ -102,21 +102,12 @@ impl CongestionControl for DxCc {
         self.cwnd = 2.0;
     }
 
-    fn snap_cc(&self, w: &mut xpass_sim::SnapWriter) {
-        w.f64(self.cwnd);
-        w.f64(self.ssthresh);
-        w.u64(self.window_end);
-        w.f64(self.q_sum);
-        w.u64(self.q_n);
-    }
-
-    fn restore_cc(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.cwnd = r.f64()?;
-        self.ssthresh = r.f64()?;
-        self.window_end = r.u64()?;
-        self.q_sum = r.f64()?;
-        self.q_n = r.u64()?;
-        Ok(())
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.f64(&mut self.cwnd)?;
+        io.f64(&mut self.ssthresh)?;
+        io.u64(&mut self.window_end)?;
+        io.f64(&mut self.q_sum)?;
+        io.u64(&mut self.q_n)
     }
 }
 

@@ -60,15 +60,9 @@ impl CongestionControl for HullCc {
         Some((self.cwnd() * MAX_FRAME as f64 * 8.0 / rtt).max(1e6))
     }
 
-    fn snap_cc(&self, w: &mut xpass_sim::SnapWriter) {
-        self.inner.snap_cc(w);
-        w.u64(self.srtt.0);
-    }
-
-    fn restore_cc(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.inner.restore_cc(r)?;
-        self.srtt = Dur(r.u64()?);
-        Ok(())
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        self.inner.persist(io)?;
+        io.u64(&mut self.srtt.0)
     }
 }
 

@@ -129,21 +129,11 @@ impl Endpoint for NaiveCreditReceiver {
         self
     }
 
-    fn snap_state(&self, w: &mut xpass_sim::SnapWriter) {
-        use xpass_sim::Snapshot;
-        w.u64(self.credit_seq);
-        self.pace_slot.snap(w);
-        w.bool(self.sending);
-        w.bool(self.stopped);
-    }
-
-    fn restore_state(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        use xpass_sim::Restore;
-        self.credit_seq = r.u64()?;
-        self.pace_slot.restore(r)?;
-        self.sending = r.bool()?;
-        self.stopped = r.bool()?;
-        Ok(())
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.u64(&mut self.credit_seq)?;
+        self.pace_slot.persist(io)?;
+        io.bool(&mut self.sending)?;
+        io.bool(&mut self.stopped)
     }
 }
 

@@ -79,15 +79,9 @@ impl CongestionControl for RcpCc {
         self.rate_bps
     }
 
-    fn snap_cc(&self, w: &mut xpass_sim::SnapWriter) {
-        w.opt(self.rate_bps.as_ref(), |w, r| w.f64(*r));
-        w.f64(self.srtt_s);
-    }
-
-    fn restore_cc(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.rate_bps = r.opt(|r| r.f64())?;
-        self.srtt_s = r.f64()?;
-        Ok(())
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.opt(&mut self.rate_bps, |io, r| io.f64(r))?;
+        io.f64(&mut self.srtt_s)
     }
 }
 

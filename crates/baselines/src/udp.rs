@@ -72,16 +72,9 @@ impl Endpoint for UdpBlastSender {
         self
     }
 
-    fn snap_state(&self, w: &mut xpass_sim::SnapWriter) {
-        use xpass_sim::Snapshot;
-        w.u64(self.next_seq);
-        self.pace.snap(w);
-    }
-
-    fn restore_state(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        use xpass_sim::Restore;
-        self.next_seq = r.u64()?;
-        self.pace.restore(r)
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.u64(&mut self.next_seq)?;
+        self.pace.persist(io)
     }
 }
 
@@ -104,12 +97,7 @@ impl Endpoint for UdpBlastReceiver {
         self
     }
 
-    fn snap_state(&self, _w: &mut xpass_sim::SnapWriter) {}
-
-    fn restore_state(
-        &mut self,
-        _r: &mut xpass_sim::SnapReader,
-    ) -> Result<(), xpass_sim::SnapError> {
+    fn persist(&mut self, _io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
         Ok(())
     }
 }

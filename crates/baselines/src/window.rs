@@ -16,7 +16,6 @@ use xpass_net::endpoint::{Ctx, Deadline, Endpoint, EndpointFactory, TimerSlot};
 use xpass_net::ids::Side;
 use xpass_net::packet::{data_wire_size, flags, Packet, PktKind, ACK_SIZE, MSS};
 use xpass_sim::time::{Dur, SimTime};
-use xpass_sim::{Restore, Snapshot};
 
 /// Information about one cumulative ACK, handed to the policy.
 #[derive(Clone, Copy, Debug)]
@@ -55,13 +54,10 @@ pub trait CongestionControl: Send + 'static {
         None
     }
 
-    /// Serialize the policy's dynamic state into a checkpoint. Policies
-    /// whose behaviour depends only on construction parameters may leave
-    /// the default (writes nothing).
-    fn snap_cc(&self, _w: &mut xpass_sim::SnapWriter) {}
-
-    /// Restore state written by [`snap_cc`](Self::snap_cc).
-    fn restore_cc(&mut self, _r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
+    /// Snapshot traversal of the policy's dynamic state. Policies whose
+    /// behaviour depends only on construction parameters may leave the
+    /// default (persists nothing).
+    fn persist(&mut self, _io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
         Ok(())
     }
 }
@@ -420,44 +416,24 @@ impl<C: CongestionControl> Endpoint for WindowSender<C> {
         self
     }
 
-    fn snap_state(&self, w: &mut xpass_sim::SnapWriter) {
-        w.u64(self.n_pkts);
-        w.u32(self.last_payload);
-        w.u64(self.snd_una);
-        w.u64(self.snd_nxt);
-        w.u32(self.dup_acks);
-        w.u64(self.recover);
-        w.bool(self.in_recovery);
-        w.opt(self.srtt.as_ref(), |w, d| w.u64(d.0));
-        w.u64(self.rttvar.0);
-        w.u32(self.rto_backoff);
-        self.rto_slot.snap(w);
-        self.pace_slot.snap(w);
-        self.syn_slot.snap(w);
-        w.bool(self.established);
-        w.u64(self.retransmits);
-        w.bool(self.done);
-        self.cc.snap_cc(w);
-    }
-
-    fn restore_state(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.n_pkts = r.u64()?;
-        self.last_payload = r.u32()?;
-        self.snd_una = r.u64()?;
-        self.snd_nxt = r.u64()?;
-        self.dup_acks = r.u32()?;
-        self.recover = r.u64()?;
-        self.in_recovery = r.bool()?;
-        self.srtt = r.opt(|r| Ok(Dur(r.u64()?)))?;
-        self.rttvar = Dur(r.u64()?);
-        self.rto_backoff = r.u32()?;
-        self.rto_slot.restore(r)?;
-        self.pace_slot.restore(r)?;
-        self.syn_slot.restore(r)?;
-        self.established = r.bool()?;
-        self.retransmits = r.u64()?;
-        self.done = r.bool()?;
-        self.cc.restore_cc(r)
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.u64(&mut self.n_pkts)?;
+        io.u32(&mut self.last_payload)?;
+        io.u64(&mut self.snd_una)?;
+        io.u64(&mut self.snd_nxt)?;
+        io.u32(&mut self.dup_acks)?;
+        io.u64(&mut self.recover)?;
+        io.bool(&mut self.in_recovery)?;
+        io.opt(&mut self.srtt, |io, d| io.u64(&mut d.0))?;
+        io.u64(&mut self.rttvar.0)?;
+        io.u32(&mut self.rto_backoff)?;
+        self.rto_slot.persist(io)?;
+        self.pace_slot.persist(io)?;
+        self.syn_slot.persist(io)?;
+        io.bool(&mut self.established)?;
+        io.u64(&mut self.retransmits)?;
+        io.bool(&mut self.done)?;
+        self.cc.persist(io)
     }
 }
 
@@ -533,20 +509,12 @@ impl Endpoint for WindowReceiver {
         self
     }
 
-    fn snap_state(&self, w: &mut xpass_sim::SnapWriter) {
-        w.u64(self.rcv_next);
-        w.usize(self.ooo.len());
-        for &seq in &self.ooo {
-            w.u64(seq);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.rcv_next = r.u64()?;
-        let n = r.seq_len(8)?;
-        self.ooo.clear();
-        for _ in 0..n {
-            self.ooo.insert(r.u64()?);
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.u64(&mut self.rcv_next)?;
+        let mut ooo: Vec<u64> = self.ooo.iter().copied().collect();
+        io.seq(&mut ooo, 8, |io, seq| io.u64(seq))?;
+        if io.reading() {
+            self.ooo = ooo.into_iter().collect();
         }
         Ok(())
     }

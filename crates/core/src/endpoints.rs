@@ -28,7 +28,6 @@ use xpass_net::packet::{
 };
 use xpass_sim::time::{Dur, SimTime};
 use xpass_sim::trace::TraceEvent;
-use xpass_sim::{Restore, Snapshot};
 
 /// Timer kinds used by the ExpressPass endpoints.
 mod timer {
@@ -208,25 +207,14 @@ impl Endpoint for XPassSender {
         self
     }
 
-    fn snap_state(&self, w: &mut xpass_sim::SnapWriter) {
-        w.u64(self.next_seq);
-        w.u64(self.last_ack);
-        w.u32(self.dup_count);
-        self.stop_slot.snap(w);
-        self.syn_slot.snap(w);
-        w.u32(self.syn_attempts);
-        w.bool(self.stopped);
-    }
-
-    fn restore_state(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.next_seq = r.u64()?;
-        self.last_ack = r.u64()?;
-        self.dup_count = r.u32()?;
-        self.stop_slot.restore(r)?;
-        self.syn_slot.restore(r)?;
-        self.syn_attempts = r.u32()?;
-        self.stopped = r.bool()?;
-        Ok(())
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.u64(&mut self.next_seq)?;
+        io.u64(&mut self.last_ack)?;
+        io.u32(&mut self.dup_count)?;
+        self.stop_slot.persist(io)?;
+        self.syn_slot.persist(io)?;
+        io.u32(&mut self.syn_attempts)?;
+        io.bool(&mut self.stopped)
     }
 }
 
@@ -569,61 +557,34 @@ impl Endpoint for XPassReceiver {
         self
     }
 
-    fn snap_state(&self, w: &mut xpass_sim::SnapWriter) {
-        w.opt(self.feedback.as_ref(), |w, fb| fb.snap(w));
-        w.usize(self.ooo.len());
-        for (&seq, &len) in &self.ooo {
-            w.u64(seq);
-            w.u32(len);
-        }
-        w.u64(self.credit_seq);
-        w.u64(self.last_echo);
-        w.u64(self.period_recv);
-        w.u64(self.period_lost);
-        w.u64(self.period_sent);
-        w.u32(self.silent_periods);
-        w.opt(self.srtt.as_ref(), |w, d| w.u64(d.0));
-        self.pace_slot.snap(w);
-        self.update_slot.snap(w);
-        w.bool(self.sending);
-        w.bool(self.stopped);
-        w.bool(self.paused);
-        w.u64(self.delivered_at_update);
-        w.u64(self.last_progress.0);
-        w.bool(self.stall_flagged);
-    }
-
-    fn restore_state(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.feedback = r.opt(|r| {
-            // Placeholder controller; every dynamic field (including
-            // max_rate) is overlaid from the snapshot.
-            let mut fb = CreditFeedback::new(1.0, self.cfg);
-            fb.restore(r)?;
-            Ok(fb)
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        // A restored controller starts as a placeholder; every dynamic
+        // field (including max_rate) is overlaid from the snapshot.
+        let cfg = self.cfg;
+        io.opt_with(
+            &mut self.feedback,
+            || CreditFeedback::new(1.0, cfg),
+            |io, fb| fb.persist(io),
+        )?;
+        io.map(&mut self.ooo, 12, |io, seq, len| {
+            io.u64(seq)?;
+            io.u32(len)
         })?;
-        let n = r.seq_len(12)?;
-        self.ooo.clear();
-        for _ in 0..n {
-            let seq = r.u64()?;
-            let len = r.u32()?;
-            self.ooo.insert(seq, len);
-        }
-        self.credit_seq = r.u64()?;
-        self.last_echo = r.u64()?;
-        self.period_recv = r.u64()?;
-        self.period_lost = r.u64()?;
-        self.period_sent = r.u64()?;
-        self.silent_periods = r.u32()?;
-        self.srtt = r.opt(|r| Ok(Dur(r.u64()?)))?;
-        self.pace_slot.restore(r)?;
-        self.update_slot.restore(r)?;
-        self.sending = r.bool()?;
-        self.stopped = r.bool()?;
-        self.paused = r.bool()?;
-        self.delivered_at_update = r.u64()?;
-        self.last_progress = SimTime(r.u64()?);
-        self.stall_flagged = r.bool()?;
-        Ok(())
+        io.u64(&mut self.credit_seq)?;
+        io.u64(&mut self.last_echo)?;
+        io.u64(&mut self.period_recv)?;
+        io.u64(&mut self.period_lost)?;
+        io.u64(&mut self.period_sent)?;
+        io.u32(&mut self.silent_periods)?;
+        io.opt(&mut self.srtt, |io, d| io.u64(&mut d.0))?;
+        self.pace_slot.persist(io)?;
+        self.update_slot.persist(io)?;
+        io.bool(&mut self.sending)?;
+        io.bool(&mut self.stopped)?;
+        io.bool(&mut self.paused)?;
+        io.u64(&mut self.delivered_at_update)?;
+        io.u64(&mut self.last_progress.0)?;
+        io.bool(&mut self.stall_flagged)
     }
 }
 

@@ -120,25 +120,16 @@ impl CreditFeedback {
     }
 }
 
-impl xpass_sim::Snapshot for CreditFeedback {
-    // `max_rate` is included even though it derives from the host link
-    // speed: restoring overlays it onto a placeholder-constructed
-    // controller, so the snapshot must be self-contained.
-    fn snap(&self, w: &mut xpass_sim::SnapWriter) {
-        w.f64(self.max_rate);
-        w.f64(self.cur_rate);
-        w.f64(self.w);
-        w.bool(self.prev_increasing);
-    }
-}
-
-impl xpass_sim::Restore for CreditFeedback {
-    fn restore(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.max_rate = r.f64()?;
-        self.cur_rate = r.f64()?;
-        self.w = r.f64()?;
-        self.prev_increasing = r.bool()?;
-        Ok(())
+impl CreditFeedback {
+    /// Snapshot traversal. `max_rate` is included even though it derives
+    /// from the host link speed: restoring overlays it onto a
+    /// placeholder-constructed controller, so the snapshot must be
+    /// self-contained.
+    pub fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.f64(&mut self.max_rate)?;
+        io.f64(&mut self.cur_rate)?;
+        io.f64(&mut self.w)?;
+        io.bool(&mut self.prev_increasing)
     }
 }
 

@@ -20,15 +20,14 @@
 //! [`FlowId`] is its slot index, so an id — or a timer event naming one —
 //! can never come to address another flow.
 //!
-//! The arena owns its wire format ([`FlowArena::snap`] /
-//! [`FlowArena::restore`]): a restore checks every flow the setup rebuilt
-//! against the snapshot's identity and rebuilds, from the factory, the
-//! flows added during the snapshotted run.
+//! The arena owns its wire format ([`FlowArena::persist`]): a restore
+//! checks every flow the setup rebuilt against the snapshot's identity and
+//! rebuilds, from the factory, the flows added during the snapshotted run.
 
 use crate::endpoint::{Endpoint, EndpointFactory, FlowInfo};
 use crate::ids::{FlowId, HostId, Side};
 use xpass_sim::event::{prefetch, prefetch_bytes, prefetch_obj, CACHE_LINE};
-use xpass_sim::snap::{SnapError, SnapReader, SnapWriter};
+use xpass_sim::snap::{SnapError, SnapIo};
 use xpass_sim::time::{Dur, SimTime};
 
 /// Flow is fully delivered.
@@ -253,67 +252,54 @@ impl FlowArena {
 
     // ---- snapshot / restore ------------------------------------------
 
-    /// Serialize every flow: its identity (so that a flow added during the
-    /// run can be rebuilt from the factory on restore), hot lanes, FCT and
-    /// both endpoints. No endpoint may be checked out.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.usize(self.slots.len());
-        for (i, s) in self.slots.iter().enumerate() {
-            w.u32(s.info.src.0);
-            w.u32(s.info.dst.0);
-            w.u64(s.info.size_bytes);
-            w.u64(s.info.start.0);
-            w.u8(s.info.class);
-            w.u64(self.rx_bytes[i]);
-            w.u8(self.flags[i]);
-            w.opt(s.fct.as_ref(), |w, d| w.u64(d.0));
-            w.u64(self.credits_sent[i]);
-            w.u64(self.credits_wasted[i]);
-            for ep in [&s.sender, &s.receiver] {
-                ep.as_ref()
-                    .expect("endpoint checked out during snapshot")
-                    .snap_state(w);
-            }
-        }
-    }
-
-    /// Overlay state written by [`snap`](Self::snap) onto the arena the
-    /// deterministic setup rebuilt. The flows the setup added must agree
-    /// with the snapshot on identity; the ones past them — added during
-    /// the snapshotted run — are rebuilt from `factory`.
-    pub fn restore(
+    /// Snapshot traversal of every flow: its identity (so that a flow
+    /// added during the run can be rebuilt from the factory on restore),
+    /// hot lanes, FCT and both endpoints. No endpoint may be checked out.
+    /// Reading overlays onto the arena the deterministic setup rebuilt:
+    /// the flows the setup added must agree with the snapshot on identity;
+    /// the ones past them — added during the snapshotted run — are rebuilt
+    /// from `factory`.
+    pub fn persist(
         &mut self,
-        r: &mut SnapReader<'_>,
+        io: &mut SnapIo<'_>,
         factory: &EndpointFactory,
     ) -> Result<(), SnapError> {
         let configured = self.slots.len();
-        let n = r.seq_len(1)?;
+        let n = io.seq_len(configured, 1)?;
         if n < configured {
-            return Err(r.err(format!(
+            return Err(io.err(format!(
                 "flow count mismatch: configuration has {configured}, snapshot has only {n}"
             )));
         }
         for i in 0..n {
-            r.within(i.to_string(), |r| self.restore_slot(r, i, factory))?;
+            io.within(i, |io| self.persist_slot(io, i, factory))?;
         }
         Ok(())
     }
 
-    /// One flow of [`restore`](Self::restore): slot `i`.
-    fn restore_slot(
+    /// One flow of [`persist`](Self::persist): slot `i`.
+    fn persist_slot(
         &mut self,
-        r: &mut SnapReader<'_>,
+        io: &mut SnapIo<'_>,
         i: usize,
         factory: &EndpointFactory,
     ) -> Result<(), SnapError> {
-        let info = FlowInfo {
-            id: FlowId(i as u32),
-            src: HostId(r.u32()?),
-            dst: HostId(r.u32()?),
-            size_bytes: r.u64()?,
-            start: SimTime(r.u64()?),
-            class: r.u8()?,
+        let mut info = match self.slots.get(i) {
+            Some(s) => s.info.clone(),
+            None => FlowInfo {
+                id: FlowId(i as u32),
+                src: HostId(0),
+                dst: HostId(0),
+                size_bytes: 0,
+                start: SimTime::ZERO,
+                class: 0,
+            },
         };
+        io.u32(&mut info.src.0)?;
+        io.u32(&mut info.dst.0)?;
+        io.u64(&mut info.size_bytes)?;
+        io.u64(&mut info.start.0)?;
+        io.u8(&mut info.class)?;
         if i == self.slots.len() {
             // No `FlowStart` is scheduled: the restored event queue holds
             // whatever remains of this flow's events.
@@ -322,21 +308,21 @@ impl FlowArena {
             self.push(info, sender, receiver);
         } else if self.slots[i].info != info {
             let have = &self.slots[i].info;
-            return Err(r.err(format!(
+            return Err(io.err(format!(
                 "flow identity mismatch: configuration has {} → {} ({} B), \
                  snapshot has {} → {} ({} B)",
                 have.src, have.dst, have.size_bytes, info.src, info.dst, info.size_bytes
             )));
         }
-        self.rx_bytes[i] = r.u64()?;
-        self.flags[i] = r.u8()?;
-        self.slots[i].fct = r.opt(|r| r.u64())?.map(Dur);
-        self.credits_sent[i] = r.u64()?;
-        self.credits_wasted[i] = r.u64()?;
+        io.u64(&mut self.rx_bytes[i])?;
+        io.u8(&mut self.flags[i])?;
+        io.opt(&mut self.slots[i].fct, |io, d| io.u64(&mut d.0))?;
+        io.u64(&mut self.credits_sent[i])?;
+        io.u64(&mut self.credits_wasted[i])?;
         let s = &mut self.slots[i];
         for (side, ep) in [("sender", &mut s.sender), ("receiver", &mut s.receiver)] {
-            let ep = ep.as_mut().expect("endpoint checked out during restore");
-            r.within(side, |r| ep.restore_state(r))?;
+            let ep = ep.as_mut().expect("endpoint checked out during snapshot");
+            io.within(side, |io| ep.persist(io))?;
         }
         Ok(())
     }
@@ -346,6 +332,7 @@ impl FlowArena {
 mod tests {
     use super::*;
     use std::any::Any;
+    use xpass_sim::snap::{SnapReader, SnapWriter};
 
     /// An endpoint whose whole state is one counter.
     struct Counter(u64);
@@ -357,15 +344,8 @@ mod tests {
         fn as_any(&mut self) -> &mut dyn Any {
             self
         }
-        fn snap_state(&self, w: &mut xpass_sim::SnapWriter) {
-            w.u64(self.0);
-        }
-        fn restore_state(
-            &mut self,
-            r: &mut xpass_sim::SnapReader,
-        ) -> Result<(), xpass_sim::SnapError> {
-            self.0 = r.u64()?;
-            Ok(())
+        fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+            io.u64(&mut self.0)
         }
     }
 
@@ -427,9 +407,10 @@ mod tests {
         assert!(!a.is_done(f) && !a.is_aborted(f));
     }
 
-    fn snap_bytes(a: &FlowArena) -> Vec<u8> {
+    fn snap_bytes(a: &mut FlowArena) -> Vec<u8> {
+        let factory: EndpointFactory = Box::new(|_, _| Box::new(Counter(0)));
         let mut w = SnapWriter::new();
-        a.snap(&mut w);
+        a.persist(&mut SnapIo::Write(&mut w), &factory).unwrap();
         w.into_body()
     }
 
@@ -437,8 +418,9 @@ mod tests {
         let factory: EndpointFactory = Box::new(|_, _| Box::new(Counter(0)));
         let mut r = SnapReader::new(bytes, 0);
         r.enter("flows");
-        a.restore(&mut r, &factory)?;
-        r.expect_end()
+        let mut io = SnapIo::Read(r);
+        a.persist(&mut io, &factory)?;
+        io.expect_end()
     }
 
     fn counter(a: &mut FlowArena, f: FlowId, side: Side) -> u64 {
@@ -470,12 +452,12 @@ mod tests {
         a.set_fct(done, Dur::us(7));
         set_counter(&mut a, added, Side::Sender, 11);
         set_counter(&mut a, done, Side::Receiver, 12);
-        let bytes = snap_bytes(&a);
+        let bytes = snap_bytes(&mut a);
 
         let mut b = FlowArena::new();
         add(&mut b);
         restore(&mut b, &bytes).unwrap();
-        assert_eq!(snap_bytes(&b), bytes);
+        assert_eq!(snap_bytes(&mut b), bytes);
         assert_eq!(b.slot_count(), 3);
         for f in a.ids() {
             assert_eq!(b.info(f), a.info(f));
@@ -496,7 +478,7 @@ mod tests {
     fn restore_refuses_fewer_flows_or_another_identity() {
         let mut a = FlowArena::new();
         add(&mut a);
-        let bytes = snap_bytes(&a);
+        let bytes = snap_bytes(&mut a);
 
         // The setup built two flows; the snapshot knows one.
         let mut b = FlowArena::new();

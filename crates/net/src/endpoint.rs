@@ -52,15 +52,12 @@ pub trait Endpoint {
     /// setting sender rates).
     fn as_any(&mut self) -> &mut dyn Any;
 
-    /// Serialize this endpoint's dynamic state into a checkpoint. Every
-    /// protocol must write *all* state that influences future behaviour —
-    /// a restored run must be byte-identical to an uninterrupted one.
-    fn snap_state(&self, w: &mut xpass_sim::SnapWriter);
-
-    /// Restore state written by [`snap_state`](Self::snap_state) into a
-    /// freshly constructed endpoint (the factory rebuilds configuration;
-    /// this overlays the dynamic fields).
-    fn restore_state(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError>;
+    /// Snapshot traversal of this endpoint's dynamic state. Every protocol
+    /// must persist *all* state that influences future behaviour — a
+    /// restored run must be byte-identical to an uninterrupted one. A read
+    /// overlays the dynamic fields onto a freshly constructed endpoint (the
+    /// factory rebuilds configuration).
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError>;
 }
 
 /// Constructor for protocol endpoints: called once per flow per side, when
@@ -265,16 +262,10 @@ impl TimerSlot {
     }
 }
 
-impl xpass_sim::Snapshot for TimerSlot {
-    fn snap(&self, w: &mut xpass_sim::SnapWriter) {
-        w.opt(self.armed.as_ref(), |w, g| w.u64(*g));
-    }
-}
-
-impl xpass_sim::Restore for TimerSlot {
-    fn restore(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.armed = r.opt(|r| r.u64())?;
-        Ok(())
+impl TimerSlot {
+    /// Snapshot traversal: the armed generation, if any.
+    pub fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.opt(&mut self.armed, |io, g| io.u64(g))
     }
 }
 
@@ -367,22 +358,13 @@ impl Deadline {
     }
 }
 
-impl xpass_sim::Snapshot for Deadline {
-    fn snap(&self, w: &mut xpass_sim::SnapWriter) {
-        w.u64(self.gen);
-        w.u64(self.expiry.0);
-        w.u64(self.seq);
-        w.u64(self.carrier);
-    }
-}
-
-impl xpass_sim::Restore for Deadline {
-    fn restore(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.gen = r.u64()?;
-        self.expiry = SimTime(r.u64()?);
-        self.seq = r.u64()?;
-        self.carrier = r.u64()?;
-        Ok(())
+impl Deadline {
+    /// Snapshot traversal, reserved position included.
+    pub fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.u64(&mut self.gen)?;
+        io.u64(&mut self.expiry.0)?;
+        io.u64(&mut self.seq)?;
+        io.u64(&mut self.carrier)
     }
 }
 
@@ -507,11 +489,7 @@ mod tests {
         fn as_any(&mut self) -> &mut dyn Any {
             self
         }
-        fn snap_state(&self, _w: &mut xpass_sim::SnapWriter) {}
-        fn restore_state(
-            &mut self,
-            _r: &mut xpass_sim::SnapReader,
-        ) -> Result<(), xpass_sim::SnapError> {
+        fn persist(&mut self, _io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
             Ok(())
         }
     }
@@ -524,11 +502,7 @@ mod tests {
         fn as_any(&mut self) -> &mut dyn Any {
             self
         }
-        fn snap_state(&self, _w: &mut xpass_sim::SnapWriter) {}
-        fn restore_state(
-            &mut self,
-            _r: &mut xpass_sim::SnapReader,
-        ) -> Result<(), xpass_sim::SnapError> {
+        fn persist(&mut self, _io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
             Ok(())
         }
     }

@@ -180,29 +180,18 @@ impl InvariantState {
     }
 }
 
-impl xpass_sim::Snapshot for InvariantState {
-    // The spec and switch-egress map are configuration; only the accumulated
-    // violation counters carry over. The report's `ledger` field is filled
-    // from the network's own ledger at report-build time, never here.
-    fn snap(&self, w: &mut xpass_sim::SnapWriter) {
-        w.u64(self.report.queue_violations);
-        w.opt(self.report.first_queue_violation.as_ref(), |w, t| {
-            w.u64(t.0)
-        });
-        w.u64(self.report.peak_switch_queue_bytes);
-        w.u64(self.report.loss_violations);
-        w.opt(self.report.first_loss.as_ref(), |w, t| w.u64(t.0));
-    }
-}
-
-impl xpass_sim::Restore for InvariantState {
-    fn restore(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.report.queue_violations = r.u64()?;
-        self.report.first_queue_violation = r.opt(|r| Ok(SimTime(r.u64()?)))?;
-        self.report.peak_switch_queue_bytes = r.u64()?;
-        self.report.loss_violations = r.u64()?;
-        self.report.first_loss = r.opt(|r| Ok(SimTime(r.u64()?)))?;
-        Ok(())
+impl InvariantState {
+    /// Snapshot traversal. The spec and switch-egress map are
+    /// configuration; only the accumulated violation counters carry over.
+    /// The report's `ledger` field is filled from the network's own ledger
+    /// at report-build time, never here.
+    pub fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        let r = &mut self.report;
+        io.u64(&mut r.queue_violations)?;
+        io.opt(&mut r.first_queue_violation, |io, t| io.u64(&mut t.0))?;
+        io.u64(&mut r.peak_switch_queue_bytes)?;
+        io.u64(&mut r.loss_violations)?;
+        io.opt(&mut r.first_loss, |io, t| io.u64(&mut t.0))
     }
 }
 

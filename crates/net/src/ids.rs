@@ -7,7 +7,7 @@
 use std::fmt;
 
 /// Index of a host (server) in the topology.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct HostId(pub u32);
 
 /// Index of a switch in the topology.
@@ -52,11 +52,11 @@ impl NodeId {
 
 /// Index of a *directed* link. A full-duplex cable is two directed links;
 /// the egress port (queues + transmitter) lives at the source end of each.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct DLinkId(pub u32);
 
 /// Index of a flow.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FlowId(pub u32);
 
 /// Which endpoint of a flow a packet or callback concerns.

@@ -132,18 +132,11 @@ impl Ledger {
     }
 }
 
-impl xpass_sim::Snapshot for LedgerEntry {
-    fn snap(&self, w: &mut xpass_sim::SnapWriter) {
-        w.u64(self.pkts);
-        w.u64(self.bytes);
-    }
-}
-
-impl xpass_sim::Restore for LedgerEntry {
-    fn restore(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.pkts = r.u64()?;
-        self.bytes = r.u64()?;
-        Ok(())
+impl LedgerEntry {
+    /// Snapshot traversal.
+    pub fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.u64(&mut self.pkts)?;
+        io.u64(&mut self.bytes)
     }
 }
 
@@ -151,20 +144,10 @@ impl xpass_sim::Restore for LedgerEntry {
 /// after them are measured, not carried.
 const RUNNING: usize = 6;
 
-impl xpass_sim::Snapshot for Ledger {
-    fn snap(&self, w: &mut xpass_sim::SnapWriter) {
-        for (_, e) in self.0.clone().fields().into_iter().take(RUNNING) {
-            e.snap(w);
-        }
-    }
-}
-
-impl xpass_sim::Restore for Ledger {
-    fn restore(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        for (_, e) in self.0.fields().into_iter().take(RUNNING) {
-            e.restore(r)?;
-        }
-        Ok(())
+impl Ledger {
+    /// Snapshot traversal of the running accounts.
+    pub fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        (self.0.fields().into_iter().take(RUNNING)).try_for_each(|(_, e)| e.persist(io))
     }
 }
 

@@ -41,7 +41,7 @@ use xpass_sim::event::EventQueue;
 use xpass_sim::profile::EngineReport;
 use xpass_sim::rng::Rng;
 use xpass_sim::run_ctx;
-use xpass_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use xpass_sim::snap::{SnapError, SnapIo, SnapWriter};
 use xpass_sim::stats::TimeSeries;
 use xpass_sim::time::{Dur, SimTime};
 use xpass_sim::trace::{TraceEvent, TraceSink};
@@ -56,6 +56,7 @@ use metrics::MetricsState;
 use sampler::Sampler;
 
 /// Simulation events.
+#[derive(Clone)]
 enum Ev {
     Arrive {
         dlink: DLinkId,
@@ -167,20 +168,10 @@ impl Counters {
     }
 }
 
-impl Snapshot for Counters {
-    fn snap(&self, w: &mut SnapWriter) {
-        for (_, v) in self.clone().fields() {
-            w.u64(*v);
-        }
-    }
-}
-
-impl Restore for Counters {
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        for (_, v) in self.fields() {
-            *v = r.u64()?;
-        }
-        Ok(())
+impl Counters {
+    /// Snapshot traversal: every counter, in declaration order.
+    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        self.fields().into_iter().try_for_each(|(_, v)| io.u64(v))
     }
 }
 
@@ -228,13 +219,11 @@ pub trait Controller {
     fn on_flow_start(&mut self, _net: &mut Network, _flow: FlowId) {}
     /// A flow just delivered its last byte.
     fn on_flow_complete(&mut self, _net: &mut Network, _flow: FlowId) {}
-    /// Serialize mutable controller state into a snapshot (see
-    /// [`crate::network::Network::snapshot_into`]). Stateless controllers
-    /// keep the no-op default.
-    fn snap_ctl(&self, _w: &mut xpass_sim::SnapWriter) {}
-    /// Counterpart of [`snap_ctl`](Self::snap_ctl): overlay snapshot state
-    /// onto a freshly constructed controller.
-    fn restore_ctl(&mut self, _r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
+    /// Snapshot traversal of mutable controller state (see
+    /// [`crate::network::Network::snapshot_into`]); a read overlays it onto
+    /// a freshly constructed controller. Stateless controllers keep the
+    /// no-op default.
+    fn persist(&mut self, _io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
         Ok(())
     }
 }
@@ -1618,12 +1607,7 @@ mod tests {
             self
         }
 
-        fn snap_state(&self, _w: &mut xpass_sim::SnapWriter) {}
-
-        fn restore_state(
-            &mut self,
-            _r: &mut xpass_sim::SnapReader,
-        ) -> Result<(), xpass_sim::SnapError> {
+        fn persist(&mut self, _io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
             Ok(())
         }
     }
@@ -1738,11 +1722,7 @@ mod tests {
             fn as_any(&mut self) -> &mut dyn Any {
                 self
             }
-            fn snap_state(&self, _w: &mut xpass_sim::SnapWriter) {}
-            fn restore_state(
-                &mut self,
-                _r: &mut xpass_sim::SnapReader,
-            ) -> Result<(), xpass_sim::SnapError> {
+            fn persist(&mut self, _io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
                 Ok(())
             }
         }

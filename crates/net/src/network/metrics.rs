@@ -35,7 +35,7 @@ use xpass_sim::metrics::{
     PUBLISH_EVERY, RING_CAP,
 };
 use xpass_sim::profile::EngineReport;
-use xpass_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use xpass_sim::snap::{SnapError, SnapIo};
 use xpass_sim::time::SimTime;
 
 /// Fixed FCT histogram bucket bounds, in seconds.
@@ -435,49 +435,35 @@ impl MetricsState {
         })
     }
 
-    pub(super) fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.next.0);
-        w.bool(self.families_done);
-        w.u64(self.progress_next.0);
-        w.seq(&self.last_tx, |w, b| w.u64(*b));
-        self.reg.snap(w);
-        self.ring.snap(w);
-    }
-
-    /// Overlay snapshot state. The sampled families are re-registered
+    /// Snapshot traversal. A read re-registers the sampled families
     /// against `net` first when the donor had passed its first boundary,
     /// so the series sets line up; mismatches surface as [`SnapError`]s.
-    pub(super) fn restore(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        net: &Network,
-    ) -> Result<(), SnapError> {
-        self.next = SimTime(r.u64()?);
-        let donor_families = r.bool()?;
-        self.progress_next = SimTime(r.u64()?);
-        if donor_families {
+    pub(super) fn persist(&mut self, io: &mut SnapIo, net: &Network) -> Result<(), SnapError> {
+        io.u64(&mut self.next.0)?;
+        let mut donor_families = self.families_done;
+        io.bool(&mut donor_families)?;
+        io.u64(&mut self.progress_next.0)?;
+        if io.reading() && donor_families {
             self.ensure_families(net);
         }
-        r.enter("last_tx");
-        let n = r.seq_len(8)?;
-        if donor_families && n != self.last_tx.len() {
-            return Err(r.err(format!(
-                "port count mismatch: configuration has {}, snapshot has {n}",
-                self.last_tx.len()
-            )));
-        }
-        let tx = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
-        if donor_families {
-            self.last_tx = tx;
-        }
-        r.leave();
-        r.enter("registry");
-        self.reg.restore(r)?;
-        r.leave();
-        r.enter("ring");
-        self.ring.restore(r)?;
-        r.leave();
-        Ok(())
+        io.within("last_tx", |io| {
+            let n = io.seq_len(self.last_tx.len(), 8)?;
+            if donor_families && n != self.last_tx.len() {
+                return Err(io.err(format!(
+                    "port count mismatch: configuration has {}, snapshot has {n}",
+                    self.last_tx.len()
+                )));
+            }
+            if donor_families || !io.reading() {
+                self.last_tx.iter_mut().try_for_each(|b| io.u64(b))
+            } else {
+                // The setup's families are not registered yet: the donor's
+                // counts have nothing to overlay.
+                (0..n).try_for_each(|_| io.u64(&mut 0))
+            }
+        })?;
+        io.within("registry", |io| self.reg.persist(io))?;
+        io.within("ring", |io| self.ring.persist(io))
     }
 }
 

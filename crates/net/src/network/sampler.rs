@@ -25,7 +25,7 @@ use super::Network;
 use crate::ids::{DLinkId, FlowId};
 use std::collections::BTreeMap;
 use xpass_sim::event::EventQueue;
-use xpass_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use xpass_sim::snap::{SnapError, SnapIo};
 use xpass_sim::stats::TimeSeries;
 use xpass_sim::time::{Dur, SimTime};
 
@@ -240,66 +240,50 @@ impl Network {
     }
 }
 
-fn snap_series(w: &mut SnapWriter, series: &BTreeMap<u32, TimeSeries>) {
-    w.usize(series.len());
-    for (k, s) in series {
-        w.u32(*k);
-        s.snap(w);
-    }
-}
-
-/// Every series of the snapshot must be one the setup tracked too.
-fn restore_series(
-    r: &mut SnapReader<'_>,
+/// The series of one kind: every series of the snapshot must be one the
+/// setup tracked too.
+fn persist_series(
+    io: &mut SnapIo,
     what: &str,
     series: &mut BTreeMap<u32, TimeSeries>,
 ) -> Result<(), SnapError> {
-    for _ in 0..r.seq_len(4)? {
-        let k = r.u32()?;
+    let keys: Vec<u32> = series.keys().copied().collect();
+    for i in 0..io.seq_len(keys.len(), 4)? {
+        let mut k = keys.get(i).copied().unwrap_or_default();
+        io.u32(&mut k)?;
         match series.get_mut(&k) {
-            Some(s) => s.restore(r)?,
-            None => return Err(r.err(format!("tracked {what} {k} not in configuration"))),
+            Some(s) => s.persist(io)?,
+            None => return Err(io.err(format!("tracked {what} {k} not in configuration"))),
         }
     }
     Ok(())
 }
 
-/// The series half; the metrics state has its own `metrics` section, and
-/// the network re-arms [`Sampler::next_due`] once both are restored.
-impl Snapshot for Sampler {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.opt(self.interval.as_ref(), |w, d| w.u64(d.0));
-        // `opt(None)` is the byte v2 wrote for "no sample event queued".
-        w.opt(self.pending.as_ref(), |w, (t, seq)| {
-            w.u64(t.0);
-            w.u64(*seq);
-        });
-        w.seq(&self.flows, |w, (f, last)| {
-            w.u32(f.0);
-            w.u64(*last);
-        });
-        snap_series(w, &self.flow_series);
-        snap_series(w, &self.port_series);
-    }
-}
-
-impl Restore for Sampler {
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.interval = r.opt(|r| r.u64())?.map(Dur);
-        self.pending = r.opt(|r| Ok((SimTime(r.u64()?), r.u64()?)))?;
+impl Sampler {
+    /// Snapshot traversal of the series half; the metrics state has its
+    /// own `metrics` section, and the network re-arms
+    /// [`Sampler::next_due`] once both are restored.
+    pub(super) fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        io.opt(&mut self.interval, |io, d| io.u64(&mut d.0))?;
+        // `None` is the byte v2 wrote for "no sample event queued".
+        io.opt(&mut self.pending, |io, (t, seq)| {
+            io.u64(&mut t.0)?;
+            io.u64(seq)
+        })?;
         if self.pending.is_some() && self.interval.is_none() {
-            return Err(r.err("a series point is pending without an interval"));
+            return Err(io.err("a series point is pending without an interval"));
         }
-        self.flows = r.within("tracked_flows", |r| {
-            (0..r.seq_len(12)?)
-                .map(|_| Ok((FlowId(r.u32()?), r.u64()?)))
-                .collect()
+        io.within("tracked_flows", |io| {
+            io.seq(&mut self.flows, 12, |io, (f, last)| {
+                io.u32(&mut f.0)?;
+                io.u64(last)
+            })
         })?;
-        r.within("flow_series", |r| {
-            restore_series(r, "flow", &mut self.flow_series)
+        io.within("flow_series", |io| {
+            persist_series(io, "flow", &mut self.flow_series)
         })?;
-        r.within("port_series", |r| {
-            restore_series(r, "port", &mut self.port_series)
+        io.within("port_series", |io| {
+            persist_series(io, "port", &mut self.port_series)
         })
     }
 }

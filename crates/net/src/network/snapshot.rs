@@ -1,35 +1,69 @@
 //! Snapshot and restore of a [`Network`] (DESIGN.md §12). A layer's wire
 //! format is private to the layer — the event queue, the arena, the timer
-//! generations, each port and each probe write and read their own bytes — so
+//! generations, each port and each probe persist their own bytes — so
 //! what lives here is only what no layer can know: the order of the
-//! sections, and the codec of the two payload types the network defines
-//! itself, [`Ev`] and [`Pending`].
+//! sections, the traversal of the two payload types the network defines
+//! itself, [`Ev`] and [`Pending`], and the range check of the ids they
+//! carry.
 
 use super::{Ev, Network, Pending};
 use crate::faults::FaultKind;
 use crate::ids::{DLinkId, FlowId, HostId, Side};
 use crate::packet::Packet;
-use xpass_sim::event::EventQueue;
-use xpass_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
-use xpass_sim::time::SimTime;
+use xpass_sim::snap::{SnapError, SnapIo, SnapReader, SnapWriter};
+
+/// The blank a restored event is read onto.
+impl Default for Ev {
+    fn default() -> Ev {
+        Ev::PortWake {
+            dlink: DLinkId::default(),
+        }
+    }
+}
 
 impl Ev {
-    /// Serialize one queued event (tag + payload).
-    fn snap(&self, w: &mut SnapWriter) {
+    /// Snapshot traversal of one queued event: the tag, then the variant's
+    /// fields in place — a read first replaces `self` with the tag's blank
+    /// variant.
+    fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        let mut tag = match self {
+            Ev::Arrive { .. } => 0,
+            Ev::PortWake { .. } => 1,
+            Ev::HostRx { .. } => 2,
+            Ev::Timer { .. } => 3,
+            Ev::FlowStart { .. } => 4,
+            Ev::RcpUpdate { .. } => 5,
+            Ev::Fault { .. } => 7,
+        };
+        io.u8(&mut tag)?;
+        if io.reading() {
+            let (dlink, flow, pkt) = Default::default();
+            *self = match tag {
+                0 => Ev::Arrive { dlink, pkt },
+                1 => Ev::PortWake { dlink },
+                2 => Ev::HostRx { pkt },
+                3 => Ev::Timer {
+                    flow,
+                    host: HostId::default(),
+                    side: Side::Sender,
+                    kind: 0,
+                    gen: 0,
+                },
+                4 => Ev::FlowStart { flow },
+                5 => Ev::RcpUpdate { dlink },
+                7 => Ev::Fault {
+                    kind: FaultKind::LinkUp { dlink },
+                },
+                t => return Err(io.err(format!("invalid event tag: expected 0–5 or 7, found {t}"))),
+            };
+        }
         match self {
             Ev::Arrive { dlink, pkt } => {
-                w.u8(0);
-                w.u32(dlink.0);
-                pkt.snap(w);
+                io.u32(&mut dlink.0)?;
+                pkt.persist(io)
             }
-            Ev::PortWake { dlink } => {
-                w.u8(1);
-                w.u32(dlink.0);
-            }
-            Ev::HostRx { pkt } => {
-                w.u8(2);
-                pkt.snap(w);
-            }
+            Ev::PortWake { dlink } | Ev::RcpUpdate { dlink } => io.u32(&mut dlink.0),
+            Ev::HostRx { pkt } => pkt.persist(io),
             Ev::Timer {
                 flow,
                 host,
@@ -37,95 +71,63 @@ impl Ev {
                 kind,
                 gen,
             } => {
-                w.u8(3);
-                w.u32(flow.0);
-                w.u32(host.0);
-                w.bool(matches!(side, Side::Sender));
-                w.u8(*kind);
-                w.u64(*gen);
+                io.u32(&mut flow.0)?;
+                io.u32(&mut host.0)?;
+                let mut sender = *side == Side::Sender;
+                io.bool(&mut sender)?;
+                *side = if sender { Side::Sender } else { Side::Receiver };
+                io.u8(kind)?;
+                io.u64(gen)
             }
-            Ev::FlowStart { flow } => {
-                w.u8(4);
-                w.u32(flow.0);
-            }
-            Ev::RcpUpdate { dlink } => {
-                w.u8(5);
-                w.u32(dlink.0);
-            }
-            Ev::Fault { kind } => {
-                w.u8(7);
-                kind.snap(w);
-            }
+            Ev::FlowStart { flow } => io.u32(&mut flow.0),
+            Ev::Fault { kind } => kind.persist(io),
         }
     }
+}
 
-    /// Counterpart of [`snap`](Self::snap).
-    fn from_snap(r: &mut SnapReader) -> Result<Ev, SnapError> {
-        Ok(match r.u8()? {
-            0 => Ev::Arrive {
-                dlink: DLinkId(r.u32()?),
-                pkt: Packet::from_snap(r)?,
-            },
-            1 => Ev::PortWake {
-                dlink: DLinkId(r.u32()?),
-            },
-            2 => Ev::HostRx {
-                pkt: Packet::from_snap(r)?,
-            },
-            3 => Ev::Timer {
-                flow: FlowId(r.u32()?),
-                host: HostId(r.u32()?),
-                side: if r.bool()? {
-                    Side::Sender
-                } else {
-                    Side::Receiver
-                },
-                kind: r.u8()?,
-                gen: r.u64()?,
-            },
-            4 => Ev::FlowStart {
-                flow: FlowId(r.u32()?),
-            },
-            5 => Ev::RcpUpdate {
-                dlink: DLinkId(r.u32()?),
-            },
-            7 => Ev::Fault {
-                kind: FaultKind::from_snap(r)?,
-            },
-            t => return Err(r.err(format!("invalid event tag: expected 0–5 or 7, found {t}"))),
-        })
+/// The blank a restored note is read onto.
+impl Default for Pending {
+    fn default() -> Pending {
+        Pending::Started(Default::default())
     }
 }
 
 impl Pending {
-    fn snap(&self, w: &mut SnapWriter) {
-        let (tag, flow) = match self {
+    /// Snapshot traversal: the tag, then the flow.
+    fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        let (mut tag, mut flow) = match *self {
             Pending::Started(f) => (0, f),
             Pending::Completed(f) => (1, f),
         };
-        w.u8(tag);
-        w.u32(flow.0);
-    }
-
-    fn from_snap(r: &mut SnapReader) -> Result<Pending, SnapError> {
-        let (tag, flow) = (r.u8()?, FlowId(r.u32()?));
-        match tag {
-            0 => Ok(Pending::Started(flow)),
-            1 => Ok(Pending::Completed(flow)),
-            t => Err(r.err(format!("invalid pending tag: expected 0 or 1, found {t}"))),
-        }
+        io.u8(&mut tag)?;
+        io.u32(&mut flow.0)?;
+        *self = match tag {
+            0 => Pending::Started(flow),
+            1 => Pending::Completed(flow),
+            t => return Err(io.err(format!("invalid pending tag: expected 0 or 1, found {t}"))),
+        };
+        Ok(())
     }
 }
 
 /// The section of an optional subsystem: the snapshot must carry it exactly
 /// when the setup installed one.
 fn optional<T: ?Sized>(
-    r: &mut SnapReader<'_>,
+    io: &mut SnapIo,
     name: &str,
     installed: Option<&mut T>,
-    restore: impl FnOnce(&mut T, &mut SnapReader<'_>) -> Result<(), SnapError>,
+    f: impl FnOnce(&mut SnapIo, &mut T) -> Result<(), SnapError>,
 ) -> Result<(), SnapError> {
-    r.within(name, |r| r.opt_onto(name, installed, restore))
+    io.within(name, |io| io.opt_onto(name, installed, f))
+}
+
+/// `Err` naming `id` unless it indexes one of the network's `n` `what`s.
+fn in_range(what: &str, id: u32, n: usize) -> Result<(), String> {
+    if (id as usize) < n {
+        Ok(())
+    } else {
+        Err(format!("{what} id {id} out of range: the network has {n}"))
+    }
 }
 
 impl Network {
@@ -137,89 +139,146 @@ impl Network {
     /// all of it. Wall-clock state (`wall_secs`) and the trace sink are
     /// deliberately excluded: restores happen at a different wall time by
     /// definition, and trace sinks are external observers re-attached by
-    /// the driver. Read-only: the event queue is laid out after the
-    /// snapshot exactly as before it.
-    pub fn snapshot_into(&self, w: &mut SnapWriter) {
-        w.u64(self.now.0);
-        self.events.snap(w, |w, ev| ev.snap(w));
-        self.rng.snap(w);
-        w.seq(&self.ports, |w, p| p.snap(w));
-        self.arena.snap(w);
-        self.timers.snap(w);
-        w.seq(&self.pending, |w, p| p.snap(w));
-        w.usize(self.completed);
-        w.usize(self.aborted);
-        w.opt(self.controller.as_ref(), |w, c| c.snap_ctl(w));
-        w.opt(self.faults.as_ref(), |w, st| st.snap(w));
-        w.opt(self.invariants.as_ref(), |w, st| st.snap(w));
-        w.opt(self.ledger.as_ref(), |w, l| l.snap(w));
-        w.opt(self.watchdog.as_ref(), |w, wd| wd.snap(w));
-        for c in &self.ev_counts {
-            w.u64(*c);
-        }
-        self.counters.snap(w);
-        self.sampler.snap(w);
-        // Metrics state rides along so a resumed run emits exactly the
-        // series an uninterrupted one would (same boundaries, same ring).
-        w.opt(self.sampler.metrics.as_deref(), |w, m| m.snap(w));
+    /// the driver. Writing changes nothing: the network continues exactly
+    /// as if no snapshot had been taken.
+    pub fn snapshot_into(&mut self, w: &mut SnapWriter) {
+        self.persist(&mut SnapIo::Write(w))
+            .expect("writing a snapshot cannot fail");
     }
 
     /// Overlay a snapshot body written by [`snapshot_into`](Self::snapshot_into)
     /// onto this freshly built network. The network must have been rebuilt
     /// by the same deterministic setup (same topology, config, flows,
-    /// installed monitors) that preceded the snapshot; mismatches are
+    /// installed monitors) that preceded the snapshot; mismatches — and
+    /// ids naming a link, host or flow the network does not have — are
     /// reported as [`SnapError`]s whose path names the section
     /// (`network.timers.host_gen`, `network.flows.3.sender`), never a panic.
     pub fn restore_from(&mut self, body: &[u8]) -> Result<(), SnapError> {
-        let r = &mut SnapReader::new(body, 0);
-        r.enter("network");
-        self.now = r.within("now", |r| r.u64().map(SimTime))?;
-        // Whatever deterministic setup scheduled is superseded wholesale by
-        // the snapshot's queue (which evolved from exactly those events).
-        let kind = self.events.scheduler();
-        self.events = r.within("events", |r| EventQueue::restore(kind, r, Ev::from_snap))?;
-        r.within("rng", |r| self.rng.restore(r))?;
-        r.within("ports", |r| {
-            r.seq_len_of("port", self.ports.len(), 1)?;
-            (self.ports.iter_mut().enumerate())
-                .try_for_each(|(i, p)| r.within(i.to_string(), |r| p.restore(r)))
-        })?;
-        r.within("flows", |r| self.arena.restore(r, &self.factory))?;
-        r.within("timers", |r| self.timers.restore(r))?;
-        self.pending = r.within("pending", |r| {
-            (0..r.seq_len(5)?).map(|_| Pending::from_snap(r)).collect()
-        })?;
-        (self.completed, self.aborted) = r.within("settled", |r| Ok((r.usize()?, r.usize()?)))?;
-        optional(r, "controller", self.controller.as_mut(), |c, r| {
-            c.restore_ctl(r)
-        })?;
-        optional(r, "faults", self.faults.as_mut(), |st, r| {
-            st.restore(r, &self.topo)
-        })?;
-        optional(r, "invariants", self.invariants.as_mut(), |st, r| {
-            st.restore(r)
-        })?;
-        optional(r, "ledger", self.ledger.as_mut(), |l, r| l.restore(r))?;
-        optional(r, "watchdog", self.watchdog.as_mut(), |wd, r| wd.restore(r))?;
-        r.within("counters", |r| {
-            for c in &mut self.ev_counts {
-                *c = r.u64()?;
+        self.persist(&mut SnapIo::Read(SnapReader::new(body, 0)))
+    }
+
+    /// The one traversal behind [`snapshot_into`](Self::snapshot_into) and
+    /// [`restore_from`](Self::restore_from).
+    fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        io.within("network", |io| {
+            io.within("now", |io| io.u64(&mut self.now.0))?;
+            // A read supersedes whatever deterministic setup scheduled with
+            // the snapshot's queue (which evolved from exactly those events).
+            io.within("events", |io| {
+                self.events.persist(io, |io, ev| ev.persist(io))
+            })?;
+            io.within("rng", |io| self.rng.persist(io))?;
+            io.within("ports", |io| {
+                io.seq_len_of("port", self.ports.len(), 1)?;
+                (self.ports.iter_mut().enumerate())
+                    .try_for_each(|(i, p)| io.within(i, |io| p.persist(io)))
+            })?;
+            io.within("flows", |io| self.arena.persist(io, &self.factory))?;
+            io.within("timers", |io| self.timers.persist(io))?;
+            io.within("pending", |io| {
+                io.seq(&mut self.pending, 5, |io, p: &mut Pending| p.persist(io))
+            })?;
+            io.within("settled", |io| {
+                io.usize(&mut self.completed)?;
+                io.usize(&mut self.aborted)
+            })?;
+            optional(io, "controller", self.controller.as_mut(), |io, c| {
+                c.persist(io)
+            })?;
+            optional(io, "faults", self.faults.as_mut(), |io, st| {
+                st.persist(io, &self.topo)
+            })?;
+            optional(io, "invariants", self.invariants.as_mut(), |io, st| {
+                st.persist(io)
+            })?;
+            optional(io, "ledger", self.ledger.as_mut(), |io, l| l.persist(io))?;
+            optional(io, "watchdog", self.watchdog.as_mut(), |io, wd| {
+                wd.persist(io)
+            })?;
+            io.within("counters", |io| {
+                self.ev_counts.iter_mut().try_for_each(|c| io.u64(c))?;
+                self.counters.persist(io)
+            })?;
+            io.within("sampler", |io| self.sampler.persist(io))?;
+            // Metrics state rides along so a resumed run emits exactly the
+            // series an uninterrupted one would (same boundaries, same
+            // ring). Taken out so a read can re-register the sampled
+            // families against `&self` without aliasing.
+            let mut m = self.sampler.metrics.take();
+            let net = &*self;
+            let persisted = optional(io, "metrics", m.as_deref_mut(), |io, m| m.persist(io, net));
+            self.sampler.metrics = m;
+            if io.reading() {
+                self.sampler.rearm();
             }
-            self.counters.restore(r)
-        })?;
-        r.within("sampler", |r| self.sampler.restore(r))?;
-        // Taken out so the restore can re-register the sampled families
-        // against `&self` without aliasing.
-        let mut m = self.sampler.metrics.take();
-        let net = &*self;
-        let restored = optional(r, "metrics", m.as_deref_mut(), |m, r| m.restore(r, net));
-        self.sampler.metrics = m;
-        self.sampler.rearm();
-        restored?;
-        // Still inside the "network" context: a trailing-garbage error must
-        // name where it was detected.
-        r.expect_end()?;
-        r.leave();
+            persisted?;
+            if io.reading() {
+                self.refuse_ids_out_of_range(io)?;
+            }
+            // Still inside the "network" context: a trailing-garbage error
+            // must name where it was detected.
+            io.expect_end()
+        })
+    }
+
+    /// After a read: every id the run would index by must name one of this
+    /// network's links, hosts or flows — the links of queued events, the
+    /// hosts of queued, in-flight and stashed packets, timers and flows,
+    /// and the flows of flow starts, timers, pending notes and stashed
+    /// packets (re-emitting one counts its credits against its flow). A
+    /// packet in flight may belong to no flow: delivery drops it. The
+    /// error names the section the id came from.
+    fn refuse_ids_out_of_range(&self, io: &mut SnapIo) -> Result<(), SnapError> {
+        let (links, hosts) = (self.ports.len(), self.topo.n_hosts);
+        let flows = self.arena.slot_count();
+        let link = |d: &DLinkId| in_range("link", d.0, links);
+        let host = |h: &HostId| in_range("host", h.0, hosts);
+        let flow = |f: &FlowId| in_range("flow", f.0, flows);
+        let packet = |p: &Packet| host(&p.src).and_then(|_| host(&p.dst));
+        let events = self.events.payloads().try_for_each(|ev| match ev {
+            Ev::Arrive { dlink, pkt } => link(dlink).and_then(|_| packet(pkt)),
+            Ev::PortWake { dlink } | Ev::RcpUpdate { dlink } => link(dlink),
+            Ev::HostRx { pkt } => packet(pkt),
+            Ev::Timer {
+                flow: f, host: h, ..
+            } => flow(f).and_then(|_| host(h)),
+            Ev::FlowStart { flow: f } => flow(f),
+            Ev::Fault { kind } => match kind {
+                FaultKind::HostPause { host: h } | FaultKind::HostResume { host: h } => host(h),
+                FaultKind::LinkDown { dlink, .. }
+                | FaultKind::LinkUp { dlink }
+                | FaultKind::SetLoss { dlink, .. }
+                | FaultKind::SetCorrupt { dlink, .. } => link(dlink),
+            },
+        });
+        let ports = (self.ports.iter())
+            .flat_map(|p| {
+                p.data
+                    .packets()
+                    .chain(p.credit.iter().flat_map(|c| c.packets()))
+            })
+            .try_for_each(packet);
+        let flow_hosts = self.arena.ids().try_for_each(|f| {
+            let info = self.arena.info(f);
+            host(&info.src).and_then(|_| host(&info.dst))
+        });
+        let pending = self.pending.iter().try_for_each(|p| match p {
+            Pending::Started(f) | Pending::Completed(f) => flow(f),
+        });
+        let stashed = (self.faults.iter())
+            .flat_map(|st| st.stashed_packets())
+            .try_for_each(|p| flow(&p.flow).and_then(|_| packet(p)));
+        for (section, checked) in [
+            ("events", events),
+            ("ports", ports),
+            ("flows", flow_hosts),
+            ("pending", pending),
+            ("faults", stashed),
+        ] {
+            if let Err(msg) = checked {
+                return io.within(section, |io| Err(io.err(msg)));
+            }
+        }
         Ok(())
     }
 }

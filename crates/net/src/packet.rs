@@ -168,74 +168,44 @@ impl Packet {
 }
 
 impl PktKind {
-    fn snap_tag(self) -> u8 {
-        match self {
-            PktKind::Data => 0,
-            PktKind::Ack => 1,
-            PktKind::Credit => 2,
-            PktKind::Ctrl => 3,
-        }
-    }
-
-    fn from_snap_tag(tag: u8) -> Option<PktKind> {
-        match tag {
-            0 => Some(PktKind::Data),
-            1 => Some(PktKind::Ack),
-            2 => Some(PktKind::Credit),
-            3 => Some(PktKind::Ctrl),
-            _ => None,
-        }
+    /// Snapshot traversal: the kind as its declaration index.
+    fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        const KINDS: [PktKind; 4] = [PktKind::Data, PktKind::Ack, PktKind::Credit, PktKind::Ctrl];
+        let mut tag = *self as u8;
+        io.u8(&mut tag)?;
+        *self = *(KINDS.get(tag as usize))
+            .ok_or_else(|| io.err(format!("invalid packet kind: expected 0..=3, found {tag}")))?;
+        Ok(())
     }
 }
 
-impl xpass_sim::Snapshot for Packet {
-    fn snap(&self, w: &mut xpass_sim::SnapWriter) {
-        w.u32(self.flow.0);
-        w.u32(self.src.0);
-        w.u32(self.dst.0);
-        w.u32(self.size);
-        w.u8(self.kind.snap_tag());
-        w.bool(self.ecn);
-        w.u64(self.seq);
-        w.u64(self.ack);
-        w.u8(self.flag);
-        w.f64(self.rate);
-        w.u64(self.t_sent.0);
-        w.u64(self.t_echo.0);
-        w.u64(self.qdelay.0);
-        w.u64(self.rtt_est.0);
-        w.u32(self.payload);
-        w.u8(self.class);
-        w.u64(self.enq_t.0);
+/// The blank a restored packet is read onto.
+impl Default for Packet {
+    fn default() -> Packet {
+        Packet::new(FlowId(0), HostId(0), HostId(0), PktKind::Data, 0)
     }
 }
 
 impl Packet {
-    /// Deserialize a packet written by its [`Snapshot`](xpass_sim::Snapshot)
-    /// impl (packets in restored queues are built from scratch, not
-    /// overlaid).
-    pub fn from_snap(r: &mut xpass_sim::SnapReader) -> Result<Packet, xpass_sim::SnapError> {
-        let flow = FlowId(r.u32()?);
-        let src = HostId(r.u32()?);
-        let dst = HostId(r.u32()?);
-        let size = r.u32()?;
-        let tag = r.u8()?;
-        let kind = PktKind::from_snap_tag(tag)
-            .ok_or_else(|| r.err(format!("invalid packet kind: expected 0..=3, found {tag}")))?;
-        let mut p = Packet::new(flow, src, dst, kind, size);
-        p.ecn = r.bool()?;
-        p.seq = r.u64()?;
-        p.ack = r.u64()?;
-        p.flag = r.u8()?;
-        p.rate = r.f64()?;
-        p.t_sent = SimTime(r.u64()?);
-        p.t_echo = SimTime(r.u64()?);
-        p.qdelay = Dur(r.u64()?);
-        p.rtt_est = Dur(r.u64()?);
-        p.payload = r.u32()?;
-        p.class = r.u8()?;
-        p.enq_t = SimTime(r.u64()?);
-        Ok(p)
+    /// Snapshot traversal: every field.
+    pub fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.u32(&mut self.flow.0)?;
+        io.u32(&mut self.src.0)?;
+        io.u32(&mut self.dst.0)?;
+        io.u32(&mut self.size)?;
+        self.kind.persist(io)?;
+        io.bool(&mut self.ecn)?;
+        io.u64(&mut self.seq)?;
+        io.u64(&mut self.ack)?;
+        io.u8(&mut self.flag)?;
+        io.f64(&mut self.rate)?;
+        io.u64(&mut self.t_sent.0)?;
+        io.u64(&mut self.t_echo.0)?;
+        io.u64(&mut self.qdelay.0)?;
+        io.u64(&mut self.rtt_est.0)?;
+        io.u32(&mut self.payload)?;
+        io.u8(&mut self.class)?;
+        io.u64(&mut self.enq_t.0)
     }
 }
 

@@ -36,7 +36,7 @@ pub enum TxDecision {
 /// one that would find nothing to do; `Network::enqueue_at` queues it at
 /// exactly this position the moment that stops being true, and otherwise
 /// nothing ever does.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WakeSlot {
     /// When the wake fires.
     pub at: SimTime,
@@ -252,61 +252,38 @@ impl EgressPort {
     }
 }
 
-// Dynamic state only: dlink, speed and propagation delay are configuration
-// rebuilt by setup. Queue contents, the transmitter busy horizon, the pending
-// meter wake, the wake position held (queued or reserved), byte counters,
-// and the optional gap collector all carry over.
-impl xpass_sim::Snapshot for EgressPort {
-    fn snap(&self, w: &mut xpass_sim::SnapWriter) {
-        self.data.snap(w);
-        w.opt(self.credit.as_ref(), |w, cq| cq.snap(w));
-        w.opt(self.rcp.as_ref(), |w, rcp| rcp.snap(w));
-        w.u64(self.busy_until.0);
-        w.opt(self.token_wake.as_ref(), |w, (t, bytes)| {
-            w.u64(t.0);
-            w.u32(*bytes);
-        });
-        w.opt(self.wake.as_ref(), |w, s| {
-            w.u64(s.at.0);
-            w.u64(s.seq);
-            w.bool(s.queued);
-            w.bool(s.same_instant);
-        });
-        w.u64(self.tx_bytes);
-        w.u64(self.tx_data_bytes);
-        w.u64(self.tx_credit_bytes);
-        w.opt(self.credit_gaps.as_ref(), |w, (last, gaps)| {
-            w.u64(last.0);
-            gaps.snap(w);
-        });
-    }
-}
-
-impl xpass_sim::Restore for EgressPort {
-    fn restore(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.data.restore(r)?;
-        r.opt_onto("credit queue", self.credit.as_mut(), |cq, r| cq.restore(r))?;
-        r.opt_onto("rcp link state", self.rcp.as_mut(), |rcp, r| rcp.restore(r))?;
-        self.busy_until = SimTime(r.u64()?);
-        self.token_wake = r.opt(|r| Ok((SimTime(r.u64()?), r.u32()?)))?;
-        self.wake = r.opt(|r| {
-            Ok(WakeSlot {
-                at: SimTime(r.u64()?),
-                seq: r.u64()?,
-                queued: r.bool()?,
-                same_instant: r.bool()?,
-            })
+impl EgressPort {
+    /// Snapshot traversal of the dynamic state only: dlink, speed and
+    /// propagation delay are configuration rebuilt by setup. Queue
+    /// contents, the transmitter busy horizon, the pending meter wake, the
+    /// wake position held (queued or reserved), byte counters, and the
+    /// optional gap collector all carry over.
+    pub fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        self.data.persist(io)?;
+        io.opt_onto("credit queue", self.credit.as_mut(), |io, cq| {
+            cq.persist(io)
         })?;
-        self.tx_bytes = r.u64()?;
-        self.tx_data_bytes = r.u64()?;
-        self.tx_credit_bytes = r.u64()?;
-        self.credit_gaps = r.opt(|r| {
-            let last = SimTime(r.u64()?);
-            let mut gaps = xpass_sim::stats::Percentiles::new();
-            gaps.restore(r)?;
-            Ok((last, gaps))
+        io.opt_onto("rcp link state", self.rcp.as_mut(), |io, rcp| {
+            rcp.persist(io)
         })?;
-        Ok(())
+        io.u64(&mut self.busy_until.0)?;
+        io.opt(&mut self.token_wake, |io, (t, bytes)| {
+            io.u64(&mut t.0)?;
+            io.u32(bytes)
+        })?;
+        io.opt(&mut self.wake, |io, s| {
+            io.u64(&mut s.at.0)?;
+            io.u64(&mut s.seq)?;
+            io.bool(&mut s.queued)?;
+            io.bool(&mut s.same_instant)
+        })?;
+        io.u64(&mut self.tx_bytes)?;
+        io.u64(&mut self.tx_data_bytes)?;
+        io.u64(&mut self.tx_credit_bytes)?;
+        io.opt(&mut self.credit_gaps, |io, (last, gaps)| {
+            io.u64(&mut last.0)?;
+            gaps.persist(io)
+        })
     }
 }
 

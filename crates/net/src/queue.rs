@@ -454,99 +454,69 @@ impl CreditQueue {
     }
 }
 
-// --- Snapshot/restore -------------------------------------------------------
+// --- Snapshot traversal -----------------------------------------------------
 //
 // Queues capture queued packets, the credit meter and the data queue's
 // statistics; capacities, ECN thresholds, drop policies, and meter rates
 // are configuration rebuilt by setup.
 
-use xpass_sim::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use xpass_sim::snap::{SnapError, SnapIo};
 
-impl Snapshot for QueueStats {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.dropped);
-        self.occupancy.snap(w);
+impl QueueStats {
+    /// Snapshot traversal.
+    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        io.u64(&mut self.dropped)?;
+        self.occupancy.persist(io)
     }
 }
 
-impl Restore for QueueStats {
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.dropped = r.u64()?;
-        self.occupancy.restore(r)
+impl PhantomQueue {
+    /// Snapshot traversal.
+    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        io.u128(&mut self.vq_bits)?;
+        io.u64(&mut self.last.0)
     }
 }
 
-impl Snapshot for PhantomQueue {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u128(self.vq_bits);
-        w.u64(self.last.0);
-    }
-}
-
-impl Restore for PhantomQueue {
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.vq_bits = r.u128()?;
-        self.last = SimTime(r.u64()?);
-        Ok(())
-    }
-}
-
-impl Snapshot for DataQueue {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.usize(self.q.len());
-        for p in &self.q {
-            p.snap(w);
-        }
-        w.u64(self.len_bytes);
-        w.opt(self.phantom.as_ref(), |w, ph| ph.snap(w));
-        self.stats.snap(w);
-    }
-}
-
-impl Restore for DataQueue {
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.seq_len(8)?;
-        self.q = (0..n)
-            .map(|_| Packet::from_snap(r))
-            .collect::<Result<_, _>>()?;
-        self.len_bytes = r.u64()?;
-        let had_phantom = r.bool()?;
-        if had_phantom {
-            let ph = self
-                .phantom
-                .as_mut()
-                .ok_or_else(|| r.err("snapshot has a phantom queue, configuration does not"))?;
-            ph.restore(r)?;
-        } else if self.phantom.is_some() {
-            return Err(r.err("configuration has a phantom queue, snapshot does not"));
-        }
-        self.stats.restore(r)
-    }
-}
-
-impl Snapshot for CreditQueue {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.usize(self.qs.len());
-        for q in &self.qs {
-            w.usize(q.len());
-            for p in q {
-                p.snap(w);
+impl DataQueue {
+    /// Snapshot traversal.
+    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        io.seq(&mut self.q, 8, |io, p: &mut Packet| p.persist(io))?;
+        io.u64(&mut self.len_bytes)?;
+        let mut had_phantom = self.phantom.is_some();
+        io.bool(&mut had_phantom)?;
+        match (had_phantom, self.phantom.as_mut()) {
+            (true, Some(ph)) => ph.persist(io)?,
+            (false, None) => {}
+            (true, None) => {
+                return Err(io.err("snapshot has a phantom queue, configuration does not"))
+            }
+            (false, Some(_)) => {
+                return Err(io.err("configuration has a phantom queue, snapshot does not"))
             }
         }
-        self.bucket.snap(w);
+        self.stats.persist(io)
+    }
+
+    /// The queued packets, head first.
+    pub(crate) fn packets(&self) -> impl Iterator<Item = &Packet> {
+        self.q.iter()
     }
 }
 
-impl Restore for CreditQueue {
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        r.seq_len_of("credit class", self.qs.len(), 8)?;
+impl CreditQueue {
+    /// Snapshot traversal.
+    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        io.seq_len_of("credit class", self.qs.len(), 8)?;
         for q in &mut self.qs {
-            let n = r.seq_len(8)?;
-            *q = (0..n)
-                .map(|_| Packet::from_snap(r))
-                .collect::<Result<_, _>>()?;
+            io.seq(q, 8, |io, p: &mut Packet| p.persist(io))?;
         }
-        self.bucket.restore(r)
+        self.bucket.persist(io)
+    }
+
+    /// The queued credits of every class.
+    pub(crate) fn packets(&self) -> impl Iterator<Item = &Packet> {
+        self.qs.iter().flatten()
     }
 }
 

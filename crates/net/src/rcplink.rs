@@ -118,24 +118,15 @@ impl RcpLink {
     }
 }
 
-impl xpass_sim::Snapshot for RcpLink {
-    // Parameters and capacity are configuration; the advertised rate, RTT
-    // average, input-rate accumulator and update timestamp are dynamic.
-    fn snap(&self, w: &mut xpass_sim::SnapWriter) {
-        w.f64(self.rate_bps);
-        w.f64(self.avg_rtt);
-        w.u64(self.bytes_in);
-        w.u64(self.last_update.0);
-    }
-}
-
-impl xpass_sim::Restore for RcpLink {
-    fn restore(&mut self, r: &mut xpass_sim::SnapReader) -> Result<(), xpass_sim::SnapError> {
-        self.rate_bps = r.f64()?;
-        self.avg_rtt = r.f64()?;
-        self.bytes_in = r.u64()?;
-        self.last_update = SimTime(r.u64()?);
-        Ok(())
+impl RcpLink {
+    /// Snapshot traversal. Parameters and capacity are configuration; the
+    /// advertised rate, RTT average, input-rate accumulator and update
+    /// timestamp are dynamic.
+    pub fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
+        io.f64(&mut self.rate_bps)?;
+        io.f64(&mut self.avg_rtt)?;
+        io.u64(&mut self.bytes_in)?;
+        io.u64(&mut self.last_update.0)
     }
 }
 

@@ -13,7 +13,7 @@
 
 use crate::ids::HostId;
 use xpass_sim::time::SimTime;
-use xpass_sim::{SnapError, SnapReader, SnapWriter};
+use xpass_sim::{SnapError, SnapIo};
 
 /// Per-host timer generation counters. (The name is older than the
 /// removal of the occupancy wheel it once held; the benchmark imports it.)
@@ -45,21 +45,13 @@ impl TimerWheels {
     #[inline]
     pub fn fired(&mut self, _host: HostId, _gen: u64, _expiry: SimTime) {}
 
-    /// Serialize the counters: a generation minted after a resume must
-    /// differ from every one a restored endpoint may still hold.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.seq(&self.host_gen, |w, g| w.u64(*g));
-    }
-
-    /// Restore state written by [`snap`](Self::snap). The host count must
-    /// match the configured topology.
-    pub fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        r.within("host_gen", |r| {
-            r.seq_len_of("timer host", self.host_gen.len(), 8)?;
-            self.host_gen.iter_mut().try_for_each(|g| {
-                *g = r.u64()?;
-                Ok(())
-            })
+    /// Snapshot traversal of the counters: a generation minted after a
+    /// resume must differ from every one a restored endpoint may still
+    /// hold. The host count must match the configured topology.
+    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        io.within("host_gen", |io| {
+            io.seq_len_of("timer host", self.host_gen.len(), 8)?;
+            self.host_gen.iter_mut().try_for_each(|g| io.u64(g))
         })
     }
 }
@@ -67,6 +59,7 @@ impl TimerWheels {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xpass_sim::{SnapReader, SnapWriter};
 
     fn arm(w: &mut TimerWheels, host: u32) -> u64 {
         w.arm(HostId(host), SimTime::ZERO, SimTime::ZERO)
@@ -89,12 +82,12 @@ mod tests {
         let mut w = TimerWheels::new(3);
         let minted: Vec<(u32, u64)> = (0..20).map(|i| (i % 3, arm(&mut w, i % 3))).collect();
         let mut sw = SnapWriter::new();
-        w.snap(&mut sw);
+        w.persist(&mut SnapIo::Write(&mut sw)).unwrap();
         let body = sw.into_body();
 
         let mut twin = TimerWheels::new(3);
-        let mut r = SnapReader::new(&body, 0);
-        twin.restore(&mut r).unwrap();
+        let mut r = SnapIo::Read(SnapReader::new(&body, 0));
+        twin.persist(&mut r).unwrap();
         r.expect_end().unwrap();
         for h in 0..3 {
             let g = arm(&mut twin, h);
@@ -103,7 +96,7 @@ mod tests {
         }
 
         let e = TimerWheels::new(2)
-            .restore(&mut SnapReader::new(&body, 0))
+            .persist(&mut SnapIo::Read(SnapReader::new(&body, 0)))
             .unwrap_err();
         assert!(e.msg.contains("timer host count mismatch"), "{e}");
     }

@@ -103,20 +103,12 @@ impl TokenBucket {
     }
 }
 
-impl crate::snap::Snapshot for TokenBucket {
-    // Rate and capacity are configuration (rebuilt by setup); only the
-    // fill level and accrual timestamp are dynamic.
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.u128(self.level_bitps);
-        w.u64(self.last.0);
-    }
-}
-
-impl crate::snap::Restore for TokenBucket {
-    fn restore(&mut self, r: &mut crate::snap::SnapReader) -> Result<(), crate::snap::SnapError> {
-        self.level_bitps = r.u128()?;
-        self.last = SimTime(r.u64()?);
-        Ok(())
+impl TokenBucket {
+    /// Snapshot traversal. Rate and capacity are configuration (rebuilt by
+    /// setup); only the fill level and accrual timestamp are dynamic.
+    pub fn persist(&mut self, io: &mut crate::snap::SnapIo) -> Result<(), crate::snap::SnapError> {
+        io.u128(&mut self.level_bitps)?;
+        io.u64(&mut self.last.0)
     }
 }
 

@@ -310,6 +310,11 @@ impl<E> CalendarQueue<E> {
             .collect()
     }
 
+    /// Every queued payload, in slab order.
+    pub(crate) fn payloads(&self) -> impl Iterator<Item = &E> {
+        self.slab.iter().flatten()
+    }
+
     /// First occupied bucket index at or after `from`, if any.
     fn next_occupied(&self, from: usize) -> Option<usize> {
         let (mut w, bit) = (from / 64, from % 64);

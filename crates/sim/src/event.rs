@@ -35,14 +35,14 @@
 //! ([`EventQueue::with_capacity`]) and release excess memory whenever they
 //! drain completely, so a burst does not pin its peak allocation forever.
 //!
-//! The queue owns its wire format: [`EventQueue::snap`] and
-//! [`EventQueue::restore`] write and read every entry in `(time, seq)`
-//! order — the same bytes under either scheduler — plus the counters and
-//! the horizon, taking only the payload codec from the caller.
+//! The queue owns its wire format: [`EventQueue::persist`] writes and
+//! reads every entry in `(time, seq)` order — the same bytes under either
+//! scheduler — plus the counters and the horizon, taking only the payload
+//! traversal from the caller.
 
 use crate::calendar::CalendarQueue;
 use crate::run_ctx;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{SnapError, SnapIo};
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -396,6 +396,17 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Every queued payload, in no particular order.
+    pub fn payloads(&self) -> impl Iterator<Item = &E> {
+        let (heap, calendar) = match &self.imp {
+            Impl::Heap(h) => (Some(h.iter().map(|e| &e.event)), None),
+            Impl::Calendar(c) => (None, Some(c.payloads())),
+        };
+        heap.into_iter()
+            .flatten()
+            .chain(calendar.into_iter().flatten())
+    }
+
     /// Insert an entry with an **explicit** sequence number, bypassing the
     /// sequence counter and the peak/shrink bookkeeping.
     #[inline]
@@ -410,48 +421,51 @@ impl<E> EventQueue<E> {
         self.len += 1;
     }
 
-    /// Serialize the queue: every entry in `(time, seq)` order with its
-    /// payload written by `payload`, then the counters and the horizon —
-    /// identical bytes under either scheduler. Read-only: a run that
-    /// snapshots continues precisely like one that does not.
-    pub fn snap(&self, w: &mut SnapWriter, mut payload: impl FnMut(&mut SnapWriter, &E)) {
-        let entries = self.sorted_entries();
-        w.usize(entries.len());
-        for (at, seq, event) in entries {
-            w.u64(at.0);
-            w.u64(seq);
-            payload(w, event);
-        }
-        w.u64(self.seq);
-        w.u64(self.popped);
-        w.usize(self.peak);
-        // Which reserved positions are still ahead must survive a resume.
-        w.u64(self.horizon.0 .0);
-        w.u64(self.horizon.1);
-    }
-
-    /// Build a queue on scheduler `kind` from bytes written by
-    /// [`snap`](Self::snap), reading each payload with `payload`. The
-    /// queue is fresh, so its window rotates to the snapshot's earliest
+    /// Snapshot traversal: every entry in `(time, seq)` order with its
+    /// payload through `payload`, then the counters and the horizon —
+    /// identical bytes under either scheduler.
+    ///
+    /// The one traversal with two branches. Writing walks a sorted view of
+    /// the queue and hands `payload` a copy of one event at a time, leaving
+    /// the scheduler's layout exactly as it was, so a run that snapshots
+    /// continues precisely like one that does not; sharing one walk would
+    /// mean copying every entry first. Reading builds a fresh queue on the
+    /// same scheduler, so its window rotates to the snapshot's earliest
     /// event on the first pop exactly as a live queue's does, instead of
     /// inheriting a window some earlier drain left behind.
-    pub fn restore(
-        kind: SchedulerKind,
-        r: &mut SnapReader<'_>,
-        mut payload: impl FnMut(&mut SnapReader<'_>) -> Result<E, SnapError>,
-    ) -> Result<EventQueue<E>, SnapError> {
-        let mut q = EventQueue::with_scheduler(kind);
-        for _ in 0..r.seq_len(16)? {
-            let (at, seq) = (SimTime(r.u64()?), r.u64()?);
-            let event = payload(r)?;
-            q.restore_entry(at, seq, event);
+    pub fn persist(
+        &mut self,
+        io: &mut SnapIo,
+        mut payload: impl FnMut(&mut SnapIo, &mut E) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError>
+    where
+        E: Clone + Default,
+    {
+        let n = io.seq_len(self.len, 16)?;
+        if io.reading() {
+            let mut q = EventQueue::with_scheduler(self.scheduler());
+            for _ in 0..n {
+                let (mut at, mut seq, mut event) = (SimTime::ZERO, 0, E::default());
+                io.u64(&mut at.0)?;
+                io.u64(&mut seq)?;
+                payload(io, &mut event)?;
+                q.restore_entry(at, seq, event);
+            }
+            q.needs_shrink = q.len > q.initial_cap;
+            *self = q;
+        } else {
+            for (mut at, mut seq, event) in self.sorted_entries() {
+                io.u64(&mut at.0)?;
+                io.u64(&mut seq)?;
+                payload(io, &mut event.clone())?;
+            }
         }
-        q.seq = r.u64()?;
-        q.popped = r.u64()?;
-        q.peak = r.usize()?;
-        q.needs_shrink = q.len > q.initial_cap;
-        q.horizon = (SimTime(r.u64()?), r.u64()?);
-        Ok(q)
+        io.u64(&mut self.seq)?;
+        io.u64(&mut self.popped)?;
+        io.usize(&mut self.peak)?;
+        // Which reserved positions are still ahead must survive a resume.
+        io.u64(&mut self.horizon.0 .0)?;
+        io.u64(&mut self.horizon.1)
     }
 
     /// Release memory accumulated during a burst, back down to the initial
@@ -468,6 +482,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snap::{SnapReader, SnapWriter};
     use crate::time::Dur;
 
     const KINDS: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Calendar];
@@ -621,10 +636,23 @@ mod tests {
         q
     }
 
-    fn snap_bytes(q: &EventQueue<u64>) -> Vec<u8> {
+    fn snap_bytes(q: &mut EventQueue<u64>) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        q.snap(&mut w, |w, e| w.u64(*e));
+        q.persist(&mut SnapIo::Write(&mut w), |io, e| io.u64(e))
+            .unwrap();
         w.into_body()
+    }
+
+    /// A queue on scheduler `kind` restored from `bytes`; the reader is
+    /// returned for its end check.
+    fn restored(
+        kind: SchedulerKind,
+        bytes: &[u8],
+    ) -> Result<(EventQueue<u64>, SnapIo<'_>), SnapError> {
+        let mut q = EventQueue::with_scheduler(kind);
+        let mut io = SnapIo::Read(SnapReader::new(bytes, 0));
+        q.persist(&mut io, |io, e| io.u64(e))?;
+        Ok((q, io))
     }
 
     fn drain(mut q: EventQueue<u64>) -> Vec<(SimTime, u64)> {
@@ -634,9 +662,9 @@ mod tests {
     #[test]
     fn snap_bytes_agree_across_schedulers_and_leave_the_queue_alone() {
         let bytes = KINDS.map(|kind| {
-            let (plain, q) = (busy(kind), busy(kind));
+            let (plain, mut q) = (busy(kind), busy(kind));
             let before = (q.len(), q.peak_len(), q.capacity(), q.bucket_bits());
-            let bytes = snap_bytes(&q);
+            let bytes = snap_bytes(&mut q);
             assert_eq!(
                 before,
                 (q.len(), q.peak_len(), q.capacity(), q.bucket_bits())
@@ -653,12 +681,11 @@ mod tests {
     fn restored_queue_continues_like_the_original_on_either_scheduler() {
         for (from, to) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
             let mut q = busy(KINDS[from]);
-            let bytes = snap_bytes(&q);
-            let mut r = SnapReader::new(&bytes, 0);
-            let mut twin = EventQueue::restore(KINDS[to], &mut r, |r| r.u64()).unwrap();
+            let bytes = snap_bytes(&mut q);
+            let (mut twin, r) = restored(KINDS[to], &bytes).unwrap();
             r.expect_end().unwrap();
             assert_eq!(twin.scheduler(), KINDS[to]);
-            assert_eq!(snap_bytes(&twin), bytes);
+            assert_eq!(snap_bytes(&mut twin), bytes);
             assert_eq!(
                 (twin.len(), twin.peak_len(), twin.events_processed()),
                 (q.len(), q.peak_len(), q.events_processed())
@@ -680,11 +707,8 @@ mod tests {
 
     #[test]
     fn restore_refuses_truncation() {
-        let bytes = snap_bytes(&busy(SchedulerKind::Calendar));
-        let restore = |b: &[u8]| {
-            let mut r = SnapReader::new(b, 0);
-            EventQueue::<u64>::restore(SchedulerKind::Calendar, &mut r, |r| r.u64()).map(|_| ())
-        };
+        let bytes = snap_bytes(&mut busy(SchedulerKind::Calendar));
+        let restore = |b: &[u8]| restored(SchedulerKind::Calendar, b).map(|_| ());
         assert!(restore(&bytes).is_ok());
         for cut in 0..bytes.len() {
             assert!(restore(&bytes[..cut]).is_err(), "cut at {cut}");

@@ -83,7 +83,7 @@ pub use event::{EventQueue, SchedulerKind};
 pub use json::Json;
 pub use profile::EngineReport;
 pub use rng::Rng;
-pub use snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+pub use snap::{SnapError, SnapIo, SnapReader, SnapSeq, SnapWriter};
 pub use stats::{Cdf, Percentiles, TimeWeighted};
 pub use time::{Dur, SimTime};
 pub use trace::{JsonlSink, RingSink, TraceEvent, TraceSink};

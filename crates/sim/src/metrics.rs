@@ -28,7 +28,7 @@
 use crate::json::{self, Json};
 use crate::profile::EngineReport;
 use crate::run_ctx;
-use crate::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use crate::snap::{SnapError, SnapIo};
 use crate::time::Dur;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -383,29 +383,17 @@ fn write_sample(out: &mut String, name: &str, labels: &[(String, String)], v: f6
     out.push('\n');
 }
 
-impl Snapshot for Registry {
-    /// Values only: the family/label structure is deterministic setup
-    /// state, re-created before a restore overlays onto it.
-    fn snap(&self, w: &mut SnapWriter) {
-        w.usize(self.series.len());
-        for s in &self.series {
-            w.u64(s.count);
-            w.f64(s.sum);
-            w.seq(&s.buckets, |w, b| w.u64(*b));
-        }
-    }
-}
-
-impl Restore for Registry {
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        r.seq_len_of("series", self.series.len(), 17)?;
+impl Registry {
+    /// Snapshot traversal of the values only: the family/label structure
+    /// is deterministic setup state, re-created before a restore overlays
+    /// onto it.
+    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        io.seq_len_of("series", self.series.len(), 17)?;
         for s in &mut self.series {
-            s.count = r.u64()?;
-            s.sum = r.f64()?;
-            r.seq_len_of("bucket", s.buckets.len(), 8)?;
-            for b in &mut s.buckets {
-                *b = r.u64()?;
-            }
+            io.u64(&mut s.count)?;
+            io.f64(&mut s.sum)?;
+            io.seq_len_of("bucket", s.buckets.len(), 8)?;
+            s.buckets.iter_mut().try_for_each(|b| io.u64(b))?;
         }
         Ok(())
     }
@@ -460,25 +448,24 @@ impl Ring {
     }
 }
 
-impl Snapshot for Ring {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.usize(self.rows.len());
-        for (t, row) in self.iter() {
-            w.u64(t);
-            w.seq(row, |w, v| w.f64(*v));
+impl Ring {
+    /// Snapshot traversal. A recorded row is immutable (clones share it),
+    /// so each row passes through a scratch copy and reading rebuilds it.
+    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        let n = io.seq_len(self.rows.len(), 9)?;
+        if io.reading() {
+            self.rows.clear();
         }
-    }
-}
-
-impl Restore for Ring {
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.seq_len(9)?;
-        self.rows.clear();
-        for _ in 0..n {
-            let t = r.u64()?;
-            let nv = r.seq_len(8)?;
-            let row = (0..nv).map(|_| r.f64()).collect::<Result<Vec<_>, _>>()?;
-            self.rows.push_back((t, row.into()));
+        let mut row = Vec::new();
+        for i in 0..n {
+            let (mut t, recorded) = (self.rows.get(i)).map_or((0, &[][..]), |(t, r)| (*t, &r[..]));
+            row.clear();
+            row.extend_from_slice(recorded);
+            io.u64(&mut t)?;
+            io.seq(&mut row, 8, |io, v| io.f64(v))?;
+            if io.reading() {
+                self.rows.push_back((t, row[..].into()));
+            }
         }
         Ok(())
     }
@@ -1011,6 +998,7 @@ impl NetMetricsHook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snap::{SnapReader, SnapWriter};
 
     fn sample_registry() -> (Registry, MetricId, MetricId, MetricId) {
         let mut reg = Registry::new();
@@ -1102,11 +1090,11 @@ mod tests {
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.iter().map(|(t, _)| t).collect::<Vec<_>>(), vec![3, 4]);
         let mut w = SnapWriter::new();
-        ring.snap(&mut w);
+        ring.persist(&mut SnapIo::Write(&mut w)).unwrap();
         let body = w.into_body();
         let mut twin = Ring::new(2);
-        let mut r = SnapReader::new(&body, 0);
-        twin.restore(&mut r).expect("restore");
+        let mut r = SnapIo::Read(SnapReader::new(&body, 0));
+        twin.persist(&mut r).expect("restore");
         assert_eq!(
             twin.iter().collect::<Vec<_>>(),
             ring.iter().collect::<Vec<_>>()
@@ -1120,19 +1108,19 @@ mod tests {
         reg.set(g, 4.0);
         reg.observe(h, 0.05);
         let mut w = SnapWriter::new();
-        reg.snap(&mut w);
+        reg.persist(&mut SnapIo::Write(&mut w)).unwrap();
         let body = w.into_body();
         let (mut twin, tc, tg, th) = sample_registry();
-        let mut r = SnapReader::new(&body, 0);
-        twin.restore(&mut r).expect("restore");
+        let mut r = SnapIo::Read(SnapReader::new(&body, 0));
+        twin.persist(&mut r).expect("restore");
         assert_eq!(twin.counter_value(tc), 10);
         assert_eq!(twin.gauge_value(tg), 4.0);
         assert_eq!(twin.counter_value(th), 1);
         // A structurally different registry is rejected with a message.
         let mut other = Registry::new();
         other.counter("only_one", "x", &[]);
-        let mut r = SnapReader::new(&body, 0);
-        let e = other.restore(&mut r).unwrap_err();
+        let mut r = SnapIo::Read(SnapReader::new(&body, 0));
+        let e = other.persist(&mut r).unwrap_err();
         assert!(e.msg.contains("series count mismatch"), "{e}");
     }
 

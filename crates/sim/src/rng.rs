@@ -139,20 +139,10 @@ impl Rng {
     }
 }
 
-impl crate::snap::Snapshot for Rng {
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        for word in self.s {
-            w.u64(word);
-        }
-    }
-}
-
-impl crate::snap::Restore for Rng {
-    fn restore(&mut self, r: &mut crate::snap::SnapReader) -> Result<(), crate::snap::SnapError> {
-        for word in &mut self.s {
-            *word = r.u64()?;
-        }
-        Ok(())
+impl Rng {
+    /// Snapshot traversal: the four state words.
+    pub fn persist(&mut self, io: &mut crate::snap::SnapIo) -> Result<(), crate::snap::SnapError> {
+        self.s.iter_mut().try_for_each(|word| io.u64(word))
     }
 }
 

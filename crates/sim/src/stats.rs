@@ -280,65 +280,37 @@ impl TimeSeries {
 // series' interval is rebuilt by setup). Floats round-trip via bit
 // patterns, so a restored accumulator continues bit-identically.
 
-use crate::snap::{Restore, SnapError, SnapReader, SnapWriter, Snapshot};
+use crate::snap::{SnapError, SnapIo};
 
-impl Snapshot for Percentiles {
-    fn snap(&self, w: &mut SnapWriter) {
-        // Insertion order is preserved (not re-sorted) so a restored
-        // collection behaves identically, including `sorted` laziness.
-        w.bool(self.sorted);
-        w.seq(&self.samples, |w, s| w.f64(*s));
+impl Percentiles {
+    /// Snapshot traversal. Insertion order is preserved (not re-sorted) so
+    /// a restored collection behaves identically, including `sorted`
+    /// laziness.
+    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        io.bool(&mut self.sorted)?;
+        io.seq(&mut self.samples, 8, |io, s| io.f64(s))
     }
 }
 
-impl Restore for Percentiles {
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.sorted = r.bool()?;
-        let n = r.seq_len(8)?;
-        self.samples = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
-        Ok(())
+impl TimeWeighted {
+    /// Snapshot traversal.
+    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        io.u64(&mut self.last_t.0)?;
+        io.f64(&mut self.last_v)?;
+        io.f64(&mut self.weighted_sum)?;
+        io.f64(&mut self.elapsed)?;
+        io.f64(&mut self.max)?;
+        io.bool(&mut self.started)
     }
 }
 
-impl Snapshot for TimeWeighted {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.last_t.0);
-        w.f64(self.last_v);
-        w.f64(self.weighted_sum);
-        w.f64(self.elapsed);
-        w.f64(self.max);
-        w.bool(self.started);
-    }
-}
-
-impl Restore for TimeWeighted {
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.last_t = SimTime(r.u64()?);
-        self.last_v = r.f64()?;
-        self.weighted_sum = r.f64()?;
-        self.elapsed = r.f64()?;
-        self.max = r.f64()?;
-        self.started = r.bool()?;
-        Ok(())
-    }
-}
-
-impl Snapshot for TimeSeries {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.seq(&self.samples, |w, (t, v)| {
-            w.u64(t.0);
-            w.f64(*v);
-        });
-    }
-}
-
-impl Restore for TimeSeries {
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.seq_len(16)?;
-        self.samples = (0..n)
-            .map(|_| Ok((SimTime(r.u64()?), r.f64()?)))
-            .collect::<Result<_, SnapError>>()?;
-        Ok(())
+impl TimeSeries {
+    /// Snapshot traversal: the recorded samples.
+    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        io.seq(&mut self.samples, 16, |io, (t, v)| {
+            io.u64(&mut t.0)?;
+            io.f64(v)
+        })
     }
 }
 

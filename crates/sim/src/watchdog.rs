@@ -184,24 +184,19 @@ impl Watchdog {
     }
 }
 
-impl crate::snap::Snapshot for Watchdog {
-    // The spec is configuration. `wall_start` is deliberately excluded: wall
-    // time must never enter a snapshot, so a restored run's wall budget
-    // restarts from the restore point. The trip report stays out as well: it
-    // is a diagnostic for the process that tripped, not run state.
-    fn snap(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.events);
-        w.u64(self.last_now.0);
-        w.u64(self.instant_streak);
-    }
-}
-
-impl crate::snap::Restore for Watchdog {
-    fn restore(&mut self, r: &mut crate::snap::SnapReader) -> Result<(), crate::snap::SnapError> {
-        self.events = r.u64()?;
-        self.last_now = SimTime(r.u64()?);
-        self.instant_streak = r.u64()?;
-        self.wall_start = None;
+impl Watchdog {
+    /// Snapshot traversal. The spec is configuration. `wall_start` is
+    /// deliberately excluded: wall time must never enter a snapshot, so a
+    /// restored run's wall budget restarts from the restore point. The trip
+    /// report stays out as well: it is a diagnostic for the process that
+    /// tripped, not run state.
+    pub fn persist(&mut self, io: &mut crate::snap::SnapIo) -> Result<(), crate::snap::SnapError> {
+        io.u64(&mut self.events)?;
+        io.u64(&mut self.last_now.0)?;
+        io.u64(&mut self.instant_streak)?;
+        if io.reading() {
+            self.wall_start = None;
+        }
         Ok(())
     }
 }

@@ -97,11 +97,7 @@ impl Endpoint for Spinner {
     fn as_any(&mut self) -> &mut dyn Any {
         self
     }
-    fn snap_state(&self, _w: &mut xpass_sim::SnapWriter) {}
-    fn restore_state(
-        &mut self,
-        _r: &mut xpass_sim::SnapReader,
-    ) -> Result<(), xpass_sim::SnapError> {
+    fn persist(&mut self, _io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
         Ok(())
     }
 }
