@@ -145,8 +145,9 @@ pub fn naive_credit_factory() -> EndpointFactory {
 /// Factory with explicit pacing jitter and size-randomization control
 /// (Fig 6a sweeps the jitter with all other randomness off).
 pub fn naive_credit_factory_with(jitter: f64, randomize_size: bool) -> EndpointFactory {
+    let sender_cfg = std::rc::Rc::new(XPassConfig::aggressive());
     Box::new(move |side, _info| match side {
-        Side::Sender => Box::new(XPassSender::new(XPassConfig::aggressive())),
+        Side::Sender => Box::new(XPassSender::new(sender_cfg.clone())),
         Side::Receiver => {
             let r = NaiveCreditReceiver::new(jitter);
             let r = if randomize_size {

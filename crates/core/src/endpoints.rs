@@ -21,6 +21,7 @@
 use crate::config::XPassConfig;
 use crate::feedback::{max_credit_rate, CreditFeedback};
 use std::any::Any;
+use std::rc::Rc;
 use xpass_net::endpoint::{Ctx, Endpoint, EndpointFactory, TimerSlot};
 use xpass_net::ids::Side;
 use xpass_net::packet::{
@@ -47,7 +48,7 @@ mod timer {
 
 /// ExpressPass sender endpoint.
 pub struct XPassSender {
-    cfg: XPassConfig,
+    cfg: Rc<XPassConfig>,
     /// Next application byte offset to transmit.
     next_seq: u64,
 
@@ -63,10 +64,11 @@ pub struct XPassSender {
 }
 
 impl XPassSender {
-    /// New sender.
-    pub fn new(cfg: XPassConfig) -> XPassSender {
+    /// New sender, with its own configuration or one shared through an
+    /// `Rc` (as [`xpass_factory`] shares one with every endpoint it makes).
+    pub fn new(cfg: impl Into<Rc<XPassConfig>>) -> XPassSender {
         XPassSender {
-            cfg,
+            cfg: cfg.into(),
             next_seq: 0,
             last_ack: 0,
             dup_count: 0,
@@ -224,7 +226,8 @@ impl Endpoint for XPassSender {
 
 /// ExpressPass receiver endpoint: the active party of the protocol.
 pub struct XPassReceiver {
-    cfg: XPassConfig,
+    /// Shared with the feedback controller, once there is one.
+    cfg: Rc<XPassConfig>,
     feedback: Option<CreditFeedback>,
     /// Out-of-order reassembly buffer: byte offset → payload length.
     /// Host processing jitter reorders packets when it exceeds the
@@ -259,10 +262,11 @@ pub struct XPassReceiver {
 }
 
 impl XPassReceiver {
-    /// New receiver.
-    pub fn new(cfg: XPassConfig) -> XPassReceiver {
+    /// New receiver, with its own configuration or one shared through an
+    /// `Rc` (as [`xpass_factory`] shares one with every endpoint it makes).
+    pub fn new(cfg: impl Into<Rc<XPassConfig>>) -> XPassReceiver {
         XPassReceiver {
-            cfg,
+            cfg: cfg.into(),
             feedback: None,
             ooo: std::collections::BTreeMap::new(),
             credit_seq: 0,
@@ -323,7 +327,7 @@ impl XPassReceiver {
         self.last_progress = ctx.now();
         if self.feedback.is_none() {
             let max = max_credit_rate(ctx.host_link_bps());
-            self.feedback = Some(CreditFeedback::new(max, self.cfg));
+            self.feedback = Some(CreditFeedback::new(max, self.cfg.clone()));
         }
         // First credit immediately, then paced.
         self.send_credit(ctx);
@@ -560,10 +564,10 @@ impl Endpoint for XPassReceiver {
     fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
         // A restored controller starts as a placeholder; every dynamic
         // field (including max_rate) is overlaid from the snapshot.
-        let cfg = self.cfg;
+        let cfg = &self.cfg;
         io.opt_with(
             &mut self.feedback,
-            || CreditFeedback::new(1.0, cfg),
+            || CreditFeedback::new(1.0, cfg.clone()),
             |io, fb| fb.persist(io),
         )?;
         io.map(&mut self.ooo, 12, |io, seq, len| {
@@ -589,11 +593,15 @@ impl Endpoint for XPassReceiver {
 }
 
 /// Endpoint factory for ExpressPass flows with the given configuration.
+/// The configuration is global to the scheme, so every endpoint the
+/// factory makes, and each receiver's feedback controller, shares this
+/// one copy.
 pub fn xpass_factory(cfg: XPassConfig) -> EndpointFactory {
     cfg.validate();
+    let cfg = Rc::new(cfg);
     Box::new(move |side, _info| match side {
-        Side::Sender => Box::new(XPassSender::new(cfg)),
-        Side::Receiver => Box::new(XPassReceiver::new(cfg)),
+        Side::Sender => Box::new(XPassSender::new(cfg.clone())),
+        Side::Receiver => Box::new(XPassReceiver::new(cfg.clone())),
     })
 }
 
@@ -615,6 +623,41 @@ mod tests {
             max: Dur::us(1),
         };
         Network::new(topo, net_cfg, xpass_factory(cfg))
+    }
+
+    /// Every flow carries one box per side, so the boxes hold per-flow
+    /// state only: the configuration is one `Rc` shared by the factory's
+    /// endpoints and the receiver's controller.
+    #[test]
+    fn endpoint_boxes_hold_only_per_flow_state() {
+        use std::mem::size_of;
+        let sizes = (
+            size_of::<XPassSender>(),
+            size_of::<XPassReceiver>(),
+            size_of::<CreditFeedback>(),
+        );
+        assert!(
+            sizes.0 <= 64 && sizes.1 <= 168 && sizes.2 <= 40,
+            "{sizes:?}"
+        );
+
+        let factory = xpass_factory(XPassConfig::aggressive());
+        let info = xpass_net::endpoint::FlowInfo {
+            id: xpass_net::ids::FlowId(0),
+            src: HostId(0),
+            dst: HostId(1),
+            size_bytes: 1,
+            start: SimTime::ZERO,
+            class: 0,
+        };
+        let mut tx = factory(Side::Sender, &info);
+        let mut rx = factory(Side::Receiver, &info);
+        let tx = tx.as_any().downcast_mut::<XPassSender>().unwrap();
+        let rx = rx.as_any().downcast_mut::<XPassReceiver>().unwrap();
+        assert!(
+            Rc::ptr_eq(&tx.cfg, &rx.cfg),
+            "one configuration per factory"
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! maximum-size data frame, so `max_rate = link_bps / (8 · 1622)` credits/s.
 
 use crate::config::XPassConfig;
+use std::rc::Rc;
 
 /// Convert a link speed into the maximum credit rate in credits/second
 /// (one credit per `84 + 1538 = 1622` byte-times).
@@ -32,10 +33,13 @@ pub struct FeedbackSnapshot {
     pub ceiling: f64,
 }
 
-/// Algorithm 1 state for one flow.
+/// Algorithm 1 state for one flow. The parameters are global to the
+/// scheme (α, `w_init`, `w_min`, `w_max`, the target loss), so a
+/// controller shares them with every other flow of its factory; only the
+/// rate, `w` and the last direction are its own.
 #[derive(Clone, Debug)]
 pub struct CreditFeedback {
-    cfg: XPassConfig,
+    cfg: Rc<XPassConfig>,
     /// Maximum credit rate for the path (credits/s).
     max_rate: f64,
     /// Current credit sending rate (credits/s).
@@ -48,16 +52,18 @@ pub struct CreditFeedback {
 
 impl CreditFeedback {
     /// New controller for a path whose bottleneck credit rate is
-    /// `max_rate` credits/s.
-    pub fn new(max_rate: f64, cfg: XPassConfig) -> CreditFeedback {
+    /// `max_rate` credits/s, with its own configuration or one shared
+    /// through an `Rc`.
+    pub fn new(max_rate: f64, cfg: impl Into<Rc<XPassConfig>>) -> CreditFeedback {
+        let cfg = cfg.into();
         cfg.validate();
         assert!(max_rate > 0.0);
         CreditFeedback {
-            cfg,
             max_rate,
             cur_rate: cfg.alpha * max_rate,
             w: cfg.w_init,
             prev_increasing: false,
+            cfg,
         }
     }
 

@@ -26,7 +26,7 @@
 
 use crate::endpoint::{Endpoint, EndpointFactory, FlowInfo};
 use crate::ids::{FlowId, HostId, Side};
-use xpass_sim::event::{prefetch, prefetch_bytes, prefetch_obj, CACHE_LINE};
+use xpass_sim::event::{prefetch, prefetch_bytes, prefetch_obj};
 use xpass_sim::snap::{SnapError, SnapIo};
 use xpass_sim::time::{Dur, SimTime};
 
@@ -36,11 +36,6 @@ pub const FLAG_DONE: u8 = 1 << 0;
 pub const FLAG_ABORTED: u8 = 1 << 1;
 /// Flow is currently flagged as stalled (observational).
 pub const FLAG_STALLED: u8 = 1 << 2;
-
-/// Bytes of an endpoint box the dispatch prefetch covers: six cache lines,
-/// the size of the largest hot endpoint (the 360-byte ExpressPass
-/// receiver). Over-reaching past a smaller box only warms a neighbour.
-const ENDPOINT_PREFETCH_BYTES: usize = 6 * CACHE_LINE;
 
 /// Cold per-flow state: identity, endpoints, outcome.
 struct Slot {
@@ -240,13 +235,18 @@ impl FlowArena {
         prefetch(self.credits_sent.as_ptr().wrapping_add(i));
     }
 
-    /// Hint that `flow`'s endpoint on `side` is about to be dispatched.
-    /// Reads the slot for the box pointer — cheap once
-    /// [`prefetch_flow`](Self::prefetch_flow) has made it resident.
+    /// Hint that `flow`'s endpoint on `side` is about to be dispatched:
+    /// every line of its box, whose size the vtable gives (56 B for an
+    /// ExpressPass sender, 168 B for a receiver). Reads the slot for the
+    /// box pointer — cheap once [`prefetch_flow`](Self::prefetch_flow) has
+    /// made it resident.
     #[inline]
     pub fn prefetch_endpoint(&self, flow: FlowId, side: Side) {
         if let Some(ep) = self.endpoint(flow, side) {
-            prefetch_bytes(std::ptr::from_ref(ep).cast::<u8>(), ENDPOINT_PREFETCH_BYTES);
+            prefetch_bytes(
+                std::ptr::from_ref(ep).cast::<u8>(),
+                std::mem::size_of_val(ep),
+            );
         }
     }
 

@@ -15,6 +15,7 @@ use crate::ids::{FlowId, HostId, Side};
 use crate::network::Network;
 use crate::packet::{Packet, PktKind};
 use std::any::Any;
+use std::num::NonZeroU64;
 use xpass_sim::rng::Rng;
 use xpass_sim::time::{Dur, SimTime};
 
@@ -223,10 +224,10 @@ impl<'a> Ctx<'a> {
 /// endpoint's host — see [`crate::timers`]). Every arming queues an event,
 /// so this is for timers that are not re-armed while pending (one-shot
 /// pacing and handshake timers); one that is, on every ACK say, wants a
-/// [`Deadline`].
+/// [`Deadline`]. Minted generations are never 0, so the slot is one word.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TimerSlot {
-    armed: Option<u64>,
+    armed: Option<NonZeroU64>,
 }
 
 impl TimerSlot {
@@ -237,7 +238,9 @@ impl TimerSlot {
 
     /// Arm (or re-arm) this slot's timer.
     pub fn arm(&mut self, ctx: &mut Ctx<'_>, kind: u8, delay: Dur) {
-        self.armed = Some(ctx.arm_timer(kind, delay));
+        let gen = ctx.arm_timer(kind, delay);
+        self.armed = NonZeroU64::new(gen);
+        debug_assert!(self.armed.is_some(), "minted timer generation 0");
     }
 
     /// Logically cancel: any in-flight firing will be ignored.
@@ -248,7 +251,7 @@ impl TimerSlot {
     /// Whether a firing with this generation is the latest arming. Consumes
     /// the arming (one-shot semantics); re-arm for periodic behaviour.
     pub fn matches(&mut self, gen: u64) -> bool {
-        if self.armed == Some(gen) {
+        if self.armed.is_some_and(|a| a.get() == gen) {
             self.armed = None;
             true
         } else {
@@ -263,9 +266,19 @@ impl TimerSlot {
 }
 
 impl TimerSlot {
-    /// Snapshot traversal: the armed generation, if any.
+    /// Snapshot traversal: the armed generation, if any. A generation of
+    /// 0 was never minted and is refused.
     pub fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
-        io.opt(&mut self.armed, |io, g| io.u64(g))
+        let mut gen = self.armed.map(NonZeroU64::get);
+        io.opt(&mut gen, |io, g| {
+            io.u64(g)?;
+            if *g == 0 {
+                return Err(io.err("armed timer generation 0 was never minted"));
+            }
+            Ok(())
+        })?;
+        self.armed = gen.and_then(NonZeroU64::new);
+        Ok(())
     }
 }
 
@@ -378,7 +391,7 @@ mod tests {
     fn timer_slot_one_shot_semantics() {
         let mut s = TimerSlot::new();
         assert!(!s.is_armed());
-        s.armed = Some(7);
+        s.armed = NonZeroU64::new(7);
         assert!(s.is_armed());
         assert!(!s.matches(6));
         assert!(s.matches(7));
@@ -389,14 +402,37 @@ mod tests {
     #[test]
     fn timer_slot_cancel() {
         let mut s = TimerSlot::new();
-        s.armed = Some(3);
+        s.armed = NonZeroU64::new(3);
         s.cancel();
         assert!(!s.matches(3));
     }
 
     #[test]
-    fn deadline_is_two_timer_slots_wide() {
-        assert_eq!(std::mem::size_of::<TimerSlot>(), 16);
+    fn timer_slot_refuses_a_restored_generation_of_zero() {
+        use xpass_sim::{SnapIo, SnapReader, SnapWriter};
+        let mut armed = TimerSlot::new();
+        armed.armed = NonZeroU64::new(9);
+        let mut w = SnapWriter::new();
+        armed.persist(&mut SnapIo::Write(&mut w)).unwrap();
+        let mut body = w.into_body();
+        // Present flag, then the generation, little-endian.
+        assert_eq!(body, [1, 9, 0, 0, 0, 0, 0, 0, 0]);
+
+        let mut twin = TimerSlot::new();
+        twin.persist(&mut SnapIo::Read(SnapReader::new(&body, 0)))
+            .unwrap();
+        assert!(twin.matches(9));
+
+        body[1] = 0;
+        let e = TimerSlot::new()
+            .persist(&mut SnapIo::Read(SnapReader::new(&body, 0)))
+            .unwrap_err();
+        assert!(e.msg.contains("generation 0"), "{e}");
+    }
+
+    #[test]
+    fn timer_slot_is_one_word_and_deadline_four() {
+        assert_eq!(std::mem::size_of::<TimerSlot>(), 8);
         assert_eq!(std::mem::size_of::<Deadline>(), 32);
     }
 

@@ -315,10 +315,10 @@ impl Network {
                     data.ecn = Some(EcnCfg { k_bytes: k });
                 }
                 if let Some((gamma, thresh)) = cfg.phantom {
-                    data.phantom = Some(PhantomQueue::new(
+                    data.phantom = Some(Box::new(PhantomQueue::new(
                         (l.speed_bps as f64 * gamma) as u64,
                         thresh,
-                    ));
+                    )));
                 }
             }
             let credit = cfg.credit.then(|| {
@@ -830,7 +830,7 @@ impl Network {
     ) -> Option<&mut xpass_sim::stats::Percentiles> {
         self.ports[dlink.0 as usize]
             .credit_gaps
-            .as_mut()
+            .as_deref_mut()
             .map(|(_, p)| p)
     }
 

@@ -17,10 +17,12 @@ use xpass_sim::event::{prefetch, prefetch_obj};
 /// still cached, and at 70–90 ns an event the hints are pure overhead
 /// (+10 % CPU on the 16-host `serve_ingest` replay). Past this depth the
 /// queued events alone — a 96-byte payload and a 24-byte entry each —
-/// outgrow a 2 MiB L2, and the state they name is colder still. Of the
-/// benchmark's workloads only `clos_xl` (213 k deep) is past it; the
-/// 192-host `fct_dctcp` was too while dead RTO timers made its queue
-/// 235 k deep, and at the ~4 k its traffic needs no longer is.
+/// outgrow a 2 MiB L2, and the state they name is colder still: on
+/// `clos_xl`, 304 B of arena slot and endpoint boxes for each of 65 536
+/// flows and a 352-byte port for each of 26 624 links. Of the
+/// benchmark's workloads only `clos_xl` (213 080 deep at its peak) is
+/// past it; the 192-host `fct_dctcp` was too while dead RTO timers made
+/// its queue 235 k deep, and at the ~4 k its traffic needs no longer is.
 pub const LOOKAHEAD_MIN_DEPTH: usize = 16_384;
 
 impl Network {

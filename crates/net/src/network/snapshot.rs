@@ -3,12 +3,13 @@
 //! generations, each port and each probe persist their own bytes — so
 //! what lives here is only what no layer can know: the order of the
 //! sections, the traversal of the two payload types the network defines
-//! itself, [`Ev`] and [`Pending`], and the range check of the ids they
-//! carry.
+//! itself, [`Ev`] and [`Pending`], and the checks that what was restored
+//! can run: ids in range, packets bound for the host their link reaches,
+//! wake positions the queue handed out.
 
 use super::{Ev, Network, Pending};
 use crate::faults::FaultKind;
-use crate::ids::{DLinkId, FlowId, HostId, Side};
+use crate::ids::{DLinkId, FlowId, HostId, NodeId, Side};
 use crate::packet::Packet;
 use xpass_sim::snap::{SnapError, SnapIo, SnapReader, SnapWriter};
 
@@ -149,10 +150,13 @@ impl Network {
     /// Overlay a snapshot body written by [`snapshot_into`](Self::snapshot_into)
     /// onto this freshly built network. The network must have been rebuilt
     /// by the same deterministic setup (same topology, config, flows,
-    /// installed monitors) that preceded the snapshot; mismatches — and
-    /// ids naming a link, host or flow the network does not have — are
-    /// reported as [`SnapError`]s whose path names the section
-    /// (`network.timers.host_gen`, `network.flows.3.sender`), never a panic.
+    /// installed monitors) that preceded the snapshot; mismatches — ids
+    /// naming a link, host or flow the network does not have, a packet
+    /// bound for another host than its link leads to, a port wake at a
+    /// position the queue never handed out — are reported as
+    /// [`SnapError`]s whose path names the section
+    /// (`network.timers.host_gen`, `network.flows.3.sender`,
+    /// `network.ports.7`), never a panic.
     pub fn restore_from(&mut self, body: &[u8]) -> Result<(), SnapError> {
         self.persist(&mut SnapIo::Read(SnapReader::new(body, 0)))
     }
@@ -213,7 +217,7 @@ impl Network {
             }
             persisted?;
             if io.reading() {
-                self.refuse_ids_out_of_range(io)?;
+                self.refuse_what_cannot_run(io)?;
             }
             // Still inside the "network" context: a trailing-garbage error
             // must name where it was detected.
@@ -226,17 +230,32 @@ impl Network {
     /// hosts of queued, in-flight and stashed packets, timers and flows,
     /// and the flows of flow starts, timers, pending notes and stashed
     /// packets (re-emitting one counts its credits against its flow). A
-    /// packet in flight may belong to no flow: delivery drops it. The
-    /// error names the section the id came from.
-    fn refuse_ids_out_of_range(&self, io: &mut SnapIo) -> Result<(), SnapError> {
+    /// packet in flight may belong to no flow: delivery drops it. A packet
+    /// queued at, or arriving over, a link into a host must be addressed
+    /// to that host, which it is about to land at. A port's held wake
+    /// position must carry a sequence number the restored queue handed
+    /// out: an enqueue may queue the wake there. (One that has gone by is
+    /// what every port whose last wake has passed holds; the run never
+    /// fills it.) The error names the section the fault came from.
+    fn refuse_what_cannot_run(&self, io: &mut SnapIo) -> Result<(), SnapError> {
         let (links, hosts) = (self.ports.len(), self.topo.n_hosts);
         let flows = self.arena.slot_count();
         let link = |d: &DLinkId| in_range("link", d.0, links);
         let host = |h: &HostId| in_range("host", h.0, hosts);
         let flow = |f: &FlowId| in_range("flow", f.0, flows);
         let packet = |p: &Packet| host(&p.src).and_then(|_| host(&p.dst));
+        // For a link already found in range.
+        let lands = |d: &DLinkId, p: &Packet| match self.topo.dlinks[d.0 as usize].to {
+            NodeId::Host(h) if h != p.dst => Err(format!(
+                "packet for host {} on link {} into host {}",
+                p.dst.0, d.0, h.0
+            )),
+            _ => Ok(()),
+        };
         let events = self.events.payloads().try_for_each(|ev| match ev {
-            Ev::Arrive { dlink, pkt } => link(dlink).and_then(|_| packet(pkt)),
+            Ev::Arrive { dlink, pkt } => link(dlink)
+                .and_then(|_| packet(pkt))
+                .and_then(|_| lands(dlink, pkt)),
             Ev::PortWake { dlink } | Ev::RcpUpdate { dlink } => link(dlink),
             Ev::HostRx { pkt } => packet(pkt),
             Ev::Timer {
@@ -251,13 +270,22 @@ impl Network {
                 | FaultKind::SetCorrupt { dlink, .. } => link(dlink),
             },
         });
-        let ports = (self.ports.iter())
-            .flat_map(|p| {
-                p.data
-                    .packets()
-                    .chain(p.credit.iter().flat_map(|c| c.packets()))
-            })
-            .try_for_each(packet);
+        let port = |d: DLinkId| {
+            let p = &self.ports[d.0 as usize];
+            (p.data
+                .packets()
+                .chain(p.credit.iter().flat_map(|c| c.packets())))
+            .try_for_each(|pkt| packet(pkt).and_then(|_| lands(&d, pkt)))?;
+            match p.wake {
+                Some(w) if !self.events.was_reserved(w.seq) => Err(format!(
+                    "wake position ({} ps, {}) was never reserved",
+                    w.at.0, w.seq
+                )),
+                _ => Ok(()),
+            }
+        };
+        let ports = (0..links)
+            .try_for_each(|i| port(DLinkId(i as u32)).map_err(|msg| (format!("ports.{i}"), msg)));
         let flow_hosts = self.arena.ids().try_for_each(|f| {
             let info = self.arena.info(f);
             host(&info.src).and_then(|_| host(&info.dst))
@@ -268,15 +296,18 @@ impl Network {
         let stashed = (self.faults.iter())
             .flat_map(|st| st.stashed_packets())
             .try_for_each(|p| flow(&p.flow).and_then(|_| packet(p)));
-        for (section, checked) in [
-            ("events", events),
-            ("ports", ports),
-            ("flows", flow_hosts),
-            ("pending", pending),
-            ("faults", stashed),
+        let section = |name: &str, checked: Result<(), String>| {
+            checked.map_err(|msg| (name.to_string(), msg))
+        };
+        for checked in [
+            section("events", events),
+            ports,
+            section("flows", flow_hosts),
+            section("pending", pending),
+            section("faults", stashed),
         ] {
-            if let Err(msg) = checked {
-                return io.within(section, |io| Err(io.err(msg)));
+            if let Err((path, msg)) = checked {
+                return io.within(path, |io| Err(io.err(msg)));
             }
         }
         Ok(())

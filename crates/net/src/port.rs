@@ -61,8 +61,9 @@ pub struct EgressPort {
     pub data: DataQueue,
     /// Credit-class queue (credit-enabled runs only).
     pub credit: Option<CreditQueue>,
-    /// RCP per-link rate state (RCP runs only).
-    pub rcp: Option<RcpLink>,
+    /// RCP per-link rate state (RCP runs only; boxed, so ports of other
+    /// schemes carry one word for it).
+    pub rcp: Option<Box<RcpLink>>,
     /// The wire is busy until this time.
     pub busy_until: SimTime,
     /// Pending meter-refill wake, to avoid duplicate wake events: its
@@ -81,8 +82,9 @@ pub struct EgressPort {
     /// Wire bytes of credit packets transmitted.
     pub tx_credit_bytes: u64,
     /// Optional inter-credit-gap collection (Fig 6b / Fig 14b): picosecond
-    /// gaps between consecutive credit transmissions on this port.
-    pub credit_gaps: Option<(SimTime, xpass_sim::stats::Percentiles)>,
+    /// gaps between consecutive credit transmissions on this port (boxed:
+    /// a few ports of a few runs collect).
+    pub credit_gaps: Option<Box<(SimTime, xpass_sim::stats::Percentiles)>>,
 }
 
 impl EgressPort {
@@ -101,7 +103,7 @@ impl EgressPort {
             prop_delay,
             data,
             credit,
-            rcp,
+            rcp: rcp.map(Box::new),
             busy_until: SimTime::ZERO,
             token_wake: None,
             wake: None,
@@ -114,7 +116,10 @@ impl EgressPort {
 
     /// Start collecting inter-credit gaps on this port.
     pub fn collect_credit_gaps(&mut self) {
-        self.credit_gaps = Some((SimTime::ZERO, xpass_sim::stats::Percentiles::new()));
+        self.credit_gaps = Some(Box::new((
+            SimTime::ZERO,
+            xpass_sim::stats::Percentiles::new(),
+        )));
     }
 
     /// True if the transmitter is currently serializing a packet.
@@ -209,7 +214,7 @@ impl EgressPort {
         match pkt.kind {
             PktKind::Credit => {
                 self.tx_credit_bytes += pkt.size as u64;
-                if let Some((last, gaps)) = self.credit_gaps.as_mut() {
+                if let Some((last, gaps)) = self.credit_gaps.as_deref_mut() {
                     if *last > SimTime::ZERO {
                         gaps.add(now.since(*last).as_secs_f64());
                     }
@@ -263,7 +268,7 @@ impl EgressPort {
         io.opt_onto("credit queue", self.credit.as_mut(), |io, cq| {
             cq.persist(io)
         })?;
-        io.opt_onto("rcp link state", self.rcp.as_mut(), |io, rcp| {
+        io.opt_onto("rcp link state", self.rcp.as_deref_mut(), |io, rcp| {
             rcp.persist(io)
         })?;
         io.u64(&mut self.busy_until.0)?;
@@ -280,7 +285,8 @@ impl EgressPort {
         io.u64(&mut self.tx_bytes)?;
         io.u64(&mut self.tx_data_bytes)?;
         io.u64(&mut self.tx_credit_bytes)?;
-        io.opt(&mut self.credit_gaps, |io, (last, gaps)| {
+        io.opt(&mut self.credit_gaps, |io, collected| {
+            let (last, gaps) = &mut **collected;
             io.u64(&mut last.0)?;
             gaps.persist(io)
         })
@@ -334,6 +340,14 @@ mod tests {
 
     fn rng() -> xpass_sim::rng::Rng {
         xpass_sim::rng::Rng::new(99)
+    }
+
+    /// RCP, HULL and the gap collector are boxed, so a port of any other
+    /// run carries a word for each.
+    #[test]
+    fn port_boxes_what_few_runs_use() {
+        let size = std::mem::size_of::<EgressPort>();
+        assert!(size <= 352, "EgressPort is {size} B");
     }
 
     #[test]

@@ -98,8 +98,8 @@ pub struct DataQueue {
     cap_bytes: u64,
     /// ECN marking config, if enabled.
     pub ecn: Option<EcnCfg>,
-    /// HULL phantom queue, if enabled.
-    pub phantom: Option<PhantomQueue>,
+    /// HULL phantom queue, if enabled (boxed: only HULL runs have one).
+    pub phantom: Option<Box<PhantomQueue>>,
     /// Occupancy and tail-drop counters.
     pub stats: QueueStats,
 }

@@ -245,7 +245,7 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn push_reserved(&mut self, at: SimTime, seq: u64, event: E) {
         debug_assert!(
-            seq < self.seq && self.is_ahead(at, seq),
+            self.was_reserved(seq) && self.is_ahead(at, seq),
             "position ({at:?}, {seq}) was never reserved or has gone by"
         );
         self.restore_entry(at, seq, event);
@@ -263,6 +263,14 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.reserve_seq();
         self.push_reserved(at, seq, event);
+    }
+
+    /// True when `seq` has been handed out — by
+    /// [`reserve_seq`](Self::reserve_seq) or a push — so a position with it
+    /// may be filled.
+    #[inline]
+    pub fn was_reserved(&self, seq: u64) -> bool {
+        seq < self.seq
     }
 
     /// True while the position `(at, seq)` is still to come: no pop has

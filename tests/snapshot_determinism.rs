@@ -779,6 +779,107 @@ fn a_restored_id_out_of_range_is_refused() {
     assert!(e.msg.contains("out of range"), "{e}");
 }
 
+/// A port's held wake position must carry a sequence number the restored
+/// queue handed out, since an enqueue may queue the wake there. A clean
+/// DCTCP body's reserved wake gets a sequence number past any the queue
+/// reserved: the restore refuses it under `network.ports.<i>` instead of
+/// the run later queueing an event at a position nobody reserved.
+#[test]
+fn a_restored_wake_the_queue_never_reserved_is_refused() {
+    use xpass::net::ids::DLinkId;
+
+    let mut donor = dctcp_net();
+    let mut at = SimTime::ZERO + Dur::us(300);
+    donor.run_until(at);
+    let (port, wake) = loop {
+        let held = (0..donor.ports().len())
+            .find_map(|i| donor.reserved_wake(DLinkId(i as u32)).map(|w| (i, w)));
+        if let Some(held) = held {
+            break held;
+        }
+        at += Dur::ns(500);
+        assert!(at < SimTime::ZERO + Dur::us(312), "no wake reserved");
+        donor.run_until(at);
+    };
+    let mut body = body_of(&mut donor);
+    // The slot as a port writes it: present, time, sequence number,
+    // queued, same-instant.
+    let mut slot = vec![1];
+    slot.extend(wake.at.0.to_le_bytes());
+    slot.extend(wake.seq.to_le_bytes());
+    slot.extend([wake.queued as u8, wake.same_instant as u8]);
+    let found: Vec<usize> = (body.windows(slot.len()).enumerate())
+        .filter(|(_, bytes)| *bytes == slot)
+        .map(|(at, _)| at)
+        .collect();
+    assert_eq!(found.len(), 1, "the slot's bytes are not unique");
+    let seq = found[0] + 9;
+    body[seq..seq + 8].copy_from_slice(&(u64::MAX >> 1).to_le_bytes());
+    let e = dctcp_net()
+        .restore_from(&body)
+        .expect_err("a wake at a position never reserved restores");
+    assert_eq!(e.path, format!("network.ports.{port}"), "{e}");
+    assert!(e.msg.contains("never reserved"), "{e}");
+}
+
+/// Offset of each queued event's tag in a body taken without a fault
+/// plan: now (8), queue length (8), then per entry its time (8), sequence
+/// number (8), tag (1) and payload, whose size the tag gives.
+fn queued_event_tags(body: &[u8]) -> Vec<usize> {
+    const PACKET: usize = 88;
+    let n = u64::from_le_bytes(body[8..16].try_into().unwrap());
+    let mut at = 16;
+    (0..n)
+        .map(|_| {
+            let tag = at + 16;
+            at = tag
+                + 1
+                + match body[tag] {
+                    0 => 4 + PACKET, // Arrive: link, packet
+                    1 | 4 | 5 => 4,  // PortWake, FlowStart, RcpUpdate
+                    2 => PACKET,     // HostRx
+                    3 => 18,         // Timer: flow, host, side, kind, generation
+                    t => panic!("event tag {t}"),
+                };
+            tag
+        })
+        .collect()
+}
+
+/// A packet arriving over a link into a host lands there, so it must be
+/// addressed to that host. A clean body's first such arrival gets another
+/// host, in range, as its destination: the restore refuses it under
+/// `network.events` instead of the run delivering it to the wrong host.
+#[test]
+fn a_restored_arrival_for_another_host_is_refused() {
+    use xpass::net::ids::NodeId;
+
+    let mut donor = dumbbell_net();
+    donor.run_until(SimTime::ZERO + Dur::us(200));
+    let mut body = body_of(&mut donor);
+    let word = |body: &[u8], at: usize| u32::from_le_bytes(body[at..at + 4].try_into().unwrap());
+    // An Arrive's tag is followed by its link, then the packet's flow,
+    // source and destination.
+    let (dst, host) = queued_event_tags(&body)
+        .into_iter()
+        .filter(|&tag| body[tag] == 0)
+        .find_map(
+            |tag| match donor.topo().dlinks[word(&body, tag + 1) as usize].to {
+                NodeId::Host(h) => Some((tag + 13, h)),
+                NodeId::Switch(_) => None,
+            },
+        )
+        .expect("an arrival at a host is queued");
+    assert_eq!(word(&body, dst), host.0, "the walk lost its place");
+    let other = (host.0 + 1) % donor.topo().n_hosts as u32;
+    body[dst..dst + 4].copy_from_slice(&other.to_le_bytes());
+    let e = dumbbell_net()
+        .restore_from(&body)
+        .expect_err("an arrival for another host restores");
+    assert_eq!(e.path, "network.events", "{e}");
+    assert!(e.msg.contains(&format!("into host {}", host.0)), "{e}");
+}
+
 /// A damaged snapshot says where: every strict prefix of a body — taken
 /// with a fault plan, every probe and the sampler installed, so every
 /// section is there — is refused with an error whose path names the
