@@ -184,20 +184,34 @@ fn derive_seed(base: u64, k: usize) -> u64 {
     base.wrapping_add((k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Table-1 bound for the dumbbell's worst switch-egress port, from the same
-/// Eq-1 machinery as the fat-tree experiments: the bottleneck egress
-/// aggregates `n_pairs` host loops (ToR-from-below class), the far-side
-/// host ports are the from-above class.
-fn dumbbell_bound(n_pairs: usize, speed_bps: u64, prop: Dur, cfg: &NetConfig) -> u64 {
-    let link = LinkClass { speed_bps, prop };
-    let topo = HierTopo {
+/// Propagation delay of every link of a chaos run's dumbbell.
+const PROP: Dur = Dur::us(1);
+
+/// The chaos dumbbell of `n_pairs` at `speed_bps` as the Eq 1 bound sees
+/// it: one link class at [`PROP`], `n_pairs` host ports and one
+/// switch-facing port per switch. A unit test reads each of these back
+/// from the built topology.
+fn dumbbell_shape(n_pairs: usize, speed_bps: u64) -> HierTopo {
+    let link = LinkClass {
+        speed_bps,
+        prop: PROP,
+    };
+    HierTopo {
         name: "chaos dumbbell".to_string(),
         host_link: link,
         tor_agg: link,
         agg_core: link,
         tor_down_ports: n_pairs,
         tor_up_ports: 1,
-    };
+    }
+}
+
+/// Table-1 bound for the dumbbell's worst switch-egress port, from the same
+/// Eq-1 machinery as the fat-tree experiments: the bottleneck egress
+/// aggregates `n_pairs` host loops (ToR-from-below class), the far-side
+/// host ports are the from-above class.
+fn dumbbell_bound(n_pairs: usize, speed_bps: u64, cfg: &NetConfig) -> u64 {
+    let topo = dumbbell_shape(n_pairs, speed_bps);
     let p = NetCalcParams {
         credit_queue: cfg.credit_queue_pkts,
         dhost_min: cfg.host_delay.min,
@@ -280,8 +294,7 @@ impl SeedReport {
 /// Run one seed of the sweep.
 fn run_seed(cfg: &Config, k: usize) -> SeedReport {
     let seed = derive_seed(cfg.seed, k);
-    let prop = Dur::us(1);
-    let topo = Topology::dumbbell(cfg.n_pairs, cfg.speed_bps, prop);
+    let topo = Topology::dumbbell(cfg.n_pairs, cfg.speed_bps, PROP);
     let plan = generate(
         &topo,
         cfg.horizon,
@@ -292,7 +305,7 @@ fn run_seed(cfg: &Config, k: usize) -> SeedReport {
     );
     let clean = is_clean(&plan);
     let net_cfg = NetConfig::expresspass().with_seed(seed);
-    let bound = dumbbell_bound(cfg.n_pairs, cfg.speed_bps, prop, &net_cfg);
+    let bound = dumbbell_bound(cfg.n_pairs, cfg.speed_bps, &net_cfg);
     let mut net = Network::new(topo, net_cfg, xpass_factory(XPassConfig::aggressive()));
     net.install_ledger();
     net.install_watchdog(WatchdogSpec {
@@ -478,6 +491,17 @@ mod tests {
         Config {
             n_seeds: 8,
             ..Config::default()
+        }
+    }
+
+    #[test]
+    fn dumbbell_shape_is_the_built_topology() {
+        for n_pairs in [1, 4] {
+            let (topo, shape) = (
+                Topology::dumbbell(n_pairs, 10_000_000_000, PROP),
+                dumbbell_shape(n_pairs, 10_000_000_000),
+            );
+            crate::harness::tests::assert_has_shape(&topo, &shape);
         }
     }
 

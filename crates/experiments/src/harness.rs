@@ -327,32 +327,37 @@ pub struct RealisticResult {
     pub health: HealthReport,
 }
 
-/// The Table-1 network-calculus invariant spec for [`Topology::eval_fat_tree`]
-/// at `link_bps` (uniform tier speeds, 4 µs propagation) with the scheme's
-/// net-config host-delay and credit-queue parameters: monitor every
-/// switch-egress data queue against the worst port-class buffer bound, and
-/// assert zero data loss.
-pub fn eval_fat_tree_invariants(link_bps: u64, cfg: &NetConfig) -> InvariantSpec {
+/// [`Topology::eval_fat_tree`] at `link_bps` as the Eq 1 bound sees it:
+/// uniform tier speeds, 4 µs propagation, 6 hosts and 2 uplinks per ToR
+/// (3:1). A unit test reads each of these back from the built topology.
+fn eval_fat_tree_shape(link_bps: u64) -> HierTopo {
     let link = LinkClass {
         speed_bps: link_bps,
         prop: Dur::us(4),
     };
-    let topo = HierTopo {
+    HierTopo {
         name: "eval fat tree".to_string(),
         host_link: link,
         tor_agg: link,
         agg_core: link,
-        // eval_fat_tree: 6 hosts per ToR, 2 uplinks per ToR (3:1).
         tor_down_ports: 6,
         tor_up_ports: 2,
-    };
+    }
+}
+
+/// The Table-1 network-calculus invariant spec for [`Topology::eval_fat_tree`]
+/// at `link_bps` (uniform tier speeds, 4 µs propagation, 6 hosts and 2
+/// uplinks per ToR) with the scheme's net-config host-delay and
+/// credit-queue parameters: monitor every switch-egress data queue against
+/// the worst port-class buffer bound, and assert zero data loss.
+pub fn eval_fat_tree_invariants(link_bps: u64, cfg: &NetConfig) -> InvariantSpec {
     let p = NetCalcParams {
         credit_queue: cfg.credit_queue_pkts,
         dhost_min: cfg.host_delay.min,
         dhost_max: cfg.host_delay.max,
         switch_latency: Dur::ZERO,
     };
-    let b = buffer_bounds(&topo, &p);
+    let b = buffer_bounds(&eval_fat_tree_shape(link_bps), &p);
     let bound = b
         .tor_down
         .buffer_bytes
@@ -543,9 +548,47 @@ pub fn fmt_bytes(b: f64) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use xpass_net::ids::HostId;
+    use xpass_net::ids::{HostId, NodeId};
+    use xpass_net::topology::DirectedLink;
+
+    /// Assert that `topo` has the shape an Eq 1 bound is computed from:
+    /// the speed and propagation delay of every link by tier, and each
+    /// ToR's host-facing and switch-facing port counts.
+    pub(crate) fn assert_has_shape(topo: &Topology, shape: &HierTopo) {
+        let tors = topo.tor_switches();
+        let class = |l: &DirectedLink| match (l.from, l.to) {
+            (NodeId::Host(_), _) | (_, NodeId::Host(_)) => shape.host_link,
+            (NodeId::Switch(a), NodeId::Switch(b)) if tors.contains(&a) || tors.contains(&b) => {
+                shape.tor_agg
+            }
+            _ => shape.agg_core,
+        };
+        for l in &topo.dlinks {
+            let c = class(l);
+            assert_eq!((l.speed_bps, l.prop_delay), (c.speed_bps, c.prop), "{l:?}");
+        }
+        for &tor in tors {
+            let out = || {
+                topo.dlinks
+                    .iter()
+                    .filter(move |l| l.from == NodeId::Switch(tor))
+            };
+            let down = out().filter(|l| matches!(l.to, NodeId::Host(_))).count();
+            let up = out().count() - down;
+            let want = (shape.tor_down_ports, shape.tor_up_ports);
+            assert_eq!((down, up), want, "ToR {tor:?}");
+        }
+    }
+
+    #[test]
+    fn eval_fat_tree_shape_is_the_built_topology() {
+        for link_bps in [10_000_000_000, 40_000_000_000] {
+            let shape = eval_fat_tree_shape(link_bps);
+            assert_has_shape(&Topology::eval_fat_tree(link_bps), &shape);
+        }
+    }
 
     #[test]
     fn size_buckets() {
@@ -566,8 +609,6 @@ mod tests {
                 size_bytes: 5_000,
                 start: SimTime::ZERO,
                 fct: Some(Dur::us(100)),
-                credits_sent: 0,
-                credits_wasted: 0,
                 outcome: None,
             },
             FlowRecord {
@@ -577,8 +618,6 @@ mod tests {
                 size_bytes: 5_000_000,
                 start: SimTime::ZERO,
                 fct: Some(Dur::ms(5)),
-                credits_sent: 0,
-                credits_wasted: 0,
                 outcome: None,
             },
             FlowRecord {
@@ -588,8 +627,6 @@ mod tests {
                 size_bytes: 500,
                 start: SimTime::ZERO,
                 fct: None,
-                credits_sent: 0,
-                credits_wasted: 0,
                 outcome: None,
             },
         ];
@@ -646,8 +683,6 @@ mod tests {
             size_bytes: size,
             start: SimTime::ZERO,
             fct: Some(Dur::us(fct_us)),
-            credits_sent: 0,
-            credits_wasted: 0,
             outcome: None,
         };
         // Two S flows and two XL flows with well-separated FCTs: the exact

@@ -354,7 +354,7 @@ mod tests {
             assert_eq!(sampler.unwrap().plane_key(), format!("main#net{round}"));
             let mut hook = ckpt.unwrap();
             hook.on_run_call();
-            hook.write(SimTime(1), b"s");
+            hook.write(SimTime(1), b"s".to_vec());
             let img = checkpoint::load_image(&checkpoint::latest_checkpoint().unwrap()).unwrap();
             assert_eq!((img.scope, img.net_index), (vec![], round as u64));
         }
@@ -382,7 +382,7 @@ mod tests {
         run_indexed(vec![(); 3], 3, SchedulerKind::Calendar, |_, _| {
             let mut hook = run_ctx::register_network().0.expect("scope on worker");
             hook.on_run_call();
-            hook.write(SimTime(1), b"s");
+            hook.write(SimTime(1), b"s".to_vec());
         });
         for i in 0..3 {
             let d = dir.join(format!("scope-{i}")).join("net0");
@@ -415,7 +415,7 @@ mod tests {
             match hook.on_run_call() {
                 Some(state) => String::from_utf8(state).unwrap(),
                 None => {
-                    hook.write(SimTime(1), b"mid-run state");
+                    hook.write(SimTime(1), b"mid-run state".to_vec());
                     panic!("crash after the checkpoint");
                 }
             }

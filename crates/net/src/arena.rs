@@ -1,20 +1,20 @@
 //! Dense flow arena: the million-flow state layout.
 //!
 //! Flow state used to live in a `Vec<FlowRuntime>` — one large struct per
-//! flow, with the per-credit hot counters (`rx_bytes`, `credits_sent`,
-//! `credits_wasted`, the done/aborted/stalled bits) interleaved with cold
-//! identity and boxed endpoint pointers. At 10⁵–10⁶ flows that layout
-//! wastes cache on every credit: touching one `u64` counter drags a ~200 B
-//! struct line in with it.
+//! flow, with the hot per-packet state (`rx_bytes`, the done/aborted/
+//! stalled bits) interleaved with cold identity and boxed endpoint
+//! pointers. At 10⁵–10⁶ flows that layout wastes cache on every packet:
+//! touching one `u64` counter drags a ~200 B struct line in with it.
 //!
 //! [`FlowArena`] splits the state two ways:
 //!
 //! * **Slots** (cold): identity ([`FlowInfo`]), the two boxed endpoints
 //!   (kept boxed so the take/put-back dispatch dance keeps working) and
 //!   the recorded FCT.
-//! * **Struct-of-arrays hot fields**: `rx_bytes`, `credits_sent`,
-//!   `credits_wasted`, and a packed flag byte per flow, each in its own
-//!   dense array touched by the per-credit loop.
+//! * **Struct-of-arrays hot fields**: `rx_bytes` and a packed flag byte
+//!   per flow, each in its own dense array. Credit accounting is run-wide
+//!   (`Counters::credits_sent`/`credits_wasted`), so no credit writes a
+//!   per-flow lane.
 //!
 //! A flow lives for the whole run: the table is append-only and a
 //! [`FlowId`] is its slot index, so an id — or a timer event naming one —
@@ -52,8 +52,6 @@ pub struct FlowArena {
     slots: Vec<Slot>,
     // Hot arrays, indexed by slot. Kept parallel to `slots`.
     rx_bytes: Vec<u64>,
-    credits_sent: Vec<u64>,
-    credits_wasted: Vec<u64>,
     flags: Vec<u8>,
 }
 
@@ -87,8 +85,6 @@ impl FlowArena {
             fct: None,
         });
         self.rx_bytes.push(0);
-        self.credits_sent.push(0);
-        self.credits_wasted.push(0);
         self.flags.push(0);
     }
 
@@ -133,30 +129,6 @@ impl FlowArena {
         let r = &mut self.rx_bytes[flow.0 as usize];
         *r += bytes;
         *r
-    }
-
-    /// Credits sent by this flow's receiver.
-    #[inline]
-    pub fn credits_sent(&self, flow: FlowId) -> u64 {
-        self.credits_sent[flow.0 as usize]
-    }
-
-    /// Count one credit sent.
-    #[inline]
-    pub fn incr_credits_sent(&mut self, flow: FlowId) {
-        self.credits_sent[flow.0 as usize] += 1;
-    }
-
-    /// Credits that arrived but triggered no data (paper §6.3).
-    #[inline]
-    pub fn credits_wasted(&self, flow: FlowId) -> u64 {
-        self.credits_wasted[flow.0 as usize]
-    }
-
-    /// Count one wasted credit.
-    #[inline]
-    pub fn incr_credits_wasted(&mut self, flow: FlowId) {
-        self.credits_wasted[flow.0 as usize] += 1;
     }
 
     /// Raw flag byte (`FLAG_*` bits).
@@ -224,15 +196,13 @@ impl FlowArena {
 
     // ---- prefetch hints (run-loop lookahead; never observable) ----------
 
-    /// Hint that `flow`'s slot and its `rx_bytes` / `credits_sent` lane
-    /// entries are about to be touched. Any id is acceptable, in range or
-    /// not: nothing is read.
+    /// Hint that `flow`'s slot and its `rx_bytes` lane entry are about to
+    /// be touched. Any id is acceptable, in range or not: nothing is read.
     #[inline]
     pub fn prefetch_flow(&self, flow: FlowId) {
         let i = flow.0 as usize;
         prefetch_obj(self.slots.as_ptr().wrapping_add(i));
         prefetch(self.rx_bytes.as_ptr().wrapping_add(i));
-        prefetch(self.credits_sent.as_ptr().wrapping_add(i));
     }
 
     /// Hint that `flow`'s endpoint on `side` is about to be dispatched:
@@ -317,8 +287,6 @@ impl FlowArena {
         io.u64(&mut self.rx_bytes[i])?;
         io.u8(&mut self.flags[i])?;
         io.opt(&mut self.slots[i].fct, |io, d| io.u64(&mut d.0))?;
-        io.u64(&mut self.credits_sent[i])?;
-        io.u64(&mut self.credits_wasted[i])?;
         let s = &mut self.slots[i];
         for (side, ep) in [("sender", &mut s.sender), ("receiver", &mut s.receiver)] {
             let ep = ep.as_mut().expect("endpoint checked out during snapshot");
@@ -416,10 +384,8 @@ mod tests {
 
     fn restore(a: &mut FlowArena, bytes: &[u8]) -> Result<(), SnapError> {
         let factory: EndpointFactory = Box::new(|_, _| Box::new(Counter(0)));
-        let mut r = SnapReader::new(bytes, 0);
-        r.enter("flows");
-        let mut io = SnapIo::Read(r);
-        a.persist(&mut io, &factory)?;
+        let mut io = SnapIo::Read(SnapReader::new(bytes, 0));
+        io.within("flows", |io| a.persist(io, &factory))?;
         io.expect_end()
     }
 
@@ -445,8 +411,6 @@ mod tests {
         let (added, done) = (add(&mut a), add(&mut a));
         a.add_rx_bytes(kept, 42);
         a.add_rx_bytes(added, 7);
-        a.incr_credits_sent(added);
-        a.incr_credits_wasted(added);
         a.set_flag(added, FLAG_STALLED, true);
         a.set_flag(done, FLAG_DONE, true);
         a.set_fct(done, Dur::us(7));
@@ -461,10 +425,7 @@ mod tests {
         assert_eq!(b.slot_count(), 3);
         for f in a.ids() {
             assert_eq!(b.info(f), a.info(f));
-            assert_eq!(
-                (b.rx_bytes(f), b.credits_sent(f), b.credits_wasted(f)),
-                (a.rx_bytes(f), a.credits_sent(f), a.credits_wasted(f))
-            );
+            assert_eq!(b.rx_bytes(f), a.rx_bytes(f));
             assert_eq!((b.flags(f), b.fct(f)), (a.flags(f), a.fct(f)));
             for side in [Side::Sender, Side::Receiver] {
                 assert_eq!(counter(&mut b, f, side), counter(&mut a, f, side));

@@ -202,10 +202,6 @@ pub struct FlowRecord {
     pub start: SimTime,
     /// Flow completion time, if the flow finished.
     pub fct: Option<Dur>,
-    /// Credits emitted for this flow.
-    pub credits_sent: u64,
-    /// Credits wasted (arrived at sender with nothing to send).
-    pub credits_wasted: u64,
     /// Outcome so far: `None` while running normally, otherwise the latest
     /// of Completed / Stalled / Aborted.
     pub outcome: Option<FlowOutcome>,
@@ -254,7 +250,6 @@ pub struct Network {
     controller: Option<Box<dyn Controller>>,
     pending: Vec<Pending>,
     completed: usize,
-    aborted: usize,
     /// The fault layer: link and host state, live routes and every fault
     /// rule (see [`crate::faults`]). `None` unless a plan was installed,
     /// and every fault hook is gated on that, so fault-free runs route
@@ -366,7 +361,6 @@ impl Network {
             controller: None,
             pending: Vec::new(),
             completed: 0,
-            aborted: 0,
             faults: None,
             trace: None,
             invariants: None,
@@ -653,7 +647,7 @@ impl Network {
         let wall = std::time::Instant::now();
         let mut last_done = self.now;
         let end = loop {
-            if until_settled && self.completed + self.aborted >= self.arena.slot_count() {
+            if until_settled && self.settled() >= self.arena.slot_count() {
                 break last_done;
             }
             let Some((et, ev)) = self.events.pop_before(limit) else {
@@ -683,9 +677,9 @@ impl Network {
             }
             self.prefetch_ahead();
             self.now = et;
-            let settled = self.completed + self.aborted;
+            let settled = self.settled();
             self.handle(ev);
-            if self.completed + self.aborted > settled {
+            if self.settled() > settled {
                 last_done = et;
             }
             if self.watchdog.is_some() && self.watchdog_tripped() {
@@ -741,7 +735,7 @@ impl Network {
         };
         let mut w = SnapWriter::new();
         self.snapshot_into(&mut w);
-        hook.write(self.now, &w.into_body());
+        hook.write(self.now, w.into_body());
         self.ckpt = Some(hook);
     }
 
@@ -867,7 +861,13 @@ impl Network {
 
     /// Number of aborted flows.
     pub fn aborted_count(&self) -> usize {
-        self.aborted
+        self.counters.flows_aborted as usize
+    }
+
+    /// Flows that completed or were aborted.
+    #[inline]
+    fn settled(&self) -> usize {
+        self.completed + self.aborted_count()
     }
 
     /// True once a flow's endpoint aborted it.
@@ -889,8 +889,6 @@ impl Network {
                     size_bytes: info.size_bytes,
                     start: info.start,
                     fct: self.arena.fct(f),
-                    credits_sent: self.arena.credits_sent(f),
-                    credits_wasted: self.arena.credits_wasted(f),
                     outcome: if flags & FLAG_DONE != 0 {
                         Some(FlowOutcome::Completed)
                     } else if flags & FLAG_ABORTED != 0 {
@@ -972,7 +970,6 @@ impl Network {
         }
         if pkt.kind == PktKind::Credit {
             self.counters.credits_sent += 1;
-            self.arena.incr_credits_sent(pkt.flow);
             if self.trace.is_some() {
                 let ev = TraceEvent::CreditSent {
                     at: self.now,
@@ -1086,7 +1083,6 @@ impl Network {
 
     pub(crate) fn count_wasted_credit(&mut self, flow: FlowId) {
         self.counters.credits_wasted += 1;
-        self.arena.incr_credits_wasted(flow);
         if self.trace.is_some() {
             let ev = TraceEvent::CreditWasted {
                 at: self.now,
@@ -1101,7 +1097,6 @@ impl Network {
             return;
         }
         self.arena.set_flag(flow, FLAG_ABORTED, true);
-        self.aborted += 1;
         self.counters.flows_aborted += 1;
         if self.trace.is_some() {
             let ev = TraceEvent::FlowAborted {

@@ -304,7 +304,7 @@ impl MetricsState {
         reg.set(ids.flows_active, active as f64);
         reg.set(ids.flows_stalled, stalled as f64);
         reg.set(ids.flows_completed, net.completed as f64);
-        reg.set(ids.flows_aborted, net.aborted as f64);
+        reg.set(ids.flows_aborted, net.aborted_count() as f64);
         let c = &net.counters;
         reg.set_counter(ids.credits_sent, c.credits_sent);
         reg.set_counter(ids.credits_dropped, c.credits_dropped);
@@ -505,6 +505,6 @@ pub(super) fn progress(net: &Network, t: SimTime, wall: f64) -> Progress {
         flows_total: net.arena.slot_count() as u64,
         flows_active: active_flows(net, t).0,
         flows_completed: net.completed as u64,
-        flows_aborted: net.aborted as u64,
+        flows_aborted: net.counters.flows_aborted,
     }
 }

@@ -153,6 +153,7 @@ impl Network {
     /// interval later — while work remains, so that `run_until_done`
     /// terminates.
     fn record_point(&mut self, at: SimTime) {
+        let work_remains = self.settled() < self.arena.slot_count();
         let s = &mut self.sampler;
         let interval = s.interval.expect("a pending point has an interval");
         for (flow, last) in &mut s.flows {
@@ -169,7 +170,6 @@ impl Network {
                 series.push(at, bytes as f64);
             }
         }
-        let work_remains = self.completed + self.aborted < self.arena.slot_count();
         s.pending = work_remains.then(|| (at + interval, self.events.reserve_seq()));
     }
 

@@ -133,7 +133,7 @@ fn in_range(what: &str, id: u32, n: usize) -> Result<(), String> {
 
 impl Network {
     /// Serialize the network's complete *dynamic* state as an
-    /// `xpass-snap/v7` body, one section per layer. Static configuration —
+    /// `xpass-snap/v8` body, one section per layer. Static configuration —
     /// topology, [`NetConfig`](crate::config::NetConfig), endpoint factory,
     /// installed monitor specs — is not written: a restore overlays onto a
     /// freshly built network whose deterministic setup already re-created
@@ -182,10 +182,7 @@ impl Network {
             io.within("pending", |io| {
                 io.seq(&mut self.pending, 5, |io, p: &mut Pending| p.persist(io))
             })?;
-            io.within("settled", |io| {
-                io.usize(&mut self.completed)?;
-                io.usize(&mut self.aborted)
-            })?;
+            io.within("settled", |io| io.usize(&mut self.completed))?;
             optional(io, "controller", self.controller.as_mut(), |io, c| {
                 c.persist(io)
             })?;

@@ -288,10 +288,14 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Every queued entry in `(time, seq)` order — the pop order — with
-    /// its payload by reference. Read-only: the window, cursors, buckets
-    /// and adaptive-width statistics are exactly as before the call.
-    pub(crate) fn sorted_entries(&self) -> Vec<(SimTime, u64, &E)> {
+    /// Hand every queued entry to `f` in `(time, seq)` order — the pop
+    /// order — payload in place, stopping at the first error. The window,
+    /// cursors, buckets and adaptive-width statistics are exactly as
+    /// before the call.
+    pub(crate) fn try_for_each_sorted<X>(
+        &mut self,
+        mut f: impl FnMut(SimTime, u64, &mut E) -> Result<(), X>,
+    ) -> Result<(), X> {
         let mut keys: Vec<Entry> = Vec::with_capacity(self.len);
         keys.extend_from_slice(&self.staging[self.scursor..]);
         for b in &self.buckets {
@@ -300,14 +304,12 @@ impl<E> CalendarQueue<E> {
         keys.extend(self.overflow.iter());
         debug_assert_eq!(keys.len(), self.len);
         keys.sort_unstable_by_key(|e| e.key.0);
-        keys.iter()
-            .map(|e| {
-                let event = self.slab[e.slot as usize]
-                    .as_ref()
-                    .expect("queued entry without a payload");
-                (SimTime(e.time()), e.seq(), event)
-            })
-            .collect()
+        keys.iter().try_for_each(|e| {
+            let event = self.slab[e.slot as usize]
+                .as_mut()
+                .expect("queued entry without a payload");
+            f(SimTime(e.time()), e.seq(), event)
+        })
     }
 
     /// Every queued payload, in slab order.
@@ -799,7 +801,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_entries_is_sorted_complete_and_read_only() {
+    fn sorted_walk_is_complete_and_leaves_the_layout() {
         let mut q = CalendarQueue::with_capacity(8);
         let far = WINDOW_PS * 3 + 17;
         for (seq, t) in [far, WINDOW_PS / 2, 900, 3, 900, far + 1]
@@ -813,11 +815,12 @@ mod tests {
         assert_eq!(q.pop().unwrap().2, 3);
         q.push(SimTime(4), 6, 4);
         let (cap, bits, len) = (q.capacity(), q.bucket_bits(), q.len());
-        let got: Vec<(u64, u64, u64)> = q
-            .sorted_entries()
-            .into_iter()
-            .map(|(t, s, e)| (t.0, s, *e))
-            .collect();
+        let mut got: Vec<(u64, u64, u64)> = Vec::new();
+        q.try_for_each_sorted(|t, s, e| {
+            got.push((t.0, s, *e));
+            Ok::<(), ()>(())
+        })
+        .unwrap();
         assert_eq!((q.capacity(), q.bucket_bits(), q.len()), (cap, bits, len));
         let popped: Vec<(u64, u64, u64)> =
             std::iter::from_fn(|| q.pop().map(|(t, s, e)| (t.0, s, e))).collect();

@@ -23,7 +23,7 @@
 //! skip the checkpoint check entirely.
 
 use crate::run_ctx::{self, RunCtx};
-use crate::snap::{self, SnapError, SnapReader, SnapWriter};
+use crate::snap::{self, SnapError, SnapIo, SnapReader, SnapWriter};
 use crate::time::{Dur, SimTime};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +53,7 @@ pub struct RunLabel {
 }
 
 /// A parsed snapshot file: header metadata plus the opaque network state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ResumeImage {
     /// Scope path of the run the snapshot was taken in.
     pub scope: Vec<u64>,
@@ -146,14 +146,13 @@ pub struct NetHook {
     /// must not clobber the snapshots it is replaying from).
     enabled: bool,
     pending_resume: Option<ResumeImage>,
-    run_calls: u64,
+    /// The meta of this network's next snapshot: its scope, index, label
+    /// and metering, and the run call it is in (0 before the first). Its
+    /// time and network state are filled in by each write.
+    meta: ResumeImage,
     dir: PathBuf,
     keep: usize,
     file_seq: u64,
-    scope: Vec<u64>,
-    net_index: u64,
-    label: RunLabel,
-    metering: Option<Dur>,
     shared: Arc<Shared>,
 }
 
@@ -189,14 +188,16 @@ pub(crate) fn hook(ctx: &RunCtx, net_index: u64) -> Option<NetHook> {
         next: every.map_or(SimTime::MAX, |e| SimTime::ZERO + e),
         enabled: every.is_some() && !replaying,
         pending_resume,
-        run_calls: 0,
+        meta: ResumeImage {
+            scope: scope.to_vec(),
+            net_index,
+            label: ctx.label.clone(),
+            metering: ctx.metrics.as_ref().map(|spec| spec.interval),
+            ..ResumeImage::default()
+        },
         dir,
         keep,
         file_seq: 0,
-        scope: scope.to_vec(),
-        net_index,
-        label: ctx.label.clone(),
-        metering: ctx.metrics.as_ref().map(|spec| spec.interval),
         shared: Arc::clone(shared),
     })
 }
@@ -206,11 +207,11 @@ impl NetHook {
     /// Returns the serialized network state to overlay when this call is
     /// the one the armed resume image recorded.
     pub fn on_run_call(&mut self) -> Option<Vec<u8>> {
-        self.run_calls += 1;
+        self.meta.run_call += 1;
         if self
             .pending_resume
             .as_ref()
-            .is_some_and(|img| img.run_call == self.run_calls)
+            .is_some_and(|img| img.run_call == self.meta.run_call)
         {
             let img = self.pending_resume.take().unwrap();
             self.enabled = self.every.is_some();
@@ -240,23 +241,20 @@ impl NetHook {
     /// snapshot re-enters its run at a run call, and [`parse_image`]
     /// refuses call 0 — so nothing is written: such a file, being the
     /// newest, would hide every older valid one from a restart.
-    pub fn write(&mut self, now: SimTime, net_state: &[u8]) {
-        if self.run_calls == 0 {
+    pub fn write(&mut self, now: SimTime, net_state: Vec<u8>) {
+        if self.meta.run_call == 0 {
             return;
         }
         if let Some(e) = self.every {
             self.next = now + e;
         }
+        self.meta.time = now;
+        self.meta.net_state = net_state;
         let mut w = SnapWriter::new();
-        w.seq(&self.scope, |w, s| w.u64(*s));
-        w.u64(self.net_index);
-        w.u64(self.run_calls);
-        w.u64(now.0);
-        w.str(&self.label.name);
-        w.opt(self.label.seed.as_ref(), |w, s| w.u64(*s));
-        w.bool(self.label.paper_scale);
-        w.opt(self.metering.as_ref(), |w, d| w.u64(d.as_ps()));
-        w.bytes(net_state);
+        self.meta
+            .persist(&mut SnapIo::Write(&mut w))
+            .expect("writing a checkpoint cannot fail");
+        self.meta.net_state = Vec::new();
         let path = self.dir.join(format!("ck-{:06}.snap", self.file_seq));
         self.file_seq += 1;
         if let Err(e) = snap::write_atomic(&path, &w.into_body()) {
@@ -275,43 +273,40 @@ impl NetHook {
             .registry
             .lock()
             .unwrap()
-            .push((self.scope.clone(), order, path));
+            .push((self.meta.scope.clone(), order, path));
+    }
+}
+
+impl ResumeImage {
+    /// The one traversal of a checkpoint body, behind [`NetHook::write`]
+    /// and [`parse_image`]: the meta — where in its run the snapshot was
+    /// taken, under which label and metering — then the network state as
+    /// one trailing byte string.
+    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+        io.within("meta", |io| {
+            io.seq(&mut self.scope, 8, |io, s| io.u64(s))?;
+            io.u64(&mut self.net_index)?;
+            io.u64(&mut self.run_call)?;
+            if self.run_call == 0 {
+                return Err(io.err("invalid run-call index: expected ≥ 1, found 0"));
+            }
+            io.u64(&mut self.time.0)?;
+            io.str(&mut self.label.name)?;
+            io.opt(&mut self.label.seed, |io, s| io.u64(s))?;
+            io.bool(&mut self.label.paper_scale)?;
+            io.opt(&mut self.metering, |io, d| io.u64(&mut d.0))?;
+            io.bytes(&mut self.net_state)
+        })?;
+        io.expect_end()
     }
 }
 
 /// Parse a snapshot body (already envelope-validated) into a
 /// [`ResumeImage`].
 pub fn parse_image(body: &[u8]) -> Result<ResumeImage, SnapError> {
-    let mut r = SnapReader::new(body, snap::HEADER_LEN);
-    r.enter("meta");
-    let n = r.seq_len(8)?;
-    let scope = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
-    let net_index = r.u64()?;
-    let run_call = r.u64()?;
-    if run_call == 0 {
-        return Err(r.err("invalid run-call index: expected ≥ 1, found 0"));
-    }
-    let time = SimTime(r.u64()?);
-    let name = r.str()?;
-    let seed = r.opt(|r| r.u64())?;
-    let paper_scale = r.bool()?;
-    let metering = r.opt(|r| r.u64().map(Dur))?;
-    let net_state = r.bytes()?;
-    r.leave();
-    r.expect_end()?;
-    Ok(ResumeImage {
-        scope,
-        net_index,
-        run_call,
-        time,
-        label: RunLabel {
-            name,
-            seed,
-            paper_scale,
-        },
-        metering,
-        net_state,
-    })
+    let mut img = ResumeImage::default();
+    img.persist(&mut SnapIo::Read(SnapReader::new(body, snap::HEADER_LEN)))?;
+    Ok(img)
 }
 
 /// Load and parse a snapshot file into a [`ResumeImage`].
@@ -380,7 +375,7 @@ mod tests {
         );
         let mut hook = register_network().expect("hook");
         assert!(hook.on_run_call().is_none());
-        hook.write(SimTime(5_000_000), b"netstate");
+        hook.write(SimTime(5_000_000), b"netstate".to_vec());
         let written = latest_checkpoint().expect("registered path");
         let img = load_image(&written).expect("parse back");
         assert_eq!(img.scope, Vec::<u64>::new());
@@ -427,7 +422,7 @@ mod tests {
         let mut hook = register_network().expect("hook");
         hook.on_run_call();
         for i in 0..5u64 {
-            hook.write(SimTime(i * 1_000_000), b"s");
+            hook.write(SimTime(i * 1_000_000), b"s".to_vec());
         }
         let net_dir = dir.join("scope").join("net0");
         let mut files: Vec<_> = std::fs::read_dir(&net_dir)
@@ -444,7 +439,10 @@ mod tests {
     fn corrupt_image_is_rejected_with_context() {
         let body = {
             let mut w = SnapWriter::new();
-            w.seq(&[0u64], |w, s| w.u64(*s));
+            let mut scope = vec![0u64];
+            SnapIo::Write(&mut w)
+                .seq(&mut scope, 8, |io, s| io.u64(s))
+                .unwrap();
             w.into_body() // truncated: missing everything after scope
         };
         let e = parse_image(&body).unwrap_err();

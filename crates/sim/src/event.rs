@@ -386,21 +386,28 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Every queued entry in `(time, seq)` order, payload by reference.
-    /// Both schedulers yield the identical sequence. Read-only: the
-    /// scheduler's internal layout (the calendar's window, cursors and
-    /// bucket width) is exactly as it was.
-    fn sorted_entries(&self) -> Vec<(SimTime, u64, &E)> {
-        match &self.imp {
+    /// Hand every queued entry to `f` in `(time, seq)` order, payload in
+    /// place, stopping at the first error. Both schedulers yield the
+    /// identical sequence, and each keeps its layout (the heap's array,
+    /// the calendar's window, cursors and bucket width) exactly as it was.
+    fn try_for_each_sorted<X>(
+        &mut self,
+        mut f: impl FnMut(SimTime, u64, &mut E) -> Result<(), X>,
+    ) -> Result<(), X> {
+        match &mut self.imp {
             Impl::Heap(h) => {
-                let mut v: Vec<_> = h
-                    .iter()
-                    .map(|e| (e.key.0 .0, e.key.0 .1, &e.event))
-                    .collect();
-                v.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-                v
+                // A valid heap's array, handed back, heapifies without
+                // moving an entry.
+                let mut v = std::mem::take(h).into_vec();
+                let mut order: Vec<_> = (0..v.len()).map(|i| (v[i].key.0, i)).collect();
+                order.sort_unstable();
+                let out = order
+                    .into_iter()
+                    .try_for_each(|((at, seq), i)| f(at, seq, &mut v[i].event));
+                *h = BinaryHeap::from(v);
+                out
             }
-            Impl::Calendar(c) => c.sorted_entries(),
+            Impl::Calendar(c) => c.try_for_each_sorted(f),
         }
     }
 
@@ -433,21 +440,21 @@ impl<E> EventQueue<E> {
     /// payload through `payload`, then the counters and the horizon —
     /// identical bytes under either scheduler.
     ///
-    /// The one traversal with two branches. Writing walks a sorted view of
-    /// the queue and hands `payload` a copy of one event at a time, leaving
-    /// the scheduler's layout exactly as it was, so a run that snapshots
-    /// continues precisely like one that does not; sharing one walk would
-    /// mean copying every entry first. Reading builds a fresh queue on the
-    /// same scheduler, so its window rotates to the snapshot's earliest
-    /// event on the first pop exactly as a live queue's does, instead of
-    /// inheriting a window some earlier drain left behind.
+    /// The one traversal with two branches. Writing walks the queue in
+    /// order and hands `payload` each event in place, leaving the
+    /// scheduler's layout exactly as it was, so a run that snapshots
+    /// continues precisely like one that does not. Reading builds a fresh
+    /// queue on the same scheduler, so its window rotates to the
+    /// snapshot's earliest event on the first pop exactly as a live
+    /// queue's does, instead of inheriting a window some earlier drain
+    /// left behind.
     pub fn persist(
         &mut self,
         io: &mut SnapIo,
         mut payload: impl FnMut(&mut SnapIo, &mut E) -> Result<(), SnapError>,
     ) -> Result<(), SnapError>
     where
-        E: Clone + Default,
+        E: Default,
     {
         let n = io.seq_len(self.len, 16)?;
         if io.reading() {
@@ -462,11 +469,11 @@ impl<E> EventQueue<E> {
             q.needs_shrink = q.len > q.initial_cap;
             *self = q;
         } else {
-            for (mut at, mut seq, event) in self.sorted_entries() {
+            self.try_for_each_sorted(|mut at, mut seq, event| {
                 io.u64(&mut at.0)?;
                 io.u64(&mut seq)?;
-                payload(io, &mut event.clone())?;
-            }
+                payload(io, event)
+            })?;
         }
         io.u64(&mut self.seq)?;
         io.u64(&mut self.popped)?;

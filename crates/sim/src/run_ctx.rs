@@ -153,7 +153,7 @@ mod tests {
         let (ckpt, metrics) = register_network();
         let dir = ckpt.map(|mut h| {
             h.on_run_call();
-            h.write(SimTime(1), b"s");
+            h.write(SimTime(1), b"s".to_vec());
             let snap = checkpoint::latest_checkpoint().unwrap();
             let rel = snap.parent().unwrap().strip_prefix(root).unwrap();
             rel.to_str().unwrap().to_string()

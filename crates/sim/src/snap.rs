@@ -1,4 +1,4 @@
-//! `xpass-snap/v7` — a versioned, zero-dependency binary snapshot format.
+//! `xpass-snap/v8` — a versioned, zero-dependency binary snapshot format.
 //!
 //! Snapshots make long runs durable: the engine can serialize its complete
 //! state mid-run, and a later process can restore it and continue with
@@ -12,14 +12,14 @@
 //! ```text
 //! offset  size  field
 //! 0       10    magic  b"xpass-snap"
-//! 10      4     version (u32 LE, currently 7 — see [`VERSION`])
+//! 10      4     version (u32 LE, currently 8 — see [`VERSION`])
 //! 14      4     CRC-32 (IEEE) of the body
 //! 18      8     body length (u64 LE)
 //! 26      ..    body
 //! ```
 //!
-//! The body is a flat stream of little-endian primitives written by
-//! [`SnapWriter`] and read back by [`SnapReader`]. There is no per-field
+//! The body is a flat stream of little-endian primitives, written and read
+//! back through [`SnapIo`], the one codec. There is no per-field
 //! tagging — the layout is whatever order each type's `persist` visits its
 //! fields in — but every read is bounds-checked and every sequence length
 //! is validated against the remaining bytes, so a truncated or bit-flipped
@@ -53,7 +53,10 @@ use std::path::Path;
 
 /// Magic bytes at offset 0 of every snapshot file.
 pub const MAGIC: [u8; 10] = *b"xpass-snap";
-/// Current format version. v7 (wakes held, not queued): each port writes
+/// Current format version. v8 (each per-flow fact once): a flow writes no
+/// credit counts — credit accounting is run-wide, in the network's
+/// counters — and the settled section no aborted-flow count, which the
+/// counters also hold. v7 (wakes held, not queued): each port writes
 /// the wake position it holds — when, its sequence number, whether it is
 /// queued or only reserved, and whether an enqueue at that instant asked
 /// for it — in place of v6's deferred-wake sequence number, and its
@@ -77,21 +80,46 @@ pub const MAGIC: [u8; 10] = *b"xpass-snap";
 /// window sender's carried RTO deadline. Older files are refused with the
 /// version-mismatch error — a snapshot resumes the run that wrote it, and
 /// an older run's queue holds events this one never pushes.
-pub const VERSION: u32 = 7;
+pub const VERSION: u32 = 8;
 /// Bytes of header before the body starts.
 pub const HEADER_LEN: usize = 10 + 4 + 4 + 8;
 
 /// A structured snapshot decoding error: absolute byte offset, dotted
 /// context path (e.g. `network.ports[3].bucket`), and a message that spells
-/// out expected vs found where applicable.
+/// out expected vs found where applicable. Its fields live behind one box,
+/// so every `Result<(), SnapError>` a traversal returns is one word wide;
+/// they read as `e.at`, `e.path` and `e.msg` through `Deref`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapError {
+pub struct SnapError(Box<SnapErrorDetail>);
+
+/// The fields of a [`SnapError`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapErrorDetail {
     /// Absolute byte offset in the snapshot file where decoding failed.
     pub at: usize,
     /// Dotted path of the value being decoded when the error hit.
     pub path: String,
     /// Human-readable description (includes expected vs found values).
     pub msg: String,
+}
+
+impl SnapError {
+    /// An error at absolute offset `at` in the value named by `path`.
+    #[cold]
+    fn new(at: usize, path: impl Into<String>, msg: impl Into<String>) -> SnapError {
+        SnapError(Box::new(SnapErrorDetail {
+            at,
+            path: path.into(),
+            msg: msg.into(),
+        }))
+    }
+}
+
+impl std::ops::Deref for SnapError {
+    type Target = SnapErrorDetail;
+    fn deref(&self) -> &SnapErrorDetail {
+        &self.0
+    }
 }
 
 impl fmt::Display for SnapError {
@@ -110,7 +138,7 @@ impl fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// Appends little-endian primitives to a growing body buffer.
+/// A growing snapshot body: what [`SnapIo::Write`] appends to.
 #[derive(Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
@@ -137,82 +165,15 @@ impl SnapWriter {
         self.buf
     }
 
-    /// Write one byte.
-    #[inline]
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Write a bool as one byte (0/1).
-    #[inline]
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    /// Write a u32, little-endian.
-    #[inline]
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Write a u64, little-endian.
-    #[inline]
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Write a u128, little-endian.
-    #[inline]
-    pub fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Write a usize as u64.
-    #[inline]
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Write an f64 as its IEEE-754 bit pattern (exact round-trip,
-    /// including NaN payloads and signed zero).
-    #[inline]
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Write a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.usize(v.len());
+    /// Append a length-prefixed byte string.
+    fn put_bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
         self.buf.extend_from_slice(v);
-    }
-
-    /// Write a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// Write `Some`/`None` plus the payload via a closure.
-    pub fn opt<T>(&mut self, v: Option<&T>, f: impl FnOnce(&mut SnapWriter, &T)) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                f(self, x);
-            }
-            None => self.bool(false),
-        }
-    }
-
-    /// Write a sequence: length prefix, then each element via the closure.
-    pub fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut SnapWriter, &T)) {
-        self.usize(items.len());
-        for it in items {
-            f(self, it);
-        }
     }
 }
 
-/// Reads the primitives [`SnapWriter`] writes, with bounds checking and a
-/// context-path stack for error reporting.
+/// A body being read back: what [`SnapIo::Read`] takes fields from, with
+/// bounds checking and a context-path stack for error reporting.
 pub struct SnapReader<'a> {
     data: &'a [u8],
     pos: usize,
@@ -235,36 +196,27 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Absolute offset of the next byte to be read.
-    pub fn offset(&self) -> usize {
+    fn offset(&self) -> usize {
         self.base + self.pos
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
-    /// Push a context segment (shows up in error paths as `a.b.c`).
-    pub fn enter(&mut self, name: impl Into<String>) {
-        self.ctx.push(name.into());
+    /// An error at absolute offset `at` with the current context path.
+    fn err_at(&self, at: usize, msg: impl Into<String>) -> SnapError {
+        SnapError::new(at, self.ctx.join("."), msg)
     }
 
-    /// Pop the innermost context segment.
-    pub fn leave(&mut self) {
-        self.ctx.pop();
-    }
-
-    /// Build an error at the current offset with the current context path.
-    pub fn err(&self, msg: impl Into<String>) -> SnapError {
-        SnapError {
-            at: self.offset(),
-            path: self.ctx.join("."),
-            msg: msg.into(),
-        }
+    /// An error at the current offset with the current context path.
+    fn err(&self, msg: impl Into<String>) -> SnapError {
+        self.err_at(self.offset(), msg)
     }
 
     /// Fail unless the stream is fully consumed (trailing garbage check).
-    pub fn expect_end(&self) -> Result<(), SnapError> {
+    fn expect_end(&self) -> Result<(), SnapError> {
         if self.pos != self.data.len() {
             return Err(self.err(format!(
                 "expected end of snapshot, found {} trailing byte(s)",
@@ -287,71 +239,30 @@ impl<'a> SnapReader<'a> {
         Ok(s)
     }
 
-    /// Read one byte.
+    /// `N` bytes as an array, for a fixed-width little-endian value.
     #[inline]
-    pub fn u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.take(1, "u8")?[0])
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], SnapError> {
+        Ok(self
+            .take(N, what)?
+            .try_into()
+            .expect("take returns N bytes"))
     }
 
-    /// Read a bool; anything but 0/1 is a format error.
+    /// A usize (stored as u64); fails if it overflows the platform.
     #[inline]
-    pub fn bool(&mut self) -> Result<bool, SnapError> {
-        match self.take(1, "bool")?[0] {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(SnapError {
-                at: self.base + self.pos - 1,
-                path: self.ctx.join("."),
-                msg: format!("invalid bool: expected 0 or 1, found {b}"),
-            }),
-        }
-    }
-
-    /// Read a u32, little-endian.
-    #[inline]
-    pub fn u32(&mut self) -> Result<u32, SnapError> {
-        let b = self.take(4, "u32")?;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    /// Read a u64, little-endian.
-    #[inline]
-    pub fn u64(&mut self) -> Result<u64, SnapError> {
-        let b = self.take(8, "u64")?;
-        Ok(u64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    /// Read a u128, little-endian.
-    #[inline]
-    pub fn u128(&mut self) -> Result<u128, SnapError> {
-        let b = self.take(16, "u128")?;
-        Ok(u128::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    /// Read a usize (stored as u64); fails if it overflows the platform.
-    #[inline]
-    pub fn usize(&mut self) -> Result<usize, SnapError> {
-        let v = self.u64()?;
+    fn usize(&mut self) -> Result<usize, SnapError> {
+        let v = u64::from_le_bytes(self.array("u64")?);
         usize::try_from(v).map_err(|_| self.err(format!("usize out of range: {v}")))
     }
 
-    /// Read an f64 from its bit pattern.
-    #[inline]
-    pub fn f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Read a sequence length written by [`SnapWriter::seq`], validated
-    /// against the bytes remaining: each element needs at least
-    /// `min_elem_bytes`, so a corrupted length cannot trigger a huge
-    /// allocation or an unbounded loop.
-    pub fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, SnapError> {
+    /// A sequence length, validated as [`SnapIo::seq_len`] describes.
+    fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, SnapError> {
         let n = self.usize()?;
         let cap = self.remaining() / min_elem_bytes.max(1);
         if n > cap {
             return Err(self.err(format!(
                 "sequence length {n} impossible: only {} byte(s) remain \
-                 (≥ {} needed per element)",
+                     (≥ {} needed per element)",
                 self.remaining(),
                 min_elem_bytes.max(1)
             )));
@@ -359,33 +270,10 @@ impl<'a> SnapReader<'a> {
         Ok(n)
     }
 
-    /// Read a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, SnapError> {
+    /// A length-prefixed byte string.
+    fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.seq_len(1)?;
-        Ok(self.take(n, "byte string")?.to_vec())
-    }
-
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, SnapError> {
-        let at = self.offset();
-        let b = self.bytes()?;
-        String::from_utf8(b).map_err(|e| SnapError {
-            at,
-            path: self.ctx.join("."),
-            msg: format!("invalid UTF-8 in string: {e}"),
-        })
-    }
-
-    /// Read an `Option` written by [`SnapWriter::opt`].
-    pub fn opt<T>(
-        &mut self,
-        f: impl FnOnce(&mut SnapReader<'a>) -> Result<T, SnapError>,
-    ) -> Result<Option<T>, SnapError> {
-        if self.bool()? {
-            Ok(Some(f(self)?))
-        } else {
-            Ok(None)
-        }
+        self.take(n, "byte string")
     }
 }
 
@@ -427,7 +315,8 @@ impl<T: Default> SnapSeq for VecDeque<T> {
     }
 }
 
-/// One traversal, either direction: the handle every `persist` takes.
+/// One traversal, either direction: the handle every `persist` takes, and
+/// the only codec a snapshot body is written and read with.
 ///
 /// Writing appends each field to a [`SnapWriter`]; reading takes it from a
 /// [`SnapReader`], validates it, and overwrites the field in place. Context
@@ -447,60 +336,106 @@ impl<'a> SnapIo<'a> {
         matches!(self, SnapIo::Read(_))
     }
 
-    #[inline]
-    fn field<T: Copy>(
-        &mut self,
-        v: &mut T,
-        write: fn(&mut SnapWriter, T),
-        read: fn(&mut SnapReader<'a>) -> Result<T, SnapError>,
-    ) -> Result<(), SnapError> {
-        match self {
-            SnapIo::Write(w) => write(w, *v),
-            SnapIo::Read(r) => *v = read(r)?,
-        }
-        Ok(())
-    }
-
     /// One byte.
     #[inline]
     pub fn u8(&mut self, v: &mut u8) -> Result<(), SnapError> {
-        self.field(v, SnapWriter::u8, SnapReader::u8)
+        match self {
+            SnapIo::Write(w) => w.buf.push(*v),
+            SnapIo::Read(r) => *v = r.take(1, "u8")?[0],
+        }
+        Ok(())
     }
 
     /// A bool as one byte; anything but 0/1 is refused.
     #[inline]
     pub fn bool(&mut self, v: &mut bool) -> Result<(), SnapError> {
-        self.field(v, SnapWriter::bool, SnapReader::bool)
+        match self {
+            SnapIo::Write(w) => w.buf.push(*v as u8),
+            SnapIo::Read(r) => {
+                *v = match r.take(1, "bool")?[0] {
+                    0 => false,
+                    1 => true,
+                    b => {
+                        let msg = format!("invalid bool: expected 0 or 1, found {b}");
+                        return Err(r.err_at(r.offset() - 1, msg));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// A u32, little-endian.
     #[inline]
     pub fn u32(&mut self, v: &mut u32) -> Result<(), SnapError> {
-        self.field(v, SnapWriter::u32, SnapReader::u32)
+        match self {
+            SnapIo::Write(w) => w.buf.extend_from_slice(&v.to_le_bytes()),
+            SnapIo::Read(r) => *v = u32::from_le_bytes(r.array("u32")?),
+        }
+        Ok(())
     }
 
     /// A u64, little-endian.
     #[inline]
     pub fn u64(&mut self, v: &mut u64) -> Result<(), SnapError> {
-        self.field(v, SnapWriter::u64, SnapReader::u64)
+        match self {
+            SnapIo::Write(w) => w.buf.extend_from_slice(&v.to_le_bytes()),
+            SnapIo::Read(r) => *v = u64::from_le_bytes(r.array("u64")?),
+        }
+        Ok(())
     }
 
     /// A u128, little-endian.
     #[inline]
     pub fn u128(&mut self, v: &mut u128) -> Result<(), SnapError> {
-        self.field(v, SnapWriter::u128, SnapReader::u128)
+        match self {
+            SnapIo::Write(w) => w.buf.extend_from_slice(&v.to_le_bytes()),
+            SnapIo::Read(r) => *v = u128::from_le_bytes(r.array("u128")?),
+        }
+        Ok(())
     }
 
     /// A usize as u64; a value that overflows the platform is refused.
     #[inline]
     pub fn usize(&mut self, v: &mut usize) -> Result<(), SnapError> {
-        self.field(v, SnapWriter::usize, SnapReader::usize)
+        match self {
+            SnapIo::Write(w) => w.buf.extend_from_slice(&(*v as u64).to_le_bytes()),
+            SnapIo::Read(r) => *v = r.usize()?,
+        }
+        Ok(())
     }
 
     /// An f64 by its bit pattern (exact, NaN payloads and signed zero).
     #[inline]
     pub fn f64(&mut self, v: &mut f64) -> Result<(), SnapError> {
-        self.field(v, SnapWriter::f64, SnapReader::f64)
+        let mut bits = v.to_bits();
+        self.u64(&mut bits)?;
+        *v = f64::from_bits(bits);
+        Ok(())
+    }
+
+    /// A length-prefixed byte string.
+    pub fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), SnapError> {
+        match self {
+            SnapIo::Write(w) => w.put_bytes(v),
+            SnapIo::Read(r) => *v = r.bytes()?.to_vec(),
+        }
+        Ok(())
+    }
+
+    /// A length-prefixed UTF-8 string; invalid UTF-8 is refused.
+    pub fn str(&mut self, v: &mut String) -> Result<(), SnapError> {
+        match self {
+            SnapIo::Write(w) => w.put_bytes(v.as_bytes()),
+            SnapIo::Read(r) => {
+                let at = r.offset();
+                let b = r.bytes()?;
+                *v = std::str::from_utf8(b)
+                    .map_err(|e| r.err_at(at, format!("invalid UTF-8 in string: {e}")))?
+                    .to_string();
+            }
+        }
+        Ok(())
     }
 
     /// Run `f` inside the context segment `name` (shows up in a read
@@ -511,11 +446,11 @@ impl<'a> SnapIo<'a> {
         f: impl FnOnce(&mut Self) -> Result<T, SnapError>,
     ) -> Result<T, SnapError> {
         if let SnapIo::Read(r) = self {
-            r.enter(name.to_string());
+            r.ctx.push(name.to_string());
         }
         let out = f(self)?;
         if let SnapIo::Read(r) = self {
-            r.leave();
+            r.ctx.pop();
         }
         Ok(out)
     }
@@ -524,11 +459,7 @@ impl<'a> SnapIo<'a> {
     pub fn err(&self, msg: impl Into<String>) -> SnapError {
         match self {
             SnapIo::Read(r) => r.err(msg),
-            SnapIo::Write(w) => SnapError {
-                at: w.len(),
-                path: String::new(),
-                msg: msg.into(),
-            },
+            SnapIo::Write(w) => SnapError::new(w.len(), "", msg),
         }
     }
 
@@ -541,11 +472,13 @@ impl<'a> SnapIo<'a> {
     }
 
     /// A sequence length: writes `len`, or reads one validated against the
-    /// bytes left ([`SnapReader::seq_len`]). Returns the length either way.
+    /// bytes left: each element needs at least `min_elem_bytes`, so a
+    /// corrupted length cannot trigger a huge allocation or an unbounded
+    /// loop. Returns the length either way.
     pub fn seq_len(&mut self, len: usize, min_elem_bytes: usize) -> Result<usize, SnapError> {
         match self {
             SnapIo::Write(w) => {
-                w.usize(len);
+                w.buf.extend_from_slice(&(len as u64).to_le_bytes());
                 Ok(len)
             }
             SnapIo::Read(r) => r.seq_len(min_elem_bytes),
@@ -717,7 +650,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 // File envelope.
 // ---------------------------------------------------------------------------
 
-/// Wrap a body in the `xpass-snap/v7` envelope (magic, version, checksum,
+/// Wrap a body in the `xpass-snap/v8` envelope (magic, version, checksum,
 /// length).
 pub fn encode_file(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + body.len());
@@ -734,11 +667,7 @@ pub fn encode_file(body: &[u8]) -> Vec<u8> {
 /// Errors name the offset and spell out expected vs found magic/version,
 /// so a CLI can print an actionable diagnostic.
 pub fn decode_file(file: &[u8]) -> Result<&[u8], SnapError> {
-    let fail = |at: usize, msg: String| SnapError {
-        at,
-        path: "header".to_string(),
-        msg,
-    };
+    let fail = |at: usize, msg: String| SnapError::new(at, "header", msg);
     if file.len() < HEADER_LEN {
         return Err(fail(
             0,
@@ -788,11 +717,8 @@ pub fn decode_file(file: &[u8]) -> Result<&[u8], SnapError> {
 /// Read a snapshot file from disk, validate the envelope, and return the
 /// body. I/O errors are reported as a [`SnapError`] at offset 0.
 pub fn load(path: &Path) -> Result<Vec<u8>, SnapError> {
-    let file = std::fs::read(path).map_err(|e| SnapError {
-        at: 0,
-        path: "io".to_string(),
-        msg: format!("cannot read {}: {e}", path.display()),
-    })?;
+    let file = std::fs::read(path)
+        .map_err(|e| SnapError::new(0, "io", format!("cannot read {}: {e}", path.display())))?;
     let body = decode_file(&file)?;
     Ok(body.to_vec())
 }
@@ -830,67 +756,97 @@ pub fn write_atomic(path: &Path, body: &[u8]) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
+    /// The body `f` writes.
+    fn written(f: impl FnOnce(&mut SnapIo) -> Result<(), SnapError>) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        f(&mut SnapIo::Write(&mut w)).unwrap();
+        w.into_body()
+    }
+
+    type Primitives = (u8, bool, u32, u64, u128, f64, f64, String, Vec<u8>, usize);
+
+    fn persist_primitives(io: &mut SnapIo, v: &mut Primitives) -> Result<(), SnapError> {
+        io.u8(&mut v.0)?;
+        io.bool(&mut v.1)?;
+        io.u32(&mut v.2)?;
+        io.u64(&mut v.3)?;
+        io.u128(&mut v.4)?;
+        io.f64(&mut v.5)?;
+        io.f64(&mut v.6)?;
+        io.str(&mut v.7)?;
+        io.bytes(&mut v.8)?;
+        io.usize(&mut v.9)
+    }
+
     #[test]
     fn primitives_round_trip() {
-        let mut w = SnapWriter::new();
-        w.u8(7);
-        w.bool(true);
-        w.u32(0xDEAD_BEEF);
-        w.u64(u64::MAX);
-        w.u128(u128::MAX - 1);
-        w.f64(-0.0);
-        w.f64(f64::INFINITY);
-        w.str("hello κόσμε");
-        w.bytes(&[1, 2, 3]);
-        w.opt(Some(&42u64), |w, v| w.u64(*v));
-        w.opt::<u64>(None, |w, v| w.u64(*v));
-        w.seq(&[10u64, 20, 30], |w, v| w.u64(*v));
-        let body = w.into_body();
+        let mut donor: Primitives = (
+            7,
+            true,
+            0xDEAD_BEEF,
+            u64::MAX,
+            u128::MAX - 1,
+            -0.0,
+            f64::INFINITY,
+            "hello κόσμε".into(),
+            vec![1, 2, 3],
+            1 << 40,
+        );
+        let body = written(|io| persist_primitives(io, &mut donor));
+        // Little-endian, fixed width; strings and bytes carry a u64 length.
+        assert_eq!(
+            body.len(),
+            1 + 1 + 4 + 8 + 16 + 8 + 8 + (8 + 16) + (8 + 3) + 8
+        );
+        assert_eq!(body[2..6], 0xDEAD_BEEFu32.to_le_bytes());
 
-        let mut r = SnapReader::new(&body, 0);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.u128().unwrap(), u128::MAX - 1);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(r.f64().unwrap(), f64::INFINITY);
-        assert_eq!(r.str().unwrap(), "hello κόσμε");
-        assert_eq!(r.bytes().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.opt(|r| r.u64()).unwrap(), Some(42));
-        assert_eq!(r.opt(|r| r.u64()).unwrap(), None);
-        let n = r.seq_len(8).unwrap();
-        let v: Vec<u64> = (0..n).map(|_| r.u64().unwrap()).collect();
-        assert_eq!(v, vec![10, 20, 30]);
+        let mut twin = Primitives::default();
+        let mut r = SnapIo::Read(SnapReader::new(&body, 0));
+        persist_primitives(&mut r, &mut twin).unwrap();
         r.expect_end().unwrap();
+        assert_eq!(twin, donor);
+        assert_eq!(twin.5.to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn malformed_primitives_are_refused_where_they_start() {
+        let mut r = SnapIo::Read(SnapReader::new(&[2], 26));
+        let e = r.bool(&mut false).unwrap_err();
+        assert_eq!(e.at, 26);
+        assert!(
+            e.msg.contains("invalid bool: expected 0 or 1, found 2"),
+            "{e}"
+        );
+
+        let body = written(|io| io.bytes(&mut vec![0xff, 0xfe]));
+        let mut r = SnapIo::Read(SnapReader::new(&body, 26));
+        let e = r.str(&mut String::new()).unwrap_err();
+        assert_eq!(e.at, 26);
+        assert!(e.msg.contains("invalid UTF-8"), "{e}");
     }
 
     #[test]
     fn truncated_reads_error_cleanly() {
-        let mut w = SnapWriter::new();
-        w.u64(1);
-        let body = w.into_body();
-        let mut r = SnapReader::new(&body[..4], 0);
-        let e = r.u64().unwrap_err();
+        let body = written(|io| io.u64(&mut 1));
+        let mut r = SnapIo::Read(SnapReader::new(&body[..4], 0));
+        let e = r.u64(&mut 0).unwrap_err();
         assert!(e.msg.contains("truncated"), "{e}");
     }
 
     #[test]
     fn sequence_length_is_sanity_checked() {
-        let mut w = SnapWriter::new();
-        w.usize(1 << 40); // absurd length
-        let body = w.into_body();
-        let mut r = SnapReader::new(&body, 0);
-        let e = r.seq_len(8).unwrap_err();
+        let body = written(|io| io.usize(&mut (1 << 40))); // absurd length
+        let mut r = SnapIo::Read(SnapReader::new(&body, 0));
+        let e = r.seq_len(0, 8).unwrap_err();
         assert!(e.msg.contains("impossible"), "{e}");
     }
 
     #[test]
     fn error_paths_carry_context() {
-        let mut r = SnapReader::new(&[], 26);
-        r.enter("network");
-        r.enter("ports[3]");
-        let e = r.u64().unwrap_err();
+        let mut r = SnapIo::Read(SnapReader::new(&[], 26));
+        let e = r
+            .within("network", |r| r.within("ports[3]", |r| r.u64(&mut 0)))
+            .unwrap_err();
         assert_eq!(e.path, "network.ports[3]");
         assert_eq!(e.at, 26);
         assert!(e.to_string().contains("network.ports[3]"), "{e}");
@@ -898,10 +854,10 @@ mod tests {
 
     #[test]
     fn opt_onto_overlays_or_names_the_mismatch() {
-        let mut w = SnapWriter::new();
-        w.opt(Some(&5u64), |w, v| w.u64(*v));
-        w.opt::<u64>(None, |w, v| w.u64(*v));
-        let body = w.into_body();
+        let body = written(|io| {
+            io.opt(&mut Some(5u64), |io, v| io.u64(v))?;
+            io.opt(&mut None::<u64>, |io, v| io.u64(v))
+        });
         let read = |io: &mut SnapIo, v: &mut u64| io.u64(v);
 
         let mut r = SnapIo::Read(SnapReader::new(&body, 0));
@@ -1020,7 +976,7 @@ mod tests {
         let e = decode_file(&file).unwrap_err();
         assert_eq!(e.at, 10);
         assert!(
-            e.msg.contains("expected 7") && e.msg.contains("found 99"),
+            e.msg.contains("expected 8") && e.msg.contains("found 99"),
             "{e}"
         );
     }

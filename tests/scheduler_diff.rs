@@ -12,16 +12,17 @@
 //! is sized for that) the calendar side runs with prefetching and the
 //! heap side without any.
 
+use std::collections::BTreeMap;
 use xpass::expresspass::{xpass_factory, XPassConfig};
 use xpass::net::config::NetConfig;
 use xpass::net::faults::FaultPlan;
 use xpass::net::ids::{HostId, NodeId, SwitchId};
-use xpass::net::network::{Network, LOOKAHEAD_MIN_DEPTH};
+use xpass::net::network::{Counters, Network, LOOKAHEAD_MIN_DEPTH};
 use xpass::net::topology::Topology;
 use xpass::sim::event::SchedulerKind;
 use xpass::sim::run_ctx;
 use xpass::sim::time::{Dur, SimTime};
-use xpass::sim::trace::JsonlSink;
+use xpass::sim::trace::{JsonlSink, RingSink, TraceEvent};
 
 const G10: u64 = 10_000_000_000;
 
@@ -75,6 +76,61 @@ fn network_run_and_jsonl_trace_are_byte_identical() {
 
     let _ = std::fs::remove_file(&heap_path);
     let _ = std::fs::remove_file(&cal_path);
+}
+
+/// Credits sent and wasted per flow, tallied from a ring that holds every
+/// event of a dumbbell run (flow id → (sent, wasted)), plus the run's
+/// counters.
+fn credit_tallies() -> (BTreeMap<u32, (u64, u64)>, Counters) {
+    const CAP: usize = 1 << 16;
+    let topo = Topology::dumbbell(4, G10, Dur::us(2));
+    let cfg = NetConfig::expresspass().with_seed(13);
+    let mut net = Network::new(topo, cfg, xpass_factory(XPassConfig::aggressive()));
+    net.install_trace_sink(Box::new(RingSink::new(CAP)));
+    for i in 0..4u32 {
+        let start = SimTime::ZERO + Dur::us(30 * i as u64);
+        net.add_flow(HostId(i), HostId(4 + i), 300_000 * (i as u64 + 1), start);
+    }
+    net.run_until_done(SimTime::ZERO + Dur::ms(50));
+    let mut sink = net.take_trace_sink().expect("sink installed");
+    let ring = sink.as_any().downcast_mut::<RingSink>().unwrap();
+    assert_eq!(
+        ring.total_recorded(),
+        ring.len() as u64,
+        "the ring overflowed"
+    );
+    let mut tally = BTreeMap::<u32, (u64, u64)>::new();
+    for ev in ring.events() {
+        match *ev {
+            TraceEvent::CreditSent { flow, .. } => tally.entry(flow).or_default().0 += 1,
+            TraceEvent::CreditWasted { flow, .. } => tally.entry(flow).or_default().1 += 1,
+            _ => {}
+        }
+    }
+    (tally, net.counters().clone())
+}
+
+/// Credit accounting is run-wide (`Counters`), and flow records carry no
+/// credit counts; the trace is where per-flow credit accounting is seen.
+/// It must not depend on the scheduler, and it must add up to the
+/// counters.
+#[test]
+fn per_flow_credit_tallies_are_scheduler_invariant_and_sum_to_the_counters() {
+    let (heap, counters) = under(SchedulerKind::Heap, credit_tallies);
+    let (calendar, _) = under(SchedulerKind::Calendar, credit_tallies);
+    assert_eq!(heap, calendar, "per-flow credit tallies diverged");
+    assert_eq!(heap.len(), 4, "every flow was credited: {heap:?}");
+    assert!(
+        heap.values()
+            .all(|&(sent, wasted)| sent > wasted && wasted > 0),
+        "{heap:?}"
+    );
+    let sent: u64 = heap.values().map(|t| t.0).sum();
+    let wasted: u64 = heap.values().map(|t| t.1).sum();
+    assert_eq!(
+        (sent, wasted),
+        (counters.credits_sent, counters.credits_wasted)
+    );
 }
 
 /// Thousands of long-running cross-pod ExpressPass flows on a 256-host
