@@ -8,40 +8,19 @@
 //! `cwnd ← cwnd·(1 − α/2)`. Unmarked windows grow by slow start (below
 //! ssthresh) or one packet per RTT.
 
-use crate::window::{window_factory, AckEvent, CongestionControl, WindowCfg};
+use crate::window::{window_factory, AckEvent, CongestionControl};
 use xpass_net::endpoint::EndpointFactory;
 use xpass_sim::time::SimTime;
 
-/// DCTCP parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct DctcpParams {
-    /// EWMA gain `g` (paper footnote: 0.0625 at 10 G, 0.01976 at 100 G).
-    pub g: f64,
-    /// Initial window in packets.
-    pub init_cwnd: f64,
-    /// Minimum window (the paper's DCTCP runs bottom out at 2).
-    pub min_cwnd: f64,
-}
-
-impl DctcpParams {
-    /// Parameters for a given link speed (paper's Fig 16 footnote).
-    pub fn for_speed(link_bps: u64) -> DctcpParams {
-        let g = if link_bps >= 100_000_000_000 {
-            0.01976
-        } else {
-            0.0625
-        };
-        DctcpParams {
-            g,
-            init_cwnd: 10.0,
-            min_cwnd: 2.0,
-        }
-    }
-}
+/// Initial window in packets.
+const INIT_CWND: f64 = 10.0;
+/// Minimum window (the paper's DCTCP runs bottom out at 2).
+pub const MIN_CWND: f64 = 2.0;
 
 /// DCTCP window policy.
 pub struct DctcpCc {
-    p: DctcpParams,
+    /// EWMA gain `g` (paper footnote: 0.0625 at 10 G, 0.01976 at 100 G).
+    g: f64,
     cwnd: f64,
     ssthresh: f64,
     /// Marked-fraction estimate.
@@ -55,11 +34,17 @@ pub struct DctcpCc {
 }
 
 impl DctcpCc {
-    /// New policy.
-    pub fn new(p: DctcpParams) -> DctcpCc {
+    /// New policy for a given link speed, which sets the gain `g` (paper's
+    /// Fig 16 footnote).
+    pub fn new(link_bps: u64) -> DctcpCc {
+        let g = if link_bps >= 100_000_000_000 {
+            0.01976
+        } else {
+            0.0625
+        };
         DctcpCc {
-            p,
-            cwnd: p.init_cwnd,
+            g,
+            cwnd: INIT_CWND,
             ssthresh: f64::INFINITY,
             alpha: 1.0,
             window_end: 0,
@@ -86,7 +71,7 @@ impl CongestionControl for DctcpCc {
             self.marked_in_window += ev.newly_acked;
             if !self.cut_this_window {
                 // React immediately (once per window) with the current α.
-                self.cwnd = (self.cwnd * (1.0 - self.alpha / 2.0)).max(self.p.min_cwnd);
+                self.cwnd = (self.cwnd * (1.0 - self.alpha / 2.0)).max(MIN_CWND);
                 self.ssthresh = self.cwnd;
                 self.cut_this_window = true;
             }
@@ -103,7 +88,7 @@ impl CongestionControl for DctcpCc {
             } else {
                 0.0
             };
-            self.alpha = (1.0 - self.p.g) * self.alpha + self.p.g * f;
+            self.alpha = (1.0 - self.g) * self.alpha + self.g * f;
             self.acked_in_window = 0;
             self.marked_in_window = 0;
             self.cut_this_window = false;
@@ -112,7 +97,7 @@ impl CongestionControl for DctcpCc {
     }
 
     fn on_fast_retransmit(&mut self, _now: SimTime) {
-        self.cwnd = (self.cwnd / 2.0).max(self.p.min_cwnd);
+        self.cwnd = (self.cwnd / 2.0).max(MIN_CWND);
         self.ssthresh = self.cwnd;
     }
 
@@ -127,20 +112,15 @@ impl CongestionControl for DctcpCc {
     }
 
     fn on_timeout(&mut self) {
-        self.ssthresh = (self.cwnd / 2.0).max(self.p.min_cwnd);
-        self.cwnd = self.p.min_cwnd.max(1.0);
+        self.ssthresh = (self.cwnd / 2.0).max(MIN_CWND);
+        self.cwnd = MIN_CWND;
     }
 }
 
 /// Endpoint factory for DCTCP at the given link speed. Combine with
 /// [`NetConfig::dctcp`](xpass_net::NetConfig::dctcp) so switches mark ECN.
 pub fn dctcp_factory(link_bps: u64) -> EndpointFactory {
-    let p = DctcpParams::for_speed(link_bps);
-    let w = WindowCfg {
-        min_cwnd: p.min_cwnd,
-        ..WindowCfg::default()
-    };
-    window_factory(w, move || DctcpCc::new(p))
+    window_factory(MIN_CWND, move || DctcpCc::new(link_bps))
 }
 
 #[cfg(test)]
@@ -165,7 +145,7 @@ mod tests {
 
     #[test]
     fn alpha_tracks_marking_fraction() {
-        let mut cc = DctcpCc::new(DctcpParams::for_speed(G10));
+        let mut cc = DctcpCc::new(G10);
         // Feed 50 windows of fully-marked acks: α → 1.
         for w in 0..50u64 {
             for i in 0..10 {
@@ -204,7 +184,7 @@ mod tests {
 
     #[test]
     fn cut_at_most_once_per_window() {
-        let mut cc = DctcpCc::new(DctcpParams::for_speed(G10));
+        let mut cc = DctcpCc::new(G10);
         cc.cwnd = 100.0;
         cc.alpha = 1.0;
         cc.window_end = 100; // acks 1..10 all fall inside this window
@@ -228,7 +208,7 @@ mod tests {
 
     #[test]
     fn min_window_floor() {
-        let mut cc = DctcpCc::new(DctcpParams::for_speed(G10));
+        let mut cc = DctcpCc::new(G10);
         for _ in 0..20 {
             cc.on_timeout();
         }

@@ -14,34 +14,19 @@
 //! behaviour — near-empty queues, conservative throughput — matches the
 //! paper's DX columns.
 
-use crate::window::{window_factory, AckEvent, CongestionControl, WindowCfg};
+use crate::window::{window_factory, AckEvent, CongestionControl, MIN_CWND};
 use xpass_net::endpoint::EndpointFactory;
 use xpass_sim::time::{Dur, SimTime};
 
-/// DX parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct DxParams {
-    /// Queuing delay below which the network is considered uncongested.
-    pub thresh: Dur,
-    /// Headroom scale `V` in the proportional decrease.
-    pub v: Dur,
-    /// Initial window.
-    pub init_cwnd: f64,
-}
-
-impl Default for DxParams {
-    fn default() -> DxParams {
-        DxParams {
-            thresh: Dur::us(3),
-            v: Dur::us(100),
-            init_cwnd: 10.0,
-        }
-    }
-}
+/// Queuing delay below which the network is considered uncongested.
+const THRESH: Dur = Dur::us(3);
+/// Headroom scale `V` in the proportional decrease.
+const V: Dur = Dur::us(100);
+/// Initial window.
+const INIT_CWND: f64 = 10.0;
 
 /// DX window policy.
 pub struct DxCc {
-    p: DxParams,
     cwnd: f64,
     ssthresh: f64,
     window_end: u64,
@@ -51,15 +36,20 @@ pub struct DxCc {
 
 impl DxCc {
     /// New policy.
-    pub fn new(p: DxParams) -> DxCc {
+    pub fn new() -> DxCc {
         DxCc {
-            p,
-            cwnd: p.init_cwnd,
+            cwnd: INIT_CWND,
             ssthresh: f64::INFINITY,
             window_end: 0,
             q_sum: 0.0,
             q_n: 0,
         }
+    }
+}
+
+impl Default for DxCc {
+    fn default() -> DxCc {
+        DxCc::new()
     }
 }
 
@@ -80,8 +70,8 @@ impl CongestionControl for DxCc {
             self.q_sum = 0.0;
             self.q_n = 0;
             self.window_end = ev.snd_nxt;
-            if q > self.p.thresh.as_secs_f64() {
-                let v = self.p.v.as_secs_f64();
+            if q > THRESH.as_secs_f64() {
+                let v = V.as_secs_f64();
                 self.cwnd = (self.cwnd * (1.0 - q / (q + v))).max(2.0);
                 self.ssthresh = self.cwnd;
             } else if self.cwnd < self.ssthresh {
@@ -113,8 +103,7 @@ impl CongestionControl for DxCc {
 
 /// Endpoint factory for DX.
 pub fn dx_factory() -> EndpointFactory {
-    let p = DxParams::default();
-    window_factory(WindowCfg::default(), move || DxCc::new(p))
+    window_factory(MIN_CWND, DxCc::new)
 }
 
 #[cfg(test)]
@@ -142,7 +131,7 @@ mod tests {
 
     #[test]
     fn grows_when_queue_empty() {
-        let mut cc = DxCc::new(DxParams::default());
+        let mut cc = DxCc::new();
         cc.ssthresh = 10.0; // skip slow start
         let w0 = cc.cwnd();
         cc.on_ack(&ev(Dur::ZERO, 1, 10));
@@ -151,13 +140,13 @@ mod tests {
 
     #[test]
     fn decrease_proportional_to_delay() {
-        let mut cc = DxCc::new(DxParams::default());
+        let mut cc = DxCc::new();
         cc.cwnd = 100.0;
         // Q = V → halve.
         cc.on_ack(&ev(Dur::us(100), 1, 10));
         assert!((cc.cwnd() - 50.0).abs() < 1.0, "{}", cc.cwnd());
         // Larger Q → deeper cut.
-        let mut cc2 = DxCc::new(DxParams::default());
+        let mut cc2 = DxCc::new();
         cc2.cwnd = 100.0;
         cc2.on_ack(&ev(Dur::us(300), 1, 10));
         assert!(cc2.cwnd() < 30.0, "{}", cc2.cwnd());

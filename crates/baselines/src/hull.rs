@@ -9,8 +9,8 @@
 //! estimator/decrease plus pacing of transmissions at the current
 //! window rate (HULL's "hardware pacer" module).
 
-use crate::dctcp::{DctcpCc, DctcpParams};
-use crate::window::{window_factory, AckEvent, CongestionControl, WindowCfg};
+use crate::dctcp::DctcpCc;
+use crate::window::{window_factory, AckEvent, CongestionControl, MIN_CWND};
 use xpass_net::endpoint::EndpointFactory;
 use xpass_net::packet::MAX_FRAME;
 use xpass_sim::time::{Dur, SimTime};
@@ -26,7 +26,7 @@ impl HullCc {
     /// New policy for the given link speed.
     pub fn new(link_bps: u64) -> HullCc {
         HullCc {
-            inner: DctcpCc::new(DctcpParams::for_speed(link_bps)),
+            inner: DctcpCc::new(link_bps),
             srtt: Dur::us(100),
         }
     }
@@ -69,7 +69,7 @@ impl CongestionControl for HullCc {
 /// Endpoint factory for HULL at the given link speed. Combine with
 /// [`NetConfig::hull`](xpass_net::NetConfig::hull) for phantom queues.
 pub fn hull_factory(link_bps: u64) -> EndpointFactory {
-    window_factory(WindowCfg::default(), move || HullCc::new(link_bps))
+    window_factory(MIN_CWND, move || HullCc::new(link_bps))
 }
 
 #[cfg(test)]

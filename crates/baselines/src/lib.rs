@@ -40,4 +40,4 @@ pub use ideal::{ideal_factory, MaxMinOracle};
 pub use naive_credit::naive_credit_factory;
 pub use rcp::rcp_factory;
 pub use udp::udp_blast_factory;
-pub use window::{window_factory, CongestionControl, WindowCfg};
+pub use window::{window_factory, CongestionControl};

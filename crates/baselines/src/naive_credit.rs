@@ -11,7 +11,8 @@
 //! ([`expresspass::XPassSender`]): transmit one data frame per
 //! credit.
 
-use expresspass::{XPassConfig, XPassSender};
+use expresspass::feedback::max_credit_rate;
+use expresspass::XPassSender;
 use std::any::Any;
 use xpass_net::endpoint::{Ctx, Endpoint, EndpointFactory, TimerSlot};
 use xpass_net::ids::Side;
@@ -54,7 +55,7 @@ impl NaiveCreditReceiver {
 
     fn gap(&self, ctx: &Ctx<'_>) -> Dur {
         // One credit per (84 + 1538) byte-times of the host link.
-        let rate = ctx.host_link_bps() as f64 / (8.0 * 1622.0);
+        let rate = max_credit_rate(ctx.host_link_bps());
         Dur::from_secs_f64(1.0 / rate)
     }
 
@@ -145,9 +146,8 @@ pub fn naive_credit_factory() -> EndpointFactory {
 /// Factory with explicit pacing jitter and size-randomization control
 /// (Fig 6a sweeps the jitter with all other randomness off).
 pub fn naive_credit_factory_with(jitter: f64, randomize_size: bool) -> EndpointFactory {
-    let sender_cfg = std::rc::Rc::new(XPassConfig::aggressive());
     Box::new(move |side, _info| match side {
-        Side::Sender => Box::new(XPassSender::new(sender_cfg.clone())),
+        Side::Sender => Box::new(XPassSender::new()),
         Side::Receiver => {
             let r = NaiveCreditReceiver::new(jitter);
             let r = if randomize_size {

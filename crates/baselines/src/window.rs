@@ -62,34 +62,19 @@ pub trait CongestionControl: Send + 'static {
     }
 }
 
-/// Transport-level knobs shared by all window protocols.
-#[derive(Clone, Copy, Debug)]
-pub struct WindowCfg {
-    /// Minimum retransmission timeout (datacenter-tuned).
-    pub min_rto: Dur,
-    /// RTO cap.
-    pub max_rto: Dur,
-    /// Initial RTO before any RTT sample.
-    pub init_rto: Dur,
-    /// Duplicate-ACK threshold for fast retransmit.
-    pub dupack_thresh: u32,
-    /// Floor on the effective window in packets.
-    pub min_cwnd: f64,
-}
-
-impl Default for WindowCfg {
-    fn default() -> WindowCfg {
-        WindowCfg {
-            // The DCTCP paper's datacenter-tuned minimum RTO (10 ms);
-            // timeout-driven incast tails depend on this (Fig 17).
-            min_rto: Dur::ms(10),
-            max_rto: Dur::ms(320),
-            init_rto: Dur::ms(10),
-            dupack_thresh: 3,
-            min_cwnd: 1.0,
-        }
-    }
-}
+/// Minimum retransmission timeout: the DCTCP paper's datacenter-tuned
+/// 10 ms; timeout-driven incast tails depend on this (Fig 17).
+const MIN_RTO: Dur = Dur::ms(10);
+/// RTO cap.
+const MAX_RTO: Dur = Dur::ms(320);
+/// Initial RTO before any RTT sample.
+const INIT_RTO: Dur = Dur::ms(10);
+/// Duplicate-ACK threshold for fast retransmit.
+const DUPACK_THRESH: u32 = 3;
+/// The usual floor on the effective window in packets, the
+/// `min_cwnd` of [`window_factory`]; DCTCP's is
+/// [`dctcp::MIN_CWND`](crate::dctcp::MIN_CWND).
+pub const MIN_CWND: f64 = 1.0;
 
 mod timer {
     pub const RTO: u8 = 10;
@@ -99,7 +84,8 @@ mod timer {
 
 /// Sender half of the window transport.
 pub struct WindowSender<C: CongestionControl> {
-    cfg: WindowCfg,
+    /// Floor on the effective window in packets.
+    min_cwnd: f64,
     cc: C,
     /// Total packets this flow must transfer.
     n_pkts: u64,
@@ -125,10 +111,10 @@ pub struct WindowSender<C: CongestionControl> {
 }
 
 impl<C: CongestionControl> WindowSender<C> {
-    /// New sender with the given policy.
-    pub fn new(cc: C, cfg: WindowCfg) -> WindowSender<C> {
+    /// New sender with the given policy and window floor.
+    pub fn new(cc: C, min_cwnd: f64) -> WindowSender<C> {
         WindowSender {
-            cfg,
+            min_cwnd,
             cc,
             n_pkts: 0,
             last_payload: MSS,
@@ -153,8 +139,7 @@ impl<C: CongestionControl> WindowSender<C> {
         let mut p = ctx.make_pkt(PktKind::Ctrl, xpass_net::packet::CTRL_SIZE);
         p.flag = xpass_net::packet::ctrl::SYN;
         ctx.send(p);
-        let d = self.cfg.init_rto;
-        self.syn_slot.arm(ctx, timer::SYN_RTX, d);
+        self.syn_slot.arm(ctx, timer::SYN_RTX, INIT_RTO);
     }
 
     /// Access the policy (for oracle-style control and inspection).
@@ -185,7 +170,7 @@ impl<C: CongestionControl> WindowSender<C> {
     }
 
     fn effective_cwnd(&self) -> f64 {
-        self.cc.cwnd().max(self.cfg.min_cwnd)
+        self.cc.cwnd().max(self.min_cwnd)
     }
 
     fn inflight(&self) -> u64 {
@@ -222,11 +207,11 @@ impl<C: CongestionControl> WindowSender<C> {
 
     fn rto(&self) -> Dur {
         let base = match self.srtt {
-            Some(s) => (s + self.rttvar * 4).max(self.cfg.min_rto),
-            None => self.cfg.init_rto,
+            Some(s) => (s + self.rttvar * 4).max(MIN_RTO),
+            None => INIT_RTO,
         };
         let backed = base * (1u64 << self.rto_backoff.min(6));
-        backed.min(self.cfg.max_rto)
+        backed.min(MAX_RTO)
     }
 
     fn arm_rto(&mut self, ctx: &mut Ctx<'_>) {
@@ -328,7 +313,7 @@ impl<C: CongestionControl> WindowSender<C> {
         } else {
             // Duplicate ACK.
             self.dup_acks += 1;
-            if self.dup_acks == self.cfg.dupack_thresh && !self.in_recovery {
+            if self.dup_acks == DUPACK_THRESH && !self.in_recovery {
                 self.in_recovery = true;
                 self.recover = self.snd_nxt;
                 self.cc.on_fast_retransmit(ctx.now());
@@ -520,13 +505,14 @@ impl Endpoint for WindowReceiver {
     }
 }
 
-/// Factory for a window protocol with policy constructor `mk`.
+/// Factory for a window protocol with policy constructor `mk`, whose
+/// senders never let the effective window fall below `min_cwnd` packets.
 pub fn window_factory<C: CongestionControl>(
-    cfg: WindowCfg,
+    min_cwnd: f64,
     mk: impl Fn() -> C + 'static,
 ) -> EndpointFactory {
     Box::new(move |side, _info| match side {
-        Side::Sender => Box::new(WindowSender::new(mk(), cfg)),
+        Side::Sender => Box::new(WindowSender::new(mk(), min_cwnd)),
         Side::Receiver => Box::new(WindowReceiver::new()),
     })
 }
@@ -580,7 +566,7 @@ mod tests {
         Network::new(
             Topology::dumbbell(2, G10, Dur::us(1)),
             cfg,
-            window_factory(WindowCfg::default(), move || FixedWindow::new(w)),
+            window_factory(MIN_CWND, move || FixedWindow::new(w)),
         )
     }
 
@@ -638,7 +624,7 @@ mod tests {
         let mut net = Network::new(
             Topology::dumbbell(4, G10, Dur::us(1)),
             cfg,
-            window_factory(WindowCfg::default(), || FixedWindow::new(64.0)),
+            window_factory(MIN_CWND, || FixedWindow::new(64.0)),
         );
         for i in 0..4u32 {
             net.add_flow(HostId(i), HostId(4 + i), 400_000, SimTime::ZERO);
@@ -706,7 +692,7 @@ mod tests {
         let mut net = Network::new(
             Topology::dumbbell(1, G10, Dur::us(1)),
             cfg,
-            window_factory(WindowCfg::default(), || Paced),
+            window_factory(MIN_CWND, || Paced),
         );
         let size = 2_500_000u64;
         let f = net.add_flow(HostId(0), HostId(1), size, SimTime::ZERO);
@@ -738,8 +724,7 @@ mod tests {
 
     #[test]
     fn rto_window_config_bounds() {
-        let c = WindowCfg::default();
-        assert!(c.min_rto <= c.max_rto);
-        assert!(c.dupack_thresh >= 1);
+        const { assert!(MIN_RTO.0 <= INIT_RTO.0 && INIT_RTO.0 <= MAX_RTO.0) };
+        const { assert!(DUPACK_THRESH >= 1) };
     }
 }

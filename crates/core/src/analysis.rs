@@ -11,7 +11,7 @@
 //! Fig 12's behaviour becomes an executable check rather than a drawing.
 
 use crate::config::XPassConfig;
-use crate::feedback::CreditFeedback;
+use crate::feedback::{CreditFeedback, TARGET_LOSS};
 
 /// The synchronized N-flow single-bottleneck model of §4.
 pub struct DiscreteModel {
@@ -31,7 +31,7 @@ impl DiscreteModel {
         let flows = (0..n)
             .map(|_| CreditFeedback::new(max_rate, cfg))
             .collect::<Vec<_>>();
-        let c = max_rate * (1.0 + cfg.target_loss);
+        let c = max_rate * (1.0 + TARGET_LOSS);
         let mut m = DiscreteModel {
             flows,
             c,
@@ -53,7 +53,7 @@ impl DiscreteModel {
                 CreditFeedback::new(max_rate, c)
             })
             .collect::<Vec<_>>();
-        let c = max_rate * (1.0 + cfg.target_loss);
+        let c = max_rate * (1.0 + TARGET_LOSS);
         let mut m = DiscreteModel {
             flows,
             c,

@@ -1,58 +1,38 @@
 //! ExpressPass protocol parameters (paper §3.2–§3.3).
+//!
+//! Only what an experiment varies is a field here. The paper's fixed
+//! parameters are constants beside their readers: `W_MAX`, `TARGET_LOSS`
+//! and `MIN_RATE_FRAC` in [`feedback`](crate::feedback), the timers and
+//! SYN retry bounds in [`endpoints`](crate::endpoints).
 
-use xpass_sim::time::Dur;
+use crate::feedback::W_MAX;
 
 /// Parameters of the ExpressPass endpoints and feedback loop.
 ///
-/// Defaults follow the paper: `target_loss = 10 %`, `w_min = 0.01`,
-/// `w_max = 0.5`, credit-size randomization on, and the
-/// `α = w_init = 1/16` sweet spot §6.3 selects for realistic workloads.
+/// Defaults follow the paper: `w_min = 0.01`, credit-size randomization
+/// on, and the `α = w_init = 1/16` sweet spot §6.3 selects for realistic
+/// workloads.
 #[derive(Clone, Copy, Debug)]
 pub struct XPassConfig {
     /// Initial credit rate as a fraction of the maximum credit rate
     /// (`initial_rate = α · max_rate`). Paper explores 1 … 1/32 (Fig 8).
     pub alpha: f64,
-    /// Initial aggressiveness factor `w` (0 < w ≤ 0.5).
+    /// Initial aggressiveness factor `w` (0 < w ≤ [`W_MAX`]).
     pub w_init: f64,
     /// Lower bound on `w`; trades steady-state smoothness against
     /// reconvergence speed (§3.2, §4).
     pub w_min: f64,
-    /// Upper bound on `w` (the paper fixes 0.5).
-    pub w_max: f64,
-    /// Target credit loss rate at steady state (paper: 10 %).
-    pub target_loss: f64,
     /// Credit pacing jitter as a fraction of the inter-credit gap
     /// (Fig 6a's `j`; tens of nanoseconds suffice).
     pub jitter: f64,
     /// Randomize credit wire size over 84–92 B to jitter switch-level
     /// credit arrival order (§3.1).
     pub randomize_credit_size: bool,
-    /// Update period to use before the first RTT measurement.
-    pub init_update_period: Dur,
-    /// Idle time after the last data send before the sender emits
-    /// CREDIT_STOP (Fig 7's "no data for timeout").
-    pub stop_timeout: Dur,
-    /// Floor on the credit rate as a fraction of the maximum credit rate,
-    /// so starved flows keep probing (sub-credit-per-RTT regime, §3.4).
-    pub min_rate_frac: f64,
     /// §7 credit-waste mitigation: when the sender knows the flow end in
     /// advance, it sends CREDIT_STOP preemptively once the *unsent* data is
     /// covered by credits already in flight. Off by default (the paper's
     /// base design assumes senders do not know the flow end).
     pub early_credit_stop: bool,
-    /// Maximum number of SYN (credit-request) transmissions before the
-    /// sender aborts the flow. The first transmission counts, so `1` means
-    /// no retries. Retries back off exponentially from
-    /// `init_update_period · 10` up to [`syn_rtx_cap`](Self::syn_rtx_cap).
-    pub syn_rtx_max: u32,
-    /// Ceiling on the exponential SYN retransmission backoff.
-    pub syn_rtx_cap: Dur,
-    /// Receiver-side stall detector: with crediting active and no data
-    /// progress for this long, the flow is flagged
-    /// [`Stalled`](xpass_net::network::FlowOutcome::Stalled) on its record
-    /// (cleared on the next progress). Checked at update-period granularity,
-    /// so values below the RTT degenerate to one RTT.
-    pub stall_timeout: Dur,
 }
 
 impl Default for XPassConfig {
@@ -61,17 +41,9 @@ impl Default for XPassConfig {
             alpha: 1.0 / 16.0,
             w_init: 1.0 / 16.0,
             w_min: 0.01,
-            w_max: 0.5,
-            target_loss: 0.1,
             jitter: 0.05,
             randomize_credit_size: true,
-            init_update_period: Dur::us(100),
-            stop_timeout: Dur::us(200),
-            min_rate_frac: 1.0 / 8192.0,
             early_credit_stop: false,
-            syn_rtx_max: 8,
-            syn_rtx_cap: Dur::ms(10),
-            stall_timeout: Dur::ms(5),
         }
     }
 }
@@ -110,23 +82,14 @@ impl XPassConfig {
     pub fn validate(&self) {
         assert!(self.alpha > 0.0 && self.alpha <= 1.0, "alpha in (0,1]");
         assert!(
-            self.w_init > 0.0 && self.w_init <= self.w_max,
+            self.w_init > 0.0 && self.w_init <= W_MAX,
             "w_init in (0, w_max]"
         );
         assert!(
-            self.w_min > 0.0 && self.w_min <= self.w_max,
+            self.w_min > 0.0 && self.w_min <= W_MAX,
             "0 < w_min <= w_max"
         );
-        assert!(self.w_max <= 0.5, "w_max <= 0.5");
-        assert!(
-            (0.0..1.0).contains(&self.target_loss),
-            "target_loss in [0,1)"
-        );
         assert!((0.0..=1.0).contains(&self.jitter), "jitter in [0,1]");
-        assert!(self.min_rate_frac > 0.0 && self.min_rate_frac < 1.0);
-        assert!(self.syn_rtx_max >= 1, "syn_rtx_max >= 1");
-        assert!(!self.syn_rtx_cap.is_zero(), "syn_rtx_cap nonzero");
-        assert!(!self.stall_timeout.is_zero(), "stall_timeout nonzero");
     }
 }
 
@@ -138,9 +101,7 @@ mod tests {
     fn defaults_are_paper_values() {
         let c = XPassConfig::default();
         c.validate();
-        assert_eq!(c.target_loss, 0.1);
         assert_eq!(c.w_min, 0.01);
-        assert_eq!(c.w_max, 0.5);
         assert!((c.alpha - 1.0 / 16.0).abs() < 1e-12);
     }
 
@@ -180,5 +141,11 @@ mod tests {
             ..XPassConfig::default()
         }
         .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "w_init")]
+    fn w_init_above_w_max_rejected() {
+        XPassConfig::default().with_alpha_winit(0.6, 0.6).validate();
     }
 }

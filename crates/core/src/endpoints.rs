@@ -19,7 +19,7 @@
 //! the sender detects three credits with the same stalled count and rewinds.
 
 use crate::config::XPassConfig;
-use crate::feedback::{max_credit_rate, CreditFeedback};
+use crate::feedback::{max_credit_rate, CreditFeedback, TARGET_LOSS};
 use std::any::Any;
 use std::rc::Rc;
 use xpass_net::endpoint::{Ctx, Endpoint, EndpointFactory, TimerSlot};
@@ -29,6 +29,25 @@ use xpass_net::packet::{
 };
 use xpass_sim::time::{Dur, SimTime};
 use xpass_sim::trace::TraceEvent;
+
+/// Update period to use before the first RTT measurement.
+const INIT_UPDATE_PERIOD: Dur = Dur::us(100);
+/// Idle time after the last data send before the sender emits
+/// CREDIT_STOP (Fig 7's "no data for timeout").
+const STOP_TIMEOUT: Dur = Dur::us(200);
+/// Maximum number of SYN (credit-request) transmissions before the
+/// sender aborts the flow. The first transmission counts, so `1` means
+/// no retries. Retries back off exponentially from
+/// `INIT_UPDATE_PERIOD · 10` up to [`SYN_RTX_CAP`].
+const SYN_RTX_MAX: u32 = 8;
+/// Ceiling on the exponential SYN retransmission backoff.
+const SYN_RTX_CAP: Dur = Dur::ms(10);
+/// Receiver-side stall detector: with crediting active and no data
+/// progress for this long, the flow is flagged
+/// [`Stalled`](xpass_net::network::FlowOutcome::Stalled) on its record
+/// (cleared on the next progress). Checked at update-period granularity,
+/// so values below the RTT degenerate to one RTT.
+const STALL_TIMEOUT: Dur = Dur::ms(5);
 
 /// Timer kinds used by the ExpressPass endpoints.
 mod timer {
@@ -46,9 +65,10 @@ mod timer {
 // Sender
 // --------------------------------------------------------------------------
 
-/// ExpressPass sender endpoint.
+/// ExpressPass sender endpoint. It reads no [`XPassConfig`] field: its
+/// timers are the module's constants.
+#[derive(Default)]
 pub struct XPassSender {
-    cfg: Rc<XPassConfig>,
     /// Next application byte offset to transmit.
     next_seq: u64,
 
@@ -64,19 +84,9 @@ pub struct XPassSender {
 }
 
 impl XPassSender {
-    /// New sender, with its own configuration or one shared through an
-    /// `Rc` (as [`xpass_factory`] shares one with every endpoint it makes).
-    pub fn new(cfg: impl Into<Rc<XPassConfig>>) -> XPassSender {
-        XPassSender {
-            cfg: cfg.into(),
-            next_seq: 0,
-            last_ack: 0,
-            dup_count: 0,
-            stop_slot: TimerSlot::new(),
-            syn_slot: TimerSlot::new(),
-            syn_attempts: 0,
-            stopped: false,
-        }
+    /// New sender.
+    pub fn new() -> XPassSender {
+        XPassSender::default()
     }
 
     /// SYN transmissions so far.
@@ -92,11 +102,11 @@ impl XPassSender {
         // Safety retransmit in case the SYN (or every early credit) is lost:
         // exponential backoff from the initial interval, capped so a healed
         // path is re-probed promptly after long outages.
-        let base = self.cfg.init_update_period * 10;
+        let base = INIT_UPDATE_PERIOD * 10;
         let shift = (self.syn_attempts - 1).min(16);
         let mut backoff = base * (1u64 << shift);
-        if backoff > self.cfg.syn_rtx_cap {
-            backoff = self.cfg.syn_rtx_cap;
+        if backoff > SYN_RTX_CAP {
+            backoff = SYN_RTX_CAP;
         }
         self.syn_slot.arm(ctx, timer::SYN_RTX, backoff);
     }
@@ -144,7 +154,7 @@ impl XPassSender {
         self.next_seq += payload as u64;
         if self.next_seq >= size {
             p.flag |= flags::FIN_DATA;
-            self.stop_slot.arm(ctx, timer::STOP, self.cfg.stop_timeout);
+            self.stop_slot.arm(ctx, timer::STOP, STOP_TIMEOUT);
         }
         ctx.send(p);
     }
@@ -180,7 +190,7 @@ impl Endpoint for XPassSender {
                 } else {
                     // Data still missing (lost packets): keep the flow
                     // alive so arriving credits can trigger the rewind.
-                    self.stop_slot.arm(ctx, timer::STOP, self.cfg.stop_timeout);
+                    self.stop_slot.arm(ctx, timer::STOP, STOP_TIMEOUT);
                 }
             }
             timer::SYN_RTX if self.syn_slot.matches(gen) => {
@@ -191,8 +201,8 @@ impl Endpoint for XPassSender {
                     // hosts: unreachability is injected, not a dead peer.
                     // Keep the flow alive (without burning attempts) and
                     // re-probe after the pause lifts.
-                    self.syn_slot.arm(ctx, timer::SYN_RTX, self.cfg.syn_rtx_cap);
-                } else if self.syn_attempts >= self.cfg.syn_rtx_max {
+                    self.syn_slot.arm(ctx, timer::SYN_RTX, SYN_RTX_CAP);
+                } else if self.syn_attempts >= SYN_RTX_MAX {
                     // Connection establishment failed: the receiver is
                     // unreachable (blackholed path, dead host). Give up so
                     // the run can settle instead of retrying forever.
@@ -301,7 +311,7 @@ impl XPassReceiver {
             return;
         }
         let in_flight = self.credit_seq.saturating_sub(self.last_echo);
-        let expected_survivors = (in_flight as f64 * (1.0 - self.cfg.target_loss)) as u64;
+        let expected_survivors = (in_flight as f64 * (1.0 - TARGET_LOSS)) as u64;
         let remaining = (size - delivered).div_ceil(MSS as u64);
         if expected_survivors >= remaining {
             self.paused = true;
@@ -349,7 +359,7 @@ impl XPassReceiver {
     /// windows they would average across the aggregate's oscillation and
     /// never observe the under-utilized phases faster flows exploit.
     fn update_period(&self) -> Dur {
-        let rtt = self.srtt.unwrap_or(self.cfg.init_update_period);
+        let rtt = self.srtt.unwrap_or(INIT_UPDATE_PERIOD);
         rtt.clamp(Dur::us(20), Dur::ms(2))
     }
 
@@ -546,7 +556,7 @@ impl Endpoint for XPassReceiver {
                 }
                 if !self.stall_flagged
                     && !ctx.flow_done()
-                    && ctx.now().since(self.last_progress) >= self.cfg.stall_timeout
+                    && ctx.now().since(self.last_progress) >= STALL_TIMEOUT
                 {
                     self.stall_flagged = true;
                     ctx.set_stalled(true);
@@ -600,7 +610,7 @@ pub fn xpass_factory(cfg: XPassConfig) -> EndpointFactory {
     cfg.validate();
     let cfg = Rc::new(cfg);
     Box::new(move |side, _info| match side {
-        Side::Sender => Box::new(XPassSender::new(cfg.clone())),
+        Side::Sender => Box::new(XPassSender::new()),
         Side::Receiver => Box::new(XPassReceiver::new(cfg.clone())),
     })
 }
@@ -627,7 +637,7 @@ mod tests {
 
     /// Every flow carries one box per side, so the boxes hold per-flow
     /// state only: the configuration is one `Rc` shared by the factory's
-    /// endpoints and the receiver's controller.
+    /// receivers and their controllers, and the sender holds none.
     #[test]
     fn endpoint_boxes_hold_only_per_flow_state() {
         use std::mem::size_of;
@@ -637,7 +647,7 @@ mod tests {
             size_of::<CreditFeedback>(),
         );
         assert!(
-            sizes.0 <= 64 && sizes.1 <= 168 && sizes.2 <= 40,
+            sizes.0 <= 48 && sizes.1 <= 168 && sizes.2 <= 40,
             "{sizes:?}"
         );
 
@@ -650,12 +660,12 @@ mod tests {
             start: SimTime::ZERO,
             class: 0,
         };
-        let mut tx = factory(Side::Sender, &info);
-        let mut rx = factory(Side::Receiver, &info);
-        let tx = tx.as_any().downcast_mut::<XPassSender>().unwrap();
-        let rx = rx.as_any().downcast_mut::<XPassReceiver>().unwrap();
+        let mut rx1 = factory(Side::Receiver, &info);
+        let mut rx2 = factory(Side::Receiver, &info);
+        let rx1 = rx1.as_any().downcast_mut::<XPassReceiver>().unwrap();
+        let rx2 = rx2.as_any().downcast_mut::<XPassReceiver>().unwrap();
         assert!(
-            Rc::ptr_eq(&tx.cfg, &rx.cfg),
+            Rc::ptr_eq(&rx1.cfg, &rx2.cfg),
             "one configuration per factory"
         );
     }

@@ -13,12 +13,21 @@
 
 use crate::config::XPassConfig;
 use std::rc::Rc;
+use xpass_net::packet::{CREDIT_SIZE, MAX_FRAME};
+
+/// Upper bound on `w` (the paper fixes 0.5).
+pub const W_MAX: f64 = 0.5;
+/// Target credit loss rate at steady state (paper: 10 %).
+pub const TARGET_LOSS: f64 = 0.1;
+/// Floor on the credit rate as a fraction of the maximum credit rate,
+/// so starved flows keep probing (sub-credit-per-RTT regime, §3.4).
+pub const MIN_RATE_FRAC: f64 = 1.0 / 8192.0;
 
 /// Convert a link speed into the maximum credit rate in credits/second
 /// (one credit per `84 + 1538 = 1622` byte-times).
 #[inline]
 pub fn max_credit_rate(link_bps: u64) -> f64 {
-    link_bps as f64 / (8.0 * 1622.0)
+    link_bps as f64 / (8.0 * (CREDIT_SIZE + MAX_FRAME) as f64)
 }
 
 /// A read-only view of the controller for telemetry, taken with
@@ -34,9 +43,9 @@ pub struct FeedbackSnapshot {
 }
 
 /// Algorithm 1 state for one flow. The parameters are global to the
-/// scheme (α, `w_init`, `w_min`, `w_max`, the target loss), so a
-/// controller shares them with every other flow of its factory; only the
-/// rate, `w` and the last direction are its own.
+/// scheme (α, `w_init`, `w_min`), so a controller shares them with every
+/// other flow of its factory; only the rate, `w` and the last direction
+/// are its own.
 #[derive(Clone, Debug)]
 pub struct CreditFeedback {
     cfg: Rc<XPassConfig>,
@@ -79,7 +88,7 @@ impl CreditFeedback {
 
     /// The ceiling `C = max_rate · (1 + target_loss)`.
     pub fn ceiling(&self) -> f64 {
-        self.max_rate * (1.0 + self.cfg.target_loss)
+        self.max_rate * (1.0 + TARGET_LOSS)
     }
 
     /// Controller state at a point in time, for telemetry
@@ -96,21 +105,21 @@ impl CreditFeedback {
     /// fraction (`#dropped / #sent`). Returns the new rate.
     pub fn on_update(&mut self, credit_loss: f64) -> f64 {
         let loss = credit_loss.clamp(0.0, 1.0);
-        if loss <= self.cfg.target_loss {
+        if loss <= TARGET_LOSS {
             // Increasing phase (Algorithm 1 lines 6–9).
             if self.prev_increasing {
-                self.w = (self.w + self.cfg.w_max) / 2.0;
+                self.w = (self.w + W_MAX) / 2.0;
             }
             self.cur_rate = (1.0 - self.w) * self.cur_rate + self.w * self.ceiling();
             self.prev_increasing = true;
         } else {
             // Decreasing phase (lines 11–13): keep what got through, plus
             // the target overshoot.
-            self.cur_rate = self.cur_rate * (1.0 - loss) * (1.0 + self.cfg.target_loss);
+            self.cur_rate = self.cur_rate * (1.0 - loss) * (1.0 + TARGET_LOSS);
             self.w = (self.w / 2.0).max(self.cfg.w_min);
             self.prev_increasing = false;
         }
-        let floor = self.max_rate * self.cfg.min_rate_frac;
+        let floor = self.max_rate * MIN_RATE_FRAC;
         self.cur_rate = self.cur_rate.clamp(floor, self.ceiling());
         self.cur_rate
     }
@@ -121,7 +130,7 @@ impl CreditFeedback {
     /// the rate re-converges in a few RTTs instead of crawling up from
     /// `w_min` with steady-state caution.
     pub fn reset_w_for_recovery(&mut self) {
-        self.w = self.cfg.w_init.clamp(self.cfg.w_min, self.cfg.w_max);
+        self.w = self.cfg.w_init.clamp(self.cfg.w_min, W_MAX);
         self.prev_increasing = false;
     }
 }
@@ -152,7 +161,7 @@ mod tests {
     #[test]
     fn max_credit_rate_conversion() {
         let r = max_credit_rate(10_000_000_000);
-        assert!((r - 10e9 / (8.0 * 1622.0)).abs() < 1e-6);
+        assert_eq!(r, 10e9 / (8.0 * 1622.0));
         // Sanity: ~770k credits/s at 10G → ~1.3us apart.
         assert!((1.0 / r - 1.2976e-6).abs() < 1e-9);
     }
@@ -236,7 +245,7 @@ mod tests {
         for _ in 0..200 {
             fb.on_update(1.0);
         }
-        let floor = MAX * XPassConfig::default().min_rate_frac;
+        let floor = MAX * MIN_RATE_FRAC;
         assert!((fb.rate() - floor).abs() < 1e-6);
     }
 

@@ -9,6 +9,7 @@ use std::fmt;
 use xpass_net::config::{HostDelayModel, NetConfig};
 use xpass_net::ids::HostId;
 use xpass_net::network::Network;
+use xpass_net::packet::max_data_fraction;
 use xpass_net::topology::Topology;
 use xpass_sim::time::{Dur, SimTime};
 
@@ -89,7 +90,7 @@ fn measure(cfg: &Config, n: usize, cap: usize) -> f64 {
     let before = net.port(dl).tx_data_bytes;
     net.run_until(SimTime::ZERO + cfg.warmup + cfg.window);
     let wire_bytes = net.port(dl).tx_data_bytes - before;
-    let max_data = cfg.link_bps as f64 * (1538.0 / 1622.0) / 8.0 * cfg.window.as_secs_f64();
+    let max_data = cfg.link_bps as f64 * max_data_fraction() / 8.0 * cfg.window.as_secs_f64();
     (1.0 - wire_bytes as f64 / max_data).max(0.0)
 }
 

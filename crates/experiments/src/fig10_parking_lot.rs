@@ -8,6 +8,7 @@ use crate::harness::{text_table, Scheme};
 use std::fmt;
 use xpass_net::ids::{NodeId, SwitchId};
 use xpass_net::network::Network;
+use xpass_net::packet::max_data_fraction;
 use xpass_net::topology::Topology;
 use xpass_sim::json::Json;
 use xpass_sim::time::{Dur, SimTime};
@@ -90,7 +91,7 @@ pub fn min_chain_utilization(
         .collect();
     let before: Vec<u64> = links.iter().map(|&l| net.port(l).tx_data_bytes).collect();
     net.run_until(SimTime::ZERO + warmup + window);
-    let max_data = link_bps as f64 * (1538.0 / 1622.0) / 8.0 * window.as_secs_f64();
+    let max_data = link_bps as f64 * max_data_fraction() / 8.0 * window.as_secs_f64();
     links
         .iter()
         .zip(before)

@@ -7,6 +7,7 @@
 use crate::harness::{text_table, Scheme};
 use std::fmt;
 use xpass_net::ids::HostId;
+use xpass_net::packet::{max_data_fraction, MAX_FRAME, MSS};
 use xpass_net::topology::{TopoBuilder, Topology};
 use xpass_sim::time::{Dur, SimTime};
 
@@ -140,7 +141,8 @@ pub fn run(cfg: &Config) -> Fig11 {
         ),
         ("naive", Scheme::NaiveCredit),
     ];
-    let max_data_gbps = cfg.link_bps as f64 * (1538.0 / 1622.0) * (1460.0 / 1538.0) / 1e9;
+    let max_data_gbps =
+        cfg.link_bps as f64 * max_data_fraction() * (MSS as f64 / MAX_FRAME as f64) / 1e9;
     let series = schemes
         .into_iter()
         .map(|(name, s)| Series {

@@ -4,6 +4,7 @@
 //! within the D* = C·w_min·(1 − 1/N) band.
 
 use expresspass::analysis::DiscreteModel;
+use expresspass::feedback::{max_credit_rate, TARGET_LOSS};
 use expresspass::XPassConfig;
 use std::fmt;
 
@@ -24,7 +25,7 @@ impl Default for Config {
     fn default() -> Config {
         Config {
             n_flows: 4,
-            max_rate: 10e9 / (8.0 * 1622.0),
+            max_rate: max_credit_rate(10_000_000_000),
             periods: 200,
             xpass: XPassConfig::aggressive(),
         }
@@ -54,7 +55,7 @@ pub fn run(cfg: &Config) -> Fig12 {
     let fair = m.fair_share();
     // The sustained operating point overshoots the fair share by the target
     // loss rate by design (§3.2): converge to (1+target)·C/N.
-    let operating = fair * (1.0 + cfg.xpass.target_loss);
+    let operating = fair * (1.0 + TARGET_LOSS);
     let converged_at = trace
         .iter()
         .position(|&r| (r - operating).abs() <= 0.12 * operating);

@@ -1,6 +1,6 @@
 //! Per-run network configuration.
 
-use crate::rcplink::RcpParams;
+use crate::packet::MAX_FRAME;
 use xpass_sim::time::Dur;
 
 /// How a host delays credit processing before the triggered data packet is
@@ -68,15 +68,13 @@ pub struct NetConfig {
     /// Data queue capacity per switch egress port, in bytes.
     /// Paper simulations: 384.5 KB (250 MTU) at 10 G, 1.54 MB at 40 G.
     pub switch_queue_bytes: u64,
-    /// Data queue capacity at host NICs (effectively unbounded: the
-    /// transport, not the NIC, is the limit at the sender).
-    pub host_queue_bytes: u64,
     /// ECN marking threshold K in bytes, if ECN is enabled (DCTCP/HULL).
     pub ecn_k_bytes: Option<u64>,
     /// HULL phantom queues: (drain fraction γ, marking threshold bytes).
     pub phantom: Option<(f64, u64)>,
-    /// RCP per-link rate computation.
-    pub rcp: Option<RcpParams>,
+    /// RCP per-link rate computation (parameters in
+    /// [`rcplink`](crate::rcplink)).
+    pub rcp: bool,
     /// Credit class enabled (ExpressPass / naïve credit runs).
     pub credit: bool,
     /// Credit queue capacity per port, in credits (paper default 8).
@@ -99,10 +97,9 @@ impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
             switch_queue_bytes: 384_500, // 250 MTU, paper's 10G setting
-            host_queue_bytes: 1 << 30,
             ecn_k_bytes: None,
             phantom: None,
-            rcp: None,
+            rcp: false,
             credit: false,
             credit_queue_pkts: 8,
             credit_drop: crate::queue::CreditDropPolicy::UniformRandom,
@@ -126,9 +123,8 @@ impl NetConfig {
     /// Baseline config for a DCTCP run at the given link speed
     /// (K = 65 packets at 10 G, scaled linearly with speed per the paper).
     pub fn dctcp(link_bps: u64) -> NetConfig {
-        let k_pkts = 65.0 * link_bps as f64 / 10e9;
         NetConfig {
-            ecn_k_bytes: Some((k_pkts * crate::packet::MAX_FRAME as f64) as u64),
+            ecn_k_bytes: Some(dctcp_k_bytes(link_bps)),
             ..NetConfig::default()
         }
     }
@@ -147,7 +143,7 @@ impl NetConfig {
     /// Baseline config for an RCP run.
     pub fn rcp() -> NetConfig {
         NetConfig {
-            rcp: Some(RcpParams::default()),
+            rcp: true,
             ..NetConfig::default()
         }
     }
@@ -160,11 +156,10 @@ impl NetConfig {
         } else {
             250
         };
-        self.switch_queue_bytes = mtus * crate::packet::MAX_FRAME as u64;
+        self.switch_queue_bytes = mtus * MAX_FRAME as u64;
         // Scale ECN K too if set.
         if let Some(k) = self.ecn_k_bytes.as_mut() {
-            let k_pkts = 65.0 * link_bps as f64 / 10e9;
-            *k = (k_pkts * crate::packet::MAX_FRAME as f64) as u64;
+            *k = dctcp_k_bytes(link_bps);
         }
         self
     }
@@ -174,6 +169,13 @@ impl NetConfig {
         self.seed = seed;
         self
     }
+}
+
+/// DCTCP's marking threshold K in bytes: 65 packets at 10 G, scaled
+/// linearly with link speed.
+fn dctcp_k_bytes(link_bps: u64) -> u64 {
+    let k_pkts = 65.0 * link_bps as f64 / 10e9;
+    (k_pkts * MAX_FRAME as f64) as u64
 }
 
 #[cfg(test)]

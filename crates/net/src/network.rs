@@ -289,6 +289,10 @@ pub struct Network {
     sampler: Sampler,
 }
 
+/// Data queue capacity at host NICs (effectively unbounded: the
+/// transport, not the NIC, is the limit at the sender).
+const HOST_QUEUE_BYTES: u64 = 1 << 30;
+
 impl Network {
     /// Build a network from a topology, a configuration, and the protocol
     /// factory used for flows added with [`add_flow`](Self::add_flow).
@@ -300,7 +304,7 @@ impl Network {
             let dlink = DLinkId(i as u32);
             let is_host_egress = matches!(l.from, NodeId::Host(_));
             let cap = if is_host_egress {
-                cfg.host_queue_bytes
+                HOST_QUEUE_BYTES
             } else {
                 cfg.switch_queue_bytes
             };
@@ -326,8 +330,8 @@ impl Network {
                 cq
             });
             let rcp = if !is_host_egress {
-                cfg.rcp.map(|params| {
-                    let state = RcpLink::new(l.speed_bps, params);
+                cfg.rcp.then(|| {
+                    let state = RcpLink::new(l.speed_bps);
                     let first = state.update_interval();
                     events.push(SimTime::ZERO + first, Ev::RcpUpdate { dlink });
                     state

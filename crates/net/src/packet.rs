@@ -224,6 +224,20 @@ mod tests {
         assert_eq!(r, 10_000_000_000u64 * 84 / 1622);
     }
 
+    /// The experiments' frame-size fractions, stated through the constants,
+    /// are the literals they replaced, bit for bit.
+    #[test]
+    fn frame_fractions_equal_the_literals() {
+        assert_eq!(
+            max_data_fraction().to_bits(),
+            (1538.0f64 / 1622.0).to_bits()
+        );
+        assert_eq!(
+            (MSS as f64 / MAX_FRAME as f64).to_bits(),
+            (1460.0f64 / 1538.0).to_bits()
+        );
+    }
+
     #[test]
     fn data_wire_sizes() {
         assert_eq!(data_wire_size(MSS), MAX_FRAME);

@@ -18,35 +18,19 @@
 
 use xpass_sim::time::{Dur, SimTime};
 
-/// RCP algorithm parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct RcpParams {
-    /// Gain on spare capacity (classic default 0.4).
-    pub alpha: f64,
-    /// Gain on queue drain (classic default 0.2).
-    pub beta: f64,
-    /// Initial moving-average RTT before any sample arrives.
-    pub init_rtt: Dur,
-    /// Floor on the advertised rate as a fraction of capacity (keeps the
-    /// fixed point away from zero with huge flow counts).
-    pub min_rate_frac: f64,
-}
-
-impl Default for RcpParams {
-    fn default() -> RcpParams {
-        RcpParams {
-            alpha: 0.4,
-            beta: 0.2,
-            init_rtt: Dur::us(100),
-            min_rate_frac: 1e-4,
-        }
-    }
-}
+/// Gain on spare capacity (classic default 0.4).
+const ALPHA: f64 = 0.4;
+/// Gain on queue drain (classic default 0.2).
+const BETA: f64 = 0.2;
+/// Initial moving-average RTT before any sample arrives.
+const INIT_RTT: Dur = Dur::us(100);
+/// Floor on the advertised rate as a fraction of capacity (keeps the
+/// fixed point away from zero with huge flow counts).
+const MIN_RATE_FRAC: f64 = 1e-4;
 
 /// Explicit-rate state attached to one directed link.
 #[derive(Clone, Debug)]
 pub struct RcpLink {
-    params: RcpParams,
     cap_bps: f64,
     /// Current advertised rate (bits/s).
     rate_bps: f64,
@@ -60,12 +44,11 @@ pub struct RcpLink {
 impl RcpLink {
     /// New state for a link of `cap_bps`; the initial advertised rate is the
     /// full capacity (RCP processor-sharing start).
-    pub fn new(cap_bps: u64, params: RcpParams) -> RcpLink {
+    pub fn new(cap_bps: u64) -> RcpLink {
         RcpLink {
-            params,
             cap_bps: cap_bps as f64,
             rate_bps: cap_bps as f64,
-            avg_rtt: params.init_rtt.as_secs_f64(),
+            avg_rtt: INIT_RTT.as_secs_f64(),
             bytes_in: 0,
             last_update: SimTime::ZERO,
         }
@@ -105,11 +88,10 @@ impl RcpLink {
         self.bytes_in = 0;
         let d0 = self.avg_rtt.max(1e-6);
         let q_bits = queue_bytes as f64 * 8.0;
-        let spare = self.params.alpha * (self.cap_bps - y);
-        let drain = self.params.beta * q_bits / d0;
+        let spare = ALPHA * (self.cap_bps - y);
+        let drain = BETA * q_bits / d0;
         let factor = 1.0 + (t / d0) * (spare - drain) / self.cap_bps;
-        self.rate_bps =
-            (self.rate_bps * factor).clamp(self.cap_bps * self.params.min_rate_frac, self.cap_bps);
+        self.rate_bps = (self.rate_bps * factor).clamp(self.cap_bps * MIN_RATE_FRAC, self.cap_bps);
     }
 
     /// Stamp a packet's rate field with `min(current, R)`.
@@ -119,7 +101,7 @@ impl RcpLink {
 }
 
 impl RcpLink {
-    /// Snapshot traversal. Parameters and capacity are configuration; the
+    /// Snapshot traversal. Capacity is configuration; the
     /// advertised rate, RTT average, input-rate accumulator and update
     /// timestamp are dynamic.
     pub fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
@@ -138,7 +120,7 @@ mod tests {
 
     #[test]
     fn idle_link_advertises_full_capacity() {
-        let mut l = RcpLink::new(C, RcpParams::default());
+        let mut l = RcpLink::new(C);
         let mut now = SimTime::ZERO;
         for _ in 0..100 {
             now += Dur::us(100);
@@ -149,7 +131,7 @@ mod tests {
 
     #[test]
     fn overloaded_link_reduces_rate_toward_fair_share() {
-        let mut l = RcpLink::new(C, RcpParams::default());
+        let mut l = RcpLink::new(C);
         let mut now = SimTime::ZERO;
         // Simulate 4 flows each sending at the advertised rate: input is
         // 4×R; rate should fall until 4×R ≈ C, i.e. R → C/4.
@@ -174,7 +156,7 @@ mod tests {
 
     #[test]
     fn queue_pressure_lowers_rate() {
-        let mut l = RcpLink::new(C, RcpParams::default());
+        let mut l = RcpLink::new(C);
         let before = l.rate_bps();
         l.bytes_in = C / 8 / 10_000; // input ≈ capacity over 100us
         l.update(SimTime::ZERO + Dur::us(100), 500_000); // big queue
@@ -183,7 +165,7 @@ mod tests {
 
     #[test]
     fn rate_never_exceeds_capacity_nor_floor() {
-        let mut l = RcpLink::new(C, RcpParams::default());
+        let mut l = RcpLink::new(C);
         let mut now = SimTime::ZERO;
         for i in 0..1000 {
             now += Dur::us(100);
@@ -199,14 +181,14 @@ mod tests {
 
     #[test]
     fn stamp_takes_minimum() {
-        let l = RcpLink::new(C, RcpParams::default());
+        let l = RcpLink::new(C);
         assert_eq!(l.stamp(f64::INFINITY), C as f64);
         assert_eq!(l.stamp(1e9), 1e9);
     }
 
     #[test]
     fn rtt_average_tracks_samples() {
-        let mut l = RcpLink::new(C, RcpParams::default());
+        let mut l = RcpLink::new(C);
         for _ in 0..500 {
             l.on_packet(1538, Some(Dur::us(50)));
         }

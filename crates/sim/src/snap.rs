@@ -48,6 +48,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
@@ -180,7 +181,10 @@ pub struct SnapReader<'a> {
     /// Added to `pos` in reported offsets, so errors point at absolute
     /// file offsets even though the reader only sees the body.
     base: usize,
-    ctx: Vec<String>,
+    /// The context path with a leading dot (`.a.b.c`), one buffer for
+    /// every segment: each [`SnapIo::within`] appends `.segment` and cuts
+    /// it off again.
+    ctx: String,
 }
 
 impl<'a> SnapReader<'a> {
@@ -191,7 +195,7 @@ impl<'a> SnapReader<'a> {
             data,
             pos: 0,
             base,
-            ctx: Vec::new(),
+            ctx: String::new(),
         }
     }
 
@@ -207,7 +211,7 @@ impl<'a> SnapReader<'a> {
 
     /// An error at absolute offset `at` with the current context path.
     fn err_at(&self, at: usize, msg: impl Into<String>) -> SnapError {
-        SnapError::new(at, self.ctx.join("."), msg)
+        SnapError::new(at, self.ctx.get(1..).unwrap_or(""), msg)
     }
 
     /// An error at the current offset with the current context path.
@@ -445,12 +449,17 @@ impl<'a> SnapIo<'a> {
         name: impl fmt::Display,
         f: impl FnOnce(&mut Self) -> Result<T, SnapError>,
     ) -> Result<T, SnapError> {
-        if let SnapIo::Read(r) = self {
-            r.ctx.push(name.to_string());
-        }
+        let mark = match self {
+            SnapIo::Read(r) => {
+                let mark = r.ctx.len();
+                let _ = write!(r.ctx, ".{name}");
+                mark
+            }
+            SnapIo::Write(_) => 0,
+        };
         let out = f(self)?;
         if let SnapIo::Read(r) = self {
-            r.ctx.pop();
+            r.ctx.truncate(mark);
         }
         Ok(out)
     }

@@ -26,7 +26,8 @@
 //! counters/engine/health where captured).
 //!
 //! `--trace <file>` streams trace events as JSON Lines from experiments
-//! that support tracing (fig19 and scenarios).
+//! that support tracing (fig19 and scenarios). A trace event names no
+//! experiment, so a selection with more than one of them is refused.
 //!
 //! `--jobs N` runs the selected experiments on up to N worker threads
 //! (one single-threaded engine per experiment). Results are printed and
@@ -717,6 +718,21 @@ fn main() -> ExitCode {
         Ok(run) => run,
         Err(code) => return code,
     };
+    // A trace event names no experiment, so one file holds one
+    // experiment's trace.
+    if opts.trace.is_some() {
+        let tracing: Vec<&str> = selected
+            .iter()
+            .filter(|e| e.traces())
+            .map(|e| e.name())
+            .collect();
+        if tracing.len() > 1 {
+            return bad_usage(format!(
+                "--trace takes one tracing experiment, but {} record traces",
+                tracing.join(", ")
+            ));
+        }
+    }
     // A restarted ingest service re-enters its run from the newest
     // checkpoint when that passes the gate, so the journal replay overlays
     // it at the recorded run call; otherwise the replay rebuilds the run

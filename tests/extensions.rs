@@ -210,7 +210,7 @@ fn uncredited_background_traffic_is_absorbed() {
                 }
             } else {
                 match side {
-                    Side::Sender => Box::new(XPassSender::new(XPassConfig::aggressive())),
+                    Side::Sender => Box::new(XPassSender::new()),
                     Side::Receiver => Box::new(XPassReceiver::new(XPassConfig::aggressive())),
                 }
             }

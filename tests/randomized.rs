@@ -6,7 +6,7 @@
 //! `xpass::sim::rng::Rng`. Same invariants, bit-identical replay, zero
 //! external dependencies.
 
-use xpass::expresspass::feedback::{max_credit_rate, CreditFeedback};
+use xpass::expresspass::feedback::{max_credit_rate, CreditFeedback, MIN_RATE_FRAC, W_MAX};
 use xpass::expresspass::netcalc::{buffer_bounds, HierTopo, NetCalcParams};
 use xpass::expresspass::XPassConfig;
 use xpass::net::ids::{FlowId, HostId, SwitchId};
@@ -304,7 +304,7 @@ fn feedback_rate_always_within_bounds() {
         let cfg = XPassConfig::default().with_alpha_winit(1.0 / alpha_inv as f64, 0.5);
         let max = max_credit_rate(10_000_000_000);
         let mut fb = CreditFeedback::new(max, cfg);
-        let floor = max * cfg.min_rate_frac;
+        let floor = max * MIN_RATE_FRAC;
         let n = below(&mut rng, 1, 300);
         for _ in 0..n {
             let loss = rng.below(1_000_000) as f64 / 1_000_000.0;
@@ -312,7 +312,7 @@ fn feedback_rate_always_within_bounds() {
             assert!(r >= floor - 1e-9, "rate {r} under floor {floor}");
             assert!(r <= fb.ceiling() + 1e-9, "rate {r} over ceiling");
             assert!(fb.w() >= cfg.w_min - 1e-12);
-            assert!(fb.w() <= cfg.w_max + 1e-12);
+            assert!(fb.w() <= W_MAX + 1e-12);
         }
     }
 }

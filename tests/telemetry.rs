@@ -307,6 +307,44 @@ fn repro_rejects_bad_usage() {
     }
 }
 
+/// A trace event names no experiment, so two tracing experiments cannot
+/// share one `--trace` file (the second would truncate the first's trace,
+/// and under `--jobs 2` their lines would tear): the command is refused
+/// before either runs.
+#[test]
+fn repro_refuses_one_trace_file_for_two_tracing_experiments() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("two_traces");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.jsonl");
+    let scenarios = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/scenarios/");
+    let a = format!("{scenarios}fat_tree_shuffle_faults.json");
+    let b = format!("{scenarios}parking_lot.json");
+    for jobs in ["1", "2"] {
+        let out = repro(&[
+            "run",
+            &a,
+            &b,
+            "--trace",
+            trace.to_str().unwrap(),
+            "--jobs",
+            jobs,
+        ]);
+        assert!(
+            !out.status.success(),
+            "--jobs {jobs}: two traced runs accepted"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--trace takes one tracing experiment"),
+            "{err}"
+        );
+        assert!(err.contains("usage:"), "{err}");
+        assert!(out.stdout.is_empty(), "an experiment ran");
+        assert!(!trace.exists(), "the trace file was opened");
+    }
+}
+
 #[test]
 fn repro_seed_changes_stochastic_output() {
     let a = repro(&["fig06", "--seed", "1"]);
