@@ -2,7 +2,7 @@
 //! scheme against kernel TCP CUBIC; Reno is included as the classic
 //! loss-based reference).
 
-use crate::window::{window_factory, AckEvent, CongestionControl, MIN_CWND};
+use crate::window::{window_factory, AckEvent, CongestionControl};
 use xpass_net::endpoint::EndpointFactory;
 use xpass_sim::time::SimTime;
 
@@ -146,12 +146,12 @@ impl CongestionControl for CubicCc {
 
 /// Endpoint factory for TCP Reno.
 pub fn reno_factory() -> EndpointFactory {
-    window_factory(MIN_CWND, || RenoCc::new(10.0))
+    window_factory(|| RenoCc::new(10.0))
 }
 
 /// Endpoint factory for TCP CUBIC.
 pub fn cubic_factory() -> EndpointFactory {
-    window_factory(MIN_CWND, || CubicCc::new(10.0))
+    window_factory(|| CubicCc::new(10.0))
 }
 
 #[cfg(test)]

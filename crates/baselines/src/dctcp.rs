@@ -120,7 +120,7 @@ impl CongestionControl for DctcpCc {
 /// Endpoint factory for DCTCP at the given link speed. Combine with
 /// [`NetConfig::dctcp`](xpass_net::NetConfig::dctcp) so switches mark ECN.
 pub fn dctcp_factory(link_bps: u64) -> EndpointFactory {
-    window_factory(MIN_CWND, move || DctcpCc::new(link_bps))
+    window_factory(move || DctcpCc::new(link_bps))
 }
 
 #[cfg(test)]

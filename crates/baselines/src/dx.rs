@@ -14,7 +14,7 @@
 //! behaviour — near-empty queues, conservative throughput — matches the
 //! paper's DX columns.
 
-use crate::window::{window_factory, AckEvent, CongestionControl, MIN_CWND};
+use crate::window::{window_factory, AckEvent, CongestionControl};
 use xpass_net::endpoint::EndpointFactory;
 use xpass_sim::time::{Dur, SimTime};
 
@@ -103,7 +103,7 @@ impl CongestionControl for DxCc {
 
 /// Endpoint factory for DX.
 pub fn dx_factory() -> EndpointFactory {
-    window_factory(MIN_CWND, DxCc::new)
+    window_factory(DxCc::new)
 }
 
 #[cfg(test)]

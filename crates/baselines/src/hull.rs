@@ -10,7 +10,7 @@
 //! window rate (HULL's "hardware pacer" module).
 
 use crate::dctcp::DctcpCc;
-use crate::window::{window_factory, AckEvent, CongestionControl, MIN_CWND};
+use crate::window::{window_factory, AckEvent, CongestionControl};
 use xpass_net::endpoint::EndpointFactory;
 use xpass_net::packet::MAX_FRAME;
 use xpass_sim::time::{Dur, SimTime};
@@ -69,7 +69,7 @@ impl CongestionControl for HullCc {
 /// Endpoint factory for HULL at the given link speed. Combine with
 /// [`NetConfig::hull`](xpass_net::NetConfig::hull) for phantom queues.
 pub fn hull_factory(link_bps: u64) -> EndpointFactory {
-    window_factory(MIN_CWND, move || HullCc::new(link_bps))
+    window_factory(move || HullCc::new(link_bps))
 }
 
 #[cfg(test)]

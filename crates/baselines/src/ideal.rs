@@ -8,7 +8,7 @@
 //! the queue grows with the number of flows — only credit-based arrival
 //! scheduling (Fig 1c) bounds it.
 
-use crate::window::{window_factory, AckEvent, CongestionControl, WindowSender, MIN_CWND};
+use crate::window::{window_factory, AckEvent, CongestionControl, WindowSender};
 use std::collections::{BTreeMap, BTreeSet};
 use xpass_net::endpoint::EndpointFactory;
 use xpass_net::ids::{DLinkId, FlowId, NodeId, Side};
@@ -58,7 +58,7 @@ impl CongestionControl for OracleCc {
 /// Endpoint factory for oracle-paced flows. Pair with a
 /// [`MaxMinOracle`] controller installed on the network.
 pub fn ideal_factory(init_bps: f64) -> EndpointFactory {
-    window_factory(MIN_CWND, move || OracleCc::new(init_bps))
+    window_factory(move || OracleCc::new(init_bps))
 }
 
 /// Controller recomputing global max-min fair rates (water-filling over the

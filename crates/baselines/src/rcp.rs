@@ -11,7 +11,7 @@
 //! flows" behaviour, which gives instant convergence (Fig 16 i/j) but also
 //! the queue overshoot under flow churn that Fig 15(f) reports.
 
-use crate::window::{window_factory, AckEvent, CongestionControl, MIN_CWND};
+use crate::window::{window_factory, AckEvent, CongestionControl};
 use xpass_net::endpoint::EndpointFactory;
 use xpass_net::packet::MSS;
 use xpass_sim::time::SimTime;
@@ -88,7 +88,7 @@ impl CongestionControl for RcpCc {
 /// Endpoint factory for RCP. Combine with
 /// [`NetConfig::rcp`](xpass_net::NetConfig::rcp) so switches compute rates.
 pub fn rcp_factory() -> EndpointFactory {
-    window_factory(MIN_CWND, RcpCc::new)
+    window_factory(RcpCc::new)
 }
 
 #[cfg(test)]

@@ -40,7 +40,8 @@ pub struct AckEvent {
 
 /// A congestion-control policy plugged into [`WindowSender`].
 pub trait CongestionControl: Send + 'static {
-    /// Current congestion window in packets.
+    /// Current congestion window in packets, which the sender uses as
+    /// is: each policy keeps its own at or above one packet.
     fn cwnd(&self) -> f64;
     /// A new cumulative ACK arrived.
     fn on_ack(&mut self, ev: &AckEvent);
@@ -71,10 +72,6 @@ const MAX_RTO: Dur = Dur::ms(320);
 const INIT_RTO: Dur = Dur::ms(10);
 /// Duplicate-ACK threshold for fast retransmit.
 const DUPACK_THRESH: u32 = 3;
-/// The usual floor on the effective window in packets, the
-/// `min_cwnd` of [`window_factory`]; DCTCP's is
-/// [`dctcp::MIN_CWND`](crate::dctcp::MIN_CWND).
-pub const MIN_CWND: f64 = 1.0;
 
 mod timer {
     pub const RTO: u8 = 10;
@@ -84,8 +81,6 @@ mod timer {
 
 /// Sender half of the window transport.
 pub struct WindowSender<C: CongestionControl> {
-    /// Floor on the effective window in packets.
-    min_cwnd: f64,
     cc: C,
     /// Total packets this flow must transfer.
     n_pkts: u64,
@@ -111,10 +106,9 @@ pub struct WindowSender<C: CongestionControl> {
 }
 
 impl<C: CongestionControl> WindowSender<C> {
-    /// New sender with the given policy and window floor.
-    pub fn new(cc: C, min_cwnd: f64) -> WindowSender<C> {
+    /// New sender with the given policy.
+    pub fn new(cc: C) -> WindowSender<C> {
         WindowSender {
-            min_cwnd,
             cc,
             n_pkts: 0,
             last_payload: MSS,
@@ -167,10 +161,6 @@ impl<C: CongestionControl> WindowSender<C> {
                 None => self.try_send(ctx),
             }
         }
-    }
-
-    fn effective_cwnd(&self) -> f64 {
-        self.cc.cwnd().max(self.min_cwnd)
     }
 
     fn inflight(&self) -> u64 {
@@ -242,7 +232,7 @@ impl<C: CongestionControl> WindowSender<C> {
     }
 
     fn can_send_new(&self) -> bool {
-        self.snd_nxt < self.n_pkts && (self.inflight() as f64) < self.effective_cwnd()
+        self.snd_nxt < self.n_pkts && (self.inflight() as f64) < self.cc.cwnd()
     }
 
     fn on_pace_fire(&mut self, ctx: &mut Ctx<'_>) {
@@ -505,14 +495,10 @@ impl Endpoint for WindowReceiver {
     }
 }
 
-/// Factory for a window protocol with policy constructor `mk`, whose
-/// senders never let the effective window fall below `min_cwnd` packets.
-pub fn window_factory<C: CongestionControl>(
-    min_cwnd: f64,
-    mk: impl Fn() -> C + 'static,
-) -> EndpointFactory {
+/// Factory for a window protocol with policy constructor `mk`.
+pub fn window_factory<C: CongestionControl>(mk: impl Fn() -> C + 'static) -> EndpointFactory {
     Box::new(move |side, _info| match side {
-        Side::Sender => Box::new(WindowSender::new(mk(), min_cwnd)),
+        Side::Sender => Box::new(WindowSender::new(mk())),
         Side::Receiver => Box::new(WindowReceiver::new()),
     })
 }
@@ -566,7 +552,7 @@ mod tests {
         Network::new(
             Topology::dumbbell(2, G10, Dur::us(1)),
             cfg,
-            window_factory(MIN_CWND, move || FixedWindow::new(w)),
+            window_factory(move || FixedWindow::new(w)),
         )
     }
 
@@ -624,7 +610,7 @@ mod tests {
         let mut net = Network::new(
             Topology::dumbbell(4, G10, Dur::us(1)),
             cfg,
-            window_factory(MIN_CWND, || FixedWindow::new(64.0)),
+            window_factory(|| FixedWindow::new(64.0)),
         );
         for i in 0..4u32 {
             net.add_flow(HostId(i), HostId(4 + i), 400_000, SimTime::ZERO);
@@ -692,7 +678,7 @@ mod tests {
         let mut net = Network::new(
             Topology::dumbbell(1, G10, Dur::us(1)),
             cfg,
-            window_factory(MIN_CWND, || Paced),
+            window_factory(|| Paced),
         );
         let size = 2_500_000u64;
         let f = net.add_flow(HostId(0), HostId(1), size, SimTime::ZERO);

@@ -7,6 +7,7 @@
 use crate::harness::{convergence_time, convergence_time_cumulative, text_table, Scheme};
 use std::fmt;
 use xpass_net::ids::HostId;
+use xpass_net::packet::{MAX_FRAME, MSS};
 use xpass_sim::time::{Dur, SimTime};
 
 /// Fig 2 configuration.
@@ -69,8 +70,8 @@ pub fn run_scheme(cfg: &Config, scheme: Scheme) -> Option<Dur> {
     net.run_until(join + cfg.window);
     // Fair share for the late flow ≈ half the data capacity.
     let eff = match scheme {
-        Scheme::XPass(_) | Scheme::NaiveCredit => 0.9482 * 1460.0 / 1538.0,
-        _ => 1460.0 / 1538.0,
+        Scheme::XPass(_) | Scheme::NaiveCredit => 0.9482 * MSS as f64 / MAX_FRAME as f64,
+        _ => MSS as f64 / MAX_FRAME as f64,
     };
     let fair = cfg.link_bps as f64 / 2.0 * eff / 1e9;
     match scheme {

@@ -11,6 +11,7 @@ use std::fmt;
 use xpass_net::config::{HostDelayModel, NetConfig};
 use xpass_net::ids::HostId;
 use xpass_net::network::Network;
+use xpass_net::packet::{MAX_FRAME, MSS};
 use xpass_net::topology::Topology;
 use xpass_sim::time::{Dur, SimTime};
 
@@ -84,7 +85,7 @@ pub fn run(cfg: &Config) -> Fig8 {
         let late = net.add_flow(HostId(1), HostId(3), bytes, join);
         net.track_flow(late);
         net.run_until(join + Dur::ms(20));
-        let fair = cfg.link_bps as f64 / 2.0 * 0.9482 * (1460.0 / 1538.0) / 1e9;
+        let fair = cfg.link_bps as f64 / 2.0 * 0.9482 * (MSS as f64 / MAX_FRAME as f64) / 1e9;
         let conv =
             convergence_time(&net, late, join, fair, 0.30, 15).map(|d| d.as_secs_f64() / rtt);
 

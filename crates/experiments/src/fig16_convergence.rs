@@ -10,6 +10,7 @@ use crate::harness::{convergence_time, text_table, Scheme};
 use expresspass::XPassConfig;
 use std::fmt;
 use xpass_net::ids::HostId;
+use xpass_net::packet::{MAX_FRAME, MSS};
 use xpass_net::topology::Topology;
 use xpass_sim::time::{Dur, SimTime};
 
@@ -69,8 +70,8 @@ pub fn measure(cfg: &Config, scheme: Scheme, label: &str, speed: u64) -> Cell {
     net.track_flow(late);
     net.run_until(join + cfg.window);
     let eff = match scheme {
-        Scheme::XPass(_) | Scheme::NaiveCredit => 0.9482 * 1460.0 / 1538.0,
-        _ => 1460.0 / 1538.0,
+        Scheme::XPass(_) | Scheme::NaiveCredit => 0.9482 * MSS as f64 / MAX_FRAME as f64,
+        _ => MSS as f64 / MAX_FRAME as f64,
     };
     let fair = speed as f64 / 2.0 * eff / 1e9;
     let conv = convergence_time(&net, late, join, fair, 0.30, 15);

@@ -27,8 +27,8 @@ pub const LOOKAHEAD_MIN_DEPTH: usize = 16_384;
 
 impl Network {
     /// Start the cache misses of the next two events while the current one
-    /// is handled. The calendar queue keeps its staged bucket sorted, so
-    /// the events are known; on `clos_xl` each would otherwise walk a
+    /// is handled. The calendar queue keeps its staged bucket sorted and
+    /// the same-instant lane is in order, so the events are known; on `clos_xl` each would otherwise walk a
     /// chain of dependent DRAM misses (slab payload → arena slot →
     /// endpoint box → port → queue storage) with nothing to overlap them.
     /// The scheduler itself prefetches slab payloads further out; here,

@@ -10,10 +10,14 @@
 //! pop is one indexed read, no sift — so the pop order is *identical* to
 //! the reference binary heap, including FIFO tie-breaking of
 //! same-timestamp events by insertion sequence number. Events that land
-//! at or behind the staged bucket (the common "reschedule a few hundred
-//! ns ahead" case in packet simulations) are a binary-search insert into
-//! the staged slice — k is one bucket's occupancy (held to a handful by
-//! the adaptive width below), and the moved entries are 24 bytes each.
+//! at or behind the staged bucket are a binary-search insert into the
+//! staged slice — k is one bucket's occupancy (held to a handful by the
+//! adaptive width below), and the moved entries are 24 bytes each. Such
+//! late inserts are rare: pushes for the current instant, the common case
+//! in packet simulations, never reach the calendar, because
+//! [`EventQueue`](crate::event::EventQueue)'s same-instant lane takes
+//! them; what is left is a reschedule inside the staged bucket's span
+//! and an older reservation filled at the current instant.
 //!
 //! The bucket width **adapts** to the workload (Brown's classic calendar
 //! queue resize rule, driven here by average staged-bucket occupancy):
@@ -256,8 +260,8 @@ impl<E> CalendarQueue<E> {
                 let idx = (rel >> self.bucket_bits) as usize;
                 if idx < self.cursor || (idx == self.cursor && self.staged) {
                     // The wheel already drained past this bucket: insert
-                    // into the staged slice (typically a near-`now`
-                    // reschedule — a binary search plus a few 24-byte
+                    // into the staged slice (a reschedule inside the
+                    // staged span — a binary search plus a few 24-byte
                     // entry moves).
                     self.staging_insert(Entry::new(t, seq, slot));
                 } else {
@@ -372,6 +376,14 @@ impl<E> CalendarQueue<E> {
     pub fn peek_staged(&self, k: usize) -> Option<&E> {
         let e = self.staging.get(self.scursor + k)?;
         self.slab[e.slot as usize].as_ref()
+    }
+
+    /// The key of the entry [`peek_staged`](Self::peek_staged)`(k)` names,
+    /// read without touching its payload.
+    #[inline]
+    pub fn staged_key(&self, k: usize) -> Option<(SimTime, u64)> {
+        let e = self.staging.get(self.scursor + k)?;
+        Some((SimTime(e.time()), e.seq()))
     }
 
     /// Ensure staging holds the wheel's minimum (or the wheel is empty).

@@ -26,6 +26,17 @@
 //! this way leaves every other event's key — and its own, if it does push
 //! — exactly where an eager push would have put it.
 //!
+//! Above both schedulers sits the **same-instant lane**, a FIFO of
+//! `(seq, event)` pairs: an event filled in at the instant of the horizon
+//! (see [`EventQueue::is_ahead`]) with a sequence number above the lane's
+//! last one is appended there instead of going to the scheduler — no slab
+//! slot, no sorted insert into the calendar's staged bucket. Every lane
+//! entry shares the horizon's instant, so the lane is sorted by
+//! construction, and a pop takes the smaller of its head and the
+//! scheduler's: the `(time, seq)` order is the same as without it, under
+//! either scheduler. Both schedulers share the lane, so its oracle is a
+//! bare heap of keys (`Bare` in `crates/sim/tests/scheduler_props.rs`).
+//!
 //! There is no way to take a queued event back out. Whoever queues an
 //! event that may go stale makes its *payload* tell: the network's timer
 //! events carry a generation (`xpass-net`'s `TimerSlot`, `Deadline`) and a
@@ -45,7 +56,7 @@ use crate::run_ctx;
 use crate::snap::{SnapError, SnapIo};
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Which scheduler implementation an [`EventQueue`] uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -132,6 +143,9 @@ pub const DEFAULT_CAPACITY: usize = 1024;
 /// `E` needs no trait bounds; ordering is entirely on `(time, seq)`.
 pub struct EventQueue<E> {
     imp: Impl<E>,
+    /// The same-instant lane: events at `horizon.0`, ascending in `seq`,
+    /// ahead of or behind the scheduler's entries at that instant.
+    lane: VecDeque<(u64, E)>,
     seq: u64,
     popped: u64,
     /// The first position that has not gone by: just past the key of the
@@ -180,6 +194,32 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+impl<E> Impl<E> {
+    /// The scheduler's earliest key, settling the calendar's wheel.
+    #[inline]
+    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+        match self {
+            Impl::Heap(h) => h.peek().map(|e| e.key.0),
+            Impl::Calendar(c) => c.peek_key(),
+        }
+    }
+
+    /// Pop the scheduler's earliest entry if it fires at or before `t`.
+    #[inline(always)]
+    fn pop_if_le(&mut self, t: SimTime) -> Option<(SimTime, u64, E)> {
+        match self {
+            Impl::Heap(h) => {
+                if h.peek()?.key.0 .0 > t {
+                    return None;
+                }
+                let e = h.pop().expect("peeked entry vanished");
+                Some((e.key.0 .0, e.key.0 .1, e.event))
+            }
+            Impl::Calendar(c) => c.pop_if_le(t),
+        }
+    }
+}
+
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
@@ -207,6 +247,7 @@ impl<E> EventQueue<E> {
         };
         EventQueue {
             imp,
+            lane: VecDeque::new(),
             seq: 0,
             popped: 0,
             horizon: (SimTime::ZERO, 0),
@@ -242,13 +283,21 @@ impl<E> EventQueue<E> {
     /// the heap orders by key, and the calendar sorts a bucket when it
     /// stages it, inserts by key into the staged one and keeps its far
     /// band in a heap — neither assumes keys arrive in sequence order.
+    /// A position at the horizon's instant above the lane's last one goes
+    /// to the same-instant lane instead; an older one filled there (a
+    /// reservation taken before the lane's tail) goes to the scheduler.
     #[inline]
     pub fn push_reserved(&mut self, at: SimTime, seq: u64, event: E) {
         debug_assert!(
             self.was_reserved(seq) && self.is_ahead(at, seq),
             "position ({at:?}, {seq}) was never reserved or has gone by"
         );
-        self.restore_entry(at, seq, event);
+        if at == self.horizon.0 && self.lane.back().is_none_or(|&(last, _)| seq > last) {
+            self.lane.push_back((seq, event));
+            self.len += 1;
+        } else {
+            self.restore_entry(at, seq, event);
+        }
         if self.len > self.peak {
             self.peak = self.len;
         }
@@ -287,6 +336,10 @@ impl<E> EventQueue<E> {
     /// position been filled, that drain would have popped it. Positions
     /// reserved from here on, at `t` included, are ahead.
     pub fn advance_to(&mut self, t: SimTime) {
+        debug_assert!(
+            self.lane.is_empty() || t < self.horizon.0,
+            "advance_to({t:?}) over same-instant events still queued"
+        );
         self.horizon = self.horizon.max((t, self.seq));
     }
 
@@ -300,15 +353,22 @@ impl<E> EventQueue<E> {
     /// fused peek-then-pop: one scheduler settle per event instead of two.
     #[inline]
     pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        let (at, seq, event) = match &mut self.imp {
-            Impl::Heap(h) => {
-                if h.peek()?.key.0 .0 > t {
+        let (at, seq, event) = match self.lane.front() {
+            None => self.imp.pop_if_le(t)?,
+            Some(&(first, _)) => {
+                // Nothing queued is behind the horizon, whose instant the
+                // whole lane shares.
+                let now = self.horizon.0;
+                if now > t {
                     return None;
                 }
-                let e = h.pop().expect("peeked entry vanished");
-                (e.key.0 .0, e.key.0 .1, e.event)
+                if self.imp.peek_key().is_some_and(|k| k < (now, first)) {
+                    self.imp.pop_if_le(now).expect("peeked entry vanished")
+                } else {
+                    let (seq, event) = self.lane.pop_front().expect("lane head vanished");
+                    (now, seq, event)
+                }
             }
-            Impl::Calendar(c) => c.pop_if_le(t)?,
         };
         self.len -= 1;
         self.popped += 1;
@@ -323,24 +383,52 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next event without removing it.
     #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.imp {
-            Impl::Heap(h) => h.peek().map(|e| e.key.0 .0),
-            Impl::Calendar(c) => c.peek_key().map(|(at, _)| at),
+        if !self.lane.is_empty() {
+            return Some(self.horizon.0);
         }
+        self.imp.peek_key().map(|(at, _)| at)
     }
 
     /// Read-only lookahead: the payload of the `k`-th event from the front
-    /// (`k = 0` is what the next pop returns), when the scheduler already
-    /// holds it in sorted order — the calendar's staged bucket. `None`
-    /// otherwise: past the staged bucket, or on the heap scheduler. Never
+    /// (`k = 0` is what the next pop returns), when it is known without
+    /// sorting anything — the same-instant lane merged with the calendar's
+    /// staged bucket. `None` otherwise: past the staged bucket (unless the
+    /// calendar holds nothing else), or on the heap scheduler. Never
     /// settles, sorts or moves anything, so a queue that is peeked behaves
     /// exactly like one that is not; a later push may still land ahead of
     /// a peeked event. For prefetching only.
     #[inline]
-    pub fn peek_staged(&self, k: usize) -> Option<&E> {
-        match &self.imp {
-            Impl::Calendar(c) => c.peek_staged(k),
-            Impl::Heap(_) => None,
+    pub fn peek_staged(&self, mut k: usize) -> Option<&E> {
+        let Impl::Calendar(c) = &self.imp else {
+            return None;
+        };
+        if self.lane.is_empty() {
+            return c.peek_staged(k);
+        }
+        let now = self.horizon.0;
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let lane_first = match (self.lane.get(i), c.staged_key(j)) {
+                (None, _) => false,
+                (Some(&(seq, _)), Some(key)) => (now, seq) < key,
+                // Past the staged bucket the calendar's order is unknown,
+                // so a lane entry pops next only if nothing else is queued.
+                (Some(_), None) if c.len() == j => true,
+                (Some(_), None) => return None,
+            };
+            if k == 0 {
+                return if lane_first {
+                    self.lane.get(i).map(|(_, e)| e)
+                } else {
+                    c.peek_staged(j)
+                };
+            }
+            k -= 1;
+            if lane_first {
+                i += 1;
+            } else {
+                j += 1;
+            }
         }
     }
 
@@ -377,23 +465,34 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Allocated entry slots (heap capacity, or the calendar's staging +
-    /// overflow + bucket slots).
+    /// Allocated entry slots: the same-instant lane's plus the
+    /// scheduler's (heap capacity, or the calendar's staging + overflow +
+    /// bucket slots).
     pub fn capacity(&self) -> usize {
-        match &self.imp {
-            Impl::Heap(h) => h.capacity(),
-            Impl::Calendar(c) => c.capacity(),
-        }
+        self.lane.capacity()
+            + match &self.imp {
+                Impl::Heap(h) => h.capacity(),
+                Impl::Calendar(c) => c.capacity(),
+            }
     }
 
     /// Hand every queued entry to `f` in `(time, seq)` order, payload in
-    /// place, stopping at the first error. Both schedulers yield the
-    /// identical sequence, and each keeps its layout (the heap's array,
-    /// the calendar's window, cursors and bucket width) exactly as it was.
+    /// place, stopping at the first error: the scheduler's walk with the
+    /// lane merged in. Both schedulers yield the identical sequence, and
+    /// each keeps its layout (the heap's array, the calendar's window,
+    /// cursors and bucket width) exactly as it was.
     fn try_for_each_sorted<X>(
         &mut self,
         mut f: impl FnMut(SimTime, u64, &mut E) -> Result<(), X>,
     ) -> Result<(), X> {
+        let now = self.horizon.0;
+        let mut lane = self.lane.iter_mut().peekable();
+        let mut merged = |at: SimTime, seq: u64, event: &mut E| {
+            while let Some((s, e)) = lane.next_if(|(s, _)| (now, *s) < (at, seq)) {
+                f(now, *s, e)?;
+            }
+            f(at, seq, event)
+        };
         match &mut self.imp {
             Impl::Heap(h) => {
                 // A valid heap's array, handed back, heapifies without
@@ -403,12 +502,13 @@ impl<E> EventQueue<E> {
                 order.sort_unstable();
                 let out = order
                     .into_iter()
-                    .try_for_each(|((at, seq), i)| f(at, seq, &mut v[i].event));
+                    .try_for_each(|((at, seq), i)| merged(at, seq, &mut v[i].event));
                 *h = BinaryHeap::from(v);
                 out
             }
-            Impl::Calendar(c) => c.try_for_each_sorted(f),
-        }
+            Impl::Calendar(c) => c.try_for_each_sorted(merged),
+        }?;
+        lane.try_for_each(|(s, e)| f(now, *s, e))
     }
 
     /// Every queued payload, in no particular order.
@@ -417,13 +517,16 @@ impl<E> EventQueue<E> {
             Impl::Heap(h) => (Some(h.iter().map(|e| &e.event)), None),
             Impl::Calendar(c) => (None, Some(c.payloads())),
         };
-        heap.into_iter()
-            .flatten()
+        self.lane
+            .iter()
+            .map(|(_, e)| e)
+            .chain(heap.into_iter().flatten())
             .chain(calendar.into_iter().flatten())
     }
 
-    /// Insert an entry with an **explicit** sequence number, bypassing the
-    /// sequence counter and the peak/shrink bookkeeping.
+    /// Insert an entry into the scheduler with an **explicit** sequence
+    /// number, bypassing the lane, the sequence counter and the
+    /// peak/shrink bookkeeping.
     #[inline]
     fn restore_entry(&mut self, at: SimTime, seq: u64, event: E) {
         match &mut self.imp {
@@ -438,13 +541,15 @@ impl<E> EventQueue<E> {
 
     /// Snapshot traversal: every entry in `(time, seq)` order with its
     /// payload through `payload`, then the counters and the horizon —
-    /// identical bytes under either scheduler.
+    /// identical bytes under either scheduler, and whatever the lane
+    /// holds.
     ///
     /// The one traversal with two branches. Writing walks the queue in
     /// order and hands `payload` each event in place, leaving the
     /// scheduler's layout exactly as it was, so a run that snapshots
     /// continues precisely like one that does not. Reading builds a fresh
-    /// queue on the same scheduler, so its window rotates to the
+    /// queue on the same scheduler with every entry in the scheduler and
+    /// the lane empty, so its window rotates to the
     /// snapshot's earliest event on the first pop exactly as a live
     /// queue's does, instead of inheriting a window some earlier drain
     /// left behind.
@@ -487,6 +592,7 @@ impl<E> EventQueue<E> {
     /// capacity. Called automatically whenever the queue drains; safe (and
     /// cheap) to call at any time — it never affects event order.
     pub fn shrink_after_drain(&mut self) {
+        self.lane.shrink_to(self.initial_cap);
         match &mut self.imp {
             Impl::Heap(h) => h.shrink_to(self.initial_cap),
             Impl::Calendar(c) => c.shrink_to(self.initial_cap),
@@ -631,9 +737,11 @@ mod tests {
         }
     }
 
-    /// Near events, a far-future one (the calendar's overflow band) and a
-    /// late-filled reserved position; pops in between so the calendar has
-    /// a staged, partly consumed bucket.
+    /// Near events, a far-future one (the calendar's overflow band) and
+    /// late-filled reserved positions; pops in between so the calendar
+    /// has a staged, partly consumed bucket. At the instant of the last
+    /// pop, a fresh push sits in the same-instant lane and an older
+    /// reservation filled behind it sits in the scheduler, ahead of it.
     fn busy(kind: SchedulerKind) -> EventQueue<u64> {
         let mut q = EventQueue::with_scheduler(kind);
         for i in 0..200u64 {
@@ -641,13 +749,18 @@ mod tests {
         }
         q.push(SimTime::ZERO + Dur::secs(5), 1000);
         let reserved = q.reserve_seq();
+        let older = q.reserve_seq();
         q.push(SimTime::ZERO + Dur::us(900), 1001);
+        let mut now = SimTime::ZERO;
         for _ in 0..50 {
-            q.pop().unwrap();
+            now = q.pop().unwrap().0;
         }
         let next = q.peek_time().unwrap();
         q.push(next, 1002);
         q.push_reserved(next, reserved, 1003);
+        q.push(now, 1004);
+        q.push_reserved(now, older, 1005);
+        assert_eq!(q.peek_time(), Some(now));
         q
     }
 
@@ -707,7 +820,7 @@ mod tests {
             );
             // Sequence counter and horizon came along: the next push and
             // the next reservation land where the original's do.
-            let at = twin.peek_time().unwrap();
+            let at = twin.peek_time().unwrap(); // the lane's instant
             assert_eq!(twin.reserve_seq(), q.reserve_seq());
             twin.push(at, 7);
             q.push(at, 7);
@@ -745,6 +858,32 @@ mod tests {
             q.capacity()
         );
         assert_eq!(q.peak_len(), 100_000, "peak still reflects the burst");
+    }
+
+    #[test]
+    fn capacity_counts_the_lane_and_a_drain_shrinks_it() {
+        for kind in KINDS {
+            for n in [1_000u64, 100_000] {
+                let mut q: EventQueue<u64> = EventQueue::with_capacity(kind, 16);
+                let empty = q.capacity();
+                // Set-up pushes at t = 0 all take the lane.
+                for i in 0..n {
+                    q.push(SimTime::ZERO, i);
+                }
+                assert!(
+                    q.capacity() >= empty + n as usize,
+                    "{kind:?}: lane not counted"
+                );
+                assert_eq!(q.payloads().count(), n as usize);
+                let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+                assert_eq!(popped, (0..n).collect::<Vec<_>>());
+                assert!(
+                    q.capacity() <= empty + 16,
+                    "{kind:?}: {} slots after draining {n}, {empty} before",
+                    q.capacity()
+                );
+            }
+        }
     }
 
     #[test]

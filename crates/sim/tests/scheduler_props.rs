@@ -13,10 +13,20 @@
 //! position filled late pops exactly where an eager push would have, on
 //! both schedulers and in every band, and one never filled is as if an
 //! eager twin had queued a tombstone there and skipped it.
+//!
+//! Heap and calendar queues share the same-instant lane above the
+//! scheduler, so comparing the two cannot catch a fault of the lane. The
+//! lane's oracle is [`Bare`]: a plain `BinaryHeap` of `(time, seq)` keys
+//! with no lane at all, which both queues are held to pop for pop —
+//! through same-instant pushes, reservations filled at the current
+//! instant (older ones too, which bypass the lane), `advance_to`,
+//! snapshots taken while the lane holds entries, and lookahead.
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 use xpass_sim::event::{EventQueue, SchedulerKind};
 use xpass_sim::rng::Rng;
+use xpass_sim::snap::{SnapIo, SnapReader, SnapWriter};
 use xpass_sim::time::SimTime;
 
 /// Time deltas that exercise every band of the calendar: zero (ties and
@@ -378,4 +388,278 @@ fn randomized_reserve_and_fill_matches_eager_tombstones() {
         dropped += r.tombstones_skipped;
     }
     assert!(filled > 1_000 && dropped > 1_000, "{filled} / {dropped}");
+}
+
+/// Both schedulers' queues against a bare `(time, seq)` heap that knows
+/// nothing of the lane. Payloads are the sequence numbers, so a pop names
+/// its own key.
+struct Bare {
+    /// `[heap, calendar]`, fed the identical script.
+    queues: [EventQueue<u64>; 2],
+    oracle: BinaryHeap<Reverse<(u64, u64)>>,
+    /// The oracle's horizon: just past the last key popped, or where
+    /// `advance_to` left it.
+    horizon: (u64, u64),
+    next_seq: u64,
+    /// Reserved and not (yet) filled: `(at, seq)`.
+    open: Vec<(u64, u64)>,
+    /// A fresh position was filled at the current instant since the last
+    /// pop: its sequence number is above every other, so the lane holds
+    /// it until a pop takes it.
+    lane_holds: bool,
+    /// Checks made while `lane_holds`: snapshots, peeks, late fills.
+    with_lane: [u32; 3],
+}
+
+impl Bare {
+    fn new() -> Bare {
+        Bare {
+            queues: [SchedulerKind::Heap, SchedulerKind::Calendar].map(EventQueue::with_scheduler),
+            oracle: BinaryHeap::new(),
+            horizon: (0, 0),
+            next_seq: 0,
+            open: Vec::new(),
+            lane_holds: false,
+            with_lane: [0; 3],
+        }
+    }
+
+    fn now(&self) -> u64 {
+        self.horizon.0
+    }
+
+    fn reserve(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        for q in &mut self.queues {
+            assert_eq!(q.reserve_seq(), seq, "sequence counters diverged");
+        }
+        seq
+    }
+
+    fn fill(&mut self, at: u64, seq: u64) {
+        let ahead = (at, seq) >= self.horizon;
+        for q in &self.queues {
+            assert_eq!(q.is_ahead(SimTime(at), seq), ahead, "horizon diverged");
+        }
+        if !ahead {
+            return;
+        }
+        for q in &mut self.queues {
+            q.push_reserved(SimTime(at), seq, seq);
+        }
+        self.oracle.push(Reverse((at, seq)));
+        if at == self.now() {
+            if seq + 1 == self.next_seq {
+                self.lane_holds = true;
+            } else if self.lane_holds {
+                // An older reservation filled at the current instant,
+                // behind the lane's tail: it goes to the scheduler.
+                self.with_lane[2] += 1;
+            }
+        }
+    }
+
+    fn push(&mut self, at: u64) {
+        let seq = self.reserve();
+        self.fill(at, seq);
+    }
+
+    /// Pop through `pop_before(t)` on both queues and the oracle.
+    fn pop_before(&mut self, t: u64) -> Option<(u64, u64)> {
+        let want = match self.oracle.peek() {
+            Some(&Reverse((at, _))) if at <= t => self.oracle.pop().map(|Reverse(k)| k),
+            _ => None,
+        };
+        for q in &mut self.queues {
+            let got = q.pop_before(SimTime(t)).map(|(at, p)| (at.0, p));
+            assert_eq!(got, want, "{:?} diverged from the bare heap", q.scheduler());
+        }
+        if let Some((at, seq)) = want {
+            self.horizon = (at, seq + 1);
+            self.lane_holds = false;
+        }
+        want
+    }
+
+    /// Drain through `t`, then declare it passed, as the run loop does.
+    fn advance_to(&mut self, t: u64) {
+        while self.pop_before(t).is_some() {}
+        for q in &mut self.queues {
+            q.advance_to(SimTime(t));
+        }
+        self.horizon = self.horizon.max((t, self.next_seq));
+    }
+
+    fn check_metadata(&mut self) {
+        let peek = self.oracle.peek().map(|&Reverse((at, _))| SimTime(at));
+        for q in &mut self.queues {
+            assert_eq!(q.len(), self.oracle.len(), "len diverged");
+            assert_eq!(q.peek_time(), peek, "peek diverged");
+        }
+    }
+
+    /// Peek `depth` events ahead on the calendar queue, then pop as many:
+    /// whatever the lookahead named is what popped.
+    fn peek_then_pop(&mut self, depth: usize) {
+        let named: Vec<Option<u64>> = (0..depth)
+            .map(|k| self.queues[1].peek_staged(k).copied())
+            .collect();
+        if self.lane_holds && named[0].is_some() {
+            self.with_lane[1] += 1;
+        }
+        for peek in named {
+            let popped = self.pop_before(u64::MAX);
+            if let Some(p) = peek {
+                assert_eq!(
+                    popped.map(|(_, seq)| seq),
+                    Some(p),
+                    "peek named another event"
+                );
+            }
+        }
+    }
+
+    /// Snapshot both queues, check they wrote the same bytes, and carry on
+    /// with queues restored from them — each onto the other scheduler.
+    fn snapshot_and_restore(&mut self) {
+        let bytes: Vec<Vec<u8>> = self
+            .queues
+            .iter_mut()
+            .map(|q| {
+                let mut w = SnapWriter::new();
+                q.persist(&mut SnapIo::Write(&mut w), |io, e| io.u64(e))
+                    .unwrap();
+                w.into_body()
+            })
+            .collect();
+        assert_eq!(
+            bytes[0], bytes[1],
+            "heap and calendar wrote different bytes"
+        );
+        // Entries in `(time, seq)` order, lane or not: the bare heap's.
+        let mut sorted = self.oracle.clone().into_sorted_vec();
+        sorted.reverse();
+        let mut w = SnapWriter::new();
+        let mut io = SnapIo::Write(&mut w);
+        io.seq_len(sorted.len(), 16).unwrap();
+        for Reverse((mut at, mut seq)) in sorted {
+            let mut payload = seq;
+            for field in [&mut at, &mut seq, &mut payload] {
+                io.u64(field).unwrap();
+            }
+        }
+        let entries = w.into_body();
+        assert_eq!(bytes[0][..entries.len()], entries, "entries out of order");
+        if self.lane_holds {
+            self.with_lane[0] += 1;
+        }
+        for (q, kind) in self
+            .queues
+            .iter_mut()
+            .zip([SchedulerKind::Calendar, SchedulerKind::Heap])
+        {
+            let mut twin = EventQueue::with_scheduler(kind);
+            let mut io = SnapIo::Read(SnapReader::new(&bytes[0], 0));
+            twin.persist(&mut io, |io, e| io.u64(e)).unwrap();
+            io.expect_end().unwrap();
+            assert_eq!(twin.events_processed(), q.events_processed());
+            *q = twin;
+        }
+        self.queues.swap(0, 1);
+    }
+
+    /// Pop everything left; open reservations stay unfilled for good.
+    fn drain(&mut self) {
+        while self.pop_before(u64::MAX).is_some() {}
+        self.check_metadata();
+    }
+}
+
+/// Time deltas biased to the current instant, where the lane lives.
+fn lane_delta(rng: &mut Rng) -> u64 {
+    if rng.below(3) == 0 {
+        0
+    } else {
+        random_delta(rng)
+    }
+}
+
+#[test]
+fn same_instant_lane_matches_a_bare_heap() {
+    let mut with_lane = [0u32; 3];
+    for trial in 0..30u64 {
+        let mut rng = Rng::new(0x1A4E_0000 + trial);
+        let mut b = Bare::new();
+        for _ in 0..3_000 {
+            let now = b.now();
+            match rng.below(20) {
+                0..=6 => b.push(now + lane_delta(&mut rng)),
+                7..=8 => {
+                    let at = now + lane_delta(&mut rng);
+                    let seq = b.reserve();
+                    b.open.push((at, seq));
+                }
+                9..=10 if !b.open.is_empty() => {
+                    let (at, seq) = b.open.swap_remove(rng.index(b.open.len()));
+                    // Some reservations are filled at whatever the current
+                    // instant is by now, which may lie past their own.
+                    let at = if rng.below(2) == 0 { at.max(now) } else { at };
+                    b.fill(at, seq);
+                }
+                11..=14 => {
+                    b.pop_before(now + random_delta(&mut rng));
+                }
+                15 => b.advance_to(now + random_delta(&mut rng)),
+                16 => b.peek_then_pop(1 + rng.index(4)),
+                17 => b.snapshot_and_restore(),
+                _ => b.check_metadata(),
+            }
+        }
+        b.drain();
+        for (total, n) in with_lane.iter_mut().zip(b.with_lane) {
+            *total += n;
+        }
+    }
+    let [snapshots, peeks, older_fills] = with_lane;
+    assert!(
+        snapshots > 300 && peeks > 300 && older_fills > 30,
+        "the lane held entries at {snapshots} snapshots, {peeks} peeks, {older_fills} older fills"
+    );
+}
+
+#[test]
+fn lane_corner_cases_match_a_bare_heap() {
+    let mut b = Bare::new();
+    // Set-up pushes at t = 0, before anything has popped.
+    for _ in 0..3 {
+        b.push(0);
+    }
+    b.push(500);
+    assert_eq!(b.pop_before(0), Some((0, 0)));
+    // Reserve-then-fill at the current instant, and an older reservation
+    // filled there behind the lane's tail.
+    let older = b.reserve();
+    let fresh = b.reserve();
+    b.fill(0, fresh);
+    b.push(0);
+    b.fill(0, older);
+    assert_eq!(
+        b.with_lane[2], 1,
+        "the older fill came behind the lane's tail"
+    );
+    // Scheduled 1, 2 and the older fill pop before the lane's 5 and 6.
+    b.peek_then_pop(3);
+    b.snapshot_and_restore();
+    b.check_metadata();
+    assert_eq!(b.pop_before(0), Some((0, fresh)));
+    // `advance_to(t)` drains what is due (6), then same-instant pushes at
+    // `t` fill the lane again, ahead of the event queued for 500.
+    b.advance_to(300);
+    b.push(300);
+    b.push(300);
+    b.snapshot_and_restore();
+    let order: Vec<u64> = std::iter::from_fn(|| b.pop_before(u64::MAX).map(|(_, s)| s)).collect();
+    assert_eq!(order, [7, 8, 3]);
+    b.drain();
 }

@@ -8,6 +8,7 @@
 use xpass::experiments::harness::{convergence_time, Scheme};
 use xpass::expresspass::XPassConfig;
 use xpass::net::ids::HostId;
+use xpass::net::packet::{MAX_FRAME, MSS};
 use xpass::net::topology::Topology;
 use xpass::sim::time::{Dur, SimTime};
 
@@ -30,8 +31,8 @@ fn main() {
         net.run_until(join + Dur::ms(60));
 
         let eff = match scheme {
-            Scheme::XPass(_) => 0.9482 * 1460.0 / 1538.0,
-            _ => 1460.0 / 1538.0,
+            Scheme::XPass(_) => 0.9482 * MSS as f64 / MAX_FRAME as f64,
+            _ => MSS as f64 / MAX_FRAME as f64,
         };
         let fair = link as f64 / 2.0 * eff / 1e9;
         let conv = convergence_time(&net, late, join, fair, 0.30, 15);
