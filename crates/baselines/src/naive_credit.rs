@@ -23,34 +23,22 @@ mod timer {
     pub const PACE: u8 = 1;
 }
 
+/// Pacing jitter: each credit gap is drawn within ±5 % of the nominal one.
+const JITTER: f64 = 0.05;
+
 /// Receiver that blasts credits at the maximum rate, no feedback.
+#[derive(Default)]
 pub struct NaiveCreditReceiver {
     credit_seq: u64,
-    jitter: f64,
-    randomize_size: bool,
     pace_slot: TimerSlot,
     sending: bool,
     stopped: bool,
 }
 
 impl NaiveCreditReceiver {
-    /// New receiver with the given pacing jitter fraction.
-    pub fn new(jitter: f64) -> NaiveCreditReceiver {
-        NaiveCreditReceiver {
-            credit_seq: 0,
-            jitter,
-            randomize_size: true,
-            pace_slot: TimerSlot::new(),
-            sending: false,
-            stopped: false,
-        }
-    }
-
-    /// Disable the 84-92B credit-size randomization (used by the Fig 6a
-    /// jitter study to isolate pacing jitter as the only randomness).
-    pub fn without_size_randomization(mut self) -> NaiveCreditReceiver {
-        self.randomize_size = false;
-        self
+    /// New receiver: jittered pacing, randomized credit sizes (§3.1).
+    pub fn new() -> NaiveCreditReceiver {
+        NaiveCreditReceiver::default()
     }
 
     fn gap(&self, ctx: &Ctx<'_>) -> Dur {
@@ -61,12 +49,9 @@ impl NaiveCreditReceiver {
 
     fn send_credit(&mut self, ctx: &mut Ctx<'_>) {
         self.credit_seq += 1;
-        let size = if self.randomize_size {
-            ctx.rng()
-                .range_u64(CREDIT_SIZE as u64, CREDIT_SIZE_MAX as u64) as u32
-        } else {
-            CREDIT_SIZE
-        };
+        let size = ctx
+            .rng()
+            .range_u64(CREDIT_SIZE as u64, CREDIT_SIZE_MAX as u64) as u32;
         let mut p = ctx.make_pkt(PktKind::Credit, size);
         p.seq = self.credit_seq;
         p.ack = ctx.delivered_bytes();
@@ -75,7 +60,7 @@ impl NaiveCreditReceiver {
 
     fn arm(&mut self, ctx: &mut Ctx<'_>) {
         let base = self.gap(ctx);
-        let spread = base.mul_f64(self.jitter);
+        let spread = base.mul_f64(JITTER);
         let d = ctx.rng().jitter(base, spread);
         self.pace_slot.arm(ctx, timer::PACE, d);
     }
@@ -140,23 +125,9 @@ impl Endpoint for NaiveCreditReceiver {
 
 /// Endpoint factory for the naïve credit scheme.
 pub fn naive_credit_factory() -> EndpointFactory {
-    naive_credit_factory_with(0.05, true)
-}
-
-/// Factory with explicit pacing jitter and size-randomization control
-/// (Fig 6a sweeps the jitter with all other randomness off).
-pub fn naive_credit_factory_with(jitter: f64, randomize_size: bool) -> EndpointFactory {
-    Box::new(move |side, _info| match side {
+    Box::new(|side, _info| match side {
         Side::Sender => Box::new(XPassSender::new()),
-        Side::Receiver => {
-            let r = NaiveCreditReceiver::new(jitter);
-            let r = if randomize_size {
-                r
-            } else {
-                r.without_size_randomization()
-            };
-            Box::new(r)
-        }
+        Side::Receiver => Box::new(NaiveCreditReceiver::new()),
     })
 }
 
@@ -178,6 +149,13 @@ mod tests {
             max: Dur::us(1),
         };
         Network::new(topo, cfg, naive_credit_factory())
+    }
+
+    /// The receiver box holds per-flow state only: its pacing jitter and
+    /// size randomization are constants, not fields.
+    #[test]
+    fn receiver_box_holds_only_per_flow_state() {
+        assert_eq!(std::mem::size_of::<NaiveCreditReceiver>(), 24);
     }
 
     #[test]

@@ -658,7 +658,6 @@ mod tests {
             dst: HostId(1),
             size_bytes: 1,
             start: SimTime::ZERO,
-            class: 0,
         };
         let mut rx1 = factory(Side::Receiver, &info);
         let mut rx2 = factory(Side::Receiver, &info);

@@ -89,11 +89,7 @@ pub fn run(cfg: &Config) -> Fig18 {
                 w_init,
                 p99_s: fct.p99(SizeBucket::S),
                 p99_l: fct.p99(SizeBucket::L),
-                waste: if r.credits_sent > 0 {
-                    r.credits_wasted as f64 / r.credits_sent as f64
-                } else {
-                    0.0
-                },
+                waste: r.counters.credit_waste_ratio(),
             }
         })
         .collect();

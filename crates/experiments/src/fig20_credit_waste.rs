@@ -76,11 +76,7 @@ pub fn run(cfg: &Config) -> Fig20 {
                     workload: w.name(),
                     speed_bps: speed,
                     alpha,
-                    waste_ratio: if r.credits_sent > 0 {
-                        r.credits_wasted as f64 / r.credits_sent as f64
-                    } else {
-                        0.0
-                    },
+                    waste_ratio: r.counters.credit_waste_ratio(),
                 });
             }
         }

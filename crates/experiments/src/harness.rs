@@ -308,12 +308,6 @@ pub struct RealisticResult {
     pub avg_queue_bytes: f64,
     /// Maximum instantaneous switch queue (bytes).
     pub max_queue_bytes: u64,
-    /// Credits sent (credit schemes only).
-    pub credits_sent: u64,
-    /// Credits wasted at senders (credit schemes only).
-    pub credits_wasted: u64,
-    /// Data packets dropped.
-    pub data_drops: u64,
     /// Flows that did not complete within the run cap.
     pub unfinished: usize,
     /// Full global packet/credit counters.
@@ -424,9 +418,6 @@ impl RealisticRun {
                 0.0
             },
             max_queue_bytes: net.max_switch_queue_bytes(),
-            credits_sent: net.counters().credits_sent,
-            credits_wasted: net.counters().credits_wasted,
-            data_drops: net.counters().data_dropped,
             counters: net.counters().clone(),
             engine: net.engine_report(),
             health: net.health_report(),

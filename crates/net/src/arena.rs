@@ -262,14 +262,12 @@ impl FlowArena {
                 dst: HostId(0),
                 size_bytes: 0,
                 start: SimTime::ZERO,
-                class: 0,
             },
         };
         io.u32(&mut info.src.0)?;
         io.u32(&mut info.dst.0)?;
         io.u64(&mut info.size_bytes)?;
         io.u64(&mut info.start.0)?;
-        io.u8(&mut info.class)?;
         if i == self.slots.len() {
             // No `FlowStart` is scheduled: the restored event queue holds
             // whatever remains of this flow's events.
@@ -324,7 +322,6 @@ mod tests {
             dst: HostId(1 + idx),
             size_bytes: 100,
             start: SimTime::ZERO,
-            class: 0,
         }
     }
 

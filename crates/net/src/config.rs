@@ -82,9 +82,6 @@ pub struct NetConfig {
     /// Credit overflow policy (see
     /// [`CreditDropPolicy`](crate::queue::CreditDropPolicy)).
     pub credit_drop: crate::queue::CreditDropPolicy,
-    /// Number of credit traffic classes per port (§7). Class 0 has strict
-    /// priority over class 1, and so on. Default 1 (no prioritization).
-    pub credit_classes: usize,
     /// Multipath routing mode (§7: symmetric ECMP vs packet spraying).
     pub routing: RoutingMode,
     /// Host credit-processing delay model.
@@ -103,7 +100,6 @@ impl Default for NetConfig {
             credit: false,
             credit_queue_pkts: 8,
             credit_drop: crate::queue::CreditDropPolicy::UniformRandom,
-            credit_classes: 1,
             routing: RoutingMode::EcmpSymmetric,
             host_delay: HostDelayModel::hardware(),
             seed: 1,

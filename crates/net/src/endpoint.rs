@@ -32,8 +32,6 @@ pub struct FlowInfo {
     pub size_bytes: u64,
     /// Scheduled start time.
     pub start: SimTime,
-    /// Traffic class (0 = highest priority; see §7 multi-class credits).
-    pub class: u8,
 }
 
 /// A congestion-control protocol endpoint (one side of one flow).
@@ -117,7 +115,6 @@ impl<'a> Ctx<'a> {
         };
         let mut p = Packet::new(self.flow, src, dst, kind, size);
         p.t_sent = self.now();
-        p.class = info.class;
         p
     }
 

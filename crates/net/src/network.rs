@@ -157,6 +157,15 @@ impl Counters {
         ]
     }
 
+    /// Credits wasted per credit sent (0 with none sent).
+    pub fn credit_waste_ratio(&self) -> f64 {
+        if self.credits_sent > 0 {
+            self.credits_wasted as f64 / self.credits_sent as f64
+        } else {
+            0.0
+        }
+    }
+
     /// Render as a JSON object (one key per counter).
     pub fn to_json(&self) -> xpass_sim::json::Json {
         use xpass_sim::json::Json;
@@ -321,11 +330,7 @@ impl Network {
                 }
             }
             let credit = cfg.credit.then(|| {
-                let mut cq = CreditQueue::with_classes(
-                    l.speed_bps,
-                    cfg.credit_queue_pkts,
-                    cfg.credit_classes.max(1),
-                );
+                let mut cq = CreditQueue::new(l.speed_bps, cfg.credit_queue_pkts);
                 cq.drop_policy = cfg.credit_drop;
                 cq
             });
@@ -390,26 +395,8 @@ impl Network {
         size_bytes: u64,
         start: SimTime,
     ) -> FlowId {
-        self.add_flow_in_class(src, dst, size_bytes, start, 0)
-    }
-
-    /// Add a flow in a specific traffic class (§7): its credits ride the
-    /// class's credit sub-queue, with lower class indices strictly
-    /// prioritized at every port.
-    pub fn add_flow_in_class(
-        &mut self,
-        src: HostId,
-        dst: HostId,
-        size_bytes: u64,
-        start: SimTime,
-        class: u8,
-    ) -> FlowId {
         assert!(src != dst, "flow endpoints must differ");
         assert!(start >= self.now, "flow start in the past");
-        assert!(
-            (class as usize) < self.cfg.credit_classes.max(1),
-            "class {class} outside configured credit_classes"
-        );
         let id = FlowId(self.arena.slot_count() as u32);
         let info = FlowInfo {
             id,
@@ -417,7 +404,6 @@ impl Network {
             dst,
             size_bytes,
             start,
-            class,
         };
         let sender = (self.factory)(Side::Sender, &info);
         let receiver = (self.factory)(Side::Receiver, &info);

@@ -260,13 +260,8 @@ impl MetricsState {
             };
             self.reg.set(ids.util[i], u);
         }
-        let c = &net.counters;
-        let waste = if c.credits_sent > 0 {
-            c.credits_wasted as f64 / c.credits_sent as f64
-        } else {
-            0.0
-        };
-        self.reg.set(ids.credit_waste_ratio, waste);
+        self.reg
+            .set(ids.credit_waste_ratio, net.counters.credit_waste_ratio());
         self.sampled = Some(ids);
         self.ring.record(t.as_ps(), self.reg.scalar_values());
         self.next = t + interval;

@@ -133,7 +133,7 @@ fn in_range(what: &str, id: u32, n: usize) -> Result<(), String> {
 
 impl Network {
     /// Serialize the network's complete *dynamic* state as an
-    /// `xpass-snap/v8` body, one section per layer. Static configuration —
+    /// `xpass-snap/v9` body, one section per layer. Static configuration —
     /// topology, [`NetConfig`](crate::config::NetConfig), endpoint factory,
     /// installed monitor specs — is not written: a restore overlays onto a
     /// freshly built network whose deterministic setup already re-created

@@ -135,9 +135,6 @@ pub struct Packet {
     pub rtt_est: Dur,
     /// Application payload bytes carried (0 for pure control/ack/credit).
     pub payload: u32,
-    /// Traffic class (§7 "multiple traffic classes"): selects the credit
-    /// sub-queue at every port; lower is higher priority. 0 by default.
-    pub class: u8,
     /// Internal: time this packet entered its current queue.
     pub(crate) enq_t: SimTime,
 }
@@ -161,7 +158,6 @@ impl Packet {
             qdelay: Dur::ZERO,
             rtt_est: Dur::ZERO,
             payload: 0,
-            class: 0,
             enq_t: SimTime::ZERO,
         }
     }
@@ -204,7 +200,6 @@ impl Packet {
         io.u64(&mut self.qdelay.0)?;
         io.u64(&mut self.rtt_est.0)?;
         io.u32(&mut self.payload)?;
-        io.u8(&mut self.class)?;
         io.u64(&mut self.enq_t.0)
     }
 }

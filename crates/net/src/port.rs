@@ -228,14 +228,13 @@ impl EgressPort {
     }
 
     /// Hint that the queues' out-of-line storage is about to be touched:
-    /// the data ring's ends and the credit classes' FIFO headers. Reads
-    /// this port's own fields, so prefetch the port itself one step
-    /// earlier.
+    /// both rings' ends. Reads this port's own fields, so prefetch the
+    /// port itself one step earlier.
     #[inline]
     pub fn prefetch_queues(&self) {
         self.data.prefetch_ring();
         if let Some(cq) = self.credit.as_ref() {
-            cq.prefetch_classes();
+            cq.prefetch_ring();
         }
     }
 

@@ -15,7 +15,7 @@
 use crate::packet::{Packet, CREDIT_SIZE};
 use std::collections::VecDeque;
 use xpass_sim::bucket::TokenBucket;
-use xpass_sim::event::{prefetch, prefetch_obj};
+use xpass_sim::event::prefetch_obj;
 use xpass_sim::stats::TimeWeighted;
 use xpass_sim::time::SimTime;
 
@@ -88,6 +88,15 @@ pub struct EnqueueOutcome {
     pub newly_marked: bool,
     /// Queue occupancy in bytes after the operation.
     pub qlen_bytes: u64,
+}
+
+/// Prefetch a packet ring's head and its next free slot.
+#[inline]
+fn prefetch_ring(q: &VecDeque<Packet>) {
+    let head = q.as_slices().0.as_ptr();
+    prefetch_obj(head);
+    // Ignores wrap-around: a hint may miss, it cannot be wrong.
+    prefetch_obj(head.wrapping_add(q.len()));
 }
 
 /// Drop-tail FIFO data queue with optional ECN and phantom-queue marking.
@@ -179,10 +188,7 @@ impl DataQueue {
     /// to be touched (lookahead prefetch; reads only the inline header).
     #[inline]
     pub fn prefetch_ring(&self) {
-        let head = self.q.as_slices().0.as_ptr();
-        prefetch_obj(head);
-        // Ignores wrap-around: a hint may miss, it cannot be wrong.
-        prefetch_obj(head.wrapping_add(self.q.len()));
+        prefetch_ring(&self.q);
     }
 
     /// Current length in bytes.
@@ -240,17 +246,11 @@ pub struct CreditEnqueueOutcome {
     pub dropped_bytes: Option<u32>,
 }
 
-/// The credit-class queue at an egress port: a tiny buffer (4–8 credits)
+/// The credit-class queue at an egress port: one tiny FIFO (4–8 credits)
 /// drained through a token bucket at the credit rate limit.
-///
-/// §7 multi-class support: the buffer is carved into one FIFO sub-queue per
-/// traffic class sharing the single meter, with strict priority by class
-/// index — prioritizing class A's credits over class B's strictly
-/// prioritizes A's *data* over B's, exactly as §7 describes.
 #[derive(Debug)]
 pub struct CreditQueue {
-    /// One FIFO per traffic class; index = class; strict priority by index.
-    qs: Vec<VecDeque<Packet>>,
+    q: VecDeque<Packet>,
     cap_pkts: usize,
     /// Overflow behaviour.
     pub drop_policy: CreditDropPolicy,
@@ -259,43 +259,29 @@ pub struct CreditQueue {
 }
 
 impl CreditQueue {
-    /// New single-class credit queue for a link of `link_bps`, buffering at
-    /// most `cap_pkts` credits (paper default 8).
+    /// New credit queue for a link of `link_bps`, buffering at most
+    /// `cap_pkts` credits (paper default 8).
     pub fn new(link_bps: u64, cap_pkts: usize) -> CreditQueue {
-        CreditQueue::with_classes(link_bps, cap_pkts, 1)
-    }
-
-    /// New credit queue with `classes` strict-priority sub-queues, each
-    /// holding up to `cap_pkts` credits (per-class buffer carving).
-    pub fn with_classes(link_bps: u64, cap_pkts: usize, classes: usize) -> CreditQueue {
-        assert!(classes >= 1);
         let rate = crate::packet::credit_rate_bps(link_bps);
         CreditQueue {
-            qs: (0..classes)
-                .map(|_| VecDeque::with_capacity(cap_pkts))
-                .collect(),
+            q: VecDeque::with_capacity(cap_pkts),
             cap_pkts,
             drop_policy: CreditDropPolicy::UniformRandom,
             bucket: TokenBucket::new(rate, 2 * CREDIT_SIZE as u64),
         }
     }
 
-    /// Hint that the per-class FIFO headers are about to be read
-    /// (lookahead prefetch; dereferences nothing).
+    /// Hint that the head credit and the next free ring slot are about to
+    /// be touched (lookahead prefetch; reads only the inline header).
     #[inline]
-    pub fn prefetch_classes(&self) {
-        prefetch(self.qs.as_ptr());
+    pub fn prefetch_ring(&self) {
+        prefetch_ring(&self.q);
     }
 
-    /// The highest-priority non-empty class, if any.
-    fn head_class(&self) -> Option<usize> {
-        self.qs.iter().position(|q| !q.is_empty())
-    }
-
-    /// Attempt to enqueue a credit. On overflow one credit of the arrival's
-    /// class is dropped according to [`drop_policy`](Self::drop_policy) —
-    /// the arrival may still be admitted at the expense of a resident — and
-    /// the outcome reports the dropped credit's size. Credit sizes are
+    /// Attempt to enqueue a credit. On overflow one credit is dropped
+    /// according to [`drop_policy`](Self::drop_policy) — the arrival may
+    /// still be admitted at the expense of a resident — and the outcome
+    /// reports the dropped credit's size. Credit sizes are
     /// randomized (84–92 B, §3.1), so an evicted resident's size can differ
     /// from the arrival's — conservation ledgers need the victim's true
     /// size. The queue counts nothing: the network books every drop.
@@ -305,8 +291,8 @@ impl CreditQueue {
         mut pkt: Packet,
         rng: &mut xpass_sim::rng::Rng,
     ) -> CreditEnqueueOutcome {
-        let class = (pkt.class as usize).min(self.qs.len() - 1);
-        if self.qs[class].len() >= self.cap_pkts {
+        let q = &mut self.q;
+        if q.len() >= self.cap_pkts {
             match self.drop_policy {
                 CreditDropPolicy::Tail => {
                     return CreditEnqueueOutcome {
@@ -314,7 +300,6 @@ impl CreditQueue {
                     }
                 }
                 CreditDropPolicy::UniformRandom => {
-                    let q = &mut self.qs[class];
                     let victim = rng.index(q.len() + 1);
                     if victim == q.len() {
                         // The arrival itself is the victim.
@@ -334,7 +319,6 @@ impl CreditQueue {
                     };
                 }
                 CreditDropPolicy::LongestQueueDrop => {
-                    let q = &mut self.qs[class];
                     // Count per-flow occupancy among residents + arrival.
                     let mut best_flow = pkt.flow;
                     let mut best_count = 1usize;
@@ -367,7 +351,7 @@ impl CreditQueue {
             }
         }
         pkt.enq_t = now;
-        self.qs[class].push_back(pkt);
+        q.push_back(pkt);
         CreditEnqueueOutcome {
             dropped_bytes: None,
         }
@@ -394,63 +378,46 @@ impl CreditQueue {
     /// (`None` if empty). With the meter untouched, its ready time depends
     /// on nothing else.
     pub fn head_bytes(&self) -> Option<u32> {
-        let c = self.head_class()?;
-        Some(self.qs[c].front().expect("nonempty class").size)
+        self.q.front().map(|p| p.size)
     }
 
-    /// Dequeue the highest-priority head credit, consuming meter tokens.
+    /// Dequeue the head credit, consuming meter tokens.
     pub fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
-        let c = self.head_class()?;
-        let mut pkt = self.qs[c].pop_front()?;
+        let mut pkt = self.q.pop_front()?;
         self.bucket.consume(now, pkt.size as u64);
         pkt.qdelay += now.since(pkt.enq_t);
         Some(pkt)
     }
 
-    /// Drop every queued credit across all classes without touching the
-    /// meter (hard port reset). Returns the credits and wire bytes
-    /// discarded; the network books them as fault losses, not as credit
-    /// drops, which are the congestion signal.
+    /// Drop every queued credit without touching the meter (hard port
+    /// reset). Returns the credits and wire bytes discarded; the network
+    /// books them as fault losses, not as credit drops, which are the
+    /// congestion signal.
     pub fn flush(&mut self) -> (usize, u64) {
         let n = self.len();
         let bytes = self.len_bytes();
-        for q in &mut self.qs {
-            q.clear();
-        }
+        self.q.clear();
         (n, bytes)
     }
 
-    /// Credits currently queued across all classes.
+    /// Credits currently queued.
     pub fn len(&self) -> usize {
-        self.qs.iter().map(|q| q.len()).sum()
+        self.q.len()
     }
 
-    /// Wire bytes currently queued across all classes.
+    /// Wire bytes currently queued.
     pub fn len_bytes(&self) -> u64 {
-        self.qs
-            .iter()
-            .flat_map(|q| q.iter())
-            .map(|p| p.size as u64)
-            .sum()
+        self.q.iter().map(|p| p.size as u64).sum()
     }
 
     /// True when no credits are queued.
     pub fn is_empty(&self) -> bool {
-        self.qs.iter().all(|q| q.is_empty())
+        self.q.is_empty()
     }
 
-    /// Buffer capacity per class, in credits.
+    /// Buffer capacity, in credits.
     pub fn cap_pkts(&self) -> usize {
         self.cap_pkts
-    }
-
-    /// Worst-case drain time of a full credit queue: `cap` credits at the
-    /// metered rate. This is the `max(d_credit)` term of Eq. (1).
-    pub fn max_drain_time(&self) -> xpass_sim::time::Dur {
-        // One credit per (CREDIT_SIZE + MAX_FRAME) slot of link time, which
-        // equals CREDIT_SIZE bytes at the metered credit rate.
-        let interval = xpass_sim::time::tx_time(CREDIT_SIZE as u64, self.bucket.rate_bps());
-        interval * self.cap_pkts as u64
     }
 }
 
@@ -482,7 +449,11 @@ impl DataQueue {
     /// Snapshot traversal.
     pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
         io.seq(&mut self.q, 8, |io, p: &mut Packet| p.persist(io))?;
-        io.u64(&mut self.len_bytes)?;
+        if io.reading() {
+            // The byte count is the queued packets' sum, never a stored
+            // figure that could disagree with them.
+            self.len_bytes = self.q.iter().map(|p| p.size as u64).sum();
+        }
         let mut had_phantom = self.phantom.is_some();
         io.bool(&mut had_phantom)?;
         match (had_phantom, self.phantom.as_mut()) {
@@ -507,16 +478,13 @@ impl DataQueue {
 impl CreditQueue {
     /// Snapshot traversal.
     pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
-        io.seq_len_of("credit class", self.qs.len(), 8)?;
-        for q in &mut self.qs {
-            io.seq(q, 8, |io, p: &mut Packet| p.persist(io))?;
-        }
+        io.seq(&mut self.q, 8, |io, p: &mut Packet| p.persist(io))?;
         self.bucket.persist(io)
     }
 
-    /// The queued credits of every class.
+    /// The queued credits, head first.
     pub(crate) fn packets(&self) -> impl Iterator<Item = &Packet> {
-        self.qs.iter().flatten()
+        self.q.iter()
     }
 }
 
@@ -654,15 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn credit_queue_drain_time_bound() {
-        let cq = CreditQueue::new(10_000_000_000, 8);
-        // 8 credits × 1.2976us ≈ 10.4us.
-        let d = cq.max_drain_time();
-        let us = d.as_micros_f64();
-        assert!((10.0..11.0).contains(&us), "{us}");
-    }
-
-    #[test]
     fn enqueue_outcome_reports_admission_and_marking() {
         let mut q = DataQueue::new(4000);
         q.ecn = Some(EcnCfg { k_bytes: 1600 });
@@ -696,102 +655,31 @@ mod tests {
         assert!((q.stats.occupancy.mean() - 500.0).abs() < 1.0);
         assert_eq!(q.stats.occupancy.max(), 1000.0);
     }
-}
 
-#[cfg(test)]
-mod class_tests {
-    use super::*;
-    use crate::ids::{FlowId, HostId};
-    use crate::packet::PktKind;
-    use xpass_sim::time::Dur;
-
-    fn credit_of(class: u8, flow: u32) -> Packet {
-        let mut p = Packet::new(FlowId(flow), HostId(flow), HostId(9), PktKind::Credit, 84);
-        p.class = class;
-        p
-    }
-
-    fn rng() -> xpass_sim::rng::Rng {
-        xpass_sim::rng::Rng::new(5)
-    }
-
+    /// A restored data queue's byte count is the sum of its restored
+    /// packets, so the next dequeue subtracts exactly what is queued.
     #[test]
-    fn strict_priority_across_classes() {
-        let mut q = CreditQueue::with_classes(10_000_000_000, 8, 2);
-        let mut r = rng();
-        // Enqueue low-priority first, then high-priority.
-        q.enqueue(SimTime::ZERO, credit_of(1, 10), &mut r);
-        q.enqueue(SimTime::ZERO, credit_of(1, 10), &mut r);
-        q.enqueue(SimTime::ZERO, credit_of(0, 20), &mut r);
-        // Class 0 drains first despite arriving last.
-        let first = q.dequeue(SimTime::ZERO).unwrap();
-        assert_eq!(first.class, 0);
-        let second = q.dequeue(SimTime::ZERO + Dur::us(2)).unwrap();
-        assert_eq!(second.class, 1);
-    }
-
-    #[test]
-    fn per_class_buffer_carving() {
-        // Each class gets its own cap: filling class 1 does not evict or
-        // block class 0.
-        let mut q = CreditQueue::with_classes(10_000_000_000, 4, 2);
-        let mut r = rng();
-        let drops = (0..6)
-            .filter(|_| {
-                let out = q.enqueue(SimTime::ZERO, credit_of(1, 10), &mut r);
-                out.dropped_bytes.is_some()
-            })
-            .count();
-        assert_eq!(drops, 2, "class-1 overflow");
-        let out = q.enqueue(SimTime::ZERO, credit_of(0, 20), &mut r);
-        assert_eq!(out.dropped_bytes, None);
-        assert_eq!(q.len(), 5);
-    }
-
-    #[test]
-    fn out_of_range_class_clamps_to_last() {
-        let mut q = CreditQueue::with_classes(10_000_000_000, 4, 2);
-        let mut r = rng();
-        let out = q.enqueue(SimTime::ZERO, credit_of(7, 1), &mut r);
-        assert_eq!(out.dropped_bytes, None);
-        assert_eq!(q.len(), 1);
-        // It drains as the lowest-priority class.
-        let out = q.dequeue(SimTime::ZERO).unwrap();
-        assert_eq!(out.class, 7);
-    }
-
-    #[test]
-    fn meter_is_shared_across_classes() {
-        // Burst of 2 total across classes, not per class.
-        let mut q = CreditQueue::with_classes(10_000_000_000, 8, 2);
-        let mut r = rng();
-        q.enqueue(SimTime::ZERO, credit_of(0, 1), &mut r);
-        q.enqueue(SimTime::ZERO, credit_of(1, 2), &mut r);
-        q.enqueue(SimTime::ZERO, credit_of(1, 2), &mut r);
-        assert!(q.head_conforms(SimTime::ZERO));
-        q.dequeue(SimTime::ZERO);
-        assert!(q.head_conforms(SimTime::ZERO));
-        q.dequeue(SimTime::ZERO);
-        // Third credit (class 1) must wait for the shared meter.
-        assert!(!q.head_conforms(SimTime::ZERO));
-    }
-
-    #[test]
-    fn single_class_behaviour_unchanged() {
-        let mut a = CreditQueue::new(10_000_000_000, 8);
-        let mut b = CreditQueue::with_classes(10_000_000_000, 8, 1);
-        let mut r1 = rng();
-        let mut r2 = rng();
-        let mut drops = 0;
-        for i in 0..12 {
-            let out_a = a.enqueue(SimTime(i * 1000), credit_of(0, (i % 3) as u32), &mut r1);
-            let out_b = b.enqueue(SimTime(i * 1000), credit_of(0, (i % 3) as u32), &mut r2);
-            assert_eq!(out_a, out_b);
-            drops += usize::from(out_a.dropped_bytes.is_some());
+    fn data_queue_byte_count_comes_from_its_packets() {
+        use xpass_sim::snap::{SnapIo, SnapReader, SnapWriter};
+        let mut q = DataQueue::new(1 << 20);
+        for size in [1538, 64, 900] {
+            q.enqueue(SimTime::ZERO, data_pkt(size));
         }
-        assert_eq!(drops, 4, "12 arrivals into 8 slots");
-        assert_eq!(a.len(), b.len());
-        let (da, db) = (a.dequeue(SimTime(20_000)), b.dequeue(SimTime(20_000)));
-        assert_eq!(da.map(|p| p.flow), db.map(|p| p.flow));
+        let mut w = SnapWriter::new();
+        q.persist(&mut SnapIo::Write(&mut w)).unwrap();
+        let body = w.into_body();
+
+        let mut twin = DataQueue::new(1 << 20);
+        let mut r = SnapIo::Read(SnapReader::new(&body, 0));
+        twin.persist(&mut r).unwrap();
+        r.expect_end().unwrap();
+        let queued: u64 = twin.packets().map(|p| p.size as u64).sum();
+        assert_eq!(twin.len_bytes(), queued);
+        assert_eq!(twin.len_bytes(), 2502);
+        assert_eq!(twin.len_pkts(), 3);
+        for left in [964, 900, 0] {
+            twin.dequeue(SimTime::ZERO);
+            assert_eq!(twin.len_bytes(), left);
+        }
     }
 }

@@ -45,11 +45,6 @@ impl TokenBucket {
         }
     }
 
-    /// Fill rate in bits per second.
-    pub fn rate_bps(&self) -> u64 {
-        self.rate_bps
-    }
-
     /// Accrue tokens up to `now`.
     #[inline]
     pub fn advance(&mut self, now: SimTime) {

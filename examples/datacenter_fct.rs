@@ -41,7 +41,7 @@ fn main() {
             cell(SizeBucket::S, &mut fct),
             cell(SizeBucket::M, &mut fct),
             cell(SizeBucket::L, &mut fct),
-            r.data_drops,
+            r.counters.data_dropped,
         );
         assert_eq!(r.unfinished, 0, "{}: unfinished flows", scheme.name());
     }

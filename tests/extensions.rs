@@ -1,6 +1,6 @@
-//! Integration tests for the §7 extension features: multi-class credit
-//! priority, packet-spray routing, the preemptive CREDIT_STOP, and the
-//! documented heterogeneous-link-speed limitation.
+//! Integration tests for the §7 extension features: packet-spray routing,
+//! the preemptive CREDIT_STOP, and the documented heterogeneous-link-speed
+//! limitation.
 
 use xpass::expresspass::{xpass_factory, XPassConfig};
 use xpass::net::config::{NetConfig, RoutingMode};
@@ -14,54 +14,6 @@ const G10: u64 = 10_000_000_000;
 fn xpass_net(topo: Topology, mut cfg: NetConfig, xp: XPassConfig) -> Network {
     cfg.credit = true;
     Network::new(topo, cfg, xpass_factory(xp))
-}
-
-#[test]
-fn class_zero_credits_strictly_preempt_class_one() {
-    // §7: "prioritizing flow A's credits over flow B's ... will result in
-    // the strict prioritization of A over B." Two long flows share a
-    // bottleneck; the high-priority one must take nearly the whole link.
-    let topo = Topology::dumbbell(2, G10, Dur::us(4));
-    let mut cfg = NetConfig::expresspass().with_seed(31);
-    cfg.credit_classes = 2;
-    let mut net = Network::new(topo, cfg, xpass_factory(XPassConfig::aggressive()));
-    let hi = net.add_flow_in_class(HostId(0), HostId(2), 1 << 30, SimTime::ZERO, 0);
-    let lo = net.add_flow_in_class(HostId(1), HostId(3), 1 << 30, SimTime::ZERO, 1);
-    net.run_until(SimTime::ZERO + Dur::ms(20));
-    let hi_bytes = net.delivered_bytes(hi);
-    let lo_bytes = net.delivered_bytes(lo);
-    assert!(
-        hi_bytes > lo_bytes * 4,
-        "no strict priority: hi {hi_bytes} vs lo {lo_bytes}"
-    );
-    // High-priority flow runs at near-solo throughput.
-    let hi_gbps = hi_bytes as f64 * 8.0 / 0.020 / 1e9;
-    assert!(hi_gbps > 7.0, "hi class at {hi_gbps:.2} Gbps");
-}
-
-#[test]
-fn same_class_flows_still_share_fairly() {
-    // With multiple classes configured but both flows in class 0, sharing
-    // is unchanged.
-    let topo = Topology::dumbbell(2, G10, Dur::us(4));
-    let mut cfg = NetConfig::expresspass().with_seed(33);
-    cfg.credit_classes = 2;
-    let mut net = Network::new(topo, cfg, xpass_factory(XPassConfig::aggressive()));
-    let a = net.add_flow_in_class(HostId(0), HostId(2), 1 << 30, SimTime::ZERO, 0);
-    let b = net.add_flow_in_class(HostId(1), HostId(3), 1 << 30, SimTime::ZERO, 0);
-    net.run_until(SimTime::ZERO + Dur::ms(20));
-    let (da, db) = (net.delivered_bytes(a) as f64, net.delivered_bytes(b) as f64);
-    let ratio = da.max(db) / da.min(db);
-    assert!(ratio < 1.5, "same-class flows unfair: {da} vs {db}");
-}
-
-#[test]
-#[should_panic(expected = "outside configured credit_classes")]
-fn class_must_be_configured() {
-    let topo = Topology::dumbbell(1, G10, Dur::us(4));
-    let cfg = NetConfig::expresspass();
-    let mut net = Network::new(topo, cfg, xpass_factory(XPassConfig::default()));
-    net.add_flow_in_class(HostId(0), HostId(1), 1, SimTime::ZERO, 3);
 }
 
 #[test]

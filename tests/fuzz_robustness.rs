@@ -1,5 +1,5 @@
 //! Structure-aware seeded fuzzing of every parser that consumes external
-//! bytes: the JSON parser, the scenario loader, and the `xpass-snap/v8`
+//! bytes: the JSON parser, the scenario loader, and the `xpass-snap/v9`
 //! decoder/restore pipeline. Plain `cargo test` — no external fuzzer. The
 //! committed corpus in `tests/corpus/` provides valid seeds; deterministic
 //! xoshiro-seeded mutations (truncations, bit flips, splices, overwrites)
@@ -137,7 +137,7 @@ fn snapshot_decoder_never_panics_on_mutated_corpus() {
             "bad-version.snap" => {
                 let e = original.unwrap_err();
                 assert_eq!(e.at, 10, "{e}");
-                assert!(e.msg.contains("expected 8, found 99"), "{e}");
+                assert!(e.msg.contains("expected 9, found 99"), "{e}");
             }
             "bad-crc.snap" => {
                 let e = original.unwrap_err();
