@@ -77,6 +77,7 @@ pub fn drive(net: &mut Network, job: &str, settle: Dur) -> Result<StreamReport, 
         .ok()
         .and_then(|v| v.parse().ok());
     let mut rep = StreamReport::default();
+    ingest::reset_admitted();
 
     // Phase 1: replay the journal (recovery for live mode, the whole run
     // for replay mode).
@@ -106,6 +107,7 @@ pub fn drive(net: &mut Network, job: &str, settle: Dur) -> Result<StreamReport, 
             net.add_flow(HostId(a.src), HostId(a.dst), a.size_bytes, t);
             rep.admitted += 1;
         }
+        ingest::admit(*t_ps, batch);
         rep.groups += 1;
         crash_check(rep.groups, crash_at);
     }
@@ -187,6 +189,7 @@ fn live_loop(
         }
         if !kept.is_empty() {
             journal.group(t.as_ps(), &kept)?;
+            ingest::admit(t.as_ps(), &kept);
             rep.groups += 1;
             eprintln!(
                 "xpass-repro: ingest: admitted {} arrival(s) at t_ps={} (group {})",

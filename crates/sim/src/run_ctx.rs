@@ -36,6 +36,9 @@ pub struct RunCtx {
     /// The plane the sampler publishes to; set only beside `metrics`.
     pub(crate) plane: Option<Plane>,
     pub(crate) ingest: Option<Source>,
+    /// The [digest](crate::ingest::fold) of the groups the ingest driver
+    /// on this thread has admitted.
+    pub(crate) admitted: u32,
 }
 
 impl Default for RunCtx {
@@ -50,6 +53,7 @@ impl Default for RunCtx {
             metrics: None,
             plane: None,
             ingest: None,
+            admitted: 0,
         }
     }
 }
