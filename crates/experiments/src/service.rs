@@ -167,38 +167,43 @@ fn live_loop(
             std::thread::sleep(IDLE_POLL);
             continue;
         }
-        // First grid boundary strictly after now: sim time advances to
-        // the boundary (sampling it pre-admission), then the flows start
-        // exactly there.
-        let g = grid.as_ps();
-        let t = SimTime((net.now().as_ps() / g + 1) * g);
-        net.run_until(t);
         let mut kept: Vec<Arrival> = Vec::with_capacity(batch.len());
         for a in batch {
             match check(&a, hosts) {
-                Ok(()) => {
-                    net.add_flow(HostId(a.src), HostId(a.dst), a.size_bytes, t);
-                    kept.push(a);
-                    rep.admitted += 1;
-                }
+                Ok(()) => kept.push(a),
                 Err(e) => {
                     rep.rejected += 1;
                     eprintln!("xpass-repro: ingest: rejected arrival: {e}");
                 }
             }
         }
-        if !kept.is_empty() {
-            journal.group(t.as_ps(), &kept)?;
-            ingest::admit(t.as_ps(), &kept);
-            rep.groups += 1;
-            eprintln!(
-                "xpass-repro: ingest: admitted {} arrival(s) at t_ps={} (group {})",
-                kept.len(),
-                t.as_ps(),
-                rep.groups
-            );
-            crash_check(rep.groups, crash_at);
+        // A batch with nothing kept leaves no group in the journal, so it
+        // must not advance the network either: a replay makes one run call
+        // per group, and a snapshot taken one call ahead of its groups
+        // could never be resumed.
+        if kept.is_empty() {
+            continue;
         }
+        // First grid boundary strictly after now: sim time advances to
+        // the boundary (sampling it pre-admission), then the flows start
+        // exactly there.
+        let g = grid.as_ps();
+        let t = SimTime((net.now().as_ps() / g + 1) * g);
+        net.run_until(t);
+        for a in &kept {
+            net.add_flow(HostId(a.src), HostId(a.dst), a.size_bytes, t);
+        }
+        rep.admitted += kept.len() as u64;
+        journal.group(t.as_ps(), &kept)?;
+        ingest::admit(t.as_ps(), &kept);
+        rep.groups += 1;
+        eprintln!(
+            "xpass-repro: ingest: admitted {} arrival(s) at t_ps={} (group {})",
+            kept.len(),
+            t.as_ps(),
+            rep.groups
+        );
+        crash_check(rep.groups, crash_at);
     }
     let end = net.now();
     journal.seal(end.as_ps())?;

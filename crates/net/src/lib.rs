@@ -8,8 +8,9 @@
 //! Layout:
 //!
 //! * [`ids`] — typed indices for hosts, switches, links, flows.
-//! * [`packet`] — wire-format constants (84 B credits, 1538 B max frames) and
-//!   the [`Packet`] struct every protocol shares.
+//! * [`packet`] — wire-format constants (84 B credits, 1538 B max frames),
+//!   the [`Packet`] struct every protocol shares, and the `Packets` store
+//!   the network keeps them in while they are queued or in flight.
 //! * [`queue`] — drop-tail data queues with optional ECN marking and HULL
 //!   phantom queues; tiny credit queues with leaky-bucket metering.
 //! * [`rcplink`] — per-link explicit-rate state for the RCP baseline.

@@ -29,7 +29,7 @@ use crate::faults::{Admit, Effect, FaultKind, FaultPlan, FaultState, FAULT_RNG_S
 use crate::health::{HealthReport, InvariantSpec, InvariantState};
 use crate::ids::{DLinkId, FlowId, HostId, NodeId, Side};
 use crate::ledger::{Ledger, LedgerEntry, LedgerReport, Loss};
-use crate::packet::{Packet, PktKind};
+use crate::packet::{Packet, Packets, PktKind, PktRef};
 use crate::port::{EgressPort, TxDecision, WakeSlot};
 use crate::queue::{CreditQueue, DataQueue, EcnCfg, PhantomQueue};
 use crate::rcplink::RcpLink;
@@ -55,18 +55,19 @@ pub use lookahead::LOOKAHEAD_MIN_DEPTH;
 use metrics::MetricsState;
 use sampler::Sampler;
 
-/// Simulation events.
-#[derive(Clone)]
-enum Ev {
+/// Simulation events. A packet rides as its handle into the network's
+/// [`Packets`] store and a fault plan's rule is boxed, so an event is
+/// 24 bytes.
+pub(crate) enum Ev {
     Arrive {
         dlink: DLinkId,
-        pkt: Packet,
+        pkt: PktRef,
     },
     PortWake {
         dlink: DLinkId,
     },
     HostRx {
-        pkt: Packet,
+        pkt: PktRef,
     },
     Timer {
         flow: FlowId,
@@ -86,7 +87,7 @@ enum Ev {
         dlink: DLinkId,
     },
     Fault {
-        kind: FaultKind,
+        kind: Box<FaultKind>,
     },
 }
 
@@ -250,6 +251,11 @@ pub struct Network {
     topo: Topology,
     cfg: NetConfig,
     ports: Vec<EgressPort>,
+    /// Every packet queued at a port or carried by an `Arrive`/`HostRx`
+    /// event; rings and events hold handles into it. A packet enters at
+    /// emission (or a fault replay) and leaves when it is delivered to an
+    /// endpoint or dropped.
+    packets: Packets,
     /// All flow state: append-only slots (identity + boxed endpoints) and
     /// struct-of-arrays hot counters. `FlowId` == slot index.
     arena: FlowArena,
@@ -364,6 +370,7 @@ impl Network {
             topo,
             cfg,
             ports,
+            packets: Packets::new(),
             arena: FlowArena::new(),
             timers,
             factory,
@@ -445,7 +452,8 @@ impl Network {
                     assert!((host.0 as usize) < n_hosts, "fault on unknown host {host}");
                 }
             }
-            self.events.push(ev.at, Ev::Fault { kind: ev.kind });
+            let kind = Box::new(ev.kind);
+            self.events.push(ev.at, Ev::Fault { kind });
         }
     }
 
@@ -926,6 +934,24 @@ impl Network {
         (!w.queued && self.events.is_ahead(w.at, w.seq)).then_some(w)
     }
 
+    /// Packets the store holds, and the distinct handles to them that
+    /// port rings and queued `Arrive`/`HostRx` events carry. Between
+    /// events the two are equal — a packet leaves the store exactly when
+    /// it is delivered to an endpoint or dropped — so a difference is a
+    /// leaked or a doubly held packet (a diagnostic for tests).
+    pub fn packet_census(&self) -> (usize, usize) {
+        let mut held: Vec<PktRef> = (self.ports.iter())
+            .flat_map(EgressPort::packets)
+            .chain(self.events.payloads().filter_map(|ev| match ev {
+                Ev::Arrive { pkt, .. } | Ev::HostRx { pkt } => Some(*pkt),
+                _ => None,
+            }))
+            .collect();
+        held.sort_unstable();
+        held.dedup();
+        (self.packets.live(), held.len())
+    }
+
     /// Sum of credit drops across all ports.
     pub fn total_credit_drops(&self) -> u64 {
         self.counters.credits_dropped
@@ -973,7 +999,8 @@ impl Network {
             return;
         }
         let dl = self.topo.host_uplink[pkt.src.0 as usize];
-        self.enqueue_at(dl, pkt);
+        let r = self.packets.store(pkt);
+        self.enqueue_at(dl, r);
     }
 
     /// The host a flow's `side` endpoint lives on (sender → src, receiver
@@ -1113,8 +1140,8 @@ impl Network {
     // ----- event handling ----------------------------------------------------
 
     /// Dispatch one popped event. Called from the run loop alone, so it
-    /// inlines there and the event (with its packet) is consumed where the
-    /// pop left it instead of being moved into a callee's frame first.
+    /// inlines there and the event is consumed where the pop left it
+    /// instead of being moved into a callee's frame first.
     #[inline]
     fn handle(&mut self, ev: Ev) {
         self.ev_counts[ev_kind_idx(&ev)] += 1;
@@ -1152,7 +1179,7 @@ impl Network {
                     self.events.push(self.now + next, Ev::RcpUpdate { dlink });
                 }
             }
-            Ev::Fault { kind } => self.apply_fault(kind),
+            Ev::Fault { kind } => self.apply_fault(*kind),
         }
     }
 
@@ -1171,7 +1198,8 @@ impl Network {
         match st.apply(kind, &self.topo) {
             Effect::None => {}
             Effect::Flush(dlink) => {
-                let (pkts, bytes) = self.ports[dlink.0 as usize].flush(now);
+                let port = &mut self.ports[dlink.0 as usize];
+                let (pkts, bytes) = port.flush(now, &mut self.packets);
                 self.book_loss(Loss::Fault, pkts, bytes);
             }
             Effect::Wake(dlink) => self.events.push(now, Ev::PortWake { dlink }),
@@ -1180,11 +1208,13 @@ impl Network {
                     if let Some(l) = self.ledger.as_mut() {
                         l.flight_begin(pkt.size); // leaves the stash account
                     }
+                    let pkt = self.packets.store(pkt);
                     self.events.push(now, Ev::HostRx { pkt });
                 }
                 for pkt in tx {
                     let dl = self.topo.host_uplink[pkt.src.0 as usize];
-                    self.enqueue_at(dl, pkt);
+                    let r = self.packets.store(pkt);
+                    self.enqueue_at(dl, r);
                 }
             }
         }
@@ -1207,74 +1237,76 @@ impl Network {
         }
     }
 
-    fn on_arrive(&mut self, dlink: DLinkId, pkt: Packet) {
+    fn on_arrive(&mut self, dlink: DLinkId, r: PktRef) {
+        let pkt = self.packets.get(r);
+        let (src, dst, flow, kind, size) = (pkt.src, pkt.dst, pkt.flow, pkt.kind, pkt.size);
         if let Some(l) = self.ledger.as_mut() {
-            l.flight_end(pkt.size); // off the wire; refiled below by fate
+            l.flight_end(size); // off the wire; refiled below by fate
         }
         let faults = self.faults.as_mut();
-        if let Some(loss) = faults.and_then(|st| st.arrival(dlink, pkt.kind)) {
-            return self.book_loss(loss, 1, pkt.size as u64);
+        if let Some(loss) = faults.and_then(|st| st.arrival(dlink, kind)) {
+            self.packets.free(r);
+            return self.book_loss(loss, 1, size as u64);
         }
         let to = self.topo.dlinks[dlink.0 as usize].to;
         match to {
             NodeId::Switch(sw) => {
-                let choices = self.topo.route_choices(sw, pkt.dst);
-                assert!(
-                    !choices.is_empty(),
-                    "switch {sw} has no route to {}",
-                    pkt.dst
-                );
+                let choices = self.topo.route_choices(sw, dst);
+                assert!(!choices.is_empty(), "switch {sw} has no route to {dst}");
                 // Routing excludes dead links: the fault layer's live
                 // routes change at each link up/down event — next-Arrive
                 // granularity, like a switch reacting to loss-of-signal —
                 // and ECMP re-hashes over the survivors. Without a fault
                 // plan the base slice is used directly.
                 let live = match self.faults.as_ref() {
-                    Some(st) => st.route_choices(&self.topo, sw, pkt.dst),
+                    Some(st) => st.route_choices(&self.topo, sw, dst),
                     None => choices,
                 };
                 if live.is_empty() {
-                    return self.book_loss(Loss::Fault, 1, pkt.size as u64);
+                    self.packets.free(r);
+                    return self.book_loss(Loss::Fault, 1, size as u64);
                 }
                 let idx = match self.cfg.routing {
-                    RoutingMode::EcmpSymmetric => {
-                        ecmp_index(pkt.src, pkt.dst, pkt.flow, live.len())
-                    }
+                    RoutingMode::EcmpSymmetric => ecmp_index(src, dst, flow, live.len()),
                     RoutingMode::PacketSpray => self.rng.index(live.len()),
                 };
                 let out = live[idx];
-                self.enqueue_at(out, pkt);
+                self.enqueue_at(out, r);
             }
             NodeId::Host(h) => {
-                debug_assert_eq!(h, pkt.dst, "packet delivered to wrong host");
+                debug_assert_eq!(h, dst, "packet delivered to wrong host");
                 let d = self
                     .rng
                     .range_dur(self.cfg.host_delay.min, self.cfg.host_delay.max);
                 if let Some(l) = self.ledger.as_mut() {
-                    l.flight_begin(pkt.size); // host processing delay
+                    l.flight_begin(size); // host processing delay
                 }
-                self.events.push(self.now + d, Ev::HostRx { pkt });
+                self.events.push(self.now + d, Ev::HostRx { pkt: r });
             }
         }
     }
 
-    fn enqueue_at(&mut self, dlink: DLinkId, pkt: Packet) {
+    /// Offer the stored packet `r` to `dlink`'s egress port. A packet the
+    /// port refuses, or a dead link loses, is freed here or by its queue.
+    fn enqueue_at(&mut self, dlink: DLinkId, r: PktRef) {
         let now = self.now;
+        let pkt = self.packets.get(r);
+        let (kind, flow, bytes) = (pkt.kind, pkt.flow.0, pkt.size);
         let faults = self.faults.as_ref();
         let admit = faults.map_or(Admit::Open, |st| st.admit(dlink));
         if admit == Admit::Dead {
-            return self.book_loss(Loss::Fault, 1, pkt.size as u64);
+            self.packets.free(r);
+            return self.book_loss(Loss::Fault, 1, bytes as u64);
         }
         let tracing = self.trace.is_some();
-        let (kind, flow, bytes) = (pkt.kind, pkt.flow.0, pkt.size);
-        let rng = &mut self.rng;
+        let (rng, store) = (&mut self.rng, &mut self.packets);
         let port = &mut self.ports[dlink.0 as usize];
         let (accepted, qlen_bytes, newly_marked) = if kind == PktKind::Credit {
             let cq = port
                 .credit
                 .as_mut()
                 .expect("credit packet on a network without credit queues");
-            let out = cq.enqueue(now, pkt, rng);
+            let out = cq.enqueue(now, r, bytes, store, rng);
             // Occupancy for the credit class is in packets, not bytes.
             let qlen = if tracing { cq.len() as u64 } else { 0 };
             if let Some(victim_bytes) = out.dropped_bytes {
@@ -1284,7 +1316,7 @@ impl Network {
             }
             (out.dropped_bytes.is_none(), qlen, false)
         } else {
-            let out = port.data.enqueue(now, pkt);
+            let out = port.data.enqueue(now, r, bytes, store);
             if !out.accepted {
                 let loss = if kind == PktKind::Data {
                     Loss::DataQueue
@@ -1432,12 +1464,12 @@ impl Network {
         }
         let now = self.now;
         let port = &mut self.ports[dlink.0 as usize];
-        match port.try_transmit(now, self.trace.as_deref_mut()) {
+        match port.try_transmit(now, &mut self.packets, self.trace.as_deref_mut()) {
             TxDecision::Transmit(pkt) => {
                 let done = port.tx_done_at();
                 let prop = port.prop_delay;
                 if let Some(l) = self.ledger.as_mut() {
-                    l.flight_begin(pkt.size); // leaves the queue, on the wire
+                    l.flight_begin(self.packets.get(pkt).size); // leaves the queue, on the wire
                 }
                 self.events.push(done + prop, Ev::Arrive { dlink, pkt });
                 // The wake at `done` has work only if something is queued
@@ -1464,7 +1496,10 @@ impl Network {
         }
     }
 
-    fn on_host_rx(&mut self, pkt: Packet) {
+    /// Deliver a packet at the end of its host processing delay: it leaves
+    /// the store here, the one copy a delivery makes.
+    fn on_host_rx(&mut self, r: PktRef) {
+        let pkt = self.packets.take(r);
         if let Some(l) = self.ledger.as_mut() {
             l.flight_end(pkt.size);
         }
@@ -1756,6 +1791,14 @@ mod tests {
         (t, kind)
     }
 
+    impl Network {
+        /// Store `pkt` and offer it to `dlink`'s egress port.
+        fn offer(&mut self, dlink: DLinkId, pkt: Packet) {
+            let r = self.packets.store(pkt);
+            self.enqueue_at(dlink, r);
+        }
+    }
+
     /// A full-size data packet from host 0 to host 1 of [`probe_net`],
     /// for a flow that does not exist (delivery drops it silently).
     fn data_pkt() -> Packet {
@@ -1775,7 +1818,7 @@ mod tests {
     fn net_mid_transmission() -> (Network, DLinkId, SimTime) {
         let mut net = probe_net(Rc::new(RefCell::new(Vec::new())));
         let up = net.topo.host_uplink[0];
-        net.enqueue_at(up, data_pkt());
+        net.offer(up, data_pkt());
         assert_eq!(step(&mut net), (SimTime::ZERO, "port_wake"));
         let done = net.ports[up.0 as usize].tx_done_at();
         assert!(done > net.now);
@@ -1817,7 +1860,7 @@ mod tests {
         // Pushed at `done` after the reservation: must pop after the wake.
         net.events.push(done, marker(up));
         net.now = SimTime(done.0 / 2);
-        net.enqueue_at(up, data_pkt());
+        net.offer(up, data_pkt());
         assert_eq!(deferred(&net, up), None, "materialised");
         assert_eq!(step(&mut net), (done, "port_wake"));
         assert!(
@@ -1836,12 +1879,12 @@ mod tests {
         let up = net.topo.host_uplink[0];
         let done = SimTime::ZERO + tx_time(1538, G10);
         net.events.push(done, marker(up));
-        net.enqueue_at(up, data_pkt());
+        net.offer(up, data_pkt());
         assert_eq!(step(&mut net), (SimTime::ZERO, "port_wake"));
         assert_eq!(net.ports[up.0 as usize].tx_done_at(), done);
         assert_eq!(step(&mut net), (done, "rcp_update"));
         let queued = net.events.len();
-        net.enqueue_at(up, data_pkt());
+        net.offer(up, data_pkt());
         assert_eq!(deferred(&net, up), None);
         // The now-wake would find the transmitter busy: it only takes its
         // sequence number.
@@ -1860,7 +1903,7 @@ mod tests {
         net.events.push(done, marker(up));
         assert_eq!(step(&mut net), (done, "rcp_update"));
         let queued = net.events.len();
-        net.enqueue_at(up, data_pkt());
+        net.offer(up, data_pkt());
         assert_eq!(deferred(&net, up), None, "a position gone by is dropped");
         assert_eq!(net.events.len(), queued + 1, "the now-wake alone");
         assert_eq!(step(&mut net), (done, "port_wake"));
@@ -1883,7 +1926,7 @@ mod tests {
         twin.restore_from(&w.into_body()).expect("twin restore");
         for mut net in [net, twin] {
             net.events.push(done, marker(up));
-            net.enqueue_at(up, data_pkt());
+            net.offer(up, data_pkt());
             assert_eq!(deferred(&net, up), None);
             assert_eq!(step(&mut net), (done, "rcp_update"));
             assert_eq!(step(&mut net), (done, "port_wake"));
@@ -1899,7 +1942,7 @@ mod tests {
         net.run_until(down_at);
         // Frozen: the enqueue's own wake is suppressed, so the reserved
         // one is the only wake this packet will ever get.
-        net.enqueue_at(up, data_pkt());
+        net.offer(up, data_pkt());
         assert_eq!(deferred(&net, up), None);
         net.run_until(SimTime::ZERO + Dur::ms(1));
         let port = &net.ports[up.0 as usize];
@@ -1987,7 +2030,7 @@ mod tests {
         let t = SimTime::ZERO + tx_time(crate::packet::CREDIT_SIZE as u64, G10) * 2;
         for (net, sw) in nets.iter_mut() {
             for _ in 0..3 {
-                net.enqueue_at(*sw, credit_pkt());
+                net.offer(*sw, credit_pkt());
             }
         }
         assert_eq!(nets[0].0.events.len(), 1);
@@ -2009,11 +2052,11 @@ mod tests {
         // A fourth credit, arriving now, would wake the port for nothing:
         // its position is reserved only.
         let queued = kept.events.len();
-        kept.enqueue_at(sw, credit_pkt());
+        kept.offer(sw, credit_pkt());
         assert_eq!(kept.events.len(), queued, "nothing queued");
         let w = kept.reserved_wake(sw).expect("position reserved");
         assert_eq!((w.at, w.same_instant), (t, true));
-        eager.enqueue_at(sw, credit_pkt());
+        eager.offer(sw, credit_pkt());
         let until = SimTime::ZERO + Dur::ms(1);
         let (k, e) = (keyed_run(kept, until), keyed_run(eager, until));
         assert_eq!(assert_only_wakes_left_out(&k, &e), 1);
@@ -2026,20 +2069,20 @@ mod tests {
         let t = credits_waiting_on_the_meter(&mut nets);
         let [(kept, sw), (eager, _)] = &mut nets;
         let sw = *sw;
-        kept.enqueue_at(sw, credit_pkt());
+        kept.offer(sw, credit_pkt());
         let w = kept.reserved_wake(sw).expect("position reserved");
         let queued = kept.events.len();
         // Data makes the reserved wake one that sends: it is queued at
         // its reserved key, and the data's own wake, which would find the
         // port busy, only takes a sequence number.
-        kept.enqueue_at(sw, data_pkt());
+        kept.offer(sw, data_pkt());
         assert_eq!(kept.reserved_wake(sw), None);
         assert_eq!(kept.events.len(), queued + 1);
         assert_eq!(step(kept), (t, "port_wake"));
         assert_eq!(kept.current_event_key(), (t, w.seq));
         assert_eq!(kept.ports[sw.0 as usize].tx_data_bytes, 1538);
         for pkt in [credit_pkt(), data_pkt()] {
-            eager.enqueue_at(sw, pkt);
+            eager.offer(sw, pkt);
         }
         // The eager twin sends the data from the same key, so its arrival
         // — and everything after — carries the same keys too.
@@ -2062,9 +2105,9 @@ mod tests {
         let t = credits_waiting_on_the_meter(&mut nets);
         let [(kept, sw), (eager, _)] = &mut nets;
         let sw = *sw;
-        kept.enqueue_at(sw, credit_pkt());
+        kept.offer(sw, credit_pkt());
         let w = kept.reserved_wake(sw).expect("position reserved");
-        eager.enqueue_at(sw, credit_pkt());
+        eager.offer(sw, credit_pkt());
         // The eager twin's wake at that very key finds nothing to do.
         assert_eq!(keyed_run(eager, t), [(t, w.seq, "port_wake")]);
         assert_eq!(keyed_run(kept, t), []);
@@ -2074,7 +2117,7 @@ mod tests {
         }
         assert_eq!(kept.reserved_wake(sw), None);
         let queued = kept.events.len();
-        kept.enqueue_at(sw, data_pkt());
+        kept.offer(sw, data_pkt());
         assert_eq!(
             kept.events.len(),
             queued + 1,
@@ -2082,7 +2125,7 @@ mod tests {
         );
         let fresh = kept.ports[sw.0 as usize].wake.unwrap();
         assert!(fresh.queued && fresh.at == t && fresh.seq > w.seq);
-        eager.enqueue_at(sw, data_pkt());
+        eager.offer(sw, data_pkt());
         let until = SimTime::ZERO + Dur::ms(1);
         let (k, e) = (keyed_run(kept, until), keyed_run(eager, until));
         assert_eq!(assert_only_wakes_left_out(&k, &e), 0);
@@ -2093,8 +2136,8 @@ mod tests {
         let mut nets = [credit_net(false), credit_net(true)];
         for (net, _) in &mut nets {
             let up = net.topo.host_uplink[0];
-            net.enqueue_at(up, data_pkt());
-            net.enqueue_at(up, data_pkt());
+            net.offer(up, data_pkt());
+            net.offer(up, data_pkt());
         }
         // The first wake sends one packet; the second would find the port
         // busy. (A host uplink: the rule needs no switch.)
@@ -2162,11 +2205,13 @@ mod tests {
         assert!(!net.port_series(DLinkId(0)).unwrap().samples.is_empty());
     }
 
-    /// A delivery of `bytes` to host 1 for `flow`.
-    fn rx_pkt(flow: FlowId, bytes: u32) -> Ev {
+    /// A delivery of `bytes` to host 1 for `flow`, stored in `net`.
+    fn rx_pkt(net: &mut Network, flow: FlowId, bytes: u32) -> Ev {
         let mut pkt = Packet::new(flow, HostId(0), HostId(1), PktKind::Data, bytes + 78);
         pkt.payload = bytes;
-        Ev::HostRx { pkt }
+        Ev::HostRx {
+            pkt: net.packets.store(pkt),
+        }
     }
 
     #[test]
@@ -2178,10 +2223,12 @@ mod tests {
         let mut net = probe_net(Rc::new(RefCell::new(Vec::new())));
         let f = net.add_flow(HostId(0), HostId(1), 1 << 30, SimTime::ZERO + Dur::ms(1));
         let at = SimTime::ZERO + Dur::us(10);
-        net.events.push(at, rx_pkt(f, 1000));
+        let ev = rx_pkt(&mut net, f, 1000);
+        net.events.push(at, ev);
         net.set_sample_interval(Dur::us(10));
         net.track_flow(f);
-        net.events.push(at, rx_pkt(f, 500));
+        let ev = rx_pkt(&mut net, f, 500);
+        net.events.push(at, ev);
         assert_eq!(step(&mut net), (at, "host_rx"));
         assert!(net.flow_series(f).unwrap().samples.is_empty());
         assert_eq!(step(&mut net), (at, "host_rx"));

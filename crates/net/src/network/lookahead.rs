@@ -15,11 +15,13 @@ use xpass_sim::event::{prefetch, prefetch_obj};
 /// event queue is the reuse distance of simulation state: with a shallow
 /// queue, what the next event touches was touched microseconds ago and is
 /// still cached, and at 70–90 ns an event the hints are pure overhead
-/// (+10 % CPU on the 16-host `serve_ingest` replay). Past this depth the
-/// queued events alone — a 96-byte payload and a 24-byte entry each —
-/// outgrow a 2 MiB L2, and the state they name is colder still: on
-/// `clos_xl`, 304 B of arena slot and endpoint boxes for each of 65 536
-/// flows and a 352-byte port for each of 26 624 links. Of the
+/// (+10 % CPU on the 16-host `serve_ingest` replay). The depth was
+/// chosen where the queued events alone outgrew a 2 MiB L2, at 120 B
+/// each when an event carried its packet; at 48 B (a 24-byte payload and
+/// a 24-byte entry) they no longer do, but the state they name still
+/// misses: on `clos_xl`, 304 B of arena slot and endpoint boxes for each
+/// of 65 536 flows, a 352-byte port for each of 26 624 links, and the
+/// packets in the store. Of the
 /// benchmark's workloads only `clos_xl` (213 080 deep at its peak) is
 /// past it; the 192-host `fct_dctcp` was too while dead RTO timers made
 /// its queue 235 k deep, and at the ~4 k its traffic needs no longer is.
@@ -36,10 +38,13 @@ impl Network {
     /// one has not already made resident:
     ///
     /// * two events ahead — what the event names: the flow's arena slot
-    ///   and lanes, the port that will transmit (for a host-side event,
-    ///   the uplink its endpoint will emit on), the link record;
+    ///   and lanes, the port that will transmit (for a timer, the uplink
+    ///   its endpoint will emit on), the link record, the packet's slot in
+    ///   the store;
     /// * one event ahead — what those lead to: the endpoint box, the
-    ///   port's queue storage, the egress port ECMP will pick.
+    ///   port's queue storage, and what the packet names — the egress
+    ///   port ECMP will pick, or the flow's arena slot and the uplink
+    ///   its endpoint will answer on.
     ///
     /// Observation-only: nothing is written, no RNG is drawn, and no
     /// simulation branch depends on a peeked event — which an earlier push
@@ -61,13 +66,11 @@ impl Network {
                     self.prefetch_port(self.uplink_of(*host));
                 }
             }
-            Some(Ev::HostRx { pkt }) => {
-                self.arena.prefetch_flow(pkt.flow);
-                self.prefetch_port(self.uplink_of(pkt.dst));
-            }
+            Some(Ev::HostRx { pkt }) => self.packets.prefetch(*pkt),
             Some(Ev::PortWake { dlink }) => self.prefetch_port(Some(*dlink)),
-            Some(Ev::Arrive { dlink, .. }) => {
-                prefetch(self.topo.dlinks.as_ptr().wrapping_add(dlink.0 as usize))
+            Some(Ev::Arrive { dlink, pkt }) => {
+                prefetch(self.topo.dlinks.as_ptr().wrapping_add(dlink.0 as usize));
+                self.packets.prefetch(*pkt);
             }
             _ => {}
         }
@@ -81,13 +84,15 @@ impl Network {
                 }
             }
             Some(Ev::HostRx { pkt }) => {
-                if let Some(side) = self.rx_side(pkt) {
-                    self.arena.prefetch_endpoint(pkt.flow, side);
-                }
-                self.prefetch_queues(self.uplink_of(pkt.dst));
+                let pkt = self.packets.get(*pkt);
+                self.arena.prefetch_flow(pkt.flow);
+                self.prefetch_port(self.uplink_of(pkt.dst));
             }
             Some(Ev::PortWake { dlink }) => self.prefetch_queues(Some(*dlink)),
-            Some(Ev::Arrive { dlink, pkt }) => self.prefetch_port(self.ecmp_egress(*dlink, pkt)),
+            Some(Ev::Arrive { dlink, pkt }) => {
+                let pkt = self.packets.get(*pkt);
+                self.prefetch_port(self.ecmp_egress(*dlink, pkt))
+            }
             _ => {}
         }
     }

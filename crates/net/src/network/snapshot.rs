@@ -6,11 +6,15 @@
 //! itself, [`Ev`] and [`Pending`], and the checks that what was restored
 //! can run: ids in range, packets bound for the host their link reaches,
 //! wake positions the queue handed out.
+//!
+//! The packet store has no section of its own: an event or a ring slot
+//! persists its packet where its handle sits, so the bytes are those of
+//! packets carried by value, and a read rebuilds the store from them.
 
 use super::{Ev, Network, Pending};
 use crate::faults::FaultKind;
 use crate::ids::{DLinkId, FlowId, HostId, NodeId, Side};
-use crate::packet::Packet;
+use crate::packet::{Packet, Packets};
 use xpass_sim::snap::{SnapError, SnapIo, SnapReader, SnapWriter};
 
 /// The blank a restored event is read onto.
@@ -25,8 +29,8 @@ impl Default for Ev {
 impl Ev {
     /// Snapshot traversal of one queued event: the tag, then the variant's
     /// fields in place — a read first replaces `self` with the tag's blank
-    /// variant.
-    fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
+    /// variant. A carried packet lives in `packets`.
+    fn persist(&mut self, io: &mut SnapIo, packets: &mut Packets) -> Result<(), SnapError> {
         let mut tag = match self {
             Ev::Arrive { .. } => 0,
             Ev::PortWake { .. } => 1,
@@ -53,7 +57,7 @@ impl Ev {
                 4 => Ev::FlowStart { flow },
                 5 => Ev::RcpUpdate { dlink },
                 7 => Ev::Fault {
-                    kind: FaultKind::LinkUp { dlink },
+                    kind: Box::new(FaultKind::LinkUp { dlink }),
                 },
                 t => return Err(io.err(format!("invalid event tag: expected 0–5 or 7, found {t}"))),
             };
@@ -61,10 +65,10 @@ impl Ev {
         match self {
             Ev::Arrive { dlink, pkt } => {
                 io.u32(&mut dlink.0)?;
-                pkt.persist(io)
+                packets.persist(io, pkt)
             }
             Ev::PortWake { dlink } | Ev::RcpUpdate { dlink } => io.u32(&mut dlink.0),
-            Ev::HostRx { pkt } => pkt.persist(io),
+            Ev::HostRx { pkt } => packets.persist(io, pkt),
             Ev::Timer {
                 flow,
                 host,
@@ -168,14 +172,20 @@ impl Network {
             io.within("now", |io| io.u64(&mut self.now.0))?;
             // A read supersedes whatever deterministic setup scheduled with
             // the snapshot's queue (which evolved from exactly those events).
+            // The events and the ports hold every stored packet, so a read
+            // starts the store afresh.
+            if io.reading() {
+                self.packets.clear();
+            }
+            let packets = &mut self.packets;
             io.within("events", |io| {
-                self.events.persist(io, |io, ev| ev.persist(io))
+                self.events.persist(io, |io, ev| ev.persist(io, packets))
             })?;
             io.within("rng", |io| self.rng.persist(io))?;
             io.within("ports", |io| {
                 io.seq_len_of("port", self.ports.len(), 1)?;
                 (self.ports.iter_mut().enumerate())
-                    .try_for_each(|(i, p)| io.within(i, |io| p.persist(io)))
+                    .try_for_each(|(i, p)| io.within(i, |io| p.persist(io, packets)))
             })?;
             io.within("flows", |io| self.arena.persist(io, &self.factory))?;
             io.within("timers", |io| self.timers.persist(io))?;
@@ -249,30 +259,28 @@ impl Network {
             )),
             _ => Ok(()),
         };
+        let stored = |r| self.packets.get(r);
         let events = self.events.payloads().try_for_each(|ev| match ev {
             Ev::Arrive { dlink, pkt } => link(dlink)
-                .and_then(|_| packet(pkt))
-                .and_then(|_| lands(dlink, pkt)),
+                .and_then(|_| packet(stored(*pkt)))
+                .and_then(|_| lands(dlink, stored(*pkt))),
             Ev::PortWake { dlink } | Ev::RcpUpdate { dlink } => link(dlink),
-            Ev::HostRx { pkt } => packet(pkt),
+            Ev::HostRx { pkt } => packet(stored(*pkt)),
             Ev::Timer {
                 flow: f, host: h, ..
             } => flow(f).and_then(|_| host(h)),
             Ev::FlowStart { flow: f } => flow(f),
-            Ev::Fault { kind } => match kind {
-                FaultKind::HostPause { host: h } | FaultKind::HostResume { host: h } => host(h),
+            Ev::Fault { kind } => match **kind {
+                FaultKind::HostPause { host: h } | FaultKind::HostResume { host: h } => host(&h),
                 FaultKind::LinkDown { dlink, .. }
                 | FaultKind::LinkUp { dlink }
                 | FaultKind::SetLoss { dlink, .. }
-                | FaultKind::SetCorrupt { dlink, .. } => link(dlink),
+                | FaultKind::SetCorrupt { dlink, .. } => link(&dlink),
             },
         });
         let port = |d: DLinkId| {
             let p = &self.ports[d.0 as usize];
-            (p.data
-                .packets()
-                .chain(p.credit.iter().flat_map(|c| c.packets())))
-            .try_for_each(|pkt| packet(pkt).and_then(|_| lands(&d, pkt)))?;
+            (p.packets()).try_for_each(|r| packet(stored(r)).and_then(|_| lands(&d, stored(r))))?;
             match p.wake {
                 Some(w) if !self.events.was_reserved(w.seq) => Err(format!(
                     "wake position ({} ps, {}) was never reserved",

@@ -204,6 +204,108 @@ impl Packet {
     }
 }
 
+/// A handle to a packet held in a [`Packets`] store: what queues and
+/// events carry in place of the packet itself.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct PktRef(u32);
+
+/// The one store of every packet the network holds, from the moment a host
+/// emits it (or a fault replays it) until it is delivered to an endpoint or
+/// dropped. Queues and events carry a 4-byte [`PktRef`], so a hop moves the
+/// handle and reads or writes the packet in place; a freed slot is the
+/// next one reused (LIFO), so the slots in use stay few and warm.
+///
+/// Whoever drops a packet frees it: a queue its tail drops, evictions and
+/// flushes, the network its fault losses and routing dead-ends.
+#[derive(Default)]
+pub struct Packets {
+    slots: Vec<Packet>,
+    free: Vec<u32>,
+}
+
+impl Packets {
+    /// An empty store.
+    pub fn new() -> Packets {
+        Packets::default()
+    }
+
+    /// Move `pkt` into the store.
+    #[inline]
+    pub fn store(&mut self, pkt: Packet) -> PktRef {
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = pkt;
+                PktRef(i)
+            }
+            None => {
+                self.slots.push(pkt);
+                PktRef(self.slots.len() as u32 - 1)
+            }
+        }
+    }
+
+    /// Take the packet out of the store, freeing its slot.
+    #[inline]
+    pub fn take(&mut self, r: PktRef) -> Packet {
+        self.free.push(r.0);
+        self.slots[r.0 as usize].clone()
+    }
+
+    /// Drop the packet, freeing its slot.
+    #[inline]
+    pub fn free(&mut self, r: PktRef) {
+        self.free.push(r.0);
+    }
+
+    /// The packet behind `r`.
+    #[inline]
+    pub fn get(&self, r: PktRef) -> &Packet {
+        &self.slots[r.0 as usize]
+    }
+
+    /// The packet behind `r`, to stamp in place.
+    #[inline]
+    pub fn get_mut(&mut self, r: PktRef) -> &mut Packet {
+        &mut self.slots[r.0 as usize]
+    }
+
+    /// Hint that the packet behind `r` is about to be read.
+    #[inline]
+    pub fn prefetch(&self, r: PktRef) {
+        xpass_sim::event::prefetch_obj(self.slots.as_ptr().wrapping_add(r.0 as usize));
+    }
+
+    /// Packets held: stored and not yet taken or freed.
+    pub fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Forget every packet (a restore rebuilds the store from the
+    /// snapshot's queues and events).
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
+
+    /// Snapshot traversal of the packet a queue or an event holds, written
+    /// where its handle sits: writing persists the packet behind `r`,
+    /// reading stores a restored packet and points `r` at it.
+    pub fn persist(
+        &mut self,
+        io: &mut xpass_sim::SnapIo,
+        r: &mut PktRef,
+    ) -> Result<(), xpass_sim::SnapError> {
+        if io.reading() {
+            let mut pkt = Packet::default();
+            pkt.persist(io)?;
+            *r = self.store(pkt);
+            Ok(())
+        } else {
+            self.get_mut(*r).persist(io)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,5 +356,25 @@ mod tests {
         assert!(!p.ecn);
         assert!(p.rate.is_infinite());
         assert_eq!(p.payload, 0);
+    }
+
+    #[test]
+    fn store_reuses_the_last_freed_slot() {
+        let mut store = Packets::new();
+        let pkt = |seq| Packet {
+            seq,
+            ..Packet::default()
+        };
+        let a = store.store(pkt(1));
+        let b = store.store(pkt(2));
+        assert_eq!(store.live(), 2);
+        store.free(a);
+        assert_eq!(store.take(b).seq, 2);
+        assert_eq!(store.live(), 0);
+        let c = store.store(pkt(3));
+        assert_eq!(c, b, "LIFO: the slot freed last is reused first");
+        store.get_mut(c).ecn = true;
+        assert!(store.get(c).ecn && store.get(c).seq == 3);
+        assert_eq!(store.live(), 1);
     }
 }

@@ -14,7 +14,7 @@
 //! in the remaining capacity.
 
 use crate::ids::DLinkId;
-use crate::packet::{Packet, PktKind};
+use crate::packet::{Packet, Packets, PktKind, PktRef};
 use crate::queue::{CreditQueue, DataQueue};
 use crate::rcplink::RcpLink;
 use xpass_sim::time::{tx_time, Dur, SimTime};
@@ -24,7 +24,7 @@ use xpass_sim::trace::{TraceEvent, TraceSink};
 #[derive(Debug)]
 pub enum TxDecision {
     /// Start serializing this packet now.
-    Transmit(Packet),
+    Transmit(PktRef),
     /// Nothing conforming now; wake me at this time (credit meter refill).
     WaitUntil(SimTime),
     /// Nothing to send.
@@ -150,7 +150,8 @@ impl EgressPort {
     /// Decide what to do at `now` (must be called only when not busy).
     /// On `Transmit`, the transmitter is marked busy through the packet's
     /// serialization time and byte counters are updated; the caller delivers
-    /// the packet to the far end after `prop_delay`.
+    /// the packet to the far end after `prop_delay`. The queued packets
+    /// live in `store`, where the dequeue stamps them.
     ///
     /// `trace` (pass `None` when tracing is off) receives a
     /// [`TraceEvent::PktDequeue`] for each packet leaving a queue; it never
@@ -158,6 +159,7 @@ impl EgressPort {
     pub fn try_transmit(
         &mut self,
         now: SimTime,
+        store: &mut Packets,
         mut trace: Option<&mut (dyn TraceSink + 'static)>,
     ) -> TxDecision {
         if self.is_busy(now) {
@@ -168,14 +170,19 @@ impl EgressPort {
         // metered, so they cannot starve data).
         if let Some(cq) = self.credit.as_mut() {
             if cq.head_conforms(now) {
-                let pkt = cq.dequeue(now).expect("head_conforms implies nonempty");
+                let r = cq
+                    .dequeue(now, store)
+                    .expect("head_conforms implies nonempty");
+                let pkt = store.get(r);
                 if let Some(sink) = trace.as_deref_mut() {
-                    sink.record(&dequeue_event(now, self.dlink, &pkt));
+                    sink.record(&dequeue_event(now, self.dlink, pkt));
                 }
-                return TxDecision::Transmit(self.start_tx(now, pkt));
+                self.start_tx(now, pkt);
+                return TxDecision::Transmit(r);
             }
         }
-        if let Some(mut pkt) = self.data.dequeue(now) {
+        if let Some(r) = self.data.dequeue(now, store) {
+            let pkt = store.get_mut(r);
             // RCP: stamp the advertised rate and account the packet.
             if let Some(rcp) = self.rcp.as_mut() {
                 if pkt.kind == PktKind::Data {
@@ -189,9 +196,10 @@ impl EgressPort {
                 }
             }
             if let Some(sink) = trace {
-                sink.record(&dequeue_event(now, self.dlink, &pkt));
+                sink.record(&dequeue_event(now, self.dlink, pkt));
             }
-            return TxDecision::Transmit(self.start_tx(now, pkt));
+            self.start_tx(now, pkt);
+            return TxDecision::Transmit(r);
         }
         // Only non-conforming credits remain (if anything).
         if let Some(cq) = self.credit.as_mut() {
@@ -206,7 +214,7 @@ impl EgressPort {
         TxDecision::Idle
     }
 
-    fn start_tx(&mut self, now: SimTime, pkt: Packet) -> Packet {
+    fn start_tx(&mut self, now: SimTime, pkt: &Packet) {
         let tx = tx_time(pkt.size as u64, self.speed_bps);
         self.busy_until = now + tx;
         self.token_wake = None;
@@ -224,7 +232,6 @@ impl EgressPort {
             PktKind::Data => self.tx_data_bytes += pkt.size as u64,
             _ => {}
         }
-        pkt
     }
 
     /// Hint that the queues' out-of-line storage is about to be touched:
@@ -238,16 +245,21 @@ impl EgressPort {
         }
     }
 
-    /// Drop both queues' backlog (a flushing link failure). Returns the
-    /// packets and wire bytes discarded.
-    pub(crate) fn flush(&mut self, now: SimTime) -> (u64, u64) {
-        let (mut pkts, mut bytes) = self.data.flush(now);
+    /// Drop (and free) both queues' backlog (a flushing link failure).
+    /// Returns the packets and wire bytes discarded.
+    pub(crate) fn flush(&mut self, now: SimTime, store: &mut Packets) -> (u64, u64) {
+        let (mut pkts, mut bytes) = self.data.flush(now, store);
         if let Some(cq) = self.credit.as_mut() {
-            let (p, b) = cq.flush();
+            let (p, b) = cq.flush(store);
             pkts += p;
             bytes += b;
         }
         (pkts as u64, bytes)
+    }
+
+    /// The packets both queues hold, data first, each head first.
+    pub(crate) fn packets(&self) -> impl Iterator<Item = PktRef> + '_ {
+        (self.data.packets()).chain(self.credit.iter().flat_map(|c| c.packets()))
     }
 
     /// Time the current serialization finishes (== now when idle).
@@ -261,11 +273,16 @@ impl EgressPort {
     /// propagation delay are configuration rebuilt by setup. Queue
     /// contents, the transmitter busy horizon, the pending meter wake, the
     /// wake position held (queued or reserved), byte counters, and the
-    /// optional gap collector all carry over.
-    pub fn persist(&mut self, io: &mut xpass_sim::SnapIo) -> Result<(), xpass_sim::SnapError> {
-        self.data.persist(io)?;
+    /// optional gap collector all carry over. The queued packets live in
+    /// `store`.
+    pub fn persist(
+        &mut self,
+        io: &mut xpass_sim::SnapIo,
+        store: &mut Packets,
+    ) -> Result<(), xpass_sim::SnapError> {
+        self.data.persist(io, store)?;
         io.opt_onto("credit queue", self.credit.as_mut(), |io, cq| {
-            cq.persist(io)
+            cq.persist(io, store)
         })?;
         io.opt_onto("rcp link state", self.rcp.as_deref_mut(), |io, rcp| {
             rcp.persist(io)
@@ -341,6 +358,19 @@ mod tests {
         xpass_sim::rng::Rng::new(99)
     }
 
+    /// Store a data packet and enqueue it at `p`.
+    fn offer_data(p: &mut EgressPort, st: &mut Packets, now: SimTime) {
+        let r = st.store(data_pkt());
+        p.data.enqueue(now, r, MAX_FRAME, st);
+    }
+
+    /// Store a credit and enqueue it at `p`.
+    fn offer_credit(p: &mut EgressPort, st: &mut Packets, now: SimTime) {
+        let r = st.store(credit_pkt());
+        let cq = p.credit.as_mut().unwrap();
+        cq.enqueue(now, r, CREDIT_SIZE, st, &mut rng());
+    }
+
     /// RCP, HULL and the gap collector are boxed, so a port of any other
     /// run carries a word for each.
     #[test]
@@ -349,12 +379,21 @@ mod tests {
         assert!(size <= 352, "EgressPort is {size} B");
     }
 
+    /// A hop moves a handle, not a packet: a ring slot is a 4-byte handle
+    /// and the wire size, and an event carries at most a handle beside its
+    /// link.
+    #[test]
+    fn rings_and_events_carry_handles() {
+        assert_eq!(std::mem::size_of::<crate::queue::Queued>(), 8);
+        assert_eq!(std::mem::size_of::<crate::network::Ev>(), 24);
+    }
+
     #[test]
     fn transmits_data_when_idle() {
-        let mut p = port(false);
-        p.data.enqueue(SimTime::ZERO, data_pkt());
-        match p.try_transmit(SimTime::ZERO, None) {
-            TxDecision::Transmit(pkt) => assert_eq!(pkt.size, MAX_FRAME),
+        let (mut p, mut st) = (port(false), Packets::new());
+        offer_data(&mut p, &mut st, SimTime::ZERO);
+        match p.try_transmit(SimTime::ZERO, &mut st, None) {
+            TxDecision::Transmit(pkt) => assert_eq!(st.get(pkt).size, MAX_FRAME),
             other => panic!("{other:?}"),
         }
         // Busy for one MTU time (1.2304us at 10G).
@@ -365,16 +404,16 @@ mod tests {
 
     #[test]
     fn idle_when_busy() {
-        let mut p = port(false);
-        p.data.enqueue(SimTime::ZERO, data_pkt());
-        let _ = p.try_transmit(SimTime::ZERO, None);
-        p.data.enqueue(SimTime::ZERO, data_pkt());
-        match p.try_transmit(SimTime::ZERO + Dur::ns(100), None) {
+        let (mut p, mut st) = (port(false), Packets::new());
+        offer_data(&mut p, &mut st, SimTime::ZERO);
+        let _ = p.try_transmit(SimTime::ZERO, &mut st, None);
+        offer_data(&mut p, &mut st, SimTime::ZERO);
+        match p.try_transmit(SimTime::ZERO + Dur::ns(100), &mut st, None) {
             TxDecision::Idle => {}
             other => panic!("{other:?}"),
         }
         // After serialization completes, the next packet goes out.
-        match p.try_transmit(p.tx_done_at(), None) {
+        match p.try_transmit(p.tx_done_at(), &mut st, None) {
             TxDecision::Transmit(_) => {}
             other => panic!("{other:?}"),
         }
@@ -382,14 +421,11 @@ mod tests {
 
     #[test]
     fn conforming_credit_beats_data() {
-        let mut p = port(true);
-        p.data.enqueue(SimTime::ZERO, data_pkt());
-        p.credit
-            .as_mut()
-            .unwrap()
-            .enqueue(SimTime::ZERO, credit_pkt(), &mut rng());
-        match p.try_transmit(SimTime::ZERO, None) {
-            TxDecision::Transmit(pkt) => assert_eq!(pkt.kind, PktKind::Credit),
+        let (mut p, mut st) = (port(true), Packets::new());
+        offer_data(&mut p, &mut st, SimTime::ZERO);
+        offer_credit(&mut p, &mut st, SimTime::ZERO);
+        match p.try_transmit(SimTime::ZERO, &mut st, None) {
+            TxDecision::Transmit(pkt) => assert_eq!(st.get(pkt).kind, PktKind::Credit),
             other => panic!("{other:?}"),
         }
         assert_eq!(p.tx_credit_bytes, 84);
@@ -397,53 +433,44 @@ mod tests {
 
     #[test]
     fn nonconforming_credit_yields_to_data() {
-        let mut p = port(true);
+        let (mut p, mut st) = (port(true), Packets::new());
         // Exhaust the meter burst.
         for _ in 0..2 {
-            p.credit
-                .as_mut()
-                .unwrap()
-                .enqueue(SimTime::ZERO, credit_pkt(), &mut rng());
+            offer_credit(&mut p, &mut st, SimTime::ZERO);
         }
-        let _ = p.try_transmit(SimTime::ZERO, None);
+        let _ = p.try_transmit(SimTime::ZERO, &mut st, None);
         let t1 = p.tx_done_at();
-        let _ = p.try_transmit(t1, None);
+        let _ = p.try_transmit(t1, &mut st, None);
         let t2 = p.tx_done_at();
         // Third credit has no tokens; data must flow instead.
-        p.credit
-            .as_mut()
-            .unwrap()
-            .enqueue(t2, credit_pkt(), &mut rng());
-        p.data.enqueue(t2, data_pkt());
-        match p.try_transmit(t2, None) {
-            TxDecision::Transmit(pkt) => assert_eq!(pkt.kind, PktKind::Data),
+        offer_credit(&mut p, &mut st, t2);
+        offer_data(&mut p, &mut st, t2);
+        match p.try_transmit(t2, &mut st, None) {
+            TxDecision::Transmit(pkt) => assert_eq!(st.get(pkt).kind, PktKind::Data),
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
     fn waits_for_meter_when_only_credits() {
-        let mut p = port(true);
+        let (mut p, mut st) = (port(true), Packets::new());
         for _ in 0..3 {
-            p.credit
-                .as_mut()
-                .unwrap()
-                .enqueue(SimTime::ZERO, credit_pkt(), &mut rng());
+            offer_credit(&mut p, &mut st, SimTime::ZERO);
         }
-        let _ = p.try_transmit(SimTime::ZERO, None); // burst 1
-        let _ = p.try_transmit(p.tx_done_at(), None); // burst 2
+        let _ = p.try_transmit(SimTime::ZERO, &mut st, None); // burst 1
+        let _ = p.try_transmit(p.tx_done_at(), &mut st, None); // burst 2
         let t = p.tx_done_at();
-        match p.try_transmit(t, None) {
+        match p.try_transmit(t, &mut st, None) {
             TxDecision::WaitUntil(w) => {
                 assert!(w > t);
                 // Asking again returns Idle (wake already pending).
-                match p.try_transmit(t, None) {
+                match p.try_transmit(t, &mut st, None) {
                     TxDecision::Idle => {}
                     other => panic!("{other:?}"),
                 }
                 // At the wake time the credit goes out.
-                match p.try_transmit(w, None) {
-                    TxDecision::Transmit(pkt) => assert_eq!(pkt.kind, PktKind::Credit),
+                match p.try_transmit(w, &mut st, None) {
+                    TxDecision::Transmit(pkt) => assert_eq!(st.get(pkt).kind, PktKind::Credit),
                     other => panic!("{other:?}"),
                 }
             }
@@ -455,18 +482,20 @@ mod tests {
     fn a_wake_idle_at_its_instant_is_a_no_op() {
         // What lets the network leave a wake unqueued: it would decide
         // `Idle` and change nothing a later decision reads.
-        let mut p = port(true);
-        p.data.enqueue(SimTime::ZERO, data_pkt());
+        let (mut p, mut st) = (port(true), Packets::new());
+        offer_data(&mut p, &mut st, SimTime::ZERO);
         assert!(!p.idle_at(SimTime::ZERO));
-        let _ = p.try_transmit(SimTime::ZERO, None);
+        let _ = p.try_transmit(SimTime::ZERO, &mut st, None);
         let done = p.tx_done_at();
         assert!(p.idle_at(done), "the only packet is on the wire");
         let before = (p.busy_until, p.token_wake, p.tx_bytes);
-        assert!(matches!(p.try_transmit(done, None), TxDecision::Idle));
+        assert!(matches!(
+            p.try_transmit(done, &mut st, None),
+            TxDecision::Idle
+        ));
         assert_eq!(before, (p.busy_until, p.token_wake, p.tx_bytes));
         // A queued credit is work: no meter wake is pending for it yet.
-        let cq = p.credit.as_mut().unwrap();
-        cq.enqueue(done, credit_pkt(), &mut rng());
+        offer_credit(&mut p, &mut st, done);
         assert!(!p.idle_at(done));
 
         // Once the meter holds a credit back and its wake is pending, a
@@ -474,28 +503,29 @@ mod tests {
         // not; at the meter's time, or with data queued, it is not.
         let mut now = done;
         let t = loop {
-            match p.try_transmit(now, None) {
+            match p.try_transmit(now, &mut st, None) {
                 TxDecision::Transmit(_) => now = p.tx_done_at(),
                 TxDecision::WaitUntil(t) => break t,
                 TxDecision::Idle => panic!("credits are queued"),
             }
-            let cq = p.credit.as_mut().unwrap();
-            cq.enqueue(now, credit_pkt(), &mut rng());
+            offer_credit(&mut p, &mut st, now);
         };
         assert!(p.idle_at(now) && p.idle_at(SimTime(t.0 - 1)));
         assert!(!p.idle_at(t));
-        let cq = p.credit.as_mut().unwrap();
-        cq.enqueue(now, credit_pkt(), &mut rng());
+        offer_credit(&mut p, &mut st, now);
         assert!(p.idle_at(now), "the head is unchanged");
-        assert!(matches!(p.try_transmit(now, None), TxDecision::Idle));
-        p.data.enqueue(now, data_pkt());
+        assert!(matches!(
+            p.try_transmit(now, &mut st, None),
+            TxDecision::Idle
+        ));
+        offer_data(&mut p, &mut st, now);
         assert!(!p.idle_at(now));
     }
 
     #[test]
     fn empty_port_is_idle() {
-        let mut p = port(true);
-        match p.try_transmit(SimTime::ZERO, None) {
+        let (mut p, mut st) = (port(true), Packets::new());
+        match p.try_transmit(SimTime::ZERO, &mut st, None) {
             TxDecision::Idle => {}
             other => panic!("{other:?}"),
         }
@@ -505,17 +535,16 @@ mod tests {
     fn credit_class_throughput_is_metered() {
         // Saturate the credit queue for 10ms; credits transmitted must match
         // the 5.18% meter, leaving the rest for data.
-        let mut p = port(true);
+        let (mut p, mut st) = (port(true), Packets::new());
         let mut now = SimTime::ZERO;
         let horizon = SimTime::ZERO + Dur::ms(10);
         let mut queued = 0;
         while now < horizon {
-            let cq = p.credit.as_mut().unwrap();
-            while cq.len() < 8 && queued < 100_000 {
-                cq.enqueue(now, credit_pkt(), &mut rng());
+            while p.credit.as_ref().unwrap().len() < 8 && queued < 100_000 {
+                offer_credit(&mut p, &mut st, now);
                 queued += 1;
             }
-            match p.try_transmit(now, None) {
+            match p.try_transmit(now, &mut st, None) {
                 TxDecision::Transmit(_) => now = p.tx_done_at(),
                 TxDecision::WaitUntil(w) => now = w,
                 TxDecision::Idle => break,

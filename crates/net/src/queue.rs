@@ -11,8 +11,14 @@
 //! keeps only what reports read — its tail drops (the one count of control
 //! and ACK drops) and its time-weighted occupancy, whose maximum is the
 //! queue's peak; a credit queue keeps no statistics.
+//!
+//! Both rings hold 8-byte [`Queued`] slots: a handle into the network's
+//! [`Packets`] store and the packet's wire size, which is all that byte
+//! counts, the meter and the port's idle test read. The queue stamps the
+//! packet in place (ECN mark, enqueue time, queuing delay), and frees
+//! every packet it drops.
 
-use crate::packet::{Packet, CREDIT_SIZE};
+use crate::packet::{Packets, PktRef, CREDIT_SIZE};
 use std::collections::VecDeque;
 use xpass_sim::bucket::TokenBucket;
 use xpass_sim::event::prefetch_obj;
@@ -90,9 +96,27 @@ pub struct EnqueueOutcome {
     pub qlen_bytes: u64,
 }
 
-/// Prefetch a packet ring's head and its next free slot.
+/// One ring slot: a packet in the store and its wire size.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Queued {
+    /// The queued packet.
+    pub pkt: PktRef,
+    /// Its wire size in bytes.
+    pub size: u32,
+}
+
+impl Queued {
+    /// Snapshot traversal: the packet, written where its handle sits.
+    fn persist(&mut self, io: &mut SnapIo, store: &mut Packets) -> Result<(), SnapError> {
+        store.persist(io, &mut self.pkt)?;
+        self.size = store.get(self.pkt).size;
+        Ok(())
+    }
+}
+
+/// Prefetch a ring's head and its next free slot.
 #[inline]
-fn prefetch_ring(q: &VecDeque<Packet>) {
+fn prefetch_ring(q: &VecDeque<Queued>) {
     let head = q.as_slices().0.as_ptr();
     prefetch_obj(head);
     // Ignores wrap-around: a hint may miss, it cannot be wrong.
@@ -102,7 +126,7 @@ fn prefetch_ring(q: &VecDeque<Packet>) {
 /// Drop-tail FIFO data queue with optional ECN and phantom-queue marking.
 #[derive(Debug)]
 pub struct DataQueue {
-    q: VecDeque<Packet>,
+    q: VecDeque<Queued>,
     len_bytes: u64,
     cap_bytes: u64,
     /// ECN marking config, if enabled.
@@ -126,21 +150,29 @@ impl DataQueue {
         }
     }
 
-    /// Attempt to enqueue, counting a tail drop when the packet does not
-    /// fit and applying ECN/phantom marking to an accepted one; the
-    /// [`EnqueueOutcome`] says which (accepted / newly ECN-marked /
-    /// resulting occupancy).
-    pub fn enqueue(&mut self, now: SimTime, mut pkt: Packet) -> EnqueueOutcome {
-        if self.len_bytes + pkt.size as u64 > self.cap_bytes {
+    /// Attempt to enqueue the packet `r` of `size` wire bytes, counting
+    /// (and freeing) a tail drop when it does not fit and applying
+    /// ECN/phantom marking to an accepted one; the [`EnqueueOutcome`] says
+    /// which (accepted / newly ECN-marked / resulting occupancy).
+    pub fn enqueue(
+        &mut self,
+        now: SimTime,
+        r: PktRef,
+        size: u32,
+        store: &mut Packets,
+    ) -> EnqueueOutcome {
+        if self.len_bytes + size as u64 > self.cap_bytes {
             self.stats.dropped += 1;
+            store.free(r);
             return EnqueueOutcome {
                 accepted: false,
                 newly_marked: false,
                 qlen_bytes: self.len_bytes,
             };
         }
+        let pkt = store.get_mut(r);
         let was_marked = pkt.ecn;
-        self.len_bytes += pkt.size as u64;
+        self.len_bytes += size as u64;
         self.stats.occupancy.set(now, self.len_bytes as f64);
         if let Some(ecn) = self.ecn {
             // DCTCP marks on instantaneous queue exceeding K at arrival.
@@ -149,13 +181,13 @@ impl DataQueue {
             }
         }
         if let Some(ph) = self.phantom.as_mut() {
-            if ph.on_packet(now, pkt.size) {
+            if ph.on_packet(now, size) {
                 pkt.ecn = true;
             }
         }
         let newly_marked = pkt.ecn && !was_marked;
         pkt.enq_t = now;
-        self.q.push_back(pkt);
+        self.q.push_back(Queued { pkt: r, size });
         EnqueueOutcome {
             accepted: true,
             newly_marked,
@@ -164,27 +196,29 @@ impl DataQueue {
     }
 
     /// Dequeue the head packet, updating its accumulated queuing delay.
-    pub fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
-        let mut pkt = self.q.pop_front()?;
-        self.len_bytes -= pkt.size as u64;
+    pub fn dequeue(&mut self, now: SimTime, store: &mut Packets) -> Option<PktRef> {
+        let Queued { pkt: r, size } = self.q.pop_front()?;
+        self.len_bytes -= size as u64;
         self.stats.occupancy.set(now, self.len_bytes as f64);
+        let pkt = store.get_mut(r);
         pkt.qdelay += now.since(pkt.enq_t);
-        Some(pkt)
+        Some(r)
     }
 
-    /// Drop every queued packet (hard port reset, e.g. a flushing link
-    /// failure). Returns the packets and bytes discarded; they are *not*
-    /// counted in `stats.dropped`, which tracks tail drops only.
-    pub fn flush(&mut self, now: SimTime) -> (usize, u64) {
+    /// Drop (and free) every queued packet (hard port reset, e.g. a
+    /// flushing link failure). Returns the packets and bytes discarded;
+    /// they are *not* counted in `stats.dropped`, which tracks tail drops
+    /// only.
+    pub fn flush(&mut self, now: SimTime, store: &mut Packets) -> (usize, u64) {
         let n = self.q.len();
         let bytes = self.len_bytes;
-        self.q.clear();
+        self.q.drain(..).for_each(|s| store.free(s.pkt));
         self.len_bytes = 0;
         self.stats.occupancy.set(now, 0.0);
         (n, bytes)
     }
 
-    /// Hint that the head packet and the next free ring slot are about
+    /// Hint that the head slot and the next free ring slot are about
     /// to be touched (lookahead prefetch; reads only the inline header).
     #[inline]
     pub fn prefetch_ring(&self) {
@@ -250,7 +284,7 @@ pub struct CreditEnqueueOutcome {
 /// drained through a token bucket at the credit rate limit.
 #[derive(Debug)]
 pub struct CreditQueue {
-    q: VecDeque<Packet>,
+    q: VecDeque<Queued>,
     cap_pkts: usize,
     /// Overflow behaviour.
     pub drop_policy: CreditDropPolicy,
@@ -271,90 +305,73 @@ impl CreditQueue {
         }
     }
 
-    /// Hint that the head credit and the next free ring slot are about to
+    /// Hint that the head slot and the next free ring slot are about to
     /// be touched (lookahead prefetch; reads only the inline header).
     #[inline]
     pub fn prefetch_ring(&self) {
         prefetch_ring(&self.q);
     }
 
-    /// Attempt to enqueue a credit. On overflow one credit is dropped
-    /// according to [`drop_policy`](Self::drop_policy) — the arrival may
-    /// still be admitted at the expense of a resident — and the outcome
-    /// reports the dropped credit's size. Credit sizes are
-    /// randomized (84–92 B, §3.1), so an evicted resident's size can differ
-    /// from the arrival's — conservation ledgers need the victim's true
-    /// size. The queue counts nothing: the network books every drop.
+    /// Attempt to enqueue the credit `r` of `size` wire bytes. On
+    /// overflow one credit is dropped (and freed) according to
+    /// [`drop_policy`](Self::drop_policy) — the arrival may still be
+    /// admitted at the expense of a resident — and the outcome reports the
+    /// dropped credit's size. Credit sizes are randomized (84–92 B, §3.1),
+    /// so an evicted resident's size can differ from the arrival's —
+    /// conservation ledgers need the victim's true size. The queue counts
+    /// nothing: the network books every drop.
     pub fn enqueue(
         &mut self,
         now: SimTime,
-        mut pkt: Packet,
+        r: PktRef,
+        size: u32,
+        store: &mut Packets,
         rng: &mut xpass_sim::rng::Rng,
     ) -> CreditEnqueueOutcome {
         let q = &mut self.q;
+        let mut dropped_bytes = None;
         if q.len() >= self.cap_pkts {
-            match self.drop_policy {
-                CreditDropPolicy::Tail => {
-                    return CreditEnqueueOutcome {
-                        dropped_bytes: Some(pkt.size),
-                    }
-                }
+            let victim = match self.drop_policy {
+                CreditDropPolicy::Tail => None,
                 CreditDropPolicy::UniformRandom => {
-                    let victim = rng.index(q.len() + 1);
-                    if victim == q.len() {
-                        // The arrival itself is the victim.
-                        return CreditEnqueueOutcome {
-                            dropped_bytes: Some(pkt.size),
-                        };
-                    }
-                    // Evict the victim and append the arrival at the tail:
-                    // FIFO order of surviving credits must be preserved, or
-                    // echoed sequence numbers reorder and the receiver
-                    // miscounts losses.
-                    let evicted = q.remove(victim).expect("victim index in range");
-                    pkt.enq_t = now;
-                    q.push_back(pkt);
-                    return CreditEnqueueOutcome {
-                        dropped_bytes: Some(evicted.size),
-                    };
+                    // `q.len()` is the arrival itself.
+                    Some(rng.index(q.len() + 1)).filter(|&v| v < q.len())
                 }
                 CreditDropPolicy::LongestQueueDrop => {
                     // Count per-flow occupancy among residents + arrival.
-                    let mut best_flow = pkt.flow;
+                    let flow = |s: &Queued| store.get(s.pkt).flow;
+                    let arrival = store.get(r).flow;
+                    let mut best_flow = arrival;
                     let mut best_count = 1usize;
                     for c in q.iter() {
-                        let n = q.iter().filter(|o| o.flow == c.flow).count()
-                            + usize::from(pkt.flow == c.flow);
+                        let n = q.iter().filter(|o| flow(o) == flow(c)).count()
+                            + usize::from(arrival == flow(c));
                         if n > best_count {
                             best_count = n;
-                            best_flow = c.flow;
+                            best_flow = flow(c);
                         }
                     }
-                    if best_flow == pkt.flow && !q.iter().any(|c| c.flow == pkt.flow) {
-                        // Arrival's flow is the (singleton) max: drop it.
-                        return CreditEnqueueOutcome {
-                            dropped_bytes: Some(pkt.size),
-                        };
-                    }
-                    // Evict the oldest credit of the most-represented flow.
-                    let mut dropped = pkt.size;
-                    if let Some(idx) = q.iter().position(|c| c.flow == best_flow) {
-                        let evicted = q.remove(idx).expect("victim index in range");
-                        dropped = evicted.size;
-                        pkt.enq_t = now;
-                        q.push_back(pkt);
-                    }
-                    return CreditEnqueueOutcome {
-                        dropped_bytes: Some(dropped),
-                    };
+                    // The oldest credit of the most-represented flow; none
+                    // when the arrival's flow is the (singleton) max.
+                    q.iter().position(|c| flow(c) == best_flow)
                 }
-            }
+            };
+            let Some(victim) = victim else {
+                store.free(r);
+                return CreditEnqueueOutcome {
+                    dropped_bytes: Some(size),
+                };
+            };
+            // Evict the victim and append the arrival at the tail: FIFO
+            // order of surviving credits must be preserved, or echoed
+            // sequence numbers reorder and the receiver miscounts losses.
+            let evicted = q.remove(victim).expect("victim index in range");
+            store.free(evicted.pkt);
+            dropped_bytes = Some(evicted.size);
         }
-        pkt.enq_t = now;
-        q.push_back(pkt);
-        CreditEnqueueOutcome {
-            dropped_bytes: None,
-        }
+        store.get_mut(r).enq_t = now;
+        q.push_back(Queued { pkt: r, size });
+        CreditEnqueueOutcome { dropped_bytes }
     }
 
     /// Whether the head credit conforms to the meter right now. Metering is
@@ -378,25 +395,26 @@ impl CreditQueue {
     /// (`None` if empty). With the meter untouched, its ready time depends
     /// on nothing else.
     pub fn head_bytes(&self) -> Option<u32> {
-        self.q.front().map(|p| p.size)
+        self.q.front().map(|s| s.size)
     }
 
     /// Dequeue the head credit, consuming meter tokens.
-    pub fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
-        let mut pkt = self.q.pop_front()?;
-        self.bucket.consume(now, pkt.size as u64);
+    pub fn dequeue(&mut self, now: SimTime, store: &mut Packets) -> Option<PktRef> {
+        let Queued { pkt: r, size } = self.q.pop_front()?;
+        self.bucket.consume(now, size as u64);
+        let pkt = store.get_mut(r);
         pkt.qdelay += now.since(pkt.enq_t);
-        Some(pkt)
+        Some(r)
     }
 
-    /// Drop every queued credit without touching the meter (hard port
-    /// reset). Returns the credits and wire bytes discarded; the network
-    /// books them as fault losses, not as credit drops, which are the
-    /// congestion signal.
-    pub fn flush(&mut self) -> (usize, u64) {
+    /// Drop (and free) every queued credit without touching the meter
+    /// (hard port reset). Returns the credits and wire bytes discarded; the
+    /// network books them as fault losses, not as credit drops, which are
+    /// the congestion signal.
+    pub fn flush(&mut self, store: &mut Packets) -> (usize, u64) {
         let n = self.len();
         let bytes = self.len_bytes();
-        self.q.clear();
+        self.q.drain(..).for_each(|s| store.free(s.pkt));
         (n, bytes)
     }
 
@@ -407,7 +425,7 @@ impl CreditQueue {
 
     /// Wire bytes currently queued.
     pub fn len_bytes(&self) -> u64 {
-        self.q.iter().map(|p| p.size as u64).sum()
+        self.q.iter().map(|s| s.size as u64).sum()
     }
 
     /// True when no credits are queued.
@@ -446,13 +464,13 @@ impl PhantomQueue {
 }
 
 impl DataQueue {
-    /// Snapshot traversal.
-    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
-        io.seq(&mut self.q, 8, |io, p: &mut Packet| p.persist(io))?;
+    /// Snapshot traversal; the queued packets live in `store`.
+    pub fn persist(&mut self, io: &mut SnapIo, store: &mut Packets) -> Result<(), SnapError> {
+        io.seq(&mut self.q, 8, |io, s: &mut Queued| s.persist(io, store))?;
         if io.reading() {
             // The byte count is the queued packets' sum, never a stored
             // figure that could disagree with them.
-            self.len_bytes = self.q.iter().map(|p| p.size as u64).sum();
+            self.len_bytes = self.q.iter().map(|s| s.size as u64).sum();
         }
         let mut had_phantom = self.phantom.is_some();
         io.bool(&mut had_phantom)?;
@@ -470,21 +488,21 @@ impl DataQueue {
     }
 
     /// The queued packets, head first.
-    pub(crate) fn packets(&self) -> impl Iterator<Item = &Packet> {
-        self.q.iter()
+    pub(crate) fn packets(&self) -> impl Iterator<Item = PktRef> + '_ {
+        self.q.iter().map(|s| s.pkt)
     }
 }
 
 impl CreditQueue {
-    /// Snapshot traversal.
-    pub fn persist(&mut self, io: &mut SnapIo) -> Result<(), SnapError> {
-        io.seq(&mut self.q, 8, |io, p: &mut Packet| p.persist(io))?;
+    /// Snapshot traversal; the queued credits live in `store`.
+    pub fn persist(&mut self, io: &mut SnapIo, store: &mut Packets) -> Result<(), SnapError> {
+        io.seq(&mut self.q, 8, |io, s: &mut Queued| s.persist(io, store))?;
         self.bucket.persist(io)
     }
 
     /// The queued credits, head first.
-    pub(crate) fn packets(&self) -> impl Iterator<Item = &Packet> {
-        self.q.iter()
+    pub(crate) fn packets(&self) -> impl Iterator<Item = PktRef> + '_ {
+        self.q.iter().map(|s| s.pkt)
     }
 }
 
@@ -492,8 +510,31 @@ impl CreditQueue {
 mod tests {
     use super::*;
     use crate::ids::{FlowId, HostId};
-    use crate::packet::PktKind;
+    use crate::packet::{Packet, PktKind};
     use xpass_sim::time::Dur;
+
+    /// Store `pkt` and offer it to `q`.
+    fn offer(q: &mut DataQueue, store: &mut Packets, now: SimTime, pkt: Packet) -> EnqueueOutcome {
+        let size = pkt.size;
+        let r = store.store(pkt);
+        q.enqueue(now, r, size, store)
+    }
+
+    /// Dequeue `q`'s head and take it out of the store.
+    fn take(q: &mut DataQueue, store: &mut Packets, now: SimTime) -> Option<Packet> {
+        q.dequeue(now, store).map(|r| store.take(r))
+    }
+
+    /// Store a credit and offer it to `cq`.
+    fn offer_credit(
+        cq: &mut CreditQueue,
+        store: &mut Packets,
+        now: SimTime,
+        rng: &mut xpass_sim::rng::Rng,
+    ) -> CreditEnqueueOutcome {
+        let r = store.store(credit_pkt());
+        cq.enqueue(now, r, CREDIT_SIZE, store, rng)
+    }
 
     fn data_pkt(size: u32) -> Packet {
         Packet::new(FlowId(0), HostId(0), HostId(1), PktKind::Data, size)
@@ -515,43 +556,44 @@ mod tests {
 
     #[test]
     fn droptail_drops_when_full() {
-        let mut q = DataQueue::new(3000);
-        assert!(q.enqueue(SimTime::ZERO, data_pkt(1538)).accepted);
-        assert!(q.enqueue(SimTime::ZERO, data_pkt(1400)).accepted);
-        assert!(!q.enqueue(SimTime::ZERO, data_pkt(100)).accepted);
+        let (mut q, mut st) = (DataQueue::new(3000), Packets::new());
+        assert!(offer(&mut q, &mut st, SimTime::ZERO, data_pkt(1538)).accepted);
+        assert!(offer(&mut q, &mut st, SimTime::ZERO, data_pkt(1400)).accepted);
+        assert!(!offer(&mut q, &mut st, SimTime::ZERO, data_pkt(100)).accepted);
         assert_eq!(q.stats.dropped, 1);
         assert_eq!(q.len_bytes(), 2938);
         assert_eq!(q.len_pkts(), 2);
+        assert_eq!(st.live(), 2, "the tail drop is freed");
     }
 
     #[test]
     fn fifo_order_and_qdelay() {
-        let mut q = DataQueue::new(1 << 20);
+        let (mut q, mut st) = (DataQueue::new(1 << 20), Packets::new());
         let mut p1 = data_pkt(100);
         p1.seq = 1;
         let mut p2 = data_pkt(100);
         p2.seq = 2;
-        q.enqueue(SimTime::ZERO, p1);
-        q.enqueue(SimTime::ZERO, p2);
-        let out = q.dequeue(SimTime::ZERO + Dur::us(5)).unwrap();
+        offer(&mut q, &mut st, SimTime::ZERO, p1);
+        offer(&mut q, &mut st, SimTime::ZERO, p2);
+        let out = take(&mut q, &mut st, SimTime::ZERO + Dur::us(5)).unwrap();
         assert_eq!(out.seq, 1);
         assert_eq!(out.qdelay, Dur::us(5));
-        let out2 = q.dequeue(SimTime::ZERO + Dur::us(9)).unwrap();
+        let out2 = take(&mut q, &mut st, SimTime::ZERO + Dur::us(9)).unwrap();
         assert_eq!(out2.seq, 2);
         assert_eq!(out2.qdelay, Dur::us(9));
-        assert!(q.dequeue(SimTime::ZERO + Dur::us(9)).is_none());
+        assert!(take(&mut q, &mut st, SimTime::ZERO + Dur::us(9)).is_none());
     }
 
     #[test]
     fn ecn_marks_above_k() {
-        let mut q = DataQueue::new(1 << 20);
+        let (mut q, mut st) = (DataQueue::new(1 << 20), Packets::new());
         q.ecn = Some(EcnCfg { k_bytes: 3000 });
-        let clean = q.enqueue(SimTime::ZERO, data_pkt(1538)); // 1538 ≤ 3000
-        let marked = q.enqueue(SimTime::ZERO, data_pkt(1538)); // 3076 > 3000
+        let clean = offer(&mut q, &mut st, SimTime::ZERO, data_pkt(1538)); // 1538 ≤ 3000
+        let marked = offer(&mut q, &mut st, SimTime::ZERO, data_pkt(1538)); // 3076 > 3000
         assert!(clean.accepted && !clean.newly_marked);
         assert!(marked.accepted && marked.newly_marked);
-        let a = q.dequeue(SimTime::ZERO).unwrap();
-        let b = q.dequeue(SimTime::ZERO).unwrap();
+        let a = take(&mut q, &mut st, SimTime::ZERO).unwrap();
+        let b = take(&mut q, &mut st, SimTime::ZERO).unwrap();
         assert!(!a.ecn);
         assert!(b.ecn);
     }
@@ -582,29 +624,30 @@ mod tests {
 
     #[test]
     fn credit_queue_caps_at_configured_depth() {
-        let mut cq = CreditQueue::new(10_000_000_000, 8);
+        let (mut cq, mut st) = (CreditQueue::new(10_000_000_000, 8), Packets::new());
         for _ in 0..8 {
-            let out = cq.enqueue(SimTime::ZERO, credit_pkt(), &mut rng());
+            let out = offer_credit(&mut cq, &mut st, SimTime::ZERO, &mut rng());
             assert_eq!(out.dropped_bytes, None);
         }
         // Exactly one credit dies on overflow, whichever policy picks it.
-        let full = cq.enqueue(SimTime::ZERO, credit_pkt(), &mut rng());
+        let full = offer_credit(&mut cq, &mut st, SimTime::ZERO, &mut rng());
         assert_eq!(full.dropped_bytes, Some(CREDIT_SIZE));
         assert_eq!(cq.len(), 8);
         assert_eq!(cq.cap_pkts(), 8);
+        assert_eq!(st.live(), 8, "the dropped credit is freed");
     }
 
     #[test]
     fn credit_queue_metering_paces_credits() {
-        let mut cq = CreditQueue::new(10_000_000_000, 8);
+        let (mut cq, mut st) = (CreditQueue::new(10_000_000_000, 8), Packets::new());
         for _ in 0..4 {
-            cq.enqueue(SimTime::ZERO, credit_pkt(), &mut rng());
+            offer_credit(&mut cq, &mut st, SimTime::ZERO, &mut rng());
         }
         // Burst of 2 allowed immediately.
         assert!(cq.head_conforms(SimTime::ZERO));
-        cq.dequeue(SimTime::ZERO);
+        cq.dequeue(SimTime::ZERO, &mut st);
         assert!(cq.head_conforms(SimTime::ZERO));
-        cq.dequeue(SimTime::ZERO);
+        cq.dequeue(SimTime::ZERO, &mut st);
         // Third credit must wait ~one credit interval (1622B at 10G ≈ 1.3us).
         assert!(!cq.head_conforms(SimTime::ZERO));
         let ready = cq.head_ready_at(SimTime::ZERO).unwrap();
@@ -617,29 +660,29 @@ mod tests {
         let mut cq = CreditQueue::new(10_000_000_000, 8);
         assert!(!cq.head_conforms(SimTime::ZERO));
         assert!(cq.head_ready_at(SimTime::ZERO).is_none());
-        assert!(cq.dequeue(SimTime::ZERO).is_none());
+        assert!(cq.dequeue(SimTime::ZERO, &mut Packets::new()).is_none());
         assert!(cq.is_empty());
     }
 
     #[test]
     fn enqueue_outcome_reports_admission_and_marking() {
-        let mut q = DataQueue::new(4000);
+        let (mut q, mut st) = (DataQueue::new(4000), Packets::new());
         q.ecn = Some(EcnCfg { k_bytes: 1600 });
-        let ok = q.enqueue(SimTime::ZERO, data_pkt(1538));
+        let ok = offer(&mut q, &mut st, SimTime::ZERO, data_pkt(1538));
         assert!(ok.accepted);
         assert!(!ok.newly_marked);
         assert_eq!(ok.qlen_bytes, 1538);
-        let marked = q.enqueue(SimTime::ZERO, data_pkt(1538));
+        let marked = offer(&mut q, &mut st, SimTime::ZERO, data_pkt(1538));
         assert!(marked.accepted);
         assert!(marked.newly_marked, "3076 > K=1600");
         assert_eq!(marked.qlen_bytes, 3076);
         // Already-marked arrivals are not "newly" marked.
         let mut pre = data_pkt(100);
         pre.ecn = true;
-        let pre_out = q.enqueue(SimTime::ZERO, pre);
+        let pre_out = offer(&mut q, &mut st, SimTime::ZERO, pre);
         assert!(pre_out.accepted && !pre_out.newly_marked);
         // Overflow: rejected, occupancy unchanged.
-        let full = q.enqueue(SimTime::ZERO, data_pkt(1538));
+        let full = offer(&mut q, &mut st, SimTime::ZERO, data_pkt(1538));
         assert!(!full.accepted);
         assert_eq!(full.qlen_bytes, 3176);
         assert_eq!(q.stats.dropped, 1);
@@ -647,9 +690,9 @@ mod tests {
 
     #[test]
     fn occupancy_stats_track_time_weighted_mean() {
-        let mut q = DataQueue::new(1 << 20);
-        q.enqueue(SimTime::ZERO, data_pkt(1000));
-        q.dequeue(SimTime::ZERO + Dur::us(10));
+        let (mut q, mut st) = (DataQueue::new(1 << 20), Packets::new());
+        offer(&mut q, &mut st, SimTime::ZERO, data_pkt(1000));
+        q.dequeue(SimTime::ZERO + Dur::us(10), &mut st);
         q.stats.occupancy.finish(SimTime::ZERO + Dur::us(20));
         // 1000B for 10us, 0 for 10us → mean 500.
         assert!((q.stats.occupancy.mean() - 500.0).abs() < 1.0);
@@ -661,24 +704,25 @@ mod tests {
     #[test]
     fn data_queue_byte_count_comes_from_its_packets() {
         use xpass_sim::snap::{SnapIo, SnapReader, SnapWriter};
-        let mut q = DataQueue::new(1 << 20);
+        let (mut q, mut st) = (DataQueue::new(1 << 20), Packets::new());
         for size in [1538, 64, 900] {
-            q.enqueue(SimTime::ZERO, data_pkt(size));
+            offer(&mut q, &mut st, SimTime::ZERO, data_pkt(size));
         }
         let mut w = SnapWriter::new();
-        q.persist(&mut SnapIo::Write(&mut w)).unwrap();
+        q.persist(&mut SnapIo::Write(&mut w), &mut st).unwrap();
         let body = w.into_body();
 
-        let mut twin = DataQueue::new(1 << 20);
+        let (mut twin, mut twin_st) = (DataQueue::new(1 << 20), Packets::new());
         let mut r = SnapIo::Read(SnapReader::new(&body, 0));
-        twin.persist(&mut r).unwrap();
+        twin.persist(&mut r, &mut twin_st).unwrap();
         r.expect_end().unwrap();
-        let queued: u64 = twin.packets().map(|p| p.size as u64).sum();
+        let queued: u64 = twin.packets().map(|p| twin_st.get(p).size as u64).sum();
         assert_eq!(twin.len_bytes(), queued);
         assert_eq!(twin.len_bytes(), 2502);
         assert_eq!(twin.len_pkts(), 3);
+        assert_eq!(twin_st.live(), 3, "a restore stores each queued packet");
         for left in [964, 900, 0] {
-            twin.dequeue(SimTime::ZERO);
+            twin.dequeue(SimTime::ZERO, &mut twin_st);
             assert_eq!(twin.len_bytes(), left);
         }
     }

@@ -10,7 +10,7 @@ use xpass::expresspass::feedback::{max_credit_rate, CreditFeedback, MIN_RATE_FRA
 use xpass::expresspass::netcalc::{buffer_bounds, HierTopo, NetCalcParams};
 use xpass::expresspass::XPassConfig;
 use xpass::net::ids::{FlowId, HostId, SwitchId};
-use xpass::net::packet::{data_wire_size, Packet, PktKind, MAX_FRAME, MIN_FRAME};
+use xpass::net::packet::{data_wire_size, Packet, Packets, PktKind, MAX_FRAME, MIN_FRAME};
 use xpass::net::queue::{CreditDropPolicy, CreditQueue, DataQueue};
 use xpass::net::routing::{ecmp_index, symmetric_flow_hash};
 use xpass::net::topology::Topology;
@@ -162,23 +162,25 @@ fn data_queue_conserves_bytes() {
     for _ in 0..64 {
         let n = below(&mut rng, 1, 100) as usize;
         let cap = below(&mut rng, 2_000, 100_000);
-        let mut q = DataQueue::new(cap);
+        let (mut q, mut store) = (DataQueue::new(cap), Packets::new());
         let mut accepted_bytes = 0u64;
         for i in 0..n {
             let s = below(&mut rng, 84, 1538) as u32;
             let mut p = Packet::new(FlowId(0), HostId(0), HostId(1), PktKind::Data, s);
             p.seq = i as u64;
-            if q.enqueue(SimTime(i as u64), p).accepted {
+            let r = store.store(p);
+            if q.enqueue(SimTime(i as u64), r, s, &mut store).accepted {
                 accepted_bytes += s as u64;
             }
             assert!(q.len_bytes() <= cap);
         }
         let mut drained = 0u64;
-        while let Some(p) = q.dequeue(SimTime(1_000_000)) {
-            drained += p.size as u64;
+        while let Some(r) = q.dequeue(SimTime(1_000_000), &mut store) {
+            drained += store.take(r).size as u64;
         }
         assert_eq!(drained, accepted_bytes);
         assert_eq!(q.len_bytes(), 0);
+        assert_eq!(store.live(), 0);
     }
 }
 
@@ -193,7 +195,7 @@ fn credit_queue_never_exceeds_capacity() {
         };
         let n = below(&mut meta, 1, 200) as usize;
         let cap = below(&mut meta, 1, 16) as usize;
-        let mut q = CreditQueue::new(10_000_000_000, cap);
+        let (mut q, mut store) = (CreditQueue::new(10_000_000_000, cap), Packets::new());
         q.drop_policy = policy;
         let mut rng = Rng::new(42);
         let mut drops = 0;
@@ -201,13 +203,15 @@ fn credit_queue_never_exceeds_capacity() {
             let f = meta.below(4) as u32;
             let mut p = Packet::new(FlowId(f), HostId(f), HostId(9), PktKind::Credit, 84);
             p.seq = i as u64;
-            let out = q.enqueue(SimTime(i as u64 * 1000), p, &mut rng);
+            let r = store.store(p);
+            let out = q.enqueue(SimTime(i as u64 * 1000), r, 84, &mut store, &mut rng);
             drops += usize::from(out.dropped_bytes.is_some());
             assert!(q.len() <= cap);
         }
         // Conservation: nothing is dequeued, so every credit offered was
         // either dropped (one per overflow) or is still queued.
         assert_eq!(drops + q.len(), n);
+        assert_eq!(store.live(), q.len(), "every dropped credit is freed");
     }
 }
 
@@ -224,7 +228,7 @@ fn credit_queue_fifo_order_survives_drops() {
             CreditDropPolicy::UniformRandom,
             CreditDropPolicy::LongestQueueDrop,
         ] {
-            let mut q = CreditQueue::new(10_000_000_000, 8);
+            let (mut q, mut store) = (CreditQueue::new(10_000_000_000, 8), Packets::new());
             q.drop_policy = policy;
             let mut rng = Rng::new(9);
             let mut now = SimTime::ZERO;
@@ -233,10 +237,12 @@ fn credit_queue_fifo_order_survives_drops() {
                 let f = (i % 2) as u32;
                 let mut p = Packet::new(FlowId(f), HostId(f), HostId(9), PktKind::Credit, 84);
                 p.seq = i as u64;
-                q.enqueue(now, p, &mut rng);
+                let r = store.store(p);
+                q.enqueue(now, r, 84, &mut store, &mut rng);
                 now += Dur::ns(400);
                 if q.head_conforms(now) {
-                    let out = q.dequeue(now).unwrap();
+                    let r = q.dequeue(now, &mut store).unwrap();
+                    let out = store.take(r);
                     let fl = out.src.0 as usize;
                     assert!(out.seq >= last_seq[fl], "{policy:?}: reordered");
                     last_seq[fl] = out.seq;

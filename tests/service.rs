@@ -324,6 +324,72 @@ fn sigkill_mid_ingest_auto_resumes_and_converges() {
     assert_eq!(resumed, fresh, "resumed live run diverged from replay");
 }
 
+/// An arrival the topology cannot host is rejected at admission, and its
+/// batch, with nothing kept, must not advance the network: a replay makes
+/// one run call per journaled group, so a run call the journal never
+/// records would put every later snapshot one call ahead of its groups,
+/// and a restart would refuse them all.
+#[test]
+fn an_all_rejected_batch_leaves_checkpoints_usable() {
+    let dir = scratch("rejected");
+    let scn = stream_scenario(&dir, "svc_reject", 50, 10_000_000_000);
+    let journal = dir.join("ingest.jsonl");
+    let ck = dir.join("ck");
+    let out = dir.join("out");
+    let args = [
+        "serve",
+        "run",
+        scn.to_str().unwrap(),
+        "--ingest",
+        journal.to_str().unwrap(),
+        "--checkpoint-every",
+        "1",
+        "--checkpoint-dir",
+        ck.to_str().unwrap(),
+        "--json",
+        out.to_str().unwrap(),
+    ];
+    let log1 = dir.join("serve1.log");
+    let mut child = spawn_repro(&args, &log1, &[]);
+    let addr = served_addr(&log1);
+    let (code, _, _) = post_arrival(&addr, 99, 0, 150_000);
+    assert_eq!(code, 200, "the decoder accepts it; admission rejects it");
+    wait_in_log(&log1, "rejected arrival", 30);
+    for i in 1..=3u32 {
+        let (code, _, _) = post_arrival(&addr, i, 0, 150_000);
+        assert_eq!(code, 200);
+        std::thread::sleep(Duration::from_millis(120));
+    }
+    wait_in_log(&log1, "(group 3)", 30);
+    child.kill().expect("SIGKILL the service");
+    let _ = child.wait();
+    let j = std::fs::read_to_string(&journal).expect("journal survives kill -9");
+    assert_eq!(
+        j.lines().count(),
+        4,
+        "the rejected arrival is not journaled: {j}"
+    );
+
+    let log2 = dir.join("serve2.log");
+    let mut child = spawn_repro(&args, &log2, &[]);
+    let text = wait_in_log(&log2, "replayed 3 group(s)", 30);
+    assert!(
+        text.contains("arming resume from checkpoint"),
+        "restart did not arm the snapshot:\n{text}"
+    );
+    assert!(
+        !text.contains("did not admit exactly"),
+        "a snapshot was refused:\n{text}"
+    );
+    send_signal(&child, "-TERM");
+    let st = wait_exit(&mut child, 60);
+    assert!(st.success(), "restarted service must exit 0, got {st:?}");
+
+    let resumed = std::fs::read(out.join("svc_reject.json")).expect("resumed record");
+    let (fresh, _) = replay(&scn, &journal, &dir, "fresh", "calendar");
+    assert_eq!(resumed, fresh, "resumed live run diverged from replay");
+}
+
 // ---------------------------------------------------------------------------
 // Fence 3: flood past the token bucket => 429 + Retry-After; the service
 // keeps running and accepted work is unaffected.
